@@ -1,4 +1,4 @@
-//! Ablation benches (DESIGN.md §5):
+//! Ablation benches:
 //!
 //! * **A1** — the paper's AND-encoded min-register vs a `fetch_min` register.
 //! * **A2** — the price of linearizability: `predecessor` on the lock-free

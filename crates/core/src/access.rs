@@ -45,9 +45,9 @@ pub(crate) struct TrieCore {
     /// (slot 0 unused); initially the dummy of the subtree's leftmost key.
     dnode: Box<[AtomicPtr<UpdateNode>]>,
     /// Epoch-aware registry owning every update node, dummies included
-    /// (DESIGN.md D4): superseded nodes are retired through it and freed
-    /// once unreferenced, so resident memory tracks the live set instead of
-    /// the update history.
+    /// (see [`lftrie_primitives::registry`]): superseded nodes are retired
+    /// through it and freed once unreferenced, so resident memory tracks
+    /// the live set instead of the update history.
     nodes: Registry<UpdateNode>,
     /// Source of the never-reused [`UpdateNode::seq`] ids (0 is reserved
     /// as "no node" in notify records).

@@ -1,6 +1,7 @@
 //! The wait-free trie-update and traversal algorithms shared by both tries:
 //! `InterpretedBit`, `InsertBinaryTrie`, `DeleteBinaryTrie` and
-//! `RelaxedPredecessor` (paper §4.4, lines 22–90).
+//! `RelaxedPredecessor` (paper §4.4, lines 22–90), the last written once
+//! for both query directions.
 //!
 //! Comments carry the paper's pseudocode line numbers. The routines are
 //! generic over `LatestAccess`, which is how §5 swaps in the latest-list
@@ -13,10 +14,10 @@
 //! preserves the paper's wait-free `O(log u)` worst-case bounds (each step is
 //! a constant number of shared accesses, and there are at most `b` steps).
 
-use lftrie_primitives::NO_PRED;
 use lftrie_telemetry::{self as telemetry, Counter};
 
 use crate::access::{LatestAccess, TrieCore};
+use crate::dir::Dir;
 use crate::layout::{Layout, NodeIndex};
 use crate::node::{Kind, UpdateNode};
 
@@ -279,129 +280,59 @@ pub(crate) fn delete_binary_trie<A: LatestAccess>(
     }
 }
 
-/// `RelaxedSuccessor(y)` — the mirror image of `RelaxedPredecessor`
-/// (extension; the paper notes predecessor only, successor is symmetric:
-/// swap left/right and take the left-most 1-path).
+/// `RelaxedPredecessor(y)` (lines 73–90), written once for both
+/// directions: `D = Pred` is the paper's traversal, `D = Succ` its
+/// left/right mirror `RelaxedSuccessor(y)`.
 ///
-/// Returns `Some(key)` for a certified successor, `Some(NO_PRED)` when no
-/// greater key is present, `None` for ⊥.
-pub(crate) fn relaxed_successor<A: LatestAccess>(core: &TrieCore, acc: &A, y: i64) -> Option<i64> {
-    let layout = core.layout();
-    let mut tally = TraversalTally::new(Counter::SuccTouches);
-    let mut t = layout.leaf(y as u64);
-    loop {
-        tally.touch();
-        // Climb while t is a right child or its (right) sibling reads 0.
-        if layout.is_left_child(t) && interpreted_bit(core, acc, layout.sibling(t)) {
-            break;
-        }
-        t = layout.parent(t);
-        if t == Layout::ROOT {
-            return Some(NO_PRED);
-        }
-    }
-    // Descend the left-most 1-path from t.parent.right.
-    let mut t = layout.sibling(t);
-    while layout.height(t) > 0 {
-        tally.touch();
-        if interpreted_bit(core, acc, layout.left(t)) {
-            t = layout.left(t);
-        } else if interpreted_bit(core, acc, layout.right(t)) {
-            t = layout.right(t);
-        } else {
-            return None;
-        }
-    }
-    Some(layout.leaf_key(t) as i64)
-}
-
-/// `RelaxedPredecessor(y)` (lines 73–90).
+/// Returns `Some(key)` for a certified answer, `Some(D::NONE)` when no key
+/// lies beyond `y`, and `None` for the paper's `⊥` (a concurrent update
+/// prevented the traversal).
 ///
-/// Returns `Some(key)` for a certified predecessor, `Some(NO_PRED)` (−1) when
-/// no smaller key is present, and `None` for the paper's `⊥` (a concurrent
-/// update prevented the traversal).
-pub(crate) fn relaxed_predecessor<A: LatestAccess>(
+/// An out-of-universe sentinel query key (`y = u` for the maximum,
+/// `y = −1` for the minimum) has every key beyond it, so the climb is
+/// vacuous and the descent starts at the root. That descent starts
+/// *uncertified*: an all-zero read of the root's children cannot
+/// distinguish an empty set from a delete concurrently clearing the last
+/// key's path, so it is reported as ⊥ and the caller's recovery decides —
+/// which certifies emptiness exactly when no delete is announced, since a
+/// delete clears interpreted bits only while announced (lines 196/202).
+pub(crate) fn relaxed_query<D: Dir, A: LatestAccess>(
     core: &TrieCore,
     acc: &A,
     y: i64,
 ) -> Option<i64> {
     let layout = core.layout();
-    let mut tally = TraversalTally::new(Counter::PredTouches);
-    let mut t = layout.leaf(y as u64); // L74
-    loop {
-        tally.touch();
-        // L75: climb while t is a left child or its (left) sibling reads 0.
-        if !layout.is_left_child(t) && interpreted_bit(core, acc, layout.sibling(t)) {
-            break;
-        }
-        t = layout.parent(t); // L76
-        if t == Layout::ROOT {
-            return Some(NO_PRED); // L77–78
+    let mut tally = TraversalTally::new(D::TOUCHES);
+    let mut t = Layout::ROOT;
+    if (0..layout.universe() as i64).contains(&y) {
+        t = layout.leaf(y as u64); // L74
+        loop {
+            tally.touch();
+            // L75: climb until t is its parent's child toward y and its
+            // sibling, on the answer side, reads 1.
+            let parent = layout.parent(t);
+            let [toward_y, answer_side] = D::children(layout, parent);
+            if t == toward_y && interpreted_bit(core, acc, answer_side) {
+                t = answer_side; // L80: descend from the sibling
+                break;
+            }
+            t = parent; // L76
+            if t == Layout::ROOT {
+                return Some(D::NONE); // L77–78
+            }
         }
     }
-    // L80: descend the right-most 1-path from t.parent.left.
-    let mut t = layout.sibling(t);
     while layout.height(t) > 0 {
         // L81
         tally.touch();
-        if interpreted_bit(core, acc, layout.right(t)) {
-            t = layout.right(t); // L82–83
-        } else if interpreted_bit(core, acc, layout.left(t)) {
-            t = layout.left(t); // L84–85
+        let [toward_y, away] = D::children(layout, t);
+        if interpreted_bit(core, acc, toward_y) {
+            t = toward_y; // L82–83
+        } else if interpreted_bit(core, acc, away) {
+            t = away; // L84–85
         } else {
             return None; // L86–88: both children read 0 — ⊥
         }
     }
     Some(layout.leaf_key(t) as i64) // L89–90
-}
-
-/// `RelaxedSuccessor(−1)`: the minimum, by descending the left-most 1-path
-/// from the root (the climb of `RelaxedPredecessor`/`RelaxedSuccessor` is
-/// vacuous for a query key below the universe — the answer subtree is the
-/// whole trie).
-///
-/// Returns `Some(key)` for a certified minimum, `None` for ⊥. Unlike the
-/// in-universe traversals, the root descent starts *uncertified*: an
-/// all-zero read of the root's children cannot distinguish an empty set
-/// from a delete concurrently clearing the last key's path, so it is
-/// reported as ⊥ and the caller's recovery decides — which certifies
-/// emptiness exactly when no delete is announced (the `d_pub.is_empty()`
-/// arm of `succ_compute`), since a delete clears interpreted bits only
-/// while announced (lines 196/202).
-pub(crate) fn relaxed_min<A: LatestAccess>(core: &TrieCore, acc: &A) -> Option<i64> {
-    let layout = core.layout();
-    let mut tally = TraversalTally::new(Counter::SuccTouches);
-    let mut t = Layout::ROOT;
-    while layout.height(t) > 0 {
-        tally.touch();
-        if interpreted_bit(core, acc, layout.left(t)) {
-            t = layout.left(t);
-        } else if interpreted_bit(core, acc, layout.right(t)) {
-            t = layout.right(t);
-        } else {
-            return None;
-        }
-    }
-    Some(layout.leaf_key(t) as i64)
-}
-
-/// `RelaxedPredecessor(u)`: the maximum, by descending the right-most
-/// 1-path from the root — the mirror of [`relaxed_min`], with the same
-/// ⊥-for-all-zero convention (the caller's recovery certifies emptiness
-/// via the `d_ruall.is_empty()` arm of `pred_helper`).
-pub(crate) fn relaxed_max<A: LatestAccess>(core: &TrieCore, acc: &A) -> Option<i64> {
-    let layout = core.layout();
-    let mut tally = TraversalTally::new(Counter::PredTouches);
-    let mut t = Layout::ROOT;
-    while layout.height(t) > 0 {
-        tally.touch();
-        if interpreted_bit(core, acc, layout.right(t)) {
-            t = layout.right(t);
-        } else if interpreted_bit(core, acc, layout.left(t)) {
-            t = layout.left(t);
-        } else {
-            return None;
-        }
-    }
-    Some(layout.leaf_key(t) as i64)
 }

@@ -30,6 +30,7 @@ pub type NodeIndex = u64;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
+    universe: u64,
     b: u32,
     num_leaves: u64,
 }
@@ -52,9 +53,17 @@ impl Layout {
         );
         let b = 64 - (universe - 1).leading_zeros(); // ⌈log₂ universe⌉ for universe ≥ 2
         Self {
+            universe,
             b,
             num_leaves: 1u64 << b,
         }
+    }
+
+    /// The universe size `u`; keys `u..2^b` are padding leaves that are
+    /// never in the set.
+    #[inline]
+    pub fn universe(&self) -> u64 {
+        self.universe
     }
 
     /// `b = ⌈log₂ u⌉`, the height of the root.

@@ -35,6 +35,7 @@
 #![warn(rust_2018_idioms)]
 
 mod access;
+mod dir;
 #[cfg(test)]
 mod figures;
 mod node;

@@ -22,7 +22,8 @@ use lftrie_primitives::minreg::{AndMinRegister, MinRegister};
 use lftrie_primitives::registry::Reclaim;
 use lftrie_primitives::steps;
 use lftrie_primitives::swcursor::PublishedKey;
-use lftrie_primitives::{NEG_INF, NO_PRED, NO_SUCC, POS_INF};
+
+use crate::dir::{Dir, Pred, Succ};
 
 /// `type` field of an update node: INS or DEL (Figure 4 line 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,17 +46,14 @@ pub enum Status {
     Active = 1,
 }
 
-/// Sentinel for "delPred2 not yet written" (`⊥` in Figure 6 line 104).
-pub(crate) const DELPRED2_UNSET: i64 = i64::MIN;
-
-/// Sentinel for "delSucc2 not yet written" (the successor mirror of
-/// [`DELPRED2_UNSET`]; legitimate values are universe keys or
-/// [`NO_SUCC`], both `> NEG_INF`).
-pub(crate) const DELSUCC2_UNSET: i64 = i64::MIN;
+/// Sentinel for "delPred2 / delSucc2 not yet written" (`⊥` in Figure 6
+/// line 104); legitimate values are universe keys or a direction's none
+/// answer (`NO_PRED`, `NO_SUCC`).
+pub(crate) const DEL2_UNSET: i64 = i64::MIN;
 
 /// An INS or DEL update node (Figures 4 and 6).
 ///
-/// DEL-only fields (`upper0_boundary`, `lower1_boundary`, `del_pred*`) are
+/// DEL-only fields (`upper0_boundary`, `lower1_boundary`, `del_*`) are
 /// present on every node for layout uniformity; they are only meaningful when
 /// `kind == Kind::Del`, mirroring the paper's "additional fields when
 /// type = DEL".
@@ -113,20 +111,15 @@ pub struct UpdateNode {
     upper0_boundary: AtomicU32,
     /// DEL: min-register; heights `≥ lower1Boundary` read bit 1 (line 101).
     lower1_boundary: AndMinRegister,
-    /// DEL: predecessor node of the first embedded predecessor (line 102).
-    del_pred_node: AtomicPtr<PredNode>,
-    /// DEL: result of the first embedded predecessor (line 103).
-    del_pred: AtomicI64,
-    /// DEL: `⊥ →` result of the second embedded predecessor (line 104).
-    del_pred2: AtomicI64,
-    /// DEL: successor node of the first embedded successor (the left/right
-    /// mirror of `del_pred_node`; successor extension).
-    del_succ_node: AtomicPtr<SuccNode>,
-    /// DEL: result of the first embedded successor (mirror of `del_pred`).
-    del_succ: AtomicI64,
-    /// DEL: `⊥ →` result of the second embedded successor (mirror of
-    /// `del_pred2`).
-    del_succ2: AtomicI64,
+    /// DEL, per query direction ([`Dir::IDX`]): query node of the first
+    /// embedded query (`delPredNode`, line 102).
+    del_node: [AtomicPtr<QueryNode>; 2],
+    /// DEL, per direction: result of the first embedded query (`delPred`,
+    /// line 103).
+    del_result: [AtomicI64; 2],
+    /// DEL, per direction: `⊥ →` result of the second embedded query
+    /// (`delPred2`, line 104).
+    del_result2: [AtomicI64; 2],
 }
 
 // Safety: every field is either immutable after publication or atomic; raw
@@ -195,12 +188,12 @@ impl UpdateNode {
             retire_claim: AtomicBool::new(false),
             upper0_boundary: AtomicU32::new(upper0),
             lower1_boundary: AndMinRegister::new(lower1, b + 1),
-            del_pred_node: AtomicPtr::new(core::ptr::null_mut()),
-            del_pred: AtomicI64::new(NO_PRED),
-            del_pred2: AtomicI64::new(DELPRED2_UNSET),
-            del_succ_node: AtomicPtr::new(core::ptr::null_mut()),
-            del_succ: AtomicI64::new(NO_SUCC),
-            del_succ2: AtomicI64::new(DELSUCC2_UNSET),
+            del_node: [
+                AtomicPtr::new(core::ptr::null_mut()),
+                AtomicPtr::new(core::ptr::null_mut()),
+            ],
+            del_result: [AtomicI64::new(Pred::NONE), AtomicI64::new(Succ::NONE)],
+            del_result2: [AtomicI64::new(DEL2_UNSET), AtomicI64::new(DEL2_UNSET)],
         }
     }
 
@@ -363,93 +356,45 @@ impl UpdateNode {
         self.lower1_boundary.min_write(height);
     }
 
+    /// `delPredNode` / `delSuccNode`: the first embedded query's node.
     #[inline]
-    pub(crate) fn del_pred_node(&self) -> *mut PredNode {
+    pub(crate) fn del_node<D: Dir>(&self) -> *mut QueryNode {
         steps::on_read();
-        self.del_pred_node.load(Ordering::SeqCst)
+        self.del_node[D::IDX].load(Ordering::SeqCst)
     }
 
-    /// Writes the immutable `delPredNode` before the node is published
-    /// (line 189).
+    /// `delPred` / `delSucc`: the first embedded query's result.
     #[inline]
-    pub(crate) fn init_del_pred_node(&self, node: *mut PredNode) {
-        self.del_pred_node.store(node, Ordering::SeqCst);
-    }
-
-    #[inline]
-    pub(crate) fn del_pred(&self) -> i64 {
+    pub(crate) fn del_result<D: Dir>(&self) -> i64 {
         steps::on_read();
-        self.del_pred.load(Ordering::SeqCst)
+        self.del_result[D::IDX].load(Ordering::SeqCst)
     }
 
-    /// Writes the immutable `delPred` before the node is published (line 188).
+    /// Writes the immutable first embedded query's result and node before
+    /// the node is published (lines 188–189).
     #[inline]
-    pub(crate) fn init_del_pred(&self, key: i64) {
-        self.del_pred.store(key, Ordering::SeqCst);
+    pub(crate) fn init_del<D: Dir>(&self, result: i64, node: *mut QueryNode) {
+        self.del_result[D::IDX].store(result, Ordering::SeqCst);
+        self.del_node[D::IDX].store(node, Ordering::SeqCst);
     }
 
-    /// Reads `delPred2`; `None` until the second embedded predecessor's
-    /// result is recorded.
+    /// Reads `delPred2` / `delSucc2`; `None` until the second embedded
+    /// query's result is recorded.
     #[inline]
-    pub(crate) fn del_pred2(&self) -> Option<i64> {
+    pub(crate) fn del_result2<D: Dir>(&self) -> Option<i64> {
         steps::on_read();
-        match self.del_pred2.load(Ordering::SeqCst) {
-            DELPRED2_UNSET => None,
+        match self.del_result2[D::IDX].load(Ordering::SeqCst) {
+            DEL2_UNSET => None,
             v => Some(v),
         }
     }
 
     /// `dNode.delPred2 ← delPred2` (line 201); written once.
     #[inline]
-    pub(crate) fn set_del_pred2(&self, key: i64) {
-        debug_assert_ne!(key, DELPRED2_UNSET);
+    pub(crate) fn set_del_result2<D: Dir>(&self, key: i64) {
+        debug_assert_ne!(key, DEL2_UNSET);
         steps::on_write();
-        self.del_pred2.store(key, Ordering::SeqCst);
-    }
-
-    #[inline]
-    pub(crate) fn del_succ_node(&self) -> *mut SuccNode {
-        steps::on_read();
-        self.del_succ_node.load(Ordering::SeqCst)
-    }
-
-    /// Writes the immutable `delSuccNode` before the node is published
-    /// (mirror of line 189).
-    #[inline]
-    pub(crate) fn init_del_succ_node(&self, node: *mut SuccNode) {
-        self.del_succ_node.store(node, Ordering::SeqCst);
-    }
-
-    #[inline]
-    pub(crate) fn del_succ(&self) -> i64 {
-        steps::on_read();
-        self.del_succ.load(Ordering::SeqCst)
-    }
-
-    /// Writes the immutable `delSucc` before the node is published (mirror
-    /// of line 188).
-    #[inline]
-    pub(crate) fn init_del_succ(&self, key: i64) {
-        self.del_succ.store(key, Ordering::SeqCst);
-    }
-
-    /// Reads `delSucc2`; `None` until the second embedded successor's result
-    /// is recorded.
-    #[inline]
-    pub(crate) fn del_succ2(&self) -> Option<i64> {
-        steps::on_read();
-        match self.del_succ2.load(Ordering::SeqCst) {
-            DELSUCC2_UNSET => None,
-            v => Some(v),
-        }
-    }
-
-    /// `dNode.delSucc2 ← delSucc2` (mirror of line 201); written once.
-    #[inline]
-    pub(crate) fn set_del_succ2(&self, key: i64) {
-        debug_assert_ne!(key, DELSUCC2_UNSET);
-        steps::on_write();
-        self.del_succ2.store(key, Ordering::SeqCst);
+        self.del_result2[D::IDX].store(key, Ordering::SeqCst);
     }
 }
 
@@ -496,13 +441,13 @@ impl core::fmt::Debug for UpdateNode {
 }
 
 /// A notification record (Figure 6 lines 109–113): the *value* carried by one
-/// notify node in a predecessor node's `notifyList`.
+/// notify node in a query node's `notifyList`.
 ///
 /// The paper stores *pointers* to the notifying update node (line 111) and
 /// to the U-ALL maximum (line 112), relying on garbage collection to keep
 /// them dereferenceable for as long as any notify list holds them. Under
 /// epoch reclamation a record can outlive its notifier by many epochs (a
-/// delete's embedded predecessor node — and thus its notify list — stays
+/// delete's embedded query node — and thus its notify list — stays
 /// readable through `delPredNode` well after the notifier is reclaimed), so
 /// the record instead carries a **value snapshot** of everything the
 /// receiver reads (key, kind, `delPred2`), plus the never-reused
@@ -517,173 +462,100 @@ pub(crate) struct NotifyRecord {
     /// The notifying update node's unique id (stands in for the line-111
     /// pointer in identity comparisons).
     pub seq: u64,
-    /// DEL notifiers: `delPred2`, final by the time any DEL notifies
-    /// (line 201 precedes line 203); [`DELPRED2_UNSET`] on INS notifiers.
-    pub del_pred2: i64,
-    /// DEL notifiers: `delSucc2` (the successor mirror, final for the same
-    /// reason); [`DELSUCC2_UNSET`] on INS notifiers.
-    pub del_succ2: i64,
+    /// DEL notifiers: the second embedded query's result *of the
+    /// receiver's direction* (`delPred2` for a predecessor receiver,
+    /// `delSucc2` for a successor receiver), final by the time any DEL
+    /// notifies (line 201 precedes line 203); [`DEL2_UNSET`] on INS
+    /// notifiers. Only receivers of one direction ever read a record.
+    pub del2: i64,
     /// Id of the extremal INS node the notifier saw in its full traversal
-    /// (line 112): for a predecessor receiver, the largest key
-    /// `< pNode.key`; for a successor receiver, the *smallest* key
-    /// `> sNode.key`. 0 is `⊥`.
+    /// (line 112): the INS key beyond the receiver's key nearest to it —
+    /// the largest key `< y` for a predecessor receiver, the smallest key
+    /// `> y` for a successor receiver. 0 is `⊥`.
     pub ext_seq: u64,
-    /// That node's key ([`NO_PRED`] / [`NO_SUCC`] when `ext_seq` is 0).
+    /// That node's key (the direction's none answer when `ext_seq` is 0).
     pub ext_key: i64,
-    /// The receiver's published traversal position at send time (line 113):
-    /// `RuallPosition` for predecessor receivers, `UallPosition` for
-    /// successor receivers.
+    /// The receiver's published traversal position at send time (line 113).
     pub notify_threshold: i64,
-    /// The receiver's [`SuccNode::era`] at send time, read under the era
+    /// The receiver's [`QueryNode::era`] at send time, read under the era
     /// seqlock together with `key` and `notify_threshold`. A sliding scan
     /// (scan subsystem v2) bumps the era twice per step; the step then
     /// accepts only records stamped with its own (even) era, discarding
-    /// notifications aimed at an earlier query key. Always 0 for
-    /// predecessor receivers and one-shot successor operations.
+    /// notifications aimed at an earlier query key. Always 0 for receivers
+    /// that never slide.
     pub era: u64,
 }
 
-/// A predecessor node in the P-ALL (Figure 6 lines 105–108).
-pub struct PredNode {
-    /// Immutable input key `y` (line 106).
-    pub(crate) key: i64,
+/// A query node: the announcement of one predecessor or successor
+/// operation in the P-ALL or S-ALL (Figure 6 lines 105–108).
+///
+/// The node is the same for both directions; the direction decides only
+/// where it is announced and which list its cursor walks. A predecessor's
+/// cursor walks the RU-ALL descending from `+∞` (`RuallPosition`); a
+/// successor's walks the U-ALL ascending from `−∞`. Either way the cursor
+/// starts at the published list's head key, so a notification sent before
+/// the traversal fails every threshold comparison.
+///
+/// # Sliding reuse (scan subsystem v2)
+///
+/// A scan session keeps one announced successor node alive across many
+/// successor steps, *sliding* it: the owner rewrites `key` to the next
+/// query key and re-arms `position` at the origin instead of withdrawing
+/// and re-announcing. Notifiers read `(key, position)` as a pair; to keep
+/// that pair consistent across a slide the node carries an `era` seqlock —
+/// even while stable, odd during the slide's boundary rewrite. Notifiers
+/// skip a node whose era is odd or changes under them and stamp the era
+/// they read into the record; the step discards records from other eras.
+/// Nodes that never slide — every predecessor node, and one-shot successor
+/// operations — keep era 0, so the filter accepts everything.
+pub struct QueryNode {
+    /// Input key `y` (line 106); rewritten only by the owning scan session
+    /// between steps, under the `era` seqlock.
+    key: AtomicI64,
     /// Liveness incarnation id of the allocating thread (for orphan
     /// adoption). Immutable.
-    pub(crate) owner: u64,
+    owner: u64,
+    /// Era seqlock guarding `(key, position)` pairs: even = stable,
+    /// odd = a slide is rewriting the pair. Only the owner writes it.
+    era: AtomicU64,
     /// Insert-only list of notifications (line 107).
     pub(crate) notify_list: PushStack<NotifyRecord>,
-    /// Published RU-ALL traversal position; initially the `+∞` sentinel's key
-    /// (line 108). Written by the owner via the validated-copy protocol.
-    pub(crate) ruall_position: PublishedKey,
-    /// The P-ALL cell this node was announced with, for removal.
-    pall_cell: AtomicPtr<PallCell<PredNode>>,
+    /// Published traversal position; initially the published list's head
+    /// key (line 108). Written by the owner via the validated-copy
+    /// protocol.
+    pub(crate) position: PublishedKey,
+    /// The P-ALL / S-ALL cell this node was announced with, for removal.
+    cell: AtomicPtr<PallCell<QueryNode>>,
     /// Withdrawal claim: under the crash model both a crashed operation's
     /// resume path and the orphan-adoption sweep can reach the same node
-    /// (e.g. an embedded helper of a delete that died before announcing),
+    /// (e.g. an embedded query of a delete that died before announcing),
     /// and withdrawal retires — it must happen exactly once.
     withdrawn: AtomicBool,
 }
 
 // Safety: as for UpdateNode.
-unsafe impl Send for PredNode {}
-unsafe impl Sync for PredNode {}
+unsafe impl Send for QueryNode {}
+unsafe impl Sync for QueryNode {}
 
-/// Predecessor nodes are retired only after their P-ALL announcement is
-/// removed; the one long-lived path to them (`dNode.delPredNode`) is only
-/// followed for DEL nodes found announced in the RU-ALL, which cannot
-/// happen for threads pinning after the owning `Delete` de-announced — so
-/// the plain grace period suffices and no readiness gate is needed.
-impl Reclaim for PredNode {}
+/// Query nodes are retired only after their announcement is removed; the
+/// one long-lived path to them (`dNode.delPredNode` / `delSuccNode`) is
+/// only followed for DEL nodes found announced in the query's own
+/// published traversal, which cannot happen for threads pinning after the
+/// owning `Delete` de-announced — so the plain grace period suffices and no
+/// readiness gate is needed.
+impl Reclaim for QueryNode {}
 
-impl PredNode {
-    /// Creates the announcement record for a `PredHelper(y)` instance.
-    pub(crate) fn new(key: i64) -> Self {
+impl QueryNode {
+    /// Creates the announcement record for a query at key `y` whose cursor
+    /// starts at `origin`, the published list's head key.
+    pub(crate) fn new(y: i64, origin: i64) -> Self {
         Self {
-            key,
-            owner: liveness::current_owner(),
-            notify_list: PushStack::new(),
-            ruall_position: PublishedKey::new(POS_INF),
-            pall_cell: AtomicPtr::new(core::ptr::null_mut()),
-            withdrawn: AtomicBool::new(false),
-        }
-    }
-
-    /// Claims this node's withdrawal+retirement; true for exactly one
-    /// caller over the node's lifetime.
-    #[inline]
-    pub(crate) fn claim_withdraw(&self) -> bool {
-        !self.withdrawn.swap(true, Ordering::SeqCst)
-    }
-
-    /// Incarnation id of the thread that allocated this node.
-    #[inline]
-    pub(crate) fn owner(&self) -> u64 {
-        self.owner
-    }
-
-    pub(crate) fn pall_cell(&self) -> *mut PallCell<PredNode> {
-        self.pall_cell.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn set_pall_cell(&self, cell: *mut PallCell<PredNode>) {
-        self.pall_cell.store(cell, Ordering::SeqCst);
-    }
-}
-
-impl core::fmt::Debug for PredNode {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("PredNode")
-            .field("key", &self.key)
-            .field("ruall_position", &self.ruall_position.load())
-            .field("notifications", &self.notify_list.len())
-            .finish()
-    }
-}
-
-/// A successor node in the S-ALL: the left/right mirror of [`PredNode`]
-/// (successor extension; no paper counterpart).
-///
-/// Where a predecessor operation traverses the RU-ALL descending from `+∞`
-/// publishing `RuallPosition`, a successor operation traverses the U-ALL
-/// ascending from `−∞` publishing `uall_position` — so its cursor starts at
-/// [`NEG_INF`] and ends at [`POS_INF`], and notify-threshold comparisons
-/// flip direction.
-///
-/// # Sliding reuse (scan subsystem v2)
-///
-/// A scan session keeps one announced `SuccNode` alive across many
-/// successor steps, *sliding* it: the owner rewrites `key` to the next
-/// query key and re-arms `uall_position` back to [`NEG_INF`] instead of
-/// withdrawing and re-announcing. Notifiers read `(key, uall_position)`
-/// as a pair; to keep that pair consistent across a slide the node carries
-/// an `era` seqlock — even while stable, odd during the slide's boundary
-/// rewrite. Notifiers retry while the era is odd or changes under them and
-/// stamp the era they read into the record; the step discards records from
-/// other eras. One-shot successor operations never slide, so their era
-/// stays 0 and the filter accepts everything.
-pub struct SuccNode {
-    /// Input key `y`; rewritten only by the owning scan session between
-    /// steps, under the `era` seqlock.
-    key: AtomicI64,
-    /// Liveness incarnation id of the allocating thread (for orphan
-    /// adoption). Immutable.
-    pub(crate) owner: u64,
-    /// Era seqlock guarding `(key, uall_position)` pairs: even = stable,
-    /// odd = a slide is rewriting the pair. Only the owner writes it.
-    era: AtomicU64,
-    /// Insert-only list of notifications (mirror of Figure 6 line 107).
-    pub(crate) notify_list: PushStack<NotifyRecord>,
-    /// Published U-ALL traversal position; initially the `−∞` sentinel's
-    /// key. Written by the owner via the validated-copy protocol.
-    pub(crate) uall_position: PublishedKey,
-    /// The S-ALL cell this node was announced with, for removal.
-    sall_cell: AtomicPtr<PallCell<SuccNode>>,
-    /// Withdrawal claim; see [`PredNode`]'s field of the same name.
-    withdrawn: AtomicBool,
-}
-
-// Safety: as for PredNode.
-unsafe impl Send for SuccNode {}
-unsafe impl Sync for SuccNode {}
-
-/// Successor nodes are retired only after their S-ALL announcement is
-/// removed; the one long-lived path to them (`dNode.delSuccNode`) is only
-/// followed for DEL nodes found announced in the successor operation's own
-/// published U-ALL traversal — impossible for threads pinning after the
-/// owning `Delete` de-announced. The mirror of [`PredNode`]'s argument, so
-/// the plain grace period suffices and no readiness gate is needed.
-impl Reclaim for SuccNode {}
-
-impl SuccNode {
-    /// Creates the announcement record for a `SuccHelper(y)` instance.
-    pub(crate) fn new(key: i64) -> Self {
-        Self {
-            key: AtomicI64::new(key),
+            key: AtomicI64::new(y),
             owner: liveness::current_owner(),
             era: AtomicU64::new(0),
             notify_list: PushStack::new(),
-            uall_position: PublishedKey::new(NEG_INF),
-            sall_cell: AtomicPtr::new(core::ptr::null_mut()),
+            position: PublishedKey::new(origin),
+            cell: AtomicPtr::new(core::ptr::null_mut()),
             withdrawn: AtomicBool::new(false),
         }
     }
@@ -715,9 +587,23 @@ impl SuccNode {
         self.era.load(Ordering::SeqCst)
     }
 
+    /// Reads the `(key, position, era)` triple a notifier stamps into its
+    /// record, in a single seqlock attempt: `None` while a slide is in
+    /// progress or if one ran under the read.
+    #[inline]
+    pub(crate) fn stable_pair(&self) -> Option<(i64, i64, u64)> {
+        let e1 = self.era();
+        if e1 % 2 == 1 {
+            return None;
+        }
+        let key = self.key();
+        let threshold = self.position.load();
+        (self.era() == e1).then_some((key, threshold, e1))
+    }
+
     /// Begins a slide: bumps the era to odd. Owner only; must be followed
-    /// by [`SuccNode::set_key`], a cursor re-arm, and
-    /// [`SuccNode::end_slide`].
+    /// by [`QueryNode::set_key`], a cursor re-arm, and
+    /// [`QueryNode::end_slide`].
     #[inline]
     pub(crate) fn begin_slide(&self) {
         steps::on_write();
@@ -744,21 +630,21 @@ impl SuccNode {
         e + 1
     }
 
-    pub(crate) fn sall_cell(&self) -> *mut PallCell<SuccNode> {
-        self.sall_cell.load(Ordering::SeqCst)
+    pub(crate) fn cell(&self) -> *mut PallCell<QueryNode> {
+        self.cell.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn set_sall_cell(&self, cell: *mut PallCell<SuccNode>) {
-        self.sall_cell.store(cell, Ordering::SeqCst);
+    pub(crate) fn set_cell(&self, cell: *mut PallCell<QueryNode>) {
+        self.cell.store(cell, Ordering::SeqCst);
     }
 }
 
-impl core::fmt::Debug for SuccNode {
+impl core::fmt::Debug for QueryNode {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("SuccNode")
+        f.debug_struct("QueryNode")
             .field("key", &self.key())
             .field("era", &self.era.load(Ordering::SeqCst))
-            .field("uall_position", &self.uall_position.load())
+            .field("position", &self.position.load())
             .field("notifications", &self.notify_list.len())
             .finish()
     }
@@ -767,6 +653,7 @@ impl core::fmt::Debug for SuccNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lftrie_primitives::{NEG_INF, NO_PRED, NO_SUCC, POS_INF};
 
     #[test]
     fn dummy_reads_as_all_zero_bits() {
@@ -810,18 +697,25 @@ mod tests {
     #[test]
     fn del_pred2_transitions_from_unset() {
         let d = UpdateNode::new_del(5, Status::Inactive, core::ptr::null_mut(), 4);
-        assert_eq!(d.del_pred2(), None);
-        d.set_del_pred2(-1);
-        assert_eq!(d.del_pred2(), Some(-1));
+        assert_eq!(d.del_result::<Pred>(), NO_PRED, "delPred defaults to −1");
+        assert_eq!(d.del_result2::<Pred>(), None);
+        d.set_del_result2::<Pred>(-1);
+        assert_eq!(d.del_result2::<Pred>(), Some(-1));
+        assert_eq!(d.del_result2::<Succ>(), None, "directions are separate");
     }
 
     #[test]
     fn del_succ2_transitions_from_unset() {
         let d = UpdateNode::new_del(5, Status::Inactive, core::ptr::null_mut(), 4);
-        assert_eq!(d.del_succ(), NO_SUCC, "delSucc defaults to no-successor");
-        assert_eq!(d.del_succ2(), None);
-        d.set_del_succ2(NO_SUCC);
-        assert_eq!(d.del_succ2(), Some(NO_SUCC));
+        assert_eq!(
+            d.del_result::<Succ>(),
+            NO_SUCC,
+            "delSucc defaults to no-successor"
+        );
+        assert_eq!(d.del_result2::<Succ>(), None);
+        d.set_del_result2::<Succ>(NO_SUCC);
+        assert_eq!(d.del_result2::<Succ>(), Some(NO_SUCC));
+        assert_eq!(d.del_result2::<Pred>(), None, "directions are separate");
     }
 
     #[test]
@@ -829,24 +723,30 @@ mod tests {
         // The S-ALL mirror of the `RuallPosition`-starts-at-+∞ invariant:
         // the published U-ALL cursor must start at the −∞ head sentinel so
         // pre-traversal notifications fail every threshold comparison.
-        let s = SuccNode::new(9);
-        assert_eq!(s.uall_position.load(), NEG_INF);
-        assert!(s.sall_cell().is_null());
+        let s = QueryNode::new(9, Succ::ORIGIN);
+        assert_eq!(s.position.load(), NEG_INF);
+        assert!(s.cell().is_null());
+        let p = QueryNode::new(9, Pred::ORIGIN);
+        assert_eq!(p.position.load(), POS_INF);
     }
 
     #[test]
     fn succ_node_slide_protocol_bumps_era_twice() {
-        // A slide must pass through an odd era (notifiers retry) and land
-        // on the next even era with the new key and a re-armed cursor.
-        let s = SuccNode::new(9);
+        // A slide must pass through an odd era (notifiers skip the node)
+        // and land on the next even era with the new key and a re-armed
+        // cursor.
+        let s = QueryNode::new(9, Succ::ORIGIN);
         assert_eq!(s.era(), 0);
+        assert_eq!(s.stable_pair(), Some((9, NEG_INF, 0)));
         s.begin_slide();
         assert_eq!(s.era(), 1, "slide in progress reads odd");
+        assert_eq!(s.stable_pair(), None, "notifiers skip a sliding node");
         s.set_key(12);
-        s.uall_position.publish(NEG_INF);
+        s.position.publish(NEG_INF);
         assert_eq!(s.end_slide(), 2);
         assert_eq!(s.key(), 12);
-        assert_eq!(s.uall_position.load(), NEG_INF);
+        assert_eq!(s.position.load(), NEG_INF);
+        assert_eq!(s.stable_pair(), Some((12, NEG_INF, 2)));
     }
 
     #[test]

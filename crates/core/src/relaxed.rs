@@ -15,9 +15,10 @@
 
 use crate::access::{LatestAccess, TrieCore};
 use crate::bitops;
+use crate::dir::{Pred, Succ};
 use crate::node::{Kind, Status, UpdateNode};
 use lftrie_primitives::epoch;
-use lftrie_primitives::{Key, NO_PRED};
+use lftrie_primitives::{Key, NO_PRED, NO_SUCC};
 use lftrie_telemetry::{self as telemetry, Counter, TelemetrySnapshot};
 
 /// Result of [`RelaxedBinaryTrie::predecessor`] (specification §4.1).
@@ -290,7 +291,7 @@ impl RelaxedBinaryTrie {
         let y = self.check_key(y);
         telemetry::add(Counter::PredecessorOps, 1);
         let _guard = epoch::pin();
-        match bitops::relaxed_predecessor(&self.core, self, y) {
+        match bitops::relaxed_query::<Pred, _>(&self.core, self, y) {
             None => RelaxedPred::Interference,
             Some(NO_PRED) => RelaxedPred::NoneSmaller,
             Some(k) => RelaxedPred::Found(k as Key),
@@ -313,9 +314,9 @@ impl RelaxedBinaryTrie {
         let y = self.check_key(y);
         telemetry::add(Counter::SuccessorOps, 1);
         let _guard = epoch::pin();
-        match bitops::relaxed_successor(&self.core, self, y) {
+        match bitops::relaxed_query::<Succ, _>(&self.core, self, y) {
             None => RelaxedSucc::Interference,
-            Some(NO_PRED) => RelaxedSucc::NoneGreater,
+            Some(NO_SUCC) => RelaxedSucc::NoneGreater,
             Some(k) => RelaxedSucc::Found(k as Key),
         }
     }

@@ -35,9 +35,9 @@
 /// events.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanEvents {
-    /// S-ALL announcements (fresh `SuccNode` insertions).
+    /// S-ALL announcements (fresh successor query-node insertions).
     pub announces: u64,
-    /// Cursor slides: an announced `SuccNode` re-armed at a new query key.
+    /// Cursor slides: an announced successor query node re-armed at a new query key.
     pub slides: u64,
     /// S-ALL withdrawals (announcement removals).
     pub withdraws: u64,

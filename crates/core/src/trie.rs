@@ -19,25 +19,29 @@
 //!
 //! Pseudocode line numbers (91–269) are cited throughout.
 //!
-//! # Successor extension
+//! # Successor: one engine, two directions
 //!
 //! The paper gives `Predecessor` only; this implementation completes the
-//! ordered-set API with a linearizable `successor(y)` built as the exact
-//! left/right mirror of the predecessor machinery:
+//! ordered-set API with a linearizable `successor(y)`. The query engine —
+//! `PredHelper` with its announcement, both list traversals, the
+//! notification harvest and ⊥-recovery, plus withdrawal, the updates'
+//! notify loop and the crash-tolerance paths — is written once, generic
+//! over a zero-sized direction type (`Pred` or `Succ`), and compiled for
+//! each. The direction supplies only what differs between the two sides:
 //!
-//! * an **S-ALL** (successor announcement list, the mirror of the P-ALL)
-//!   holding `SuccNode`s, which recycle through the same epoch-aware
-//!   registry/pool pipeline as predecessor nodes;
-//! * successor operations traverse the **U-ALL** ascending from `−∞` with a
-//!   published cursor (`SuccNode::uall_position`, mirroring
-//!   `RuallPosition`), and the RU-ALL plainly for keys `> y` (mirroring
-//!   `TraverseUall(y)`);
-//! * updates notify announced successor operations with the same
-//!   value-snapshot records, stamping the receiver's published U-ALL
-//!   position as the threshold; every threshold comparison flips direction;
-//! * every `Delete` additionally embeds two successor operations whose
-//!   results (`delSucc`, `delSucc2`) drive the mirrored ⊥-recovery
-//!   computation when `RelaxedSuccessor` is obstructed.
+//! * the list walked with the published cursor, with the cursor's origin
+//!   and tail — the RU-ALL from `+∞` for predecessors, the U-ALL from `−∞`
+//!   for successors — and the other list, walked plainly;
+//! * the strict "beyond `y`" comparison, which also flips every
+//!   notify-threshold test;
+//! * the none answer (`−1`, or a value above every key) and the extremum
+//!   fold (max or min);
+//! * the child order of the relaxed-trie descent;
+//! * its query side: the P-ALL and its node registry, or the S-ALL
+//!   (successor announcement list) and its own;
+//! * its slot for a DEL node's embedded results: every `Delete` embeds two
+//!   queries of each direction (`delPred`/`delPred2` and
+//!   `delSucc`/`delSucc2`), so ⊥-recovery works on both sides.
 //!
 //! On top of `successor`, [`LockFreeBinaryTrie::iter_from`] and
 //! [`LockFreeBinaryTrie::range`] provide ordered scans by repeated
@@ -46,7 +50,7 @@
 //! # Scan subsystem v2: sliding announcements
 //!
 //! A scan reuses **one** S-ALL announcement for all of its steps. Each
-//! `SuccNode` carries an era seqlock (even = stable, odd = mid-slide); a
+//! query node carries an era seqlock (even = stable, odd = mid-slide); a
 //! step after the first *slides* the node — bumps the era to odd, rewrites
 //! the query key, re-arms the published U-ALL cursor at `−∞`, bumps the
 //! era back to even — instead of withdrawing and re-announcing. Notifiers
@@ -71,16 +75,18 @@
 //! concurrent operations' announcement-list traversals.
 
 use core::cell::Cell as StdCell;
+use core::marker::PhantomData;
 use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use lftrie_lists::announce::AnnounceList;
 use lftrie_lists::pall::PallList;
+use lftrie_lists::Direction;
 use lftrie_primitives::epoch::{self, Guard};
 use lftrie_primitives::fault::{self, FaultPoint};
 use lftrie_primitives::liveness;
 use lftrie_primitives::registry::{AllocStats, Registry};
-use lftrie_primitives::{Key, NEG_INF, NO_PRED, NO_SUCC, POS_INF};
+use lftrie_primitives::{Key, NO_PRED, POS_INF};
 use lftrie_telemetry::trace::{self, OpKind, TracePhase};
 use lftrie_telemetry::{
     self as telemetry, AnnouncementLens, Counter, FlightKind, TelemetrySnapshot, TraversalStats,
@@ -88,30 +94,17 @@ use lftrie_telemetry::{
 
 use crate::access::{LatestAccess, TrieCore};
 use crate::bitops;
-use crate::node::{
-    Kind, NotifyRecord, PredNode, Status, SuccNode, UpdateNode, DELPRED2_UNSET, DELSUCC2_UNSET,
-};
+use crate::dir::{Dir, Pred, Succ};
+use crate::node::{Kind, NotifyRecord, QueryNode, Status, UpdateNode, DEL2_UNSET};
 use crate::scan_events;
 
 /// An update-node identity + key snapshot taken from a [`NotifyRecord`]:
-/// what the predecessor computation keeps of a notifier without ever
+/// what the query computation keeps of a notifier without ever
 /// dereferencing it (`seq` replaces the paper's pointer identity).
 #[derive(Debug, Clone, Copy)]
 struct NotifyCand {
     seq: u64,
     key: i64,
-}
-
-/// One element of the recovery sequence `L` (lines 231–243): again a pure
-/// value snapshot of a notify record. `del_pred2` feeds the predecessor
-/// recovery's edges, `del_succ2` the mirrored successor recovery's.
-#[derive(Debug, Clone, Copy)]
-struct RecoverEntry {
-    seq: u64,
-    key: i64,
-    kind: Kind,
-    del_pred2: i64,
-    del_succ2: i64,
 }
 
 /// The unique id of a live update node (helper for identity tests between
@@ -122,15 +115,17 @@ fn seq_of(node: *mut UpdateNode) -> u64 {
     unsafe { (*node).seq }
 }
 
-/// A delete that has run through its relaxed-trie bit update (lines
-/// 182–202) but has not yet notified, completed, or withdrawn its
-/// announcements: the handoff between `remove_phase1` and `remove_finish`.
-struct PendingDelete {
-    d_node: *mut UpdateNode,
-    p_node1: *mut PredNode,
-    p_node2: *mut PredNode,
-    s_node1: *mut SuccNode,
-    s_node2: *mut SuccNode,
+/// A delete's embedded query announcements, indexed by direction
+/// (`Dir::IDX`) and by embedding (0 for line 184's, 1 for line 200's):
+/// null until made, nulled again once withdrawn.
+struct EmbeddedQueries([[StdCell<*mut QueryNode>; 2]; 2]);
+
+impl EmbeddedQueries {
+    fn new() -> Self {
+        Self(core::array::from_fn(|_| {
+            core::array::from_fn(|_| StdCell::new(core::ptr::null_mut()))
+        }))
+    }
 }
 
 /// The last *completed* protocol step of an in-flight update, as tracked
@@ -188,12 +183,8 @@ struct UpdateOpGuard<'t> {
     /// obligation to the resume (helpers clear `latest_next` but never
     /// retire — exactly one of owner/guard/adopter retires it).
     displaced: StdCell<*mut UpdateNode>,
-    /// A delete's four embedded helper announcements (null until made,
-    /// nulled again as the pipeline withdraws each).
-    p1: StdCell<*mut PredNode>,
-    p2: StdCell<*mut PredNode>,
-    s1: StdCell<*mut SuccNode>,
-    s2: StdCell<*mut SuccNode>,
+    /// A delete's four embedded query announcements.
+    embeds: EmbeddedQueries,
 }
 
 impl<'t> UpdateOpGuard<'t> {
@@ -204,10 +195,7 @@ impl<'t> UpdateOpGuard<'t> {
             phase: StdCell::new(OpPhase::Start),
             node: StdCell::new(core::ptr::null_mut()),
             displaced: StdCell::new(core::ptr::null_mut()),
-            p1: StdCell::new(core::ptr::null_mut()),
-            p2: StdCell::new(core::ptr::null_mut()),
-            s1: StdCell::new(core::ptr::null_mut()),
-            s2: StdCell::new(core::ptr::null_mut()),
+            embeds: EmbeddedQueries::new(),
         }
     }
 }
@@ -247,18 +235,20 @@ impl Drop for UpdateOpGuard<'_> {
     }
 }
 
-/// RAII unwind guard for one announced `PredHelper`: a panic between the
-/// P-ALL announcement and the helper's return withdraws the announcement
-/// (query operations have no side effects to complete — withdrawal alone
-/// restores quiescence). Disarmed on the normal return path, where the
-/// caller owns the withdrawal.
-struct PredQueryGuard<'t> {
+/// RAII unwind guard for one announced query of direction `D`
+/// (`PredHelper` or its successor mirror): a panic between the announcement
+/// and the helper's return withdraws the announcement (query operations
+/// have no side effects to complete — withdrawal alone restores
+/// quiescence). Disarmed on the normal return path, where the caller owns
+/// the withdrawal.
+struct QueryGuard<'t, D: Dir> {
     trie: &'t LockFreeBinaryTrie,
-    node: *mut PredNode,
+    node: *mut QueryNode,
     armed: StdCell<bool>,
+    dir: PhantomData<D>,
 }
 
-impl Drop for PredQueryGuard<'_> {
+impl<D: Dir> Drop for QueryGuard<'_, D> {
     fn drop(&mut self) {
         if !self.armed.get() || !std::thread::panicking() {
             return;
@@ -271,38 +261,13 @@ impl Drop for PredQueryGuard<'_> {
         telemetry::add(Counter::UnwindWithdrawals, 1);
         let _ = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
             let guard = &epoch::pin();
-            self.trie.remove_pred_node(self.node, guard);
+            self.trie.remove_query_node::<D>(self.node, guard);
         }));
     }
 }
 
-/// The successor mirror of [`PredQueryGuard`].
-struct SuccQueryGuard<'t> {
-    trie: &'t LockFreeBinaryTrie,
-    node: *mut SuccNode,
-    armed: StdCell<bool>,
-}
-
-impl Drop for SuccQueryGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed.get() || !std::thread::panicking() {
-            return;
-        }
-        if fault::is_abandoning() || !fault::unwind_guards_enabled() {
-            trace::note_abandon();
-            return;
-        }
-        let _quiet = fault::suppress();
-        telemetry::add(Counter::UnwindWithdrawals, 1);
-        let _ = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
-            let guard = &epoch::pin();
-            self.trie.remove_succ_node(self.node, guard);
-        }));
-    }
-}
-
-/// Allocation statistics of the four announcement-list cell registries, the
-/// named replacement for the deprecated `cell_alloc_stats()` 4-tuple.
+/// Allocation statistics of the four announcement-list cell registries,
+/// by list.
 #[derive(Debug, Clone, Copy)]
 pub struct CellAllocStats {
     /// U-ALL cell registry.
@@ -313,6 +278,38 @@ pub struct CellAllocStats {
     pub pall: AllocStats,
     /// S-ALL cell registry.
     pub sall: AllocStats,
+}
+
+/// One query direction's announcement state.
+struct QuerySide {
+    /// The P-ALL (predecessor announcements, §5.1) or the S-ALL (successor
+    /// announcements).
+    list: PallList<QueryNode>,
+    /// Epoch-aware registry owning every query node of this side; nodes are
+    /// retired when their operation withdraws its announcement.
+    nodes: Registry<QueryNode>,
+    /// Diagnostic tallies (experiments E5/E7): how often this side's
+    /// relaxed traversal answered ⊥, and how often ⊥-recovery ran.
+    bottoms: AtomicU64,
+    recoveries: AtomicU64,
+}
+
+impl QuerySide {
+    fn new() -> Self {
+        Self {
+            list: PallList::new(),
+            nodes: Registry::new(),
+            bottoms: AtomicU64::new(0),
+            recoveries: AtomicU64::new(0),
+        }
+    }
+
+    fn traversal(&self) -> TraversalStats {
+        TraversalStats {
+            bottoms: self.bottoms.load(Ordering::Relaxed),
+            recoveries: self.recoveries.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A lock-free, linearizable binary trie over `{0, …, universe−1}` with
@@ -344,24 +341,8 @@ pub struct LockFreeBinaryTrie {
     uall: AnnounceList<UpdateNode>,
     /// RU-ALL: update announcements, key-descending (§5.1).
     ruall: AnnounceList<UpdateNode>,
-    /// P-ALL: predecessor announcements (§5.1).
-    pall: PallList<PredNode>,
-    /// S-ALL: successor announcements (the mirror of the P-ALL; successor
-    /// extension).
-    sall: PallList<SuccNode>,
-    /// Epoch-aware registry owning every predecessor node (DESIGN.md D4);
-    /// nodes are retired when their operation withdraws its announcement.
-    preds: Registry<PredNode>,
-    /// Epoch-aware registry owning every successor node; same lifecycle as
-    /// `preds`.
-    succs: Registry<SuccNode>,
-    /// Diagnostic tallies (experiment E5/E7): how often `predecessor` used
-    /// the relaxed traversal vs. the ⊥-recovery path.
-    relaxed_bottoms: AtomicU64,
-    recoveries: AtomicU64,
-    /// The same tallies for `successor` (mirror paths).
-    relaxed_succ_bottoms: AtomicU64,
-    succ_recoveries: AtomicU64,
+    /// The predecessor and successor query sides, indexed by `Dir::IDX`.
+    sides: [QuerySide; 2],
     /// Approximate live-announcement total (all four lists), maintained at
     /// the announce/withdraw sites; feeds the high-water gauge. Signed so
     /// that transient interleavings of the relaxed updates cannot wrap.
@@ -421,16 +402,9 @@ impl LockFreeBinaryTrie {
         Self {
             core: TrieCore::new(universe),
             universe,
-            uall: AnnounceList::new(lftrie_lists::Direction::Ascending),
-            ruall: AnnounceList::new(lftrie_lists::Direction::Descending),
-            pall: PallList::new(),
-            sall: PallList::new(),
-            preds: Registry::new(),
-            succs: Registry::new(),
-            relaxed_bottoms: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            relaxed_succ_bottoms: AtomicU64::new(0),
-            succ_recoveries: AtomicU64::new(0),
+            uall: AnnounceList::new(Direction::Ascending),
+            ruall: AnnounceList::new(Direction::Descending),
+            sides: [QuerySide::new(), QuerySide::new()],
             ann_current: AtomicI64::new(0),
             ann_high_water: AtomicU64::new(0),
             adopt_gen: AtomicU64::new(0),
@@ -451,6 +425,22 @@ impl LockFreeBinaryTrie {
             self.universe
         );
         x as i64
+    }
+
+    /// Query side `D`.
+    #[inline]
+    fn side<D: Dir>(&self) -> &QuerySide {
+        &self.sides[D::IDX]
+    }
+
+    /// The update list `D`'s queries walk with their published cursor
+    /// (line 215), then the one they walk plainly (line 217).
+    #[inline]
+    fn lists<D: Dir>(&self) -> (&AnnounceList<UpdateNode>, &AnnounceList<UpdateNode>) {
+        match D::PUBLISHED {
+            Direction::Descending => (&self.ruall, &self.uall),
+            Direction::Ascending => (&self.uall, &self.ruall),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -487,7 +477,7 @@ impl LockFreeBinaryTrie {
     }
 
     /// Removes every announcement of `uNode` (lines 136/179/205): helpers
-    /// may have re-announced it, so removal is exhaustive (DESIGN.md D2).
+    /// may have re-announced it, so removal is exhaustive.
     fn deannounce(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
         let _p = trace::phase(TracePhase::Withdraw);
         let key = unsafe { (*u_node).key() };
@@ -550,199 +540,28 @@ impl LockFreeBinaryTrie {
         }
     }
 
-    /// `TraverseUall(x)` (lines 137–145): update nodes with key `< x` that
-    /// are first-activated, split into `(I, D)` by kind.
-    fn traverse_uall(
+    /// Adds a first-activated `u_node` to the INS or DEL set of a list
+    /// traversal (lines 141–143 / 265–267). The sets are sets: duplicate
+    /// cells from helpers' re-announcements collapse here.
+    fn collect_first_activated(
         &self,
-        x: i64,
-        guard: &Guard<'_>,
-    ) -> (Vec<*mut UpdateNode>, Vec<*mut UpdateNode>) {
-        let _p = trace::phase(TracePhase::Traverse);
-        let mut ins = Vec::new();
-        let mut del = Vec::new();
-        for (key, u_node) in self.uall.iter(guard) {
-            // L139–144
-            if key >= x {
-                break; // L140
-            }
-            let u = unsafe { &*u_node };
-            if u.status() != Status::Inactive && self.first_activated(u_node) {
-                // L141 (duplicate cells from helpers collapse here: sets)
-                let bucket = if u.kind() == Kind::Ins {
-                    &mut ins
-                } else {
-                    &mut del
-                };
-                if !bucket.contains(&u_node) {
-                    bucket.push(u_node); // L142–143
-                }
-            }
-        }
-        (ins, del) // L145
-    }
-
-    /// `NotifyPredOps(uNode)` (lines 146–155) plus its successor mirror:
-    /// send a notification about `uNode` to every announced predecessor
-    /// *and* successor operation. One full U-ALL traversal (L147,
-    /// `TraverseUall(∞)`) yields the INS set both extremum computations
-    /// read.
-    fn notify_query_ops(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
-        let _p = trace::phase(TracePhase::Notify);
-        let (ins, _del) = self.traverse_uall(POS_INF, guard); // L147: TraverseUall(∞)
+        u_node: *mut UpdateNode,
+        ins: &mut Vec<*mut UpdateNode>,
+        del: &mut Vec<*mut UpdateNode>,
+    ) {
         let u = unsafe { &*u_node };
-        telemetry::flight(FlightKind::Notify, u.key(), 0);
-        // DEL nodes notify only after line 201 (and its successor mirror),
-        // so delPred2/delSucc2 are final and can be snapshotted into the
-        // (pointer-free) record.
-        let (del_pred2, del_succ2) = if u.kind() == Kind::Del {
-            (
-                u.del_pred2().unwrap_or(DELPRED2_UNSET),
-                u.del_succ2().unwrap_or(DELSUCC2_UNSET),
-            )
-        } else {
-            (DELPRED2_UNSET, DELSUCC2_UNSET)
-        };
-        for p_cell in self.pall.iter(guard) {
-            // L148
-            let p_node = unsafe { (*p_cell).payload() };
-            let p = unsafe { &*p_node };
-            if !self.first_activated(u_node) {
-                return; // L149
-            }
-            // L150–154: build the notify node (a value snapshot; see
-            // `NotifyRecord` for why no pointers are stored).
-            let update_node_max = ins
-                .iter()
-                .copied()
-                .filter(|&i| unsafe { (*i).key() } < p.key)
-                .max_by_key(|&i| unsafe { (*i).key() }); // L153
-            let record = NotifyRecord {
-                key: u.key(),   // L151
-                kind: u.kind(), // (line 220's read)
-                seq: u.seq,     // L152, by identity
-                del_pred2,      // (line 245's read)
-                del_succ2,
-                ext_seq: update_node_max.map_or(0, seq_of), // L153
-                ext_key: update_node_max.map_or(NO_PRED, |i| unsafe { (*i).key() }),
-                notify_threshold: p.ruall_position.load(), // L154
-                era: 0,                                    // predecessor nodes never slide
-            };
-            // L155 + SendNotification (lines 156–161): guarded push.
-            if !p
-                .notify_list
-                .push_with(record, || self.first_activated(u_node))
-            {
-                return;
-            }
-        }
-        for s_cell in self.sall.iter(guard) {
-            // Mirror of L148–155 for announced successor operations.
-            let s_node = unsafe { (*s_cell).payload() };
-            let s = unsafe { &*s_node };
-            if !self.first_activated(u_node) {
-                return;
-            }
-            // Era-seqlock read of the (key, cursor) pair. A sliding scan
-            // (scan subsystem v2) rewrites both between steps; if the pair
-            // is mid-slide (odd era) or changed under us, *skip* this node
-            // rather than spin: the step that begins when the slide ends
-            // re-arms the cursor and runs its traversals entirely after it,
-            // which is exactly the situation of an update whose S-ALL
-            // traversal passed before a fresh announcement — a case the
-            // v1 proof already covers. Skipping keeps notifiers lock-free
-            // even when a scan owner stalls mid-slide.
-            let Some((s_key, threshold, s_era)) = ({
-                let e1 = s.era();
-                if e1 % 2 == 1 {
-                    None
-                } else {
-                    let k = s.key();
-                    let th = s.uall_position.load();
-                    if s.era() == e1 {
-                        Some((k, th, e1))
-                    } else {
-                        None
-                    }
-                }
-            }) else {
-                continue;
-            };
-            let update_node_min = ins
-                .iter()
-                .copied()
-                .filter(|&i| unsafe { (*i).key() } > s_key)
-                .min_by_key(|&i| unsafe { (*i).key() });
-            let record = NotifyRecord {
-                key: u.key(),
-                kind: u.kind(),
-                seq: u.seq,
-                del_pred2,
-                del_succ2,
-                ext_seq: update_node_min.map_or(0, seq_of),
-                ext_key: update_node_min.map_or(NO_SUCC, |i| unsafe { (*i).key() }),
-                notify_threshold: threshold,
-                era: s_era,
-            };
-            if !s
-                .notify_list
-                .push_with(record, || self.first_activated(u_node))
-            {
-                return;
+        if u.status() != Status::Inactive && self.first_activated(u_node) {
+            let bucket = if u.kind() == Kind::Ins { ins } else { del };
+            if !bucket.contains(&u_node) {
+                bucket.push(u_node);
             }
         }
     }
 
-    /// `TraverseRUall(pNode)` (lines 257–269): walk the RU-ALL publishing
-    /// the position key, collecting first-activated nodes with key `< y`.
-    fn traverse_ruall(
-        &self,
-        p_node: *mut PredNode,
-        guard: &Guard<'_>,
-    ) -> (Vec<*mut UpdateNode>, Vec<*mut UpdateNode>) {
-        let _p = trace::phase(TracePhase::Traverse);
-        let p = unsafe { &*p_node };
-        let y = p.key; // L259
-        let mut ins = Vec::new();
-        let mut del = Vec::new();
-        let mut cell = self.ruall.head(); // L260: +∞ sentinel
-        loop {
-            // L261–263: atomic-copy step (validated publication, DESIGN.md D3)
-            // Safety: `cell` starts at this list's head sentinel and each hop
-            // returns another cell of the same list; the NEG_INF break below
-            // stops the walk before the tail is passed back in.
-            cell = unsafe {
-                self.ruall
-                    .advance_publishing(cell, &p.ruall_position, guard)
-            };
-            let key = unsafe { (*cell).key() };
-            if key == NEG_INF {
-                break; // L268 (tail sentinel reached; payload is null)
-            }
-            if key < y {
-                // L264
-                let u_node = unsafe { (*cell).payload() };
-                let u = unsafe { &*u_node };
-                if u.status() != Status::Inactive && self.first_activated(u_node) {
-                    // L265
-                    let bucket = if u.kind() == Kind::Ins {
-                        &mut ins
-                    } else {
-                        &mut del
-                    };
-                    if !bucket.contains(&u_node) {
-                        bucket.push(u_node); // L266–267
-                    }
-                }
-            }
-        }
-        (ins, del) // L269
-    }
-
-    /// Mirror of `TraverseUall(x)` for successor operations: update nodes
-    /// with key `> y` that are first-activated, split into `(I, D)` by
-    /// kind, collected from the RU-ALL (which walks descending, so the
-    /// `key > y` region is its prefix).
-    fn traverse_ruall_above(
+    /// `TraverseUall(y)` (lines 137–145), or its successor mirror over the
+    /// RU-ALL: walks `D`'s plain list while keys lie beyond `y`, collecting
+    /// the first-activated update nodes split into `(I, D)` by kind.
+    fn traverse_plain<D: Dir>(
         &self,
         y: i64,
         guard: &Guard<'_>,
@@ -750,65 +569,136 @@ impl LockFreeBinaryTrie {
         let _p = trace::phase(TracePhase::Traverse);
         let mut ins = Vec::new();
         let mut del = Vec::new();
-        for (key, u_node) in self.ruall.iter(guard) {
-            if key <= y {
-                break;
+        for (key, u_node) in self.lists::<D>().1.iter(guard) {
+            // L139–144
+            if !D::beyond(key, y) {
+                break; // L140
             }
-            let u = unsafe { &*u_node };
-            if u.status() != Status::Inactive && self.first_activated(u_node) {
-                let bucket = if u.kind() == Kind::Ins {
-                    &mut ins
-                } else {
-                    &mut del
-                };
-                if !bucket.contains(&u_node) {
-                    bucket.push(u_node);
-                }
-            }
+            self.collect_first_activated(u_node, &mut ins, &mut del); // L141–143
         }
-        (ins, del)
+        (ins, del) // L145
     }
 
-    /// Mirror of `TraverseRUall(pNode)` (lines 257–269): walk the **U-ALL**
-    /// ascending from its `−∞` head, publishing the position key in the
-    /// successor node's cursor, collecting first-activated nodes with key
-    /// `> y`.
-    fn traverse_uall_publishing(
+    /// `TraverseRUall(pNode)` (lines 257–269), or its successor mirror over
+    /// the U-ALL: walks `D`'s published list from its head sentinel,
+    /// publishing each hop's key in the query node's cursor, and collects
+    /// the first-activated update nodes with keys beyond `y`, split into
+    /// `(I, D)` by kind.
+    fn traverse_published<D: Dir>(
         &self,
-        s_node: *mut SuccNode,
+        q_node: *mut QueryNode,
         guard: &Guard<'_>,
     ) -> (Vec<*mut UpdateNode>, Vec<*mut UpdateNode>) {
-        let s = unsafe { &*s_node };
-        let y = s.key();
+        let _p = trace::phase(TracePhase::Traverse);
+        let q = unsafe { &*q_node };
+        let y = q.key(); // L259
+        let list = self.lists::<D>().0;
         let mut ins = Vec::new();
         let mut del = Vec::new();
-        let mut cell = self.uall.head(); // −∞ sentinel
+        let mut cell = list.head(); // L260: the origin sentinel
         loop {
-            // Atomic-copy step (validated publication, DESIGN.md D3).
+            // L261–263: atomic-copy step (a validated publication).
             // Safety: `cell` starts at this list's head sentinel and each hop
-            // returns another cell of the same list; the POS_INF break below
+            // returns another cell of the same list; the tail break below
             // stops the walk before the tail is passed back in.
-            cell = unsafe { self.uall.advance_publishing(cell, &s.uall_position, guard) };
+            cell = unsafe { list.advance_publishing(cell, &q.position, guard) };
             let key = unsafe { (*cell).key() };
-            if key == POS_INF {
-                break; // tail sentinel reached; payload is null
+            if key == D::TAIL {
+                break; // L268 (tail sentinel reached; payload is null)
             }
-            if key > y {
+            if D::beyond(key, y) {
+                // L264
                 let u_node = unsafe { (*cell).payload() };
-                let u = unsafe { &*u_node };
-                if u.status() != Status::Inactive && self.first_activated(u_node) {
-                    let bucket = if u.kind() == Kind::Ins {
-                        &mut ins
-                    } else {
-                        &mut del
-                    };
-                    if !bucket.contains(&u_node) {
-                        bucket.push(u_node);
-                    }
-                }
+                self.collect_first_activated(u_node, &mut ins, &mut del); // L265–267
             }
         }
-        (ins, del)
+        (ins, del) // L269
+    }
+
+    /// `NotifyPredOps(uNode)` (lines 146–155), for both query directions:
+    /// send a notification about `uNode` to every announced predecessor
+    /// operation, then to every announced successor operation. One full
+    /// U-ALL traversal (L147, `TraverseUall(∞)`) yields the INS set both
+    /// extremum computations read.
+    fn notify_query_ops(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
+        let _p = trace::phase(TracePhase::Notify);
+        let (ins, _del) = self.traverse_plain::<Pred>(POS_INF, guard); // L147: TraverseUall(∞)
+        telemetry::flight(FlightKind::Notify, unsafe { (*u_node).key() }, 0);
+        // L149's early return ends the whole notification, successors
+        // included.
+        if self.notify_side::<Pred>(u_node, &ins, guard) {
+            self.notify_side::<Succ>(u_node, &ins, guard);
+        }
+    }
+
+    /// Lines 148–155 for the queries announced on side `D`. Returns `false`
+    /// once `uNode` is no longer first-activated (line 149): the caller
+    /// must stop notifying.
+    fn notify_side<D: Dir>(
+        &self,
+        u_node: *mut UpdateNode,
+        ins: &[*mut UpdateNode],
+        guard: &Guard<'_>,
+    ) -> bool {
+        let u = unsafe { &*u_node };
+        // DEL nodes notify only after line 201 set their second embedded
+        // results, so `del2` is final and can be snapshotted into the
+        // (pointer-free) record.
+        let del2 = match u.kind() {
+            Kind::Del => u.del_result2::<D>().unwrap_or(DEL2_UNSET),
+            Kind::Ins => DEL2_UNSET,
+        };
+        for cell in self.side::<D>().list.iter(guard) {
+            // L148
+            let q = unsafe { &*(*cell).payload() };
+            if !self.first_activated(u_node) {
+                return false; // L149
+            }
+            // Era-seqlock read of the (key, cursor) pair. A sliding scan
+            // (scan subsystem v2) rewrites both between steps; if the pair
+            // is mid-slide or changed under us, *skip* this node rather
+            // than spin: the step that begins when the slide ends re-arms
+            // the cursor and runs its traversals entirely after it, which
+            // is exactly the situation of an update whose traversal passed
+            // before a fresh announcement — a case the v1 proof already
+            // covers. Skipping keeps notifiers lock-free even when a scan
+            // owner stalls mid-slide. Nodes that never slide always read
+            // stable.
+            let Some((y, threshold, era)) = q.stable_pair() else {
+                continue;
+            };
+            // L150–154: build the notify node (a value snapshot; see
+            // `NotifyRecord` for why no pointers are stored). L153's
+            // updateNodeMax is the INS key beyond y nearest to it; keys are
+            // unique among first-activated INS nodes.
+            let ext_key = ins
+                .iter()
+                .map(|&i| unsafe { (*i).key() })
+                .filter(|&k| D::beyond(k, y))
+                .fold(D::NONE, D::best);
+            let ext_seq = ins
+                .iter()
+                .find(|&&i| unsafe { (*i).key() } == ext_key)
+                .map_or(0, |&i| seq_of(i));
+            let record = NotifyRecord {
+                key: u.key(),   // L151
+                kind: u.kind(), // (line 220's read)
+                seq: u.seq,     // L152, by identity
+                del2,           // (line 245's read)
+                ext_seq,        // L153
+                ext_key,
+                notify_threshold: threshold, // L154
+                era,
+            };
+            // L155 + SendNotification (lines 156–161): guarded push.
+            if !q
+                .notify_list
+                .push_with(record, || self.first_activated(u_node))
+            {
+                return false;
+            }
+        }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -939,21 +829,21 @@ impl LockFreeBinaryTrie {
         let guard = &epoch::pin();
         fault::point(FaultPoint::DeleteEntry);
         let og = UpdateOpGuard::new(self, Kind::Del);
-        let Some(pending) = self.remove_phase1(x, guard, &og) else {
+        let Some(d_node) = self.remove_phase1(x, guard, &og) else {
             og.phase.set(OpPhase::Done);
             return false; // L183 / L195
         };
-        self.notify_query_ops(pending.d_node, guard); // L203 (+ successor mirror)
+        self.notify_query_ops(d_node, guard); // L203
         og.phase.set(OpPhase::Notified);
-        self.remove_finish(&pending, guard, &og); // L204–206
+        self.remove_finish(d_node, guard, &og); // L204–206
         true
     }
 
     /// Lines 182–202 of `Delete(x)`: everything through the relaxed-trie
     /// bit update, leaving the DEL node activated and announced (and its
-    /// four embedded helper nodes still announced) but not yet notified or
-    /// completed. Returns `None` when the call was not S-modifying. The
-    /// caller must follow with `notify_query_ops` and
+    /// four embedded query nodes still announced, recorded in the guard)
+    /// but not yet notified or completed. Returns `None` when the call was
+    /// not S-modifying. The caller must follow with `notify_query_ops` and
     /// [`LockFreeBinaryTrie::remove_finish`] — the split exists so
     /// [`LockFreeBinaryTrie::delete_all`] can run every key of a batch
     /// under one shared epoch pin.
@@ -962,18 +852,15 @@ impl LockFreeBinaryTrie {
         x: i64,
         guard: &Guard<'_>,
         og: &UpdateOpGuard<'_>,
-    ) -> Option<PendingDelete> {
+    ) -> Option<*mut UpdateNode> {
         let i_node = self.find_latest(x); // L182
         if unsafe { (*i_node).kind() } != Kind::Ins {
             return None; // L183: x not in S
         }
-        // L184: first embedded predecessor (its announcement stays in the
-        // P-ALL until this Delete returns), plus the mirrored first embedded
-        // successor in the S-ALL.
-        let (del_pred, p_node1) = self.pred_helper(x, guard);
-        og.p1.set(p_node1);
-        let (del_succ, s_node1) = self.succ_helper(x, guard);
-        og.s1.set(s_node1);
+        // L184: the first embedded predecessor and the first embedded
+        // successor; their announcements stay until this Delete returns.
+        let (del_pred, p_node1) = self.embed::<Pred>(x, 0, &og.embeds, guard);
+        let (del_succ, s_node1) = self.embed::<Succ>(x, 0, &og.embeds, guard);
         og.phase.set(OpPhase::Helpers);
         fault::point(FaultPoint::DeleteHelpersDone);
         // L185–189: new inactive DEL node recording the embedded results.
@@ -988,10 +875,8 @@ impl LockFreeBinaryTrie {
         // Bind the delete's span to its node seq for helping attribution.
         trace::bind(seq_of(d_node));
         unsafe {
-            (*d_node).init_del_pred(del_pred); // L188
-            (*d_node).init_del_pred_node(p_node1); // L189
-            (*d_node).init_del_succ(del_succ); // mirror of L188
-            (*d_node).init_del_succ_node(s_node1); // mirror of L189
+            (*d_node).init_del::<Pred>(del_pred, p_node1); // L188–189
+            (*d_node).init_del::<Succ>(del_succ, s_node1);
             (*i_node).clear_latest_next(); // L190
         }
         self.notify_query_ops(i_node, guard); // L191: help previous Insert notify
@@ -1000,10 +885,7 @@ impl LockFreeBinaryTrie {
             // helping unwinds with the guard at `Alloced`, whose resume
             // performs exactly this cleanup.)
             self.help_activate(self.core.latest_head(x), guard); // L193
-            self.remove_pred_node(p_node1, guard); // L194
-            og.p1.set(core::ptr::null_mut());
-            self.remove_succ_node(s_node1, guard);
-            og.s1.set(core::ptr::null_mut());
+            self.withdraw_embeds(&og.embeds, guard); // L194
             unsafe { self.core.dealloc_node(d_node) };
             og.node.set(core::ptr::null_mut());
             og.phase.set(OpPhase::Start);
@@ -1028,45 +910,74 @@ impl LockFreeBinaryTrie {
         self.retire_displaced(i_node, guard);
         og.displaced.set(core::ptr::null_mut());
         og.phase.set(OpPhase::Linearized);
-        // L200–201: second embedded predecessor, and its successor mirror.
-        let (del_pred2, p_node2) = self.pred_helper(x, guard);
-        og.p2.set(p_node2);
-        unsafe { (*d_node).set_del_pred2(del_pred2) };
-        let (del_succ2, s_node2) = self.succ_helper(x, guard);
-        og.s2.set(s_node2);
-        unsafe { (*d_node).set_del_succ2(del_succ2) };
+        // L200–201: the second embedded predecessor and successor.
+        let d = unsafe { &*d_node };
+        d.set_del_result2::<Pred>(self.embed::<Pred>(x, 1, &og.embeds, guard).0);
+        d.set_del_result2::<Succ>(self.embed::<Succ>(x, 1, &og.embeds, guard).0);
         og.phase.set(OpPhase::Embeds);
         fault::point(FaultPoint::DeleteEmbedsDone);
         bitops::delete_binary_trie(&self.core, self, d_node); // L202
-        unsafe { (*d_node).claim_trie_update() };
+        d.claim_trie_update();
         og.phase.set(OpPhase::TrieUpdated);
         fault::point(FaultPoint::DeleteTrieUpdated);
-        Some(PendingDelete {
-            d_node,
-            p_node1,
-            p_node2,
-            s_node1,
-            s_node2,
-        })
+        Some(d_node)
     }
 
     /// Lines 204–206 of `Delete(x)`: complete, de-announce, and withdraw
-    /// the four embedded helper announcements, advancing the unwind guard
+    /// the four embedded query announcements, advancing the unwind guard
     /// past each irreversible step.
-    fn remove_finish(&self, pending: &PendingDelete, guard: &Guard<'_>, og: &UpdateOpGuard<'_>) {
-        unsafe { (*pending.d_node).set_completed() }; // L204
+    fn remove_finish(&self, d_node: *mut UpdateNode, guard: &Guard<'_>, og: &UpdateOpGuard<'_>) {
+        unsafe { (*d_node).set_completed() }; // L204
         og.phase.set(OpPhase::Completed);
         fault::point(FaultPoint::DeleteCompleted);
-        self.deannounce(pending.d_node, guard); // L205
-        self.remove_pred_node(pending.p_node1, guard); // L206
-        og.p1.set(core::ptr::null_mut());
-        self.remove_pred_node(pending.p_node2, guard);
-        og.p2.set(core::ptr::null_mut());
-        self.remove_succ_node(pending.s_node1, guard);
-        og.s1.set(core::ptr::null_mut());
-        self.remove_succ_node(pending.s_node2, guard);
-        og.s2.set(core::ptr::null_mut());
+        self.deannounce(d_node, guard); // L205
+        self.withdraw_embeds(&og.embeds, guard); // L206
         og.phase.set(OpPhase::Done);
+    }
+
+    /// Runs embedded query `n` of direction `D` for the delete of `x`
+    /// (line 184 for `n = 0`, line 200 for `n = 1`) and records its
+    /// still-announced node in `embeds`, where the delete's completion, an
+    /// unwind, or an adopter finds it to withdraw. Returns the result and
+    /// the node.
+    fn embed<D: Dir>(
+        &self,
+        x: i64,
+        n: usize,
+        embeds: &EmbeddedQueries,
+        guard: &Guard<'_>,
+    ) -> (i64, *mut QueryNode) {
+        let (result, q_node) = self.query_helper::<D>(x, guard);
+        embeds.0[D::IDX][n].set(q_node);
+        (result, q_node)
+    }
+
+    /// Lines 200–201 of direction `D` for a delete whose owner crashed:
+    /// runs the second embedded query only if its result was lost (a re-run
+    /// would overwrite another helper's already-published result).
+    fn embed_second<D: Dir>(&self, d: &UpdateNode, embeds: &EmbeddedQueries, guard: &Guard<'_>) {
+        if d.del_result2::<D>().is_none() {
+            let (result, _) = self.embed::<D>(d.key(), 1, embeds, guard);
+            d.set_del_result2::<D>(result);
+        }
+    }
+
+    /// Withdraws the embedded query announcements still recorded in
+    /// `embeds` (line 206), predecessors first.
+    fn withdraw_embeds(&self, embeds: &EmbeddedQueries, guard: &Guard<'_>) {
+        self.withdraw_embedded::<Pred>(embeds, guard);
+        self.withdraw_embedded::<Succ>(embeds, guard);
+    }
+
+    /// [`LockFreeBinaryTrie::withdraw_embeds`] for direction `D`.
+    fn withdraw_embedded<D: Dir>(&self, embeds: &EmbeddedQueries, guard: &Guard<'_>) {
+        for slot in &embeds.0[D::IDX] {
+            let q_node = slot.get();
+            if !q_node.is_null() {
+                self.remove_query_node::<D>(q_node, guard);
+                slot.set(core::ptr::null_mut());
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1078,7 +989,7 @@ impl LockFreeBinaryTrie {
     /// that was never published is returned to the pool, a published one
     /// is completed exactly as the helping path would complete it — every
     /// step here is the idempotent (or claimed-exactly-once) form — and
-    /// its announcements plus any embedded helper announcements are
+    /// its announcements plus any embedded query announcements are
     /// withdrawn.
     fn resume_update(&self, og: &UpdateOpGuard<'_>, guard: &Guard<'_>) {
         let phase = og.phase.get();
@@ -1088,19 +999,12 @@ impl LockFreeBinaryTrie {
         }
         if phase <= OpPhase::Alloced {
             // Never published: nobody else can reach the node. Withdraw a
-            // delete's first embedded helper announcements and put the
-            // node back.
+            // delete's first embedded query announcements and put the node
+            // back.
             if !node.is_null() {
                 unsafe { self.core.dealloc_node(node) };
             }
-            let p1 = og.p1.get();
-            if !p1.is_null() {
-                self.remove_pred_node(p1, guard);
-            }
-            let s1 = og.s1.get();
-            if !s1.is_null() {
-                self.remove_succ_node(s1, guard);
-            }
+            self.withdraw_embeds(&og.embeds, guard);
             og.phase.set(OpPhase::Done);
             return;
         }
@@ -1123,20 +1027,10 @@ impl LockFreeBinaryTrie {
             }
         }
         if phase <= OpPhase::Linearized && og.kind == Kind::Del {
-            // L200–201, only for the results the crash lost (a re-run
-            // would overwrite another helper's already-published result).
+            // L200–201, only for the results the crash lost.
             let d = unsafe { &*node };
-            let key = d.key();
-            if d.del_pred2().is_none() {
-                let (del_pred2, p2) = self.pred_helper(key, guard);
-                og.p2.set(p2);
-                d.set_del_pred2(del_pred2);
-            }
-            if d.del_succ2().is_none() {
-                let (del_succ2, s2) = self.succ_helper(key, guard);
-                og.s2.set(s2);
-                d.set_del_succ2(del_succ2);
-            }
+            self.embed_second::<Pred>(d, &og.embeds, guard);
+            self.embed_second::<Succ>(d, &og.embeds, guard);
         }
         if phase <= OpPhase::Embeds && !unsafe { (*node).trie_update_claimed() } {
             // The relaxed-trie bit update is not idempotent, so it is
@@ -1158,28 +1052,18 @@ impl LockFreeBinaryTrie {
             unsafe { (*node).set_completed() };
         }
         self.deannounce(node, guard);
-        for p in [og.p1.get(), og.p2.get()] {
-            if !p.is_null() {
-                self.remove_pred_node(p, guard);
-            }
-        }
-        for s in [og.s1.get(), og.s2.get()] {
-            if !s.is_null() {
-                self.remove_succ_node(s, guard);
-            }
-        }
+        self.withdraw_embeds(&og.embeds, guard);
         og.phase.set(OpPhase::Done);
     }
 
     /// Adopts one dead-owner update announcement: completes the operation
     /// through the same claimed-exactly-once steps as the unwind resume
-    /// (activation, displaced-node retirement, lost second-helper results,
-    /// the bit update, notification, completion), then withdraws the
-    /// announcement and the embedded helper announcements the node
-    /// records. Setting `completed` is what unblocks
-    /// `UpdateNode::ready_to_reclaim` for the orphan and everything it
-    /// superseded — without adoption a crashed update pins its key's
-    /// retired nodes in limbo forever.
+    /// (activation, displaced-node retirement, lost second embedded
+    /// results, the bit update, notification, completion), then withdraws
+    /// the announcement and the embedded query announcements it knows of.
+    /// Setting `completed` is what unblocks `UpdateNode::ready_to_reclaim`
+    /// for the orphan and everything it superseded — without adoption a
+    /// crashed update pins its key's retired nodes in limbo forever.
     fn adopt_update(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
         let u = unsafe { &*u_node };
         let key = u.key();
@@ -1206,21 +1090,12 @@ impl LockFreeBinaryTrie {
         if !displaced.is_null() {
             self.retire_displaced(displaced, guard);
         }
+        let embeds = EmbeddedQueries::new();
         if !u.completed() {
-            let mut p2: *mut PredNode = core::ptr::null_mut();
-            let mut s2: *mut SuccNode = core::ptr::null_mut();
             if u.kind() == Kind::Del {
                 // L200–201 for the results the dead owner never recorded.
-                if u.del_pred2().is_none() {
-                    let (del_pred2, p) = self.pred_helper(key, guard);
-                    p2 = p;
-                    u.set_del_pred2(del_pred2);
-                }
-                if u.del_succ2().is_none() {
-                    let (del_succ2, s) = self.succ_helper(key, guard);
-                    s2 = s;
-                    u.set_del_succ2(del_succ2);
-                }
+                self.embed_second::<Pred>(u, &embeds, guard);
+                self.embed_second::<Succ>(u, &embeds, guard);
             }
             if !u.trie_update_claimed() {
                 if self.first_activated(u_node) {
@@ -1234,30 +1109,20 @@ impl LockFreeBinaryTrie {
             }
             self.notify_query_ops(u_node, guard);
             u.set_completed(); // L204
-            if !p2.is_null() {
-                self.remove_pred_node(p2, guard);
-            }
-            if !s2.is_null() {
-                self.remove_succ_node(s2, guard);
-            }
         }
         self.deannounce(u_node, guard); // L205
         if u.kind() == Kind::Del {
-            // L206 for the first embedded helpers the node records. Under
-            // the crash model these are still announced whenever the
-            // delete itself still was (the owner withdraws them only
-            // *after* its de-announcement); the owner's *second* helpers,
-            // which the node does not record, are dead-owner query
-            // announcements that the P-ALL/S-ALL adoption pass withdraws.
-            let p1 = u.del_pred_node();
-            if !p1.is_null() {
-                self.remove_pred_node(p1, guard);
-            }
-            let s1 = u.del_succ_node();
-            if !s1.is_null() {
-                self.remove_succ_node(s1, guard);
-            }
+            // L206 for the embedded queries: the second ones run above, and
+            // the first ones the node records. Under the crash model those
+            // are still announced whenever the delete itself still was (the
+            // owner withdraws them only *after* its de-announcement); the
+            // owner's *second* queries, which the node does not record, are
+            // dead-owner query announcements that the P-ALL/S-ALL adoption
+            // pass withdraws.
+            embeds.0[Pred::IDX][0].set(u.del_node::<Pred>());
+            embeds.0[Succ::IDX][0].set(u.del_node::<Succ>());
         }
+        self.withdraw_embeds(&embeds, guard);
     }
 
     /// Completes and withdraws every announcement owned by a dead thread
@@ -1268,9 +1133,8 @@ impl LockFreeBinaryTrie {
     /// orphan is *completed* via the helping steps, which also unpins the
     /// nodes it superseded from the limbo lists — then dead query
     /// announcements, which are withdrawal-only. The order matters: a
-    /// `PredNode` may only be retired after the delete embedding it has
-    /// de-announced (see `remove_pred_node`), which
-    /// pass one guarantees.
+    /// query node may only be retired after the delete embedding it has
+    /// de-announced (see `remove_query_node`), which pass one guarantees.
     ///
     /// Amortized integration: update entry points call this automatically
     /// (via a death-generation check) after a thread incarnation dies, and
@@ -1316,34 +1180,33 @@ impl LockFreeBinaryTrie {
             adopted += 1;
         }
         // Pass B: dead-owner query announcements (both plain queries and
-        // the second embedded helpers pass A could not reach). Collected
-        // first, then withdrawn: nobody else withdraws dead-owner nodes
-        // while we hold the sweep lock.
-        let dead_preds: Vec<*mut PredNode> = self
-            .pall
-            .iter(guard)
-            .map(|c| unsafe { (*c).payload() })
-            .filter(|&p| !liveness::is_live(unsafe { (*p).owner() }))
-            .collect();
-        for p_node in dead_preds {
-            telemetry::add(Counter::OrphansAdopted, 1);
-            telemetry::flight(FlightKind::Adopt, unsafe { (*p_node).key }, 1);
-            self.remove_pred_node(p_node, guard);
-            adopted += 1;
-        }
-        let dead_succs: Vec<*mut SuccNode> = self
-            .sall
-            .iter(guard)
-            .map(|c| unsafe { (*c).payload() })
-            .filter(|&s| !liveness::is_live(unsafe { (*s).owner() }))
-            .collect();
-        for s_node in dead_succs {
-            telemetry::add(Counter::OrphansAdopted, 1);
-            telemetry::flight(FlightKind::Adopt, unsafe { (*s_node).key() }, 2);
-            self.remove_succ_node(s_node, guard);
-            adopted += 1;
-        }
+        // the second embedded queries pass A could not reach).
+        adopted += self.adopt_dead_queries::<Pred>(guard);
+        adopted += self.adopt_dead_queries::<Succ>(guard);
         adopted
+    }
+
+    /// Adoption pass B for query side `D`: withdraws every announcement
+    /// whose owner is dead. Collected first, then withdrawn: nobody else
+    /// withdraws dead-owner nodes while we hold the sweep lock.
+    fn adopt_dead_queries<D: Dir>(&self, guard: &Guard<'_>) -> usize {
+        let dead: Vec<*mut QueryNode> = self
+            .side::<D>()
+            .list
+            .iter(guard)
+            .map(|c| unsafe { (*c).payload() })
+            .filter(|&q| !liveness::is_live(unsafe { (*q).owner() }))
+            .collect();
+        for &q_node in &dead {
+            telemetry::add(Counter::OrphansAdopted, 1);
+            telemetry::flight(
+                FlightKind::Adopt,
+                unsafe { (*q_node).key() },
+                D::IDX as u64 + 1,
+            );
+            self.remove_query_node::<D>(q_node, guard);
+        }
+        dead.len()
     }
 
     /// The amortized entry-point hook: runs [`adopt_orphans`] only when a
@@ -1373,45 +1236,12 @@ impl LockFreeBinaryTrie {
         let y = self.check_key(y);
         telemetry::add(Counter::PredecessorOps, 1);
         let _s = trace::span(OpKind::Predecessor, y);
-        let guard = &epoch::pin();
-        let (pred, p_node) = self.pred_helper(y, guard); // L254
-        self.remove_pred_node(p_node, guard); // L255
-        if pred == NO_PRED {
-            None
-        } else {
-            Some(pred as Key) // L256
-        }
-    }
-
-    /// Withdraws a predecessor node's announcement and retires it.
-    ///
-    /// Retirement is sound here: after the P-ALL removal, the only other
-    /// path to a predecessor node is `dNode.delPredNode`, which the recovery
-    /// computation follows only for DEL nodes found in its *own* RU-ALL
-    /// traversal — impossible for threads pinning after the owning `Delete`
-    /// de-announced (line 205 precedes line 206); concurrent holders are
-    /// pinned, which the grace period covers.
-    fn remove_pred_node(&self, p_node: *mut PredNode, guard: &Guard<'_>) {
-        // Exactly-once: under the crash model the owner's resume path and
-        // the adoption sweep can both reach an embedded helper node (a
-        // delete that died before announcing hides it from pass A, so pass
-        // B withdraws it as a plain dead query — and a later helper can
-        // still surface the delete for adoption, which withdraws again).
-        if !unsafe { (*p_node).claim_withdraw() } {
-            return;
-        }
-        let _p = trace::phase(TracePhase::Withdraw);
-        let cell = unsafe { (*p_node).pall_cell() };
-        // Safety: the cell was stored into the PredNode by the `insert` in
-        // `pred_helper`, and the claim above makes this removal unique.
-        unsafe { self.pall.remove(cell, guard) };
-        unsafe { self.preds.retire(p_node, guard) };
-        self.ann_sub(1);
+        self.query::<Pred>(y)
     }
 
     /// `Successor(y)`: the smallest key in the set greater than `y`, or
-    /// `None`. Linearizable — the exact mirror of `Predecessor` (lines
-    /// 253–256).
+    /// `None`. Linearizable — `Predecessor` (lines 253–256) run in the
+    /// successor direction.
     ///
     /// # Panics
     ///
@@ -1420,20 +1250,22 @@ impl LockFreeBinaryTrie {
         let y = self.check_key(y);
         telemetry::add(Counter::SuccessorOps, 1);
         let _s = trace::span(OpKind::Successor, y);
+        self.query::<Succ>(y)
+    }
+
+    /// Lines 253–256 in direction `D`: one announced, computed and
+    /// withdrawn query at key `y`.
+    fn query<D: Dir>(&self, y: i64) -> Option<Key> {
         let guard = &epoch::pin();
-        let (succ, s_node) = self.succ_helper(y, guard);
-        self.remove_succ_node(s_node, guard);
-        if succ == NO_SUCC {
-            None
-        } else {
-            Some(succ as Key)
-        }
+        let (answer, q_node) = self.query_helper::<D>(y, guard); // L254
+        self.remove_query_node::<D>(q_node, guard); // L255
+        (answer != D::NONE).then_some(answer as Key) // L256
     }
 
     /// An ordered iterator over the keys `≥ start`, produced by repeated
     /// certified successor steps that share **one** S-ALL announcement
     /// (scan subsystem v2): the first successor step announces a
-    /// `SuccNode`, every later step *slides* it — rewrites its query key
+    /// query node, every later step *slides* it — rewrites its query key
     /// and re-arms its published U-ALL cursor under the era seqlock — and
     /// dropping (or exhausting) the iterator withdraws it. A width-w scan
     /// therefore costs one announce + one withdraw + `w − 1` cheap slides
@@ -1531,18 +1363,11 @@ impl LockFreeBinaryTrie {
     /// A composite such as `contains(0)` followed by `successor(0)` would
     /// not linearize — updates between the two calls can make the pair
     /// report an answer no single state ever had — so the whole query runs
-    /// as one `SuccHelper` under one S-ALL announcement.
+    /// as one successor query under one S-ALL announcement.
     pub fn min(&self) -> Option<Key> {
         telemetry::add(Counter::AggregateOps, 1);
         let _s = trace::span(OpKind::Min, NO_PRED);
-        let guard = &epoch::pin();
-        let (succ, s_node) = self.succ_helper(NO_PRED, guard); // y = −1
-        self.remove_succ_node(s_node, guard);
-        if succ == NO_SUCC {
-            None
-        } else {
-            Some(succ as Key)
-        }
+        self.query::<Succ>(NO_PRED) // y = −1
     }
 
     /// The largest key in the set, or `None` when empty. Linearizable:
@@ -1552,14 +1377,7 @@ impl LockFreeBinaryTrie {
     pub fn max(&self) -> Option<Key> {
         telemetry::add(Counter::AggregateOps, 1);
         let _s = trace::span(OpKind::Max, self.universe as i64);
-        let guard = &epoch::pin();
-        let (pred, p_node) = self.pred_helper(self.universe as i64, guard);
-        self.remove_pred_node(p_node, guard);
-        if pred == NO_PRED {
-            None
-        } else {
-            Some(pred as Key)
-        }
+        self.query::<Pred>(self.universe as i64)
     }
 
     /// Removes and returns the smallest key (the priority-queue `pop`), or
@@ -1631,7 +1449,7 @@ impl LockFreeBinaryTrie {
     /// but pipelining the keys — each delete notifies and de-announces
     /// before the next starts (the delete mirror of
     /// [`LockFreeBinaryTrie::insert_all`]; each delete still runs its own
-    /// four embedded helper operations and linearizes individually at its
+    /// four embedded query operations and linearizes individually at its
     /// activation). Returns how many calls were S-modifying.
     ///
     /// # Panics
@@ -1639,7 +1457,7 @@ impl LockFreeBinaryTrie {
     /// Panics if any key is `≥ universe` — before any key is removed (the
     /// same up-front validation as [`LockFreeBinaryTrie::insert_all`]; a
     /// lazy check would leak the partial batch's announcements, including
-    /// each delete's four embedded helper announcements).
+    /// each delete's four embedded query announcements).
     pub fn delete_all(&self, keys: &[Key]) -> usize {
         for &x in keys {
             self.check_key(x);
@@ -1651,10 +1469,10 @@ impl LockFreeBinaryTrie {
         let mut modifying = 0;
         for &x in keys {
             let og = UpdateOpGuard::new(self, Kind::Del);
-            if let Some(p) = self.remove_phase1(x as i64, guard, &og) {
-                self.notify_query_ops(p.d_node, guard);
+            if let Some(d_node) = self.remove_phase1(x as i64, guard, &og) {
+                self.notify_query_ops(d_node, guard);
                 og.phase.set(OpPhase::Notified);
-                self.remove_finish(&p, guard, &og);
+                self.remove_finish(d_node, guard, &og);
                 modifying += 1;
             }
             og.phase.set(OpPhase::Done);
@@ -1663,331 +1481,94 @@ impl LockFreeBinaryTrie {
         modifying
     }
 
-    /// Withdraws a successor node's announcement and retires it (the mirror
-    /// of [`LockFreeBinaryTrie::remove_pred_node`]; see [`SuccNode`]'s
-    /// `Reclaim` impl for why the plain grace period suffices).
-    fn remove_succ_node(&self, s_node: *mut SuccNode, guard: &Guard<'_>) {
-        // Exactly-once; see `remove_pred_node` for the crash-model race.
-        if !unsafe { (*s_node).claim_withdraw() } {
-            return;
-        }
-        let _p = trace::phase(TracePhase::Withdraw);
-        scan_events::on_withdraw();
-        telemetry::flight(FlightKind::Deannounce, unsafe { (*s_node).key() }, 1);
-        let cell = unsafe { (*s_node).sall_cell() };
-        // Safety: the cell was stored into the SuccNode by the `insert` in
-        // `succ_helper`, and the claim above makes this removal unique.
-        unsafe { self.sall.remove(cell, guard) };
-        unsafe { self.succs.retire(s_node, guard) };
-        self.ann_sub(1);
-    }
-
     // ------------------------------------------------------------------
-    // PredHelper (lines 207–252)
+    // The query engine: PredHelper (lines 207–252), in either direction
     // ------------------------------------------------------------------
 
-    /// `PredHelper(y)`: computes the candidate return values and returns the
-    /// largest, along with the still-announced predecessor node.
-    fn pred_helper(&self, y: i64, guard: &Guard<'_>) -> (i64, *mut PredNode) {
-        // L208–209: announce.
-        let p_node = self.preds.alloc(PredNode::new(y));
-        let p_cell;
-        {
-            let _p = trace::phase(TracePhase::Announce);
-            p_cell = self.pall.insert(p_node, guard);
-            unsafe { (*p_node).set_pall_cell(p_cell) };
-            self.ann_add(1);
-        }
-        // From here to the return the announcement is live: a panic in the
-        // computation withdraws it (queries have nothing to complete).
-        let qg = PredQueryGuard {
+    /// `PredHelper(y)` in direction `D`: announces a query node for `y` and
+    /// returns the certified answer along with the still-announced node.
+    fn query_helper<D: Dir>(&self, y: i64, guard: &Guard<'_>) -> (i64, *mut QueryNode) {
+        let q_node = self.announce_query::<D>(y, guard); // L208–209
+                                                         // From here to the return the announcement is live: a panic in the
+                                                         // computation withdraws it (queries have nothing to complete).
+        let qg = QueryGuard::<D> {
             trie: self,
-            node: p_node,
+            node: q_node,
             armed: StdCell::new(true),
+            dir: PhantomData,
         };
         fault::point(FaultPoint::QueryAnnounced);
 
         // L210–214: Q = announcements older than ours, oldest-first (the
-        // traversal prepends, so walking newest→oldest yields oldest-first).
-        let q: Vec<*mut PredNode> = {
-            let mut q: Vec<*mut PredNode> = self
-                .pall
-                .iter_after(p_cell, guard)
-                .map(|c| unsafe { (*c).payload() })
-                .collect();
-            q.reverse();
-            q
-        };
+        // list prepends, so walking newest→oldest and reversing yields
+        // oldest-first).
+        let mut q: Vec<*mut QueryNode> = self
+            .side::<D>()
+            .list
+            .iter_after(unsafe { (*q_node).cell() }, guard)
+            .map(|c| unsafe { (*c).payload() })
+            .collect();
+        q.reverse();
 
-        let (i_ruall, d_ruall) = self.traverse_ruall(p_node, guard); // L215
-                                                                     // L216; `y = u` is the max() sentinel — every key is smaller, so
-                                                                     // the climb is vacuous and the traversal is a root descent.
-        let r0 = if y >= self.universe as i64 {
-            bitops::relaxed_max(&self.core, self)
-        } else {
-            bitops::relaxed_predecessor(&self.core, self, y)
-        };
-        let (i_uall, d_uall) = self.traverse_uall(y, guard); // L217
-
-        // L218–227: collect notifications (head read = C_notify). Records
-        // are value snapshots; identity tests use never-reused seq ids.
-        let mut i_notify: Vec<NotifyCand> = Vec::new();
-        let mut d_notify: Vec<NotifyCand> = Vec::new();
-        let p = unsafe { &*p_node };
-        for record in p.notify_list.iter() {
-            // L219: notify nodes with key < y only.
-            if record.key >= y {
-                continue;
-            }
-            if record.kind == Kind::Ins {
-                // L220
-                if record.notify_threshold <= record.key
-                    && !i_notify.iter().any(|c| c.seq == record.seq)
-                {
-                    i_notify.push(NotifyCand {
-                        seq: record.seq,
-                        key: record.key,
-                    }); // L221–222
-                }
-            } else if record.notify_threshold < record.key
-                && !d_notify.iter().any(|c| c.seq == record.seq)
-            {
-                d_notify.push(NotifyCand {
-                    seq: record.seq,
-                    key: record.key,
-                }); // L223–225
-            }
-            // L226–227: accept the notifier's updateNodeMax when the
-            // notification arrived after our RU-ALL traversal finished and
-            // the notifier itself was not seen during that traversal.
-            if record.notify_threshold == NEG_INF
-                && !i_ruall.iter().any(|&u| seq_of(u) == record.seq)
-                && !d_ruall.iter().any(|&u| seq_of(u) == record.seq)
-                && record.ext_seq != 0
-                && !i_notify.iter().any(|c| c.seq == record.ext_seq)
-            {
-                i_notify.push(NotifyCand {
-                    seq: record.ext_seq,
-                    key: record.ext_key,
-                });
-            }
-        }
-
-        // L228: r1 = max key over Iuall ∪ Inotify ∪ (Duall−Druall) ∪ (Dnotify−Druall).
-        let mut r1 = NO_PRED;
-        for &u in i_uall.iter() {
-            r1 = r1.max(unsafe { (*u).key() });
-        }
-        for c in &i_notify {
-            r1 = r1.max(c.key);
-        }
-        for &u in d_uall.iter() {
-            if !d_ruall.contains(&u) {
-                r1 = r1.max(unsafe { (*u).key() });
-            }
-        }
-        for c in &d_notify {
-            if !d_ruall.iter().any(|&u| seq_of(u) == c.seq) {
-                r1 = r1.max(c.key);
-            }
-        }
-
-        // L229–251: the relaxed traversal failed — recover from embedded
-        // predecessor results.
-        let r0_val = match r0 {
-            Some(v) => v,
-            None => {
-                self.relaxed_bottoms.fetch_add(1, Ordering::Relaxed);
-                telemetry::add(Counter::RelaxedBottoms, 1);
-                if d_ruall.is_empty() {
-                    NO_PRED // only r1 constrains the answer (see §5.2)
-                } else {
-                    self.recoveries.fetch_add(1, Ordering::Relaxed);
-                    telemetry::add(Counter::Recoveries, 1);
-                    telemetry::flight(FlightKind::Recovery, y, 0);
-                    let _p = trace::phase(TracePhase::Recovery);
-                    self.recover_from_embedded(y, p_node, &q, &d_ruall) // L230–251
-                }
-            }
-        };
+        let answer = self.query_compute::<D>(y, 0, q_node, &q, guard);
         qg.armed.set(false);
-        (r0_val.max(r1), p_node) // L252
+        (answer, q_node)
     }
 
-    /// Lines 231–251: Definition 5.1's graph computation over the notify
-    /// lists of this operation and of the oldest relevant embedded
-    /// predecessor.
-    fn recover_from_embedded(
-        &self,
-        y: i64,
-        p_node: *mut PredNode,
-        q: &[*mut PredNode],
-        d_ruall: &[*mut UpdateNode],
-    ) -> i64 {
-        // L232: predecessor nodes of the first embedded predecessors of
-        // Druall's deletes.
-        let pred_nodes: Vec<*mut PredNode> = d_ruall
-            .iter()
-            .map(|&d| unsafe { (*d).del_pred_node() })
-            .collect();
-
-        // L231–236: L1 from the *earliest announced* such node we saw in Q
-        // (Q is oldest-first, so the first match). Entries are value
-        // snapshots of the records — nothing here dereferences a notifier.
-        let mut l1: Vec<RecoverEntry> = Vec::new();
-        if let Some(&earliest) = q.iter().find(|&&pn| pred_nodes.contains(&pn)) {
-            // L233–234
-            for record in unsafe { &*earliest }.notify_list.iter() {
-                // L235–236: prepend updateNode if not already present.
-                if record.key < y && !l1.iter().any(|e| e.seq == record.seq) {
-                    l1.insert(
-                        0,
-                        RecoverEntry {
-                            seq: record.seq,
-                            key: record.key,
-                            kind: record.kind,
-                            del_pred2: record.del_pred2,
-                            del_succ2: record.del_succ2,
-                        },
-                    );
-                }
-            }
-        }
-
-        // L237–241: L2 from our own notify list; also remove from L1 every
-        // update node that notified us.
-        let mut l2: Vec<RecoverEntry> = Vec::new();
-        for record in unsafe { &*p_node }.notify_list.iter() {
-            // L238
-            if record.key >= y {
-                continue;
-            }
-            l1.retain(|e| e.seq != record.seq); // L239
-            if record.notify_threshold >= record.key && !l2.iter().any(|e| e.seq == record.seq) {
-                l2.insert(
-                    0,
-                    RecoverEntry {
-                        seq: record.seq,
-                        key: record.key,
-                        kind: record.kind,
-                        del_pred2: record.del_pred2,
-                        del_succ2: record.del_succ2,
-                    },
-                ); // L240–241
-            }
-        }
-
-        // L242: L = L1 · L2.
-        let mut l: Vec<RecoverEntry> = l1;
-        l.extend(l2);
-
-        // L243: drop DEL nodes that are not the last update node in L with
-        // their key (so ≤ 1 DEL node per key survives).
-        let l: Vec<RecoverEntry> = l
-            .iter()
-            .enumerate()
-            .filter(|&(i, e)| e.kind == Kind::Ins || !l[i + 1..].iter().any(|v| v.key == e.key))
-            .map(|(_, &e)| e)
-            .collect();
-
-        // L244–246 (Definition 5.1): edges key(dNode) → dNode.delPred2 for
-        // DEL nodes in L. Each vertex has ≤ 1 outgoing edge and every edge
-        // strictly decreases the key, so chains terminate.
-        let mut edges: Vec<(i64, i64)> = Vec::new();
-        for e in &l {
-            if e.kind == Kind::Del {
-                // A DEL node only notifies after line 201 set delPred2, so
-                // the snapshot is always present (§5.2).
-                debug_assert_ne!(e.del_pred2, DELPRED2_UNSET, "DEL in L without delPred2");
-                if e.del_pred2 != DELPRED2_UNSET {
-                    edges.push((e.key, e.del_pred2));
-                }
-            }
-        }
-        let out_edge = |v: i64| edges.iter().find(|&&(u, _)| u == v).map(|&(_, w)| w);
-
-        // L247–248: X = delPred results of Druall ∪ keys of INS nodes in L.
-        let mut x_set: Vec<i64> = d_ruall
-            .iter()
-            .map(|&d| unsafe { (*d).del_pred() })
-            .collect();
-        for e in &l {
-            if e.kind == Kind::Ins {
-                x_set.push(e.key);
-            }
-        }
-
-        // L249: R = sinks of T_L reachable from X (edges strictly decrease,
-        // so following out-edges terminates at the sink).
-        let mut r_set: Vec<i64> = Vec::new();
-        for &start in &x_set {
-            let mut v = start;
-            while let Some(next) = out_edge(v) {
-                debug_assert!(next < v, "delPred2 edges must decrease (Def. 5.1)");
-                v = next;
-            }
-            r_set.push(v);
-        }
-
-        // L250: deleted keys (per Druall) cannot be answers.
-        r_set.retain(|&w| !d_ruall.iter().any(|&d| unsafe { (*d).key() } == w));
-
-        // L251: max R; the paper proves R is non-empty here.
-        r_set.into_iter().max().unwrap_or(NO_PRED)
-    }
-
-    // ------------------------------------------------------------------
-    // SuccHelper (the left/right mirror of lines 207–252)
-    // ------------------------------------------------------------------
-
-    /// `SuccHelper(y)`: computes the candidate return values and returns the
-    /// smallest, along with the still-announced successor node. Every
-    /// comparison of `PredHelper` flips direction; the published traversal
-    /// runs over the U-ALL (ascending) instead of the RU-ALL.
-    fn succ_helper(&self, y: i64, guard: &Guard<'_>) -> (i64, *mut SuccNode) {
-        // Mirror of L208–209: announce in the S-ALL.
-        let s_node = self.succ_announce(y, guard);
-        let qg = SuccQueryGuard {
-            trie: self,
-            node: s_node,
-            armed: StdCell::new(true),
-        };
-        fault::point(FaultPoint::QueryAnnounced);
-
-        // Mirror of L210–214: Q = successor announcements older than ours,
-        // oldest-first.
-        let q: Vec<*mut SuccNode> = {
-            let mut q: Vec<*mut SuccNode> = self
-                .sall
-                .iter_after(unsafe { (*s_node).sall_cell() }, guard)
-                .map(|c| unsafe { (*c).payload() })
-                .collect();
-            q.reverse();
-            q
-        };
-
-        let succ = self.succ_compute(y, 0, s_node, &q, guard);
-        qg.armed.set(false);
-        (succ, s_node)
-    }
-
-    /// Mirror of L208–209: allocates and announces a successor node for
-    /// query key `y` in the S-ALL.
-    fn succ_announce(&self, y: i64, guard: &Guard<'_>) -> *mut SuccNode {
+    /// Lines 208–209 in direction `D`: allocates a query node for key `y`
+    /// and announces it on its side.
+    fn announce_query<D: Dir>(&self, y: i64, guard: &Guard<'_>) -> *mut QueryNode {
         let _p = trace::phase(TracePhase::Announce);
-        scan_events::on_announce();
-        telemetry::flight(FlightKind::Announce, y, 1); // aux=1: S-ALL
-        let s_node = self.succs.alloc(SuccNode::new(y));
-        let s_cell = self.sall.insert(s_node, guard);
-        unsafe { (*s_node).set_sall_cell(s_cell) };
+        if D::SCAN_EVENTS {
+            scan_events::on_announce();
+            telemetry::flight(FlightKind::Announce, y, D::IDX as u64);
+        }
+        let side = self.side::<D>();
+        let q_node = side.nodes.alloc(QueryNode::new(y, D::ORIGIN));
+        let cell = side.list.insert(q_node, guard);
+        unsafe { (*q_node).set_cell(cell) };
         self.ann_add(1);
-        s_node
+        q_node
+    }
+
+    /// Withdraws a query node's announcement and retires it.
+    ///
+    /// Retirement is sound here: after the list removal, the only other
+    /// path to a query node is `dNode.delPredNode` (or `delSuccNode`),
+    /// which the recovery computation follows only for DEL nodes found in
+    /// its *own* published traversal — impossible for threads pinning after
+    /// the owning `Delete` de-announced (line 205 precedes line 206);
+    /// concurrent holders are pinned, which the grace period covers.
+    fn remove_query_node<D: Dir>(&self, q_node: *mut QueryNode, guard: &Guard<'_>) {
+        // Exactly-once: under the crash model the owner's resume path and
+        // the adoption sweep can both reach an embedded query node (a
+        // delete that died before announcing hides it from pass A, so pass
+        // B withdraws it as a plain dead query — and a later helper can
+        // still surface the delete for adoption, which withdraws again).
+        if !unsafe { (*q_node).claim_withdraw() } {
+            return;
+        }
+        let _p = trace::phase(TracePhase::Withdraw);
+        if D::SCAN_EVENTS {
+            scan_events::on_withdraw();
+            telemetry::flight(
+                FlightKind::Deannounce,
+                unsafe { (*q_node).key() },
+                D::IDX as u64,
+            );
+        }
+        let side = self.side::<D>();
+        // Safety: the cell was stored into the node by `announce_query`,
+        // and the claim above makes this removal unique.
+        unsafe { side.list.remove((*q_node).cell(), guard) };
+        unsafe { side.nodes.retire(q_node, guard) };
+        self.ann_sub(1);
     }
 
     /// One certified successor step that *reuses* an already-announced
     /// successor node by sliding it to query key `y` (scan subsystem v2):
     ///
-    /// 1. era → odd ([`SuccNode::begin_slide`]): notifiers stand back;
+    /// 1. era → odd ([`QueryNode::begin_slide`]): notifiers stand back;
     /// 2. rewrite the query key, re-arm the published cursor at `−∞`, and
     ///    reclaim the notify list — every record in it (and every record a
     ///    racing push can still land while the era is odd) carries a stale
@@ -2000,7 +1581,7 @@ impl LockFreeBinaryTrie {
     ///    is strictly newer than this step (it cannot also see our slid
     ///    node as older-than itself in a way that makes the older-than
     ///    relation symmetric, as a post-`end_slide` snapshot would allow);
-    /// 4. era → even ([`SuccNode::end_slide`]): the step begins;
+    /// 4. era → even ([`QueryNode::end_slide`]): the step begins;
     /// 5. rebuild `Q` from that snapshot — exactly the announcements a
     ///    *fresh* announce at the snapshot instant would have found older
     ///    than itself (our own cell, physically older, is excluded);
@@ -2010,7 +1591,7 @@ impl LockFreeBinaryTrie {
     /// Era-stale records are ones whose sender read our pair before this
     /// step began; dropping them reproduces the legal v1 execution in which
     /// that sender's S-ALL traversal passed before a fresh announcement.
-    fn succ_step_slide(&self, s_node: *mut SuccNode, y: i64, guard: &Guard<'_>) -> i64 {
+    fn succ_step_slide(&self, s_node: *mut QueryNode, y: i64, guard: &Guard<'_>) -> i64 {
         // Before the slide begins: a crash here leaves the node stable
         // (even era) and still announced — the scan's drop (or adoption,
         // if the owner died) withdraws it.
@@ -2019,93 +1600,77 @@ impl LockFreeBinaryTrie {
         let s = unsafe { &*s_node };
         s.begin_slide();
         s.set_key(y);
-        s.uall_position.publish(NEG_INF);
+        s.position.publish(Succ::ORIGIN);
         // Safety: only the scan owner (us) ever reads this notify list — a
-        // scan's SuccNode is never a delete's embedded `delSuccNode`, which
-        // is the one cross-thread read path to successor notify lists.
+        // scan's node is never a delete's embedded `delSuccNode`, which is
+        // the one cross-thread read path to successor notify lists.
         unsafe { s.notify_list.clear() };
-        let snap = self.sall.head_snapshot(guard);
+        let snap = self.side::<Succ>().list.head_snapshot(guard);
         let era = s.end_slide();
         telemetry::flight(FlightKind::Slide, y, era);
-        let q: Vec<*mut SuccNode> = {
-            let mut q: Vec<*mut SuccNode> = self
-                .sall
-                .iter_from(snap, guard)
-                .map(|c| unsafe { (*c).payload() })
-                .filter(|&p| p != s_node)
-                .collect();
-            q.reverse();
-            q
-        };
-        self.succ_compute(y, era, s_node, &q, guard)
+        let mut q: Vec<*mut QueryNode> = self
+            .side::<Succ>()
+            .list
+            .iter_from(snap, guard)
+            .map(|c| unsafe { (*c).payload() })
+            .filter(|&p| p != s_node)
+            .collect();
+        q.reverse();
+        self.query_compute::<Succ>(y, era, s_node, &q, guard)
     }
 
-    /// The certified successor computation (the body of `SuccHelper` after
-    /// the announcement): traversals, notification harvest, and ⊥-recovery
-    /// for the announced `s_node` at query key `y`. `era` is the step's
-    /// even era; records stamped with any other era are ignored (0 for
-    /// one-shot operations, whose receivers never slide, so every record
-    /// matches).
-    fn succ_compute(
+    /// The certified computation of `PredHelper` after the announcement
+    /// (lines 215–252) in direction `D`: traversals, notification harvest,
+    /// and ⊥-recovery for the announced `q_node` at query key `y`. `era` is
+    /// the step's even era; records stamped with any other era are ignored
+    /// (0 for queries that never slide, so every record matches).
+    fn query_compute<D: Dir>(
         &self,
         y: i64,
         era: u64,
-        s_node: *mut SuccNode,
-        q: &[*mut SuccNode],
+        q_node: *mut QueryNode,
+        q: &[*mut QueryNode],
         guard: &Guard<'_>,
     ) -> i64 {
-        let (i_pub, d_pub) = self.traverse_uall_publishing(s_node, guard); // mirror of L215
-                                                                           // Mirror of L216; `y = −1` is the min() sentinel — every key is
-                                                                           // greater, so the climb is vacuous and the traversal is a root
-                                                                           // descent.
-        let r0 = if y < 0 {
-            bitops::relaxed_min(&self.core, self)
-        } else {
-            bitops::relaxed_successor(&self.core, self, y)
-        };
-        let (i_plain, d_plain) = self.traverse_ruall_above(y, guard); // mirror of L217
+        let (i_pub, d_pub) = self.traverse_published::<D>(q_node, guard); // L215
+        let r0 = bitops::relaxed_query::<D, _>(&self.core, self, y); // L216
+        let (i_plain, d_plain) = self.traverse_plain::<D>(y, guard); // L217
 
-        // Mirror of L218–227: collect notifications. The published cursor
-        // ascends from −∞ to +∞, so every threshold comparison flips: an
-        // update is taken from its notification exactly when the traversal's
-        // position had already passed its key region at send time.
+        // L218–227: collect notifications (head read = C_notify). Records
+        // are value snapshots; identity tests use never-reused seq ids. The
+        // notify threshold is the receiver's cursor at send time: beyond a
+        // key, the traversal had already passed it.
         let mut i_notify: Vec<NotifyCand> = Vec::new();
         let mut d_notify: Vec<NotifyCand> = Vec::new();
-        let s = unsafe { &*s_node };
-        for record in s.notify_list.iter() {
-            // Records from other eras target an earlier (or later) step of
-            // a sliding scan, not this one.
-            if record.era != era {
+        for record in unsafe { &*q_node }.notify_list.iter() {
+            // Records from other eras target another step of a sliding
+            // scan, not this one. L219: notify nodes with keys beyond y.
+            if record.era != era || !D::beyond(record.key, y) {
                 continue;
             }
-            // Notify nodes with key > y only.
-            if record.key <= y {
-                continue;
-            }
+            let threshold = record.notify_threshold;
             if record.kind == Kind::Ins {
-                // Mirror of L220–222.
-                if record.notify_threshold >= record.key
+                // L220
+                if !D::beyond(record.key, threshold)
                     && !i_notify.iter().any(|c| c.seq == record.seq)
                 {
                     i_notify.push(NotifyCand {
                         seq: record.seq,
                         key: record.key,
-                    });
+                    }); // L221–222
                 }
-            } else if record.notify_threshold > record.key
+            } else if D::beyond(threshold, record.key)
                 && !d_notify.iter().any(|c| c.seq == record.seq)
             {
-                // Mirror of L223–225.
                 d_notify.push(NotifyCand {
                     seq: record.seq,
                     key: record.key,
-                });
+                }); // L223–225
             }
-            // Mirror of L226–227: accept the notifier's updateNodeMin when
-            // the notification arrived after our U-ALL traversal finished
-            // (position at the +∞ tail) and the notifier itself was not
-            // seen during that traversal.
-            if record.notify_threshold == POS_INF
+            // L226–227: accept the notifier's updateNodeMax when the
+            // notification arrived after our published traversal finished
+            // and the notifier itself was not seen during that traversal.
+            if threshold == D::TAIL
                 && !i_pub.iter().any(|&u| seq_of(u) == record.seq)
                 && !d_pub.iter().any(|&u| seq_of(u) == record.seq)
                 && record.ext_seq != 0
@@ -2118,169 +1683,159 @@ impl LockFreeBinaryTrie {
             }
         }
 
-        // Mirror of L228: r1 = min key over
+        // L228: r1 = best key over
         // Iplain ∪ Inotify ∪ (Dplain − Dpub) ∪ (Dnotify − Dpub).
-        let mut r1 = NO_SUCC;
+        let mut r1 = D::NONE;
         for &u in i_plain.iter() {
-            r1 = r1.min(unsafe { (*u).key() });
+            r1 = D::best(r1, unsafe { (*u).key() });
         }
         for c in &i_notify {
-            r1 = r1.min(c.key);
+            r1 = D::best(r1, c.key);
         }
         for &u in d_plain.iter() {
             if !d_pub.contains(&u) {
-                r1 = r1.min(unsafe { (*u).key() });
+                r1 = D::best(r1, unsafe { (*u).key() });
             }
         }
         for c in &d_notify {
             if !d_pub.iter().any(|&u| seq_of(u) == c.seq) {
-                r1 = r1.min(c.key);
+                r1 = D::best(r1, c.key);
             }
         }
 
-        // Mirror of L229–251: the relaxed traversal failed — recover from
-        // embedded successor results.
-        let r0_val = match r0 {
-            Some(NO_PRED) => NO_SUCC, // RelaxedSuccessor's "none greater"
+        // L229–251: the relaxed traversal failed — recover from embedded
+        // query results.
+        let r0 = match r0 {
             Some(v) => v,
             None => {
-                self.relaxed_succ_bottoms.fetch_add(1, Ordering::Relaxed);
+                let side = self.side::<D>();
+                side.bottoms.fetch_add(1, Ordering::Relaxed);
                 telemetry::add(Counter::RelaxedBottoms, 1);
                 if d_pub.is_empty() {
-                    NO_SUCC // only r1 constrains the answer (§5.2 mirrored)
+                    D::NONE // only r1 constrains the answer (see §5.2)
                 } else {
-                    self.succ_recoveries.fetch_add(1, Ordering::Relaxed);
+                    side.recoveries.fetch_add(1, Ordering::Relaxed);
                     telemetry::add(Counter::Recoveries, 1);
-                    telemetry::flight(FlightKind::Recovery, y, 1);
+                    telemetry::flight(FlightKind::Recovery, y, D::IDX as u64);
                     let _p = trace::phase(TracePhase::Recovery);
-                    self.recover_from_embedded_succ(y, era, s_node, q, &d_pub)
+                    self.recover_from_embedded::<D>(y, era, q_node, q, &d_pub) // L230–251
                 }
             }
         };
-        r0_val.min(r1)
+        D::best(r0, r1) // L252
     }
 
-    /// Mirror of lines 231–251: Definition 5.1's graph computation with
-    /// `delSucc2` edges (which strictly *increase* the key) over the notify
-    /// lists of this operation and of the oldest relevant embedded
-    /// successor.
-    fn recover_from_embedded_succ(
+    /// Lines 231–251 in direction `D`: Definition 5.1's graph computation
+    /// over the notify lists of this operation and of the oldest relevant
+    /// embedded query.
+    fn recover_from_embedded<D: Dir>(
         &self,
         y: i64,
         era: u64,
-        s_node: *mut SuccNode,
-        q: &[*mut SuccNode],
+        q_node: *mut QueryNode,
+        q: &[*mut QueryNode],
         d_pub: &[*mut UpdateNode],
     ) -> i64 {
-        // Mirror of L232: successor nodes of the first embedded successors
-        // of Dpub's deletes.
-        let succ_nodes: Vec<*mut SuccNode> = d_pub
+        // L232: query nodes of the first embedded queries of Dpub's
+        // deletes.
+        let embedded: Vec<*mut QueryNode> = d_pub
             .iter()
-            .map(|&d| unsafe { (*d).del_succ_node() })
+            .map(|&d| unsafe { (*d).del_node::<D>() })
             .collect();
 
-        // Mirror of L231–236: L1 from the *earliest announced* such node we
-        // saw in Q (Q is oldest-first, so the first match). Entries are
-        // value snapshots of the records — nothing here dereferences a
-        // notifier.
-        let mut l1: Vec<RecoverEntry> = Vec::new();
-        if let Some(&earliest) = q.iter().find(|&&sn| succ_nodes.contains(&sn)) {
+        // L231–236: L1 from the *earliest announced* such node we saw in Q
+        // (Q is oldest-first, so the first match). Entries are value
+        // snapshots of the records — nothing here dereferences a notifier.
+        let mut l1: Vec<NotifyRecord> = Vec::new();
+        if let Some(&earliest) = q.iter().find(|&&n| embedded.contains(&n)) {
+            // L233–234
             for record in unsafe { &*earliest }.notify_list.iter() {
-                if record.key > y && !l1.iter().any(|e| e.seq == record.seq) {
-                    l1.insert(
-                        0,
-                        RecoverEntry {
-                            seq: record.seq,
-                            key: record.key,
-                            kind: record.kind,
-                            del_pred2: record.del_pred2,
-                            del_succ2: record.del_succ2,
-                        },
-                    );
+                // L235–236: prepend updateNode if not already present.
+                if D::beyond(record.key, y) && !l1.iter().any(|e| e.seq == record.seq) {
+                    l1.insert(0, *record);
                 }
             }
         }
 
-        // Mirror of L237–241: L2 from our own notify list; also remove from
-        // L1 every update node that notified us. Records from other eras
-        // belong to other steps of a sliding scan — a fresh v1 announce
-        // would not have received them at all, so they are invisible here
-        // too.
-        let mut l2: Vec<RecoverEntry> = Vec::new();
-        for record in unsafe { &*s_node }.notify_list.iter() {
-            if record.era != era || record.key <= y {
+        // L237–241: L2 from our own notify list; also remove from L1 every
+        // update node that notified us. Records from other eras belong to
+        // other steps of a sliding scan — a fresh announce would not have
+        // received them at all, so they are invisible here too.
+        let mut l2: Vec<NotifyRecord> = Vec::new();
+        for record in unsafe { &*q_node }.notify_list.iter() {
+            // L238
+            if record.era != era || !D::beyond(record.key, y) {
                 continue;
             }
-            l1.retain(|e| e.seq != record.seq);
-            if record.notify_threshold <= record.key && !l2.iter().any(|e| e.seq == record.seq) {
-                l2.insert(
-                    0,
-                    RecoverEntry {
-                        seq: record.seq,
-                        key: record.key,
-                        kind: record.kind,
-                        del_pred2: record.del_pred2,
-                        del_succ2: record.del_succ2,
-                    },
-                );
+            l1.retain(|e| e.seq != record.seq); // L239
+            if !D::beyond(record.notify_threshold, record.key)
+                && !l2.iter().any(|e| e.seq == record.seq)
+            {
+                l2.insert(0, *record); // L240–241
             }
         }
 
-        // Mirror of L242: L = L1 · L2.
-        let mut l: Vec<RecoverEntry> = l1;
+        // L242: L = L1 · L2.
+        let mut l: Vec<NotifyRecord> = l1;
         l.extend(l2);
 
-        // Mirror of L243: drop DEL nodes that are not the last update node
-        // in L with their key.
-        let l: Vec<RecoverEntry> = l
+        // L243: drop DEL nodes that are not the last update node in L with
+        // their key (so ≤ 1 DEL node per key survives).
+        let l: Vec<NotifyRecord> = l
             .iter()
             .enumerate()
             .filter(|&(i, e)| e.kind == Kind::Ins || !l[i + 1..].iter().any(|v| v.key == e.key))
             .map(|(_, &e)| e)
             .collect();
 
-        // Mirror of L244–246: edges key(dNode) → dNode.delSucc2 for DEL
-        // nodes in L. Each vertex has ≤ 1 outgoing edge and every edge
-        // strictly *increases* the key, so chains terminate.
+        // L244–246 (Definition 5.1): edges key(dNode) → dNode.delPred2 for
+        // DEL nodes in L. Each vertex has ≤ 1 outgoing edge and every edge
+        // moves strictly beyond its source, so chains terminate.
         let mut edges: Vec<(i64, i64)> = Vec::new();
         for e in &l {
             if e.kind == Kind::Del {
-                // A DEL node only notifies after its delSucc2 was set, so
-                // the snapshot is always present (§5.2 mirrored).
-                debug_assert_ne!(e.del_succ2, DELSUCC2_UNSET, "DEL in L without delSucc2");
-                if e.del_succ2 != DELSUCC2_UNSET {
-                    edges.push((e.key, e.del_succ2));
+                // A DEL node only notifies after line 201 set delPred2, so
+                // the snapshot is always present (§5.2).
+                debug_assert_ne!(e.del2, DEL2_UNSET, "DEL in L without delPred2");
+                if e.del2 != DEL2_UNSET {
+                    edges.push((e.key, e.del2));
                 }
             }
         }
         let out_edge = |v: i64| edges.iter().find(|&&(u, _)| u == v).map(|&(_, w)| w);
 
-        // Mirror of L247–248: X = delSucc results of Dpub ∪ keys of INS
-        // nodes in L.
-        let mut x_set: Vec<i64> = d_pub.iter().map(|&d| unsafe { (*d).del_succ() }).collect();
+        // L247–248: X = delPred results of Dpub ∪ keys of INS nodes in L.
+        let mut x_set: Vec<i64> = d_pub
+            .iter()
+            .map(|&d| unsafe { (*d).del_result::<D>() })
+            .collect();
         for e in &l {
             if e.kind == Kind::Ins {
                 x_set.push(e.key);
             }
         }
 
-        // Mirror of L249: R = sinks of T_L reachable from X (edges strictly
-        // increase, so following out-edges terminates at the sink).
+        // L249: R = sinks of T_L reachable from X (edges strictly move
+        // beyond their source, so following out-edges terminates at the
+        // sink).
         let mut r_set: Vec<i64> = Vec::new();
         for &start in &x_set {
             let mut v = start;
             while let Some(next) = out_edge(v) {
-                debug_assert!(next > v, "delSucc2 edges must increase (Def. 5.1 mirrored)");
+                debug_assert!(
+                    D::beyond(next, v),
+                    "delPred2 edges must move beyond (Def. 5.1)"
+                );
                 v = next;
             }
             r_set.push(v);
         }
 
-        // Mirror of L250: deleted keys (per Dpub) cannot be answers.
+        // L250: deleted keys (per Dpub) cannot be answers.
         r_set.retain(|&w| !d_pub.iter().any(|&d| unsafe { (*d).key() } == w));
 
-        // Mirror of L251: min R.
-        r_set.into_iter().min().unwrap_or(NO_SUCC)
+        // L251: the best of R; the paper proves R is non-empty here.
+        r_set.into_iter().fold(D::NONE, D::best)
     }
 
     // ------------------------------------------------------------------
@@ -2382,11 +1937,11 @@ impl LockFreeBinaryTrie {
     }
 
     /// Performs `Delete(x)` through its linearization point and the second
-    /// embedded predecessor (line 201) and then **abandons** it: the
+    /// embedded queries (line 201) and then **abandons** it: the
     /// interpreted bits on `x`'s path remain stale 1s, its DEL node stays
-    /// announced in the U-ALL/RU-ALL, and its two embedded predecessor
-    /// nodes stay announced in the P-ALL — precisely the state that forces
-    /// concurrent `Predecessor` operations into the ⊥-recovery computation
+    /// announced in the U-ALL/RU-ALL, and its four embedded query nodes
+    /// stay announced in the P-ALL and S-ALL — precisely the state that
+    /// forces concurrent queries into the ⊥-recovery computation
     /// of Definition 5.1 (`tests/recovery.rs` exercises this
     /// deterministically). Returns `true` if the stalled delete was
     /// S-modifying.
@@ -2402,8 +1957,9 @@ impl LockFreeBinaryTrie {
         if unsafe { (*i_node).kind() } != Kind::Ins {
             return false;
         }
-        let (del_pred, p_node1) = self.pred_helper(x, guard); // L184
-        let (del_succ, s_node1) = self.succ_helper(x, guard);
+        let embeds = EmbeddedQueries::new();
+        let (del_pred, p_node1) = self.embed::<Pred>(x, 0, &embeds, guard); // L184
+        let (del_succ, s_node1) = self.embed::<Succ>(x, 0, &embeds, guard);
         let d_node = self.core.alloc_node(UpdateNode::new_del(
             x,
             Status::Inactive,
@@ -2411,17 +1967,14 @@ impl LockFreeBinaryTrie {
             self.core.b(),
         ));
         unsafe {
-            (*d_node).init_del_pred(del_pred); // L188
-            (*d_node).init_del_pred_node(p_node1); // L189
-            (*d_node).init_del_succ(del_succ);
-            (*d_node).init_del_succ_node(s_node1);
+            (*d_node).init_del::<Pred>(del_pred, p_node1); // L188–189
+            (*d_node).init_del::<Succ>(del_succ, s_node1);
             (*i_node).clear_latest_next(); // L190
         }
         self.notify_query_ops(i_node, guard); // L191
         if !self.core.cas_latest(x, i_node, d_node) {
             self.help_activate(self.core.latest_head(x), guard);
-            self.remove_pred_node(p_node1, guard);
-            self.remove_succ_node(s_node1, guard);
+            self.withdraw_embeds(&embeds, guard);
             unsafe { self.core.dealloc_node(d_node) };
             return false;
         }
@@ -2432,10 +1985,9 @@ impl LockFreeBinaryTrie {
             unsafe { (*target).set_stop() };
         }
         unsafe { (*d_node).clear_latest_next() }; // L199
-        let (del_pred2, _p_node2) = self.pred_helper(x, guard); // L200
-        unsafe { (*d_node).set_del_pred2(del_pred2) }; // L201
-        let (del_succ2, _s_node2) = self.succ_helper(x, guard);
-        unsafe { (*d_node).set_del_succ2(del_succ2) };
+        let d = unsafe { &*d_node };
+        d.set_del_result2::<Pred>(self.embed::<Pred>(x, 1, &embeds, guard).0); // L200–201
+        d.set_del_result2::<Succ>(self.embed::<Succ>(x, 1, &embeds, guard).0);
         // … and abandoned here (no L202–206): the displaced iNode, the
         // embedded predecessor *and* successor nodes, and dNode's
         // announcements all leak, exactly as if the deleting thread had
@@ -2507,18 +2059,12 @@ impl LockFreeBinaryTrie {
     /// (experiment E5): how often the relaxed traversal answered `⊥` and
     /// how often the announcement-list recovery computation repaired it.
     pub fn pred_traversal(&self) -> TraversalStats {
-        TraversalStats {
-            bottoms: self.relaxed_bottoms.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-        }
+        self.side::<Pred>().traversal()
     }
 
-    /// The successor mirror of [`LockFreeBinaryTrie::pred_traversal`].
+    /// The successor counterpart of [`LockFreeBinaryTrie::pred_traversal`].
     pub fn succ_traversal(&self) -> TraversalStats {
-        TraversalStats {
-            bottoms: self.relaxed_succ_bottoms.load(Ordering::Relaxed),
-            recoveries: self.succ_recoveries.load(Ordering::Relaxed),
-        }
+        self.side::<Succ>().traversal()
     }
 
     /// Number of live announcements in each list — all zero at quiescence
@@ -2527,43 +2073,10 @@ impl LockFreeBinaryTrie {
         AnnouncementLens {
             uall: self.uall.len(),
             ruall: self.ruall.len(),
-            pall: self.pall.len(),
-            sall: self.sall.len(),
+            pall: self.side::<Pred>().list.len(),
+            sall: self.side::<Succ>().list.len(),
             high_water: self.ann_high_water.load(Ordering::Relaxed) as usize,
         }
-    }
-
-    /// Diagnostic counters: `(relaxed-⊥ occurrences, recovery-path runs)`
-    /// across all `predecessor` calls so far (experiment E5).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pred_traversal`, which returns named fields"
-    )]
-    pub fn traversal_stats(&self) -> (u64, u64) {
-        let t = self.pred_traversal();
-        (t.bottoms, t.recoveries)
-    }
-
-    /// The successor mirror of `traversal_stats`: `(relaxed-⊥ occurrences,
-    /// recovery-path runs)` across all `successor` calls so far.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `succ_traversal`, which returns named fields"
-    )]
-    pub fn succ_traversal_stats(&self) -> (u64, u64) {
-        let t = self.succ_traversal();
-        (t.bottoms, t.recoveries)
-    }
-
-    /// Number of live announcements `(U-ALL, RU-ALL, P-ALL, S-ALL)` — all
-    /// zero at quiescence (Figure 5 shape checks).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `announcements`, which returns named fields"
-    )]
-    pub fn announcement_lens(&self) -> (usize, usize, usize, usize) {
-        let a = self.announcements();
-        (a.uall, a.ruall, a.pall, a.sall)
     }
 
     /// Total update nodes allocated over the trie's lifetime (the paper's
@@ -2587,12 +2100,14 @@ impl LockFreeBinaryTrie {
 
     /// Predecessor-node accounting: `(cumulative, live)`.
     pub fn pred_node_counts(&self) -> (usize, usize) {
-        (self.preds.created(), self.preds.live())
+        let nodes = &self.side::<Pred>().nodes;
+        (nodes.created(), nodes.live())
     }
 
     /// Successor-node accounting: `(cumulative, live)`.
     pub fn succ_node_counts(&self) -> (usize, usize) {
-        (self.succs.created(), self.succs.live())
+        let nodes = &self.side::<Succ>().nodes;
+        (nodes.created(), nodes.live())
     }
 
     /// Allocation statistics of the update-node registry: fresh heap boxes
@@ -2606,12 +2121,12 @@ impl LockFreeBinaryTrie {
 
     /// Allocation statistics of the predecessor-node registry.
     pub fn pred_alloc_stats(&self) -> AllocStats {
-        self.preds.stats()
+        self.side::<Pred>().nodes.stats()
     }
 
     /// Allocation statistics of the successor-node registry.
     pub fn succ_alloc_stats(&self) -> AllocStats {
-        self.succs.stats()
+        self.side::<Succ>().nodes.stats()
     }
 
     /// Allocation statistics of the four auxiliary-list cell registries,
@@ -2620,20 +2135,9 @@ impl LockFreeBinaryTrie {
         CellAllocStats {
             uall: self.uall.cell_stats(),
             ruall: self.ruall.cell_stats(),
-            pall: self.pall.cell_stats(),
-            sall: self.sall.cell_stats(),
+            pall: self.side::<Pred>().list.cell_stats(),
+            sall: self.side::<Succ>().list.cell_stats(),
         }
-    }
-
-    /// Allocation statistics of the four auxiliary-list cell registries:
-    /// `(U-ALL, RU-ALL, P-ALL, S-ALL)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `cell_allocs`, which returns named fields"
-    )]
-    pub fn cell_alloc_stats(&self) -> (AllocStats, AllocStats, AllocStats, AllocStats) {
-        let c = self.cell_allocs();
-        (c.uall, c.ruall, c.pall, c.sall)
     }
 
     /// The unified observability read-out: the process-global counters and
@@ -2665,16 +2169,17 @@ impl LockFreeBinaryTrie {
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let pred = self.pred_traversal();
         let succ = self.succ_traversal();
+        let (preds, succs) = (self.side::<Pred>(), self.side::<Succ>());
         let mut snap = telemetry::snapshot();
-        snap.epoch = Some(self.preds.domain().health());
+        snap.epoch = Some(preds.nodes.domain().health());
         snap.reclaim = vec![
             self.core.node_health("nodes"),
-            self.preds.health("preds"),
-            self.succs.health("succs"),
+            preds.nodes.health("preds"),
+            succs.nodes.health("succs"),
             self.uall.cell_health("uall_cells"),
             self.ruall.cell_health("ruall_cells"),
-            self.pall.cell_health("pall_cells"),
-            self.sall.cell_health("sall_cells"),
+            preds.list.cell_health("pall_cells"),
+            succs.list.cell_health("sall_cells"),
         ];
         snap.announcements = Some(self.announcements());
         snap.traversal = Some(TraversalStats {
@@ -2695,12 +2200,14 @@ impl LockFreeBinaryTrie {
         // superseded, which the sweeps below can then actually free.
         self.adopt_orphans();
         self.core.flush_reclamation();
-        self.preds.flush();
-        self.succs.flush();
+        for side in &self.sides {
+            side.nodes.flush();
+        }
         self.uall.flush_reclamation();
         self.ruall.flush_reclamation();
-        self.pall.flush_reclamation();
-        self.sall.flush_reclamation();
+        for side in &self.sides {
+            side.list.flush_reclamation();
+        }
     }
 }
 
@@ -2719,13 +2226,13 @@ enum IterState {
 /// [`LockFreeBinaryTrie::iter_from`] for the per-step snapshot semantics.
 ///
 /// The iterator owns one S-ALL announcement for its whole lifetime: the
-/// first successor step announces a `SuccNode`, later steps slide it, and
+/// first successor step announces a query node, later steps slide it, and
 /// exhaustion or `drop` withdraws it.
 pub struct IterFrom<'a> {
     trie: &'a LockFreeBinaryTrie,
     /// The scan's announced successor node; null until the first successor
     /// step, null again after withdrawal.
-    s_node: *mut SuccNode,
+    s_node: *mut QueryNode,
     /// Inclusive upper bound (`universe − 1` for an unbounded scan): the
     /// scan stops, without running another step, once a step could only
     /// answer above it.
@@ -2735,12 +2242,12 @@ pub struct IterFrom<'a> {
 
 impl IterFrom<'_> {
     /// One certified successor step under this scan's shared announcement:
-    /// the first step announces the scan's `SuccNode`, every later step
+    /// the first step announces the scan's query node, every later step
     /// slides it.
     fn step(&mut self, y: i64) -> i64 {
         let guard = &epoch::pin();
         if self.s_node.is_null() {
-            let (succ, s_node) = self.trie.succ_helper(y, guard);
+            let (succ, s_node) = self.trie.query_helper::<Succ>(y, guard);
             self.s_node = s_node;
             succ
         } else {
@@ -2763,7 +2270,7 @@ impl IterFrom<'_> {
             return;
         }
         let guard = &epoch::pin();
-        self.trie.remove_succ_node(s_node, guard);
+        self.trie.remove_query_node::<Succ>(s_node, guard);
     }
 }
 
@@ -2787,7 +2294,7 @@ impl Iterator for IterFrom<'_> {
                         return None;
                     }
                     let succ = self.step(cur as i64);
-                    if succ == NO_SUCC || succ > self.hi {
+                    if succ == Succ::NONE || succ > self.hi {
                         self.finish();
                         return None;
                     }
@@ -2871,23 +2378,19 @@ impl core::fmt::Debug for StalledReader<'_> {
 
 impl Drop for LockFreeBinaryTrie {
     fn drop(&mut self) {
-        // Free predecessor/successor nodes still announced at teardown
-        // (abandoned / stalled operations): their cells are still linked in
-        // the P-ALL / S-ALL. De-announced nodes were retired and are freed
-        // by their registry's own Drop; marked-but-linked cells' payloads
-        // were retired too, so only unmarked cells carry live payloads.
-        let preds = &self.preds;
-        self.pall.for_each_linked(|p_node, marked| {
-            if !marked && !p_node.is_null() {
-                unsafe { preds.dealloc(p_node) };
-            }
-        });
-        let succs = &self.succs;
-        self.sall.for_each_linked(|s_node, marked| {
-            if !marked && !s_node.is_null() {
-                unsafe { succs.dealloc(s_node) };
-            }
-        });
+        // Free query nodes still announced at teardown (abandoned / stalled
+        // operations): their cells are still linked in the P-ALL / S-ALL.
+        // De-announced nodes were retired and are freed by their registry's
+        // own Drop; marked-but-linked cells' payloads were retired too, so
+        // only unmarked cells carry live payloads.
+        for side in &mut self.sides {
+            let nodes = &side.nodes;
+            side.list.for_each_linked(|q_node, marked| {
+                if !marked && !q_node.is_null() {
+                    unsafe { nodes.dealloc(q_node) };
+                }
+            });
+        }
     }
 }
 
@@ -3305,7 +2808,7 @@ mod tests {
         let mut iter = t.iter_from(0);
         assert_eq!(iter.next(), Some(3));
         assert_eq!(iter.next(), Some(17));
-        drop(iter); // mid-scan abandon: the SuccNode must be withdrawn
+        drop(iter); // mid-scan abandon: the query node must be withdrawn
         assert!(t.announcements().is_empty());
     }
 

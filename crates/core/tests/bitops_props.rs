@@ -144,7 +144,8 @@ proptest! {
     ) {
         // The linearizable wrapper must preserve the traversal-level mirror
         // identity at quiescence (its announcement machinery adds nothing
-        // when no operation is concurrent).
+        // when no operation is concurrent), for in-universe query keys and
+        // for the out-of-universe sentinel keys behind min and max.
         let trie = LockFreeBinaryTrie::new(universe);
         let mirror = LockFreeBinaryTrie::new(universe);
         for &k in keys.iter().filter(|&&k| k < universe) {
@@ -156,6 +157,9 @@ proptest! {
             let expected = mirror.predecessor(universe - 1 - y).map(|p| universe - 1 - p);
             prop_assert_eq!(succ, expected, "universe {} query {}", universe, y);
         }
+        // The sentinel-key queries mirror too: min_K = (u−1) − max_K'.
+        let expected_min = mirror.max().map(|p| universe - 1 - p);
+        prop_assert_eq!(trie.min(), expected_min, "universe {} min", universe);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Experiment runner: regenerates every experiment of EXPERIMENTS.md.
+//! Experiment runner: regenerates every experiment, E1–E12.
 //!
 //! Usage:
 //!

@@ -1,9 +1,8 @@
-//! The experiment runners: one function per row of DESIGN.md §5.
+//! The experiment runners: one function per experiment, E1–E12.
 //!
 //! The paper has no empirical section (its "tables" are complexity claims
-//! and its figures are example executions — DESIGN.md D7), so each runner
-//! regenerates a *claim*: it prints the measured series whose shape the
-//! paper predicts, and EXPERIMENTS.md records paper-vs-measured.
+//! and its figures are example executions), so each runner regenerates a
+//! *claim*: it prints the measured series whose shape the paper predicts.
 
 use std::time::Duration;
 
@@ -325,7 +324,7 @@ pub fn e5_bottom_rate(quick: bool) -> Table {
 /// paper's GC-model hand-off, Θ(u) + updates), but the *resident* footprint
 /// — live = allocated − reclaimed, the number the epoch collector actually
 /// keeps — stays near the Θ(u) initial configuration regardless of how many
-/// updates ran (DESIGN.md D4; `tests/memory_bound.rs` asserts the bound).
+/// updates ran (`tests/memory_bound.rs` asserts the bound).
 /// The baselines report through the same registry accounting, so the
 /// steady-state comparison is apples-to-apples.
 pub fn e6_space(quick: bool) -> Table {

@@ -2,7 +2,7 @@
 //!
 //! * [`workload`] — operation mixes and deterministic streams.
 //! * [`driver`] — barrier-synchronized multithreaded measurement.
-//! * [`experiments`] — the E1–E7 runners of DESIGN.md §5.
+//! * [`experiments`] — the E1–E12 experiment runners.
 //! * [`report`] — markdown table output.
 //!
 //! The `experiments` binary ties it together:

@@ -115,7 +115,7 @@ pub fn write_bench_json(exp: &str, tables: &[Table]) -> std::io::Result<std::pat
 }
 
 /// Prints the environment banner every experiment report starts with
-/// (DESIGN.md D9: numbers are only interpretable with the core count).
+/// (numbers are only interpretable with the core count).
 pub fn print_environment() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

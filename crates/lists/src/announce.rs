@@ -10,7 +10,7 @@
 //!
 //! The paper uses Fomitchev–Ruppert lists for their amortized bounds; we use
 //! Harris–Michael lists (CAS insert, logical delete by marking a cell's
-//! `next`, physical unlink during mutating searches) — see DESIGN.md D2. One
+//! `next`, physical unlink during mutating searches). One
 //! structural difference matters: `HelpActivate` (paper line 130) lets a
 //! helper re-insert an update node that its owner already removed, so the
 //! same payload may transiently have several *cells* in a list. We therefore
@@ -309,7 +309,8 @@ impl<P> AnnounceList<P> {
 
     /// Advances an RU-ALL traversal one hop, publishing the key of the
     /// destination cell in `position` with the validate-retry protocol
-    /// standing in for the paper's atomic copy (line 262; DESIGN.md D3).
+    /// standing in for the paper's atomic copy (line 262; see
+    /// [`lftrie_primitives::swcursor`]).
     ///
     /// Logically-deleted cells in front of the cursor are physically
     /// unlinked (and retired) before the hop (when `cur` itself is live):

@@ -11,10 +11,10 @@
 //! | per-predecessor `notifyList` | [`pushstack`] | insert-only, guarded push |
 //!
 //! All lists are lock-free and separate their cells from the announced
-//! payloads (so helper re-announcements are harmless; DESIGN.md D2). Cells
+//! payloads (so helper re-announcements are harmless; see [`announce`]). Cells
 //! are epoch-reclaimed as they are unlinked — mutating traversals therefore
 //! take an [`lftrie_primitives::epoch::Guard`] — and whatever is still
-//! linked is freed when the list drops (DESIGN.md D4).
+//! linked is freed when the list drops.
 //!
 //! # Examples
 //!

@@ -142,7 +142,8 @@ impl<T> PushStack<T> {
     /// [`PushStack::iter`], or `len`/`Debug` which iterate) for the whole
     /// call: detached nodes are freed immediately, not grace-period
     /// deferred. Callers must own the only read path — e.g. a scan owner
-    /// clearing its own `SuccNode`'s list, which nothing else ever reads.
+    /// clearing its own successor query node's list, which nothing else
+    /// ever reads.
     pub unsafe fn clear(&self) {
         steps::on_write();
         let mut cur = self.head.swap(core::ptr::null_mut(), Ordering::SeqCst);

@@ -19,11 +19,11 @@
 //!   pointers instead of parking the backlog (see the module docs).
 //! * [`registry`] — the epoch-aware allocation registry through which every
 //!   node is allocated, retired, and accounted (bounded garbage under
-//!   churn; see DESIGN.md D4 and the module docs). Per-thread node pools
+//!   churn; see the module docs). Per-thread node pools
 //!   recycle reclaimed nodes, so warm steady-state churn allocates
 //!   nothing.
 //! * [`swcursor`] — the single-writer published cursor substituting for the
-//!   atomic-copy primitive (DESIGN.md D3).
+//!   atomic-copy primitive.
 //! * [`fault`] — deterministic fault injection: named injection points
 //!   threaded through the trie, announcement lists, epoch domain, and
 //!   registry sweeps, firing yield/stall/panic/abandon from a seeded

@@ -145,7 +145,7 @@ impl<T> AtomicMarkedPtr<T> {
     }
 
     /// Atomically loads the `(pointer, mark)` pair (`SeqCst`; the paper's
-    /// algorithms assume sequential consistency — see DESIGN.md).
+    /// algorithms assume sequential consistency).
     #[inline]
     pub fn load(&self) -> MarkedPtr<T> {
         steps::on_read();

@@ -8,8 +8,7 @@
 //! linearizability. The paper cites a single-writer O(1) atomic-copy
 //! construction from CAS \[7\].
 //!
-//! We substitute a *validate-retry published cursor* (DESIGN.md D3): the
-//! single writer
+//! We substitute a *validate-retry published cursor*: the single writer
 //!
 //! 1. reads the source (the list node's `next` pointer),
 //! 2. publishes the derived key via [`PublishedKey::publish`],

@@ -164,8 +164,7 @@ impl ReclaimHealth {
     }
 }
 
-/// Announcement-list lengths, the named replacement for the old
-/// `announcement_lens()` 4-tuple.
+/// Announcement-list lengths, by list.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AnnouncementLens {
     /// Update announcements in the U-ALL.
@@ -194,8 +193,8 @@ impl AnnouncementLens {
     }
 }
 
-/// Relaxed-query outcome totals, the named replacement for the old
-/// `*_traversal_stats()` 2-tuples.
+/// Relaxed-query outcome totals: how often relaxed traversals answered
+/// `⊥`, and how often recovery repaired it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TraversalStats {
     /// Relaxed traversals that answered `⊥` (interference detected).

@@ -4,7 +4,7 @@
 //! A forwarding table of disjoint CIDR blocks inside 10.0.0.0/8 is stored as
 //! an ordered set of block *start indices* at /24 granularity (so the key
 //! universe is the 2^16 possible 10.x.y.0/24 positions — the trie allocates
-//! Θ(u) eagerly, see DESIGN.md D6). Looking up an address is
+//! Θ(u) eagerly). Looking up an address is
 //! `predecessor(index + 1)`: the nearest block start at or below the
 //! address, validated against that block's length. Route updates (BGP
 //! churn) and lookups (the data plane) run concurrently with no locks.

@@ -23,7 +23,7 @@ fn warm_churn_allocates_zero_fresh_nodes() {
     // growing. Single-threaded so the pipeline (bags + epoch window) is
     // deterministic and the plateau is exact. (Every delete embeds two
     // successor helpers, so insert/delete churn exercises the S-ALL and
-    // the SuccNode registry without any explicit successor calls.)
+    // the successor-node registry without any explicit successor calls.)
     let universe = 32u64;
     let span = 8u64;
     let trie = LockFreeBinaryTrie::new(universe);

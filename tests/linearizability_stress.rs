@@ -1,5 +1,5 @@
 //! Interval-based linearizability stress for `Predecessor`, `Successor`
-//! and range scans (DESIGN.md §6.3).
+//! and range scans.
 //!
 //! Writer threads own disjoint key stripes (so each key's S-modifying
 //! history is program-ordered), query threads issue predecessor/successor

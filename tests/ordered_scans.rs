@@ -123,7 +123,7 @@ fn concurrent_scans_always_contain_the_stable_anchors() {
 /// Cursor-slide scan sessions under churn, including abandoned scans: the
 /// iterator announces once, slides per step, and must withdraw its
 /// announcement whether it is exhausted, bounded, or dropped mid-scan —
-/// so slid `SuccNode`s obey the same memory bound as one-shot ones.
+/// so slid successor nodes obey the same memory bound as one-shot ones.
 #[test]
 fn concurrent_slide_scans_with_abandonment_drain_announcements() {
     let universe = 256u64;
@@ -188,7 +188,7 @@ fn concurrent_slide_scans_with_abandonment_drain_announcements() {
     }
 
     // Memory bound for slid sessions: every announcement withdrew, and the
-    // SuccNode population drains to the epoch window, independent of how
+    // successor-node population drains to the epoch window, independent of how
     // many scans (or slides) ever ran.
     assert!(trie.announcements().is_empty());
     trie.collect_garbage();

@@ -1,4 +1,4 @@
-//! Lock-freedom witnesses (DESIGN.md §6.5, experiment E7): operations keep
+//! Lock-freedom witnesses (experiment E7): operations keep
 //! completing — and stay linearizable — while updaters are stalled
 //! mid-operation.
 

@@ -1,7 +1,6 @@
-//! Quiescent-state validation after heavy shared-key contention
-//! (DESIGN.md §6.4): once all threads join, every structure must present a
-//! single consistent set — `contains`, `predecessor`, and the announcement
-//! machinery must all agree.
+//! Quiescent-state validation after heavy shared-key contention: once all
+//! threads join, every structure must present a single consistent set —
+//! `contains`, `predecessor`, and the announcement machinery must all agree.
 
 use std::sync::Arc;
 

@@ -191,6 +191,61 @@ fn range_scans_cross_stale_subtrees_exactly() {
 }
 
 #[test]
+fn max_recovers_through_the_sentinel_query_key() {
+    // max() is one predecessor query at the out-of-universe key y = u: the
+    // relaxed traversal descends from the root, hits 9's stale subtree,
+    // and bottoms out; the recovery must return 5 from dNode9.delPred.
+    let trie = LockFreeBinaryTrie::new(32);
+    trie.insert(5);
+    trie.insert(9);
+    assert!(trie.remove_stalled_before_trie_update(9));
+    let before = trie.pred_traversal();
+    assert_eq!(trie.max(), Some(5));
+    let after = trie.pred_traversal();
+    assert_eq!(
+        after.bottoms - before.bottoms,
+        1,
+        "one ⊥ from the root descent"
+    );
+    assert_eq!(after.recoveries - before.recoveries, 1, "one recovery");
+}
+
+#[test]
+fn min_recovers_through_the_sentinel_query_key() {
+    // The mirror case: min() is one successor query at y = −1; 5's stale
+    // subtree forces ⊥, and the recovery returns 9 from dNode5.delSucc.
+    let trie = LockFreeBinaryTrie::new(32);
+    trie.insert(5);
+    trie.insert(9);
+    assert!(trie.remove_stalled_before_trie_update(5));
+    let before = trie.succ_traversal();
+    assert_eq!(trie.min(), Some(9));
+    let after = trie.succ_traversal();
+    assert_eq!(
+        after.bottoms - before.bottoms,
+        1,
+        "one ⊥ from the root descent"
+    );
+    assert_eq!(after.recoveries - before.recoveries, 1, "one recovery");
+}
+
+#[test]
+fn min_and_max_recover_an_empty_set_through_a_stalled_delete() {
+    // S = {9} with 9's delete stalled: the set is empty, but the stale
+    // path makes both root descents bottom out with an announced delete,
+    // so emptiness is certified by the recovery, not the traversal.
+    let trie = LockFreeBinaryTrie::new(32);
+    trie.insert(9);
+    assert!(trie.remove_stalled_before_trie_update(9));
+    let (pred, succ) = (trie.pred_traversal(), trie.succ_traversal());
+    assert_eq!(trie.max(), None);
+    assert_eq!(trie.min(), None);
+    assert_eq!(trie.pred_traversal().recoveries - pred.recoveries, 1);
+    assert_eq!(trie.succ_traversal().recoveries - succ.recoveries, 1);
+    assert_eq!(trie.range(0..=31), Vec::<u64>::new());
+}
+
+#[test]
 fn queries_under_concurrent_load_with_stalls_stay_sound() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;

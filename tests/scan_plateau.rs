@@ -1,6 +1,6 @@
 //! The scan-session allocation plateau: after a warm-up phase, sustained
 //! sliding scans and aggregates perform **zero** fresh heap allocations —
-//! each session draws exactly one `SuccNode` and one S-ALL cell from the
+//! each session draws exactly one successor node and one S-ALL cell from the
 //! recycle pools, slides the announcement across its whole width, and
 //! returns both on withdrawal. Slides themselves allocate nothing: they
 //! re-arm the existing node's published cursor in place.
@@ -19,7 +19,7 @@ fn warm_scans_allocate_zero_fresh_nodes() {
     for k in (0..universe).step_by(3) {
         trie.insert(k);
     }
-    // One width-w session = one SuccNode + one S-ALL cell, however many
+    // One width-w session = one successor node + one S-ALL cell, however many
     // slides it takes; the aggregate mix keeps the per-session shape while
     // varying entry points and widths.
     let scans = |n: u64| {
@@ -66,7 +66,7 @@ fn warm_scans_allocate_zero_fresh_nodes() {
         succs.fresh,
         warm_succs.fresh,
         "warm scan sessions must not touch the heap \
-         ({} SuccNodes created since warm-up)",
+         ({} successor nodes created since warm-up)",
         succs.created - warm_succs.created
     );
     assert_eq!(sall.fresh, warm_sall.fresh, "S-ALL cells too");
@@ -83,10 +83,10 @@ fn warm_scans_allocate_zero_fresh_nodes() {
     assert!(sall.created > warm_sall.created);
     // ~3000 of the 4000 steady ops open a session whose width is ≥ 8 keys
     // on a 1/3-dense universe; per-step allocation would create several
-    // SuccNodes per op. One-per-session stays well under 2 per op even
+    // successor nodes per op. One-per-session stays well under 2 per op even
     // counting the embedded helpers of min/max.
     assert!(
         sessions <= 2 * 4_000,
-        "SuccNode creation scales per-step, not per-session: {sessions}"
+        "successor-node creation scales per-step, not per-session: {sessions}"
     );
 }

@@ -1,6 +1,6 @@
 //! Property-based sequential equivalence: every structure in the workspace
-//! behaves exactly like `BTreeSet` over arbitrary operation sequences
-//! (DESIGN.md §6.1) — including the ordered-query side (successor, range).
+//! behaves exactly like `BTreeSet` over arbitrary operation sequences —
+//! including the ordered-query side (successor, range).
 
 use std::collections::BTreeSet;
 
