@@ -34,8 +34,9 @@ pub(crate) trait Dir: 'static {
     /// Telemetry counter of the relaxed-trie nodes a traversal touches.
     const TOUCHES: Counter;
     /// Whether announcing and withdrawing a query node are scan events:
-    /// true for the S-ALL, whose sessions they measure (counted by
-    /// [`crate::scan_events`], flight-recorded); the P-ALL records neither.
+    /// true for the S-ALL, whose sessions they measure (counted as
+    /// `ScanAnnounces`/`ScanWithdraws`, flight-recorded); the P-ALL records
+    /// neither.
     const SCAN_EVENTS: bool;
 
     /// `a` lies strictly beyond `b` on the answer side: `a < b` for

@@ -43,7 +43,6 @@ mod node;
 pub mod bitops;
 pub mod layout;
 pub mod relaxed;
-pub mod scan_events;
 pub mod trie;
 
 pub use lftrie_primitives::{fault, liveness};

@@ -61,8 +61,8 @@
 //! bearing its own era; era-stale records correspond to v1 executions in
 //! which the sender's S-ALL traversal passed before a fresh announcement,
 //! which the paper's proof already covers. A width-`w` scan therefore
-//! costs one announce + one withdraw + `w − 1` cheap slides (countable
-//! under the `step-count` feature via [`crate::scan_events`]).
+//! costs one announce + one withdraw + `w − 1` cheap slides (counted by
+//! the `ScanAnnounces`/`ScanWithdraws`/`ScanSlides` telemetry counters).
 //!
 //! The same machinery powers the ordered aggregates
 //! ([`LockFreeBinaryTrie::count`], [`LockFreeBinaryTrie::min`],
@@ -96,7 +96,6 @@ use crate::access::{LatestAccess, TrieCore};
 use crate::bitops;
 use crate::dir::{Dir, Pred, Succ};
 use crate::node::{Kind, NotifyRecord, QueryNode, Status, UpdateNode, DEL2_UNSET};
-use crate::scan_events;
 
 /// An update-node identity + key snapshot taken from a [`NotifyRecord`]:
 /// what the query computation keeps of a notifier without ever
@@ -468,7 +467,7 @@ impl LockFreeBinaryTrie {
     fn announce(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
         let _p = trace::phase(TracePhase::Announce);
         let key = unsafe { (*u_node).key() };
-        scan_events::on_update_announce();
+        telemetry::add(Counter::UpdateAnnounces, 1);
         telemetry::flight(FlightKind::Announce, key, 0);
         self.uall.insert(key, u_node, guard);
         self.ann_add(1);
@@ -481,7 +480,7 @@ impl LockFreeBinaryTrie {
     fn deannounce(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
         let _p = trace::phase(TracePhase::Withdraw);
         let key = unsafe { (*u_node).key() };
-        scan_events::on_update_withdraw();
+        telemetry::add(Counter::UpdateWithdraws, 1);
         telemetry::flight(FlightKind::Deannounce, key, 0);
         let removed = self.uall.remove_all(key, u_node, guard);
         self.ann_sub(removed);
@@ -1402,11 +1401,11 @@ impl LockFreeBinaryTrie {
     /// but **pipelining** the keys: each key runs the full single-key
     /// protocol — phase 1 (lines 163–176), its own `NotifyPredOps` pass,
     /// completion, de-announcement — before the next key starts. At most
-    /// one of the batch's U-ALL announcements is therefore ever live
-    /// (checkable under `step-count` via the `max_live_updates` high-water
-    /// in [`crate::scan_events`]), so wide batches never lengthen
-    /// concurrent operations' announcement-list traversals. Equivalent to
-    /// calling [`LockFreeBinaryTrie::insert`] per key (each insert
+    /// one of the batch's U-ALL announcements is therefore ever live (the
+    /// [`LockFreeBinaryTrie::announcements`] high-water is the same for any
+    /// batch width), so wide batches never lengthen concurrent operations'
+    /// announcement-list traversals. Equivalent to calling
+    /// [`LockFreeBinaryTrie::insert`] per key (each insert
     /// linearizes individually at its activation); returns how many calls
     /// were S-modifying.
     ///
@@ -1520,7 +1519,7 @@ impl LockFreeBinaryTrie {
     fn announce_query<D: Dir>(&self, y: i64, guard: &Guard<'_>) -> *mut QueryNode {
         let _p = trace::phase(TracePhase::Announce);
         if D::SCAN_EVENTS {
-            scan_events::on_announce();
+            telemetry::add(Counter::ScanAnnounces, 1);
             telemetry::flight(FlightKind::Announce, y, D::IDX as u64);
         }
         let side = self.side::<D>();
@@ -1550,7 +1549,7 @@ impl LockFreeBinaryTrie {
         }
         let _p = trace::phase(TracePhase::Withdraw);
         if D::SCAN_EVENTS {
-            scan_events::on_withdraw();
+            telemetry::add(Counter::ScanWithdraws, 1);
             telemetry::flight(
                 FlightKind::Deannounce,
                 unsafe { (*q_node).key() },
@@ -1596,7 +1595,7 @@ impl LockFreeBinaryTrie {
         // (even era) and still announced — the scan's drop (or adoption,
         // if the owner died) withdraws it.
         fault::point(FaultPoint::ScanStep);
-        scan_events::on_slide();
+        telemetry::add(Counter::ScanSlides, 1);
         let s = unsafe { &*s_node };
         s.begin_slide();
         s.set_key(y);
@@ -2411,9 +2410,27 @@ impl core::fmt::Debug for LockFreeBinaryTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lftrie_telemetry::CounterTotals;
     use std::collections::BTreeSet;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+
+    /// Runs `f`, returning its result and the counters it recorded on this
+    /// thread (exact: no other thread writes this thread's shard).
+    fn recorded<T>(f: impl FnOnce() -> T) -> (T, CounterTotals) {
+        let before = telemetry::thread_counters();
+        let out = f();
+        (out, telemetry::thread_counters() - before)
+    }
+
+    /// The S-ALL `(announces, slides, withdraws)` of a recorded interval.
+    fn scan_events(ev: &CounterTotals) -> (u64, u64, u64) {
+        (
+            ev.get(Counter::ScanAnnounces),
+            ev.get(Counter::ScanSlides),
+            ev.get(Counter::ScanWithdraws),
+        )
+    }
 
     fn model_pred(model: &BTreeSet<u64>, y: u64) -> Option<u64> {
         model.range(..y).next_back().copied()
@@ -2649,26 +2666,23 @@ mod tests {
         assert!(t.announcements().is_empty());
     }
 
-    #[cfg(feature = "step-count")]
     #[test]
     fn min_is_one_certified_successor_step() {
-        use crate::scan_events;
-
         // min() must be a single query (one S-ALL announce/withdraw), not a
         // contains + successor composite — the composite is not
         // linearizable (see `concurrent_min_never_reports_empty` in
         // tests/aggregates.rs for the interleaving).
         let t = LockFreeBinaryTrie::new(64);
         t.insert(5);
-        let (m, ev) = scan_events::measure(|| t.min());
+        let (m, ev) = recorded(|| t.min());
         assert_eq!(m, Some(5));
-        assert_eq!((ev.announces, ev.slides, ev.withdraws), (1, 0, 1));
+        assert_eq!(scan_events(&ev), (1, 0, 1));
         // Including on an empty set, where the root descent reads ⊥ and the
         // no-announced-delete recovery arm certifies emptiness.
         let t2 = LockFreeBinaryTrie::new(64);
-        let (m, ev) = scan_events::measure(|| t2.min());
+        let (m, ev) = recorded(|| t2.min());
         assert_eq!(m, None);
-        assert_eq!((ev.announces, ev.slides, ev.withdraws), (1, 0, 1));
+        assert_eq!(scan_events(&ev), (1, 0, 1));
     }
 
     #[test]
@@ -2728,75 +2742,63 @@ mod tests {
         assert!(t.announcements().is_empty());
     }
 
-    #[cfg(feature = "step-count")]
     #[test]
     fn batch_updates_pipeline_their_announcements() {
-        use crate::scan_events;
-
-        // Regression (ISSUE 8 satellite): `insert_all`/`delete_all` used to
-        // hold every key's U-ALL announcement until a shared notify
-        // traversal at the end of the batch, so a width-w batch kept w
-        // announcements live at once — and every concurrent notifier paid
-        // O(w) per update for the duration. The pipelined form withdraws
-        // each key's announcement as soon as its own notify pass completes:
-        // the live high-water must stay O(1) however wide the batch.
-        let t = LockFreeBinaryTrie::new(128);
-        let keys: Vec<u64> = (0..64u64).collect();
-
-        scan_events::reset();
-        let (applied, ev) = scan_events::measure(|| t.insert_all(&keys));
-        assert_eq!(applied, 64);
-        assert_eq!(ev.update_announces, 64);
-        assert!(
-            ev.max_live_updates <= 2,
-            "insert_all held {} announcements live at once (want ≤ 2)",
-            ev.max_live_updates
-        );
-
-        scan_events::reset();
-        let (applied, ev) = scan_events::measure(|| t.delete_all(&keys));
-        assert_eq!(applied, 64);
-        assert_eq!(ev.update_announces, 64);
-        assert!(
-            ev.max_live_updates <= 2,
-            "delete_all held {} announcements live at once (want ≤ 2)",
-            ev.max_live_updates
-        );
-        assert!(t.announcements().is_empty());
+        // Regression: `insert_all`/`delete_all` used to hold every key's
+        // U-ALL announcement until a shared notify traversal at the end of
+        // the batch, so a width-w batch kept w announcements live at once —
+        // and every concurrent notifier paid O(w) per update for the
+        // duration. The pipelined form withdraws each key's announcement as
+        // soon as its own notify pass completes: the trie's announcement
+        // high-water must not grow with the batch width.
+        let high_water = |width: u64| {
+            let t = LockFreeBinaryTrie::new(128);
+            let keys: Vec<u64> = (0..width).collect();
+            let (applied, ev) = recorded(|| t.insert_all(&keys));
+            assert_eq!(applied as u64, width);
+            assert_eq!(ev.get(Counter::UpdateAnnounces), width);
+            let after_insert = t.announcements().high_water;
+            let (applied, ev) = recorded(|| t.delete_all(&keys));
+            assert_eq!(applied as u64, width);
+            assert_eq!(ev.get(Counter::UpdateAnnounces), width);
+            assert!(t.announcements().is_empty());
+            (after_insert, t.announcements().high_water)
+        };
+        let single = high_water(1);
+        for width in [2, 8, 64] {
+            assert_eq!(high_water(width), single, "width-{width} batch");
+        }
     }
 
-    #[cfg(feature = "step-count")]
     #[test]
     fn scan_costs_one_announce_one_withdraw() {
-        use crate::scan_events;
-
         let t = LockFreeBinaryTrie::new(64);
         for k in (0..=62u64).step_by(2) {
             t.insert(k);
         }
 
         // A plain successor query is one announce/withdraw round-trip.
-        let (_, ev) = scan_events::measure(|| t.successor(10));
-        assert_eq!((ev.announces, ev.slides, ev.withdraws), (1, 0, 1));
+        let (_, ev) = recorded(|| t.successor(10));
+        assert_eq!(scan_events(&ev), (1, 0, 1));
 
         // A width-32 scan: one announce, one withdraw, slides for every
         // certified step after the first. Steps run from 0,2,…,60 (the
         // step at 62 is suppressed by the bound), so 31 steps total.
-        let (keys, ev) = scan_events::measure(|| t.range(0..=62));
+        let (keys, ev) = recorded(|| t.range(0..=62));
         assert_eq!(keys.len(), 32);
-        assert_eq!((ev.announces, ev.slides, ev.withdraws), (1, 30, 1));
+        assert_eq!(scan_events(&ev), (1, 30, 1));
 
-        // Regression (satellite 1): the scan must not run a certified step
-        // whose answer could only exceed the bound. 17 ∈ set, hi = 17:
-        // steps 0→3 (announce) and 3→17 (slide), then stop — the v1 code
-        // ran a third step 17→40 and discarded it.
+        // Regression: the scan must not run a certified step whose answer
+        // could only exceed the bound. 17 ∈ set, hi = 17: steps 0→3
+        // (announce) and 3→17 (slide), then stop — the v1 code ran a third
+        // step 17→40 and discarded it.
         let t2 = LockFreeBinaryTrie::new(64);
         for k in [3u64, 17, 40] {
             t2.insert(k);
         }
-        let (keys, ev) = scan_events::measure(|| t2.range(0..=17));
+        let (keys, ev) = recorded(|| t2.range(0..=17));
         assert_eq!(keys, vec![3, 17]);
-        assert_eq!((ev.announces, ev.slides, ev.withdraws), (1, 1, 1));
+        assert_eq!(scan_events(&ev), (1, 1, 1));
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn main() {
         let tables: Vec<Table> = match exp.as_str() {
             "e1" | "e2" | "e3" if !steps_enabled() => {
                 println!(
-                    "\n### {}: skipped — rebuild with `--features step-count` to measure steps",
+                    "\n### {}: skipped — steps need `--features step-count` and telemetry recording on",
                     exp.to_uppercase()
                 );
                 continue;

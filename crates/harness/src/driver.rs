@@ -3,17 +3,18 @@
 //! Spawns `threads` workers that apply deterministic operation streams to a
 //! shared structure, synchronized on a barrier, and reports wall-clock
 //! throughput plus (under the `step-count` feature) shared-memory steps per
-//! operation — the unit of the paper's complexity claims.
+//! operation — the unit of the paper's complexity claims — read as each
+//! worker's own telemetry counter interval.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use lftrie_baselines::ConcurrentOrderedSet;
-use lftrie_primitives::steps;
+use lftrie_telemetry::{self as telemetry, Counter, CounterTotals};
 use serde::Serialize;
 
-use crate::workload::{apply, KeyDist, OpMix, OpStream};
+use crate::workload::{apply, KeyDist, Op, OpMix, OpStream};
 
 /// Configuration of one measured run.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -56,52 +57,7 @@ pub struct RunResult {
 /// Workers run identical-length deterministic streams; the clock covers the
 /// span from the barrier release to the last worker finishing.
 pub fn run<S: ConcurrentOrderedSet + ?Sized>(set: &S, cfg: &RunConfig) -> RunResult {
-    let barrier = Barrier::new(cfg.threads + 1);
-    let total_steps = std::sync::Mutex::new(steps::StepCounts::default());
-
-    let started = std::thread::scope(|scope| {
-        for t in 0..cfg.threads {
-            let barrier = &barrier;
-            let total_steps = &total_steps;
-            let cfg = *cfg;
-            let set: &S = set;
-            scope.spawn(move || {
-                let mut stream =
-                    OpStream::with_dist(cfg.mix, cfg.keys, cfg.universe, cfg.seed, t as u64)
-                        .with_scan_width(cfg.scan_width);
-                barrier.wait();
-                steps::reset();
-                for _ in 0..cfg.ops_per_thread {
-                    apply(set, stream.next_op());
-                }
-                let mine = steps::snapshot();
-                let mut agg = total_steps.lock().unwrap();
-                agg.reads += mine.reads;
-                agg.writes += mine.writes;
-                agg.cas += mine.cas;
-                agg.min_writes += mine.min_writes;
-            });
-        }
-        // Stamp the start *before* releasing the barrier: workers cannot
-        // pass it until this thread arrives, so the stamp lower-bounds every
-        // worker's first operation (stamping after the release races the
-        // workers on a single-core host and can observe an empty interval).
-        let start = Instant::now();
-        barrier.wait();
-        start
-        // scope joins all workers here
-    });
-    let elapsed = started.elapsed();
-
-    let total_ops = cfg.ops_per_thread * cfg.threads as u64;
-    let agg = total_steps.into_inner().unwrap();
-    RunResult {
-        total_ops,
-        elapsed,
-        mops: total_ops as f64 / elapsed.as_secs_f64() / 1e6,
-        steps_per_op: agg.total() as f64 / total_ops as f64,
-        cas_per_op: agg.cas as f64 / total_ops as f64,
-    }
+    drive(cfg, |op| apply(set, op))
 }
 
 /// Like [`run`], but additionally records each operation's wall-clock
@@ -113,58 +69,64 @@ pub fn run<S: ConcurrentOrderedSet + ?Sized>(set: &S, cfg: &RunConfig) -> RunRes
 /// numbers from [`run`] stay comparable across reports, and experiments
 /// opt into latency capture explicitly (e.g. for `--emit-json` snapshots).
 pub fn run_instrumented<S: ConcurrentOrderedSet + ?Sized>(set: &S, cfg: &RunConfig) -> RunResult {
-    let barrier = Barrier::new(cfg.threads + 1);
-    let total_steps = std::sync::Mutex::new(steps::StepCounts::default());
+    drive(cfg, |op| telemetry::time_op(|| apply(set, op)))
+}
 
-    let started = std::thread::scope(|scope| {
-        for t in 0..cfg.threads {
-            let barrier = &barrier;
-            let total_steps = &total_steps;
-            let cfg = *cfg;
-            let set: &S = set;
-            scope.spawn(move || {
-                let mut stream =
-                    OpStream::with_dist(cfg.mix, cfg.keys, cfg.universe, cfg.seed, t as u64)
-                        .with_scan_width(cfg.scan_width);
-                barrier.wait();
-                steps::reset();
-                for _ in 0..cfg.ops_per_thread {
-                    let op = stream.next_op();
-                    lftrie_telemetry::time_op(|| apply(set, op));
-                }
-                let mine = steps::snapshot();
-                let mut agg = total_steps.lock().unwrap();
-                agg.reads += mine.reads;
-                agg.writes += mine.writes;
-                agg.cas += mine.cas;
-                agg.min_writes += mine.min_writes;
-            });
-        }
+/// The measured run behind [`run`] and [`run_instrumented`], which differ
+/// only in how each worker applies one operation (`apply_op`).
+fn drive(cfg: &RunConfig, apply_op: impl Fn(Op) -> Op + Sync) -> RunResult {
+    let barrier = Barrier::new(cfg.threads + 1);
+    let (elapsed, intervals) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..cfg.threads)
+            .map(|t| {
+                let (barrier, apply_op) = (&barrier, &apply_op);
+                scope.spawn(move || {
+                    let mut stream =
+                        OpStream::with_dist(cfg.mix, cfg.keys, cfg.universe, cfg.seed, t as u64)
+                            .with_scan_width(cfg.scan_width);
+                    barrier.wait();
+                    let before = telemetry::thread_counters();
+                    for _ in 0..cfg.ops_per_thread {
+                        apply_op(stream.next_op());
+                    }
+                    telemetry::thread_counters() - before
+                })
+            })
+            .collect();
+        // Stamp the start *before* releasing the barrier: workers cannot
+        // pass it until this thread arrives, so the stamp lower-bounds every
+        // worker's first operation (stamping after the release races the
+        // workers on a single-core host and can observe an empty interval).
         let start = Instant::now();
         barrier.wait();
-        start
+        let intervals: Vec<CounterTotals> = workers
+            .into_iter()
+            .map(|w| w.join().expect("a driver worker panicked"))
+            .collect();
+        (start.elapsed(), intervals)
     });
-    let elapsed = started.elapsed();
 
     let total_ops = cfg.ops_per_thread * cfg.threads as u64;
-    let agg = total_steps.into_inner().unwrap();
+    let steps: u64 = intervals.iter().map(CounterTotals::steps).sum();
+    let cas: u64 = intervals.iter().map(|i| i.get(Counter::StepCas)).sum();
     RunResult {
         total_ops,
         elapsed,
         mops: total_ops as f64 / elapsed.as_secs_f64() / 1e6,
-        steps_per_op: agg.total() as f64 / total_ops as f64,
-        cas_per_op: agg.cas as f64 / total_ops as f64,
+        steps_per_op: steps as f64 / total_ops as f64,
+        cas_per_op: cas as f64 / total_ops as f64,
     }
 }
 
-/// Measures a single closure's steps on this thread (for the solo-op
-/// experiments E1/E2). Returns `(elapsed, steps)`.
-pub fn measure_solo<T>(f: impl FnOnce() -> T) -> (Duration, steps::StepCounts) {
-    steps::reset();
+/// Measures a single closure on this thread (for the solo-op experiments
+/// E1/E2). Returns `(elapsed, counters the closure recorded)`; the
+/// interval's [`CounterTotals::steps`] are its shared-memory steps.
+pub fn measure_solo<T>(f: impl FnOnce() -> T) -> (Duration, CounterTotals) {
+    let before = telemetry::thread_counters();
     let start = Instant::now();
     let _ = std::hint::black_box(f());
     let elapsed = start.elapsed();
-    (elapsed, steps::snapshot())
+    (elapsed, telemetry::thread_counters() - before)
 }
 
 /// Runs `f` on `threads` workers for `duration`, returning the number of

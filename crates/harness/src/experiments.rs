@@ -64,8 +64,8 @@ pub fn e1_search_steps(quick: bool) -> Table {
         table.row(&[
             format!("2^{e}"),
             e.to_string(),
-            format!("{:.2}", hit_steps.total() as f64 / probes as f64),
-            format!("{:.2}", miss_steps.total() as f64 / probes as f64),
+            format!("{:.2}", hit_steps.steps() as f64 / probes as f64),
+            format!("{:.2}", miss_steps.steps() as f64 / probes as f64),
             format!("{:.1}", hit_elapsed.as_nanos() as f64 / probes as f64),
         ]);
     }
@@ -108,9 +108,9 @@ pub fn e2_relaxed_op_steps(quick: bool) -> Table {
         table.row(&[
             format!("2^{e}"),
             e.to_string(),
-            format!("{:.1}", ins.total() as f64 / n),
-            format!("{:.1}", del.total() as f64 / n),
-            format!("{:.1}", pred.total() as f64 / n),
+            format!("{:.1}", ins.steps() as f64 / n),
+            format!("{:.1}", del.steps() as f64 / n),
+            format!("{:.1}", pred.steps() as f64 / n),
         ]);
     }
     table
@@ -977,6 +977,24 @@ mod tests {
             assert!(metrics.iter().any(|m| m.starts_with("phase_announce_ns")));
             assert!(metrics.contains(&"cas_latest_retry_rate"));
         }
+    }
+
+    #[cfg(feature = "step-count")]
+    #[test]
+    fn e1_search_steps_are_flat_and_e2_insert_steps_grow_with_u() {
+        // E1 (Search is O(1)): steps/hit and steps/miss each read the same
+        // nonzero value at every u.
+        let e1 = e1_search_steps(true);
+        let rows = e1.rows();
+        for col in [2, 3] {
+            let first = &rows[0][col];
+            assert!(first.parse::<f64>().unwrap() > 0.0, "{rows:?}");
+            assert!(rows.iter().all(|r| &r[col] == first), "{rows:?}");
+        }
+        // E2 (relaxed updates are O(log u)): steps/insert rises with u.
+        let e2 = e2_relaxed_op_steps(true);
+        let inserts: Vec<f64> = e2.rows().iter().map(|r| r[2].parse().unwrap()).collect();
+        assert!(inserts.windows(2).all(|w| w[0] < w[1]), "{inserts:?}");
     }
 
     #[test]

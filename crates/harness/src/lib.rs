@@ -20,8 +20,10 @@ pub mod experiments;
 pub mod report;
 pub mod workload;
 
-/// True if the binary was compiled with the `step-count` feature (required
-/// by experiments E1–E3).
+/// True if this build records shared-memory steps, as experiments E1–E3
+/// require: the `step-count` feature, with telemetry recording on (steps
+/// are telemetry counters, so a kill-switched or compiled-out recorder
+/// would report zeros).
 pub fn steps_enabled() -> bool {
-    cfg!(feature = "step-count")
+    cfg!(feature = "step-count") && lftrie_telemetry::enabled()
 }

@@ -121,7 +121,7 @@ pub fn print_environment() {
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
-        "environment: {} hardware thread(s); step-count feature: {}",
+        "environment: {} hardware thread(s); step counting: {}",
         cores,
         if crate::steps_enabled() { "ON" } else { "off" },
     );

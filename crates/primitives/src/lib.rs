@@ -32,8 +32,9 @@
 //! * [`liveness`] — thread-incarnation ids and the live-set oracle behind
 //!   orphan adoption: dead incarnations' announcements are detected,
 //!   completed via helping, and withdrawn.
-//! * [`steps`] — optional step-count instrumentation used to reproduce the
-//!   paper's step-complexity claims empirically.
+//! * [`steps`] — shared-memory step recorders, telemetry counters under the
+//!   `step-count` feature, used to reproduce the paper's step-complexity
+//!   claims empirically.
 //! * [`keys`] — the key domain shared by all crates, including the `−∞`/`+∞`
 //!   sentinels and the `−1` "no predecessor" value used by the paper.
 //!

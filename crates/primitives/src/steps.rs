@@ -1,191 +1,58 @@
 //! Step-count instrumentation for the complexity experiments (E1–E3).
 //!
 //! The paper's claims are about *step complexity*: the number of accesses to
-//! shared objects. To reproduce those claims empirically we count, per
-//! thread, the shared reads, writes, CAS and MinWrite operations the
-//! algorithms perform. Counting is compiled in only under the `step-count`
-//! feature; without it every recorder is a no-op the optimizer deletes, so
-//! throughput experiments are unaffected.
+//! shared objects. To reproduce those claims empirically every shared read,
+//! write, CAS and MinWrite the algorithms perform bumps a telemetry counter
+//! (`StepReads` … `StepMinWrites`) on the calling thread's shard. Counting
+//! is compiled in only under the `step-count` feature; without it every
+//! recorder is a no-op the optimizer deletes, so throughput experiments are
+//! unaffected.
 //!
-//! Under `step-count`, every bump is also mirrored into the process-global
-//! [`lftrie_telemetry`] counters (`StepReads` … `StepMinWrites`), so the
-//! unified `TelemetrySnapshot` reports step totals alongside everything
-//! else; the thread-local [`measure`]/[`snapshot`] interval semantics are
-//! unchanged.
-//!
-//! # Examples
+//! A per-thread interval is two [`lftrie_telemetry::thread_counters`] reads:
 //!
 //! ```
 //! use lftrie_primitives::steps;
+//! use lftrie_telemetry::{thread_counters, Counter};
 //!
-//! steps::reset();
+//! let before = thread_counters();
 //! steps::on_read();
 //! steps::on_cas();
-//! let counts = steps::snapshot();
-//! #[cfg(feature = "step-count")]
-//! assert_eq!((counts.reads, counts.cas), (1, 1));
-//! #[cfg(not(feature = "step-count"))]
-//! assert_eq!(counts.total(), 0);
+//! let interval = thread_counters() - before;
+//! if cfg!(feature = "step-count") && lftrie_telemetry::enabled() {
+//!     assert_eq!(interval.get(Counter::StepCas), 1);
+//!     assert_eq!(interval.steps(), 2);
+//! } else {
+//!     assert_eq!(interval.steps(), 0);
+//! }
 //! ```
 
-/// Per-thread tallies of shared-memory steps.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StepCounts {
-    /// Shared-register / CAS-object loads.
-    pub reads: u64,
-    /// Shared-register stores.
-    pub writes: u64,
-    /// CAS attempts (successful or not).
-    pub cas: u64,
-    /// MinWrite operations on min-registers.
-    pub min_writes: u64,
-}
-
-impl StepCounts {
-    /// Total steps across all categories.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes + self.cas + self.min_writes
-    }
-}
-
-impl core::ops::Sub for StepCounts {
-    type Output = StepCounts;
-    fn sub(self, rhs: StepCounts) -> StepCounts {
-        StepCounts {
-            reads: self.reads - rhs.reads,
-            writes: self.writes - rhs.writes,
-            cas: self.cas - rhs.cas,
-            min_writes: self.min_writes - rhs.min_writes,
-        }
-    }
-}
-
 #[cfg(feature = "step-count")]
-mod imp {
-    use super::StepCounts;
-    use core::cell::Cell;
-
-    thread_local! {
-        static COUNTS: Cell<StepCounts> = const { Cell::new(StepCounts {
-            reads: 0,
-            writes: 0,
-            cas: 0,
-            min_writes: 0,
-        }) };
-    }
-
-    #[inline]
-    pub fn bump(f: impl FnOnce(&mut StepCounts)) {
-        COUNTS.with(|c| {
-            let mut v = c.get();
-            f(&mut v);
-            c.set(v);
-        });
-    }
-
-    pub fn reset() {
-        COUNTS.with(|c| c.set(StepCounts::default()));
-    }
-
-    pub fn snapshot() -> StepCounts {
-        COUNTS.with(|c| c.get())
-    }
-}
+use lftrie_telemetry::{add, Counter};
 
 /// Records a shared read.
 #[inline]
 pub fn on_read() {
     #[cfg(feature = "step-count")]
-    {
-        imp::bump(|c| c.reads += 1);
-        lftrie_telemetry::add(lftrie_telemetry::Counter::StepReads, 1);
-    }
+    add(Counter::StepReads, 1);
 }
 
 /// Records a shared write.
 #[inline]
 pub fn on_write() {
     #[cfg(feature = "step-count")]
-    {
-        imp::bump(|c| c.writes += 1);
-        lftrie_telemetry::add(lftrie_telemetry::Counter::StepWrites, 1);
-    }
+    add(Counter::StepWrites, 1);
 }
 
 /// Records a CAS attempt.
 #[inline]
 pub fn on_cas() {
     #[cfg(feature = "step-count")]
-    {
-        imp::bump(|c| c.cas += 1);
-        lftrie_telemetry::add(lftrie_telemetry::Counter::StepCas, 1);
-    }
+    add(Counter::StepCas, 1);
 }
 
 /// Records a MinWrite.
 #[inline]
 pub fn on_min_write() {
     #[cfg(feature = "step-count")]
-    {
-        imp::bump(|c| c.min_writes += 1);
-        lftrie_telemetry::add(lftrie_telemetry::Counter::StepMinWrites, 1);
-    }
-}
-
-/// Zeroes this thread's counters.
-pub fn reset() {
-    #[cfg(feature = "step-count")]
-    imp::reset();
-}
-
-/// Reads this thread's counters ([`StepCounts::default`] when the
-/// `step-count` feature is off).
-pub fn snapshot() -> StepCounts {
-    #[cfg(feature = "step-count")]
-    {
-        imp::snapshot()
-    }
-    #[cfg(not(feature = "step-count"))]
-    {
-        StepCounts::default()
-    }
-}
-
-/// Runs `f` and returns its result together with the steps it performed on
-/// this thread.
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, StepCounts) {
-    let before = snapshot();
-    let out = f();
-    let after = snapshot();
-    (out, after - before)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_subtraction_is_per_interval() {
-        reset();
-        on_read();
-        on_read();
-        let (val, steps) = measure(|| {
-            on_cas();
-            on_write();
-            on_min_write();
-            42
-        });
-        assert_eq!(val, 42);
-        #[cfg(feature = "step-count")]
-        {
-            assert_eq!(steps.reads, 0);
-            assert_eq!(steps.cas, 1);
-            assert_eq!(steps.writes, 1);
-            assert_eq!(steps.min_writes, 1);
-            assert_eq!(steps.total(), 3);
-            assert_eq!(snapshot().reads, 2);
-        }
-        #[cfg(not(feature = "step-count"))]
-        assert_eq!(steps.total(), 0);
-    }
+    add(Counter::StepMinWrites, 1);
 }

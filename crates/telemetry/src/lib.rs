@@ -1,17 +1,16 @@
 //! Always-on, lock-free telemetry for the trie workspace.
 //!
-//! Six PRs of instrumentation left the evidence for the paper's claims in
-//! scattered fragments: feature-gated step counters in
-//! `lftrie_primitives::steps`, scan-event tallies in
-//! `lftrie_core::scan_events`, per-registry `AllocStats`, and ad-hoc
-//! diagnostic tuples on the trie itself. None of them can be read together,
-//! and none reach disk. This crate is the one place they all meet:
+//! This crate is the one place the workspace records instrumentation:
+//! counters (shared-memory step counts included), histograms, the flight
+//! recorder and the op-trace rings all live on the recording thread's
+//! shard, and every report reads them back from the same shards.
 //!
 //! * **Counters** ([`Counter`]) — plain monotonic `u64` event tallies
-//!   (operation counts, traversal node touches, scan events, mirrored step
-//!   counts, reclamation sweeps). Recording is an owner-only `Relaxed`
-//!   load + store on a per-thread [`CachePadded`] shard — no RMW, cheap
-//!   enough to stay on in release builds.
+//!   (operation counts, traversal node touches, scan and update
+//!   announcement events, step counts under `step-count`, reclamation
+//!   sweeps). Recording is an owner-only `Relaxed` load + store on a
+//!   per-thread [`CachePadded`] shard — no RMW, cheap enough to stay on in
+//!   release builds.
 //! * **Histograms** ([`Hist`]) — log₂-bucketed distributions (traversal
 //!   depth, per-operation latency in nanoseconds) with percentile
 //!   estimation on [`snapshot`].
@@ -34,6 +33,9 @@
 //! history and is simply re-claimed by a later thread. [`snapshot`] sums
 //! over *all* shards, claimed or not, with `Relaxed` loads: totals are
 //! monotone across snapshots even though they are not an atomic cut.
+//! [`thread_counters`] reads only the calling thread's shard, which no
+//! other thread writes, so the difference of two such reads is exactly
+//! what the thread recorded in between.
 //!
 //! # Switching it off
 //!
@@ -110,19 +112,19 @@ pub enum Counter {
     RelaxedBottoms,
     /// `⊥` answers repaired through the announcement-list recovery path.
     Recoveries,
-    /// Shared reads, mirrored from `steps` (populated under `step-count`).
+    /// Shared reads (recorded by `steps` under `step-count`).
     StepReads,
-    /// Shared writes, mirrored from `steps` (populated under `step-count`).
+    /// Shared writes (recorded by `steps` under `step-count`).
     StepWrites,
-    /// CAS attempts, mirrored from `steps` (populated under `step-count`).
+    /// CAS attempts (recorded by `steps` under `step-count`).
     StepCas,
-    /// MinWrites, mirrored from `steps` (populated under `step-count`).
+    /// MinWrites (recorded by `steps` under `step-count`).
     StepMinWrites,
-    /// S-ALL announcements (populated under `step-count`).
+    /// S-ALL announcements.
     ScanAnnounces,
-    /// S-ALL cursor slides (populated under `step-count`).
+    /// S-ALL cursor slides.
     ScanSlides,
-    /// S-ALL withdrawals (populated under `step-count`).
+    /// S-ALL withdrawals.
     ScanWithdraws,
     /// Retire-bag flushes to the shared limbo/pending stacks.
     BagFlushes,
@@ -136,9 +138,9 @@ pub enum Counter {
     FlightEvents,
     /// Stalls injected by the `stall-injection` test entry points.
     StallsInjected,
-    /// U-ALL update announcements (populated under `step-count`).
+    /// U-ALL update announcements.
     UpdateAnnounces,
-    /// U-ALL update withdrawals (populated under `step-count`).
+    /// U-ALL update withdrawals.
     UpdateWithdraws,
     /// Transitions of an epoch domain into fenced (hazard-filtered) mode.
     FencedModeEnters,
@@ -483,6 +485,10 @@ struct Shard {
     hist_sums: [AtomicU64; HIST_COUNT],
     /// Flight-recorder ring (see [`flight`]).
     ring: flight::Ring,
+    /// Op-trace ring (see [`trace`]): `TRACE_CAP` slots of six words, so
+    /// only builds with the recorder pay for it.
+    #[cfg(all(feature = "op-trace", not(feature = "compiled-out")))]
+    trace: trace::Ring,
     /// Small stable id for flight-event attribution.
     id: usize,
     /// Claimed by a live thread?
@@ -513,6 +519,8 @@ impl Shard {
             hist_buckets: [const { [const { AtomicU64::new(0) }; HIST_BUCKETS] }; HIST_COUNT],
             hist_sums: [const { AtomicU64::new(0) }; HIST_COUNT],
             ring: flight::Ring::new(),
+            #[cfg(all(feature = "op-trace", not(feature = "compiled-out")))]
+            trace: trace::Ring::new(),
             id,
             in_use: AtomicBool::new(true),
             next: AtomicPtr::new(core::ptr::null_mut()),
@@ -734,6 +742,20 @@ pub fn counters() -> CounterTotals {
     CounterTotals { totals }
 }
 
+/// The calling thread's own shard counters. Only the owning thread writes
+/// a shard, so `thread_counters() - before` taken on one thread is exactly
+/// what that thread recorded in between, whatever other threads record
+/// meanwhile. All zeros under `compiled-out`.
+pub fn thread_counters() -> CounterTotals {
+    let mut totals = [0u64; COUNTER_COUNT];
+    with_shard(|s| {
+        for (t, c) in totals.iter_mut().zip(s.counters.iter()) {
+            *t = c.load(Ordering::Relaxed);
+        }
+    });
+    CounterTotals { totals }
+}
+
 /// Aggregates one histogram across every shard.
 pub fn histogram(h: Hist) -> HistogramSnapshot {
     let mut buckets = [0u64; HIST_BUCKETS];
@@ -843,6 +865,35 @@ mod tests {
 
     #[test]
     #[cfg(not(feature = "compiled-out"))]
+    fn thread_interval_is_exact_under_a_concurrent_recorder() {
+        let _serial = test_serial();
+        let stop = AtomicBool::new(false);
+        let started = std::sync::Barrier::new(2);
+        let intervals: Vec<u64> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                started.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    add(Counter::ScanSlides, 1);
+                }
+            });
+            started.wait();
+            let intervals = (0..10_000)
+                .map(|_| {
+                    let before = thread_counters();
+                    add(Counter::ScanSlides, 3);
+                    (thread_counters() - before).get(Counter::ScanSlides)
+                })
+                .collect();
+            // Stop the recorder before asserting: a failed assertion here
+            // would leave the scope waiting on it forever.
+            stop.store(true, Ordering::Relaxed);
+            intervals
+        });
+        assert!(intervals.iter().all(|&n| n == 3), "{intervals:?}");
+    }
+
+    #[test]
+    #[cfg(not(feature = "compiled-out"))]
     fn histogram_buckets_match_bit_length() {
         let h = histogram(Hist::TraversalDepth);
         let base: Vec<u64> = h.buckets.to_vec();
@@ -865,6 +916,7 @@ mod tests {
         flight(FlightKind::Announce, 1, 2);
         let snap = snapshot();
         assert_eq!(snap.counters.get(Counter::InsertOps), 0);
+        assert_eq!(thread_counters().get(Counter::InsertOps), 0);
         assert_eq!(snap.traversal_depth.count, 0);
         assert!(flight_dump().is_empty());
         assert!(!enabled());

@@ -26,6 +26,26 @@ impl CounterTotals {
     pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
         Counter::ALL.iter().map(|&c| (c, self.get(c)))
     }
+
+    /// Shared-memory steps: reads + writes + CAS + MinWrites (all zero
+    /// unless the `step-count` feature recorded them).
+    pub fn steps(&self) -> u64 {
+        self.get(Counter::StepReads)
+            + self.get(Counter::StepWrites)
+            + self.get(Counter::StepCas)
+            + self.get(Counter::StepMinWrites)
+    }
+}
+
+/// Per-counter `self − earlier`: what was recorded between two reads.
+impl core::ops::Sub for CounterTotals {
+    type Output = CounterTotals;
+    fn sub(mut self, earlier: CounterTotals) -> CounterTotals {
+        for (t, e) in self.totals.iter_mut().zip(earlier.totals) {
+            *t = t.wrapping_sub(e);
+        }
+        self
+    }
 }
 
 /// An aggregated log₂ histogram with percentile estimation.
@@ -230,17 +250,6 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Mirrored shared-memory step totals (all zero unless the
-    /// `step-count` feature fed them).
-    pub fn steps(&self) -> (u64, u64, u64, u64) {
-        (
-            self.counters.get(Counter::StepReads),
-            self.counters.get(Counter::StepWrites),
-            self.counters.get(Counter::StepCas),
-            self.counters.get(Counter::StepMinWrites),
-        )
-    }
-
     /// Renders a Prometheus-style text exposition.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);

@@ -5,8 +5,8 @@
 //! multi-phase helping protocol: where inside an operation the time goes,
 //! who helped whom (and how deep the helping chains get), and which CAS
 //! sites burn retries under contention. This module answers them with
-//! three primitives, all recorded into per-thread lock-free rings modeled
-//! on the flight recorder's shard scheme:
+//! three primitives, all recorded into a lock-free ring on the calling
+//! thread's telemetry shard, next to its flight-recorder ring:
 //!
 //! * **Spans** ([`span`]) — one per public operation, identified by a
 //!   process-global id. A span emits an `OpBegin` event at entry and an
@@ -283,7 +283,8 @@ pub struct TraceEvent {
     /// Monotonic nanoseconds since the process trace anchor. For
     /// [`TraceEventKind::Phase`] this is the phase start.
     pub ts: u64,
-    /// Trace shard (≈ thread) id that recorded the event.
+    /// Telemetry shard (≈ thread) id that recorded the event; flight
+    /// events from the same thread carry the same id.
     pub shard: usize,
     /// What happened.
     pub kind: TraceEventKind,
@@ -309,8 +310,7 @@ mod imp {
     use super::*;
     use crate::{add, now_ticks, record};
     use core::cell::Cell;
-    use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-    use crossbeam::utils::CachePadded;
+    use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// The runtime kill-switch for tracing (default: on — the feature is
     /// itself the opt-in).
@@ -356,7 +356,7 @@ mod imp {
     /// One thread's trace ring: the flight recorder's write protocol
     /// (invalidate seq, payload, `Release`-publish seq) with a larger
     /// capacity and a wider payload.
-    struct Ring {
+    pub(crate) struct Ring {
         slots: [Slot; TRACE_CAP],
         cursor: AtomicU64,
         seq_next: AtomicU64,
@@ -364,7 +364,7 @@ mod imp {
     }
 
     impl Ring {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             Self {
                 slots: [const {
                     Slot {
@@ -435,70 +435,7 @@ mod imp {
         }
     }
 
-    /// Per-thread trace shard: the same leaked slot-recycling list as the
-    /// telemetry shards (see `claim_shard` in `lib.rs`). The ring is large
-    /// (TRACE_CAP slots of 6 words), so it lives here instead of bloating
-    /// every `Shard` when tracing is off.
-    struct TShard {
-        ring: Ring,
-        id: usize,
-        in_use: AtomicBool,
-        next: AtomicPtr<CachePadded<TShard>>,
-    }
-
-    static TSHARDS: AtomicPtr<CachePadded<TShard>> = AtomicPtr::new(core::ptr::null_mut());
-    static TSHARD_IDS: AtomicUsize = AtomicUsize::new(0);
-
-    fn claim_tshard() -> &'static CachePadded<TShard> {
-        let mut cur = TSHARDS.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let s = unsafe { &*cur };
-            if !s.in_use.load(Ordering::SeqCst)
-                && s.in_use
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                return s;
-            }
-            cur = s.next.load(Ordering::SeqCst);
-        }
-        let id = TSHARD_IDS.fetch_add(1, Ordering::SeqCst);
-        let s: &'static CachePadded<TShard> = Box::leak(Box::new(CachePadded::new(TShard {
-            ring: Ring::new(),
-            id,
-            in_use: AtomicBool::new(true),
-            next: AtomicPtr::new(core::ptr::null_mut()),
-        })));
-        loop {
-            let head = TSHARDS.load(Ordering::SeqCst);
-            s.next.store(head, Ordering::SeqCst);
-            if TSHARDS
-                .compare_exchange(
-                    head,
-                    s as *const _ as *mut _,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                )
-                .is_ok()
-            {
-                return s;
-            }
-        }
-    }
-
-    struct TShardHandle(&'static CachePadded<TShard>);
-
-    impl Drop for TShardHandle {
-        fn drop(&mut self) {
-            let _ = TSHARD_PTR.try_with(|p| p.set(core::ptr::null()));
-            self.0.in_use.store(false, Ordering::SeqCst);
-        }
-    }
-
     thread_local! {
-        static TSHARD: TShardHandle = TShardHandle(claim_tshard());
-        static TSHARD_PTR: Cell<*const CachePadded<TShard>> =
-            const { Cell::new(core::ptr::null()) };
         /// The innermost live span on this thread (0 outside any span).
         static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
         /// Helping-nesting depth (helping triggered while already helping).
@@ -506,17 +443,6 @@ mod imp {
         /// Set by the unwind guards when an injected `Abandon` kills the
         /// operation; consumed by the innermost span's terminator.
         static ABANDONED: Cell<bool> = const { Cell::new(false) };
-    }
-
-    #[inline]
-    fn with_ring<R>(f: impl FnOnce(&'static CachePadded<TShard>) -> R) -> Option<R> {
-        let ptr = TSHARD_PTR.try_with(|p| p.get()).ok()?;
-        if !ptr.is_null() {
-            return Some(f(unsafe { &*ptr }));
-        }
-        let shard = TSHARD.try_with(|h| h.0).ok()?;
-        let _ = TSHARD_PTR.try_with(|p| p.set(shard));
-        Some(f(shard))
     }
 
     #[inline]
@@ -528,7 +454,7 @@ mod imp {
     /// to anchor-relative nanoseconds, like the flight recorder's.
     #[inline]
     fn emit_at(ts: u64, kind: u64, phase: u64, span: u64, a: u64, b: u64) {
-        let _ = with_ring(|s| s.ring.push(ts, kind, phase, span, a, b));
+        let _ = crate::with_shard(|s| s.trace.push(ts, kind, phase, span, a, b));
     }
 
     /// RAII guard for one operation span; emits the `OpEnd` terminator on
@@ -677,12 +603,7 @@ mod imp {
     pub(super) fn drain() -> Vec<TraceEvent> {
         let mut out = Vec::new();
         let rate = crate::tick_rate();
-        let mut cur = TSHARDS.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let s = unsafe { &*cur };
-            s.ring.drain_into(s.id, rate, &mut out);
-            cur = s.next.load(Ordering::SeqCst);
-        }
+        crate::for_each_shard(|s| s.trace.drain_into(s.id, rate, &mut out));
         out.sort_by_key(|e| (e.ts, e.seq));
         out
     }
@@ -744,6 +665,9 @@ mod imp {
         Vec::new()
     }
 }
+
+#[cfg(all(feature = "op-trace", not(feature = "compiled-out")))]
+pub(crate) use imp::Ring;
 
 /// RAII guard for one operation span; emits the `OpEnd` terminator on drop.
 pub use imp::SpanGuard;

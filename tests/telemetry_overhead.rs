@@ -13,12 +13,20 @@
 //!
 //! This lives in its own test binary because [`telemetry::set_enabled`] is
 //! process-global: flipping it here must not race the recording assertions
-//! in `telemetry.rs`.
+//! in `telemetry.rs`. For the same reason the two tests below never run at
+//! once: each holds [`SERIAL`] for its whole body, so the tracing switch the
+//! second flips cannot leak into the first's measured passes.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use lftrie::core::LockFreeBinaryTrie;
 use lftrie::telemetry;
+
+/// Serializes the tests that flip the process-global kill-switches. A failed
+/// test poisons it, but each test sets every switch it relies on, so the
+/// next one takes the poisoned guard.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// One timed pass of the guarded hot path: the update/query mix the
 /// throughput experiments drive (inserts and removes dominate telemetry
@@ -45,6 +53,7 @@ fn recording_overhead_stays_under_three_percent() {
     // recorder — one relaxed load per call site — fits the same budget.
     // `trace_cost_is_confined_to_the_kill_switch` below reports the cost
     // of actually recording.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::trace::set_trace_enabled(false);
     let trie = LockFreeBinaryTrie::new(1 << 10);
     for k in (0..1024u64).step_by(4) {
@@ -115,6 +124,7 @@ fn recording_overhead_stays_under_three_percent() {
 /// no-ops and the ratio sits at 1.0, which is the compile-out proof.
 #[test]
 fn trace_cost_is_confined_to_the_kill_switch() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let trie = LockFreeBinaryTrie::new(1 << 10);
     for k in (0..1024u64).step_by(4) {
         trie.insert(k);
