@@ -47,6 +47,4 @@ pub mod trie;
 
 pub use lftrie_primitives::{fault, liveness};
 pub use relaxed::{LatestInfo, RelaxedBinaryTrie, RelaxedPred, RelaxedSucc};
-#[cfg(feature = "stall-injection")]
-pub use trie::StalledReader;
 pub use trie::{CellAllocStats, IterFrom, LockFreeBinaryTrie};

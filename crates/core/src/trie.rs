@@ -213,9 +213,13 @@ impl Drop for UpdateOpGuard<'_> {
                 // ever reach this pooled node again — it is stranded for
                 // the life of the structure. Count it so leak ceilings can
                 // subtract exactly what abandonment is allowed to cost.
-                telemetry::add(Counter::StrandedNodes, 1);
                 let key = unsafe { (*self.node.get()).key() };
-                telemetry::flight(FlightKind::Stranded, key, self.kind as u64);
+                telemetry::event(
+                    Counter::StrandedNodes,
+                    FlightKind::Stranded,
+                    key,
+                    self.kind as u64,
+                );
             }
             return;
         }
@@ -467,8 +471,7 @@ impl LockFreeBinaryTrie {
     fn announce(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
         let _p = trace::phase(TracePhase::Announce);
         let key = unsafe { (*u_node).key() };
-        telemetry::add(Counter::UpdateAnnounces, 1);
-        telemetry::flight(FlightKind::Announce, key, 0);
+        telemetry::event(Counter::UpdateAnnounces, FlightKind::Announce, key, 0);
         self.uall.insert(key, u_node, guard);
         self.ann_add(1);
         self.ruall.insert(key, u_node, guard);
@@ -480,8 +483,7 @@ impl LockFreeBinaryTrie {
     fn deannounce(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
         let _p = trace::phase(TracePhase::Withdraw);
         let key = unsafe { (*u_node).key() };
-        telemetry::add(Counter::UpdateWithdraws, 1);
-        telemetry::flight(FlightKind::Deannounce, key, 0);
+        telemetry::event(Counter::UpdateWithdraws, FlightKind::Deannounce, key, 0);
         let removed = self.uall.remove_all(key, u_node, guard);
         self.ann_sub(removed);
         let removed = self.ruall.remove_all(key, u_node, guard);
@@ -1066,8 +1068,7 @@ impl LockFreeBinaryTrie {
     fn adopt_update(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
         let u = unsafe { &*u_node };
         let key = u.key();
-        telemetry::add(Counter::OrphansAdopted, 1);
-        telemetry::flight(FlightKind::Adopt, key, 0);
+        telemetry::event(Counter::OrphansAdopted, FlightKind::Adopt, key, 0);
         // Adoption is helping on behalf of a dead owner: open an `Adopt`
         // span and a helping edge to the victim's node so the exporter can
         // draw adopter → abandoned-span flows.
@@ -1197,8 +1198,8 @@ impl LockFreeBinaryTrie {
             .filter(|&q| !liveness::is_live(unsafe { (*q).owner() }))
             .collect();
         for &q_node in &dead {
-            telemetry::add(Counter::OrphansAdopted, 1);
-            telemetry::flight(
+            telemetry::event(
+                Counter::OrphansAdopted,
                 FlightKind::Adopt,
                 unsafe { (*q_node).key() },
                 D::IDX as u64 + 1,
@@ -1519,8 +1520,12 @@ impl LockFreeBinaryTrie {
     fn announce_query<D: Dir>(&self, y: i64, guard: &Guard<'_>) -> *mut QueryNode {
         let _p = trace::phase(TracePhase::Announce);
         if D::SCAN_EVENTS {
-            telemetry::add(Counter::ScanAnnounces, 1);
-            telemetry::flight(FlightKind::Announce, y, D::IDX as u64);
+            telemetry::event(
+                Counter::ScanAnnounces,
+                FlightKind::Announce,
+                y,
+                D::IDX as u64,
+            );
         }
         let side = self.side::<D>();
         let q_node = side.nodes.alloc(QueryNode::new(y, D::ORIGIN));
@@ -1549,8 +1554,8 @@ impl LockFreeBinaryTrie {
         }
         let _p = trace::phase(TracePhase::Withdraw);
         if D::SCAN_EVENTS {
-            telemetry::add(Counter::ScanWithdraws, 1);
-            telemetry::flight(
+            telemetry::event(
+                Counter::ScanWithdraws,
                 FlightKind::Deannounce,
                 unsafe { (*q_node).key() },
                 D::IDX as u64,
@@ -1714,8 +1719,7 @@ impl LockFreeBinaryTrie {
                     D::NONE // only r1 constrains the answer (see §5.2)
                 } else {
                     side.recoveries.fetch_add(1, Ordering::Relaxed);
-                    telemetry::add(Counter::Recoveries, 1);
-                    telemetry::flight(FlightKind::Recovery, y, D::IDX as u64);
+                    telemetry::event(Counter::Recoveries, FlightKind::Recovery, y, D::IDX as u64);
                     let _p = trace::phase(TracePhase::Recovery);
                     self.recover_from_embedded::<D>(y, era, q_node, q, &d_pub) // L230–251
                 }
@@ -1887,8 +1891,7 @@ impl LockFreeBinaryTrie {
                                          // … and abandoned here (no L175–179): like a crashed thread, the
                                          // stalled operation retires nothing — dNode and iNode simply leak
                                          // (bounded by the number of injected stalls).
-        telemetry::add(Counter::StallsInjected, 1);
-        telemetry::flight(FlightKind::Stall, x, 0);
+        telemetry::event(Counter::StallsInjected, FlightKind::Stall, x, 0);
         true
     }
 
@@ -1930,8 +1933,7 @@ impl LockFreeBinaryTrie {
             unsafe { self.core.dealloc_node(i_node) };
             return false;
         }
-        telemetry::add(Counter::StallsInjected, 1);
-        telemetry::flight(FlightKind::Stall, x, 1);
+        telemetry::event(Counter::StallsInjected, FlightKind::Stall, x, 1);
         true // abandoned before L173–174: inactive, unannounced.
     }
 
@@ -1992,56 +1994,8 @@ impl LockFreeBinaryTrie {
         // announcements all leak, exactly as if the deleting thread had
         // crashed — which forces both the predecessor and the successor
         // ⊥-recovery computations on later queries crossing this subtree.
-        telemetry::add(Counter::StallsInjected, 1);
-        telemetry::flight(FlightKind::Stall, x, 2);
+        telemetry::event(Counter::StallsInjected, FlightKind::Stall, x, 2);
         true
-    }
-
-    /// Suspends a **reader** mid-traversal: pins an epoch guard, resolves
-    /// `latest[x]` exactly as `FindLatest(x)` would, publishes the node it
-    /// is about to dereference (plus the `latestNext` link, when present)
-    /// as a bounded hazard-pointer set, and parks — the pin is held until
-    /// the returned handle drops.
-    ///
-    /// This is the hostile-scheduler witness for the hybrid reclamation
-    /// fallback: a reader that merely pins and stops would park every
-    /// epoch-based sweep forever, but one that published its hazard set is
-    /// *exempted* once its blocked streak crosses the stall threshold, and
-    /// sweeps reclaim everything outside the published set
-    /// (`tests/memory_bound.rs`). [`StalledReader::observe`] re-reads the
-    /// protected node mid-suspension, so a sweep that ignored the hazard
-    /// set turns into a sanitizer-visible use-after-free rather than a
-    /// silent one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x ≥ universe`.
-    #[cfg(feature = "stall-injection")]
-    pub fn reader_stalled_mid_traversal(&self, x: Key) -> StalledReader<'_> {
-        let x = self.check_key(x);
-        let mut guard = epoch::pin();
-        let node = self.find_latest(x);
-        let next = unsafe { (*node).latest_next() };
-        let mut hazards: [*const u8; 2] = [node as *const u8; 2];
-        let mut len = 1;
-        if !next.is_null() {
-            hazards[1] = next as *const u8;
-            len = 2;
-        }
-        // SAFETY: both pointers were read under this freshly-pinned guard
-        // (its blocked streak is zero, so no exemption predates the reads),
-        // they are never re-published into shared memory, and the handle
-        // only ever dereferences the listed nodes.
-        let published = unsafe { guard.publish_hazards(&hazards[..len]) };
-        debug_assert!(published, "fresh unnested guard must accept 2 hazards");
-        telemetry::add(Counter::StallsInjected, 1);
-        telemetry::flight(FlightKind::Stall, x, 3);
-        StalledReader {
-            _trie: self,
-            _guard: guard,
-            node,
-            key: x,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -2325,52 +2279,6 @@ impl core::fmt::Debug for IterFrom<'_> {
             .field("state", &state)
             .field("announced", &!self.s_node.is_null())
             .field("hi", &self.hi)
-            .finish()
-    }
-}
-
-/// A reader suspended mid-traversal by
-/// [`LockFreeBinaryTrie::reader_stalled_mid_traversal`]: it owns the epoch
-/// pin and the published hazard set, both withdrawn when the handle drops
-/// (the "resume"). The handle is `!Send` — like the real stalled thread,
-/// the suspended traversal stays on the thread that started it.
-#[cfg(feature = "stall-injection")]
-pub struct StalledReader<'t> {
-    _trie: &'t LockFreeBinaryTrie,
-    _guard: Guard<'static>,
-    node: *mut UpdateNode,
-    key: i64,
-}
-
-#[cfg(feature = "stall-injection")]
-impl StalledReader<'_> {
-    /// The key the reader was traversing when it stalled.
-    pub fn key(&self) -> Key {
-        self.key as Key
-    }
-
-    /// Re-reads the hazard-protected node, exactly as the suspended
-    /// traversal would on resume. While the handle is alive this must
-    /// always succeed: the fenced sweep may reclaim everything *around*
-    /// the published set, but a sweep that freed a listed node turns this
-    /// into a sanitizer-visible use-after-free.
-    pub fn observe(&self) -> bool {
-        let u = unsafe { &*self.node };
-        u.key() == self.key && matches!(u.kind(), Kind::Ins | Kind::Del)
-    }
-
-    /// Resumes the reader: re-checks the protected node once, then drops
-    /// the pin and the hazard set.
-    pub fn resume(self) -> bool {
-        self.observe()
-    }
-}
-
-#[cfg(feature = "stall-injection")]
-impl core::fmt::Debug for StalledReader<'_> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("StalledReader")
-            .field("key", &self.key)
             .finish()
     }
 }

@@ -3,11 +3,16 @@
 //!
 //! ```text
 //! cargo run --release -p lftrie-harness --bin torture -- \
-//!     [seconds] [threads] [log2_universe] [stalled_readers] [--trace <path>]
+//!     [seconds] [threads] [log2_universe] [--trace <path>]
 //! ```
 //!
-//! Defaults: 10 seconds, 4 threads, universe 2^10, 0 stalled readers.
-//! Exits non-zero on any consistency violation.
+//! Defaults: 10 seconds, 4 threads, universe 2^10. Exits non-zero on any
+//! consistency violation. With `threads` well above the core count, the
+//! run is also the **oversubscription lane**: the scheduler preempts
+//! threads inside their pinned operations, so reclamation must stay
+//! bounded while pins stall, and a premature free shows up as a
+//! use-after-free under the sanitizer lane rather than as silent
+//! corruption.
 //!
 //! `--trace <path>` (requires `--features op-trace`) writes the captured
 //! Chrome trace-event JSON there — at exit on success, and from the
@@ -29,16 +34,6 @@
 //! * `LFTRIE_TORTURE_FAULT_RATE` — firing probability per 1024 point
 //!   occurrences (default 24).
 //!
-//! The fourth argument is the **oversubscription lane** (ISSUE 8): each
-//! round additionally parks that many readers mid-traversal — pinned, with
-//! their target nodes published as hazard pointers — for the whole round
-//! (requires `--features stall-injection`). Combined with `threads` well
-//! above the core count, this is the hostile-scheduler workload: the epoch
-//! must run past the stalled readers (fenced mode), sweeps must keep the
-//! backlog bounded, and the parked readers re-dereference their protected
-//! nodes throughout, so a hazard-filter bug shows up as a use-after-free
-//! under the sanitizer lane rather than as silent corruption.
-//!
 //! A **progress watchdog** guards every round: the workers must complete a
 //! minimum number of operations per round even while the fault plan fires
 //! (surviving threads must keep progressing past crashed ones — the
@@ -59,7 +54,6 @@ struct Repro {
     seconds: u64,
     threads: usize,
     log2_u: u64,
-    stalled_readers: usize,
     seed: u64,
     faults: String,
     fault_rate: u32,
@@ -80,8 +74,8 @@ impl Repro {
         );
         eprintln!(
             "  cargo run --release -p lftrie-harness --features fault-injection,stall-injection \
-             --bin torture -- {} {} {} {}",
-            self.seconds, self.threads, self.log2_u, self.stalled_readers
+             --bin torture -- {} {} {}",
+            self.seconds, self.threads, self.log2_u
         );
     }
 }
@@ -322,14 +316,6 @@ fn main() {
     let threads = args.get(1).copied().unwrap_or(4) as usize;
     let log2_u = args.get(2).copied().unwrap_or(10).min(24);
     let universe = 1u64 << log2_u;
-    let stalled_readers = args.get(3).copied().unwrap_or(0) as usize;
-    #[cfg(not(feature = "stall-injection"))]
-    if stalled_readers > 0 {
-        eprintln!(
-            "warning: the stalled-reader lane needs --features stall-injection; \
-             running without parked readers"
-        );
-    }
     let env_u64 = |name: &str, default: u64| {
         std::env::var(name)
             .ok()
@@ -340,7 +326,6 @@ fn main() {
         seconds,
         threads,
         log2_u,
-        stalled_readers,
         seed: env_u64("LFTRIE_TORTURE_SEED", 0),
         faults: std::env::var("LFTRIE_TORTURE_FAULTS").unwrap_or_default(),
         fault_rate: env_u64("LFTRIE_TORTURE_FAULT_RATE", 24) as u32,
@@ -348,8 +333,7 @@ fn main() {
     let faulty = install_fault_plan(&repro);
 
     println!(
-        "torture: {seconds}s, {threads} threads, universe 2^{log2_u}, \
-         {stalled_readers} stalled readers, seed {}, faults {}",
+        "torture: {seconds}s, {threads} threads, universe 2^{log2_u}, seed {}, faults {}",
         repro.seed,
         if repro.faults.is_empty() {
             "off"
@@ -401,39 +385,10 @@ fn main() {
                 })
             })
             .collect();
-        // The oversubscription lane: park readers mid-traversal for the
-        // whole round. Each pins, publishes its target nodes as hazards,
-        // and keeps re-dereferencing them while the writers churn — the
-        // epoch must run past them and reclamation must stay bounded.
-        #[cfg(feature = "stall-injection")]
-        let stallers: Vec<_> = (0..stalled_readers)
-            .map(|s| {
-                let trie = Arc::clone(&trie);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(round.wrapping_mul(31) ^ s as u64);
-                    let k = rng.gen_range(0..universe);
-                    trie.insert(k);
-                    let reader = trie.reader_stalled_mid_traversal(k);
-                    while !stop.load(Ordering::Relaxed) {
-                        assert!(
-                            reader.observe(),
-                            "hazard-protected node changed under a stalled reader"
-                        );
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    assert!(reader.resume());
-                })
-            })
-            .collect();
         std::thread::sleep(Duration::from_millis(300));
         stop.store(true, Ordering::Relaxed);
         for w in workers {
             w.join().unwrap();
-        }
-        #[cfg(feature = "stall-injection")]
-        for s in stallers {
-            s.join().unwrap();
         }
 
         // The progress watchdog: surviving threads must have kept working
@@ -526,26 +481,18 @@ fn main() {
         let stats = trie.pred_traversal();
         let ops = total_ops.load(Ordering::Relaxed);
         let ops_per_s = ops as f64 / start.elapsed().as_secs_f64();
-        let (epoch_lag, stalled, fenced, covered) = snap
+        let (epoch_lag, stalled) = snap
             .epoch
             .as_ref()
-            .map(|e| {
-                (
-                    e.min_pin_lag,
-                    e.stalled_readers,
-                    e.fenced,
-                    e.covered_readers,
-                )
-            })
-            .unwrap_or((0, 0, false, 0));
+            .map(|e| (e.min_pin_lag, e.stalled_readers))
+            .unwrap_or((0, 0));
         let limbo: usize = snap.reclaim.iter().map(|r| r.limbo + r.pending).sum();
-        let hz_freed: usize = snap.reclaim.iter().map(|r| r.fenced_reclaimed).sum();
         #[cfg(feature = "fault-injection")]
         let fired = lftrie_core::fault::fired_total();
         #[cfg(not(feature = "fault-injection"))]
         let fired = 0u64;
         print!(
-            "\rround {round}: ok ({ops} ops, {ops_per_s:.0} ops/s, ⊥ {bottoms}, rec {recoveries}, epoch lag {epoch_lag}, stalled {stalled}, fenced {fenced}, covered {covered}, hz-freed {hz_freed}, limbo {limbo}, faults {fired})   ",
+            "\rround {round}: ok ({ops} ops, {ops_per_s:.0} ops/s, ⊥ {bottoms}, rec {recoveries}, epoch lag {epoch_lag}, stalled {stalled}, limbo {limbo}, faults {fired})   ",
             bottoms = stats.bottoms,
             recoveries = stats.recoveries,
         );

@@ -43,36 +43,18 @@
 //! With `T` live participants, garbage retired through a registry is
 //! unreclaimed only while it is (a) younger than three epoch advances, or
 //! (b) deferred by its type's [`crate::registry::Reclaim::ready_to_reclaim`]
-//! gate. A pinned participant blocks at most one epoch advance at a time, so
-//! steady-state garbage is `O(T² + deferred)` rather than `O(total updates)`
-//! — the bound the ROADMAP's reclamation item asks for.
+//! gate. No operation holds a pin for longer than one call (iterators pin
+//! per step), and a pinned participant blocks at most one epoch advance at
+//! a time, so steady-state garbage is `O(T² + deferred)` rather than
+//! `O(total updates)`.
 //!
-//! # Fenced mode: the hazard-pointer fallback for stalled readers
-//!
-//! Pure EBR has one catastrophic failure mode: a reader suspended mid-pin
-//! (preempted on an oversubscribed host, stopped in a debugger) parks the
-//! global epoch forever, and with it every registry's reclamation backlog.
-//! The hybrid fallback bounds that damage. A long-running reader that knows
-//! the (bounded) set of reclaimable pointers it still holds may publish
-//! them as *hazard pointers* via [`Guard::publish_hazards`]. Once such a
-//! *covered* reader's blocked-advance streak reaches
-//! [`STALL_BLOCKED_THRESHOLD`], [`Domain::try_advance`] stops treating it
-//! as a blocker: the advance pass skips it (the domain is now *fenced*,
-//! see [`Domain::fenced`]), the global epoch runs past its pin, and normal
-//! epoch aging resumes for everyone else. Safety for the exempt reader
-//! moves from the epoch to the hazard set: every registry sweep asks
-//! [`Domain::hazard_view`] for the union of published hazard pointers and
-//! refuses to free any node in it, however old its stamp.
-//!
-//! The mode is hysteretic. Entry costs a stalled covered reader three
-//! refused advances ([`STALL_BLOCKED_THRESHOLD`]); exit happens only when
-//! no pinned participant is both covered and stalled — i.e. the laggard
-//! re-announced (fresh pin, [`Guard::repin`], or a new
-//! [`Guard::publish_hazards`]) or unpinned, which resets its streak — at
-//! which point the next complete advance pass drops the domain back to
-//! pure-epoch sweeps. A stalled reader that published *no* hazard set
-//! still parks the world: exemption is opt-in precisely because only the
-//! reader knows which pointers it may still dereference.
+//! The trade-off is the one crossbeam-epoch makes: a thread descheduled
+//! inside an operation keeps its pin, and with it delays every reclamation
+//! on its domain, until it runs again. Nothing bounds that delay, but it is
+//! observable: every refused [`Domain::try_advance`] charges the refusing
+//! participant's blocked streak, and [`Domain::health`] reports the longest
+//! streak (`max_blocked`) and the participants past
+//! [`STALL_BLOCKED_THRESHOLD`] (`stalled_readers`).
 //!
 //! # Examples
 //!
@@ -86,10 +68,10 @@
 //! ```
 
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 use crossbeam::utils::CachePadded;
-use lftrie_telemetry::{self as telemetry, Counter, EpochHealth, FlightKind};
+use lftrie_telemetry::{self as telemetry, Counter, EpochHealth};
 
 /// How often (in pins per participant) the pin fast path tries to advance
 /// the global epoch.
@@ -103,12 +85,10 @@ const PINS_PER_ADVANCE: u64 = 32;
 /// streak grows without bound while a reader sits on a pin.
 pub const STALL_BLOCKED_THRESHOLD: u64 = 3;
 
-/// Hazard-pointer slots per participant. Readers traverse with a constant
-/// number of node pointers in hand (the trie holds a latest-list head and
-/// its successor; the lists hold a window of two or three cells), so a
-/// small fixed bound suffices — [`Guard::publish_hazards`] refuses larger
-/// sets rather than growing the slot array.
-pub const HAZARD_SLOTS: usize = 8;
+/// A participant's owner-word share held by its [`Handle`].
+const HANDLE: u64 = 1;
+/// A participant's owner-word share held by each live [`Guard`].
+const GUARD: u64 = 2;
 
 /// One thread's announcement slot. Slots are allocated once, leaked (their
 /// count is bounded by the peak number of concurrent threads), and recycled
@@ -118,32 +98,28 @@ pub struct Participant {
     /// and every `try_advance` reads all of them, so two participants'
     /// announcements sharing a line would false-share the hottest store in
     /// the system (the padding also line-aligns the whole slot, keeping the
-    /// owner-local `nest`/`pins` fields off other slots' lines).
+    /// owner-local fields off other slots' lines).
     state: CachePadded<AtomicU64>,
-    /// Re-entrant pin depth; written only by the owning thread.
-    nest: AtomicU64,
-    /// Pins performed by this participant (drives amortized advancing).
+    /// The slot's owners: [`HANDLE`] while the handle lives plus [`GUARD`]
+    /// per live guard, so `owners / GUARD` is the re-entrant pin depth. The
+    /// slot is released when the word reaches zero, so a guard that
+    /// outlives its handle keeps its pin and its slot.
+    ///
+    /// Owner-only: handles and guards are `!Send`, so every pin, guard drop
+    /// and handle drop of a slot runs on the registering thread, and a
+    /// recycling [`Domain::register`] rewrites the word only after its
+    /// `in_use` CAS pairs with the releasing store. A plain load and store
+    /// therefore update it, with no read-modify-write.
+    owners: AtomicU64,
+    /// Pins performed through this slot (drives amortized advancing).
+    /// Written by the owner alone, like `owners`; `health` only reads it.
     pins: AtomicU64,
     /// Consecutive [`Domain::try_advance`] attempts this participant
-    /// refused while pinned; reset on every (re)announcement. The
+    /// refused while pinned; reset on every announcement. The
     /// stalled-reader detector's raw signal.
     blocked: AtomicU64,
     /// Slot ownership flag for recycling.
     in_use: AtomicBool,
-    /// Owners keeping the slot reserved: the handle plus every live guard.
-    /// The slot is recycled only when this reaches zero, so a guard that
-    /// outlives its handle keeps its pin (and its slot) valid.
-    refs: AtomicU64,
-    /// Published hazard pointers (valid up to `hazard_len`); meaningful only
-    /// while `coverage` is set.
-    hazards: [AtomicUsize; HAZARD_SLOTS],
-    /// Number of valid entries in `hazards`.
-    hazard_len: AtomicUsize,
-    /// True while this participant's hazard set *covers* every reclaimable
-    /// pointer it may still dereference (see [`Guard::publish_hazards`]).
-    /// Published after the slots, cleared on every fresh announcement that
-    /// starts a new read session (pin, repin, unpin).
-    coverage: AtomicBool,
     /// Next participant in the domain's list (written once at registration).
     next: AtomicPtr<Participant>,
 }
@@ -152,44 +128,23 @@ impl Participant {
     const fn new() -> Self {
         Self {
             state: CachePadded::new(AtomicU64::new(0)),
-            nest: AtomicU64::new(0),
+            owners: AtomicU64::new(HANDLE),
             pins: AtomicU64::new(0),
             blocked: AtomicU64::new(0),
             in_use: AtomicBool::new(true),
-            refs: AtomicU64::new(1),
-            hazards: [const { AtomicUsize::new(0) }; HAZARD_SLOTS],
-            hazard_len: AtomicUsize::new(0),
-            coverage: AtomicBool::new(false),
             next: AtomicPtr::new(core::ptr::null_mut()),
         }
     }
 
-    /// Drops one owner; the last one out unpins and releases the slot.
-    fn unref(&self) {
-        if self.refs.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.coverage.store(false, Ordering::SeqCst);
-            self.state.store(0, Ordering::SeqCst);
-            self.nest.store(0, Ordering::Relaxed);
+    /// Stores the owner word left after an owner dropped; the last owner
+    /// out releases the slot for recycling. The slot is unpinned by then:
+    /// the last guard clears `state` before it gets here.
+    #[inline]
+    fn set_owners(&self, owners: u64) {
+        self.owners.store(owners, Ordering::Relaxed);
+        if owners == 0 {
             self.in_use.store(false, Ordering::SeqCst);
         }
-    }
-
-    /// The one stall comparison, shared by [`Domain::stalled_readers`],
-    /// [`Domain::health`] and the fenced-mode exemption so the three can
-    /// never disagree at the threshold boundary: pinned, with a
-    /// blocked-advance streak of at least `min_blocked`.
-    fn is_stalled(&self, min_blocked: u64) -> bool {
-        self.state.load(Ordering::SeqCst) & 1 == 1
-            && self.blocked.load(Ordering::Relaxed) >= min_blocked
-    }
-
-    /// Stalled at [`STALL_BLOCKED_THRESHOLD`] *and* covered by a published
-    /// hazard set — the condition under which an advance pass may skip this
-    /// participant. `coverage` is read after the pin state: a fresh pin
-    /// clears coverage before announcing, so any reader that observes the
-    /// new announcement cannot pair it with a stale coverage flag.
-    fn is_exempt(&self) -> bool {
-        self.is_stalled(STALL_BLOCKED_THRESHOLD) && self.coverage.load(Ordering::SeqCst)
     }
 }
 
@@ -205,12 +160,6 @@ pub struct Domain {
     /// registration) or whatever the domain is embedded next to.
     epoch: CachePadded<AtomicU64>,
     participants: AtomicPtr<Participant>,
-    /// True while at least one advance pass has skipped an exempt stalled
-    /// reader whose exemption still holds — the signal that registry sweeps
-    /// must filter against [`Domain::hazard_view`]. Sweeps consult the view
-    /// whenever any covered participant is pinned (not this flag), so the
-    /// flag is a gauge and hysteresis marker, not a safety gate.
-    fenced: AtomicBool,
 }
 
 impl Domain {
@@ -219,7 +168,6 @@ impl Domain {
         Self {
             epoch: CachePadded::new(AtomicU64::new(0)),
             participants: AtomicPtr::new(core::ptr::null_mut()),
-            fenced: AtomicBool::new(false),
         }
     }
 
@@ -239,9 +187,10 @@ impl Domain {
     /// Registers a participant slot (recycling a released one when
     /// available) and returns a handle that can pin this domain.
     ///
-    /// The slot is released when the handle drops; the allocation itself is
-    /// intentionally leaked so `Guard`s may hold `'static`-like references
-    /// (total leakage is bounded by the peak participant count).
+    /// The slot is released when the handle and its guards have dropped;
+    /// the allocation itself is intentionally leaked so `Guard`s may hold
+    /// `'static`-like references (total leakage is bounded by the peak
+    /// participant count).
     pub fn register(&self) -> Handle<'_> {
         // Try to recycle a released slot first.
         let mut cur = self.participants.load(Ordering::SeqCst);
@@ -252,14 +201,10 @@ impl Domain {
                     .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
             {
-                // We own the slot (the previous owner's refs reached zero
-                // before it cleared in_use): reset it.
-                p.state.store(0, Ordering::SeqCst);
-                p.nest.store(0, Ordering::Relaxed);
-                p.blocked.store(0, Ordering::Relaxed);
-                p.coverage.store(false, Ordering::SeqCst);
-                p.hazard_len.store(0, Ordering::SeqCst);
-                p.refs.store(1, Ordering::SeqCst);
+                // We own the slot. Its last owner unpinned it before the
+                // releasing store this CAS read, so only the owner word
+                // needs resetting (`blocked` restarts at the first pin).
+                p.owners.store(HANDLE, Ordering::Relaxed);
                 return Handle {
                     domain: self,
                     participant: p,
@@ -295,50 +240,28 @@ impl Domain {
     }
 
     /// Attempts one global-epoch increment; succeeds when every pinned
-    /// participant has either announced the current epoch or is *exempt*
-    /// (stalled at [`STALL_BLOCKED_THRESHOLD`] with a published hazard set
-    /// — see [`Guard::publish_hazards`]). Returns the epoch observed
-    /// *after* the attempt.
-    ///
-    /// Skipping an exempt straggler switches the domain into fenced mode;
-    /// a pass that completes without meeting any exempt straggler switches
-    /// it back (the hysteresis: an exempt reader's streak only resets on a
-    /// full re-announcement or unpin, so entry costs three refused
-    /// advances and exit costs the laggard actually waking up).
+    /// participant has announced the current epoch. Returns the epoch
+    /// observed *after* the attempt. A refusing participant is charged one
+    /// step of its blocked streak.
     ///
     /// Lock-free and wait-free in the absence of new registrations: a single
     /// pass over the participant list plus one CAS.
     pub fn try_advance(&self) -> u64 {
         let e = self.epoch.load(Ordering::SeqCst);
-        let mut exempted = false;
         let mut cur = self.participants.load(Ordering::SeqCst);
         while !cur.is_null() {
             let p = unsafe { &*cur };
             if p.in_use.load(Ordering::SeqCst) {
                 let s = p.state.load(Ordering::SeqCst);
                 if s & 1 == 1 && (s >> 1) != e {
-                    if p.is_exempt() {
-                        // A stalled reader that published its hazard set no
-                        // longer parks the world: the epoch runs past it and
-                        // sweeps protect it via the hazard filter instead.
-                        exempted = true;
-                        self.set_fenced(true);
-                    } else {
-                        // A straggler still pinned in an older epoch: charge
-                        // its blocked streak (the stalled-reader signal).
-                        p.blocked.fetch_add(1, Ordering::Relaxed);
-                        telemetry::add(Counter::EpochAdvanceBlocked, 1);
-                        return e;
-                    }
+                    // A straggler still pinned in an older epoch: charge
+                    // its blocked streak (the stalled-reader signal).
+                    p.blocked.fetch_add(1, Ordering::Relaxed);
+                    telemetry::add(Counter::EpochAdvanceBlocked, 1);
+                    return e;
                 }
             }
             cur = p.next.load(Ordering::SeqCst);
-        }
-        if !exempted {
-            // A complete pass with no exempt straggler: every one-time
-            // laggard has re-announced or unpinned, so drop back to pure
-            // epoch aging.
-            self.set_fenced(false);
         }
         if self
             .epoch
@@ -350,88 +273,13 @@ impl Domain {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Flips the fenced flag, recording transitions (a counter on entry, a
-    /// flight-recorder event both ways).
-    fn set_fenced(&self, fenced: bool) {
-        if self.fenced.swap(fenced, Ordering::SeqCst) != fenced {
-            if fenced {
-                telemetry::add(Counter::FencedModeEnters, 1);
-            }
-            telemetry::flight(FlightKind::Fence, -1, fenced as u64);
-        }
-    }
-
-    /// True while the domain is in fenced (hazard-filtered) mode: the
-    /// global epoch has been advanced past at least one exempt stalled
-    /// reader that is still pinned. Diagnostics and telemetry; sweeps use
-    /// [`Domain::hazard_view`] directly.
-    pub fn fenced(&self) -> bool {
-        self.fenced.load(Ordering::SeqCst)
-    }
-
-    /// The union of every hazard pointer published by a pinned, covered
-    /// participant, sorted for binary search — `None` when no pinned
-    /// participant has coverage (the pure-epoch fast path, no allocation).
-    ///
-    /// Registry sweeps must call this *after* loading the global epoch they
-    /// age garbage against: the epoch can only have run past a stalled
-    /// reader through an advance pass that observed its coverage flag
-    /// (SeqCst), so a view taken after that epoch load is guaranteed to
-    /// include that reader's hazard set. A view may *over*-protect (a
-    /// participant re-announces and moves on while the sweep runs), which
-    /// merely defers those nodes to a later sweep.
-    pub fn hazard_view(&self) -> Option<Vec<usize>> {
-        let mut view: Option<Vec<usize>> = None;
-        let mut cur = self.participants.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let p = unsafe { &*cur };
-            // Pin state first, coverage second: a fresh pin clears coverage
-            // before announcing, so this order never pairs a new
-            // announcement with a stale coverage flag.
-            if p.in_use.load(Ordering::SeqCst)
-                && p.state.load(Ordering::SeqCst) & 1 == 1
-                && p.coverage.load(Ordering::SeqCst)
-            {
-                let set = view.get_or_insert_with(Vec::new);
-                let len = p.hazard_len.load(Ordering::SeqCst).min(HAZARD_SLOTS);
-                for slot in &p.hazards[..len] {
-                    set.push(slot.load(Ordering::SeqCst));
-                }
-            }
-            cur = p.next.load(Ordering::SeqCst);
-        }
-        if let Some(set) = view.as_mut() {
-            set.sort_unstable();
-        }
-        view
-    }
-
-    /// Participants whose blocked-advance streak has reached `min_blocked`
-    /// while pinned — readers that have refused that many consecutive
-    /// epoch-advance attempts without re-announcing. The comparison is the
-    /// shared `Participant::is_stalled` predicate, the same one
-    /// [`Domain::health`] uses, so `stalled_readers(STALL_BLOCKED_THRESHOLD)`
-    /// and `health().stalled_readers` agree at the threshold boundary.
-    pub fn stalled_readers(&self, min_blocked: u64) -> usize {
-        let mut n = 0;
-        let mut cur = self.participants.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let p = unsafe { &*cur };
-            if p.in_use.load(Ordering::SeqCst) && p.is_stalled(min_blocked) {
-                n += 1;
-            }
-            cur = p.next.load(Ordering::SeqCst);
-        }
-        n
-    }
-
     /// Samples this domain's health gauges in one participant-list pass.
-    /// `stalled_readers` uses [`STALL_BLOCKED_THRESHOLD`].
+    /// A pinned participant counts as a stalled reader once its blocked
+    /// streak reaches [`STALL_BLOCKED_THRESHOLD`].
     pub fn health(&self) -> EpochHealth {
         let e = self.epoch();
         let mut h = EpochHealth {
             epoch: e,
-            fenced: self.fenced(),
             ..EpochHealth::default()
         };
         let mut min_pin = u64::MAX;
@@ -445,13 +293,10 @@ impl Domain {
                 if s & 1 == 1 {
                     h.pinned += 1;
                     min_pin = min_pin.min(s >> 1);
-                    h.max_blocked = h.max_blocked.max(p.blocked.load(Ordering::Relaxed));
-                    if p.is_stalled(STALL_BLOCKED_THRESHOLD) {
+                    let blocked = p.blocked.load(Ordering::Relaxed);
+                    h.max_blocked = h.max_blocked.max(blocked);
+                    if blocked >= STALL_BLOCKED_THRESHOLD {
                         h.stalled_readers += 1;
-                    }
-                    if p.coverage.load(Ordering::SeqCst) {
-                        h.covered_readers += 1;
-                        h.hazard_ptrs += p.hazard_len.load(Ordering::SeqCst).min(HAZARD_SLOTS);
                     }
                 }
             }
@@ -508,15 +353,9 @@ impl<'d> Handle<'d> {
     /// from now on is freed. Re-entrant.
     pub fn pin(&self) -> Guard<'d> {
         let p = self.participant;
-        if p.nest.load(Ordering::Relaxed) == 0 {
+        let owners = p.owners.load(Ordering::Relaxed);
+        if owners < GUARD {
             let _t = telemetry::trace::phase(telemetry::trace::TracePhase::Pin);
-            // A new read session: any hazard coverage from a previous one is
-            // void. Cleared *before* announcing, so no advance pass can pair
-            // the fresh announcement with stale coverage (exemption also
-            // requires a blocked streak charged after this announcement,
-            // which orders every qualifying coverage read after this store).
-            p.coverage.store(false, Ordering::SeqCst);
-            p.hazard_len.store(0, Ordering::SeqCst);
             let mut e = self.domain.epoch.load(Ordering::SeqCst);
             loop {
                 // Announce, then re-validate: the SeqCst store/load pair
@@ -531,16 +370,17 @@ impl<'d> Handle<'d> {
             }
             // A fresh announcement is progress: the stall streak restarts.
             p.blocked.store(0, Ordering::Relaxed);
-            if p.pins.fetch_add(1, Ordering::Relaxed) % PINS_PER_ADVANCE == PINS_PER_ADVANCE - 1 {
+            let pins = p.pins.load(Ordering::Relaxed) + 1;
+            p.pins.store(pins, Ordering::Relaxed);
+            if pins.is_multiple_of(PINS_PER_ADVANCE) {
                 self.domain.try_advance();
             }
         }
-        p.nest.fetch_add(1, Ordering::Relaxed);
         // The guard co-owns the slot: dropping the handle while guards live
         // must neither unpin nor recycle it (a recycled slot under a live
         // guard would both lose the pin and corrupt the next owner's
         // accounting).
-        p.refs.fetch_add(1, Ordering::SeqCst);
+        p.owners.store(owners + GUARD, Ordering::Relaxed);
         Guard {
             domain: self.domain,
             participant: p,
@@ -557,9 +397,9 @@ impl<'d> Handle<'d> {
 impl Drop for Handle<'_> {
     fn drop(&mut self) {
         // Live guards keep the slot reserved and pinned; the slot is only
-        // unpinned and recycled when the last co-owner (handle or guard)
-        // goes away.
-        self.participant.unref();
+        // recycled when the last co-owner (handle or guard) goes away.
+        let p = self.participant;
+        p.set_owners(p.owners.load(Ordering::Relaxed) - HANDLE);
     }
 }
 
@@ -568,7 +408,7 @@ impl core::fmt::Debug for Handle<'_> {
         f.debug_struct("Handle")
             .field(
                 "pinned",
-                &(self.participant.nest.load(Ordering::Relaxed) > 0),
+                &(self.participant.owners.load(Ordering::Relaxed) >= GUARD),
             )
             .finish()
     }
@@ -603,102 +443,18 @@ impl<'d> Guard<'d> {
     pub fn domain(&self) -> &'d Domain {
         self.domain
     }
-
-    /// Re-announces the current global epoch (outermost guards only; a no-op
-    /// for nested guards). Long-running readers may call this at safe points
-    /// — moments when they hold no reclaimable pointers — so they stop
-    /// blocking epoch advances without fully unpinning.
-    pub fn repin(&mut self) {
-        let p = self.participant;
-        if p.nest.load(Ordering::Relaxed) != 1 {
-            return;
-        }
-        // A safe point means no reclaimable pointers are held, which also
-        // ends any published hazard coverage.
-        p.coverage.store(false, Ordering::SeqCst);
-        p.hazard_len.store(0, Ordering::SeqCst);
-        let mut e = self.domain.epoch.load(Ordering::SeqCst);
-        loop {
-            p.state.store((e << 1) | 1, Ordering::SeqCst);
-            let now = self.domain.epoch.load(Ordering::SeqCst);
-            if now == e {
-                break;
-            }
-            e = now;
-        }
-        // Re-announcing at the current epoch is exactly what a stalled
-        // reader fails to do: clear the streak.
-        p.blocked.store(0, Ordering::Relaxed);
-    }
-
-    /// Publishes the bounded set of reclaimable pointers this reader may
-    /// still dereference, opting into the hazard-pointer fallback: if the
-    /// thread now stalls (suspended mid-read for [`STALL_BLOCKED_THRESHOLD`]
-    /// refused advances), [`Domain::try_advance`] exempts it instead of
-    /// parking the world, and registry sweeps protect exactly these
-    /// pointers via [`Domain::hazard_view`]. An empty set declares "I hold
-    /// nothing reclaimable" and makes the reader fully skippable.
-    ///
-    /// Only effective on an outermost guard (nested pins may shadow
-    /// pointers held by outer frames) and for sets of at most
-    /// [`HAZARD_SLOTS`] pointers; returns `false` without publishing
-    /// otherwise. Like [`Guard::repin`], a successful publish re-announces
-    /// the current epoch and restarts the blocked streak.
-    ///
-    /// # Safety
-    ///
-    /// Every pointer in `ptrs` must still be protected when this is called:
-    /// either read under this pin while the reader was *not* yet exempt
-    /// (ordinary epoch protection), or already present in this guard's
-    /// currently published hazard set. A pointer merely copied out of a
-    /// protected node may reference memory that was never protected and is
-    /// already freed.
-    ///
-    /// Additionally, until this guard next re-announces (a new
-    /// `publish_hazards`, [`Guard::repin`]) or unpins, the caller must
-    ///
-    /// * dereference **no** reclaimable pointer outside `ptrs` — anything
-    ///   unlisted loses epoch protection the moment the thread is exempted,
-    ///   and
-    /// * not re-publish any of `ptrs` into shared memory (e.g. via a
-    ///   helping re-announcement): the three-epoch grace argument stops the
-    ///   capture chain only because exempt readers are pure readers.
-    pub unsafe fn publish_hazards(&mut self, ptrs: &[*const u8]) -> bool {
-        let p = self.participant;
-        if p.nest.load(Ordering::Relaxed) != 1 || ptrs.len() > HAZARD_SLOTS {
-            return false;
-        }
-        // Slots first, then the coverage flag, then the re-announcement:
-        // the epoch can only run past this reader through an advance pass
-        // that saw `coverage`, and any sweep against that advanced epoch
-        // reads the view afterwards (SeqCst), so it sees these slots.
-        for (slot, &ptr) in p.hazards.iter().zip(ptrs) {
-            slot.store(ptr as usize, Ordering::SeqCst);
-        }
-        p.hazard_len.store(ptrs.len(), Ordering::SeqCst);
-        p.coverage.store(true, Ordering::SeqCst);
-        let mut e = self.domain.epoch.load(Ordering::SeqCst);
-        loop {
-            p.state.store((e << 1) | 1, Ordering::SeqCst);
-            let now = self.domain.epoch.load(Ordering::SeqCst);
-            if now == e {
-                break;
-            }
-            e = now;
-        }
-        p.blocked.store(0, Ordering::Relaxed);
-        true
-    }
 }
 
 impl Drop for Guard<'_> {
     fn drop(&mut self) {
         let p = self.participant;
-        if p.nest.fetch_sub(1, Ordering::Relaxed) == 1 {
-            p.coverage.store(false, Ordering::SeqCst);
+        let owners = p.owners.load(Ordering::Relaxed) - GUARD;
+        if owners < GUARD {
+            // The last guard unpins, before `set_owners` may release the
+            // slot to a new owner whose pin this store must not clobber.
             p.state.store(0, Ordering::SeqCst);
         }
-        p.unref();
+        p.set_owners(owners);
     }
 }
 
@@ -721,7 +477,7 @@ thread_local! {
 }
 
 /// Pins the global epoch domain for the calling thread. Re-entrant and
-/// cheap when already pinned (one counter bump).
+/// cheap when already pinned (one owner-word store).
 ///
 /// Every operation that dereferences nodes allocated through an epoch-aware
 /// [`crate::registry::Registry`] must run under a pin.
@@ -734,7 +490,7 @@ pub fn pin() -> Guard<'static> {
 /// True if the calling thread currently holds at least one guard on the
 /// global domain.
 pub fn is_pinned() -> bool {
-    ENTRY.with(|t| t.handle.participant.nest.load(Ordering::Relaxed) > 0)
+    ENTRY.with(|t| t.handle.participant.owners.load(Ordering::Relaxed) >= GUARD)
 }
 
 #[cfg(test)]
@@ -783,18 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn repin_catches_up_to_current_epoch() {
-        let d = leaked_domain();
-        let h = d.register();
-        let mut g = h.pin();
-        assert_eq!(d.try_advance(), 1);
-        assert_eq!(g.epoch(), 0);
-        g.repin();
-        assert_eq!(g.epoch(), 1);
-        assert_eq!(d.try_advance(), 2);
-    }
-
-    #[test]
     fn handle_drop_releases_slot_for_reuse() {
         let d = leaked_domain();
         let h1 = d.register();
@@ -811,26 +555,38 @@ mod tests {
     fn guard_outliving_its_handle_keeps_the_pin() {
         // Regression: dropping the Handle while a Guard lives must neither
         // unpin the participant nor release the slot for recycling — the
-        // guard holder is still reading shared memory.
-        let d = leaked_domain();
-        let h = d.register();
-        let p1 = h.participant as *const Participant;
-        let g = h.pin();
-        drop(h);
-        assert_eq!(d.pinned_participants(), 1, "still pinned through the guard");
-        assert_eq!(d.try_advance(), 1);
-        assert_eq!(d.try_advance(), 1, "guard blocks the second advance");
-        // A new registration must NOT recycle the still-guarded slot.
-        let h2 = d.register();
-        assert_ne!(h2.participant as *const Participant, p1);
-        drop(h2);
-        drop(g);
-        assert_eq!(d.pinned_participants(), 0);
-        // Now the slot is free again.
-        let h3 = d.register();
-        let p3 = h3.participant as *const Participant;
-        assert!(p3 == p1 || !p3.is_null());
-        assert_eq!(d.try_advance(), 2);
+        // guard holder is still reading shared memory. Inputs: one guard,
+        // and two nested guards dropped in either order.
+        for (guards, inner_first) in [(1, false), (2, false), (2, true)] {
+            let d = leaked_domain();
+            let h = d.register();
+            let p1 = h.participant as *const Participant;
+            let mut gs: Vec<Guard<'_>> = (0..guards).map(|_| h.pin()).collect();
+            if inner_first {
+                gs.reverse();
+            }
+            drop(h);
+            assert_eq!(d.pinned_participants(), 1, "still pinned through the guard");
+            assert_eq!(d.try_advance(), 1);
+            assert_eq!(d.try_advance(), 1, "guard blocks the second advance");
+            // Every guard but the last leaves the slot pinned and reserved.
+            while gs.len() > 1 {
+                drop(gs.remove(0));
+                assert_eq!(d.pinned_participants(), 1, "the last guard keeps the pin");
+                assert_eq!(d.try_advance(), 1, "the last guard blocks advances");
+            }
+            // A new registration must NOT recycle the still-guarded slot.
+            let h2 = d.register();
+            assert_ne!(h2.participant as *const Participant, p1);
+            drop(h2);
+            drop(gs);
+            assert_eq!(d.pinned_participants(), 0);
+            // Now the slot is free again.
+            let h3 = d.register();
+            let p3 = h3.participant as *const Participant;
+            assert!(p3 == p1 || !p3.is_null());
+            assert_eq!(d.try_advance(), 2);
+        }
     }
 
     #[test]
@@ -862,115 +618,40 @@ mod tests {
         assert_eq!(health.min_pin_lag, 1);
         assert!(health.max_blocked >= STALL_BLOCKED_THRESHOLD);
         assert_eq!(health.stalled_readers, 1);
-        assert_eq!(d.stalled_readers(STALL_BLOCKED_THRESHOLD), 1);
         // An unpinned participant is no longer a stalled *reader* …
         drop(g);
         assert_eq!(d.health().stalled_readers, 0);
-        // … and a fresh announcement (pin or repin) restarts the streak.
-        let mut g = h.pin();
+        // … and a fresh pin restarts the streak.
+        let g = h.pin();
         assert_eq!(d.health().stalled_readers, 0);
         assert!(d.try_advance() >= 2);
         for _ in 0..STALL_BLOCKED_THRESHOLD {
             d.try_advance();
         }
         assert_eq!(d.health().stalled_readers, 1);
-        g.repin();
-        assert_eq!(d.health().stalled_readers, 0, "repin clears the streak");
         drop(g);
     }
 
     #[test]
     fn stall_threshold_boundary_agrees_across_apis() {
+        // `stalled_readers` and `max_blocked` must flip together at the
+        // threshold.
         let d = leaked_domain();
         let h = d.register();
         let _g = h.pin();
         assert_eq!(d.try_advance(), 1);
-        // Exactly threshold − 1 refusals: not yet stalled, by both APIs.
+        // Exactly threshold − 1 refusals: not yet stalled.
         for _ in 0..STALL_BLOCKED_THRESHOLD - 1 {
             assert_eq!(d.try_advance(), 1);
         }
-        assert_eq!(d.stalled_readers(STALL_BLOCKED_THRESHOLD), 0);
-        assert_eq!(d.health().stalled_readers, 0);
-        // The refusal that reaches the threshold flips both APIs together.
-        assert_eq!(d.try_advance(), 1);
-        assert_eq!(d.stalled_readers(STALL_BLOCKED_THRESHOLD), 1);
-        assert_eq!(d.health().stalled_readers, 1);
-    }
-
-    #[test]
-    fn covered_stalled_reader_is_exempted_and_unfenced_on_resume() {
-        let d = leaked_domain();
-        let h = d.register();
-        let mut g = h.pin();
-        assert!(
-            unsafe { g.publish_hazards(&[]) },
-            "empty set is publishable"
-        );
-        assert_eq!(d.try_advance(), 1);
-        // Three refusals charge the streak …
-        for _ in 0..STALL_BLOCKED_THRESHOLD {
-            assert_eq!(d.try_advance(), 1);
-        }
-        assert!(!d.fenced());
-        // … and the next pass exempts the covered reader: the epoch runs
-        // past it instead of parking.
-        assert_eq!(d.try_advance(), 2);
-        assert!(d.fenced());
-        assert_eq!(d.try_advance(), 3);
         let health = d.health();
-        assert!(health.fenced);
-        assert_eq!(health.covered_readers, 1);
-        assert_eq!(health.stalled_readers, 1);
-        assert_eq!(d.hazard_view(), Some(Vec::new()));
-        // Resuming (repin) ends coverage; the next complete pass unfences.
-        g.repin();
-        assert!(d.hazard_view().is_none());
-        assert_eq!(d.try_advance(), 4);
-        assert!(!d.fenced());
-        drop(g);
-    }
-
-    #[test]
-    fn uncovered_stalled_reader_still_parks_the_epoch() {
-        let d = leaked_domain();
-        let h = d.register();
-        let g = h.pin();
+        assert_eq!(health.stalled_readers, 0);
+        assert_eq!(health.max_blocked, STALL_BLOCKED_THRESHOLD - 1);
+        // The refusal that reaches the threshold flips both gauges.
         assert_eq!(d.try_advance(), 1);
-        // Exemption is opt-in: without a published hazard set the stalled
-        // reader keeps blocking, however long the streak grows.
-        for _ in 0..STALL_BLOCKED_THRESHOLD + 5 {
-            assert_eq!(d.try_advance(), 1);
-        }
-        assert!(!d.fenced());
-        drop(g);
-    }
-
-    #[test]
-    fn hazard_view_collects_published_pointers_sorted() {
-        let d = leaked_domain();
-        let h = d.register();
-        let mut g = h.pin();
-        assert!(d.hazard_view().is_none(), "no coverage, no view");
-        let a = 0x1000 as *const u8;
-        let b = 0x200 as *const u8;
-        assert!(unsafe { g.publish_hazards(&[a, b]) });
-        assert_eq!(d.hazard_view(), Some(vec![0x200, 0x1000]));
-        // Oversized sets are refused without touching the published state.
-        let big = [core::ptr::null::<u8>(); HAZARD_SLOTS + 1];
-        assert!(!unsafe { g.publish_hazards(&big) });
-        assert_eq!(d.hazard_view(), Some(vec![0x200, 0x1000]));
-        // Nested guards cannot publish (and do not clear coverage).
-        {
-            let mut g2 = h.pin();
-            assert!(!unsafe { g2.publish_hazards(&[]) });
-        }
-        assert_eq!(d.hazard_view(), Some(vec![0x200, 0x1000]));
-        // A fresh pin after unpinning starts an uncovered session.
-        drop(g);
-        assert!(d.hazard_view().is_none());
-        let g = h.pin();
-        assert!(d.hazard_view().is_none());
-        drop(g);
+        let health = d.health();
+        assert_eq!(health.stalled_readers, 1);
+        assert_eq!(health.max_blocked, STALL_BLOCKED_THRESHOLD);
     }
 
     #[test]

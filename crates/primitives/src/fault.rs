@@ -610,8 +610,12 @@ mod imp {
             action = FaultAction::Stall;
         }
         FIRED_TOTAL.fetch_add(1, Ordering::SeqCst);
-        telemetry::add(Counter::FaultsInjected, 1);
-        telemetry::flight(FlightKind::Fault, point as i64, action as u64);
+        telemetry::event(
+            Counter::FaultsInjected,
+            FlightKind::Fault,
+            point as i64,
+            action as u64,
+        );
         {
             let mut log = lock(&LOG);
             if log.len() >= LOG_CAP {

@@ -12,11 +12,10 @@
 //!   substrate for Harris-style lock-free linked lists.
 //! * [`epoch`] — epoch-based reclamation (global epoch, per-thread
 //!   participants, pinning guards): the stand-in for the garbage collector
-//!   the paper's model assumes. Runs a hybrid epoch + hazard-pointer mode
-//!   on hostile schedulers: a stalled reader that published a bounded
-//!   hazard set ([`epoch::Guard::publish_hazards`]) is exempted from
-//!   epoch advance, and fenced sweeps reclaim around its published
-//!   pointers instead of parking the backlog (see the module docs).
+//!   the paper's model assumes. A pin announces the epoch and nothing
+//!   else; a thread descheduled inside an operation delays reclamation
+//!   until it runs again, and the domain's health gauges report it as a
+//!   stalled reader (see the module docs).
 //! * [`registry`] — the epoch-aware allocation registry through which every
 //!   node is allocated, retired, and accounted (bounded garbage under
 //!   churn; see the module docs). Per-thread node pools

@@ -184,19 +184,20 @@ impl<T> PoolNode<T> {
     }
 }
 
-/// A Treiber stack of pool nodes: lock-free push, single-consumer drain.
-/// The head is cache-padded: limbo, pending, and free-stock heads would
-/// otherwise share lines with each other and the counters.
+/// A Treiber stack of pool nodes: lock-free push, detach-everything
+/// drain. The head is cache-padded: limbo, pending, and free-stock heads
+/// would otherwise share lines with each other and the counters.
 struct GarbageStack<T> {
     head: CachePadded<AtomicPtr<PoolNode<T>>>,
-    /// Approximate node count — the limbo/pending **depth gauge** of the
-    /// telemetry snapshot. Pushers add *before* the publishing CAS (so
-    /// every node in the stack is already counted and `take_all`'s
-    /// subtraction can never underflow); a concurrent snapshot may
-    /// transiently over-read by the in-flight pushers. Relaxed throughout:
-    /// nothing synchronizes through it. Maintained as a counter because
-    /// the chains themselves are walkable only by their exclusive owner
-    /// (the links are `Cell`s).
+    /// Node count — the limbo/pending/free-stock **depth gauge** of the
+    /// telemetry snapshot. Pushers add *before* the publishing CAS, and a
+    /// consumer subtracts only nodes it detached and disposed of
+    /// ([`GarbageStack::settle`]), so the count never underflows and no
+    /// one walks a chain to keep it. A detached chain stays counted until
+    /// it is settled, and its remainder goes back uncounted
+    /// ([`GarbageStack::reattach`]). Exact at quiescence; a concurrent
+    /// snapshot may over-read by in-flight pushes and unsettled drains.
+    /// Relaxed throughout: nothing synchronizes through it.
     len: AtomicUsize,
 }
 
@@ -212,8 +213,8 @@ impl<T> GarbageStack<T> {
         self.push_span(node, node, 1);
     }
 
-    /// Pushes a pre-linked chain of `n` nodes whose first and last are
-    /// known — O(1), the batch operation bag flushes rely on.
+    /// Pushes a pre-linked chain whose first and last are known, adding
+    /// `n` to the gauge — O(1), the batch operation bag flushes rely on.
     fn push_span(&self, first: *mut PoolNode<T>, last: *mut PoolNode<T>, n: usize) {
         debug_assert!(!first.is_null() && !last.is_null());
         self.len.fetch_add(n, Ordering::Relaxed);
@@ -230,8 +231,8 @@ impl<T> GarbageStack<T> {
         }
     }
 
-    /// Re-attaches a detached chain of unknown length (sweep-guard
-    /// remainder), walking to its tail first.
+    /// Pushes a chain of new nodes of unknown length, walking to its tail
+    /// to count them (bag flushes; at most `BAG_CAP` nodes).
     fn push_chain(&self, chain: *mut PoolNode<T>) {
         if chain.is_null() {
             return;
@@ -245,25 +246,38 @@ impl<T> GarbageStack<T> {
         self.push_span(chain, tail, n);
     }
 
-    /// Detaches the whole chain (callers iterate it exclusively).
+    /// Detaches the whole chain; the caller iterates it exclusively and
+    /// settles the depth gauge for what it consumes.
     fn take_all(&self) -> *mut PoolNode<T> {
-        let chain = self.head.swap(core::ptr::null_mut(), Ordering::SeqCst);
-        if !chain.is_null() {
-            // The detached chain is exclusively ours: count it and settle
-            // the gauge. Every node in it was counted before it was
-            // published (see `push_span`), so this never underflows.
-            let mut n = 0usize;
-            let mut cur = chain;
-            while !cur.is_null() {
-                n += 1;
-                cur = unsafe { (*cur).next.get() };
-            }
-            self.len.fetch_sub(n, Ordering::Relaxed);
-        }
-        chain
+        self.head.swap(core::ptr::null_mut(), Ordering::SeqCst)
     }
 
-    /// The depth gauge (approximate; see `len`).
+    /// Uncounts `n` detached nodes that left this stack for good.
+    fn settle(&self, n: usize) {
+        self.len.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Puts back the unconsumed remainder of a detached chain, which the
+    /// gauge still counts. Usually nothing was pushed since the detach,
+    /// and one CAS from empty re-attaches the chain without walking it.
+    fn reattach(&self, chain: *mut PoolNode<T>) {
+        let (empty, order) = (core::ptr::null_mut(), Ordering::SeqCst);
+        if chain.is_null()
+            || self
+                .head
+                .compare_exchange(empty, chain, order, order)
+                .is_ok()
+        {
+            return;
+        }
+        let mut tail = chain;
+        while !unsafe { (*tail).next.get() }.is_null() {
+            tail = unsafe { (*tail).next.get() };
+        }
+        self.push_span(chain, tail, 0);
+    }
+
+    /// The depth gauge (see `len`).
     fn depth(&self) -> usize {
         self.len.load(Ordering::Relaxed)
     }
@@ -380,32 +394,61 @@ thread_local! {
 /// Source of never-reused registry ids (the thread-cache keys).
 static REGISTRY_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// Scope guard for [`Registry::collect`] drains: clears the `sweeping` flag
-/// and re-attaches the not-yet-examined remainder of a detached garbage
-/// chain on every exit path. Sweeps run user code ([`Reclaim`] hooks, node
-/// `Drop`s); without this guard a single panic in one of them would leave
-/// `sweeping` stuck `true` — silently disabling reclamation on the registry
-/// forever — and leak the rest of the detached chain.
-struct SweepGuard<'a, T> {
-    reg: &'a Registry<T>,
-    /// Detached chain not yet examined by the current drain loop.
-    rest: Cell<*mut PoolNode<T>>,
-    /// Which stack `rest` was detached from (and is re-attached to).
-    rest_is_limbo: Cell<bool>,
+/// Clears a flag on every exit path. Sweeps and pool steals run user code
+/// ([`Reclaim`] hooks, node `Drop`s); without this guard a single panic in
+/// one of them would leave `sweeping` stuck `true` — silently disabling
+/// reclamation on the registry forever — or leave a stolen pool claimed by
+/// no thread, its free stock stranded until registry drop.
+struct ClearOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for ClearOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
 }
 
-impl<T> Drop for SweepGuard<'_, T> {
-    fn drop(&mut self) {
-        let chain = self.rest.get();
-        if !chain.is_null() {
-            let stack = if self.rest_is_limbo.get() {
-                &self.reg.limbo
-            } else {
-                &self.reg.pending
-            };
-            stack.push_chain(chain);
+/// A sweep's exclusive pass over one detached garbage chain, yielding each
+/// node with its readiness gate probed. The probe is user code, so it runs
+/// *before* the node leaves the remainder: a panicking hook leaves its node
+/// on the chain. On every exit path the drop settles the stack's depth
+/// gauge for the nodes taken and re-attaches the unexamined remainder, so a
+/// panic loses at most the one node it panicked on, never the backlog.
+struct Drain<'a, T> {
+    stack: &'a GarbageStack<T>,
+    rest: *mut PoolNode<T>,
+    taken: usize,
+}
+
+impl<'a, T> Drain<'a, T> {
+    fn new(stack: &'a GarbageStack<T>) -> Self {
+        Self {
+            stack,
+            rest: stack.take_all(),
+            taken: 0,
         }
-        self.reg.sweeping.store(false, Ordering::SeqCst);
+    }
+}
+
+impl<T: Reclaim> Iterator for Drain<'_, T> {
+    type Item = (*mut PoolNode<T>, bool);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let cur = self.rest;
+        if cur.is_null() {
+            return None;
+        }
+        let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
+        self.rest = unsafe { (*cur).next.get() };
+        unsafe { (*cur).next.set(core::ptr::null_mut()) };
+        self.taken += 1;
+        Some((cur, ready))
+    }
+}
+
+impl<T> Drop for Drain<'_, T> {
+    fn drop(&mut self) {
+        self.stack.settle(self.taken);
+        self.stack.reattach(self.rest);
     }
 }
 
@@ -439,10 +482,6 @@ struct Counters {
     recycled: AtomicUsize,
     /// Values destroyed (reclaimed, deallocated, teardown-freed).
     reclaimed: AtomicUsize,
-    /// Values destroyed by fenced sweeps — reclamations that ran against a
-    /// hazard filter while a stalled reader was exempted (a subset of
-    /// `reclaimed`: the backlog drained *under* the stall).
-    fenced: AtomicUsize,
     /// Nodes returned to the heap.
     freed: AtomicUsize,
 }
@@ -489,10 +528,9 @@ pub struct Registry<T> {
     /// Retired garbage whose `ready_to_reclaim` gate was still closed.
     pending: GarbageStack<T>,
     /// Shared stock of recycled nodes (values dropped), refilled by sweeps
-    /// and drained in batches into local free lists.
+    /// and drained in batches into local free lists. Its depth gauge
+    /// enforces [`SHARED_FREE_CAP`].
     free: GarbageStack<T>,
-    /// Approximate size of `free` (enforces [`SHARED_FREE_CAP`]).
-    free_len: AtomicUsize,
     /// All pools ever created for this registry (claimed or released).
     pools: AtomicPtr<CachePadded<LocalPool<T>>>,
     /// Fallback-path retires since the last sweep (the pooled path sweeps
@@ -530,13 +568,11 @@ impl<T> Registry<T> {
                 fresh: AtomicUsize::new(0),
                 recycled: AtomicUsize::new(0),
                 reclaimed: AtomicUsize::new(0),
-                fenced: AtomicUsize::new(0),
                 freed: AtomicUsize::new(0),
             }),
             limbo: GarbageStack::new(),
             pending: GarbageStack::new(),
             free: GarbageStack::new(),
-            free_len: AtomicUsize::new(0),
             pools: AtomicPtr::new(core::ptr::null_mut()),
             retired_since_sweep: AtomicUsize::new(0),
             sweeping: AtomicBool::new(false),
@@ -652,7 +688,6 @@ impl<T> Registry<T> {
         if chain.is_null() {
             return core::ptr::null_mut();
         }
-        let mut taken = 1usize;
         let mut kept = 0usize;
         let mut cur = unsafe { (*chain).next.get() };
         let mut local_head: *mut PoolNode<T> = core::ptr::null_mut();
@@ -661,15 +696,12 @@ impl<T> Registry<T> {
             unsafe { (*cur).next.set(local_head) };
             local_head = cur;
             kept += 1;
-            taken += 1;
             cur = next;
         }
-        if !cur.is_null() {
-            self.free.push_chain(cur);
-        }
+        self.free.settle(1 + kept);
+        self.free.reattach(cur);
         pool.free.set(local_head);
         pool.free_len.set(kept);
-        self.free_len.fetch_sub(taken, Ordering::Relaxed);
         chain
     }
 
@@ -690,8 +722,7 @@ impl<T> Registry<T> {
                 return;
             }
         }
-        if self.free_len.load(Ordering::Relaxed) < SHARED_FREE_CAP {
-            self.free_len.fetch_add(1, Ordering::Relaxed);
+        if self.free.depth() < SHARED_FREE_CAP {
             self.free.push(node);
             return;
         }
@@ -864,11 +895,10 @@ impl<T> Registry<T> {
         self.pending
             .push_chain(flush.deferred.replace(core::ptr::null_mut()));
         // `flush` drops with empty cells: nothing to re-route.
-        telemetry::add(Counter::BagFlushes, 1);
         // One flight event per flushed batch (not per retire: a per-retire
         // event would both flood the 128-entry ring and put a globally
         // contended sequence fetch on the update hot path).
-        telemetry::flight(FlightKind::Retire, -1, batch);
+        telemetry::event(Counter::BagFlushes, FlightKind::Retire, -1, batch);
     }
 
     /// Steals the chains of pools released by exited threads, so their
@@ -877,17 +907,6 @@ impl<T> Registry<T> {
     where
         T: Reclaim,
     {
-        /// Releases a transient steal claim on every exit path: the bag
-        /// flush probes user gates, and a panic there must not leave the
-        /// pool permanently claimed by no thread (its free stock stranded,
-        /// the slot unclaimable until registry drop).
-        struct ClaimGuard<'a>(&'a AtomicBool);
-        impl Drop for ClaimGuard<'_> {
-            fn drop(&mut self) {
-                self.0.store(false, Ordering::SeqCst);
-            }
-        }
-
         let mut cur = self.pools.load(Ordering::SeqCst);
         while !cur.is_null() {
             let p = unsafe { &**cur };
@@ -896,8 +915,9 @@ impl<T> Registry<T> {
                     .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
             {
-                // Transient claim: we own the cells until the guard drops.
-                let claim = ClaimGuard(&p.claimed);
+                // Transient claim: we own the cells until the guard drops
+                // (a panicking gate probe in the flush releases it too).
+                let claim = ClearOnDrop(&p.claimed);
                 self.flush_bag(p);
                 let mut f = p.free.get();
                 p.free.set(core::ptr::null_mut());
@@ -929,17 +949,11 @@ impl<T> Registry<T> {
         if self.sweeping.swap(true, Ordering::SeqCst) {
             return;
         }
+        // Everything below runs user code (`Reclaim` hooks, node `Drop`s):
+        // the guard clears `sweeping` on every exit path, panics included.
+        let _sweeping = ClearOnDrop(&self.sweeping);
         telemetry::add(Counter::Sweeps, 1);
         let _t = telemetry::trace::phase(telemetry::trace::TracePhase::Reclaim);
-        // Everything below runs user code (`Reclaim` hooks, node `Drop`s);
-        // the guard clears `sweeping` and re-attaches the unexamined chain
-        // remainder on every exit path, panics included. A panicking hook
-        // loses at most the one node it panicked on, never the sweeper.
-        let sweep = SweepGuard {
-            reg: self,
-            rest: Cell::new(core::ptr::null_mut()),
-            rest_is_limbo: Cell::new(false),
-        };
         // Batch the buffered retires in before advancing, so this sweep
         // already ages them: the caller's own bag first, then the bags (and
         // free stock) of pools whose threads have exited.
@@ -949,9 +963,9 @@ impl<T> Registry<T> {
         }
         self.steal_released_pools();
         // Attempt up to GRACE advances: each one individually re-proves
-        // that every pinned participant has caught up (or is exempt), so at
-        // quiescent moments a single sweep ages garbage all the way out
-        // instead of one epoch per sweep.
+        // that every pinned participant has caught up, so at quiescent
+        // moments a single sweep ages garbage all the way out instead of
+        // one epoch per sweep.
         let mut global = self.domain.epoch();
         for _ in 0..GRACE_EPOCHS {
             let next = self.domain.try_advance();
@@ -960,29 +974,12 @@ impl<T> Registry<T> {
             }
             global = next;
         }
-        // The fenced-sweep filter: the union of hazard pointers published
-        // by covered pinned readers (usually `None`). Taken *after* the
-        // `global` snapshot the frees below age against — the epoch can
-        // only have run past a stalled reader through an advance that
-        // observed its coverage, so a view read here is guaranteed to
-        // contain that reader's set (see `Domain::hazard_view`).
-        let hazards = self.domain.hazard_view();
         // Deferred nodes whose gate opened re-enter limbo. The pending set
         // is drained on every sweep — its size is bounded by the gates
         // themselves (≤ one DEL per occupied dNodePtr slot, live `target`
         // edges, in-flight operations), not by the retire history, and a
         // prompt restamp starts the grace clock as early as possible.
-        sweep.rest.set(self.pending.take_all());
-        loop {
-            let cur = sweep.rest.get();
-            if cur.is_null() {
-                break;
-            }
-            // Probe the gate before detaching the node, so a panicking hook
-            // leaves it on the re-attached chain instead of leaking it.
-            let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
-            sweep.rest.set(unsafe { (*cur).next.get() });
-            unsafe { (*cur).next.set(core::ptr::null_mut()) };
+        for (cur, ready) in Drain::new(&self.pending) {
             if ready {
                 // Restamp with a fresh epoch read taken *after* the gate
                 // opened. The sweeper holds no pin, so the global epoch can
@@ -1009,48 +1006,20 @@ impl<T> Registry<T> {
         // long-pinned reader from turning the writers' amortized sweeps
         // into quadratic work.
         if self.last_swept_epoch.load(Ordering::SeqCst) == global {
-            return; // `sweep` clears the flag
+            return;
         }
 
-        sweep.rest_is_limbo.set(true);
-        sweep.rest.set(self.limbo.take_all());
-        loop {
-            let cur = sweep.rest.get();
-            if cur.is_null() {
-                break;
-            }
-            // The readiness re-check matters: a thread pinned since before
-            // the retirement may have taken a new long-lived reference
-            // (e.g. a `target` edge) while the node aged in limbo.
-            let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
-            sweep.rest.set(unsafe { (*cur).next.get() });
-            unsafe { (*cur).next.set(core::ptr::null_mut()) };
+        // The readiness re-check matters: a thread pinned since before the
+        // retirement may have taken a new long-lived reference (e.g. a
+        // `target` edge) while the node aged in limbo.
+        for (cur, ready) in Drain::new(&self.limbo) {
             if ready && unsafe { (*cur).epoch.get() } + GRACE_EPOCHS <= global {
                 // `global` is a snapshot from before the drains, so this
                 // comparison only under-approximates eligibility — safe.
                 let vp = PoolNode::value_ptr(cur);
-                if hazards
-                    .as_ref()
-                    .is_some_and(|set| set.binary_search(&(vp as usize)).is_ok())
-                {
-                    // Past its grace period but published as a hazard by an
-                    // exempt stalled reader: back into limbo, however old
-                    // the stamp — the hazard set, not the epoch, protects
-                    // that reader now.
-                    telemetry::add(Counter::HazardDeferrals, 1);
-                    self.limbo.push(cur);
-                    continue;
-                }
                 unsafe { (*vp).on_reclaim() };
                 unsafe { core::ptr::drop_in_place(vp) };
                 self.counters.reclaimed.fetch_add(1, Ordering::Relaxed);
-                if hazards.is_some() {
-                    // Reclaimed while a hazard filter was active: the
-                    // backlog is draining under a stalled reader instead of
-                    // parking behind it.
-                    self.counters.fenced.fetch_add(1, Ordering::Relaxed);
-                    telemetry::add(Counter::FencedReclaimed, 1);
-                }
                 // The emptied slot goes back into circulation instead of to
                 // the allocator — the whole point of the pools.
                 unsafe { self.recycle_node(cur, own_pool) };
@@ -1061,7 +1030,6 @@ impl<T> Registry<T> {
             }
         }
         self.last_swept_epoch.store(global, Ordering::SeqCst);
-        drop(sweep);
     }
 
     /// Runs enough quiescent sweeps to age out everything retired so far
@@ -1106,14 +1074,6 @@ impl<T> Registry<T> {
         self.counters.reclaimed.load(Ordering::Relaxed)
     }
 
-    /// Values destroyed by fenced sweeps — sweeps that filtered against a
-    /// published hazard set because a stalled reader was exempted from
-    /// blocking epoch advances. A subset of [`Registry::reclaimed`]; it
-    /// growing is the proof that the backlog drains *under* a stall.
-    pub fn fenced_reclaimed(&self) -> usize {
-        self.counters.fenced.load(Ordering::Relaxed)
-    }
-
     /// Value-resident nodes: `created − reclaimed`. Under churn this stays
     /// bounded (the memory-bound suite's metric); under the old drop-only
     /// arena it equalled the cumulative count.
@@ -1137,8 +1097,8 @@ impl<T> Registry<T> {
     ///
     /// Everything is Relaxed-loaded and approximate under concurrency, but
     /// exact at quiescence — a parked epoch shows up as a growing `limbo`
-    /// depth, which is precisely the hazard the ROADMAP's
-    /// reclamation-robustness item wants observable.
+    /// depth. The depths are counters kept by the stacks' pushers and
+    /// consumers, so sampling them walks nothing.
     pub fn health(&self, label: &'static str) -> ReclaimHealth {
         let live = self.live();
         let resident = self.resident();
@@ -1146,14 +1106,13 @@ impl<T> Registry<T> {
             label,
             limbo: self.limbo.depth(),
             pending: self.pending.depth(),
-            free_stock: self.free_len.load(Ordering::Relaxed),
+            free_stock: self.free.depth(),
             pooled: resident.saturating_sub(live),
             live,
             resident,
             fresh: self.allocated(),
             recycled: self.recycled(),
             reclaimed: self.reclaimed(),
-            fenced_reclaimed: self.fenced_reclaimed(),
         }
     }
 
@@ -1327,52 +1286,6 @@ mod tests {
     }
 
     #[test]
-    fn fenced_sweep_drains_backlog_past_an_exempt_stalled_reader() {
-        let domain = leaked_domain();
-        let retirer = domain.register();
-        let reader = domain.register();
-        let drops = Arc::new(StdAtomicUsize::new(0));
-        let reg: Registry<CountsDrops> = Registry::new_in(domain);
-
-        // The reader pins, keeps one node's pointer in hand, publishes it
-        // as its hazard set, and then "suspends" (never re-announces).
-        let held = reg.alloc(CountsDrops(Arc::clone(&drops)));
-        let mut reader_guard = reader.pin();
-        assert!(unsafe { reader_guard.publish_hazards(&[held as *const u8]) });
-
-        // A writer retires the held node plus a batch of others.
-        let g = retirer.pin();
-        unsafe { reg.retire(held, &g) };
-        for _ in 0..10 {
-            let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
-            unsafe { reg.retire(p, &g) };
-        }
-        drop(g);
-
-        // Pure-epoch sweeps would park all 11 nodes behind the stalled
-        // reader. With the published hazard set the blocked streak builds,
-        // the reader is exempted, and everything except the held node
-        // drains while it is still pinned.
-        reg.flush();
-        assert_eq!(
-            drops.load(StdOrdering::SeqCst),
-            10,
-            "the backlog must drain under the stall"
-        );
-        assert_eq!(reg.live(), 1, "the hazard-published node must survive");
-        assert!(reg.fenced_reclaimed() >= 10);
-        assert!(domain.fenced());
-
-        // Resume: unpinning ends coverage, the domain unfences, and the
-        // deferred node ages out normally.
-        drop(reader_guard);
-        reg.flush();
-        assert_eq!(drops.load(StdOrdering::SeqCst), 11);
-        assert_eq!(reg.live(), 0);
-        assert!(!domain.fenced());
-    }
-
-    #[test]
     fn no_recycle_under_pre_retirement_pin() {
         // The pooled flavour of the invariant above: a node must never
         // re-enter a free list (and be handed out again) while a thread
@@ -1433,6 +1346,60 @@ mod tests {
         open.store(true, Ordering::SeqCst);
         reg.flush();
         assert_eq!(reg.live(), 0);
+    }
+
+    #[test]
+    fn depth_gauges_are_exact_at_quiescence() {
+        // The limbo/pending/free-stock gauges are counters settled by each
+        // consumer, not walks: check them exactly at every hand-off.
+        const UNGATED: usize = 100;
+        const GATED: usize = 60;
+        let domain = leaked_domain();
+        let handle = domain.register();
+        let reg: Registry<Gated> = Registry::new_in(domain);
+        let always = Arc::new(AtomicBool::new(true));
+        let gate = Arc::new(AtomicBool::new(false));
+        let alloc = |open: &Arc<AtomicBool>| {
+            reg.alloc(Gated {
+                open: Arc::clone(open),
+            })
+        };
+        let gauges = || {
+            let h = reg.health("gated");
+            (h.limbo, h.pending, h.free_stock)
+        };
+        let nodes: Vec<_> = (0..UNGATED + GATED)
+            .map(|i| alloc(if i < UNGATED { &always } else { &gate }))
+            .collect();
+        let g = handle.pin(); // nothing ages out while the batch retires
+        for p in nodes {
+            unsafe { reg.retire(p, &g) };
+        }
+        drop(g);
+
+        // Ungated nodes age out: the sweeper's free list takes the first
+        // LOCAL_FREE_CAP, the shared stock the rest; gated ones wait.
+        reg.flush();
+        assert_eq!(gauges(), (0, GATED, UNGATED - LOCAL_FREE_CAP));
+        // The gate opens: one sweep moves them pending → limbo with a
+        // fresh stamp, too young to free yet.
+        gate.store(true, Ordering::SeqCst);
+        reg.collect();
+        assert_eq!(gauges(), (GATED, 0, UNGATED - LOCAL_FREE_CAP));
+        // They age out limbo → free stock (the local list is full).
+        reg.flush();
+        let stock = UNGATED + GATED - LOCAL_FREE_CAP;
+        assert!(stock > LOCAL_FREE_CAP + 1);
+        assert_eq!(gauges(), (0, 0, stock));
+        // Empty the local free list; the next allocation refills it from
+        // the stock, keeping one node plus LOCAL_FREE_CAP and re-attaching
+        // the remainder.
+        let again: Vec<_> = (0..=LOCAL_FREE_CAP).map(|_| alloc(&always)).collect();
+        assert_eq!(reg.allocated(), UNGATED + GATED, "served from the pools");
+        assert_eq!(gauges(), (0, 0, stock - LOCAL_FREE_CAP - 1));
+        for p in again {
+            unsafe { reg.dealloc(p) };
+        }
     }
 
     #[test]
@@ -1575,11 +1542,28 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.collect()));
         assert!(result.is_err(), "the hook panic must propagate");
         assert_eq!(reg.live(), 3, "nothing may leak across the panic");
+        // The flush guard routed all three to `pending`. Panic again inside
+        // the pending drain (node 0, probed first, moves to limbo), then
+        // inside the limbo drain: each drain re-attaches its remainder and
+        // settles its depth gauge exactly.
+        let gauges = || {
+            let h = reg.health("panicky");
+            (h.limbo, h.pending)
+        };
+        assert_eq!(gauges(), (0, 3));
+        for (armed, after) in [(1, (1, 2)), (0, (3, 0))] {
+            flags[armed].store(true, Ordering::SeqCst);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.collect()));
+            assert!(result.is_err(), "the drain panic must propagate");
+            assert_eq!(gauges(), after);
+            assert_eq!(reg.live(), 3, "nothing may leak across the panic");
+        }
         // `sweeping` is clear and the chains are back: once the hook stops
-        // panicking, everything still ages out.
+        // panicking, everything still ages out, and the gauges agree.
         reg.flush();
         assert_eq!(reg.reclaimed(), 3);
         assert_eq!(reg.live(), 0);
+        assert_eq!(gauges(), (0, 0));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests for the epoch-reclamation subsystem: arbitrary
-//! pin/repin/unpin/retire/sweep schedules over a private domain, checked
+//! pin/unpin/retire/sweep/advance schedules over a private domain, checked
 //! against the safety invariant that makes [`lftrie_primitives::epoch`]'s
 //! guards meaningful:
 //!
@@ -9,15 +9,8 @@
 //! (the implementation is stricter — a free needs three advances past the
 //! retire epoch — but this is the property unsafe readers rely on), plus
 //! liveness (a quiescent flush reclaims everything), limbo-bag rotation,
-//! and the readiness gate of deferred retirement.
-//!
-//! The hybrid-reclamation schedules (`hazard_published_items_survive_
-//! fenced_sweeps`) additionally cover the fenced mode of ISSUE 8: a
-//! participant that publishes a hazard-pointer set weakens the epoch
-//! invariant for *itself* — sweeps may reclaim past its pin — so the
-//! property splits in two: uncovered pins retain the full epoch guarantee,
-//! and hazard-published items are never freed while their publisher stays
-//! pinned, whatever the schedule does around them.
+//! the readiness gate of deferred retirement, and slot ownership across
+//! nested guards and unwinding.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,7 +41,7 @@ impl Drop for Tracked {
 
 /// One step of a schedule: `(op, participant index)`.
 fn schedules() -> impl Strategy<Value = Vec<(u8, usize)>> {
-    proptest::collection::vec((0u8..6, 0usize..PARTICIPANTS), 1..150)
+    proptest::collection::vec((0u8..5, 0usize..PARTICIPANTS), 1..150)
 }
 
 struct Sim {
@@ -133,18 +126,8 @@ proptest! {
                 // Sweep.
                 3 => sim.reg.collect(),
                 // Bare epoch advance.
-                4 => {
-                    sim.domain.try_advance();
-                }
-                // Repin: the guard catches up; its recorded epoch must only
-                // ever grow.
                 _ => {
-                    if let Some((g, e)) = sim.guards[idx].as_mut() {
-                        let before = *e;
-                        g.repin();
-                        *e = g.epoch();
-                        prop_assert!(*e >= before, "repin must never move backwards");
-                    }
+                    sim.domain.try_advance();
                 }
             }
             sim.check_invariant();
@@ -302,129 +285,6 @@ proptest! {
     }
 
     #[test]
-    fn hazard_published_items_survive_fenced_sweeps(
-        ops in proptest::collection::vec((0u8..8, 0usize..PARTICIPANTS), 1..150)
-    ) {
-        // Arbitrary pin / publish / stall / sweep / resume interleavings of
-        // the hybrid mode. Each participant may retire an item through its
-        // held guard and publish it as a hazard; sweeps and bare advances
-        // then run fenced whenever a covered stalled reader exists. Two
-        // invariants, checked after every step:
-        //
-        // 1. A freed item was never protected by an *uncovered* pin at or
-        //    before its retire epoch (the classic epoch guarantee, which
-        //    coverage must not weaken for bystanders), and
-        // 2. a hazard-published item is never freed while its publisher
-        //    still holds the pin — however far the epoch ran past it.
-        let domain: &'static Domain = Box::leak(Box::new(Domain::new()));
-        let handles: Vec<Handle<'static>> =
-            (0..PARTICIPANTS).map(|_| domain.register()).collect();
-        let reg: Registry<Tracked> = Registry::new_in(domain);
-        // Per participant: outermost guard, its announced epoch, and the
-        // freed-flag of its currently hazard-published item (if any).
-        type CoveredSlot = Option<(Guard<'static>, u64, Option<Arc<AtomicBool>>)>;
-        let mut guards: Vec<CoveredSlot> = (0..PARTICIPANTS).map(|_| None).collect();
-        let mut items: Vec<(u64, Arc<AtomicBool>)> = Vec::new();
-        for (op, idx) in ops {
-            match op {
-                // Pin (outermost; pinning clears any stale coverage).
-                0 => {
-                    if guards[idx].is_none() {
-                        let g = handles[idx].pin();
-                        let e = g.epoch();
-                        guards[idx] = Some((g, e, None));
-                    }
-                }
-                // Unpin: drops the pin and withdraws the hazard set.
-                1 => {
-                    guards[idx] = None;
-                }
-                // Retire a fresh item through a transient (possibly
-                // nested) guard.
-                2 => {
-                    let freed = Arc::new(AtomicBool::new(false));
-                    let p = reg.alloc(Tracked { freed: Arc::clone(&freed), gate: None });
-                    let g = handles[idx].pin();
-                    let retire_epoch = domain.epoch();
-                    unsafe { reg.retire(p, &g) };
-                    items.push((retire_epoch, freed));
-                }
-                // Sweep (fenced whenever a covered stalled reader exists).
-                3 => reg.collect(),
-                // Bare advance: this is what eventually trips the blocked
-                // streak of a stalled participant past the exemption
-                // threshold.
-                4 => {
-                    domain.try_advance();
-                }
-                // Resume: repin catches the participant up and withdraws
-                // its coverage.
-                5 => {
-                    if let Some((g, e, cover)) = guards[idx].as_mut() {
-                        g.repin();
-                        *e = g.epoch();
-                        *cover = None;
-                    }
-                }
-                // Publish: retire a fresh item through the held guard and
-                // hazard-publish it (replacing any earlier set — the
-                // replaced item reverts to epoch protection only, which
-                // its publisher's old pin no longer provides).
-                _ => {
-                    if let Some((g, e, cover)) = guards[idx].as_mut() {
-                        let freed = Arc::new(AtomicBool::new(false));
-                        let p = reg.alloc(Tracked { freed: Arc::clone(&freed), gate: None });
-                        let retire_epoch = domain.epoch();
-                        unsafe { reg.retire(p, &*g) };
-                        // SAFETY: `p` was retired through this still-held
-                        // pin one line up, nothing dereferences it, and it
-                        // is never re-published into shared memory.
-                        let published = unsafe { g.publish_hazards(&[p as *const u8]) };
-                        prop_assert!(published, "outermost guard must accept one hazard");
-                        // Publication re-announces: the pin catches up.
-                        *e = g.epoch();
-                        *cover = Some(Arc::clone(&freed));
-                        items.push((retire_epoch, freed));
-                    }
-                }
-            }
-            // Invariant 1: uncovered pins keep the full epoch guarantee.
-            for (retire_epoch, freed) in &items {
-                if freed.load(Ordering::SeqCst) {
-                    for slot in guards.iter().flatten() {
-                        let (_, pin_epoch, cover) = slot;
-                        if cover.is_none() {
-                            prop_assert!(
-                                pin_epoch > retire_epoch,
-                                "item retired at epoch {} freed under an uncovered pin at {}",
-                                retire_epoch, pin_epoch
-                            );
-                        }
-                    }
-                }
-            }
-            // Invariant 2: published hazards hold whatever the epoch does.
-            for slot in guards.iter().flatten() {
-                if let (_, _, Some(freed)) = slot {
-                    prop_assert!(
-                        !freed.load(Ordering::SeqCst),
-                        "hazard-published item freed while its publisher is pinned"
-                    );
-                }
-            }
-        }
-        // Quiescence: a fenced history must strand nothing — the flush
-        // reaches the same floor as a pure-epoch run.
-        guards.clear();
-        reg.flush();
-        for (i, (_, freed)) in items.iter().enumerate() {
-            prop_assert!(freed.load(Ordering::SeqCst), "item {i} never reclaimed");
-        }
-        prop_assert_eq!(reg.live(), 0);
-        prop_assert!(!domain.fenced(), "quiescent flush must leave fenced mode");
-    }
-
-    #[test]
     fn nested_pins_share_the_epoch_and_release_last(depth in 2usize..6) {
         let sim = Sim::new();
         let mut guards = Vec::new();
@@ -448,15 +308,14 @@ proptest! {
     }
 }
 
-/// Unwind-drop ordering regression (crash-tolerance PR): a panic through a
-/// pinned **and hazard-covered** reader unwinds through `Guard::drop`,
-/// which must clear the hazard coverage *before* the participant slot can
-/// be released and recycled. Stale coverage on a recycled slot would make
-/// the next owner exempt from blocking epoch advances the moment it
-/// stalls — without it ever having published a hazard set — silently
-/// stripping its reads of epoch protection.
+/// Unwind-drop regression: a panic through a pinned reader unwinds
+/// through `Guard::drop`, which must unpin and hand the slot back with a
+/// clean owner word. A count left behind would either keep the dead
+/// reader's pin (parking its garbage forever) or stop the slot from ever
+/// being recycled; a recycled slot must still block advances for its new
+/// owner.
 #[test]
-fn panic_through_covered_reader_clears_coverage_before_slot_recycle() {
+fn panic_through_pinned_reader_unpins_and_recycles_its_slot() {
     use lftrie_primitives::epoch::STALL_BLOCKED_THRESHOLD;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -470,38 +329,34 @@ fn panic_through_covered_reader_clears_coverage_before_slot_recycle() {
 
     struct Quiet;
     let payload = catch_unwind(AssertUnwindSafe(|| {
-        let mut g = sim.handles[0].pin();
+        let g = sim.handles[0].pin();
+        let _nested = sim.handles[0].pin();
         unsafe { reg.retire(item, &g) };
-        let published = unsafe { g.publish_hazards(&[item.cast::<u8>().cast_const()]) };
-        assert!(published, "outermost guard must accept one hazard");
-        std::panic::panic_any(Quiet); // unwinds through the covered guard
+        std::panic::panic_any(Quiet); // unwinds through both guards
     }))
     .expect_err("the closure panics");
     assert!(payload.downcast_ref::<Quiet>().is_some());
-
-    // The unwound reader is fully gone: nothing pinned, nothing covered.
     assert_eq!(sim.domain.pinned_participants(), 0, "guard drop unpinned");
-    assert_eq!(
-        sim.domain.health().covered_readers,
-        0,
-        "guard drop must clear hazard coverage"
-    );
 
-    // Its protected garbage ages out normally (no wedged hazard filter).
+    // Its protected garbage ages out normally.
     reg.flush();
     assert!(
         freed.load(Ordering::SeqCst),
         "item protected by the dead reader must reclaim after unwind"
     );
-    assert!(!sim.domain.fenced(), "quiescent flush leaves fenced mode");
 
-    // Recycle the slot (drop the original handles first so `register`
-    // reuses one) and stall the new owner well past the exemption
-    // threshold WITHOUT publishing hazards: were the dead reader's
-    // coverage still on the slot, the stalled new owner would be exempt
-    // and the epoch would run past its pin.
-    drop(sim.handles);
+    // Release the unwound reader's slot and register again: the slot must
+    // be recycled (the participant list does not grow), and its new owner,
+    // stalled well past the detector threshold, must keep the epoch within
+    // one advance of its pin.
+    let mut handles = sim.handles;
+    drop(handles.remove(0));
     let h = sim.domain.register();
+    assert_eq!(
+        sim.domain.health().participants,
+        PARTICIPANTS,
+        "the released slot was recycled"
+    );
     let g = h.pin();
     let pinned_at = g.epoch();
     for _ in 0..(2 * STALL_BLOCKED_THRESHOLD + 2) {
@@ -509,10 +364,10 @@ fn panic_through_covered_reader_clears_coverage_before_slot_recycle() {
     }
     assert!(
         sim.domain.epoch() <= pinned_at + 1,
-        "recycled slot inherited stale hazard coverage: epoch ran from {} to {} \
-         past an uncovered pinned reader",
+        "recycled slot lost its pin: epoch ran from {} to {} past a pinned reader",
         pinned_at,
         sim.domain.epoch()
     );
+    assert_eq!(sim.domain.health().stalled_readers, 1);
     drop(g);
 }

@@ -13,14 +13,15 @@
 //!
 //! # Write protocol (per entry)
 //!
-//! Each slot is a quartet of atomics. The owning thread first invalidates
-//! the slot (`seq ← 0`, `Relaxed`), writes the payload fields (`Relaxed`),
-//! then publishes the sequence id with a `Release` store. A dumper reads
-//! `seq` with `Acquire` and skips zero slots. A dump racing the owner can
-//! still observe a *torn logical* entry (payload from two events) — every
-//! field is individually atomic so this is benign, and the dump is a
-//! diagnostic, not a source of truth. Failure-path dumps run after the
-//! interesting threads have stopped, where the capture is exact.
+//! Each slot is a quartet of atomics: a tag packing the sequence id with
+//! the event kind, then the timestamp, key and payload. The owning thread
+//! first invalidates the slot (`tag ← 0`, `Relaxed`), writes the other
+//! fields (`Relaxed`), then publishes the tag with a `Release` store. A
+//! dumper reads the tag with `Acquire` and skips zero slots. A dump racing
+//! the owner can still observe a *torn logical* entry (payload from two
+//! events) — every field is individually atomic so this is benign, and the
+//! dump is a diagnostic, not a source of truth. Failure-path dumps run
+//! after the interesting threads have stopped, where the capture is exact.
 
 use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -44,9 +45,6 @@ pub enum FlightKind {
     Stall = 7,
     /// A registry garbage sweep ran.
     Sweep = 8,
-    /// An epoch domain entered or left fenced (hazard-filtered) mode
-    /// (`aux = 1` on entry, `aux = 0` on exit).
-    Fence = 9,
     /// A `fault-injection` plan fired (`key` = injection-point index,
     /// `aux` = action discriminant).
     Fault = 10,
@@ -70,7 +68,6 @@ impl FlightKind {
             FlightKind::Retire => "retire",
             FlightKind::Stall => "stall",
             FlightKind::Sweep => "sweep",
-            FlightKind::Fence => "fence",
             FlightKind::Fault => "fault",
             FlightKind::Adopt => "adopt",
             FlightKind::Stranded => "stranded",
@@ -87,7 +84,6 @@ impl FlightKind {
             6 => FlightKind::Retire,
             7 => FlightKind::Stall,
             8 => FlightKind::Sweep,
-            9 => FlightKind::Fence,
             10 => FlightKind::Fault,
             11 => FlightKind::Adopt,
             12 => FlightKind::Stranded,
@@ -135,13 +131,20 @@ pub const FLIGHT_CAP: usize = 128;
 /// batch stale after an idle gap.
 const SEQ_BATCH: u64 = 16;
 
-/// Global sequence ids; starts at 1 so `seq == 0` marks an empty slot.
+/// Global sequence ids; starts at 1 so a published tag is never zero, the
+/// empty-slot marker.
 static SEQ: AtomicU64 = AtomicU64::new(1);
 
+/// Low bits of a slot tag holding the [`FlightKind`]; the sequence id sits
+/// above them.
+const KIND_BITS: u32 = 8;
+
+/// One ring entry: four words on a 32-byte boundary, so each push writes a
+/// single cache line. `tag` is `seq << KIND_BITS | kind`, zero when empty.
+#[repr(align(32))]
 struct Slot {
-    seq: AtomicU64,
+    tag: AtomicU64,
     ts: AtomicU64,
-    kind: AtomicU64,
     key: AtomicI64,
     aux: AtomicU64,
 }
@@ -149,14 +152,14 @@ struct Slot {
 /// One thread's event ring.
 pub(crate) struct Ring {
     slots: [Slot; FLIGHT_CAP],
-    /// Next write index; only the owning thread advances it, but it is an
-    /// atomic because the shard is shared with dumpers.
+    /// Events pushed so far: the next write index, and the ring's share of
+    /// the `flight_events` counter. Only the owning thread advances it, but
+    /// it is an atomic because the shard is shared with dumpers.
     cursor: AtomicU64,
-    /// Next sequence id from the locally reserved batch (owner-only).
-    seq_next: AtomicU64,
-    /// One past the last reserved id; `seq_next == seq_end` forces a
-    /// [`SEQ_BATCH`]-sized refill from the global counter.
-    seq_end: AtomicU64,
+    /// First id of the locally reserved batch (owner-only): the event at
+    /// `cursor` takes id `seq_base + cursor % SEQ_BATCH`, and a cursor on
+    /// a batch boundary forces a refill from the global counter.
+    seq_base: AtomicU64,
     /// Raw tick stamp shared by the current id batch (owner-only; see
     /// [`SEQ_BATCH`] on the resolution trade-off).
     ts_batch: AtomicU64,
@@ -167,16 +170,14 @@ impl Ring {
         Self {
             slots: [const {
                 Slot {
-                    seq: AtomicU64::new(0),
+                    tag: AtomicU64::new(0),
                     ts: AtomicU64::new(0),
-                    kind: AtomicU64::new(0),
                     key: AtomicI64::new(0),
                     aux: AtomicU64::new(0),
                 }
             }; FLIGHT_CAP],
             cursor: AtomicU64::new(0),
-            seq_next: AtomicU64::new(0),
-            seq_end: AtomicU64::new(0),
+            seq_base: AtomicU64::new(0),
             ts_batch: AtomicU64::new(0),
         }
     }
@@ -184,26 +185,30 @@ impl Ring {
     /// Owner-side append (see the module docs for the publication order).
     pub(crate) fn push(&self, kind: FlightKind, key: i64, aux: u64) {
         // Owner-only load + store throughout: a single thread owns the ring
-        // at a time, so neither the cursor nor the batch bounds need RMWs
+        // at a time, so neither the cursor nor the batch base needs RMWs
         // (same reasoning as the shard counters).
-        let mut seq = self.seq_next.load(Ordering::Relaxed);
-        if seq == self.seq_end.load(Ordering::Relaxed) {
-            seq = SEQ.fetch_add(SEQ_BATCH, Ordering::Relaxed);
-            self.seq_end.store(seq + SEQ_BATCH, Ordering::Relaxed);
-            self.ts_batch.store(crate::now_ticks(), Ordering::Relaxed);
-        }
-        self.seq_next.store(seq + 1, Ordering::Relaxed);
         let c = self.cursor.load(Ordering::Relaxed);
         self.cursor.store(c.wrapping_add(1), Ordering::Relaxed);
+        if c.is_multiple_of(SEQ_BATCH) {
+            let base = SEQ.fetch_add(SEQ_BATCH, Ordering::Relaxed);
+            self.seq_base.store(base, Ordering::Relaxed);
+            self.ts_batch.store(crate::now_ticks(), Ordering::Relaxed);
+        }
+        let seq = self.seq_base.load(Ordering::Relaxed) + c % SEQ_BATCH;
         let i = c as usize % FLIGHT_CAP;
         let slot = &self.slots[i];
-        slot.seq.store(0, Ordering::Relaxed);
+        slot.tag.store(0, Ordering::Relaxed);
         slot.ts
             .store(self.ts_batch.load(Ordering::Relaxed), Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.key.store(key, Ordering::Relaxed);
         slot.aux.store(aux, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
+        slot.tag
+            .store(seq << KIND_BITS | kind as u64, Ordering::Release);
+    }
+
+    /// Events pushed so far (Relaxed; the owner may be mid-push).
+    pub(crate) fn pushed(&self) -> u64 {
+        self.cursor.load(Ordering::Relaxed)
     }
 
     /// Appends every currently-valid entry to `out` (unsorted), mapping
@@ -212,15 +217,15 @@ impl Ring {
     /// order-preserving map.
     pub(crate) fn drain_into(&self, shard: usize, rate: f64, out: &mut Vec<FlightEvent>) {
         for slot in &self.slots {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 {
+            let tag = slot.tag.load(Ordering::Acquire);
+            if tag == 0 {
                 continue;
             }
-            let Some(kind) = FlightKind::from_u64(slot.kind.load(Ordering::Relaxed)) else {
+            let Some(kind) = FlightKind::from_u64(tag & ((1 << KIND_BITS) - 1)) else {
                 continue;
             };
             out.push(FlightEvent {
-                seq,
+                seq: tag >> KIND_BITS,
                 ts: crate::ticks_to_ns(slot.ts.load(Ordering::Relaxed), rate),
                 shard,
                 kind,
@@ -263,7 +268,6 @@ mod tests {
             FlightKind::Retire,
             FlightKind::Stall,
             FlightKind::Sweep,
-            FlightKind::Fence,
             FlightKind::Fault,
             FlightKind::Adopt,
             FlightKind::Stranded,

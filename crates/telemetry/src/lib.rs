@@ -142,12 +142,6 @@ pub enum Counter {
     UpdateAnnounces,
     /// U-ALL update withdrawals.
     UpdateWithdraws,
-    /// Transitions of an epoch domain into fenced (hazard-filtered) mode.
-    FencedModeEnters,
-    /// Nodes reclaimed by sweeps that ran while a domain was fenced.
-    FencedReclaimed,
-    /// Limbo nodes deferred by a sweep because a hazard set protected them.
-    HazardDeferrals,
     /// Faults fired by the `fault-injection` plan machinery.
     FaultsInjected,
     /// Orphaned announcements (dead incarnations) completed and withdrawn
@@ -220,9 +214,6 @@ impl Counter {
         Counter::StallsInjected,
         Counter::UpdateAnnounces,
         Counter::UpdateWithdraws,
-        Counter::FencedModeEnters,
-        Counter::FencedReclaimed,
-        Counter::HazardDeferrals,
         Counter::FaultsInjected,
         Counter::OrphansAdopted,
         Counter::UnwindWithdrawals,
@@ -270,9 +261,6 @@ impl Counter {
             Counter::StallsInjected => "stalls_injected",
             Counter::UpdateAnnounces => "update_announces",
             Counter::UpdateWithdraws => "update_withdraws",
-            Counter::FencedModeEnters => "fenced_mode_enters",
-            Counter::FencedReclaimed => "fenced_reclaimed",
-            Counter::HazardDeferrals => "hazard_deferrals",
             Counter::FaultsInjected => "faults_injected",
             Counter::OrphansAdopted => "orphans_adopted",
             Counter::UnwindWithdrawals => "unwind_withdrawals",
@@ -526,6 +514,16 @@ impl Shard {
             next: AtomicPtr::new(core::ptr::null_mut()),
         }
     }
+
+    /// One counter's total on this shard. `flight_events` is the ring's
+    /// cursor rather than a bumped cell: every recorded event advances it
+    /// anyway, so the record path skips a second owner-only increment.
+    fn counter(&self, c: Counter) -> u64 {
+        match c {
+            Counter::FlightEvents => self.ring.pushed(),
+            c => self.counters[c as usize].load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// Head of the global shard list.
@@ -715,14 +713,30 @@ pub fn time_op<T>(f: impl FnOnce() -> T) -> T {
 pub fn flight(kind: FlightKind, key: i64, aux: u64) {
     #[cfg(not(feature = "compiled-out"))]
     if enabled() {
-        with_shard(|s| {
-            s.ring.push(kind, key, aux);
-            bump(&s.counters[Counter::FlightEvents as usize], 1);
-        });
+        with_shard(|s| s.ring.push(kind, key, aux));
     }
     #[cfg(feature = "compiled-out")]
     {
         let _ = (kind, key, aux);
+    }
+}
+
+/// Counts one protocol event in `c` *and* appends it to the flight
+/// recorder, in a single shard access. Equivalent to
+/// `add(c, 1); flight(kind, key, aux)`, fused because nearly every flight
+/// event is also counted and several run on every update.
+#[inline]
+pub fn event(c: Counter, kind: FlightKind, key: i64, aux: u64) {
+    #[cfg(not(feature = "compiled-out"))]
+    if enabled() {
+        with_shard(|s| {
+            bump(&s.counters[c as usize], 1);
+            s.ring.push(kind, key, aux);
+        });
+    }
+    #[cfg(feature = "compiled-out")]
+    {
+        let _ = (c, kind, key, aux);
     }
 }
 
@@ -735,8 +749,8 @@ pub fn flight(kind: FlightKind, key: i64, aux: u64) {
 pub fn counters() -> CounterTotals {
     let mut totals = [0u64; COUNTER_COUNT];
     for_each_shard(|s| {
-        for (t, c) in totals.iter_mut().zip(s.counters.iter()) {
-            *t += c.load(Ordering::Relaxed);
+        for c in Counter::ALL {
+            totals[c as usize] += s.counter(c);
         }
     });
     CounterTotals { totals }
@@ -749,8 +763,8 @@ pub fn counters() -> CounterTotals {
 pub fn thread_counters() -> CounterTotals {
     let mut totals = [0u64; COUNTER_COUNT];
     with_shard(|s| {
-        for (t, c) in totals.iter_mut().zip(s.counters.iter()) {
-            *t = c.load(Ordering::Relaxed);
+        for c in Counter::ALL {
+            totals[c as usize] = s.counter(c);
         }
     });
     CounterTotals { totals }

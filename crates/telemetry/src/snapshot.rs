@@ -135,14 +135,6 @@ pub struct EpochHealth {
     pub stalled_readers: usize,
     /// Lifetime pins across all participant slots.
     pub total_pins: u64,
-    /// Whether the domain is in fenced (hazard-filtered) mode: at least one
-    /// stalled reader has been exempted from blocking epoch advances and
-    /// sweeps filter against published hazard sets.
-    pub fenced: bool,
-    /// Pinned participants with a published hazard set (coverage).
-    pub covered_readers: usize,
-    /// Hazard pointers currently published across all covered participants.
-    pub hazard_ptrs: usize,
 }
 
 /// Point-in-time health of one node registry — sampled by
@@ -171,10 +163,6 @@ pub struct ReclaimHealth {
     pub recycled: usize,
     /// Values destroyed (lifetime).
     pub reclaimed: usize,
-    /// Values destroyed by sweeps that ran while the domain was fenced
-    /// (lifetime; a subset of `reclaimed` — the backlog drained under a
-    /// stalled reader instead of parking behind it).
-    pub fenced_reclaimed: usize,
 }
 
 impl ReclaimHealth {
@@ -321,12 +309,6 @@ impl TelemetrySnapshot {
                 e.stalled_readers
             ));
             out.push_str(&format!("lftrie_epoch_total_pins {}\n", e.total_pins));
-            out.push_str(&format!("lftrie_epoch_fenced {}\n", e.fenced as u64));
-            out.push_str(&format!(
-                "lftrie_epoch_covered_readers {}\n",
-                e.covered_readers
-            ));
-            out.push_str(&format!("lftrie_epoch_hazard_ptrs {}\n", e.hazard_ptrs));
         }
         if !self.reclaim.is_empty() {
             out.push_str("# TYPE lftrie_reclaim gauge\n");
@@ -341,7 +323,6 @@ impl TelemetrySnapshot {
                     ("fresh", r.fresh),
                     ("recycled", r.recycled),
                     ("reclaimed", r.reclaimed),
-                    ("fenced_reclaimed", r.fenced_reclaimed),
                 ] {
                     out.push_str(&format!(
                         "lftrie_reclaim{{registry=\"{}\",field=\"{}\"}} {}\n",
@@ -417,8 +398,8 @@ impl TelemetrySnapshot {
         match &self.epoch {
             None => out.push_str("null"),
             Some(e) => out.push_str(&format!(
-                "{{\"epoch\":{},\"pinned\":{},\"participants\":{},\"min_pin_lag\":{},\"max_blocked\":{},\"stalled_readers\":{},\"total_pins\":{},\"fenced\":{},\"covered_readers\":{},\"hazard_ptrs\":{}}}",
-                e.epoch, e.pinned, e.participants, e.min_pin_lag, e.max_blocked, e.stalled_readers, e.total_pins, e.fenced, e.covered_readers, e.hazard_ptrs
+                "{{\"epoch\":{},\"pinned\":{},\"participants\":{},\"min_pin_lag\":{},\"max_blocked\":{},\"stalled_readers\":{},\"total_pins\":{}}}",
+                e.epoch, e.pinned, e.participants, e.min_pin_lag, e.max_blocked, e.stalled_readers, e.total_pins
             )),
         }
         out.push_str(",\"reclaim\":[");
@@ -427,8 +408,8 @@ impl TelemetrySnapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"registry\":\"{}\",\"limbo\":{},\"pending\":{},\"free_stock\":{},\"pooled\":{},\"live\":{},\"resident\":{},\"fresh\":{},\"recycled\":{},\"reclaimed\":{},\"fenced_reclaimed\":{}}}",
-                r.label, r.limbo, r.pending, r.free_stock, r.pooled, r.live, r.resident, r.fresh, r.recycled, r.reclaimed, r.fenced_reclaimed
+                "{{\"registry\":\"{}\",\"limbo\":{},\"pending\":{},\"free_stock\":{},\"pooled\":{},\"live\":{},\"resident\":{},\"fresh\":{},\"recycled\":{},\"reclaimed\":{}}}",
+                r.label, r.limbo, r.pending, r.free_stock, r.pooled, r.live, r.resident, r.fresh, r.recycled, r.reclaimed
             ));
         }
         out.push_str("],\"announcements\":");
@@ -482,9 +463,6 @@ mod tests {
                 max_blocked: 5,
                 stalled_readers: 1,
                 total_pins: 1000,
-                fenced: true,
-                covered_readers: 1,
-                hazard_ptrs: 2,
             }),
             reclaim: vec![ReclaimHealth {
                 label: "preds",
@@ -497,7 +475,6 @@ mod tests {
                 fresh: 116,
                 recycled: 50,
                 reclaimed: 66,
-                fenced_reclaimed: 12,
             }],
             announcements: Some(AnnouncementLens {
                 uall: 1,
@@ -532,11 +509,7 @@ mod tests {
         assert!(text.contains("lftrie_traversal_depth_count 5"));
         assert!(text.contains("lftrie_traversal_depth_bucket{le=\"+Inf\"} 5"));
         assert!(text.contains("lftrie_epoch_stalled_readers 1"));
-        assert!(text.contains("lftrie_epoch_fenced 1"));
-        assert!(text.contains("lftrie_epoch_covered_readers 1"));
-        assert!(text.contains("lftrie_epoch_hazard_ptrs 2"));
         assert!(text.contains("lftrie_reclaim{registry=\"preds\",field=\"limbo\"} 4"));
-        assert!(text.contains("lftrie_reclaim{registry=\"preds\",field=\"fenced_reclaimed\"} 12"));
         assert!(text.contains("lftrie_announcements{list=\"pall\"} 2"));
         assert!(text.contains("lftrie_relaxed_outcomes{outcome=\"bottom\"} 9"));
     }
@@ -559,10 +532,6 @@ mod tests {
             "\"traversal\"",
             "\"insert_ops\"",
             "\"stalled_readers\"",
-            "\"fenced\"",
-            "\"covered_readers\"",
-            "\"hazard_ptrs\"",
-            "\"fenced_reclaimed\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -325,9 +325,11 @@ mod imp {
         TRACE_ENABLED.load(Ordering::Relaxed)
     }
 
+    /// The trace switch goes first: with tracing off, a hook then costs
+    /// the same one load whether the always-on layer records or not.
     #[inline]
     fn recording() -> bool {
-        crate::enabled() && trace_enabled()
+        trace_enabled() && crate::enabled()
     }
 
     /// Process-global span ids; starts at 1 so 0 means "no span".

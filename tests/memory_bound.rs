@@ -326,147 +326,3 @@ fn reader_guards_only_delay_reclamation_not_unbound_it() {
         "backlog must drain after the long-lived guard unpins: {live} live"
     );
 }
-
-#[test]
-fn memory_stays_bounded_with_a_reader_suspended_mid_read() {
-    // The hybrid-reclamation headline (ISSUE 8): a reader that published a
-    // hazard-pointer set and then stalled indefinitely must NOT park the
-    // world. Once its blocked streak crosses the stall threshold the epoch
-    // advances past it, sweeps filter against the published set, and the
-    // backlog drains *while the reader is still suspended*. On pure-epoch
-    // reclamation this test fails: the pinned reader refuses every advance
-    // and `live` climbs to `allocated`.
-    let universe = 32u64;
-    let iters = stress_iters(12_000);
-    let trie = Arc::new(LockFreeBinaryTrie::new(universe));
-
-    // The "suspended" reader: pin, publish an (empty) hazard set — it is
-    // mid-read but holds no reclaimable pointers — and never unpin.
-    let mut guard = lftrie::primitives::epoch::pin();
-    // SAFETY: the set is empty, this thread dereferences no trie nodes
-    // while the guard is held (collect_garbage below owns the limbo nodes
-    // it touches independently of this pin), and nothing is re-published.
-    assert!(unsafe { guard.publish_hazards(&[]) });
-
-    let handles: Vec<_> = (0..2u64)
-        .map(|t| {
-            let trie = Arc::clone(&trie);
-            std::thread::spawn(move || {
-                let mut state = t | 1;
-                for _ in 0..iters {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let k = (state >> 33) % universe;
-                    if state % 2 == 0 {
-                        trie.insert(k);
-                    } else {
-                        trie.remove(k);
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    // Still suspended. Drain the tail of the backlog and assert the bound
-    // held anyway: fenced sweeps reclaimed past the stalled reader.
-    trie.collect_garbage();
-    let allocated = trie.allocated_nodes();
-    let live = trie.live_nodes();
-    assert!(
-        live <= ceiling(universe),
-        "fenced sweeps must drain the backlog past a stalled covered reader: \
-         {live} live of {allocated} cumulative (ceiling {})",
-        ceiling(universe)
-    );
-    assert!(
-        allocated >= 10 * ceiling(universe),
-        "churn too small to exercise fenced reclamation: {allocated} cumulative"
-    );
-
-    // The observability story must agree: the domain reports fenced mode
-    // and the covered reader, and the update-node registry attributes
-    // reclamation to hazard-filtered sweeps.
-    let snap = trie.telemetry();
-    let epoch = snap.epoch.expect("trie snapshot samples epoch health");
-    assert!(epoch.fenced, "domain must be in fenced mode while stalled");
-    assert!(epoch.covered_readers >= 1, "the stalled reader is covered");
-    let nodes = snap
-        .reclaim
-        .iter()
-        .find(|r| r.label == "nodes")
-        .expect("update-node registry health");
-    assert!(
-        nodes.fenced_reclaimed > 0,
-        "update-node sweeps must have reclaimed under the fence"
-    );
-
-    // Resume: the reader unpins, and quiescent collection still drains.
-    drop(guard);
-    trie.collect_garbage();
-    assert!(trie.live_nodes() <= ceiling(universe));
-}
-
-#[cfg(feature = "stall-injection")]
-#[test]
-fn suspended_reader_keeps_its_hazard_nodes_alive() {
-    // The pointer-holding variant: the reader stalls holding real node
-    // pointers (via the stall-injection hook), writers supersede and retire
-    // those very nodes, and fenced sweeps drain everything *around* the
-    // published set. `observe()` re-dereferences the protected node
-    // mid-suspension — under ASan this is the use-after-free witness that
-    // the hazard filter actually held the node back.
-    let universe = 32u64;
-    let hot = 7u64;
-    let iters = stress_iters(12_000);
-    let trie = Arc::new(LockFreeBinaryTrie::new(universe));
-    trie.insert(hot);
-
-    let reader = trie.reader_stalled_mid_traversal(hot);
-    assert_eq!(reader.key(), hot);
-    assert!(reader.observe(), "protected node readable at stall time");
-
-    let handles: Vec<_> = (0..2u64)
-        .map(|t| {
-            let trie = Arc::clone(&trie);
-            std::thread::spawn(move || {
-                let mut state = (t << 1) | 1;
-                for _ in 0..iters {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let k = (state >> 33) % universe;
-                    if state % 2 == 0 {
-                        trie.insert(k);
-                    } else {
-                        trie.remove(k);
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    // The hot key's INS node was superseded and retired during the churn,
-    // but it is in the published set: sweeps must defer it while freeing
-    // the rest of the backlog.
-    trie.collect_garbage();
-    assert!(
-        reader.observe(),
-        "hazard-published node must survive fenced sweeps"
-    );
-    let live = trie.live_nodes();
-    let allocated = trie.allocated_nodes();
-    assert!(
-        live <= ceiling(universe),
-        "fenced sweeps must drain around the hazard set: {live} live of {allocated}"
-    );
-    assert!(allocated >= 10 * ceiling(universe));
-
-    // Resume; the deferred node becomes reclaimable and quiescent
-    // collection reaches the same floor as a pure-epoch run.
-    assert!(reader.resume());
-    trie.collect_garbage();
-    assert!(trie.live_nodes() <= ceiling(universe));
-}

@@ -198,55 +198,3 @@ fn stalled_reader_gauge_fires_while_a_pin_is_held() {
     let after = trie.telemetry().epoch.unwrap().total_pins;
     assert!(after >= health.total_pins, "pin totals stay monotone");
 }
-
-#[test]
-fn hybrid_mode_gauges_are_sampled_and_rendered() {
-    let trie = LockFreeBinaryTrie::new(1 << 8);
-    trie.insert(1);
-
-    // A covered reader: pinned with a published hazard set. Coverage and
-    // hazard-slot counts are scanned over *all* participants (no early
-    // exit), so these gauges are safe to assert even while other tests
-    // pin and advance concurrently; the fenced flag and stalled counts
-    // depend on cross-test advance interleavings and are only asserted
-    // to render (their exact values live in the epoch/registry unit and
-    // memory_bound suites, which own their domains or their timing).
-    let mut guard = epoch::pin();
-    let sentinels = [0x1000 as *const u8, 0x2000 as *const u8];
-    // SAFETY: sentinel addresses are never allocated by any registry, so
-    // nothing is protected-then-dereferenced and nothing real is held
-    // back; this exercises only the gauge plumbing.
-    assert!(unsafe { guard.publish_hazards(&sentinels) });
-
-    let health = trie
-        .telemetry()
-        .epoch
-        .expect("trie snapshot carries epoch health");
-    assert!(
-        health.covered_readers >= 1,
-        "published hazard set counted: {health:?}"
-    );
-    assert!(
-        health.hazard_ptrs >= 2,
-        "published slots counted: {health:?}"
-    );
-
-    let snap = trie.telemetry();
-    let prom = snap.to_prometheus();
-    for gauge in [
-        "lftrie_epoch_fenced",
-        "lftrie_epoch_covered_readers",
-        "lftrie_epoch_hazard_ptrs",
-    ] {
-        assert!(prom.contains(gauge), "prometheus text missing {gauge}");
-    }
-    assert!(
-        prom.contains("lftrie_reclaim{registry=\"nodes\",field=\"fenced_reclaimed\"}"),
-        "per-registry fenced reclamation rendered"
-    );
-    let json = snap.to_json();
-    for key in ["\"fenced\"", "\"covered_readers\"", "\"fenced_reclaimed\""] {
-        assert!(json.contains(key), "json missing {key}");
-    }
-    drop(guard);
-}
