@@ -2802,6 +2802,49 @@ mod tests {
     }
 
     #[test]
+    fn gate_probes_per_update_do_not_grow_with_the_universe() {
+        // A half-full trie parks DEL nodes behind closed gates, about one
+        // per occupied dNodePtr slot, so the parked set grows with u.
+        // Re-probing all of it on every sweep would make each update pay
+        // Θ(u) probes; re-probes paid for by retirements keep it flat.
+        let per_update: Vec<f64> = [8u32, 12, 14]
+            .into_iter()
+            .map(|b| {
+                let u = 1u64 << b;
+                let t = LockFreeBinaryTrie::new(u);
+                // An odd multiplier permutes the universe: u/2 distinct keys.
+                for i in 0..u / 2 {
+                    t.insert(i.wrapping_mul(0x9E37_79B1) % u);
+                }
+                let updates = 8192u64;
+                let mut state = 0x2545_F491_4F6C_DD1Du64 ^ u;
+                let ((), ev) = recorded(|| {
+                    for i in 0..updates {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let k = (state >> 33) % u;
+                        if i % 2 == 0 {
+                            t.insert(k);
+                        } else {
+                            t.remove(k);
+                        }
+                    }
+                });
+                ev.get(Counter::GateProbes) as f64 / updates as f64
+            })
+            .collect();
+        assert!(
+            per_update[0] > 0.0,
+            "updates retire and probe: {per_update:?}"
+        );
+        assert!(
+            per_update.iter().all(|&p| p <= 2.0 * per_update[0]),
+            "gate probes per update grow with u (u = 2^8, 2^12, 2^14): {per_update:?}"
+        );
+    }
+
+    #[test]
     fn racing_inserts_of_same_key_one_wins() {
         let t = Arc::new(LockFreeBinaryTrie::new(8));
         let wins: Vec<_> = (0..4)

@@ -48,6 +48,30 @@
 //! advance to `stamp + GRACE` until it unpins.
 //! `bag_flush_stamps_after_gate_probe` is the regression test.
 //!
+//! # Re-probing gated garbage
+//!
+//! A retired node whose [`Reclaim::ready_to_reclaim`] gate is closed parks
+//! in the `pending` stack until a probe finds the gate open. How many park
+//! there is set by the owner's long-lived references, not by the garbage:
+//! the trie parks one DEL node per occupied `dNodePtr` slot, up to
+//! `2^b − 1` of them. Re-probing them all on every sweep would cost
+//! Θ(parked) per sweep however little was retired, so a sweep re-probes
+//! `pending` only once the nodes retired into the registry since the last
+//! re-probe reach half of its depth; [`Registry::flush`] re-probes on every
+//! sweep. Each re-probe of `P` nodes is then paid for by at least `P/2`
+//! retirements, so a retired node costs at most two extra probes, whatever
+//! the number of parked nodes.
+//!
+//! The price is latency: a node whose gate opens waits in `pending` until
+//! the next re-probe. Between re-probes `pending` grows by retirements,
+//! which also count toward the trigger (and by the rare limbo node whose
+//! gate closed again), so it holds at most about twice the gated nodes the
+//! last re-probe found, plus one bag per thread flushed while another
+//! thread's sweep ran (concurrent callers skip the sweep, not the flush).
+//! The registry still owns every parked node, so teardown and pool
+//! stealing free them as before, and every node is probed again before it
+//! leaves `pending` or `limbo`.
+//!
 //! # Counters
 //!
 //! All counters are statistics (Relaxed orderings; nothing synchronizes
@@ -86,9 +110,10 @@ use crate::epoch::{Domain, Guard};
 const GRACE_EPOCHS: u64 = 3;
 
 /// Retires a thread buffers in its local bag before flushing them to the
-/// shared limbo (and sweeping). Doubles as the amortized sweep cadence the
-/// old `RETIRES_PER_SWEEP` provided.
-const BAG_CAP: usize = 32;
+/// shared limbo (and sweeping). Doubles as the amortized sweep cadence, so
+/// it also sets how much one sweep frees on average — and so how long the
+/// update that runs it stalls.
+const BAG_CAP: usize = 16;
 
 /// Recycled nodes a thread parks on its local free list; overflow goes to
 /// the shared stock.
@@ -98,6 +123,12 @@ const LOCAL_FREE_CAP: usize = 64;
 /// go back to the heap so a one-off burst cannot pin its high-water mark in
 /// the pools forever.
 const SHARED_FREE_CAP: usize = 1024;
+
+/// Sweeps per timed sweep. Two clock reads cost about a tenth of a short
+/// sweep, more than the always-on telemetry budget can absorb on every
+/// sweep, so `sweep_ns` times every `SWEEP_SAMPLE`-th sweep a thread runs
+/// and counts it `SWEEP_SAMPLE` times.
+const SWEEP_SAMPLE: u64 = 16;
 
 /// Reclamation protocol for nodes retired through a [`Registry`].
 ///
@@ -389,6 +420,8 @@ thread_local! {
     static POOLS: RefCell<PoolCache> = RefCell::new(PoolCache {
         entries: HashMap::new(),
     });
+    /// Sweeps this thread has run while recording, for `SWEEP_SAMPLE`.
+    static SWEEPS_RUN: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Source of never-reused registry ids (the thread-cache keys).
@@ -411,8 +444,9 @@ impl Drop for ClearOnDrop<'_> {
 /// node with its readiness gate probed. The probe is user code, so it runs
 /// *before* the node leaves the remainder: a panicking hook leaves its node
 /// on the chain. On every exit path the drop settles the stack's depth
-/// gauge for the nodes taken and re-attaches the unexamined remainder, so a
-/// panic loses at most the one node it panicked on, never the backlog.
+/// gauge for the nodes taken, re-attaches the unexamined remainder and
+/// records the probes, so a panic loses at most the one node it panicked
+/// on, never the backlog.
 struct Drain<'a, T> {
     stack: &'a GarbageStack<T>,
     rest: *mut PoolNode<T>,
@@ -449,6 +483,7 @@ impl<T> Drop for Drain<'_, T> {
     fn drop(&mut self) {
         self.stack.settle(self.taken);
         self.stack.reattach(self.rest);
+        telemetry::add(Counter::GateProbes, self.taken as u64);
     }
 }
 
@@ -525,7 +560,8 @@ pub struct Registry<T> {
     counters: CachePadded<Counters>,
     /// Epoch-stamped garbage awaiting its grace period.
     limbo: GarbageStack<T>,
-    /// Retired garbage whose `ready_to_reclaim` gate was still closed.
+    /// Retired garbage whose `ready_to_reclaim` gate was closed when last
+    /// probed; re-probed once enough retirements pay for it (module docs).
     pending: GarbageStack<T>,
     /// Shared stock of recycled nodes (values dropped), refilled by sweeps
     /// and drained in batches into local free lists. Its depth gauge
@@ -533,9 +569,12 @@ pub struct Registry<T> {
     free: GarbageStack<T>,
     /// All pools ever created for this registry (claimed or released).
     pools: AtomicPtr<CachePadded<LocalPool<T>>>,
-    /// Fallback-path retires since the last sweep (the pooled path sweeps
-    /// on every bag flush instead).
-    retired_since_sweep: AtomicUsize,
+    /// Nodes retired into this registry since `pending` was last
+    /// re-probed: each bag flush adds its batch, each fallback-path retire
+    /// adds one (and sweeps on every `BAG_CAP`-th, as the pooled path does
+    /// on every bag flush). A sweep re-probes `pending` once this reaches
+    /// half of its depth.
+    retired_since_reprobe: AtomicUsize,
     sweeping: AtomicBool,
     /// Epoch observed at the end of the last full sweep (`u64::MAX` before
     /// the first). While the epoch is parked — e.g. a long-pinned reader —
@@ -574,7 +613,7 @@ impl<T> Registry<T> {
             pending: GarbageStack::new(),
             free: GarbageStack::new(),
             pools: AtomicPtr::new(core::ptr::null_mut()),
-            retired_since_sweep: AtomicUsize::new(0),
+            retired_since_reprobe: AtomicUsize::new(0),
             sweeping: AtomicBool::new(false),
             last_swept_epoch: AtomicU64::new(u64::MAX),
             _owns: PhantomData,
@@ -807,7 +846,7 @@ impl<T> Registry<T> {
             } else {
                 self.pending.push(node);
             }
-            if self.retired_since_sweep.fetch_add(1, Ordering::Relaxed) % BAG_CAP == BAG_CAP - 1 {
+            if self.retired_since_reprobe.fetch_add(1, Ordering::Relaxed) % BAG_CAP == BAG_CAP - 1 {
                 self.collect();
             }
         }
@@ -860,6 +899,7 @@ impl<T> Registry<T> {
             ready: Cell::new(core::ptr::null_mut()),
             deferred: Cell::new(core::ptr::null_mut()),
         };
+        let mut probed = 0usize;
         loop {
             let cur = flush.rest.get();
             if cur.is_null() {
@@ -868,6 +908,7 @@ impl<T> Registry<T> {
             // The probe runs user code; detach `cur` only after it returns
             // so a panic leaves the node on the re-routed remainder.
             let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
+            probed += 1;
             flush.rest.set(unsafe { (*cur).next.get() });
             let dst = if ready { &flush.ready } else { &flush.deferred };
             unsafe { (*cur).next.set(dst.get()) };
@@ -895,6 +936,9 @@ impl<T> Registry<T> {
         self.pending
             .push_chain(flush.deferred.replace(core::ptr::null_mut()));
         // `flush` drops with empty cells: nothing to re-route.
+        self.retired_since_reprobe
+            .fetch_add(probed, Ordering::Relaxed);
+        telemetry::add(Counter::GateProbes, probed as u64);
         // One flight event per flushed batch (not per retire: a per-retire
         // event would both flood the 128-entry ring and put a globally
         // contended sequence fetch on the update hot path).
@@ -935,11 +979,36 @@ impl<T> Registry<T> {
     }
 
     /// One garbage sweep: flushes the caller's retire bag, steals released
-    /// pools, re-examines deferred nodes, tries to advance the epoch, and
-    /// recycles limbo nodes whose grace period elapsed and whose readiness
-    /// gate is (still) open. Lock-free; concurrent callers simply skip the
-    /// sweep.
+    /// pools, tries to advance the epoch, re-examines deferred nodes once
+    /// the retirements since their last re-probe reach half their number
+    /// (module docs), and recycles limbo nodes whose grace period elapsed
+    /// and whose readiness gate is (still) open. Lock-free; concurrent
+    /// callers simply skip the sweep.
     pub fn collect(&self)
+    where
+        T: Reclaim,
+    {
+        self.sweep(false);
+    }
+
+    /// Runs enough quiescent sweeps to age out everything retired so far
+    /// (assuming no concurrent pins). Each of them re-probes every deferred
+    /// node, so a gate that opened is seen without waiting for retirements
+    /// to pay for the re-probe. Tests and teardown paths use this to
+    /// observe the steady-state footprint.
+    pub fn flush(&self)
+    where
+        T: Reclaim,
+    {
+        crate::fault::point(crate::fault::FaultPoint::RegistrySweep);
+        for _ in 0..(2 * GRACE_EPOCHS as usize + 2) {
+            self.sweep(true);
+        }
+    }
+
+    /// The sweep behind [`Registry::collect`] and [`Registry::flush`];
+    /// `reprobe_all` re-probes `pending` whatever was retired.
+    fn sweep(&self, reprobe_all: bool)
     where
         T: Reclaim,
     {
@@ -953,6 +1022,14 @@ impl<T> Registry<T> {
         // the guard clears `sweeping` on every exit path, panics included.
         let _sweeping = ClearOnDrop(&self.sweeping);
         telemetry::add(Counter::Sweeps, 1);
+        let timed = telemetry::enabled()
+            && SWEEPS_RUN
+                .try_with(|n| {
+                    n.set(n.get() + 1);
+                    n.get() % SWEEP_SAMPLE == 1
+                })
+                .unwrap_or(false);
+        let started = timed.then(std::time::Instant::now);
         let _t = telemetry::trace::phase(telemetry::trace::TracePhase::Reclaim);
         // Batch the buffered retires in before advancing, so this sweep
         // already ages them: the caller's own bag first, then the bags (and
@@ -974,28 +1051,37 @@ impl<T> Registry<T> {
             }
             global = next;
         }
-        // Deferred nodes whose gate opened re-enter limbo. The pending set
-        // is drained on every sweep — its size is bounded by the gates
-        // themselves (≤ one DEL per occupied dNodePtr slot, live `target`
-        // edges, in-flight operations), not by the retire history, and a
-        // prompt restamp starts the grace clock as early as possible.
-        for (cur, ready) in Drain::new(&self.pending) {
-            if ready {
-                // Restamp with a fresh epoch read taken *after* the gate
-                // opened. The sweeper holds no pin, so the global epoch can
-                // run ahead of the `global` snapshot while this loop runs: a
-                // reader pinned at epoch E may have captured the gated
-                // pointer just before the gate opened, and stamping with the
-                // stale snapshot (possibly ≤ E − 2) would free the node
-                // while that reader still dereferences it. The capture
-                // happened before the gate-opening store this probe
-                // observed, so the reader's pin precedes this read and the
-                // fresh stamp is ≥ E — the reader now blocks the advance to
-                // `stamp + GRACE` until it unpins.
-                unsafe { (*cur).epoch.set(self.domain.epoch()) };
-                self.limbo.push(cur);
-            } else {
-                self.pending.push(cur);
+        // Deferred nodes whose gate opened re-enter limbo. Their number is
+        // set by the gates (≤ one DEL per occupied dNodePtr slot, live
+        // `target` edges, in-flight operations), not by the garbage, so
+        // they are re-probed only once the retirements since the last
+        // re-probe reach half of them: each re-probe is paid for by the
+        // retirements, at most two probes each (module docs). Only the
+        // sweeper subtracts, and only what it read, so the count never
+        // underflows.
+        let retired = self.retired_since_reprobe.load(Ordering::Relaxed);
+        if reprobe_all || 2 * retired >= self.pending.depth() {
+            self.retired_since_reprobe
+                .fetch_sub(retired, Ordering::Relaxed);
+            for (cur, ready) in Drain::new(&self.pending) {
+                if ready {
+                    // Restamp with a fresh epoch read taken *after* the gate
+                    // opened. The sweeper holds no pin, so the global epoch
+                    // can run ahead of the `global` snapshot while this loop
+                    // runs: a reader pinned at epoch E may have captured the
+                    // gated pointer just before the gate opened, and
+                    // stamping with the stale snapshot (possibly ≤ E − 2)
+                    // would free the node while that reader still
+                    // dereferences it. The capture happened before the
+                    // gate-opening store this probe observed, so the
+                    // reader's pin precedes this read and the fresh stamp is
+                    // ≥ E — the reader now blocks the advance to
+                    // `stamp + GRACE` until it unpins.
+                    unsafe { (*cur).epoch.set(self.domain.epoch()) };
+                    self.limbo.push(cur);
+                } else {
+                    self.pending.push(cur);
+                }
             }
         }
 
@@ -1005,43 +1091,33 @@ impl<T> Registry<T> {
         // O(backlog) re-walk until the epoch moves. This is what keeps a
         // long-pinned reader from turning the writers' amortized sweeps
         // into quadratic work.
-        if self.last_swept_epoch.load(Ordering::SeqCst) == global {
-            return;
-        }
-
-        // The readiness re-check matters: a thread pinned since before the
-        // retirement may have taken a new long-lived reference (e.g. a
-        // `target` edge) while the node aged in limbo.
-        for (cur, ready) in Drain::new(&self.limbo) {
-            if ready && unsafe { (*cur).epoch.get() } + GRACE_EPOCHS <= global {
-                // `global` is a snapshot from before the drains, so this
-                // comparison only under-approximates eligibility — safe.
-                let vp = PoolNode::value_ptr(cur);
-                unsafe { (*vp).on_reclaim() };
-                unsafe { core::ptr::drop_in_place(vp) };
-                self.counters.reclaimed.fetch_add(1, Ordering::Relaxed);
-                // The emptied slot goes back into circulation instead of to
-                // the allocator — the whole point of the pools.
-                unsafe { self.recycle_node(cur, own_pool) };
-            } else if ready {
-                self.limbo.push(cur);
-            } else {
-                self.pending.push(cur);
+        if self.last_swept_epoch.load(Ordering::SeqCst) != global {
+            // The readiness re-check matters: a thread pinned since before
+            // the retirement may have taken a new long-lived reference
+            // (e.g. a `target` edge) while the node aged in limbo.
+            for (cur, ready) in Drain::new(&self.limbo) {
+                if ready && unsafe { (*cur).epoch.get() } + GRACE_EPOCHS <= global {
+                    // `global` is a snapshot from before the drains, so
+                    // this comparison only under-approximates eligibility
+                    // — safe.
+                    let vp = PoolNode::value_ptr(cur);
+                    unsafe { (*vp).on_reclaim() };
+                    unsafe { core::ptr::drop_in_place(vp) };
+                    self.counters.reclaimed.fetch_add(1, Ordering::Relaxed);
+                    // The emptied slot goes back into circulation instead
+                    // of to the allocator — the whole point of the pools.
+                    unsafe { self.recycle_node(cur, own_pool) };
+                } else if ready {
+                    self.limbo.push(cur);
+                } else {
+                    self.pending.push(cur);
+                }
             }
+            self.last_swept_epoch.store(global, Ordering::SeqCst);
         }
-        self.last_swept_epoch.store(global, Ordering::SeqCst);
-    }
-
-    /// Runs enough quiescent sweeps to age out everything retired so far
-    /// (assuming no concurrent pins). Tests and teardown paths use this to
-    /// observe the steady-state footprint.
-    pub fn flush(&self)
-    where
-        T: Reclaim,
-    {
-        crate::fault::point(crate::fault::FaultPoint::RegistrySweep);
-        for _ in 0..(2 * GRACE_EPOCHS as usize + 2) {
-            self.collect();
+        if let Some(started) = started {
+            let ns = started.elapsed().as_nanos() as u64;
+            telemetry::add(Counter::SweepNs, ns * SWEEP_SAMPLE);
         }
     }
 
@@ -1091,9 +1167,10 @@ impl<T> Registry<T> {
 
     /// Samples this registry's reclamation health gauges for the telemetry
     /// snapshot: garbage-stack depths (limbo = gate-open garbage aging out
-    /// its grace period, pending = gate-closed garbage), pool occupancy,
-    /// and the lifetime allocation counters. `label` names the registry in
-    /// reports (e.g. `"preds"`).
+    /// its grace period, pending = garbage retired with a closed gate, or
+    /// opened since the last re-probe), pool occupancy, and the lifetime
+    /// allocation counters. `label` names the registry in reports (e.g.
+    /// `"preds"`).
     ///
     /// Everything is Relaxed-loaded and approximate under concurrency, but
     /// exact at quiescence — a parked epoch shows up as a growing `limbo`
@@ -1381,9 +1458,18 @@ mod tests {
         // LOCAL_FREE_CAP, the shared stock the rest; gated ones wait.
         reg.flush();
         assert_eq!(gauges(), (0, GATED, UNGATED - LOCAL_FREE_CAP));
-        // The gate opens: one sweep moves them pending → limbo with a
-        // fresh stamp, too young to free yet.
+        // The gate opens. A sweep re-probes `pending` once GATED / 2
+        // retirements have paid for it: retire that many ungated nodes
+        // from the sweeper's free list, then sweep. It moves the gated
+        // nodes pending → limbo with a fresh stamp, too young to free yet,
+        // and ages the ungated ones back into the free list.
         gate.store(true, Ordering::SeqCst);
+        let half: Vec<_> = (0..GATED / 2).map(|_| alloc(&always)).collect();
+        for p in half {
+            let g = handle.pin();
+            unsafe { reg.retire(p, &g) };
+            drop(g);
+        }
         reg.collect();
         assert_eq!(gauges(), (GATED, 0, UNGATED - LOCAL_FREE_CAP));
         // They age out limbo → free stock (the local list is full).
@@ -1400,6 +1486,96 @@ mod tests {
         for p in again {
             unsafe { reg.dealloc(p) };
         }
+    }
+
+    /// A gated payload that counts its readiness probes.
+    struct CountedGate {
+        open: Arc<AtomicBool>,
+        probes: Arc<StdAtomicUsize>,
+    }
+    impl Reclaim for CountedGate {
+        fn ready_to_reclaim(&self) -> bool {
+            self.probes.fetch_add(1, StdOrdering::SeqCst);
+            self.open.load(Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn reprobes_of_gated_garbage_are_paid_for_by_retirements() {
+        // G nodes park behind a closed gate, as the trie's DEL nodes do in
+        // dNodePtr slots. Re-probing them on every sweep would cost G
+        // probes per bag, about G·R/BAG_CAP over R retirements (here
+        // 262 144). Each re-probe must instead be paid for by G/2
+        // retirements: at most 2R + 2G probes (here 17 408).
+        const G: usize = 512;
+        const R: usize = 8192;
+        let domain = leaked_domain();
+        let handle = domain.register();
+        let reg: Registry<CountedGate> = Registry::new_in(domain);
+        let gated_probes = Arc::new(StdAtomicUsize::new(0));
+        let other_probes = Arc::new(StdAtomicUsize::new(0));
+        let always = Arc::new(AtomicBool::new(true));
+        // Each full bag flushes and sweeps inside `retire`.
+        let retire = |open: &Arc<AtomicBool>, probes: &Arc<StdAtomicUsize>| {
+            let p = reg.alloc(CountedGate {
+                open: Arc::clone(open),
+                probes: Arc::clone(probes),
+            });
+            let g = handle.pin();
+            unsafe { reg.retire(p, &g) };
+        };
+        let pending = || reg.health("gated").pending;
+        let recorded_from = telemetry::thread_counters();
+
+        let gate = Arc::new(AtomicBool::new(false));
+        for _ in 0..G {
+            retire(&gate, &gated_probes);
+        }
+        let before = gated_probes.load(StdOrdering::SeqCst);
+        for _ in 0..R {
+            retire(&always, &other_probes);
+        }
+        let probes = gated_probes.load(StdOrdering::SeqCst) - before;
+        assert!(
+            probes <= 2 * R + 2 * G,
+            "{probes} probes of {G} gated nodes over {R} retirements"
+        );
+        // This thread made every probe, and the telemetry plane counted
+        // each one; it timed its first sweep at least.
+        let recorded = telemetry::thread_counters() - recorded_from;
+        let all = gated_probes.load(StdOrdering::SeqCst) + other_probes.load(StdOrdering::SeqCst);
+        assert_eq!(recorded.get(Counter::GateProbes), all as u64);
+        assert!(recorded.get(Counter::SweepNs) > 0);
+        assert_eq!(pending(), G, "a closed gate keeps every node parked");
+
+        // Once the gate opens, the retirements that pay for the next
+        // re-probe move the nodes to limbo.
+        gate.store(true, Ordering::SeqCst);
+        let mut waited = 0;
+        while pending() > 0 {
+            retire(&always, &other_probes);
+            waited += 1;
+            assert!(
+                waited <= G.div_ceil(2) + BAG_CAP,
+                "opened nodes still pending after {waited} retirements"
+            );
+        }
+
+        // A plain sweep leaves a gate that opened without retirements
+        // unseen; `flush` re-probes on every sweep and empties everything.
+        let late = Arc::new(AtomicBool::new(false));
+        for _ in 0..G {
+            retire(&late, &gated_probes);
+        }
+        reg.flush();
+        assert_eq!((reg.live(), pending()), (G, G));
+        late.store(true, Ordering::SeqCst);
+        reg.collect();
+        assert_eq!(pending(), G, "no retirement paid for this re-probe");
+        reg.flush();
+        assert_eq!(reg.live(), 0);
+        let h = reg.health("gated");
+        assert_eq!((h.limbo, h.pending), (0, 0));
     }
 
     #[test]
@@ -1545,7 +1721,8 @@ mod tests {
         // The flush guard routed all three to `pending`. Panic again inside
         // the pending drain (node 0, probed first, moves to limbo), then
         // inside the limbo drain: each drain re-attaches its remainder and
-        // settles its depth gauge exactly.
+        // settles its depth gauge exactly. `flush` drives the drains: its
+        // first sweep re-probes `pending` although nothing was retired.
         let gauges = || {
             let h = reg.health("panicky");
             (h.limbo, h.pending)
@@ -1553,7 +1730,7 @@ mod tests {
         assert_eq!(gauges(), (0, 3));
         for (armed, after) in [(1, (1, 2)), (0, (3, 0))] {
             flags[armed].store(true, Ordering::SeqCst);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.collect()));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.flush()));
             assert!(result.is_err(), "the drain panic must propagate");
             assert_eq!(gauges(), after);
             assert_eq!(reg.live(), 3, "nothing may leak across the panic");

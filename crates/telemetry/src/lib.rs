@@ -8,9 +8,9 @@
 //! * **Counters** ([`Counter`]) — plain monotonic `u64` event tallies
 //!   (operation counts, traversal node touches, scan and update
 //!   announcement events, step counts under `step-count`, reclamation
-//!   sweeps). Recording is an owner-only `Relaxed` load + store on a
-//!   per-thread [`CachePadded`] shard — no RMW, cheap enough to stay on in
-//!   release builds.
+//!   sweeps, their gate probes and their time). Recording is an
+//!   owner-only `Relaxed` load + store on a per-thread [`CachePadded`]
+//!   shard — no RMW, cheap enough to stay on in release builds.
 //! * **Histograms** ([`Hist`]) — log₂-bucketed distributions (traversal
 //!   depth, per-operation latency in nanoseconds) with percentile
 //!   estimation on [`snapshot`].
@@ -130,6 +130,13 @@ pub enum Counter {
     BagFlushes,
     /// Registry garbage sweeps (`collect` bodies actually entered).
     Sweeps,
+    /// Readiness-gate probes (`Reclaim::ready_to_reclaim` calls) made by
+    /// retire-bag flushes and registry sweeps.
+    GateProbes,
+    /// Nanoseconds spent inside registry sweeps, timed only while recording
+    /// is on. Each thread times one sweep in 16 and counts it 16 times: a
+    /// clock pair on every sweep would not fit the always-on budget.
+    SweepNs,
     /// Successful global-epoch advances.
     EpochAdvances,
     /// Epoch-advance attempts refused by a straggling pinned participant.
@@ -208,6 +215,8 @@ impl Counter {
         Counter::ScanWithdraws,
         Counter::BagFlushes,
         Counter::Sweeps,
+        Counter::GateProbes,
+        Counter::SweepNs,
         Counter::EpochAdvances,
         Counter::EpochAdvanceBlocked,
         Counter::FlightEvents,
@@ -255,6 +264,8 @@ impl Counter {
             Counter::ScanWithdraws => "scan_withdraws",
             Counter::BagFlushes => "bag_flushes",
             Counter::Sweeps => "sweeps",
+            Counter::GateProbes => "gate_probes",
+            Counter::SweepNs => "sweep_ns",
             Counter::EpochAdvances => "epoch_advances",
             Counter::EpochAdvanceBlocked => "epoch_advance_blocked",
             Counter::FlightEvents => "flight_events",

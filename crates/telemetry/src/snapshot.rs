@@ -146,7 +146,8 @@ pub struct ReclaimHealth {
     /// Nodes aging in the limbo stack (retired, gate open, waiting out the
     /// grace period).
     pub limbo: usize,
-    /// Nodes parked in the pending stack (readiness gate closed).
+    /// Nodes parked in the pending stack: retired with a closed gate, or
+    /// opened since the last re-probe.
     pub pending: usize,
     /// Emptied nodes in the shared free stock.
     pub free_stock: usize,
@@ -506,6 +507,8 @@ mod tests {
     fn prometheus_report_contains_every_section() {
         let text = sample_snapshot().to_prometheus();
         assert!(text.contains("lftrie_events_total{event=\"insert_ops\"} 7"));
+        assert!(text.contains("lftrie_events_total{event=\"gate_probes\"} 7"));
+        assert!(text.contains("lftrie_events_total{event=\"sweep_ns\"} 7"));
         assert!(text.contains("lftrie_traversal_depth_count 5"));
         assert!(text.contains("lftrie_traversal_depth_bucket{le=\"+Inf\"} 5"));
         assert!(text.contains("lftrie_epoch_stalled_readers 1"));
@@ -531,6 +534,8 @@ mod tests {
             "\"announcements\"",
             "\"traversal\"",
             "\"insert_ops\"",
+            "\"gate_probes\":7",
+            "\"sweep_ns\":7",
             "\"stalled_readers\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
