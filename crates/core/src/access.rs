@@ -215,7 +215,7 @@ impl TrieCore {
 
     /// Full allocation statistics of the update-node registry: fresh heap
     /// boxes vs pool hits vs resident memory. The warm-churn plateau test
-    /// and the alloc-churn bench read these.
+    /// reads these.
     pub(crate) fn node_alloc_stats(&self) -> lftrie_primitives::registry::AllocStats {
         self.nodes.stats()
     }

@@ -18,7 +18,7 @@ use core::sync::atomic::{
 use lftrie_lists::pall::PallCell;
 use lftrie_lists::pushstack::PushStack;
 use lftrie_primitives::liveness;
-use lftrie_primitives::minreg::{AndMinRegister, MinRegister};
+use lftrie_primitives::minreg::AndMinRegister;
 use lftrie_primitives::registry::Reclaim;
 use lftrie_primitives::steps;
 use lftrie_primitives::swcursor::PublishedKey;

@@ -2066,8 +2066,7 @@ impl LockFreeBinaryTrie {
     /// Allocation statistics of the update-node registry: fresh heap boxes
     /// vs recycled pool hits vs resident memory. Under warm steady-state
     /// churn `fresh` plateaus — every update node is served from a pool —
-    /// which `tests/memory_bound.rs` asserts and `benches/alloc_churn.rs`
-    /// reports.
+    /// which `tests/alloc_plateau.rs` asserts.
     pub fn node_alloc_stats(&self) -> AllocStats {
         self.core.node_alloc_stats()
     }

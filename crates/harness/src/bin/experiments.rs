@@ -6,6 +6,9 @@
 //! experiments [e1 e2 … e12 | all] [--quick] [--emit-json] [--trace <path>]
 //! ```
 //!
+//! An unknown experiment name or flag exits 2 with a usage line before any
+//! experiment runs.
+//!
 //! E1–E3 measure *step complexity* and need the `step-count` feature:
 //!
 //! ```text
@@ -25,51 +28,98 @@
 use lftrie_harness::report::Table;
 use lftrie_harness::{experiments, report, steps_enabled};
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let emit_json = args.iter().any(|a| a == "--emit-json");
-    // `--trace <path>` takes a value: pull the pair out before the
-    // positional scan below mistakes the path for an experiment name.
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .map(|i| {
-            if i + 1 >= args.len() {
-                eprintln!("--trace requires a path argument");
-                std::process::exit(2);
+const USAGE: &str =
+    "usage: experiments [e1 e2 … e12 | all] [--quick] [--emit-json] [--trace <path>]";
+
+/// Runs one experiment (`--quick` or not) and returns its tables.
+type Runner = fn(bool) -> Vec<Table>;
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Runner); 12] = [
+    ("e1", |q| vec![experiments::e1_search_steps(q)]),
+    ("e2", |q| vec![experiments::e2_relaxed_op_steps(q)]),
+    ("e3", |q| vec![experiments::e3_contention_steps(q)]),
+    ("e4", experiments::e4_throughput),
+    ("e5", |q| vec![experiments::e5_bottom_rate(q)]),
+    ("e6", |q| vec![experiments::e6_space(q)]),
+    ("e7", |q| vec![experiments::e7_progress(q)]),
+    ("e8", |q| vec![experiments::e8_latency(q)]),
+    ("e9", |q| vec![experiments::e9_scan(q)]),
+    ("e10", |q| vec![experiments::e10_scan_amortization(q)]),
+    ("e11", |q| vec![experiments::e11_telemetry(q)]),
+    ("e12", |q| vec![experiments::e12_phase_attribution(q)]),
+];
+
+/// The checked command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    /// Indices into [`EXPERIMENTS`] of the experiments to run, in order.
+    wanted: Vec<usize>,
+    quick: bool,
+    emit_json: bool,
+    trace: Option<String>,
+}
+
+/// Reads the command line (without the program name). Every experiment
+/// name is checked before any experiment runs; no name, or `all`, selects
+/// all twelve.
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut all = false;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--emit-json" => parsed.emit_json = true,
+            "--trace" => {
+                let path = args.next().ok_or("--trace requires a path argument")?;
+                parsed.trace = Some(path.clone());
             }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            path
-        })
-        .filter(|_| {
-            if !lftrie_telemetry::trace::compiled() {
-                eprintln!("--trace ignored: rebuild with `--features op-trace` to capture");
-                return false;
+            "all" => all = true,
+            name => {
+                let i = EXPERIMENTS
+                    .iter()
+                    .position(|&(exp, _)| exp == name)
+                    .ok_or_else(|| {
+                        format!("unknown experiment or flag {name:?} (expected e1..e12 or all)")
+                    })?;
+                parsed.wanted.push(i);
             }
-            true
-        });
-    let mut wanted: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .collect();
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
-        ]
-        .map(String::from)
-        .to_vec();
+        }
     }
+    if all || parsed.wanted.is_empty() {
+        parsed.wanted = (0..EXPERIMENTS.len()).collect();
+    }
+    Ok(parsed)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        wanted,
+        quick,
+        emit_json,
+        trace,
+    } = parse(&args).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let trace_path = trace.filter(|_| {
+        if !lftrie_telemetry::trace::compiled() {
+            eprintln!("--trace ignored: rebuild with `--features op-trace` to capture");
+            return false;
+        }
+        true
+    });
 
     report::print_environment();
     if quick {
         println!("mode: --quick (reduced sizes)");
     }
 
-    for exp in &wanted {
-        let tables: Vec<Table> = match exp.as_str() {
+    for i in wanted {
+        let (exp, run) = EXPERIMENTS[i];
+        match exp {
             "e1" | "e2" | "e3" if !steps_enabled() => {
                 println!(
                     "\n### {}: skipped — steps need `--features step-count` and telemetry recording on",
@@ -83,23 +133,9 @@ fn main() {
                 );
                 continue;
             }
-            "e1" => vec![experiments::e1_search_steps(quick)],
-            "e2" => vec![experiments::e2_relaxed_op_steps(quick)],
-            "e3" => vec![experiments::e3_contention_steps(quick)],
-            "e4" => experiments::e4_throughput(quick),
-            "e5" => vec![experiments::e5_bottom_rate(quick)],
-            "e6" => vec![experiments::e6_space(quick)],
-            "e7" => vec![experiments::e7_progress(quick)],
-            "e8" => vec![experiments::e8_latency(quick)],
-            "e9" => vec![experiments::e9_scan(quick)],
-            "e10" => vec![experiments::e10_scan_amortization(quick)],
-            "e11" => vec![experiments::e11_telemetry(quick)],
-            "e12" => vec![experiments::e12_phase_attribution(quick)],
-            other => {
-                eprintln!("unknown experiment: {other} (expected e1..e12 or all)");
-                continue;
-            }
-        };
+            _ => {}
+        }
+        let tables = run(quick);
         for table in &tables {
             table.print();
         }
@@ -123,5 +159,41 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(args: &[&str]) -> Result<Args, String> {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn names_and_flags_parse() {
+        let every: Vec<usize> = (0..12).collect();
+        let all = run(&[]).unwrap();
+        assert_eq!(all.wanted, every);
+        assert!(!all.quick && !all.emit_json && all.trace.is_none());
+        assert_eq!(run(&["e4", "all"]).unwrap().wanted, every);
+
+        let args = run(&["e9", "--quick", "--trace", "t.json", "e1", "--emit-json"]).unwrap();
+        assert_eq!(
+            args,
+            Args {
+                wanted: vec![8, 0],
+                quick: true,
+                emit_json: true,
+                trace: Some("t.json".to_string()),
+            }
+        );
+    }
+
+    #[test]
+    fn an_unknown_name_or_flag_rejects_the_whole_run() {
+        assert!(run(&["e1", "e13"]).is_err());
+        assert!(run(&["e4", "--quik"]).is_err());
+        assert!(run(&["e4", "--trace"]).is_err());
     }
 }

@@ -6,13 +6,14 @@
 //!     [seconds] [threads] [log2_universe] [--trace <path>]
 //! ```
 //!
-//! Defaults: 10 seconds, 4 threads, universe 2^10. Exits non-zero on any
-//! consistency violation. With `threads` well above the core count, the
-//! run is also the **oversubscription lane**: the scheduler preempts
-//! threads inside their pinned operations, so reclamation must stay
-//! bounded while pins stall, and a premature free shows up as a
-//! use-after-free under the sanitizer lane rather than as silent
-//! corruption.
+//! Defaults: 10 seconds, 4 threads, universe 2^10 (log2 of the universe
+//! between 1 and 24). Exits 1 on any consistency violation, and 2 with a
+//! usage line on an argument or environment value it cannot use. With
+//! `threads` well above the core count, the run is also the
+//! **oversubscription lane**: the scheduler preempts threads inside their
+//! pinned operations, so reclamation must stay bounded while pins stall,
+//! and a premature free shows up as a use-after-free under the sanitizer
+//! lane rather than as silent corruption.
 //!
 //! `--trace <path>` (requires `--features op-trace`) writes the captured
 //! Chrome trace-event JSON there — at exit on success, and from the
@@ -32,7 +33,7 @@
 //!   announcements are adopted at round end, and the round then validates
 //!   the usual quiescent invariants *plus* full announcement drain.
 //! * `LFTRIE_TORTURE_FAULT_RATE` — firing probability per 1024 point
-//!   occurrences (default 24).
+//!   occurrences, at most 1024 (default 24).
 //!
 //! A **progress watchdog** guards every round: the workers must complete a
 //! minimum number of operations per round even while the fault plan fires
@@ -44,6 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use lftrie_core::fault::FaultAction::{self, Abandon, Panic, Stall, Yield};
 use lftrie_core::LockFreeBinaryTrie;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,9 +57,19 @@ struct Repro {
     threads: usize,
     log2_u: u64,
     seed: u64,
-    faults: String,
+    /// The `LFTRIE_TORTURE_FAULTS` mode; empty when the chaos lane is off.
+    faults: &'static str,
+    /// The fault actions that mode fires; empty when the lane is off.
+    actions: &'static [FaultAction],
     fault_rate: u32,
 }
+
+/// The `LFTRIE_TORTURE_FAULTS` modes and the fault actions each one fires.
+const FAULT_MODES: [(&str, &[FaultAction]); 3] = [
+    ("panic", &[Yield, Stall, Panic]),
+    ("abandon", &[Yield, Stall, Abandon]),
+    ("mixed", &[Yield, Stall, Panic, Abandon]),
+];
 
 impl Repro {
     fn print(&self) {
@@ -66,9 +78,9 @@ impl Repro {
             "LFTRIE_TORTURE_SEED={} LFTRIE_TORTURE_FAULTS={} LFTRIE_TORTURE_FAULT_RATE={} \\",
             self.seed,
             if self.faults.is_empty() {
-                "\"\"".to_string()
+                "\"\""
             } else {
-                self.faults.clone()
+                self.faults
             },
             self.fault_rate,
         );
@@ -134,26 +146,14 @@ fn fail(round: u64, trie: &LockFreeBinaryTrie, repro: &Repro, msg: &str) -> ! {
 /// returns whether the chaos lane is armed.
 #[cfg(feature = "fault-injection")]
 fn install_fault_plan(repro: &Repro) -> bool {
-    use lftrie_core::fault::{self, FaultAction, FaultPlan};
-    let actions: &[FaultAction] = match repro.faults.as_str() {
-        "" => return false,
-        "panic" => &[FaultAction::Yield, FaultAction::Stall, FaultAction::Panic],
-        "abandon" => &[FaultAction::Yield, FaultAction::Stall, FaultAction::Abandon],
-        "mixed" => &[
-            FaultAction::Yield,
-            FaultAction::Stall,
-            FaultAction::Panic,
-            FaultAction::Abandon,
-        ],
-        other => {
-            eprintln!("unknown LFTRIE_TORTURE_FAULTS mode {other:?} (want panic|abandon|mixed)");
-            std::process::exit(2);
-        }
-    };
+    use lftrie_core::fault::{self, FaultPlan};
+    if repro.actions.is_empty() {
+        return false;
+    }
     fault::install(
         FaultPlan::seeded(repro.seed)
             .with_rate(repro.fault_rate)
-            .with_actions(actions),
+            .with_actions(repro.actions),
     );
     fault::silence_injected_panics();
     true
@@ -161,7 +161,7 @@ fn install_fault_plan(repro: &Repro) -> bool {
 
 #[cfg(not(feature = "fault-injection"))]
 fn install_fault_plan(repro: &Repro) -> bool {
-    if !repro.faults.is_empty() {
+    if !repro.actions.is_empty() {
         eprintln!(
             "warning: LFTRIE_TORTURE_FAULTS needs --features fault-injection; \
              running without the chaos lane"
@@ -294,42 +294,97 @@ fn worker_loop_plain(
     n
 }
 
-fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    // `--trace <path>` takes a value: pull the pair out before the numeric
-    // positional parse below.
-    if let Some(i) = raw.iter().position(|a| a == "--trace") {
-        if i + 1 >= raw.len() {
-            eprintln!("--trace requires a path argument");
-            std::process::exit(2);
+const USAGE: &str = "usage: torture [seconds] [threads] [log2_universe] [--trace <path>]
+  env: LFTRIE_TORTURE_SEED=<u64> LFTRIE_TORTURE_FAULTS=panic|abandon|mixed \
+LFTRIE_TORTURE_FAULT_RATE=<0..=1024>";
+
+/// Reads the command line (without the program name) and the `LFTRIE_TORTURE_*`
+/// variables through `env`. Returns the run and the `--trace` path, or the
+/// reason the input is unusable.
+fn parse(
+    args: &[String],
+    env: impl Fn(&str) -> Option<String>,
+) -> Result<(Repro, Option<String>), String> {
+    let mut trace = None;
+    let mut positional = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--trace" {
+            let path = args.next().ok_or("--trace requires a path argument")?;
+            trace = Some(path.clone());
+        } else {
+            let n: u64 = arg
+                .parse()
+                .map_err(|_| format!("argument {arg:?} is not a non-negative integer"))?;
+            positional.push(n);
         }
-        let path = raw.remove(i + 1);
-        raw.remove(i);
+    }
+    if positional.len() > 3 {
+        return Err(format!(
+            "{} positional arguments, at most 3",
+            positional.len()
+        ));
+    }
+    let seconds = positional.first().copied().unwrap_or(10);
+    let threads = positional.get(1).copied().unwrap_or(4);
+    let log2_u = positional.get(2).copied().unwrap_or(10);
+    if threads == 0 {
+        return Err("threads must be at least 1".into());
+    }
+    if !(1..=24).contains(&log2_u) {
+        return Err(format!("log2_universe {log2_u} is outside 1..=24"));
+    }
+    let seed = match env("LFTRIE_TORTURE_SEED") {
+        None => 0,
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("LFTRIE_TORTURE_SEED={v:?} is not a u64"))?,
+    };
+    let (faults, actions) = match env("LFTRIE_TORTURE_FAULTS").as_deref() {
+        None | Some("") => ("", &[][..]),
+        Some(mode) => FAULT_MODES
+            .into_iter()
+            .find(|&(name, _)| name == mode)
+            .ok_or_else(|| {
+                format!("unknown LFTRIE_TORTURE_FAULTS mode {mode:?} (want panic|abandon|mixed)")
+            })?,
+    };
+    let fault_rate = match env("LFTRIE_TORTURE_FAULT_RATE") {
+        None => 24,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&r| r <= 1024)
+            .ok_or_else(|| format!("LFTRIE_TORTURE_FAULT_RATE={v:?} is not in 0..=1024"))?,
+    };
+    let repro = Repro {
+        seconds,
+        threads: threads as usize,
+        log2_u,
+        seed,
+        faults,
+        actions,
+        fault_rate,
+    };
+    Ok((repro, trace))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let env = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    let (repro, trace) = parse(&args, env).unwrap_or_else(|e| {
+        eprintln!("torture: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    if let Some(path) = trace {
         if lftrie_telemetry::trace::compiled() {
             TRACE_PATH.set(path).unwrap();
         } else {
             eprintln!("warning: --trace needs --features op-trace; running without capture");
         }
     }
-    let args: Vec<u64> = raw.iter().filter_map(|a| a.parse().ok()).collect();
-    let seconds = args.first().copied().unwrap_or(10);
-    let threads = args.get(1).copied().unwrap_or(4) as usize;
-    let log2_u = args.get(2).copied().unwrap_or(10).min(24);
+    let (seconds, threads, log2_u) = (repro.seconds, repro.threads, repro.log2_u);
     let universe = 1u64 << log2_u;
-    let env_u64 = |name: &str, default: u64| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let repro = Repro {
-        seconds,
-        threads,
-        log2_u,
-        seed: env_u64("LFTRIE_TORTURE_SEED", 0),
-        faults: std::env::var("LFTRIE_TORTURE_FAULTS").unwrap_or_default(),
-        fault_rate: env_u64("LFTRIE_TORTURE_FAULT_RATE", 24) as u32,
-    };
     let faulty = install_fault_plan(&repro);
 
     println!(
@@ -338,7 +393,7 @@ fn main() {
         if repro.faults.is_empty() {
             "off"
         } else {
-            &repro.faults
+            repro.faults
         }
     );
     let start = Instant::now();
@@ -506,5 +561,60 @@ fn main() {
     );
     if let Some(path) = write_trace() {
         println!("wrote Chrome trace-event JSON to {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(args: &[&str], env: &[(&str, &str)]) -> Result<(Repro, Option<String>), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args, |name| {
+            env.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn defaults_and_full_input_parse() {
+        let (repro, trace) = run(&[], &[]).unwrap();
+        assert_eq!(
+            (repro.seconds, repro.threads, repro.log2_u, trace),
+            (10, 4, 10, None)
+        );
+        assert_eq!((repro.seed, repro.faults, repro.fault_rate), (0, "", 24));
+        assert!(repro.actions.is_empty());
+
+        let env = [
+            ("LFTRIE_TORTURE_SEED", "99"),
+            ("LFTRIE_TORTURE_FAULTS", "mixed"),
+            ("LFTRIE_TORTURE_FAULT_RATE", "1024"),
+        ];
+        let (repro, trace) = run(&["5", "--trace", "t.json", "8", "24"], &env).unwrap();
+        assert_eq!((repro.seconds, repro.threads, repro.log2_u), (5, 8, 24));
+        assert_eq!(trace.as_deref(), Some("t.json"));
+        assert_eq!(
+            (repro.seed, repro.faults, repro.fault_rate),
+            (99, "mixed", 1024)
+        );
+        assert_eq!(repro.actions, FAULT_MODES[2].1);
+    }
+
+    #[test]
+    fn bad_input_is_rejected_not_defaulted() {
+        // An unparsable positional used to be dropped, shifting the rest:
+        // `10 x 8` ran 8 threads at u = 2^10.
+        assert!(run(&["10", "x", "8"], &[]).is_err());
+        assert!(run(&["1", "2", "3", "4"], &[]).is_err());
+        assert!(run(&["1", "0"], &[]).is_err());
+        assert!(run(&["1", "2", "25"], &[]).is_err());
+        assert!(run(&["1", "2", "0"], &[]).is_err());
+        assert!(run(&["--trace"], &[]).is_err());
+        assert!(run(&[], &[("LFTRIE_TORTURE_SEED", "seven")]).is_err());
+        assert!(run(&[], &[("LFTRIE_TORTURE_FAULT_RATE", "1025")]).is_err());
+        assert!(run(&[], &[("LFTRIE_TORTURE_FAULT_RATE", "-1")]).is_err());
+        assert!(run(&[], &[("LFTRIE_TORTURE_FAULTS", "panik")]).is_err());
     }
 }

@@ -12,12 +12,11 @@ use std::time::{Duration, Instant};
 
 use lftrie_baselines::ConcurrentOrderedSet;
 use lftrie_telemetry::{self as telemetry, Counter, CounterTotals};
-use serde::Serialize;
 
-use crate::workload::{apply, KeyDist, Op, OpMix, OpStream};
+use crate::workload::{apply, Op, OpMix, OpStream};
 
 /// Configuration of one measured run.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Worker count.
     pub threads: usize,
@@ -27,17 +26,12 @@ pub struct RunConfig {
     pub universe: u64,
     /// Operation mix.
     pub mix: OpMix,
-    /// Key-popularity distribution.
-    pub keys: KeyDist,
     /// Base RNG seed.
     pub seed: u64,
-    /// Key span of generated `Range` scans (ignored by mixes without a
-    /// range share).
-    pub scan_width: u64,
 }
 
 /// Result of one measured run.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunResult {
     /// Total operations applied.
     pub total_ops: u64,
@@ -81,9 +75,7 @@ fn drive(cfg: &RunConfig, apply_op: impl Fn(Op) -> Op + Sync) -> RunResult {
             .map(|t| {
                 let (barrier, apply_op) = (&barrier, &apply_op);
                 scope.spawn(move || {
-                    let mut stream =
-                        OpStream::with_dist(cfg.mix, cfg.keys, cfg.universe, cfg.seed, t as u64)
-                            .with_scan_width(cfg.scan_width);
+                    let mut stream = OpStream::new(cfg.mix, cfg.universe, cfg.seed, t as u64);
                     barrier.wait();
                     let before = telemetry::thread_counters();
                     for _ in 0..cfg.ops_per_thread {
@@ -179,9 +171,7 @@ mod tests {
             ops_per_thread: 500,
             universe: 256,
             mix: OpMix::BALANCED,
-            keys: KeyDist::Uniform,
             seed: 3,
-            scan_width: crate::workload::DEFAULT_SCAN_WIDTH,
         };
         let res = run(&set, &cfg);
         assert_eq!(res.total_ops, 1000);
@@ -196,9 +186,7 @@ mod tests {
             ops_per_thread: 200,
             universe: 256,
             mix: OpMix::BALANCED,
-            keys: KeyDist::Uniform,
             seed: 5,
-            scan_width: crate::workload::DEFAULT_SCAN_WIDTH,
         };
         let before = lftrie_telemetry::histogram(lftrie_telemetry::Hist::OpLatencyNs);
         let res = run_instrumented(&set, &cfg);
@@ -220,9 +208,7 @@ mod tests {
                 ops_per_thread: 2000,
                 universe: 128,
                 mix: OpMix::UPDATE_HEAVY,
-                keys: KeyDist::Uniform,
                 seed: 11,
-                scan_width: crate::workload::DEFAULT_SCAN_WIDTH,
             };
             run(&set, &cfg);
             (0..128).filter(|&x| set.contains(x)).collect::<Vec<_>>()

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::driver::{self, RunConfig};
 use crate::report::Table;
-use crate::workload::{prefill, KeyDist, OpMix};
+use crate::workload::{prefill, OpMix};
 
 const SEED: u64 = 0x005E_ED0F_1F7E;
 
@@ -73,11 +73,21 @@ pub fn e1_search_steps(quick: bool) -> Table {
 }
 
 /// E2 — relaxed-trie updates and predecessor are O(log u) worst case: solo
-/// steps per operation grow linearly in log u.
+/// steps per operation grow linearly in log u. The `ns/*` columns time the
+/// same solo loops, with step counting on, as E1's `ns/search` does.
 pub fn e2_relaxed_op_steps(quick: bool) -> Table {
     let mut table = Table::new(
         "E2: relaxed-trie solo op steps (claim: linear in log u)",
-        &["u", "log2(u)", "steps/insert", "steps/delete", "steps/pred"],
+        &[
+            "u",
+            "log2(u)",
+            "steps/insert",
+            "steps/delete",
+            "steps/pred",
+            "ns/insert",
+            "ns/delete",
+            "ns/pred",
+        ],
     );
     let exponents: &[u32] = if quick {
         &[8, 12, 16]
@@ -89,17 +99,17 @@ pub fn e2_relaxed_op_steps(quick: bool) -> Table {
         let trie = RelaxedBinaryTrie::new(u);
         let mut rng = StdRng::seed_from_u64(SEED + u64::from(e));
         let keys: Vec<u64> = (0..500).map(|_| rng.gen_range(0..u)).collect();
-        let (_, ins) = driver::measure_solo(|| {
+        let (ins_elapsed, ins) = driver::measure_solo(|| {
             for &k in &keys {
                 trie.insert(k);
             }
         });
-        let (_, pred) = driver::measure_solo(|| {
+        let (pred_elapsed, pred) = driver::measure_solo(|| {
             for &k in &keys {
                 std::hint::black_box(trie.predecessor(k));
             }
         });
-        let (_, del) = driver::measure_solo(|| {
+        let (del_elapsed, del) = driver::measure_solo(|| {
             for &k in &keys {
                 trie.remove(k);
             }
@@ -111,6 +121,9 @@ pub fn e2_relaxed_op_steps(quick: bool) -> Table {
             format!("{:.1}", ins.steps() as f64 / n),
             format!("{:.1}", del.steps() as f64 / n),
             format!("{:.1}", pred.steps() as f64 / n),
+            format!("{:.1}", ins_elapsed.as_nanos() as f64 / n),
+            format!("{:.1}", del_elapsed.as_nanos() as f64 / n),
+            format!("{:.1}", pred_elapsed.as_nanos() as f64 / n),
         ]);
     }
     table
@@ -136,9 +149,7 @@ pub fn e3_contention_steps(quick: bool) -> Table {
                     ops_per_thread: ops,
                     universe,
                     mix,
-                    keys: KeyDist::Uniform,
                     seed: SEED,
-                    scan_width: crate::workload::DEFAULT_SCAN_WIDTH,
                 },
             );
             table.row(&[
@@ -175,9 +186,7 @@ pub fn e4_throughput(quick: bool) -> Vec<Table> {
                         ops_per_thread: ops,
                         universe: u,
                         mix,
-                        keys: KeyDist::Uniform,
                         seed: SEED,
-                        scan_width: crate::workload::DEFAULT_SCAN_WIDTH,
                     },
                 )
                 .mops
@@ -354,9 +363,7 @@ pub fn e6_space(quick: bool) -> Table {
                 ops_per_thread: ops / 2,
                 universe: u,
                 mix: OpMix::UPDATE_HEAVY,
-                keys: KeyDist::Uniform,
                 seed: SEED,
-                scan_width: crate::workload::DEFAULT_SCAN_WIDTH,
             },
         );
         trie.collect_garbage();
@@ -380,9 +387,7 @@ pub fn e6_space(quick: bool) -> Table {
         ops_per_thread: ops / 2,
         universe: u,
         mix: OpMix::UPDATE_HEAVY,
-        keys: KeyDist::Uniform,
         seed: SEED,
-        scan_width: crate::workload::DEFAULT_SCAN_WIDTH,
     };
     {
         let list = HarrisListSet::new();
@@ -824,9 +829,7 @@ pub fn e11_telemetry(quick: bool) -> Table {
             ops_per_thread: ops,
             universe,
             mix: OpMix::BALANCED,
-            keys: KeyDist::Uniform,
             seed: SEED,
-            scan_width: crate::workload::DEFAULT_SCAN_WIDTH,
         },
     );
     let snap = trie.telemetry();
@@ -887,9 +890,7 @@ pub fn e12_phase_attribution(quick: bool) -> Table {
             ops_per_thread: ops,
             universe,
             mix: OpMix::BALANCED,
-            keys: KeyDist::Uniform,
             seed: SEED,
-            scan_width: crate::workload::DEFAULT_SCAN_WIDTH,
         },
     );
     let snap = trie.telemetry();

@@ -56,15 +56,9 @@ impl Table {
         out
     }
 
-    /// Prints the markdown rendering to stdout; when the environment
-    /// variable `LFTRIE_JSON=1` is set, prints JSON lines instead (one
-    /// object per row, keyed by column name) for downstream tooling.
+    /// Prints the markdown rendering to stdout.
     pub fn print(&self) {
-        if std::env::var("LFTRIE_JSON").as_deref() == Ok("1") {
-            print!("{}", self.to_json_lines());
-        } else {
-            println!("{}", self.to_markdown());
-        }
+        println!("{}", self.to_markdown());
     }
 
     /// Renders the table as JSON lines (`{"table": …, "col": value, …}`).

@@ -398,7 +398,7 @@ impl<P> AnnounceList<P> {
     }
 
     /// Full allocation statistics of the cell registry (fresh vs recycled
-    /// vs resident — the alloc-churn bench reads these).
+    /// vs resident).
     pub fn cell_stats(&self) -> lftrie_primitives::registry::AllocStats {
         self.cells.stats()
     }
@@ -571,8 +571,8 @@ mod tests {
     fn monotone_churn_does_not_grow_the_descending_chain() {
         // Regression: ascending keys in a descending list insert *before*
         // the dead region, so insertion/removal scans never unlink old
-        // cells; traversals must do it instead (found via ablation A2/A3:
-        // every RU-ALL walk paid O(history)).
+        // cells; traversals must do it instead, or every RU-ALL walk pays
+        // O(history).
         let list: AnnounceList<u64> = AnnounceList::new(Direction::Descending);
         let mut payload = 7u64;
         let p: *mut u64 = &mut payload;

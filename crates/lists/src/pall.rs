@@ -271,7 +271,7 @@ impl<P> PallList<P> {
     }
 
     /// Full allocation statistics of the cell registry (fresh vs recycled
-    /// vs resident — the alloc-churn bench reads these).
+    /// vs resident).
     pub fn cell_stats(&self) -> lftrie_primitives::registry::AllocStats {
         self.cells.stats()
     }

@@ -6,8 +6,8 @@
 //! used while traversing the reverse update-announcement list. This crate
 //! provides the concrete realisations of those model objects:
 //!
-//! * [`minreg`] — bounded min-registers, including the paper's AND-based
-//!   construction (`MinWrite` via a single `fetch_and`).
+//! * [`minreg`] — the paper's AND-based bounded min-register (`MinWrite`
+//!   via a single `fetch_and`).
 //! * [`marked`] — word-sized atomic pointers with an embedded mark bit, the
 //!   substrate for Harris-style lock-free linked lists.
 //! * [`epoch`] — epoch-based reclamation (global epoch, per-thread
@@ -40,7 +40,7 @@
 //! # Examples
 //!
 //! ```
-//! use lftrie_primitives::minreg::{AndMinRegister, MinRegister};
+//! use lftrie_primitives::minreg::AndMinRegister;
 //!
 //! let reg = AndMinRegister::new(8, 8); // values in 0..=8, initially 8
 //! reg.min_write(5);

@@ -12,37 +12,24 @@
 //! object is hardware-supported. [`AndMinRegister`] is that construction: the
 //! value `v` is encoded in unary as the word with the `v` lowest bits set, and
 //! `MinWrite(w)` is `fetch_and(encode(w))` — the bitwise AND of two unary
-//! encodings is the encoding of their minimum. [`FetchMinRegister`] is the
-//! obvious alternative on modern ISAs (`fetch_min`, or a CAS loop where the
-//! ISA lacks it); the `ablations` bench compares the two.
+//! encodings is the encoding of their minimum.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
 use crate::steps;
 
-/// Interface of a bounded min-register (paper §2).
-///
-/// Implementations are linearizable: `read` returns the minimum of the initial
-/// value and every `min_write` linearized before it.
-pub trait MinRegister: Send + Sync {
-    /// Returns the current value.
-    fn read(&self) -> u32;
-
-    /// Lowers the stored value to `v` if `v` is smaller than the current
-    /// value; otherwise has no effect.
-    fn min_write(&self, v: u32);
-}
-
 /// The paper's AND-based min-register over values `0..=cap` with `cap ≤ 63`.
 ///
 /// Value `v` is stored as the unary word `(1 << v) − 1` (the `v` low bits
 /// set). `min_write(w)` is a single atomic `AND` with `encode(w)`:
-/// `encode(a) & encode(b) == encode(min(a, b))`.
+/// `encode(a) & encode(b) == encode(min(a, b))`. The register is
+/// linearizable: `read` returns the minimum of the initial value and every
+/// `min_write` linearized before it.
 ///
 /// # Examples
 ///
 /// ```
-/// use lftrie_primitives::minreg::{AndMinRegister, MinRegister};
+/// use lftrie_primitives::minreg::AndMinRegister;
 ///
 /// let r = AndMinRegister::new(17, 17); // b + 1 for a trie of height b = 16
 /// r.min_write(3);
@@ -85,53 +72,22 @@ impl AndMinRegister {
     fn decode(word: u64) -> u32 {
         word.trailing_ones()
     }
-}
 
-impl MinRegister for AndMinRegister {
+    /// Returns the current value.
     #[inline]
-    fn read(&self) -> u32 {
+    pub fn read(&self) -> u32 {
         steps::on_read();
         Self::decode(self.bits.load(Ordering::SeqCst))
     }
 
+    /// Lowers the stored value to `v` if `v` is smaller than the current
+    /// value; otherwise has no effect.
     #[inline]
-    fn min_write(&self, v: u32) {
+    pub fn min_write(&self, v: u32) {
         debug_assert!(v <= self.cap, "min_write value exceeds cap");
         steps::on_min_write();
         // L46 of the paper's pseudocode performs MinWrite via a single AND.
         self.bits.fetch_and(Self::encode(v), Ordering::SeqCst);
-    }
-}
-
-/// A min-register built on the ISA `fetch_min` (used in the A1 ablation).
-///
-/// Functionally identical to [`AndMinRegister`] but without the unary
-/// encoding, so it supports the full `u64` range.
-#[derive(Debug)]
-pub struct FetchMinRegister {
-    value: AtomicU64,
-}
-
-impl FetchMinRegister {
-    /// Creates a register holding `initial`.
-    pub fn new(initial: u32) -> Self {
-        Self {
-            value: AtomicU64::new(u64::from(initial)),
-        }
-    }
-}
-
-impl MinRegister for FetchMinRegister {
-    #[inline]
-    fn read(&self) -> u32 {
-        steps::on_read();
-        self.value.load(Ordering::SeqCst) as u32
-    }
-
-    #[inline]
-    fn min_write(&self, v: u32) {
-        steps::on_min_write();
-        self.value.fetch_min(u64::from(v), Ordering::SeqCst);
     }
 }
 
@@ -161,18 +117,15 @@ mod tests {
 
     #[test]
     fn sequential_semantics_match() {
-        let and_reg = AndMinRegister::new(63, 63);
-        let fm_reg = FetchMinRegister::new(63);
+        let reg = AndMinRegister::new(63, 63);
         let mut model = 63u32;
         let mut state = 0x9E3779B97F4A7C15u64;
         for _ in 0..1000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let v = (state >> 33) as u32 % 64;
-            and_reg.min_write(v);
-            fm_reg.min_write(v);
+            reg.min_write(v);
             model = model.min(v);
-            assert_eq!(and_reg.read(), model);
-            assert_eq!(fm_reg.read(), model);
+            assert_eq!(reg.read(), model);
         }
     }
 

@@ -18,10 +18,9 @@
 //!   plus a free list of recycled nodes. [`Registry::alloc`] pops the free
 //!   list (refilling from a shared stock in batches) before it ever touches
 //!   the heap, so warm steady-state churn performs **zero** heap
-//!   allocations per operation. `benches/alloc_churn.rs` and
-//!   `tests/memory_bound.rs` assert exactly this via the
-//!   [`Registry::allocated`] (fresh heap boxes) vs [`Registry::recycled`]
-//!   (pool hits) counters.
+//!   allocations per operation. `tests/alloc_plateau.rs` asserts exactly
+//!   this via the [`Registry::allocated`] (fresh heap boxes) vs
+//!   [`Registry::recycled`] (pool hits) counters.
 //! * Retire bags flush to the shared limbo in batches — on overflow
 //!   (`BAG_CAP`) and at the start of every sweep — so the shared Treiber
 //!   stacks are touched once per batch instead of once per retire. Pools
@@ -1127,7 +1126,7 @@ impl<T> Registry<T> {
 
     /// Fresh heap allocations performed so far. Under warm steady-state
     /// churn this **plateaus** — every allocation is served from a pool —
-    /// which `tests/alloc_plateau.rs` and `benches/alloc_churn.rs` assert.
+    /// which `tests/alloc_plateau.rs` asserts.
     pub fn allocated(&self) -> usize {
         self.counters.fresh.load(Ordering::Relaxed)
     }

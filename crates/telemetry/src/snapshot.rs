@@ -4,9 +4,9 @@
 //! [`AnnouncementLens`], [`TraversalStats`]) are plain data: this crate
 //! sits below every other workspace crate, so the subsystems that own the
 //! live state (`epoch.rs`, `registry.rs`, the tries) construct them and
-//! attach them to a [`TelemetrySnapshot`]. Rendering is hand-rolled — the
-//! vendored `serde` is a marker-trait stub — into two formats: a
-//! Prometheus-style text exposition and a single-object JSON document.
+//! attach them to a [`TelemetrySnapshot`]. Rendering is hand-rolled into
+//! two formats: a Prometheus-style text exposition and a single-object JSON
+//! document.
 
 use crate::{bucket_bound, Counter, Hist, COUNTER_COUNT, HIST_BUCKETS};
 

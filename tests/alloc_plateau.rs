@@ -1,7 +1,7 @@
 //! The zero-allocation plateau: after a warm-up phase, sustained
 //! insert/delete churn performs **zero** fresh heap allocations — every
-//! node comes out of the registry's recycle pools (ISSUE 4's acceptance
-//! test; see the "Allocation pooling" section of the README).
+//! node comes out of the registry's recycle pools (see the "Allocation
+//! pooling" section of the README).
 //!
 //! This lives in its own test binary on purpose: the plateau is *exact*
 //! only when nothing else pins the global epoch domain. The sibling
@@ -9,9 +9,70 @@
 //! phases; sharing a process with them would park the epoch, stall aging,
 //! drain the pools, and fault the plateau with scheduler noise. Cargo runs
 //! test binaries sequentially, so a dedicated binary is a dedicated
-//! process.
+//! process. For the same reason every structure runs inside the one test
+//! below, one after another: separate tests would share the epoch domain
+//! with each other.
 
-use lftrie::core::LockFreeBinaryTrie;
+use lftrie::baselines::{HarrisListSet, LockFreeSkipList};
+use lftrie::core::{LockFreeBinaryTrie, RelaxedBinaryTrie};
+use lftrie::primitives::registry::AllocStats;
+
+/// Keys churned: a span small enough for maximal per-key supersession.
+const SPAN: u64 = 8;
+
+/// `n` inserts or removes (`update(key, insert)`) over keys `0..SPAN`, from
+/// the same deterministic sequence on every call.
+fn churn(update: &dyn Fn(u64, bool), n: u64) {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..n {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        update((state >> 33) % SPAN, state.is_multiple_of(2));
+    }
+}
+
+/// The warm-up every structure gets before its plateau is measured: churn,
+/// then churn under a held pin, then `flush` ages the garbage into the free
+/// pools.
+///
+/// The held pin over-provisions the pools: nothing ages under it, so the
+/// node population inflates by the whole in-flight window, and the flush
+/// turns that entire surplus into free-pool stock. This is the
+/// warm-up-with-headroom a real deployment gets for free from its bursty
+/// start; without it, the steady phase's single deepest pipeline moment
+/// can exceed the warm phase's by a node or two.
+fn warm_up(update: &dyn Fn(u64, bool), flush: impl Fn()) {
+    churn(update, 6_000);
+    {
+        let pin = lftrie::primitives::epoch::pin();
+        churn(update, 2_000);
+        drop(pin);
+    }
+    flush();
+}
+
+/// Warms one single-registry structure up, churns it again, and asserts
+/// that the second churn allocated nothing fresh.
+fn assert_plateau(
+    name: &str,
+    update: &dyn Fn(u64, bool),
+    flush: impl Fn(),
+    stats: impl Fn() -> AllocStats,
+) {
+    warm_up(update, flush);
+    let warm = stats();
+    churn(update, 6_000);
+    let end = stats();
+    assert_eq!(
+        end.fresh,
+        warm.fresh,
+        "warm {name} churn must not touch the heap ({} created since warm-up)",
+        end.created - warm.created
+    );
+    assert!(
+        end.recycled > warm.recycled,
+        "{name}'s steady phase must be served from the pools"
+    );
+}
 
 #[test]
 fn warm_churn_allocates_zero_fresh_nodes() {
@@ -25,33 +86,15 @@ fn warm_churn_allocates_zero_fresh_nodes() {
     // successor helpers, so insert/delete churn exercises the S-ALL and
     // the successor-node registry without any explicit successor calls.)
     let universe = 32u64;
-    let span = 8u64;
     let trie = LockFreeBinaryTrie::new(universe);
-    let churn = |n: u64| {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..n {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let k = (state >> 33) % span;
-            if state.is_multiple_of(2) {
-                trie.insert(k);
-            } else {
-                trie.remove(k);
-            }
+    let update = |k: u64, insert: bool| {
+        if insert {
+            trie.insert(k);
+        } else {
+            trie.remove(k);
         }
     };
-    churn(6_000);
-    // Over-provision the pools: churn under a held pin so nothing ages —
-    // the node population inflates by the whole in-flight window — then
-    // release and flush, turning that entire surplus into free-pool stock.
-    // This is the warm-up-with-headroom a real deployment gets for free
-    // from its bursty start; without it, the steady phase's single deepest
-    // pipeline moment can exceed the warm phase's by a node or two.
-    {
-        let pin = lftrie::primitives::epoch::pin();
-        churn(2_000);
-        drop(pin);
-    }
-    trie.collect_garbage(); // age the warm-up garbage into the free pools
+    warm_up(&update, || trie.collect_garbage());
     let warm_nodes = trie.node_alloc_stats();
     let warm_preds = trie.pred_alloc_stats();
     let warm_succs = trie.succ_alloc_stats();
@@ -63,7 +106,7 @@ fn warm_churn_allocates_zero_fresh_nodes() {
         warm_cells.sall,
     );
 
-    churn(6_000);
+    churn(&update, 6_000);
     let nodes = trie.node_alloc_stats();
     let preds = trie.pred_alloc_stats();
     let succs = trie.succ_alloc_stats();
@@ -96,4 +139,46 @@ fn warm_churn_allocates_zero_fresh_nodes() {
     assert!(preds.created > warm_preds.created);
     assert!(succs.created > warm_succs.created);
     assert!(sall.created > warm_sall.created);
+
+    // The relaxed trie and the two lock-free baselines allocate through the
+    // same pooled registry and must plateau the same way.
+    let relaxed = RelaxedBinaryTrie::new(universe);
+    assert_plateau(
+        "relaxed-trie",
+        &|k, insert| {
+            if insert {
+                relaxed.insert(k);
+            } else {
+                relaxed.remove(k);
+            }
+        },
+        || relaxed.collect_garbage(),
+        || relaxed.node_alloc_stats(),
+    );
+    let list = HarrisListSet::new();
+    assert_plateau(
+        "harris-list",
+        &|k, insert| {
+            if insert {
+                list.insert(k);
+            } else {
+                list.remove(k);
+            }
+        },
+        || list.collect_garbage(),
+        || list.alloc_stats(),
+    );
+    let skip = LockFreeSkipList::new();
+    assert_plateau(
+        "lockfree-skiplist",
+        &|k, insert| {
+            if insert {
+                skip.insert(k);
+            } else {
+                skip.remove(k);
+            }
+        },
+        || skip.collect_garbage(),
+        || skip.alloc_stats(),
+    );
 }

@@ -18,13 +18,19 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::Duration;
 
 use lftrie::core::fault::{self, FaultAction, FaultPlan, FaultPoint, InjectedFault};
 use lftrie::core::LockFreeBinaryTrie;
 
 const U: u64 = 1 << 9;
+
+/// The installed fault plan is one process-global slot, and the two tests
+/// below run in parallel. A scenario installs its plan, arms its thread
+/// with it and empties the slot again under this lock, so the other test
+/// can never arm this scenario's plan or replace it before it is armed.
+static PLAN_SLOT: Mutex<()> = Mutex::new(());
 
 /// Seed membership: every third key, away from the universe edges.
 fn seed_keys() -> Vec<u64> {
@@ -121,8 +127,13 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
     assert!(batch_new.iter().all(|k| !model.contains(k)));
     assert!(batch_old.iter().all(|k| model.contains(k)));
 
-    fault::install(FaultPlan::once(point, action));
-    fault::arm((point as u64) << 8 | op as u64);
+    {
+        let _slot = PLAN_SLOT.lock().unwrap_or_else(PoisonError::into_inner);
+        fault::install(FaultPlan::once(point, action));
+        fault::arm((point as u64) << 8 | op as u64);
+        // The armed thread keeps its snapshot of the plan.
+        fault::uninstall();
+    }
     let outcome = catch_unwind(AssertUnwindSafe(|| match op {
         Op::InsertNew => {
             assert!(trie.insert(k_new), "{ctx}: insert of absent key");
@@ -177,7 +188,6 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
         }
     }));
     fault::disarm();
-    fault::uninstall();
 
     let crashed = match outcome {
         Ok(()) => {
