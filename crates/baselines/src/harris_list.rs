@@ -10,7 +10,9 @@
 //! same [`Registry`] accounting the trie uses, keeping the E6 space
 //! comparison apples-to-apples).
 
-use lftrie_primitives::epoch::{self, Guard};
+use std::sync::Arc;
+
+use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::marked::{AtomicMarkedPtr, MarkedPtr};
 use lftrie_primitives::registry::{Reclaim, Registry};
 use lftrie_primitives::{NEG_INF, POS_INF};
@@ -56,7 +58,7 @@ impl Default for HarrisListSet {
 impl HarrisListSet {
     /// Creates an empty set.
     pub fn new() -> Self {
-        let nodes = Registry::new();
+        let nodes = Registry::new_in(Arc::default());
         let tail = nodes.alloc(Node {
             key: POS_INF,
             next: AtomicMarkedPtr::null(),
@@ -66,6 +68,13 @@ impl HarrisListSet {
             next: AtomicMarkedPtr::new(MarkedPtr::new(tail, false)),
         });
         Self { head, nodes }
+    }
+
+    /// The epoch domain this set's nodes retire into. A caller that pins
+    /// it holds back this set's reclamation, and no other structure's,
+    /// until the guard drops.
+    pub fn domain(&self) -> &Domain {
+        self.nodes.domain()
     }
 
     /// Michael-style search: `(pred, cur)` with `pred.key < key ≤ cur.key`,
@@ -98,7 +107,7 @@ impl HarrisListSet {
     /// Adds `key`; returns `true` if the set changed.
     pub fn insert(&self, key: u64) -> bool {
         let key = key as i64;
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let node = self.nodes.alloc(Node {
             key,
             next: AtomicMarkedPtr::null(),
@@ -124,7 +133,7 @@ impl HarrisListSet {
     /// Removes `key`; returns `true` if the set changed.
     pub fn remove(&self, key: u64) -> bool {
         let key = key as i64;
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         loop {
             let (_, cur) = self.find(key, guard);
             if unsafe { (*cur).key } != key {
@@ -144,7 +153,7 @@ impl HarrisListSet {
     /// Membership test (read-only traversal).
     pub fn contains(&self, key: u64) -> bool {
         let key = key as i64;
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let mut cur = unsafe { (*self.head).next.load() }.ptr();
         while unsafe { (*cur).key } < key {
             cur = unsafe { (*cur).next.load() }.ptr();
@@ -156,7 +165,7 @@ impl HarrisListSet {
     /// Largest key smaller than `y`, or `None`.
     pub fn predecessor(&self, y: u64) -> Option<u64> {
         let y = y as i64;
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let mut best: Option<u64> = None;
         let mut cur = unsafe { (*self.head).next.load() }.ptr();
         while unsafe { (*cur).key } < y {
@@ -171,7 +180,7 @@ impl HarrisListSet {
     /// Smallest key greater than `y`, or `None` (read-only traversal).
     pub fn successor(&self, y: u64) -> Option<u64> {
         let y = y as i64;
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let mut cur = unsafe { (*self.head).next.load() }.ptr();
         loop {
             let key = unsafe { (*cur).key };

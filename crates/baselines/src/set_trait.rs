@@ -107,9 +107,8 @@ pub trait ConcurrentOrderedSet: Send + Sync {
     fn name(&self) -> &'static str;
     /// A unified telemetry snapshot for this structure.
     ///
-    /// The default returns the process-global counters and histograms only
-    /// (no structure gauges — baselines don't own an epoch domain or node
-    /// registries). The tries override it with their full `telemetry()`,
+    /// The default returns the process-global counters and histograms only,
+    /// with no structure gauges attached. The tries override it with their full `telemetry()`,
     /// attaching epoch health, per-registry reclamation gauges, and
     /// announcement-list lengths, so harness code can sample any structure
     /// through the trait.

@@ -16,8 +16,9 @@
 //! traversals descending through it.
 
 use core::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use lftrie_primitives::epoch::{self, Guard};
+use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::marked::{AtomicMarkedPtr, MarkedPtr};
 use lftrie_primitives::registry::{Reclaim, Registry};
 use lftrie_primitives::{NEG_INF, POS_INF};
@@ -91,7 +92,7 @@ impl Default for LockFreeSkipList {
 impl LockFreeSkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        let nodes = Registry::new();
+        let nodes = Registry::new_in(Arc::default());
         let tail = nodes.alloc(Node {
             key: POS_INF,
             next: (0..MAX_HEIGHT).map(|_| AtomicMarkedPtr::null()).collect(),
@@ -109,6 +110,13 @@ impl LockFreeSkipList {
             nodes,
             seed: AtomicUsize::new(0x9E3779B97F4A7C15),
         }
+    }
+
+    /// The epoch domain this set's nodes retire into. A caller that pins
+    /// it holds back this set's reclamation, and no other structure's,
+    /// until the guard drops.
+    pub fn domain(&self) -> &Domain {
+        self.nodes.domain()
     }
 
     fn random_height(&self) -> usize {
@@ -163,7 +171,7 @@ impl LockFreeSkipList {
     /// Adds `key`; returns `true` if the set changed.
     pub fn insert(&self, key: u64) -> bool {
         let key = key as i64;
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let mut preds = [core::ptr::null_mut(); MAX_HEIGHT];
         let mut succs = [core::ptr::null_mut(); MAX_HEIGHT];
         let height = self.random_height();
@@ -234,7 +242,7 @@ impl LockFreeSkipList {
     /// whose bottom-level mark succeeds reports `true`).
     pub fn remove(&self, key: u64) -> bool {
         let key = key as i64;
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let mut preds = [core::ptr::null_mut(); MAX_HEIGHT];
         let mut succs = [core::ptr::null_mut(); MAX_HEIGHT];
         if !self.find(key, &mut preds, &mut succs, guard) {
@@ -273,7 +281,7 @@ impl LockFreeSkipList {
     /// Membership test (read-only traversal, no helping).
     pub fn contains(&self, key: u64) -> bool {
         let key = key as i64;
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let mut pred = self.head;
         for level in (0..MAX_HEIGHT).rev() {
             let mut cur = nref(pred).next[level].load().ptr();
@@ -291,7 +299,7 @@ impl LockFreeSkipList {
     /// Largest key smaller than `y`, or `None`.
     pub fn predecessor(&self, y: u64) -> Option<u64> {
         let y = y as i64;
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let mut pred = self.head;
         for level in (0..MAX_HEIGHT).rev() {
             let mut cur = nref(pred).next[level].load().ptr();
@@ -321,7 +329,7 @@ impl LockFreeSkipList {
     /// it. O(log n) expected.
     pub fn successor(&self, y: u64) -> Option<u64> {
         let y = y as i64;
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let mut pred = self.head;
         for level in (0..MAX_HEIGHT).rev() {
             let mut cur = nref(pred).next[level].load().ptr();

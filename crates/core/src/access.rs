@@ -10,8 +10,9 @@
 //! update-node arena — lives in [`TrieCore`] and is shared.
 
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::Arc;
 
-use lftrie_primitives::epoch::Guard;
+use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::registry::Registry;
 use lftrie_primitives::steps;
 use lftrie_telemetry::trace::{self, CasSite};
@@ -57,10 +58,11 @@ pub(crate) struct TrieCore {
 impl TrieCore {
     /// Builds the initial configuration: `S = ∅`, every `latest[x]` a dummy
     /// DEL node whose boundaries make all interpreted bits 0 (§4.5.2).
-    pub(crate) fn new(universe: u64) -> Self {
+    /// The update nodes retire into `domain`, the owning trie's.
+    pub(crate) fn new(universe: u64, domain: Arc<Domain>) -> Self {
         let layout = Layout::new(universe);
         let n = layout.num_leaves() as usize;
-        let nodes = Registry::new();
+        let nodes = Registry::new_in(domain);
         let next_seq = AtomicU64::new(1);
 
         let mut latest = Vec::with_capacity(n);
@@ -88,6 +90,12 @@ impl TrieCore {
             nodes,
             next_seq,
         }
+    }
+
+    /// The owning trie's epoch domain.
+    #[inline]
+    pub(crate) fn domain(&self) -> &Domain {
+        self.nodes.domain()
     }
 
     /// The trie geometry.
@@ -282,7 +290,7 @@ mod tests {
 
     #[test]
     fn initial_configuration_is_all_dummies() {
-        let core = TrieCore::new(8);
+        let core = TrieCore::new(8, Arc::default());
         for x in 0..8i64 {
             let head = core.latest_head(x);
             let node = unsafe { &*head };
@@ -296,7 +304,7 @@ mod tests {
 
     #[test]
     fn dnode_seeded_with_leftmost_dummy() {
-        let core = TrieCore::new(8);
+        let core = TrieCore::new(8, Arc::default());
         let layout = *core.layout();
         for t in 1..layout.num_leaves() {
             let d = core.dnode_load(t);
@@ -313,7 +321,7 @@ mod tests {
         // node's *address*, so identity tests (paper lines 222/225/227/239)
         // go through `seq` — which `alloc_node` must restamp on every
         // (re)allocation, recycled or fresh.
-        let core = TrieCore::new(4);
+        let core = TrieCore::new(4, Arc::default());
         let old = core.alloc_node(UpdateNode::new_ins(
             2,
             Status::Active,
@@ -324,42 +332,30 @@ mod tests {
         assert!(old_seq > 0);
         unsafe { (*old).set_completed() }; // open the reclamation gate
         {
-            let guard = lftrie_primitives::epoch::pin();
+            let guard = core.domain().pin();
             unsafe { core.retire_node(old, &guard) };
         }
-        // Sweep until the slot comes back out of the pool (bounded retries:
-        // concurrently pinned tests in this process can delay aging).
-        let mut probes = Vec::new();
-        let mut reused = None;
-        for _ in 0..64 {
-            core.flush_reclamation();
-            let p = core.alloc_node(UpdateNode::new_ins(
-                2,
-                Status::Active,
-                core::ptr::null_mut(),
-                core.b(),
-            ));
-            if p == old {
-                reused = Some(p);
-                break;
-            }
-            probes.push(p);
-        }
-        let p = reused.expect("the retired node's slot should be recycled within a few sweeps");
+        // Nothing else pins the core's own domain: one flush ages the node
+        // out, and the next allocation takes its slot from the pool.
+        core.flush_reclamation();
+        let p = core.alloc_node(UpdateNode::new_ins(
+            2,
+            Status::Active,
+            core::ptr::null_mut(),
+            core.b(),
+        ));
+        assert_eq!(p, old, "one flush recycles the retired node's slot");
         let new_seq = unsafe { (*p).seq };
         assert_ne!(new_seq, old_seq, "a recycled node must carry a fresh id");
         assert!(new_seq > old_seq, "seq ids are monotone, never reused");
         let stats = core.node_alloc_stats();
         assert!(stats.recycled >= 1, "the reuse must come from the pool");
         unsafe { core.dealloc_node(p) };
-        for q in probes {
-            unsafe { core.dealloc_node(q) };
-        }
     }
 
     #[test]
     fn cas_latest_swaps_exactly_once() {
-        let core = TrieCore::new(4);
+        let core = TrieCore::new(4, Arc::default());
         let old = core.latest_head(2);
         let fresh = core.alloc_node(UpdateNode::new_ins(2, Status::Active, old, core.b()));
         assert!(core.cas_latest(2, old, fresh));

@@ -13,11 +13,13 @@
 //! wherever a best-effort predecessor is acceptable (it never returns a
 //! *wrong* key — see Lemma 4.28).
 
+use std::sync::Arc;
+
 use crate::access::{LatestAccess, TrieCore};
 use crate::bitops;
 use crate::dir::{Pred, Succ};
 use crate::node::{Kind, Status, UpdateNode};
-use lftrie_primitives::epoch;
+use lftrie_primitives::epoch::Domain;
 use lftrie_primitives::{Key, NO_PRED, NO_SUCC};
 use lftrie_telemetry::{self as telemetry, Counter, TelemetrySnapshot};
 
@@ -110,7 +112,7 @@ impl RelaxedBinaryTrie {
     /// Panics if `universe < 2` or `universe > 2^62`.
     pub fn new(universe: u64) -> Self {
         Self {
-            core: TrieCore::new(universe),
+            core: TrieCore::new(universe, Arc::default()),
             universe,
         }
     }
@@ -118,6 +120,13 @@ impl RelaxedBinaryTrie {
     /// The universe size `u` this trie was created with.
     pub fn universe(&self) -> u64 {
         self.universe
+    }
+
+    /// The epoch domain this trie's update nodes retire into. A caller
+    /// that pins it holds back this trie's reclamation, and no other
+    /// structure's, until the guard drops.
+    pub fn domain(&self) -> &Domain {
+        self.core.domain()
     }
 
     #[inline]
@@ -138,7 +147,7 @@ impl RelaxedBinaryTrie {
     pub fn contains(&self, x: Key) -> bool {
         let x = self.check_key(x);
         telemetry::add(Counter::ContainsOps, 1);
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let u_node = self.find_latest(x); // L16
         unsafe { (*u_node).kind() == Kind::Ins } // L17–18
     }
@@ -155,7 +164,7 @@ impl RelaxedBinaryTrie {
         // One pin across activation and the trie update: our published node
         // must stay dereferenceable for the finish phase even if concurrent
         // updates supersede it twice in between.
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         match self.insert_activate(x) {
             Some(i_node) => {
                 self.insert_finish(i_node); // L36
@@ -174,7 +183,7 @@ impl RelaxedBinaryTrie {
     /// hop), but the node two generations back just became unreachable for
     /// new operations.
     pub(crate) fn insert_activate(&self, x: i64) -> Option<*mut UpdateNode> {
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let d_node = self.find_latest(x); // L29
         if unsafe { (*d_node).kind() } != Kind::Del {
             return None; // L30: x already in S
@@ -214,7 +223,7 @@ impl RelaxedBinaryTrie {
     /// node completed — the relaxed trie's analogue of the lock-free line
     /// 178, and the signal that lets a superseded node be reclaimed.
     pub(crate) fn insert_finish(&self, i_node: *mut UpdateNode) {
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         bitops::insert_binary_trie(&self.core, self, i_node);
         unsafe { (*i_node).set_completed() };
     }
@@ -228,7 +237,7 @@ impl RelaxedBinaryTrie {
     pub fn remove(&self, x: Key) -> bool {
         let x = self.check_key(x);
         telemetry::add(Counter::RemoveOps, 1);
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         match self.delete_activate(x) {
             Some(d_node) => {
                 self.delete_finish(d_node); // L56
@@ -242,7 +251,7 @@ impl RelaxedBinaryTrie {
     /// success, retires the node two generations back (see
     /// [`RelaxedBinaryTrie::insert_activate`]).
     pub(crate) fn delete_activate(&self, x: i64) -> Option<*mut UpdateNode> {
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let i_node = self.find_latest(x); // L48
         if unsafe { (*i_node).kind() } != Kind::Ins {
             return None; // L49: x not in S
@@ -276,7 +285,7 @@ impl RelaxedBinaryTrie {
     /// Line 56 of `TrieDelete`: `DeleteBinaryTrie(dNode)`, then mark the
     /// node completed (see [`RelaxedBinaryTrie::insert_finish`]).
     pub(crate) fn delete_finish(&self, d_node: *mut UpdateNode) {
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         bitops::delete_binary_trie(&self.core, self, d_node);
         unsafe { (*d_node).set_completed() };
     }
@@ -290,7 +299,7 @@ impl RelaxedBinaryTrie {
     pub fn predecessor(&self, y: Key) -> RelaxedPred {
         let y = self.check_key(y);
         telemetry::add(Counter::PredecessorOps, 1);
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         match bitops::relaxed_query::<Pred, _>(&self.core, self, y) {
             None => RelaxedPred::Interference,
             Some(NO_PRED) => RelaxedPred::NoneSmaller,
@@ -313,7 +322,7 @@ impl RelaxedBinaryTrie {
     pub fn successor(&self, y: Key) -> RelaxedSucc {
         let y = self.check_key(y);
         telemetry::add(Counter::SuccessorOps, 1);
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         match bitops::relaxed_query::<Succ, _>(&self.core, self, y) {
             None => RelaxedSucc::Interference,
             Some(NO_SUCC) => RelaxedSucc::NoneGreater,
@@ -324,7 +333,7 @@ impl RelaxedBinaryTrie {
     /// Diagnostic: the interpreted bits of every trie level, root first
     /// (level `d` has `2^d` bits) — the circles of Figures 1–3.
     pub fn interpreted_bits_by_level(&self) -> Vec<Vec<bool>> {
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let layout = self.core.layout();
         let mut levels = Vec::with_capacity(layout.bits() as usize + 1);
         for depth in 0..=layout.bits() {
@@ -345,7 +354,7 @@ impl RelaxedBinaryTrie {
     /// Panics if `x ≥ universe`.
     pub fn latest_info(&self, x: Key) -> LatestInfo {
         let x = self.check_key(x);
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let node = unsafe { &*self.find_latest(x) };
         if node.kind() == Kind::Ins {
             LatestInfo {
@@ -391,7 +400,7 @@ impl RelaxedBinaryTrie {
     /// recovery gauges exist only on the linearizable trie.)
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut snap = telemetry::snapshot();
-        snap.epoch = Some(epoch::Domain::global().health());
+        snap.epoch = Some(self.domain().health());
         snap.reclaim = vec![self.core.node_health("nodes")];
         snap
     }

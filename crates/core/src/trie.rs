@@ -77,12 +77,12 @@
 use core::cell::Cell as StdCell;
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use lftrie_lists::announce::AnnounceList;
 use lftrie_lists::pall::PallList;
 use lftrie_lists::Direction;
-use lftrie_primitives::epoch::{self, Guard};
+use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::fault::{self, FaultPoint};
 use lftrie_primitives::liveness;
 use lftrie_primitives::registry::{AllocStats, Registry};
@@ -232,7 +232,7 @@ impl Drop for UpdateOpGuard<'_> {
         let _ = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
             // Re-pin (re-entrantly — the panicking operation's own pin is
             // still live in the unwinding caller frame).
-            let guard = &epoch::pin();
+            let guard = &this.trie.domain().pin();
             this.trie.resume_update(this, guard);
         }));
     }
@@ -263,7 +263,7 @@ impl<D: Dir> Drop for QueryGuard<'_, D> {
         let _quiet = fault::suppress();
         telemetry::add(Counter::UnwindWithdrawals, 1);
         let _ = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
-            let guard = &epoch::pin();
+            let guard = &self.trie.domain().pin();
             self.trie.remove_query_node::<D>(self.node, guard);
         }));
     }
@@ -298,10 +298,10 @@ struct QuerySide {
 }
 
 impl QuerySide {
-    fn new() -> Self {
+    fn new(domain: &Arc<Domain>) -> Self {
         Self {
-            list: PallList::new(),
-            nodes: Registry::new(),
+            list: PallList::new_in(Arc::clone(domain)),
+            nodes: Registry::new_in(Arc::clone(domain)),
             bottoms: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
         }
@@ -402,12 +402,13 @@ impl LockFreeBinaryTrie {
     ///
     /// Panics if `universe < 2` or `universe > 2^62`.
     pub fn new(universe: u64) -> Self {
+        let domain = Arc::new(Domain::new());
         Self {
-            core: TrieCore::new(universe),
+            core: TrieCore::new(universe, Arc::clone(&domain)),
             universe,
-            uall: AnnounceList::new(Direction::Ascending),
-            ruall: AnnounceList::new(Direction::Descending),
-            sides: [QuerySide::new(), QuerySide::new()],
+            uall: AnnounceList::new_in(Direction::Ascending, Arc::clone(&domain)),
+            ruall: AnnounceList::new_in(Direction::Descending, Arc::clone(&domain)),
+            sides: [QuerySide::new(&domain), QuerySide::new(&domain)],
             ann_current: AtomicI64::new(0),
             ann_high_water: AtomicU64::new(0),
             adopt_gen: AtomicU64::new(0),
@@ -418,6 +419,13 @@ impl LockFreeBinaryTrie {
     /// The universe size `u` this trie was created with.
     pub fn universe(&self) -> u64 {
         self.universe
+    }
+
+    /// The epoch domain all of this trie's registries retire into. A
+    /// caller that pins it holds back this trie's reclamation, and no
+    /// other structure's, until the guard drops.
+    pub fn domain(&self) -> &Domain {
+        self.core.domain()
     }
 
     #[inline]
@@ -715,7 +723,7 @@ impl LockFreeBinaryTrie {
         let x = self.check_key(x);
         telemetry::add(Counter::ContainsOps, 1);
         let _s = trace::span(OpKind::Contains, x);
-        let _guard = epoch::pin();
+        let _guard = self.domain().pin();
         let u_node = self.find_latest(x); // L122
         unsafe { (*u_node).kind() == Kind::Ins } // L123–124
     }
@@ -731,7 +739,7 @@ impl LockFreeBinaryTrie {
         telemetry::add(Counter::InsertOps, 1);
         let _s = trace::span(OpKind::Insert, x);
         self.maybe_adopt_orphans();
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         fault::point(FaultPoint::InsertEntry);
         let og = UpdateOpGuard::new(self, Kind::Ins);
         let i_node = self.insert_phase1(x, guard, &og);
@@ -827,7 +835,7 @@ impl LockFreeBinaryTrie {
         telemetry::add(Counter::RemoveOps, 1);
         let _s = trace::span(OpKind::Remove, x);
         self.maybe_adopt_orphans();
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         fault::point(FaultPoint::DeleteEntry);
         let og = UpdateOpGuard::new(self, Kind::Del);
         let Some(d_node) = self.remove_phase1(x, guard, &og) else {
@@ -1149,7 +1157,7 @@ impl LockFreeBinaryTrie {
             return 0; // another thread is already sweeping
         };
         let _quiet = fault::suppress();
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let mut adopted = 0;
         // Pass A: dead-owner update announcements, one per re-traversal —
         // adoption rewrites the lists it scans (helpers may announce the
@@ -1256,7 +1264,7 @@ impl LockFreeBinaryTrie {
     /// Lines 253–256 in direction `D`: one announced, computed and
     /// withdrawn query at key `y`.
     fn query<D: Dir>(&self, y: i64) -> Option<Key> {
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let (answer, q_node) = self.query_helper::<D>(y, guard); // L254
         self.remove_query_node::<D>(q_node, guard); // L255
         (answer != D::NONE).then_some(answer as Key) // L256
@@ -1423,7 +1431,7 @@ impl LockFreeBinaryTrie {
         telemetry::add(Counter::InsertOps, keys.len() as u64);
         let _s = trace::span(OpKind::Batch, keys.len() as i64);
         self.maybe_adopt_orphans();
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let mut modifying = 0;
         for &x in keys {
             // Each key gets its own unwind guard: a crash mid-batch
@@ -1465,7 +1473,7 @@ impl LockFreeBinaryTrie {
         telemetry::add(Counter::RemoveOps, keys.len() as u64);
         let _s = trace::span(OpKind::Batch, keys.len() as i64);
         self.maybe_adopt_orphans();
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let mut modifying = 0;
         for &x in keys {
             let og = UpdateOpGuard::new(self, Kind::Del);
@@ -1862,7 +1870,7 @@ impl LockFreeBinaryTrie {
     #[cfg(feature = "stall-injection")]
     pub fn insert_stalled_after_activation(&self, x: Key) -> bool {
         let x = self.check_key(x);
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let d_node = self.find_latest(x); // L163
         if unsafe { (*d_node).kind() } != Kind::Del {
             return false;
@@ -1909,7 +1917,7 @@ impl LockFreeBinaryTrie {
     #[cfg(feature = "stall-injection")]
     pub fn insert_stalled_before_activation(&self, x: Key) -> bool {
         let x = self.check_key(x);
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let d_node = self.find_latest(x); // L163
         if unsafe { (*d_node).kind() } != Kind::Del {
             return false;
@@ -1953,7 +1961,7 @@ impl LockFreeBinaryTrie {
     #[cfg(feature = "stall-injection")]
     pub fn remove_stalled_before_trie_update(&self, x: Key) -> bool {
         let x = self.check_key(x);
-        let guard = &epoch::pin();
+        let guard = &self.domain().pin();
         let i_node = self.find_latest(x); // L182
         if unsafe { (*i_node).kind() } != Kind::Ins {
             return false;
@@ -2094,11 +2102,11 @@ impl LockFreeBinaryTrie {
 
     /// The unified observability read-out: the process-global counters and
     /// histograms of [`lftrie_telemetry`], with every gauge this trie can
-    /// sample attached — epoch-domain health (global epoch, pin lag, the
-    /// stalled-reader detector), per-registry reclamation health for all
-    /// seven registries this trie owns (update nodes, predecessor/successor
-    /// nodes, and the four announcement-list cell registries),
-    /// announcement-list lengths, and relaxed-traversal outcomes
+    /// sample attached — the health of its own epoch domain (epoch, pin
+    /// lag, the stalled-reader detector), per-registry reclamation health
+    /// for all seven registries this trie owns (update nodes,
+    /// predecessor/successor nodes, and the four announcement-list cell
+    /// registries), announcement-list lengths, and relaxed-traversal outcomes
     /// (predecessor + successor combined; see
     /// [`LockFreeBinaryTrie::pred_traversal`] /
     /// [`LockFreeBinaryTrie::succ_traversal`] for the split).
@@ -2123,7 +2131,7 @@ impl LockFreeBinaryTrie {
         let succ = self.succ_traversal();
         let (preds, succs) = (self.side::<Pred>(), self.side::<Succ>());
         let mut snap = telemetry::snapshot();
-        snap.epoch = Some(preds.nodes.domain().health());
+        snap.epoch = Some(self.domain().health());
         snap.reclaim = vec![
             self.core.node_health("nodes"),
             preds.nodes.health("preds"),
@@ -2197,7 +2205,7 @@ impl IterFrom<'_> {
     /// the first step announces the scan's query node, every later step
     /// slides it.
     fn step(&mut self, y: i64) -> i64 {
-        let guard = &epoch::pin();
+        let guard = &self.trie.domain().pin();
         if self.s_node.is_null() {
             let (succ, s_node) = self.trie.query_helper::<Succ>(y, guard);
             self.s_node = s_node;
@@ -2221,7 +2229,7 @@ impl IterFrom<'_> {
             // here would double up with the adopter's.
             return;
         }
-        let guard = &epoch::pin();
+        let guard = &self.trie.domain().pin();
         self.trie.remove_query_node::<Succ>(s_node, guard);
     }
 }

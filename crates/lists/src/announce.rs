@@ -30,8 +30,9 @@
 //! the physical chain in `Drop`.
 
 use core::fmt;
+use std::sync::Arc;
 
-use lftrie_primitives::epoch::{self, Guard};
+use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::fault;
 use lftrie_primitives::marked::{AtomicMarkedPtr, MarkedPtr};
 use lftrie_primitives::registry::{Reclaim, Registry};
@@ -136,9 +137,19 @@ impl<P> fmt::Debug for AnnounceList<P> {
 }
 
 impl<P> AnnounceList<P> {
-    /// Creates an empty list with its two sentinels.
+    /// Creates an empty list with its two sentinels, on the global epoch
+    /// domain.
     pub fn new(direction: Direction) -> Self {
-        let cells = Registry::new();
+        Self::with_cells(direction, Registry::new())
+    }
+
+    /// Creates an empty list whose cells retire into `domain`, the epoch
+    /// domain of the structure that owns the list.
+    pub fn new_in(direction: Direction, domain: Arc<Domain>) -> Self {
+        Self::with_cells(direction, Registry::new_in(domain))
+    }
+
+    fn with_cells(direction: Direction, cells: Registry<Cell<P>>) -> Self {
         let (head_key, tail_key) = match direction {
             Direction::Ascending => (NEG_INF, POS_INF),
             Direction::Descending => (POS_INF, NEG_INF),
@@ -359,7 +370,7 @@ impl<P> AnnounceList<P> {
     /// Number of live (unmarked, non-sentinel) cells; O(n), for tests and
     /// diagnostics (pins internally).
     pub fn len(&self) -> usize {
-        let guard = epoch::pin();
+        let guard = self.cells.domain().pin();
         self.iter(&guard).count()
     }
 
@@ -367,7 +378,7 @@ impl<P> AnnounceList<P> {
     /// the quantity the traversal-side unlinking keeps bounded (tests and
     /// diagnostics; O(n); pins internally).
     pub fn physical_len(&self) -> usize {
-        let _guard = epoch::pin();
+        let _guard = self.cells.domain().pin();
         let mut n = 0usize;
         let mut cur = self.head;
         loop {
@@ -382,7 +393,7 @@ impl<P> AnnounceList<P> {
 
     /// True if no live cells are present (pins internally).
     pub fn is_empty(&self) -> bool {
-        let guard = epoch::pin();
+        let guard = self.cells.domain().pin();
         self.iter(&guard).next().is_none()
     }
 
@@ -468,14 +479,15 @@ mod tests {
     use std::sync::Arc;
 
     fn keys<P>(list: &AnnounceList<P>) -> Vec<i64> {
-        let guard = epoch::pin();
+        let guard = list.cells.domain().pin();
         list.iter(&guard).map(|(k, _)| k).collect()
     }
 
     #[test]
     fn ascending_orders_keys() {
-        let list: AnnounceList<u64> = AnnounceList::new(Direction::Ascending);
-        let guard = epoch::pin();
+        let list: AnnounceList<u64> =
+            AnnounceList::new_in(Direction::Ascending, Arc::new(Domain::new()));
+        let guard = list.cells.domain().pin();
         let mut payloads: Vec<u64> = (0..6).collect();
         for (i, k) in [5i64, 1, 3, 2, 4, 0].iter().enumerate() {
             list.insert(*k, &mut payloads[i], &guard);
@@ -485,8 +497,9 @@ mod tests {
 
     #[test]
     fn descending_orders_keys() {
-        let list: AnnounceList<u64> = AnnounceList::new(Direction::Descending);
-        let guard = epoch::pin();
+        let list: AnnounceList<u64> =
+            AnnounceList::new_in(Direction::Descending, Arc::new(Domain::new()));
+        let guard = list.cells.domain().pin();
         let mut payloads: Vec<u64> = (0..6).collect();
         for (i, k) in [5i64, 1, 3, 2, 4, 0].iter().enumerate() {
             list.insert(*k, &mut payloads[i], &guard);
@@ -497,8 +510,8 @@ mod tests {
     #[test]
     fn duplicates_inserted_after_equals_fifo() {
         for dir in [Direction::Ascending, Direction::Descending] {
-            let list: AnnounceList<u64> = AnnounceList::new(dir);
-            let guard = epoch::pin();
+            let list: AnnounceList<u64> = AnnounceList::new_in(dir, Arc::new(Domain::new()));
+            let guard = list.cells.domain().pin();
             let mut a = 1u64;
             let mut b = 2u64;
             let mut c = 3u64;
@@ -516,8 +529,9 @@ mod tests {
 
     #[test]
     fn remove_all_removes_every_cell_of_payload() {
-        let list: AnnounceList<u64> = AnnounceList::new(Direction::Ascending);
-        let guard = epoch::pin();
+        let list: AnnounceList<u64> =
+            AnnounceList::new_in(Direction::Ascending, Arc::new(Domain::new()));
+        let guard = list.cells.domain().pin();
         let mut a = 1u64;
         let mut b = 2u64;
         // Simulate helper duplication: payload `a` announced twice.
@@ -533,8 +547,9 @@ mod tests {
 
     #[test]
     fn sentinels_bound_traversal() {
-        let list: AnnounceList<u64> = AnnounceList::new(Direction::Descending);
-        let guard = epoch::pin();
+        let list: AnnounceList<u64> =
+            AnnounceList::new_in(Direction::Descending, Arc::new(Domain::new()));
+        let guard = list.cells.domain().pin();
         assert!(list.is_empty());
         let head = list.head();
         assert_eq!(unsafe { (*head).key() }, POS_INF);
@@ -546,8 +561,9 @@ mod tests {
 
     #[test]
     fn advance_publishing_walks_and_publishes_each_key() {
-        let list: AnnounceList<u64> = AnnounceList::new(Direction::Descending);
-        let guard = epoch::pin();
+        let list: AnnounceList<u64> =
+            AnnounceList::new_in(Direction::Descending, Arc::new(Domain::new()));
+        let guard = list.cells.domain().pin();
         let mut payloads: Vec<u64> = (0..3).collect();
         list.insert(10, &mut payloads[0], &guard);
         list.insert(20, &mut payloads[1], &guard);
@@ -573,17 +589,18 @@ mod tests {
         // the dead region, so insertion/removal scans never unlink old
         // cells; traversals must do it instead, or every RU-ALL walk pays
         // O(history).
-        let list: AnnounceList<u64> = AnnounceList::new(Direction::Descending);
+        let list: AnnounceList<u64> =
+            AnnounceList::new_in(Direction::Descending, Arc::new(Domain::new()));
         let mut payload = 7u64;
         let p: *mut u64 = &mut payload;
         for round in 0..10_000i64 {
-            let guard = epoch::pin();
+            let guard = list.cells.domain().pin();
             list.insert(round, p, &guard);
             assert_eq!(list.remove_all(round, p, &guard), 1);
             drop(guard);
             if round % 256 == 0 {
                 // A traversal with the published cursor cleans as it goes.
-                let guard = epoch::pin();
+                let guard = list.cells.domain().pin();
                 let cursor = PublishedKey::new(POS_INF);
                 let mut cell = list.head();
                 while unsafe { (*cell).key() } != lftrie_primitives::NEG_INF {
@@ -598,7 +615,7 @@ mod tests {
             }
         }
         // Plain iteration cleans too.
-        let guard = epoch::pin();
+        let guard = list.cells.domain().pin();
         let _ = list.iter(&guard).count();
         drop(guard);
         assert!(list.physical_len() <= 2);
@@ -615,8 +632,9 @@ mod tests {
 
     #[test]
     fn iterator_unlinks_dead_cells() {
-        let list: AnnounceList<u64> = AnnounceList::new(Direction::Ascending);
-        let guard = epoch::pin();
+        let list: AnnounceList<u64> =
+            AnnounceList::new_in(Direction::Ascending, Arc::new(Domain::new()));
+        let guard = list.cells.domain().pin();
         let mut a = 1u64;
         for k in 0..100 {
             list.insert(100 - k, &mut a, &guard); // descending keys in ascending list
@@ -633,14 +651,17 @@ mod tests {
 
     #[test]
     fn concurrent_insert_remove_keeps_order_and_converges() {
-        let list: Arc<AnnounceList<u64>> = Arc::new(AnnounceList::new(Direction::Ascending));
+        let list: Arc<AnnounceList<u64>> = Arc::new(AnnounceList::new_in(
+            Direction::Ascending,
+            Arc::new(Domain::new()),
+        ));
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let list = Arc::clone(&list);
             handles.push(std::thread::spawn(move || {
                 let mut payloads: Vec<u64> = (0..64).collect();
                 for round in 0..64u64 {
-                    let guard = epoch::pin();
+                    let guard = list.cells.domain().pin();
                     let key = ((t * 64 + round) % 16) as i64;
                     let p: *mut u64 = &mut payloads[round as usize];
                     list.insert(key, p, &guard);
@@ -661,13 +682,16 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_always_sorted() {
-        let list: Arc<AnnounceList<u64>> = Arc::new(AnnounceList::new(Direction::Ascending));
+        let list: Arc<AnnounceList<u64>> = Arc::new(AnnounceList::new_in(
+            Direction::Ascending,
+            Arc::new(Domain::new()),
+        ));
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let list = Arc::clone(&list);
             handles.push(std::thread::spawn(move || {
                 let mut payloads: Vec<u64> = (0..128).collect();
-                let guard = epoch::pin();
+                let guard = list.cells.domain().pin();
                 for (i, payload) in payloads.iter_mut().enumerate() {
                     list.insert(((t * 131 + i as u64 * 17) % 97) as i64, payload, &guard);
                 }

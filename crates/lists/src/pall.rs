@@ -29,8 +29,9 @@
 //! newly pinned threads).
 
 use core::fmt;
+use std::sync::Arc;
 
-use lftrie_primitives::epoch::{self, Guard};
+use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::marked::{AtomicMarkedPtr, MarkedPtr};
 use lftrie_primitives::registry::{Reclaim, Registry};
 use lftrie_telemetry::trace::{self, CasSite};
@@ -105,9 +106,18 @@ impl<P> Default for PallList<P> {
 }
 
 impl<P> PallList<P> {
-    /// Creates an empty list.
+    /// Creates an empty list on the global epoch domain.
     pub fn new() -> Self {
-        let cells = Registry::new();
+        Self::with_cells(Registry::new())
+    }
+
+    /// Creates an empty list whose cells retire into `domain`, the epoch
+    /// domain of the structure that owns the list.
+    pub fn new_in(domain: Arc<Domain>) -> Self {
+        Self::with_cells(Registry::new_in(domain))
+    }
+
+    fn with_cells(cells: Registry<PallCell<P>>) -> Self {
         let head = cells.alloc(PallCell {
             payload: core::ptr::null_mut(),
             next: AtomicMarkedPtr::null(),
@@ -237,13 +247,13 @@ impl<P> PallList<P> {
     /// Number of live cells; O(n), for tests and diagnostics (pins
     /// internally).
     pub fn len(&self) -> usize {
-        let guard = epoch::pin();
+        let guard = self.cells.domain().pin();
         self.iter(&guard).count()
     }
 
     /// True if no predecessor operation is announced (pins internally).
     pub fn is_empty(&self) -> bool {
-        let guard = epoch::pin();
+        let guard = self.cells.domain().pin();
         self.iter(&guard).next().is_none()
     }
 
@@ -338,8 +348,8 @@ mod tests {
 
     #[test]
     fn lifo_order() {
-        let pall: PallList<u64> = PallList::new();
-        let guard = epoch::pin();
+        let pall: PallList<u64> = PallList::new_in(Arc::new(Domain::new()));
+        let guard = pall.cells.domain().pin();
         let mut xs: Vec<u64> = (0..5).collect();
         for x in xs.iter_mut() {
             pall.insert(x, &guard);
@@ -353,8 +363,8 @@ mod tests {
 
     #[test]
     fn iter_after_sees_only_older() {
-        let pall: PallList<u64> = PallList::new();
-        let guard = epoch::pin();
+        let pall: PallList<u64> = PallList::new_in(Arc::new(Domain::new()));
+        let guard = pall.cells.domain().pin();
         let mut a = 1u64;
         let mut b = 2u64;
         let mut c = 3u64;
@@ -370,8 +380,8 @@ mod tests {
 
     #[test]
     fn head_snapshot_and_iter_from_are_inclusive() {
-        let pall: PallList<u64> = PallList::new();
-        let guard = epoch::pin();
+        let pall: PallList<u64> = PallList::new_in(Arc::new(Domain::new()));
+        let guard = pall.cells.domain().pin();
         assert!(pall.head_snapshot(&guard).is_null());
         assert_eq!(pall.iter_from(core::ptr::null_mut(), &guard).count(), 0);
         let mut a = 1u64;
@@ -400,10 +410,10 @@ mod tests {
 
     #[test]
     fn remove_unlinks_and_reclaims() {
-        let pall: PallList<u64> = PallList::new();
+        let pall: PallList<u64> = PallList::new_in(Arc::new(Domain::new()));
         let mut a = 1u64;
         let mut b = 2u64;
-        let guard = epoch::pin();
+        let guard = pall.cells.domain().pin();
         let ca = pall.insert(&mut a, &guard);
         let cb = pall.insert(&mut b, &guard);
         unsafe { pall.remove(ca, &guard) };
@@ -426,8 +436,8 @@ mod tests {
         // A Predecessor operation may hold a cell pointer while that cell is
         // concurrently removed; iter_after must still reach older live cells
         // through the marked cell's next pointer.
-        let pall: PallList<u64> = PallList::new();
-        let guard = epoch::pin();
+        let pall: PallList<u64> = PallList::new_in(Arc::new(Domain::new()));
+        let guard = pall.cells.domain().pin();
         let mut a = 1u64;
         let mut b = 2u64;
         let ca = pall.insert(&mut a, &guard);
@@ -443,14 +453,14 @@ mod tests {
 
     #[test]
     fn concurrent_announce_remove_converges_empty() {
-        let pall: Arc<PallList<u64>> = Arc::new(PallList::new());
+        let pall: Arc<PallList<u64>> = Arc::new(PallList::new_in(Arc::new(Domain::new())));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let pall = Arc::clone(&pall);
             handles.push(std::thread::spawn(move || {
                 let mut slot = 7u64;
                 for _ in 0..500 {
-                    let guard = epoch::pin();
+                    let guard = pall.cells.domain().pin();
                     let c = pall.insert(&mut slot, &guard);
                     let _ = pall.iter(&guard).count();
                     unsafe { pall.remove(c, &guard) };
@@ -472,8 +482,8 @@ mod tests {
 
     #[test]
     fn for_each_linked_reports_marks() {
-        let mut pall: PallList<u64> = PallList::new();
-        let guard = epoch::pin();
+        let mut pall: PallList<u64> = PallList::new_in(Arc::new(Domain::new()));
+        let guard = pall.cells.domain().pin();
         let mut a = 1u64;
         let mut b = 2u64;
         pall.insert(&mut a, &guard);

@@ -9,11 +9,17 @@
 //!
 //! # Model
 //!
-//! * A [`Domain`] holds a global epoch counter and a lock-free list of
-//!   *participants* (one per thread, slots recycled on thread exit).
-//! * Before touching shared nodes, a thread **pins** ([`pin`] /
-//!   [`Handle::pin`]), announcing `(epoch, pinned)` in its participant slot.
-//!   Pinning is re-entrant: nested pins reuse the outer epoch.
+//! * A [`Domain`] holds a global epoch counter and one *participant* entry
+//!   per thread slot (see [`crate::slots`]): a thread finds its entry by
+//!   its slot index, and the next thread to hold the index reuses it. Each
+//!   lock-free structure owns a domain, shared by all of its registries, so
+//!   a pin in one structure holds back no other's reclamation; [`pin`]
+//!   pins the process-wide [`Domain::global`].
+//! * Before touching shared nodes, a thread **pins** ([`Domain::pin`] /
+//!   [`Handle::pin`]), announcing `(epoch, pinned)` in its participant
+//!   entry. Pinning is re-entrant: nested pins reuse the outer epoch.
+//!   [`Domain::register`] gives a participant a slot of its own, so one
+//!   thread can act as several.
 //! * Retired garbage is stamped with the epoch current at retirement
 //!   (see [`crate::registry::Registry::retire`]).
 //! * [`Domain::try_advance`] increments the global epoch only when every
@@ -68,10 +74,12 @@
 //! ```
 
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::utils::CachePadded;
 use lftrie_telemetry::{self as telemetry, Counter, EpochHealth};
+
+use crate::slots::{self, Slot, SlotVec};
 
 /// How often (in pins per participant) the pin fast path tries to advance
 /// the global epoch.
@@ -85,81 +93,69 @@ const PINS_PER_ADVANCE: u64 = 32;
 /// streak grows without bound while a reader sits on a pin.
 pub const STALL_BLOCKED_THRESHOLD: u64 = 3;
 
-/// A participant's owner-word share held by its [`Handle`].
+/// A participant's owner-word share held by its [`Handle`], or by the
+/// thread whose slot it is.
 const HANDLE: u64 = 1;
 /// A participant's owner-word share held by each live [`Guard`].
 const GUARD: u64 = 2;
 
-/// One thread's announcement slot. Slots are allocated once, leaked (their
-/// count is bounded by the peak number of concurrent threads), and recycled
-/// through the `in_use` flag when a thread exits.
-pub struct Participant {
+/// One slot's announcement entry in a domain: the entry of the thread that
+/// holds the slot, or of a [`Handle`].
+#[derive(Default)]
+struct Participant {
     /// `(epoch << 1) | pinned`. Cache-padded: every pin writes this word
     /// and every `try_advance` reads all of them, so two participants'
     /// announcements sharing a line would false-share the hottest store in
-    /// the system (the padding also line-aligns the whole slot, keeping the
-    /// owner-local fields off other slots' lines).
+    /// the system (the padding also line-aligns the whole entry, keeping
+    /// the owner-local fields off other entries' lines).
     state: CachePadded<AtomicU64>,
-    /// The slot's owners: [`HANDLE`] while the handle lives plus [`GUARD`]
-    /// per live guard, so `owners / GUARD` is the re-entrant pin depth. The
-    /// slot is released when the word reaches zero, so a guard that
-    /// outlives its handle keeps its pin and its slot.
+    /// The entry's owners: [`HANDLE`] while the handle lives (a thread's
+    /// entry keeps it for good) plus [`GUARD`] per live guard, so
+    /// `owners / GUARD` is the re-entrant pin depth. A handle's slot is
+    /// released when the word reaches zero, so a guard that outlives its
+    /// handle keeps its pin and its slot.
     ///
     /// Owner-only: handles and guards are `!Send`, so every pin, guard drop
-    /// and handle drop of a slot runs on the registering thread, and a
-    /// recycling [`Domain::register`] rewrites the word only after its
-    /// `in_use` CAS pairs with the releasing store. A plain load and store
-    /// therefore update it, with no read-modify-write.
+    /// and handle drop of an entry runs on the slot's holder, and a new
+    /// holder starts only after the release of the slot, which its acquiring
+    /// CAS reads. A plain load and store therefore update it, with no
+    /// read-modify-write.
     owners: AtomicU64,
-    /// Pins performed through this slot (drives amortized advancing).
+    /// Pins performed through this entry (drives amortized advancing).
     /// Written by the owner alone, like `owners`; `health` only reads it.
     pins: AtomicU64,
     /// Consecutive [`Domain::try_advance`] attempts this participant
     /// refused while pinned; reset on every announcement. The
     /// stalled-reader detector's raw signal.
     blocked: AtomicU64,
-    /// Slot ownership flag for recycling.
-    in_use: AtomicBool,
-    /// Next participant in the domain's list (written once at registration).
-    next: AtomicPtr<Participant>,
 }
 
 impl Participant {
-    const fn new() -> Self {
-        Self {
-            state: CachePadded::new(AtomicU64::new(0)),
-            owners: AtomicU64::new(HANDLE),
-            pins: AtomicU64::new(0),
-            blocked: AtomicU64::new(0),
-            in_use: AtomicBool::new(true),
-            next: AtomicPtr::new(core::ptr::null_mut()),
-        }
-    }
-
-    /// Stores the owner word left after an owner dropped; the last owner
-    /// out releases the slot for recycling. The slot is unpinned by then:
+    /// Stores the owner word left after an owner dropped; the last owner of
+    /// a handle's entry releases its slot. The entry is unpinned by then:
     /// the last guard clears `state` before it gets here.
     #[inline]
-    fn set_owners(&self, owners: u64) {
+    fn set_owners(&self, owners: u64, slot: Slot) {
         self.owners.store(owners, Ordering::Relaxed);
         if owners == 0 {
-            self.in_use.store(false, Ordering::SeqCst);
+            slot.release();
         }
     }
 }
 
-/// An epoch domain: a global epoch plus its registered participants.
+/// An epoch domain: a global epoch plus one participant entry per slot.
 ///
-/// Almost all code uses the process-wide [`Domain::global`] domain through
-/// [`pin`]; tests construct private domains (leaking them for `'static`
-/// lifetime) to drive pin/advance schedules deterministically.
+/// Each lock-free structure owns one, shared by all of its registries, so
+/// a reader pinned in one structure holds back no other structure's
+/// reclamation. [`pin`] and the standalone list and registry constructors
+/// use the process-wide [`Domain::global`].
 pub struct Domain {
     /// The global epoch, padded onto its own cache line: every pin
     /// validates against it and every advance CASes it, so it must not
-    /// share a line with the participant-list head (mutated on
-    /// registration) or whatever the domain is embedded next to.
+    /// share a line with the participant buckets or whatever the domain is
+    /// embedded next to.
     epoch: CachePadded<AtomicU64>,
-    participants: AtomicPtr<Participant>,
+    participants: SlotVec<Participant>,
 }
 
 impl Domain {
@@ -167,12 +163,13 @@ impl Domain {
     pub const fn new() -> Self {
         Self {
             epoch: CachePadded::new(AtomicU64::new(0)),
-            participants: AtomicPtr::new(core::ptr::null_mut()),
+            participants: SlotVec::new(),
         }
     }
 
-    /// The process-wide domain used by [`pin`] and, by default, every
-    /// [`crate::registry::Registry`].
+    /// The process-wide domain used by [`pin`] and by the registries and
+    /// lists built without a domain of their own.
+    #[inline]
     pub fn global() -> &'static Domain {
         static GLOBAL: Domain = Domain::new();
         &GLOBAL
@@ -184,58 +181,86 @@ impl Domain {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Registers a participant slot (recycling a released one when
-    /// available) and returns a handle that can pin this domain.
+    /// Pins this domain for the calling thread, through the entry of its
+    /// slot: until the returned guard (and any nested guards) drop, the
+    /// global epoch can advance at most once, so no node retired from now
+    /// on is freed. Re-entrant, and cheap when already pinned (one
+    /// owner-word store).
     ///
-    /// The slot is released when the handle and its guards have dropped;
-    /// the allocation itself is intentionally leaked so `Guard`s may hold
-    /// `'static`-like references (total leakage is bounded by the peak
-    /// participant count).
+    /// Every operation that dereferences nodes allocated through an
+    /// epoch-aware [`crate::registry::Registry`] must run under a pin of
+    /// the registry's domain.
+    ///
+    /// # Panics
+    ///
+    /// If called from a thread-local destructor after the thread's slot
+    /// was torn down.
+    #[inline]
+    pub fn pin(&self) -> Guard<'_> {
+        // A crash here is the cheapest possible one: nothing announced yet.
+        crate::fault::point(crate::fault::FaultPoint::EpochPin);
+        self.pin_slot(slots::current().expect("pin after the thread's slot was torn down"))
+    }
+
+    /// Registers a participant with a slot of its own and returns a handle
+    /// that pins through it, so one thread can act as several (tests drive
+    /// pin/advance schedules this way). The slot is released when the
+    /// handle and its guards have dropped.
     pub fn register(&self) -> Handle<'_> {
-        // Try to recycle a released slot first.
-        let mut cur = self.participants.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let p = unsafe { &*cur };
-            if !p.in_use.load(Ordering::SeqCst)
-                && p.in_use
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                // We own the slot. Its last owner unpinned it before the
-                // releasing store this CAS read, so only the owner word
-                // needs resetting (`blocked` restarts at the first pin).
-                p.owners.store(HANDLE, Ordering::Relaxed);
-                return Handle {
-                    domain: self,
-                    participant: p,
-                    _not_send: PhantomData,
-                };
-            }
-            cur = p.next.load(Ordering::SeqCst);
+        let slot = Slot::acquire();
+        // The previous holder left the entry unpinned with no owner share
+        // that matters, and released the slot before our acquire read it.
+        self.participants
+            .get(slot.index)
+            .owners
+            .store(HANDLE, Ordering::Relaxed);
+        Handle {
+            domain: self,
+            slot,
+            _not_send: PhantomData,
         }
-        // No free slot: push a fresh (leaked) one.
-        let p: &Participant = Box::leak(Box::new(Participant::new()));
-        loop {
-            let head = self.participants.load(Ordering::SeqCst);
-            p.next.store(head, Ordering::SeqCst);
-            if self
-                .participants
-                .compare_exchange(
-                    head,
-                    p as *const _ as *mut _,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                )
-                .is_ok()
-            {
-                // Leaked participants outlive `self` only in the test-domain
-                // case, where the domain itself is also leaked.
-                return Handle {
-                    domain: self,
-                    participant: unsafe { &*(p as *const Participant) },
-                    _not_send: PhantomData,
-                };
+    }
+
+    /// Pins the entry of `slot`, which the caller holds.
+    #[inline]
+    fn pin_slot(&self, slot: Slot) -> Guard<'_> {
+        let p = self.participants.get(slot.index);
+        // A thread's entry carries the handle share from its first pin on,
+        // so its owner word never reaches zero.
+        let owners = p.owners.load(Ordering::Relaxed) | HANDLE;
+        if owners < GUARD {
+            let _t = telemetry::trace::phase(telemetry::trace::TracePhase::Pin);
+            let mut e = self.epoch.load(Ordering::SeqCst);
+            loop {
+                // Announce, then re-validate: the SeqCst store/load pair
+                // orders the announcement before any shared read under the
+                // guard and bounds how stale the announced epoch can be.
+                p.state.store((e << 1) | 1, Ordering::SeqCst);
+                let now = self.epoch.load(Ordering::SeqCst);
+                if now == e {
+                    break;
+                }
+                e = now;
             }
+            slots::count_pin(true);
+            // A fresh announcement is progress: the stall streak restarts.
+            p.blocked.store(0, Ordering::Relaxed);
+            let pins = p.pins.load(Ordering::Relaxed) + 1;
+            p.pins.store(pins, Ordering::Relaxed);
+            if pins.is_multiple_of(PINS_PER_ADVANCE) {
+                self.try_advance();
+            }
+        }
+        // The guard co-owns the entry: dropping the handle while guards
+        // live must neither unpin it nor release its slot (a released slot
+        // under a live guard would both lose the pin and corrupt the next
+        // holder's accounting).
+        p.owners.store(owners + GUARD, Ordering::Relaxed);
+        Guard {
+            domain: self,
+            participant: p,
+            slot,
+            _not_send: PhantomData,
         }
     }
 
@@ -244,24 +269,19 @@ impl Domain {
     /// observed *after* the attempt. A refusing participant is charged one
     /// step of its blocked streak.
     ///
-    /// Lock-free and wait-free in the absence of new registrations: a single
-    /// pass over the participant list plus one CAS.
+    /// Lock-free, and wait-free in the absence of new slots: a single
+    /// pass over the participant entries plus one CAS.
     pub fn try_advance(&self) -> u64 {
         let e = self.epoch.load(Ordering::SeqCst);
-        let mut cur = self.participants.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let p = unsafe { &*cur };
-            if p.in_use.load(Ordering::SeqCst) {
-                let s = p.state.load(Ordering::SeqCst);
-                if s & 1 == 1 && (s >> 1) != e {
-                    // A straggler still pinned in an older epoch: charge
-                    // its blocked streak (the stalled-reader signal).
-                    p.blocked.fetch_add(1, Ordering::Relaxed);
-                    telemetry::add(Counter::EpochAdvanceBlocked, 1);
-                    return e;
-                }
+        for (_, p) in self.participants.iter() {
+            let s = p.state.load(Ordering::SeqCst);
+            if s & 1 == 1 && (s >> 1) != e {
+                // A straggler still pinned in an older epoch: charge its
+                // blocked streak (the stalled-reader signal).
+                p.blocked.fetch_add(1, Ordering::Relaxed);
+                telemetry::add(Counter::EpochAdvanceBlocked, 1);
+                return e;
             }
-            cur = p.next.load(Ordering::SeqCst);
         }
         if self
             .epoch
@@ -273,7 +293,7 @@ impl Domain {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Samples this domain's health gauges in one participant-list pass.
+    /// Samples this domain's health gauges in one pass over its entries.
     /// A pinned participant counts as a stalled reader once its blocked
     /// streak reaches [`STALL_BLOCKED_THRESHOLD`].
     pub fn health(&self) -> EpochHealth {
@@ -283,24 +303,21 @@ impl Domain {
             ..EpochHealth::default()
         };
         let mut min_pin = u64::MAX;
-        let mut cur = self.participants.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let p = unsafe { &*cur };
-            h.participants += 1;
+        for (index, p) in self.participants.iter() {
             h.total_pins += p.pins.load(Ordering::Relaxed);
-            if p.in_use.load(Ordering::SeqCst) {
-                let s = p.state.load(Ordering::SeqCst);
-                if s & 1 == 1 {
-                    h.pinned += 1;
-                    min_pin = min_pin.min(s >> 1);
-                    let blocked = p.blocked.load(Ordering::Relaxed);
-                    h.max_blocked = h.max_blocked.max(blocked);
-                    if blocked >= STALL_BLOCKED_THRESHOLD {
-                        h.stalled_readers += 1;
-                    }
+            if p.owners.load(Ordering::Relaxed) != 0 && slots::tenure(index) % 2 == 1 {
+                h.participants += 1;
+            }
+            let s = p.state.load(Ordering::SeqCst);
+            if s & 1 == 1 {
+                h.pinned += 1;
+                min_pin = min_pin.min(s >> 1);
+                let blocked = p.blocked.load(Ordering::Relaxed);
+                h.max_blocked = h.max_blocked.max(blocked);
+                if blocked >= STALL_BLOCKED_THRESHOLD {
+                    h.stalled_readers += 1;
                 }
             }
-            cur = p.next.load(Ordering::SeqCst);
         }
         if h.pinned > 0 {
             h.min_pin_lag = e.saturating_sub(min_pin);
@@ -310,16 +327,10 @@ impl Domain {
 
     /// Number of currently pinned participants (diagnostics and tests).
     pub fn pinned_participants(&self) -> usize {
-        let mut n = 0;
-        let mut cur = self.participants.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let p = unsafe { &*cur };
-            if p.in_use.load(Ordering::SeqCst) && p.state.load(Ordering::SeqCst) & 1 == 1 {
-                n += 1;
-            }
-            cur = p.next.load(Ordering::SeqCst);
-        }
-        n
+        self.participants
+            .iter()
+            .filter(|(_, p)| p.state.load(Ordering::SeqCst) & 1 == 1)
+            .count()
     }
 }
 
@@ -338,54 +349,22 @@ impl core::fmt::Debug for Domain {
     }
 }
 
-/// A registered participant slot of a [`Domain`]; produces [`Guard`]s.
+/// A registered participant of a [`Domain`], with a slot of its own;
+/// produces [`Guard`]s.
 ///
 /// Not `Send`: a handle (and its guards) belong to the registering thread.
 pub struct Handle<'d> {
     domain: &'d Domain,
-    participant: &'d Participant,
+    slot: Slot,
     _not_send: PhantomData<*mut ()>,
 }
 
 impl<'d> Handle<'d> {
-    /// Pins the domain: until the returned guard (and any nested guards)
-    /// drop, the global epoch can advance at most once, so no node retired
-    /// from now on is freed. Re-entrant.
+    /// Pins the domain through this handle's entry: until the returned
+    /// guard (and any nested guards) drop, the global epoch can advance at
+    /// most once, so no node retired from now on is freed. Re-entrant.
     pub fn pin(&self) -> Guard<'d> {
-        let p = self.participant;
-        let owners = p.owners.load(Ordering::Relaxed);
-        if owners < GUARD {
-            let _t = telemetry::trace::phase(telemetry::trace::TracePhase::Pin);
-            let mut e = self.domain.epoch.load(Ordering::SeqCst);
-            loop {
-                // Announce, then re-validate: the SeqCst store/load pair
-                // orders the announcement before any shared read under the
-                // guard and bounds how stale the announced epoch can be.
-                p.state.store((e << 1) | 1, Ordering::SeqCst);
-                let now = self.domain.epoch.load(Ordering::SeqCst);
-                if now == e {
-                    break;
-                }
-                e = now;
-            }
-            // A fresh announcement is progress: the stall streak restarts.
-            p.blocked.store(0, Ordering::Relaxed);
-            let pins = p.pins.load(Ordering::Relaxed) + 1;
-            p.pins.store(pins, Ordering::Relaxed);
-            if pins.is_multiple_of(PINS_PER_ADVANCE) {
-                self.domain.try_advance();
-            }
-        }
-        // The guard co-owns the slot: dropping the handle while guards live
-        // must neither unpin nor recycle it (a recycled slot under a live
-        // guard would both lose the pin and corrupt the next owner's
-        // accounting).
-        p.owners.store(owners + GUARD, Ordering::Relaxed);
-        Guard {
-            domain: self.domain,
-            participant: p,
-            _not_send: PhantomData,
-        }
+        self.domain.pin_slot(self.slot)
     }
 
     /// The domain this handle participates in.
@@ -396,20 +375,18 @@ impl<'d> Handle<'d> {
 
 impl Drop for Handle<'_> {
     fn drop(&mut self) {
-        // Live guards keep the slot reserved and pinned; the slot is only
-        // recycled when the last co-owner (handle or guard) goes away.
-        let p = self.participant;
-        p.set_owners(p.owners.load(Ordering::Relaxed) - HANDLE);
+        // Live guards keep the entry pinned and the slot held; the slot is
+        // only released when the last co-owner (handle or guard) goes away.
+        let p = self.domain.participants.get(self.slot.index);
+        p.set_owners(p.owners.load(Ordering::Relaxed) - HANDLE, self.slot);
     }
 }
 
 impl core::fmt::Debug for Handle<'_> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let p = self.domain.participants.get(self.slot.index);
         f.debug_struct("Handle")
-            .field(
-                "pinned",
-                &(self.participant.owners.load(Ordering::Relaxed) >= GUARD),
-            )
+            .field("pinned", &(p.owners.load(Ordering::Relaxed) >= GUARD))
             .finish()
     }
 }
@@ -430,6 +407,7 @@ impl core::fmt::Debug for Handle<'_> {
 pub struct Guard<'d> {
     domain: &'d Domain,
     participant: &'d Participant,
+    slot: Slot,
     _not_send: PhantomData<*mut ()>,
 }
 
@@ -451,10 +429,11 @@ impl Drop for Guard<'_> {
         let owners = p.owners.load(Ordering::Relaxed) - GUARD;
         if owners < GUARD {
             // The last guard unpins, before `set_owners` may release the
-            // slot to a new owner whose pin this store must not clobber.
+            // slot to a new holder whose pin this store must not clobber.
             p.state.store(0, Ordering::SeqCst);
+            slots::count_pin(false);
         }
-        p.set_owners(owners);
+        p.set_owners(owners, self.slot);
     }
 }
 
@@ -466,44 +445,29 @@ impl core::fmt::Debug for Guard<'_> {
     }
 }
 
-struct ThreadEntry {
-    handle: Handle<'static>,
-}
-
-thread_local! {
-    static ENTRY: ThreadEntry = ThreadEntry {
-        handle: Domain::global().register(),
-    };
-}
-
-/// Pins the global epoch domain for the calling thread. Re-entrant and
-/// cheap when already pinned (one owner-word store).
-///
-/// Every operation that dereferences nodes allocated through an epoch-aware
-/// [`crate::registry::Registry`] must run under a pin.
+/// Pins the global epoch domain for the calling thread:
+/// `Domain::global().pin()`.
+#[inline]
 pub fn pin() -> Guard<'static> {
-    // A crash here is the cheapest possible one: nothing announced yet.
-    crate::fault::point(crate::fault::FaultPoint::EpochPin);
-    ENTRY.with(|t| t.handle.pin())
+    Domain::global().pin()
 }
 
 /// True if the calling thread currently holds at least one guard on the
 /// global domain.
 pub fn is_pinned() -> bool {
-    ENTRY.with(|t| t.handle.participant.owners.load(Ordering::Relaxed) >= GUARD)
+    slots::current().is_some_and(|slot| {
+        let p = Domain::global().participants.get(slot.index);
+        p.owners.load(Ordering::Relaxed) >= GUARD
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn leaked_domain() -> &'static Domain {
-        Box::leak(Box::new(Domain::new()))
-    }
-
     #[test]
     fn advance_succeeds_with_no_pins() {
-        let d = leaked_domain();
+        let d = &Domain::new();
         assert_eq!(d.epoch(), 0);
         assert_eq!(d.try_advance(), 1);
         assert_eq!(d.try_advance(), 2);
@@ -511,7 +475,7 @@ mod tests {
 
     #[test]
     fn pinned_participant_blocks_second_advance() {
-        let d = leaked_domain();
+        let d = &Domain::new();
         let h = d.register();
         let g = h.pin();
         assert_eq!(g.epoch(), 0);
@@ -526,7 +490,7 @@ mod tests {
 
     #[test]
     fn nested_pins_keep_epoch_and_unpin_last() {
-        let d = leaked_domain();
+        let d = &Domain::new();
         let h = d.register();
         let g1 = h.pin();
         let g2 = h.pin();
@@ -540,15 +504,13 @@ mod tests {
 
     #[test]
     fn handle_drop_releases_slot_for_reuse() {
-        let d = leaked_domain();
+        let d = &Domain::new();
         let h1 = d.register();
-        let p1 = h1.participant as *const Participant;
+        let s1 = h1.slot;
+        assert_eq!(slots::tenure(s1.index), s1.tenure);
         drop(h1);
-        let h2 = d.register();
-        assert_eq!(
-            h2.participant as *const Participant, p1,
-            "released slots are recycled"
-        );
+        // Released: free, or already the next holder's.
+        assert!(slots::tenure(s1.index) > s1.tenure, "the slot was released");
     }
 
     #[test]
@@ -558,9 +520,9 @@ mod tests {
         // guard holder is still reading shared memory. Inputs: one guard,
         // and two nested guards dropped in either order.
         for (guards, inner_first) in [(1, false), (2, false), (2, true)] {
-            let d = leaked_domain();
+            let d = &Domain::new();
             let h = d.register();
-            let p1 = h.participant as *const Participant;
+            let s1 = h.slot;
             let mut gs: Vec<Guard<'_>> = (0..guards).map(|_| h.pin()).collect();
             if inner_first {
                 gs.reverse();
@@ -577,14 +539,13 @@ mod tests {
             }
             // A new registration must NOT recycle the still-guarded slot.
             let h2 = d.register();
-            assert_ne!(h2.participant as *const Participant, p1);
+            assert_ne!(h2.slot.index, s1.index);
+            assert_eq!(slots::tenure(s1.index), s1.tenure, "still held");
             drop(h2);
             drop(gs);
             assert_eq!(d.pinned_participants(), 0);
             // Now the slot is free again.
-            let h3 = d.register();
-            let p3 = h3.participant as *const Participant;
-            assert!(p3 == p1 || !p3.is_null());
+            assert!(slots::tenure(s1.index) > s1.tenure, "released");
             assert_eq!(d.try_advance(), 2);
         }
     }
@@ -603,7 +564,7 @@ mod tests {
 
     #[test]
     fn stalled_reader_detector_counts_blocked_streaks() {
-        let d = leaked_domain();
+        let d = &Domain::new();
         let h = d.register();
         let g = h.pin();
         // Pinned at epoch 0: the advance to 1 succeeds, then every further
@@ -636,7 +597,7 @@ mod tests {
     fn stall_threshold_boundary_agrees_across_apis() {
         // `stalled_readers` and `max_blocked` must flip together at the
         // threshold.
-        let d = leaked_domain();
+        let d = &Domain::new();
         let h = d.register();
         let _g = h.pin();
         assert_eq!(d.try_advance(), 1);
@@ -656,21 +617,18 @@ mod tests {
 
     #[test]
     fn concurrent_pinners_never_block_each_other() {
-        let d = leaked_domain();
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            handles.push(std::thread::spawn(move || {
-                let h = d.register();
-                for _ in 0..10_000 {
-                    let g = h.pin();
-                    core::hint::black_box(g.epoch());
-                    drop(g);
-                }
-            }));
-        }
-        for t in handles {
-            t.join().unwrap();
-        }
+        let d = &Domain::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        let g = d.pin();
+                        core::hint::black_box(g.epoch());
+                        drop(g);
+                    }
+                });
+            }
+        });
         // All unpinned: the epoch can advance freely again.
         let e = d.epoch();
         assert!(d.try_advance() > e);

@@ -10,17 +10,21 @@
 //!   via a single `fetch_and`).
 //! * [`marked`] — word-sized atomic pointers with an embedded mark bit, the
 //!   substrate for Harris-style lock-free linked lists.
-//! * [`epoch`] — epoch-based reclamation (global epoch, per-thread
-//!   participants, pinning guards): the stand-in for the garbage collector
-//!   the paper's model assumes. A pin announces the epoch and nothing
-//!   else; a thread descheduled inside an operation delays reclamation
-//!   until it runs again, and the domain's health gauges report it as a
-//!   stalled reader (see the module docs).
+//! * [`epoch`] — epoch-based reclamation (one domain per structure, each
+//!   with its epoch, per-thread participants and pinning guards): the
+//!   stand-in for the garbage collector the paper's model assumes. A pin
+//!   announces the epoch and nothing else; a thread descheduled inside an
+//!   operation delays reclamation in that structure until it runs again,
+//!   and the domain's health gauges report it as a stalled reader (see the
+//!   module docs).
 //! * [`registry`] — the epoch-aware allocation registry through which every
 //!   node is allocated, retired, and accounted (bounded garbage under
 //!   churn; see the module docs). Per-thread node pools
 //!   recycle reclaimed nodes, so warm steady-state churn allocates
 //!   nothing.
+//! * [`slots`] — dense per-thread slot indices and the slot-indexed
+//!   arrays in which domains keep their participants and registries their
+//!   pools; each holding of an index is a tenure.
 //! * [`swcursor`] — the single-writer published cursor substituting for the
 //!   atomic-copy primitive.
 //! * [`fault`] — deterministic fault injection: named injection points
@@ -58,6 +62,7 @@ pub mod liveness;
 pub mod marked;
 pub mod minreg;
 pub mod registry;
+pub mod slots;
 pub mod steps;
 pub mod swcursor;
 

@@ -14,8 +14,9 @@
 //!   (chain link + epoch stamp) in front of the value. [`Registry::retire`]
 //!   therefore allocates nothing: it threads the node onto the calling
 //!   thread's *retire bag* through the embedded link.
-//! * Each `(thread, registry)` pair owns a **local pool** — a retire bag
-//!   plus a free list of recycled nodes. [`Registry::alloc`] pops the free
+//! * Each thread owns a **local pool** in each registry — a retire bag
+//!   plus a free list of recycled nodes — found by the thread's slot index
+//!   (see [`crate::slots`]). [`Registry::alloc`] pops the free
 //!   list (refilling from a shared stock in batches) before it ever touches
 //!   the heap, so warm steady-state churn performs **zero** heap
 //!   allocations per operation. `tests/alloc_plateau.rs` asserts exactly
@@ -23,9 +24,13 @@
 //!   [`Registry::recycled`] (pool hits) counters.
 //! * Retire bags flush to the shared limbo in batches — on overflow
 //!   (`BAG_CAP`) and at the start of every sweep — so the shared Treiber
-//!   stacks are touched once per batch instead of once per retire. Pools
-//!   released by exited threads are *stolen* by later sweeps, so their
-//!   garbage keeps aging without them.
+//!   stacks are touched once per batch instead of once per retire.
+//! * A pool records the slot *tenure* that claimed it. The next tenure of
+//!   the index claims it by CAS and inherits its chains, and a sweep
+//!   *steals* the chains of a pool whose tenure has ended, so an exited
+//!   thread's garbage keeps aging without it. A steal that a panicking
+//!   gate probe interrupts puts the ended tenure back, so a later sweep
+//!   steals the rest.
 //! * Reclamation itself is unchanged from PR 3: a node is freed (now:
 //!   recycled) only after three global-epoch advances past its stamp (see
 //!   [`crate::epoch`]) and once its type's [`Reclaim::ready_to_reclaim`]
@@ -93,16 +98,17 @@
 //! of the total number of updates — `tests/memory_bound.rs` asserts
 //! exactly this.
 
-use core::cell::{Cell, RefCell};
+use core::cell::Cell;
 use core::marker::PhantomData;
 use core::mem::{offset_of, ManuallyDrop};
-use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::collections::HashMap;
+use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crossbeam::utils::CachePadded;
 use lftrie_telemetry::{self as telemetry, Counter, FlightKind, ReclaimHealth};
 
 use crate::epoch::{Domain, Guard};
+use crate::slots::{self, SlotVec};
 
 /// Epochs a retired node must age before it can be freed. See
 /// [`crate::epoch`] for why this is 3 and not the textbook 2.
@@ -313,27 +319,23 @@ impl<T> GarbageStack<T> {
     }
 }
 
-/// One `(thread, registry)` pool: a free list of recycled nodes plus a
-/// retire bag, both owner-exclusive intrusive chains. Cache-padded so two
-/// threads' pools never share a line.
-///
-/// Ownership protocol: `claimed` grants exclusive access to the `Cell`
-/// fields — held by the using thread for its lifetime, taken transiently by
-/// a sweeping thread to *steal* the chains of a released pool, and ignored
-/// by `Registry::drop`, whose `&mut self` exclusivity already guarantees no
-/// owner is mid-operation. The allocation itself is freed by whoever drops
-/// the last of two references (the registry's, released in `Drop`, and the
-/// claiming thread's, released when the thread's pool cache drops); by
-/// then the registry has emptied both chains.
+/// A pool's owner word before any tenure claims it, and after a sweep
+/// stole everything an ended tenure left in it.
+const UNOWNED: u64 = 0;
+/// A pool's owner word while a sweep steals its chains. Even, so it is
+/// never a tenure.
+const STEALING: u64 = 2;
+
+/// One slot's pool of a registry: a free list of recycled nodes plus a
+/// retire bag, both intrusive chains used exclusively by the pool's owner.
+/// Cache-padded so two threads' pools never share a line.
 struct LocalPool<T> {
-    /// Exclusive ownership of the `Cell` fields (see above).
-    claimed: AtomicBool,
-    /// References keeping the allocation alive: the registry plus the
-    /// claiming thread. The last one out frees the (already emptied) pool.
-    refs: AtomicUsize,
-    /// Set by `Registry::drop`; tells thread caches the entry is prunable
-    /// and that chains are no longer theirs to inherit.
-    registry_dead: AtomicBool,
+    /// Who may use the `Cell` fields: the slot tenure that claimed the
+    /// pool (odd), [`UNOWNED`], or [`STEALING`] while a sweep takes the
+    /// chains of an ended tenure. The next tenure of the slot claims the
+    /// pool by CAS, inheriting whatever chains are left. `Registry::drop`
+    /// ignores the word: its `&mut self` already excludes every other user.
+    owner: AtomicU64,
     /// Recycled nodes ready for reuse (values already dropped).
     free: Cell<*mut PoolNode<T>>,
     free_len: Cell<usize>,
@@ -342,100 +344,36 @@ struct LocalPool<T> {
     bag_head: Cell<*mut PoolNode<T>>,
     bag_tail: Cell<*mut PoolNode<T>>,
     bag_len: Cell<usize>,
-    /// Next pool in the registry's list (written once at publication).
-    next: AtomicPtr<CachePadded<LocalPool<T>>>,
 }
 
-impl<T> LocalPool<T> {
-    fn new_claimed() -> Self {
+impl<T> Default for LocalPool<T> {
+    fn default() -> Self {
         Self {
-            claimed: AtomicBool::new(true),
-            refs: AtomicUsize::new(2), // the registry + the claiming thread
-            registry_dead: AtomicBool::new(false),
+            owner: AtomicU64::new(UNOWNED),
             free: Cell::new(core::ptr::null_mut()),
             free_len: Cell::new(0),
             bag_head: Cell::new(core::ptr::null_mut()),
             bag_tail: Cell::new(core::ptr::null_mut()),
             bag_len: Cell::new(0),
-            next: AtomicPtr::new(core::ptr::null_mut()),
-        }
-    }
-}
-
-/// Drops one reference on a pool; the last owner frees the allocation.
-/// Chains are empty by then: the registry emptied them in `Drop` (it is
-/// necessarily dead when the thread-side reference is the last one, and
-/// the registry's own release happens in `Drop` after emptying).
-unsafe fn unref_pool<T>(pool: *mut CachePadded<LocalPool<T>>) {
-    if unsafe { (&*pool).refs.fetch_sub(1, Ordering::SeqCst) } == 1 {
-        debug_assert!(unsafe { (&*pool).free.get().is_null() });
-        debug_assert!(unsafe { (&*pool).bag_head.get().is_null() });
-        drop(unsafe { Box::from_raw(pool) });
-    }
-}
-
-/// Thread-exit release of a cached pool: give up `Cell` ownership so a
-/// later sweep can steal the chains (or a new thread can inherit them),
-/// then drop the thread's reference. Never touches the registry — it may
-/// already be gone.
-unsafe fn release_pool<T>(pool: *mut ()) {
-    let pool = pool.cast::<CachePadded<LocalPool<T>>>();
-    unsafe { (&*pool).claimed.store(false, Ordering::SeqCst) };
-    unsafe { unref_pool(pool) };
-}
-
-unsafe fn pool_is_dead<T>(pool: *mut ()) -> bool {
-    unsafe {
-        (&*pool.cast::<CachePadded<LocalPool<T>>>())
-            .registry_dead
-            .load(Ordering::SeqCst)
-    }
-}
-
-/// One thread's cached pool claim (type-erased; `release`/`dead` are the
-/// monomorphized accessors).
-struct CacheEntry {
-    pool: *mut (),
-    release: unsafe fn(*mut ()),
-    dead: unsafe fn(*mut ()) -> bool,
-}
-
-/// Per-thread map from registry id to claimed pool. Registry ids are never
-/// reused, so a stale entry can never be looked up by a new registry; dead
-/// entries are pruned on the next cache miss and at thread exit.
-struct PoolCache {
-    entries: HashMap<u64, CacheEntry>,
-}
-
-impl Drop for PoolCache {
-    fn drop(&mut self) {
-        for (_, e) in self.entries.drain() {
-            unsafe { (e.release)(e.pool) };
         }
     }
 }
 
 thread_local! {
-    static POOLS: RefCell<PoolCache> = RefCell::new(PoolCache {
-        entries: HashMap::new(),
-    });
     /// Sweeps this thread has run while recording, for `SWEEP_SAMPLE`.
     static SWEEPS_RUN: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Source of never-reused registry ids (the thread-cache keys).
-static REGISTRY_IDS: AtomicU64 = AtomicU64::new(1);
+/// Stores a value into an atomic word on every exit path. Sweeps and pool
+/// steals run user code ([`Reclaim`] hooks, node `Drop`s); without this
+/// guard a single panic in one of them would leave `sweeping` stuck —
+/// silently disabling reclamation on the registry forever — or leave a
+/// stolen pool marked [`STEALING`], its chains stranded until registry drop.
+struct StoreOnDrop<'a>(&'a AtomicU64, u64);
 
-/// Clears a flag on every exit path. Sweeps and pool steals run user code
-/// ([`Reclaim`] hooks, node `Drop`s); without this guard a single panic in
-/// one of them would leave `sweeping` stuck `true` — silently disabling
-/// reclamation on the registry forever — or leave a stolen pool claimed by
-/// no thread, its free stock stranded until registry drop.
-struct ClearOnDrop<'a>(&'a AtomicBool);
-
-impl Drop for ClearOnDrop<'_> {
+impl Drop for StoreOnDrop<'_> {
     fn drop(&mut self) {
-        self.0.store(false, Ordering::SeqCst);
+        self.0.store(self.1, Ordering::SeqCst);
     }
 }
 
@@ -553,9 +491,10 @@ struct Counters {
 /// unsafe { reg.dealloc(q) };
 /// ```
 pub struct Registry<T> {
-    domain: &'static Domain,
-    /// Never-reused id keying the per-thread pool caches.
-    id: u64,
+    /// The epoch domain this registry retires into: its owning structure's,
+    /// shared by all of that structure's registries, or (`None`) the global
+    /// one.
+    domain: Option<Arc<Domain>>,
     counters: CachePadded<Counters>,
     /// Epoch-stamped garbage awaiting its grace period.
     limbo: GarbageStack<T>,
@@ -566,15 +505,16 @@ pub struct Registry<T> {
     /// and drained in batches into local free lists. Its depth gauge
     /// enforces [`SHARED_FREE_CAP`].
     free: GarbageStack<T>,
-    /// All pools ever created for this registry (claimed or released).
-    pools: AtomicPtr<CachePadded<LocalPool<T>>>,
+    /// One pool per slot index (see [`crate::slots`]).
+    pools: SlotVec<CachePadded<LocalPool<T>>>,
     /// Nodes retired into this registry since `pending` was last
     /// re-probed: each bag flush adds its batch, each fallback-path retire
     /// adds one (and sweeps on every `BAG_CAP`-th, as the pooled path does
     /// on every bag flush). A sweep re-probes `pending` once this reaches
     /// half of its depth.
     retired_since_reprobe: AtomicUsize,
-    sweeping: AtomicBool,
+    /// 1 while a sweep runs; concurrent callers skip theirs.
+    sweeping: AtomicU64,
     /// Epoch observed at the end of the last full sweep (`u64::MAX` before
     /// the first). While the epoch is parked — e.g. a long-pinned reader —
     /// nothing new can become freeable, so sweeps bail out in O(1) instead
@@ -585,23 +525,26 @@ pub struct Registry<T> {
 
 // Safety: the registry owns heap allocations of T and only ever hands out
 // raw pointers; garbage chains and pools are plain owned memory whose
-// `Cell` fields are guarded by the `claimed`/`sweeping` exclusivity
-// protocol described on `LocalPool`.
+// `Cell` fields are guarded by the pool owner word and the `sweeping`
+// exclusivity protocol described on `LocalPool`.
 unsafe impl<T: Send> Send for Registry<T> {}
 unsafe impl<T: Send + Sync> Sync for Registry<T> {}
 
 impl<T> Registry<T> {
     /// Creates an empty registry on the global epoch domain.
     pub fn new() -> Self {
-        Self::new_in(Domain::global())
+        Self::with_domain(None)
     }
 
-    /// Creates an empty registry on a specific epoch domain (tests drive
-    /// leaked private domains deterministically).
-    pub fn new_in(domain: &'static Domain) -> Self {
+    /// Creates an empty registry on `domain`, which a structure shares
+    /// among all of its registries.
+    pub fn new_in(domain: Arc<Domain>) -> Self {
+        Self::with_domain(Some(domain))
+    }
+
+    fn with_domain(domain: Option<Arc<Domain>>) -> Self {
         Self {
             domain,
-            id: REGISTRY_IDS.fetch_add(1, Ordering::Relaxed),
             counters: CachePadded::new(Counters {
                 fresh: AtomicUsize::new(0),
                 recycled: AtomicUsize::new(0),
@@ -611,9 +554,9 @@ impl<T> Registry<T> {
             limbo: GarbageStack::new(),
             pending: GarbageStack::new(),
             free: GarbageStack::new(),
-            pools: AtomicPtr::new(core::ptr::null_mut()),
+            pools: SlotVec::new(),
             retired_since_reprobe: AtomicUsize::new(0),
-            sweeping: AtomicBool::new(false),
+            sweeping: AtomicU64::new(0),
             last_swept_epoch: AtomicU64::new(u64::MAX),
             _owns: PhantomData,
         }
@@ -623,87 +566,27 @@ impl<T> Registry<T> {
     // Pool plumbing
     // ------------------------------------------------------------------
 
-    /// The calling thread's pool for this registry, claiming or creating
-    /// one on first use. `None` only during thread teardown (the cache's
-    /// destructor already ran); callers then fall back to the shared path.
+    /// The calling thread's pool. With `claim` set, a thread's first use in
+    /// its tenure claims the pool by CAS, inheriting whatever chains an
+    /// ended tenure left there. `None` during thread teardown (the slot is
+    /// gone), while a sweep steals the pool, or when the pool is not the
+    /// caller's and `claim` is off; callers then use the shared stacks.
     #[inline]
-    fn pool(&self) -> Option<*mut CachePadded<LocalPool<T>>> {
-        POOLS
-            .try_with(|cache| {
-                let mut cache = cache.borrow_mut();
-                if let Some(e) = cache.entries.get(&self.id) {
-                    return e.pool.cast::<CachePadded<LocalPool<T>>>();
-                }
-                // Miss (once per registry per thread): prune entries of
-                // dropped registries so the map tracks live registries only.
-                cache.entries.retain(|_, e| unsafe {
-                    if (e.dead)(e.pool) {
-                        (e.release)(e.pool);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                let pool = self.claim_or_create_pool();
-                cache.entries.insert(
-                    self.id,
-                    CacheEntry {
-                        pool: pool.cast(),
-                        release: release_pool::<T>,
-                        dead: pool_is_dead::<T>,
-                    },
-                );
-                pool
-            })
-            .ok()
-    }
-
-    /// The calling thread's pool if it already claimed one — sweeps use
-    /// this so a thread that only collects never grows a pool.
-    #[inline]
-    fn existing_pool(&self) -> Option<*mut CachePadded<LocalPool<T>>> {
-        POOLS
-            .try_with(|cache| {
-                cache
-                    .borrow()
-                    .entries
-                    .get(&self.id)
-                    .map(|e| e.pool.cast::<CachePadded<LocalPool<T>>>())
-            })
-            .ok()
-            .flatten()
-    }
-
-    /// Claims a released pool (inheriting its chains) or publishes a fresh
-    /// one. Only reachable through a live `&self`, so the registry
-    /// reference is implicit.
-    fn claim_or_create_pool(&self) -> *mut CachePadded<LocalPool<T>> {
-        let mut cur = self.pools.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let p = unsafe { &**cur };
-            if !p.claimed.load(Ordering::SeqCst)
-                && p.claimed
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                p.refs.fetch_add(1, Ordering::SeqCst);
-                return cur;
-            }
-            cur = p.next.load(Ordering::SeqCst);
-        }
-        let pool = Box::into_raw(Box::new(CachePadded::new(LocalPool::new_claimed())));
-        let pool_ref: &LocalPool<T> = unsafe { &*pool };
-        loop {
-            let head = self.pools.load(Ordering::SeqCst);
-            pool_ref.next.store(head, Ordering::SeqCst);
-            if self
-                .pools
-                .compare_exchange(head, pool, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return pool;
-            }
-        }
+    fn pool(&self, claim: bool) -> Option<&LocalPool<T>> {
+        let slot = slots::current()?;
+        let pool = self.pools.get(slot.index);
+        // Only this thread writes its tenure into the word, and nothing
+        // replaces it while the tenure lasts: a match needs no ordering.
+        // Any other odd value is an ended tenure of this index.
+        let owner = pool.owner.load(Ordering::Relaxed);
+        let mine = owner == slot.tenure
+            || (claim
+                && owner != STEALING
+                && pool
+                    .owner
+                    .compare_exchange(owner, slot.tenure, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok());
+        mine.then_some(&**pool)
     }
 
     /// Pops a recycled node from the local free list, refilling it from the
@@ -746,13 +629,8 @@ impl<T> Registry<T> {
     /// Parks an emptied node (value already dropped) for reuse: local free
     /// list, then shared stock, then back to the heap once both caps are
     /// met. `pool` is the caller's claimed pool, if any.
-    unsafe fn recycle_node(
-        &self,
-        node: *mut PoolNode<T>,
-        pool: Option<*mut CachePadded<LocalPool<T>>>,
-    ) {
+    unsafe fn recycle_node(&self, node: *mut PoolNode<T>, pool: Option<&LocalPool<T>>) {
         if let Some(pool) = pool {
-            let pool = unsafe { &**pool };
             if pool.free_len.get() < LOCAL_FREE_CAP {
                 unsafe { (*node).next.set(pool.free.get()) };
                 pool.free.set(node);
@@ -778,9 +656,9 @@ impl<T> Registry<T> {
     /// reclaimed, deallocated, or the owning structure tears down.
     #[inline]
     pub fn alloc(&self, value: T) -> *mut T {
-        if let Some(pool) = self.pool() {
+        if let Some(pool) = self.pool(true) {
             // Safety: the pool is claimed by this thread.
-            let node = unsafe { self.pop_free(&**pool) };
+            let node = unsafe { self.pop_free(pool) };
             if !node.is_null() {
                 self.counters.recycled.fetch_add(1, Ordering::Relaxed);
                 // Safety: the slot's previous value was dropped when the
@@ -816,14 +694,13 @@ impl<T> Registry<T> {
         T: Reclaim,
     {
         debug_assert!(
-            core::ptr::eq(guard.domain(), self.domain),
+            core::ptr::eq(guard.domain(), self.domain()),
             "guard pins a different epoch domain than the registry's"
         );
         let node = PoolNode::from_value(ptr);
         unsafe { (*node).next.set(core::ptr::null_mut()) };
-        unsafe { (*node).epoch.set(self.domain.epoch()) };
-        if let Some(pool) = self.pool() {
-            let pool = unsafe { &**pool };
+        unsafe { (*node).epoch.set(self.domain().epoch()) };
+        if let Some(pool) = self.pool(true) {
             let tail = pool.bag_tail.get();
             if tail.is_null() {
                 pool.bag_head.set(node);
@@ -837,9 +714,9 @@ impl<T> Registry<T> {
                 self.collect();
             }
         } else {
-            // Thread-teardown fallback: the pool cache is gone, push
-            // straight to the shared stacks (still no allocation — the
-            // header is intrusive either way).
+            // No pool (thread teardown, or a sweep is stealing the one a
+            // past tenure left): push straight to the shared stacks (still
+            // no allocation — the header is intrusive either way).
             if unsafe { (*ptr).ready_to_reclaim() } {
                 self.limbo.push(node);
             } else {
@@ -864,7 +741,7 @@ impl<T> Registry<T> {
         let node = PoolNode::from_value(ptr);
         unsafe { core::ptr::drop_in_place(ptr) };
         self.counters.reclaimed.fetch_add(1, Ordering::Relaxed);
-        unsafe { self.recycle_node(node, self.existing_pool()) };
+        unsafe { self.recycle_node(node, self.pool(false)) };
     }
 
     // ------------------------------------------------------------------
@@ -914,7 +791,7 @@ impl<T> Registry<T> {
             dst.set(cur);
         }
         // Fresh stamp *after* every gate probe above (see the module docs).
-        let stamp = self.domain.epoch();
+        let stamp = self.domain().epoch();
         let ready = flush.ready.replace(core::ptr::null_mut());
         let mut batch = 0u64;
         if !ready.is_null() {
@@ -944,41 +821,44 @@ impl<T> Registry<T> {
         telemetry::event(Counter::BagFlushes, FlightKind::Retire, -1, batch);
     }
 
-    /// Steals the chains of pools released by exited threads, so their
+    /// Steals the chains of pools whose tenure has ended, so their
     /// garbage keeps aging and their free stock returns to circulation.
-    fn steal_released_pools(&self)
+    fn steal_ended_pools(&self)
     where
         T: Reclaim,
     {
-        let mut cur = self.pools.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let p = unsafe { &**cur };
-            if !p.claimed.load(Ordering::SeqCst)
-                && p.claimed
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
+        for (index, pool) in self.pools.iter() {
+            // An odd owner other than the index's current tenure has ended:
+            // tenures only move on. The sweeper's read of the counter pairs
+            // with the releasing store, after the owner's last cell writes.
+            let owner = pool.owner.load(Ordering::SeqCst);
+            let ended = owner % 2 == 1 && owner != slots::tenure(index);
+            if !ended
+                || pool
+                    .owner
+                    .compare_exchange(owner, STEALING, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_err()
             {
-                // Transient claim: we own the cells until the guard drops
-                // (a panicking gate probe in the flush releases it too).
-                let claim = ClearOnDrop(&p.claimed);
-                self.flush_bag(p);
-                let mut f = p.free.get();
-                p.free.set(core::ptr::null_mut());
-                p.free_len.set(0);
-                while !f.is_null() {
-                    let next = unsafe { (*f).next.get() };
-                    // Values already dropped: straight back into stock.
-                    unsafe { self.recycle_node(f, None) };
-                    f = next;
-                }
-                drop(claim);
+                continue;
             }
-            cur = p.next.load(Ordering::SeqCst);
+            // A gate probe that panics mid-steal leaves the ended tenure in
+            // place, so a later sweep steals the rest.
+            let mut restore = StoreOnDrop(&pool.owner, owner);
+            self.flush_bag(pool);
+            let mut f = pool.free.replace(core::ptr::null_mut());
+            pool.free_len.set(0);
+            while !f.is_null() {
+                let next = unsafe { (*f).next.get() };
+                // Values already dropped: straight back into stock.
+                unsafe { self.recycle_node(f, None) };
+                f = next;
+            }
+            restore.1 = UNOWNED;
         }
     }
 
-    /// One garbage sweep: flushes the caller's retire bag, steals released
-    /// pools, tries to advance the epoch, re-examines deferred nodes once
+    /// One garbage sweep: flushes the caller's retire bag, steals the pools
+    /// of ended tenures, tries to advance the epoch, re-examines deferred nodes once
     /// the retirements since their last re-probe reach half their number
     /// (module docs), and recycles limbo nodes whose grace period elapsed
     /// and whose readiness gate is (still) open. Lock-free; concurrent
@@ -1014,12 +894,12 @@ impl<T> Registry<T> {
         // Non-fatal: collect() is reachable from retire-bag overflow inside
         // an operation pipeline, where an unwind would strand the bag.
         crate::fault::point_nonfatal(crate::fault::FaultPoint::RegistryCollect);
-        if self.sweeping.swap(true, Ordering::SeqCst) {
+        if self.sweeping.swap(1, Ordering::SeqCst) == 1 {
             return;
         }
         // Everything below runs user code (`Reclaim` hooks, node `Drop`s):
         // the guard clears `sweeping` on every exit path, panics included.
-        let _sweeping = ClearOnDrop(&self.sweeping);
+        let _sweeping = StoreOnDrop(&self.sweeping, 0);
         telemetry::add(Counter::Sweeps, 1);
         let timed = telemetry::enabled()
             && SWEEPS_RUN
@@ -1032,19 +912,19 @@ impl<T> Registry<T> {
         let _t = telemetry::trace::phase(telemetry::trace::TracePhase::Reclaim);
         // Batch the buffered retires in before advancing, so this sweep
         // already ages them: the caller's own bag first, then the bags (and
-        // free stock) of pools whose threads have exited.
-        let own_pool = self.existing_pool();
+        // free stock) of pools whose tenure has ended.
+        let own_pool = self.pool(false);
         if let Some(pool) = own_pool {
-            self.flush_bag(unsafe { &**pool });
+            self.flush_bag(pool);
         }
-        self.steal_released_pools();
+        self.steal_ended_pools();
         // Attempt up to GRACE advances: each one individually re-proves
         // that every pinned participant has caught up, so at quiescent
         // moments a single sweep ages garbage all the way out instead of
         // one epoch per sweep.
-        let mut global = self.domain.epoch();
+        let mut global = self.domain().epoch();
         for _ in 0..GRACE_EPOCHS {
-            let next = self.domain.try_advance();
+            let next = self.domain().try_advance();
             if next == global {
                 break;
             }
@@ -1076,7 +956,7 @@ impl<T> Registry<T> {
                     // reader's pin precedes this read and the fresh stamp is
                     // ≥ E — the reader now blocks the advance to
                     // `stamp + GRACE` until it unpins.
-                    unsafe { (*cur).epoch.set(self.domain.epoch()) };
+                    unsafe { (*cur).epoch.set(self.domain().epoch()) };
                     self.limbo.push(cur);
                 } else {
                     self.pending.push(cur);
@@ -1210,8 +1090,8 @@ impl<T> Registry<T> {
     }
 
     /// The epoch domain this registry retires into.
-    pub fn domain(&self) -> &'static Domain {
-        self.domain
+    pub fn domain(&self) -> &Domain {
+        self.domain.as_deref().unwrap_or(Domain::global())
     }
 }
 
@@ -1225,9 +1105,7 @@ impl<T> Drop for Registry<T> {
     fn drop(&mut self) {
         // Bulk teardown. `&mut self` guarantees no thread is mid-operation
         // on this registry, so the pools' `Cell` chains are safe to empty
-        // regardless of their `claimed` flags (a live owning thread will
-        // never dereference its cached pool for this registry again — the
-        // id is dead — except to release it, which touches only atomics).
+        // whoever owns them; the pools themselves go with `self.pools`.
         // Hooks are skipped: peers they would touch may already have been
         // freed by the owning structure's own Drop.
         unsafe fn free_garbage_chain<T>(reg: &Registry<T>, mut cur: *mut PoolNode<T>) {
@@ -1254,24 +1132,9 @@ impl<T> Drop for Registry<T> {
         unsafe { free_garbage_chain(self, self.limbo.take_all()) };
         unsafe { free_empty_chain(self, self.free.take_all()) };
 
-        let mut cur = self.pools.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            let p = unsafe { &**cur };
-            let next = p.next.load(Ordering::SeqCst);
-            let bag = p.bag_head.get();
-            p.bag_head.set(core::ptr::null_mut());
-            p.bag_tail.set(core::ptr::null_mut());
-            p.bag_len.set(0);
-            unsafe { free_garbage_chain(self, bag) };
-            let free = p.free.get();
-            p.free.set(core::ptr::null_mut());
-            p.free_len.set(0);
-            unsafe { free_empty_chain(self, free) };
-            p.registry_dead.store(true, Ordering::SeqCst);
-            // Drop the registry's reference; a thread still caching the
-            // pool frees it when its cache prunes (or the thread exits).
-            unsafe { unref_pool(cur) };
-            cur = next;
+        for (_, p) in self.pools.iter() {
+            unsafe { free_garbage_chain(self, p.bag_head.get()) };
+            unsafe { free_empty_chain(self, p.free.get()) };
         }
     }
 }
@@ -1292,12 +1155,8 @@ impl<T> core::fmt::Debug for Registry<T> {
 mod tests {
     use super::*;
     use crate::epoch;
-    use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
     use std::sync::Arc;
-
-    fn leaked_domain() -> &'static Domain {
-        Box::leak(Box::new(Domain::new()))
-    }
 
     struct CountsDrops(Arc<StdAtomicUsize>);
     impl Reclaim for CountsDrops {}
@@ -1309,10 +1168,10 @@ mod tests {
 
     #[test]
     fn retired_nodes_age_out_after_grace_period() {
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let handle = domain.register();
         let drops = Arc::new(StdAtomicUsize::new(0));
-        let reg: Registry<CountsDrops> = Registry::new_in(domain);
+        let reg: Registry<CountsDrops> = Registry::new_in(Arc::clone(&domain));
 
         let blocker = domain.register();
         let blocker_guard = blocker.pin(); // parks the epoch at most one ahead
@@ -1338,11 +1197,11 @@ mod tests {
 
     #[test]
     fn pinned_guard_blocks_reclamation() {
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let retirer = domain.register();
         let reader = domain.register();
         let drops = Arc::new(StdAtomicUsize::new(0));
-        let reg: Registry<CountsDrops> = Registry::new_in(domain);
+        let reg: Registry<CountsDrops> = Registry::new_in(Arc::clone(&domain));
 
         let reader_guard = reader.pin(); // pinned before the retirement
         let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
@@ -1366,11 +1225,11 @@ mod tests {
         // The pooled flavour of the invariant above: a node must never
         // re-enter a free list (and be handed out again) while a thread
         // pinned from before its retirement could still dereference it.
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let handle = domain.register();
         let reader = domain.register();
         let drops = Arc::new(StdAtomicUsize::new(0));
-        let reg: Registry<CountsDrops> = Registry::new_in(domain);
+        let reg: Registry<CountsDrops> = Registry::new_in(Arc::clone(&domain));
 
         let reader_guard = reader.pin();
         let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
@@ -1406,9 +1265,9 @@ mod tests {
 
     #[test]
     fn deferred_nodes_wait_for_their_gate() {
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let handle = domain.register();
-        let reg: Registry<Gated> = Registry::new_in(domain);
+        let reg: Registry<Gated> = Registry::new_in(Arc::clone(&domain));
         let open = Arc::new(AtomicBool::new(false));
         let p = reg.alloc(Gated {
             open: Arc::clone(&open),
@@ -1430,9 +1289,9 @@ mod tests {
         // consumer, not walks: check them exactly at every hand-off.
         const UNGATED: usize = 100;
         const GATED: usize = 60;
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let handle = domain.register();
-        let reg: Registry<Gated> = Registry::new_in(domain);
+        let reg: Registry<Gated> = Registry::new_in(Arc::clone(&domain));
         let always = Arc::new(AtomicBool::new(true));
         let gate = Arc::new(AtomicBool::new(false));
         let alloc = |open: &Arc<AtomicBool>| {
@@ -1508,9 +1367,9 @@ mod tests {
         // retirements: at most 2R + 2G probes (here 17 408).
         const G: usize = 512;
         const R: usize = 8192;
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let handle = domain.register();
-        let reg: Registry<CountedGate> = Registry::new_in(domain);
+        let reg: Registry<CountedGate> = Registry::new_in(Arc::clone(&domain));
         let gated_probes = Arc::new(StdAtomicUsize::new(0));
         let other_probes = Arc::new(StdAtomicUsize::new(0));
         let always = Arc::new(AtomicBool::new(true));
@@ -1586,9 +1445,9 @@ mod tests {
         // that forwarded the retire-time stamp would free the node under
         // that reader (its pin does not block `retire_stamp + GRACE`); the
         // flush must stamp with a fresh read taken after the probe.
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let handle = domain.register();
-        let reg: Registry<Gated> = Registry::new_in(domain);
+        let reg: Registry<Gated> = Registry::new_in(Arc::clone(&domain));
         let open = Arc::new(AtomicBool::new(false));
         let p = reg.alloc(Gated {
             open: Arc::clone(&open),
@@ -1633,7 +1492,7 @@ mod tests {
                 self.armed.set(false);
                 self.domain.try_advance();
                 self.domain.try_advance();
-                // The guard co-owns the participant slot, so it keeps the
+                // The guard co-owns the participant entry, so it keeps the
                 // pin alive after the handle drops.
                 let h = self.domain.register();
                 *self.reader.borrow_mut() = Some(h.pin());
@@ -1650,9 +1509,11 @@ mod tests {
         // mid-drain; a reader pinned at the new epoch that captured the
         // gated pointer just before the gate opened would not block a
         // stale stamp's grace period — use-after-free.
-        let domain = leaked_domain();
+        // The hook keeps a `'static` guard, so this domain is leaked.
+        let shared: &'static Arc<Domain> = Box::leak(Box::new(Arc::new(Domain::new())));
+        let domain: &'static Domain = shared;
         let handle = domain.register();
-        let reg: Registry<CapturingGate> = Registry::new_in(domain);
+        let reg: Registry<CapturingGate> = Registry::new_in(Arc::clone(shared));
         let open = Arc::new(AtomicBool::new(false));
         let reader = std::rc::Rc::new(std::cell::RefCell::new(None));
         let p = reg.alloc(CapturingGate {
@@ -1698,9 +1559,9 @@ mod tests {
         // reclamation on the registry forever and leak the backlog. With
         // retire bags the panic now fires inside the bag flush, whose guard
         // re-routes everything to `pending`.
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let handle = domain.register();
-        let reg: Registry<PanicOnce> = Registry::new_in(domain);
+        let reg: Registry<PanicOnce> = Registry::new_in(Arc::clone(&domain));
         let flags: Vec<Arc<AtomicBool>> =
             (0..3).map(|_| Arc::new(AtomicBool::new(false))).collect();
         let g = handle.pin();
@@ -1744,22 +1605,24 @@ mod tests {
 
     #[test]
     fn panicking_probe_during_steal_releases_the_pool_claim() {
-        // Regression: stealing a released pool probes user gates inside the
-        // bag flush; a panic there must release the transient claim. A
-        // stuck claim would strand the orphan pool's free stock and make
-        // the slot unclaimable until registry drop.
-        let domain = leaked_domain();
-        let reg: Arc<Registry<PanicOnce>> = Arc::new(Registry::new_in(domain));
+        // Regression: stealing the pool of an ended tenure probes user
+        // gates inside the bag flush; a panic there must put the ended
+        // tenure back, so a later sweep steals the rest. A pool left marked
+        // as being stolen, or reset to unowned, would strand its free stock
+        // until registry drop or the index's next tenure.
+        let reg: Arc<Registry<PanicOnce>> = Arc::new(Registry::new_in(Arc::new(Domain::new())));
         let armed = Arc::new(AtomicBool::new(false));
-        // A thread leaves a released pool behind with one bagged node (P,
-        // armed to panic) and one recycled slot (A) on its free list.
+        // This thread takes its slot first, so it cannot be handed the
+        // exiting thread's index and inherit the pool instead of a steal.
+        drop(reg.domain().pin());
+        // A thread exits, leaving its pool with one bagged node (P, armed
+        // to panic) and one recycled slot (A) on its free list.
         let (p_addr, a_addr) = {
             let reg = Arc::clone(&reg);
             let armed = Arc::clone(&armed);
             std::thread::spawn(move || {
-                let handle = domain.register();
                 let p = reg.alloc(PanicOnce { armed });
-                let g = handle.pin();
+                let g = reg.domain().pin();
                 unsafe { reg.retire(p, &g) };
                 drop(g);
                 let a = reg.alloc(PanicOnce {
@@ -1774,7 +1637,7 @@ mod tests {
         armed.store(true, Ordering::SeqCst);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.collect()));
         assert!(result.is_err(), "the armed probe must panic the steal");
-        // The claim is back: later sweeps re-steal the pool, age P out, and
+        // The ended tenure is back: later sweeps re-steal the pool, age P out, and
         // return A's slot to the shared stock — so the next two allocations
         // are both served from recycled memory.
         reg.flush();
@@ -1824,11 +1687,11 @@ mod tests {
 
     #[test]
     fn registry_drop_frees_parked_garbage() {
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let handle = domain.register();
         let drops = Arc::new(StdAtomicUsize::new(0));
         {
-            let reg: Registry<CountsDrops> = Registry::new_in(domain);
+            let reg: Registry<CountsDrops> = Registry::new_in(Arc::clone(&domain));
             let g = handle.pin();
             for _ in 0..100 {
                 let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
@@ -1844,24 +1707,22 @@ mod tests {
     fn released_pools_are_stolen_by_sweeps() {
         // A thread that retires and exits must not strand its bagged
         // garbage until registry drop: the next sweep (from any thread)
-        // steals the released pool's chains.
-        let domain = leaked_domain();
+        // steals the chains of the pool whose tenure ended.
         let drops = Arc::new(StdAtomicUsize::new(0));
-        let reg: Arc<Registry<CountsDrops>> = Arc::new(Registry::new_in(domain));
+        let reg: Arc<Registry<CountsDrops>> = Arc::new(Registry::new_in(Arc::new(Domain::new())));
         {
             let reg = Arc::clone(&reg);
             let drops = Arc::clone(&drops);
             std::thread::spawn(move || {
-                let handle = domain.register();
                 let p = reg.alloc(CountsDrops(drops));
-                let g = handle.pin();
+                let g = reg.domain().pin();
                 unsafe { reg.retire(p, &g) };
             })
             .join()
             .unwrap();
         }
         assert_eq!(drops.load(StdOrdering::SeqCst), 0, "still bagged");
-        reg.flush(); // main thread steals the released pool's bag
+        reg.flush(); // main thread steals the exited thread's bag
         assert_eq!(drops.load(StdOrdering::SeqCst), 1);
         assert_eq!(reg.live(), 0);
     }
@@ -1912,10 +1773,10 @@ mod tests {
         // with one thread, a warmed-up registry serves every allocation
         // from its pools — `allocated()` (fresh heap boxes) plateaus while
         // the logical series keeps growing.
-        let domain = leaked_domain();
+        let domain = Arc::new(Domain::new());
         let handle = domain.register();
         let drops = Arc::new(StdAtomicUsize::new(0));
-        let reg: Registry<CountsDrops> = Registry::new_in(domain);
+        let reg: Registry<CountsDrops> = Registry::new_in(Arc::clone(&domain));
         let churn = |n: usize| {
             for _ in 0..n {
                 let p = reg.alloc(CountsDrops(Arc::clone(&drops)));

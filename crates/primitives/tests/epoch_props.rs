@@ -57,12 +57,14 @@ struct Sim {
 
 impl Sim {
     fn new() -> Self {
-        let domain: &'static Domain = Box::leak(Box::new(Domain::new()));
+        // Leaked, so the handles and guards can be `'static`.
+        let shared: &'static Arc<Domain> = Box::leak(Box::new(Arc::new(Domain::new())));
+        let domain: &'static Domain = shared;
         let handles: Vec<Handle<'static>> = (0..PARTICIPANTS).map(|_| domain.register()).collect();
         Sim {
             domain,
             guards: (0..PARTICIPANTS).map(|_| None).collect(),
-            reg: Arc::new(Registry::new_in(domain)),
+            reg: Arc::new(Registry::new_in(Arc::clone(shared))),
             items: Vec::new(),
             handles,
         }

@@ -129,10 +129,12 @@ pub const FLIGHT_CAP: usize = 128;
 /// different threads order by wall clock rather than by when they happened
 /// to reserve ids, but a burst's first events can carry a stamp up to one
 /// batch stale after an idle gap.
+#[cfg(not(feature = "compiled-out"))]
 const SEQ_BATCH: u64 = 16;
 
 /// Global sequence ids; starts at 1 so a published tag is never zero, the
 /// empty-slot marker.
+#[cfg(not(feature = "compiled-out"))]
 static SEQ: AtomicU64 = AtomicU64::new(1);
 
 /// Low bits of a slot tag holding the [`FlightKind`]; the sequence id sits
@@ -159,9 +161,11 @@ pub(crate) struct Ring {
     /// First id of the locally reserved batch (owner-only): the event at
     /// `cursor` takes id `seq_base + cursor % SEQ_BATCH`, and a cursor on
     /// a batch boundary forces a refill from the global counter.
+    #[cfg(not(feature = "compiled-out"))]
     seq_base: AtomicU64,
     /// Raw tick stamp shared by the current id batch (owner-only; see
     /// [`SEQ_BATCH`] on the resolution trade-off).
+    #[cfg(not(feature = "compiled-out"))]
     ts_batch: AtomicU64,
 }
 
@@ -177,12 +181,15 @@ impl Ring {
                 }
             }; FLIGHT_CAP],
             cursor: AtomicU64::new(0),
+            #[cfg(not(feature = "compiled-out"))]
             seq_base: AtomicU64::new(0),
+            #[cfg(not(feature = "compiled-out"))]
             ts_batch: AtomicU64::new(0),
         }
     }
 
     /// Owner-side append (see the module docs for the publication order).
+    #[cfg(not(feature = "compiled-out"))]
     pub(crate) fn push(&self, kind: FlightKind, key: i64, aux: u64) {
         // Owner-only load + store throughout: a single thread owns the ring
         // at a time, so neither the cursor nor the batch base needs RMWs
@@ -241,6 +248,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[cfg(not(feature = "compiled-out"))]
     fn ring_overwrites_oldest_and_keeps_order() {
         let ring = Ring::new();
         for k in 0..(FLIGHT_CAP as i64 + 16) {

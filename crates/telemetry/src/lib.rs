@@ -423,6 +423,7 @@ fn raw_tick() -> u64 {
 
 /// A raw timestamp for one event. Shared by the flight recorder and the
 /// op-trace layer, so the two timelines interleave.
+#[cfg(not(feature = "compiled-out"))]
 #[inline]
 pub(crate) fn now_ticks() -> u64 {
     // Touch the anchor so every recorded tick is >= the anchor tick.
@@ -452,6 +453,7 @@ pub(crate) fn ticks_to_ns(tick: u64, rate: f64) -> u64 {
 }
 
 /// The bucket a value lands in: its bit length.
+#[cfg(any(test, not(feature = "compiled-out")))]
 #[inline]
 pub(crate) fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
@@ -852,7 +854,7 @@ pub fn snapshot() -> TelemetrySnapshot {
 
 /// Serializes tests that toggle the process-global kill-switches (the
 /// crate's own suite runs multi-threaded).
-#[cfg(test)]
+#[cfg(all(test, not(feature = "compiled-out")))]
 pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())

@@ -2,19 +2,10 @@
 //! insert/delete churn performs **zero** fresh heap allocations — every
 //! node comes out of the registry's recycle pools (see the "Allocation
 //! pooling" section of the README).
-//!
-//! This lives in its own test binary on purpose: the plateau is *exact*
-//! only when nothing else pins the global epoch domain. The sibling
-//! `memory_bound` suite runs tests that hold guards across whole churn
-//! phases; sharing a process with them would park the epoch, stall aging,
-//! drain the pools, and fault the plateau with scheduler noise. Cargo runs
-//! test binaries sequentially, so a dedicated binary is a dedicated
-//! process. For the same reason every structure runs inside the one test
-//! below, one after another: separate tests would share the epoch domain
-//! with each other.
 
 use lftrie::baselines::{HarrisListSet, LockFreeSkipList};
 use lftrie::core::{LockFreeBinaryTrie, RelaxedBinaryTrie};
+use lftrie::primitives::epoch::Domain;
 use lftrie::primitives::registry::AllocStats;
 
 /// Keys churned: a span small enough for maximal per-key supersession.
@@ -31,8 +22,8 @@ fn churn(update: &dyn Fn(u64, bool), n: u64) {
 }
 
 /// The warm-up every structure gets before its plateau is measured: churn,
-/// then churn under a held pin, then `flush` ages the garbage into the free
-/// pools.
+/// then churn under a held pin of the structure's `domain`, then `flush`
+/// ages the garbage into the free pools.
 ///
 /// The held pin over-provisions the pools: nothing ages under it, so the
 /// node population inflates by the whole in-flight window, and the flush
@@ -40,10 +31,10 @@ fn churn(update: &dyn Fn(u64, bool), n: u64) {
 /// warm-up-with-headroom a real deployment gets for free from its bursty
 /// start; without it, the steady phase's single deepest pipeline moment
 /// can exceed the warm phase's by a node or two.
-fn warm_up(update: &dyn Fn(u64, bool), flush: impl Fn()) {
+fn warm_up(domain: &Domain, update: &dyn Fn(u64, bool), flush: impl Fn()) {
     churn(update, 6_000);
     {
-        let pin = lftrie::primitives::epoch::pin();
+        let pin = domain.pin();
         churn(update, 2_000);
         drop(pin);
     }
@@ -54,11 +45,12 @@ fn warm_up(update: &dyn Fn(u64, bool), flush: impl Fn()) {
 /// that the second churn allocated nothing fresh.
 fn assert_plateau(
     name: &str,
+    domain: &Domain,
     update: &dyn Fn(u64, bool),
     flush: impl Fn(),
     stats: impl Fn() -> AllocStats,
 ) {
-    warm_up(update, flush);
+    warm_up(domain, update, flush);
     let warm = stats();
     churn(update, 6_000);
     let end = stats();
@@ -94,7 +86,7 @@ fn warm_churn_allocates_zero_fresh_nodes() {
             trie.remove(k);
         }
     };
-    warm_up(&update, || trie.collect_garbage());
+    warm_up(trie.domain(), &update, || trie.collect_garbage());
     let warm_nodes = trie.node_alloc_stats();
     let warm_preds = trie.pred_alloc_stats();
     let warm_succs = trie.succ_alloc_stats();
@@ -145,6 +137,7 @@ fn warm_churn_allocates_zero_fresh_nodes() {
     let relaxed = RelaxedBinaryTrie::new(universe);
     assert_plateau(
         "relaxed-trie",
+        relaxed.domain(),
         &|k, insert| {
             if insert {
                 relaxed.insert(k);
@@ -158,6 +151,7 @@ fn warm_churn_allocates_zero_fresh_nodes() {
     let list = HarrisListSet::new();
     assert_plateau(
         "harris-list",
+        list.domain(),
         &|k, insert| {
             if insert {
                 list.insert(k);
@@ -171,6 +165,7 @@ fn warm_churn_allocates_zero_fresh_nodes() {
     let skip = LockFreeSkipList::new();
     assert_plateau(
         "lockfree-skiplist",
+        skip.domain(),
         &|k, insert| {
             if insert {
                 skip.insert(k);

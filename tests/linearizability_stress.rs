@@ -399,7 +399,7 @@ fn guard_holding_readers_stay_linearizable_under_churn() {
                 // Hold one outer guard across a long traversal batch: every
                 // node retired during the batch must survive until we drop
                 // it, and results must still linearize.
-                let outer = lftrie::primitives::epoch::pin();
+                let outer = lf.domain().pin();
                 for _ in 0..batch.min(remaining) {
                     state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                     let dir = if (state >> 7) & 1 == 0 {

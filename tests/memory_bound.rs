@@ -287,18 +287,12 @@ fn relaxed_trie_churn_is_bounded_too() {
     assert!(trie.allocated_nodes() >= 10 * ceiling(universe));
 }
 
-#[test]
-fn reader_guards_only_delay_reclamation_not_unbound_it() {
-    // A reader parked on a guard blocks epoch advance while pinned; once it
-    // unpins, the backlog drains back under the ceiling.
-    let universe = 32u64;
-    let iters = stress_iters(12_000) / 2;
-    let trie = Arc::new(LockFreeBinaryTrie::new(universe));
-
-    let guard = lftrie::primitives::epoch::pin();
+/// Two threads of insert/remove churn over all of `trie`'s keys.
+fn churn_two_threads(trie: &Arc<LockFreeBinaryTrie>, iters: u64) {
+    let universe = trie.universe();
     let handles: Vec<_> = (0..2u64)
         .map(|t| {
-            let trie = Arc::clone(&trie);
+            let trie = Arc::clone(trie);
             std::thread::spawn(move || {
                 let mut state = t | 1;
                 for _ in 0..iters {
@@ -316,6 +310,17 @@ fn reader_guards_only_delay_reclamation_not_unbound_it() {
     for h in handles {
         h.join().unwrap();
     }
+}
+
+#[test]
+fn reader_guards_only_delay_reclamation_not_unbound_it() {
+    // A reader parked on a guard blocks epoch advance while pinned; once it
+    // unpins, the backlog drains back under the ceiling.
+    let universe = 32u64;
+    let trie = Arc::new(LockFreeBinaryTrie::new(universe));
+
+    let guard = trie.domain().pin();
+    churn_two_threads(&trie, stress_iters(12_000) / 2);
     // While pinned, the backlog may hold (almost) everything retired since
     // the pin. Unpin and drain:
     drop(guard);
@@ -325,4 +330,27 @@ fn reader_guards_only_delay_reclamation_not_unbound_it() {
         live <= ceiling(universe),
         "backlog must drain after the long-lived guard unpins: {live} live"
     );
+}
+
+#[test]
+fn readers_pinned_on_other_domains_do_not_hold_back_reclamation() {
+    // Each trie owns its epoch domain: a reader pinned on the global
+    // domain, or on another trie's, blocks none of this trie's epoch
+    // advances, so its garbage drains under the ceiling while both pins
+    // are still held.
+    let universe = 32u64;
+    let other = LockFreeBinaryTrie::new(universe);
+    let _global = lftrie::primitives::epoch::pin();
+    let _other = other.domain().pin();
+    let trie = Arc::new(LockFreeBinaryTrie::new(universe));
+
+    churn_two_threads(&trie, stress_iters(12_000) / 2);
+    trie.collect_garbage();
+    let live = trie.live_nodes();
+    assert!(
+        live <= ceiling(universe),
+        "pins on other domains held back this trie's garbage: {live} live of {}",
+        trie.allocated_nodes()
+    );
+    assert!(trie.allocated_nodes() >= 4 * ceiling(universe));
 }

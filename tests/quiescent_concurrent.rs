@@ -191,7 +191,7 @@ fn phase_long_reader_guards_never_see_freed_nodes() {
             std::thread::spawn(move || {
                 // One guard for the entire phase: the strongest laggard a
                 // correct EBR must tolerate.
-                let _outer = lftrie::primitives::epoch::pin();
+                let _outer = trie.domain().pin();
                 let mut state = r | 1;
                 let mut checked = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::SeqCst) {

@@ -4,11 +4,6 @@
 //! recycle pools, slides the announcement across its whole width, and
 //! returns both on withdrawal. Slides themselves allocate nothing: they
 //! re-arm the existing node's published cursor in place.
-//!
-//! Like `alloc_plateau.rs`, this lives in its own test binary on purpose:
-//! the plateau is *exact* only when nothing else pins the global epoch
-//! domain, and cargo runs test binaries sequentially, so a dedicated
-//! binary is a dedicated process.
 
 use lftrie::core::LockFreeBinaryTrie;
 
@@ -50,7 +45,7 @@ fn warm_scans_allocate_zero_fresh_nodes() {
     // a held pin so nothing ages, inflating the in-flight population, then
     // release and flush that surplus into the free pools.
     {
-        let pin = lftrie::primitives::epoch::pin();
+        let pin = trie.domain().pin();
         scans(500);
         drop(pin);
     }

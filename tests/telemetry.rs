@@ -170,11 +170,11 @@ fn stalled_reader_gauge_fires_while_a_pin_is_held() {
     let trie = LockFreeBinaryTrie::new(1 << 8);
     trie.insert(1);
 
-    // Hold an epoch pin (a "stalled reader") while advance attempts pile
-    // up: each refused attempt charges this participant's blocked streak
-    // until it crosses the stall threshold.
-    let guard = epoch::pin();
-    let domain = epoch::Domain::global();
+    // Hold a pin of the trie's own domain (a "stalled reader") while
+    // advance attempts pile up: each refused attempt charges this
+    // participant's blocked streak until it crosses the stall threshold.
+    let domain = trie.domain();
+    let guard = domain.pin();
     for _ in 0..32 {
         domain.try_advance();
     }
@@ -188,13 +188,16 @@ fn stalled_reader_gauge_fires_while_a_pin_is_held() {
     );
     assert!(health.max_blocked >= epoch::STALL_BLOCKED_THRESHOLD);
 
-    // Releasing the pin clears the detector for this participant (other
-    // tests may pin concurrently, so only assert our own streak is gone
-    // via the monotone side: the gauge is point-in-time, not latched).
+    // Releasing the pin clears the detector: nothing else pins this trie's
+    // domain, and the gauge is point-in-time, not latched.
     drop(guard);
     for _ in 0..4 {
         domain.try_advance();
     }
-    let after = trie.telemetry().epoch.unwrap().total_pins;
-    assert!(after >= health.total_pins, "pin totals stay monotone");
+    let after = trie.telemetry().epoch.unwrap();
+    assert_eq!((after.pinned, after.stalled_readers), (0, 0), "{after:?}");
+    assert!(
+        after.total_pins >= health.total_pins,
+        "pin totals stay monotone"
+    );
 }
