@@ -45,8 +45,9 @@ impl MutexBinaryTrie {
 
     /// Acquires and returns the global lock, emulating an updater that
     /// stalls (or crashes) while holding it — the blocking counterpart of
-    /// the lock-free trie's stall-injection in experiment E7. Every other
-    /// operation blocks until the guard is dropped.
+    /// the lock-free trie's inserts stalled mid-flight
+    /// (`fault::suspend_at`) in experiment E7. Every other operation
+    /// blocks until the guard is dropped.
     pub fn stall_guard(&self) -> parking_lot::MutexGuard<'_, SeqBinaryTrie> {
         self.inner.lock()
     }

@@ -132,7 +132,8 @@ impl EmbeddedQueries {
 /// every step after the recorded one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum OpPhase {
-    /// Nothing allocated or published yet.
+    /// Nothing allocated or published yet (a delete may already have
+    /// announced its first embedded queries, recorded in the guard).
     Start,
     /// (Delete only) both first embedded helpers announced and recorded.
     Helpers,
@@ -168,7 +169,8 @@ enum OpPhase {
 ///
 /// The resume is skipped when the panic is an injected
 /// [`fault::FaultAction::Abandon`] (simulating a thread that dies without
-/// unwinding — that is what orphan adoption exists for) or when the
+/// unwinding — that is what orphan adoption exists for) or `Suspend` (a
+/// stalled thread, whose operation others help along), or when the
 /// guards were switched off via [`fault::set_unwind_guards_enabled`] (the
 /// "teeth" check).
 struct UpdateOpGuard<'t> {
@@ -265,6 +267,34 @@ impl<D: Dir> Drop for QueryGuard<'_, D> {
         let _ = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
             let guard = &self.trie.domain().pin();
             self.trie.remove_query_node::<D>(self.node, guard);
+        }));
+    }
+}
+
+/// RAII unwind guard for one `HelpActivate` (lines 128–136): a panic
+/// between the helper's announcement of another operation's node (L130)
+/// and its own withdrawal check (L135–136) runs that check on the way out.
+/// Without it the helper could leave an announcement of a node whose owner
+/// has already completed and withdrawn: the owner is alive, so adoption
+/// never withdraws it, and once the helper's pin ends the node can be
+/// reclaimed under the stale cell. For that reason the check also runs
+/// when the thread is abandoning, since its unwinding releases the pin.
+struct HelpGuard<'t, 'g> {
+    trie: &'t LockFreeBinaryTrie,
+    node: *mut UpdateNode,
+    guard: &'g Guard<'g>,
+}
+
+impl Drop for HelpGuard<'_, '_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() || !fault::unwind_guards_enabled() {
+            return;
+        }
+        let _quiet = fault::suppress();
+        let _ = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
+            if unsafe { (*self.node).completed() } {
+                self.trie.deannounce(self.node, self.guard); // L136
+            }
         }));
     }
 }
@@ -516,6 +546,11 @@ impl LockFreeBinaryTrie {
             // L129. The helping edge targets the helped node's never-reused
             // allocation seq; the exporter joins it to the owner's span.
             let _h = trace::help(seq_of(u_node));
+            let _unwind = HelpGuard {
+                trie: self,
+                node: u_node,
+                guard,
+            };
             self.announce(u_node, guard); // L130
             u.activate(); // L131
             let displaced = u.latest_next();
@@ -534,17 +569,21 @@ impl LockFreeBinaryTrie {
                 // makes the retirement exactly-once whoever gets there.
                 self.retire_displaced(displaced, guard);
             }
-            if u.completed() {
-                // L135: owner finished while we were helping — our (or a
-                // stale) announcement must go.
-                self.deannounce(u_node, guard); // L136
-            } else if !liveness::is_live(u.owner()) {
+            if !u.completed() && !liveness::is_live(u.owner()) {
                 // A dead owner will never run its completion phase, and the
                 // announcement we just published for it would outlive every
                 // death-generation trigger (the death already happened).
                 // Sweep it into adoption now; reentry from inside a sweep
-                // is cut off by the sweep lock's `try_lock`.
+                // is cut off by the sweep lock's `try_lock`, and a sweep
+                // already under way may have completed and withdrawn the
+                // node before our announcement landed — the check below
+                // catches that.
                 self.adopt_orphans();
+            }
+            if u.completed() {
+                // L135: owner (or adopter) finished while we were helping —
+                // our (or a stale) announcement must go.
+                self.deannounce(u_node, guard); // L136
             }
         }
     }
@@ -1003,13 +1042,14 @@ impl LockFreeBinaryTrie {
     fn resume_update(&self, og: &UpdateOpGuard<'_>, guard: &Guard<'_>) {
         let phase = og.phase.get();
         let node = og.node.get();
-        if phase == OpPhase::Start || phase == OpPhase::Done {
+        if phase == OpPhase::Done {
             return;
         }
         if phase <= OpPhase::Alloced {
             // Never published: nobody else can reach the node. Withdraw a
-            // delete's first embedded query announcements and put the node
-            // back.
+            // delete's first embedded query announcements (at `Start` its
+            // first predecessor may already be announced when the first
+            // successor unwinds) and put the node back.
             if !node.is_null() {
                 unsafe { self.core.dealloc_node(node) };
             }
@@ -1069,7 +1109,7 @@ impl LockFreeBinaryTrie {
     /// through the same claimed-exactly-once steps as the unwind resume
     /// (activation, displaced-node retirement, lost second embedded
     /// results, the bit update, notification, completion), then withdraws
-    /// the announcement and the embedded query announcements it knows of.
+    /// the announcement and the second embedded queries it ran itself.
     /// Setting `completed` is what unblocks `UpdateNode::ready_to_reclaim`
     /// for the orphan and everything it superseded — without adoption a
     /// crashed update pins its key's retired nodes in limbo forever.
@@ -1119,17 +1159,14 @@ impl LockFreeBinaryTrie {
             u.set_completed(); // L204
         }
         self.deannounce(u_node, guard); // L205
-        if u.kind() == Kind::Del {
-            // L206 for the embedded queries: the second ones run above, and
-            // the first ones the node records. Under the crash model those
-            // are still announced whenever the delete itself still was (the
-            // owner withdraws them only *after* its de-announcement); the
-            // owner's *second* queries, which the node does not record, are
-            // dead-owner query announcements that the P-ALL/S-ALL adoption
-            // pass withdraws.
-            embeds.0[Pred::IDX][0].set(u.del_node::<Pred>());
-            embeds.0[Succ::IDX][0].set(u.del_node::<Succ>());
-        }
+
+        // L206 for the second embedded queries run above. The dead owner's
+        // own embedded queries carry its incarnation, so the P-ALL/S-ALL
+        // pass of this sweep withdraws whichever are still announced. They
+        // are not withdrawn here through `del_node`: a helper's late
+        // re-announcement can surface a delete whose owner (or an earlier
+        // sweep) withdrew them long ago, and the registry may since have
+        // reclaimed them.
         self.withdraw_embeds(&embeds, guard);
     }
 
@@ -1187,8 +1224,8 @@ impl LockFreeBinaryTrie {
             self.adopt_update(orphan, guard);
             adopted += 1;
         }
-        // Pass B: dead-owner query announcements (both plain queries and
-        // the second embedded queries pass A could not reach).
+        // Pass B: dead-owner query announcements (plain queries, and every
+        // embedded query of a delete whose owner died).
         adopted += self.adopt_dead_queries::<Pred>(guard);
         adopted += self.adopt_dead_queries::<Succ>(guard);
         adopted
@@ -1552,11 +1589,9 @@ impl LockFreeBinaryTrie {
     /// the owning `Delete` de-announced (line 205 precedes line 206);
     /// concurrent holders are pinned, which the grace period covers.
     fn remove_query_node<D: Dir>(&self, q_node: *mut QueryNode, guard: &Guard<'_>) {
-        // Exactly-once: under the crash model the owner's resume path and
-        // the adoption sweep can both reach an embedded query node (a
-        // delete that died before announcing hides it from pass A, so pass
-        // B withdraws it as a plain dead query — and a later helper can
-        // still surface the delete for adoption, which withdraws again).
+        // Exactly-once: under the crash model more than one party (the
+        // owner's unwind guard, a dropped scan, the adoption sweep) can
+        // reach a query node; the claim makes its removal unique.
         if !unsafe { (*q_node).claim_withdraw() } {
             return;
         }
@@ -1847,163 +1882,6 @@ impl LockFreeBinaryTrie {
 
         // L251: the best of R; the paper proves R is non-empty here.
         r_set.into_iter().fold(D::NONE, D::best)
-    }
-
-    // ------------------------------------------------------------------
-    // Stall injection (experiment E7: lock-freedom witness)
-    // ------------------------------------------------------------------
-
-    /// Performs `Insert(x)` up to and including its linearization point
-    /// (line 174) and then **abandons** the operation: the interpreted bits
-    /// are never updated, no notifications are sent, and the announcement is
-    /// never withdrawn — exactly the footprint of a thread that crashed
-    /// mid-insert.
-    ///
-    /// Lock-freedom (and the helping protocol) guarantees all other
-    /// operations keep completing and stay linearizable; experiment E7 uses
-    /// this as the stalled-updater witness. Returns `true` if the stalled
-    /// insert was S-modifying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x ≥ universe`.
-    #[cfg(feature = "stall-injection")]
-    pub fn insert_stalled_after_activation(&self, x: Key) -> bool {
-        let x = self.check_key(x);
-        let guard = &self.domain().pin();
-        let d_node = self.find_latest(x); // L163
-        if unsafe { (*d_node).kind() } != Kind::Del {
-            return false;
-        }
-        let i_node = self.core.alloc_node(UpdateNode::new_ins(
-            x,
-            Status::Inactive,
-            d_node,
-            self.core.b(),
-        ));
-        let prev_ins = unsafe { (*d_node).latest_next() };
-        if !prev_ins.is_null() {
-            let target = unsafe { (*prev_ins).target() };
-            if !target.is_null() {
-                unsafe { (*target).set_stop() };
-            }
-        }
-        unsafe { (*d_node).clear_latest_next() };
-        if !self.core.cas_latest(x, d_node, i_node) {
-            self.help_activate(self.core.latest_head(x), guard);
-            unsafe { self.core.dealloc_node(i_node) };
-            return false;
-        }
-        self.announce(i_node, guard);
-        unsafe { (*i_node).activate() }; // linearized …
-                                         // … and abandoned here (no L175–179): like a crashed thread, the
-                                         // stalled operation retires nothing — dNode and iNode simply leak
-                                         // (bounded by the number of injected stalls).
-        telemetry::event(Counter::StallsInjected, FlightKind::Stall, x, 0);
-        true
-    }
-
-    /// Performs `Insert(x)` up to — but **not including** — activation: the
-    /// new INS node is installed at the head of the `latest[x]` list with
-    /// status `Inactive` and is *not yet announced or linearized*. Until
-    /// some operation helps (`HelpActivate`), `FindLatest(x)` must resolve
-    /// through `latestNext` (lines 118–120) and report the *previous* state.
-    ///
-    /// Returns `true` if the node was installed (the stall is in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x ≥ universe`.
-    #[cfg(feature = "stall-injection")]
-    pub fn insert_stalled_before_activation(&self, x: Key) -> bool {
-        let x = self.check_key(x);
-        let guard = &self.domain().pin();
-        let d_node = self.find_latest(x); // L163
-        if unsafe { (*d_node).kind() } != Kind::Del {
-            return false;
-        }
-        let i_node = self.core.alloc_node(UpdateNode::new_ins(
-            x,
-            Status::Inactive,
-            d_node,
-            self.core.b(),
-        ));
-        let prev_ins = unsafe { (*d_node).latest_next() };
-        if !prev_ins.is_null() {
-            let target = unsafe { (*prev_ins).target() };
-            if !target.is_null() {
-                unsafe { (*target).set_stop() };
-            }
-        }
-        unsafe { (*d_node).clear_latest_next() }; // L169
-        if !self.core.cas_latest(x, d_node, i_node) {
-            self.help_activate(self.core.latest_head(x), guard);
-            unsafe { self.core.dealloc_node(i_node) };
-            return false;
-        }
-        telemetry::event(Counter::StallsInjected, FlightKind::Stall, x, 1);
-        true // abandoned before L173–174: inactive, unannounced.
-    }
-
-    /// Performs `Delete(x)` through its linearization point and the second
-    /// embedded queries (line 201) and then **abandons** it: the
-    /// interpreted bits on `x`'s path remain stale 1s, its DEL node stays
-    /// announced in the U-ALL/RU-ALL, and its four embedded query nodes
-    /// stay announced in the P-ALL and S-ALL — precisely the state that
-    /// forces concurrent queries into the ⊥-recovery computation
-    /// of Definition 5.1 (`tests/recovery.rs` exercises this
-    /// deterministically). Returns `true` if the stalled delete was
-    /// S-modifying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x ≥ universe`.
-    #[cfg(feature = "stall-injection")]
-    pub fn remove_stalled_before_trie_update(&self, x: Key) -> bool {
-        let x = self.check_key(x);
-        let guard = &self.domain().pin();
-        let i_node = self.find_latest(x); // L182
-        if unsafe { (*i_node).kind() } != Kind::Ins {
-            return false;
-        }
-        let embeds = EmbeddedQueries::new();
-        let (del_pred, p_node1) = self.embed::<Pred>(x, 0, &embeds, guard); // L184
-        let (del_succ, s_node1) = self.embed::<Succ>(x, 0, &embeds, guard);
-        let d_node = self.core.alloc_node(UpdateNode::new_del(
-            x,
-            Status::Inactive,
-            i_node,
-            self.core.b(),
-        ));
-        unsafe {
-            (*d_node).init_del::<Pred>(del_pred, p_node1); // L188–189
-            (*d_node).init_del::<Succ>(del_succ, s_node1);
-            (*i_node).clear_latest_next(); // L190
-        }
-        self.notify_query_ops(i_node, guard); // L191
-        if !self.core.cas_latest(x, i_node, d_node) {
-            self.help_activate(self.core.latest_head(x), guard);
-            self.withdraw_embeds(&embeds, guard);
-            unsafe { self.core.dealloc_node(d_node) };
-            return false;
-        }
-        self.announce(d_node, guard); // L196
-        unsafe { (*d_node).activate() }; // L197: linearized …
-        let target = unsafe { (*i_node).target() };
-        if !target.is_null() {
-            unsafe { (*target).set_stop() };
-        }
-        unsafe { (*d_node).clear_latest_next() }; // L199
-        let d = unsafe { &*d_node };
-        d.set_del_result2::<Pred>(self.embed::<Pred>(x, 1, &embeds, guard).0); // L200–201
-        d.set_del_result2::<Succ>(self.embed::<Succ>(x, 1, &embeds, guard).0);
-        // … and abandoned here (no L202–206): the displaced iNode, the
-        // embedded predecessor *and* successor nodes, and dNode's
-        // announcements all leak, exactly as if the deleting thread had
-        // crashed — which forces both the predecessor and the successor
-        // ⊥-recovery computations on later queries crossing this subtree.
-        telemetry::event(Counter::StallsInjected, FlightKind::Stall, x, 2);
-        true
     }
 
     // ------------------------------------------------------------------
@@ -2867,5 +2745,34 @@ mod tests {
         assert_eq!(total, 1, "exactly one S-modifying insert");
         assert!(t.contains(5));
         assert!(t.announcements().is_empty());
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_panic_while_helping_withdraws_the_helpers_announcement() {
+        use fault::{FaultAction, FaultPlan};
+        let trie = LockFreeBinaryTrie::new(32);
+        // An insert of 9 stalls with its node published but not yet
+        // announced or activated; then, as if its owner ran to the end
+        // while the helper below was between lines 129 and 135, mark it
+        // completed. The owner's own withdrawal has come and gone.
+        assert!(fault::suspend_at(FaultPoint::InsertPublished, || trie.insert(9)));
+        let owner_node = trie.core.latest_head(9);
+        unsafe { (*owner_node).set_completed() };
+        // A competing insert loses its CAS and helps (line 171): it
+        // announces and activates the node, sees it completed, and its
+        // withdrawal (line 136) panics on entry.
+        fault::arm(
+            FaultPlan::once(FaultPoint::AnnounceRemove, FaultAction::Panic),
+            0,
+        );
+        let outcome = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| trie.insert(9)));
+        fault::disarm();
+        assert!(outcome.is_err(), "the injected panic escapes the helper");
+        assert!(
+            trie.announcements().is_empty(),
+            "the helper's announcement of a completed node outlived it"
+        );
+        assert!(trie.contains(9), "the helper activated the insert");
     }
 }

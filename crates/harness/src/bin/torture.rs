@@ -51,7 +51,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Everything needed to reproduce a run, echoed by every failure dump.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct Repro {
     seconds: u64,
     threads: usize,
@@ -85,7 +85,7 @@ impl Repro {
             self.fault_rate,
         );
         eprintln!(
-            "  cargo run --release -p lftrie-harness --features fault-injection,stall-injection \
+            "  cargo run --release -p lftrie-harness --features fault-injection \
              --bin torture -- {} {} {}",
             self.seconds, self.threads, self.log2_u
         );
@@ -142,25 +142,19 @@ fn fail(round: u64, trie: &LockFreeBinaryTrie, repro: &Repro, msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Installs the process-global fault plan described by the environment and
-/// returns whether the chaos lane is armed.
+/// Returns whether the environment arms the chaos lane (each worker then
+/// arms its own copy of the seeded plan; see `worker_loop_faulty`).
 #[cfg(feature = "fault-injection")]
-fn install_fault_plan(repro: &Repro) -> bool {
-    use lftrie_core::fault::{self, FaultPlan};
+fn chaos_lane(repro: &Repro) -> bool {
     if repro.actions.is_empty() {
         return false;
     }
-    fault::install(
-        FaultPlan::seeded(repro.seed)
-            .with_rate(repro.fault_rate)
-            .with_actions(repro.actions),
-    );
-    fault::silence_injected_panics();
+    lftrie_core::fault::silence_injected_panics();
     true
 }
 
 #[cfg(not(feature = "fault-injection"))]
-fn install_fault_plan(repro: &Repro) -> bool {
+fn chaos_lane(repro: &Repro) -> bool {
     if !repro.actions.is_empty() {
         eprintln!(
             "warning: LFTRIE_TORTURE_FAULTS needs --features fault-injection; \
@@ -240,7 +234,8 @@ fn one_op(trie: &LockFreeBinaryTrie, rng: &mut StdRng, universe: u64) {
     }
 }
 
-/// The chaos-lane worker loop: every operation runs under `catch_unwind`;
+/// The chaos-lane worker loop: arms this thread with its own copy of the
+/// run's seeded plan, then runs every operation under `catch_unwind`;
 /// injected panics are absorbed (the unwind guards completed the
 /// operation), an injected abandon additionally kills this thread's
 /// liveness incarnation — its leftover announcements become orphans for
@@ -251,10 +246,16 @@ fn worker_loop_faulty(
     rng: &mut StdRng,
     universe: u64,
     stop: &AtomicBool,
+    repro: &Repro,
     salt: u64,
 ) -> u64 {
-    use lftrie_core::fault;
-    fault::arm(salt);
+    use lftrie_core::fault::{self, FaultPlan};
+    fault::arm(
+        FaultPlan::seeded(repro.seed)
+            .with_rate(repro.fault_rate)
+            .with_actions(repro.actions),
+        salt,
+    );
     let mut n = 0u64;
     while !stop.load(Ordering::Relaxed) {
         match std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
@@ -385,7 +386,7 @@ fn main() {
     }
     let (seconds, threads, log2_u) = (repro.seconds, repro.threads, repro.log2_u);
     let universe = 1u64 << log2_u;
-    let faulty = install_fault_plan(&repro);
+    let faulty = chaos_lane(&repro);
 
     println!(
         "torture: {seconds}s, {threads} threads, universe 2^{log2_u}, seed {}, faults {}",
@@ -417,14 +418,13 @@ fn main() {
                 let stop = Arc::clone(&stop);
                 let total_ops = Arc::clone(&total_ops);
                 let round_ops = Arc::clone(&round_ops);
-                let base_seed = repro.seed;
                 std::thread::spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(base_seed ^ round ^ ((t as u64) << 32));
+                    let mut rng = StdRng::seed_from_u64(repro.seed ^ round ^ ((t as u64) << 32));
                     let salt = (round << 8) ^ t as u64;
                     let n = if faulty {
                         #[cfg(feature = "fault-injection")]
                         {
-                            worker_loop_faulty(&trie, &mut rng, universe, &stop, salt)
+                            worker_loop_faulty(&trie, &mut rng, universe, &stop, &repro, salt)
                         }
                         #[cfg(not(feature = "fault-injection"))]
                         {

@@ -435,15 +435,18 @@ pub fn e7_progress(quick: bool) -> Table {
     let threads = if quick { 2 } else { 4 };
     let window = Duration::from_millis(200);
 
-    #[cfg(feature = "stall-injection")]
+    #[cfg(feature = "fault-injection")]
     {
+        use lftrie_core::fault::{self, FaultPoint};
         let trie = LockFreeBinaryTrie::new(universe);
         prefill(&trie, universe, 0.2, SEED);
-        // Abandon four inserts mid-operation (announced, activated, never
-        // completed), then measure everyone else.
-        for k in [3u64, 257, 511, 769] {
-            trie.insert_stalled_after_activation(k);
-        }
+        // Stall inserts of four keys right after their linearization
+        // (announced, activated, never completed), then measure everyone
+        // else. A key the prefill already holds does not stall.
+        let stalled = [3u64, 257, 511, 769]
+            .into_iter()
+            .filter(|&k| fault::suspend_at(FaultPoint::InsertLinearized, || trie.insert(k)))
+            .count();
         let done = driver::run_against_stall(
             threads,
             window,
@@ -470,16 +473,16 @@ pub fn e7_progress(quick: bool) -> Table {
         );
         table.row(&[
             "lockfree-trie".to_string(),
-            "4 abandoned inserts".to_string(),
+            format!("{stalled} stalled inserts"),
             threads.to_string(),
             done.to_string(),
         ]);
     }
-    #[cfg(not(feature = "stall-injection"))]
+    #[cfg(not(feature = "fault-injection"))]
     {
         table.row(&[
             "lockfree-trie".to_string(),
-            "(rebuild with --features stall-injection)".to_string(),
+            "(rebuild with --features fault-injection)".to_string(),
             threads.to_string(),
             "n/a".to_string(),
         ]);
@@ -1084,7 +1087,7 @@ mod tests {
     fn e7_lockfree_progresses_under_stall() {
         let table = e7_progress(true);
         let rows = table.rows();
-        #[cfg(feature = "stall-injection")]
+        #[cfg(feature = "fault-injection")]
         {
             let lf: u64 = rows[0][3].parse().unwrap();
             assert!(lf > 0, "lock-free trie must progress past stalled updates");

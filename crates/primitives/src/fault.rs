@@ -5,38 +5,34 @@
 //! stall or crash mid-operation. This module turns that promise into a
 //! testable surface: the trie, the announcement lists, the epoch domain,
 //! and the registry sweep paths are threaded with **named injection
-//! points** ([`FaultPoint`]), each of which can fire one of four actions
-//! ([`FaultAction`]) — yield, bounded stall, panic, or *abandon-thread*
-//! (panic plus killing the thread's [`crate::liveness`] incarnation, so
-//! everything it allocated becomes an adoptable orphan) — driven by a
-//! reproducible seeded `FaultPlan`.
-//!
-//! Supersedes the older `stall-injection` hooks: enabling the
-//! `fault-injection` feature on `lftrie-core` also enables
-//! `stall-injection`, so the hand-written stalled-operation entry points
-//! remain available (re-exported unchanged) alongside the systematic
-//! plan-driven points here.
+//! points** ([`FaultPoint`]), each of which can fire a [`FaultAction`] —
+//! yield, bounded stall, panic, or *abandon-thread* (panic plus killing
+//! the thread's [`crate::liveness`] incarnation, so everything it
+//! allocated becomes an adoptable orphan) — driven by a reproducible
+//! seeded `FaultPlan`. A fifth, one-shot action, `Suspend`, stops one
+//! operation at a point and leaves it there for good: `suspend_at` is the
+//! paper's stalled process, the real operation cut mid-flight.
 //!
 //! # Zero cost by default
 //!
 //! Without the `fault-injection` feature, [`point`] and
 //! [`point_nonfatal`] compile to literal no-ops and none of the plan
-//! machinery exists. With the feature but no installed plan (or on a
-//! thread that never called `arm`), a point is a single thread-local
-//! read.
+//! machinery exists. With the feature, on a thread that never called
+//! `arm`, a point is a single thread-local read.
 //!
 //! # Determinism and scoping
 //!
 //! Firing decisions hash `(plan seed, point, per-thread occurrence
 //! counter, thread salt)` — no wall clock, no global RNG — so a plan
 //! replays exactly on a single thread and replays modulo contention-
-//! dependent control flow across threads. Points fire **only on armed
-//! threads** (`arm` snapshots the installed plan into thread-local
-//! state), so a global plan cannot leak faults into unrelated test
-//! threads, and **never while the thread is already panicking** (a panic
-//! during unwinding would abort the process) or inside a
-//! [`suppress`]ed section (the unwind-guard continuations and the orphan
-//! adoption sweep re-run protocol steps that contain points).
+//! dependent control flow across threads. A plan lives in the thread that
+//! armed it (`arm` takes the thread's own copy; there is no process-wide
+//! plan), so points fire **only on armed threads** and one test's plan
+//! can never leak faults into another test's threads. Points **never**
+//! fire while the thread is already panicking (a panic during unwinding
+//! would abort the process) or inside a [`suppress`]ed section (the
+//! unwind-guard continuations and the orphan adoption sweep re-run
+//! protocol steps that contain points).
 
 #[cfg(feature = "fault-injection")]
 use std::sync::atomic::Ordering;
@@ -58,7 +54,7 @@ pub enum FaultPoint {
     RegistrySweep,
     /// Entry of the amortized registry collection pass (`Registry::collect`)
     /// — reachable from retire-bag overflow inside an operation, so this
-    /// point is non-fatal: panic/abandon decisions demote to a stall.
+    /// point is non-fatal: unwinding decisions demote to a stall.
     RegistryCollect,
     /// Entry of an announcement-list insertion (U-ALL/RU-ALL).
     AnnounceInsert,
@@ -184,6 +180,13 @@ pub enum FaultAction {
     /// abandoning flag set so every unwind guard *skips* cleanup — the
     /// operation's full footprint stays behind for orphan adoption.
     Abandon = 3,
+    /// Simulated stall: panic with the abandoning flag set, like
+    /// `Abandon`, but keep the thread's liveness incarnation, so no
+    /// adopter completes the operation either — it stays cut at this
+    /// point, advanced only by other operations' helping. One-shot (see
+    /// `suspend_at`): a seeded storm of suspensions would never drain.
+    #[cfg(feature = "fault-injection")]
+    Suspend = 4,
 }
 
 impl FaultAction {
@@ -194,6 +197,8 @@ impl FaultAction {
             FaultAction::Stall => "stall",
             FaultAction::Panic => "panic",
             FaultAction::Abandon => "abandon",
+            #[cfg(feature = "fault-injection")]
+            FaultAction::Suspend => "suspend",
         }
     }
 }
@@ -209,8 +214,8 @@ pub fn point(p: FaultPoint) {
 }
 
 /// An injection point on a path where unwinding is not recoverable
-/// (reachable mid-retire): panic/abandon decisions demote to a bounded
-/// stall. Compiled to a literal no-op without the feature.
+/// (reachable mid-retire): panic, abandon and suspend decisions demote to
+/// a bounded stall. Compiled to a literal no-op without the feature.
 #[inline(always)]
 pub fn point_nonfatal(p: FaultPoint) {
     #[cfg(feature = "fault-injection")]
@@ -220,9 +225,9 @@ pub fn point_nonfatal(p: FaultPoint) {
 }
 
 /// True while the current thread is unwinding from an
-/// [`FaultAction::Abandon`]: unwind guards consult this and *skip* their
-/// cleanup, leaving a crashed thread's footprint. Always `false` without
-/// the `fault-injection` feature.
+/// [`FaultAction::Abandon`] or a `Suspend`: unwind guards consult this and
+/// *skip* their cleanup, leaving the operation's footprint. Always `false`
+/// without the `fault-injection` feature.
 #[inline(always)]
 pub fn is_abandoning() -> bool {
     #[cfg(feature = "fault-injection")]
@@ -267,7 +272,7 @@ pub fn orphan_adoption_enabled() -> bool {
 #[cfg(feature = "fault-injection")]
 pub use imp::{
     arm, clear_log, disarm, fired_total, format_log, recent, set_orphan_adoption_enabled,
-    set_unwind_guards_enabled, silence_injected_panics, suppress, take_abandoned, uninstall,
+    set_unwind_guards_enabled, silence_injected_panics, suppress, suspend_at, take_abandoned,
     FaultRecord, InjectedFault, SuppressGuard,
 };
 
@@ -287,15 +292,11 @@ pub fn suppress() -> SuppressGuard {
 }
 
 #[cfg(feature = "fault-injection")]
-pub use imp::install;
-
-#[cfg(feature = "fault-injection")]
 pub use plan::FaultPlan;
 
 #[cfg(feature = "fault-injection")]
 mod plan {
     use super::{FaultAction, FaultPoint};
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// SplitMix64: the deterministic per-decision hash.
     fn mix(mut z: u64) -> u64 {
@@ -306,17 +307,18 @@ mod plan {
     }
 
     /// A reproducible firing schedule: every decision is a pure function
-    /// of `(seed, point, per-thread occurrence, thread salt)`.
-    #[derive(Debug)]
+    /// of `(seed, point, per-thread occurrence, thread salt)`. Each armed
+    /// thread holds its own copy.
+    #[derive(Debug, Clone)]
     pub struct FaultPlan {
         seed: u64,
         /// Firing probability numerator out of 1024 per point occurrence.
         rate_per_1024: u32,
         /// Enabled actions (non-empty); the hash picks among them.
         actions: Vec<FaultAction>,
-        /// One-shot override: fire exactly once, at the first armed
-        /// occurrence of this point, with this action.
-        once: Option<(FaultPoint, FaultAction, AtomicBool)>,
+        /// One-shot override: fire exactly once, at the first occurrence
+        /// of this point, with this action; consumed when it fires.
+        once: Option<(FaultPoint, FaultAction)>,
     }
 
     impl FaultPlan {
@@ -337,13 +339,13 @@ mod plan {
         }
 
         /// A plan that fires exactly once — at the first occurrence of
-        /// `point` on an armed thread — with `action`.
+        /// `point` on the thread armed with it — with `action`.
         pub fn once(point: FaultPoint, action: FaultAction) -> Self {
             Self {
                 seed: 0,
                 rate_per_1024: 0,
                 actions: vec![action],
-                once: Some((point, action, AtomicBool::new(false))),
+                once: Some((point, action)),
             }
         }
 
@@ -367,20 +369,18 @@ mod plan {
             self.seed
         }
 
-        /// Should this occurrence fire, and with what action?
+        /// Should this occurrence fire, and with what action? A one-shot
+        /// plan is spent by its firing and never fires again.
         pub(super) fn decide(
-            &self,
+            &mut self,
             point: FaultPoint,
             occurrence: u32,
             salt: u64,
         ) -> Option<FaultAction> {
-            if let Some((p, action, fired)) = &self.once {
-                if *p == point
-                    && fired
-                        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    return Some(*action);
+            if let Some((p, action)) = self.once {
+                if p == point {
+                    self.once = None;
+                    return Some(action);
                 }
                 return None;
             }
@@ -409,7 +409,7 @@ mod imp {
     use std::cell::Cell;
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, Once};
+    use std::sync::{Mutex, Once};
 
     /// The panic payload of injected panics/abandons; tests downcast the
     /// caught unwind to tell injected faults from genuine bugs.
@@ -437,12 +437,11 @@ mod imp {
     pub(super) static UNWIND_GUARDS: AtomicBool = AtomicBool::new(true);
     pub(super) static ORPHAN_ADOPTION: AtomicBool = AtomicBool::new(true);
     static FIRED_TOTAL: AtomicU64 = AtomicU64::new(0);
-    static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
     static LOG: Mutex<VecDeque<FaultRecord>> = Mutex::new(VecDeque::new());
     const LOG_CAP: usize = 512;
 
     struct ThreadState {
-        plan: Option<Arc<FaultPlan>>,
+        plan: Option<FaultPlan>,
         salt: u64,
         occurrences: [u32; POINT_COUNT],
     }
@@ -466,28 +465,15 @@ mod imp {
         }
     }
 
-    /// Installs `plan` as the process-global plan. Threads pick it up at
-    /// their next [`arm`] call (arming snapshots the plan, so a running
-    /// armed thread keeps its old snapshot).
-    pub fn install(plan: FaultPlan) {
-        *lock(&PLAN) = Some(Arc::new(plan));
-    }
-
-    /// Removes the global plan (armed threads keep their snapshots until
-    /// they re-arm or disarm).
-    pub fn uninstall() {
-        *lock(&PLAN) = None;
-    }
-
-    /// Arms the current thread: snapshots the installed plan, records the
-    /// thread `salt` (part of every firing decision — give workers their
-    /// index for cross-run reproducibility), and resets the per-thread
-    /// occurrence counters.
-    pub fn arm(salt: u64) {
-        let plan = lock(&PLAN).clone();
+    /// Arms the current thread with `plan` (replacing any plan it had
+    /// armed): records the thread `salt` (part of every firing decision —
+    /// give workers their index for cross-run reproducibility) and resets
+    /// the per-thread occurrence counters. Threads that share a schedule
+    /// each arm their own clone of one plan.
+    pub fn arm(plan: FaultPlan, salt: u64) {
         STATE.with(|s| {
             let mut s = s.borrow_mut();
-            s.plan = plan;
+            s.plan = Some(plan);
             s.salt = salt;
             s.occurrences = [0; POINT_COUNT];
         });
@@ -595,18 +581,22 @@ mod imp {
             return;
         }
         let decision = STATE.with(|s| {
-            let mut s = s.borrow_mut();
-            let plan = s.plan.clone()?;
+            let s = &mut *s.borrow_mut();
+            let plan = s.plan.as_mut()?;
             let occurrence = s.occurrences[point as usize];
             s.occurrences[point as usize] = occurrence.wrapping_add(1);
-            let salt = s.salt;
-            plan.decide(point, occurrence, salt)
-                .map(|action| (action, salt, occurrence))
+            plan.decide(point, occurrence, s.salt)
+                .map(|action| (action, s.salt, occurrence))
         });
         let Some((mut action, salt, occurrence)) = decision else {
             return;
         };
-        if !fatal_ok && matches!(action, FaultAction::Panic | FaultAction::Abandon) {
+        if !fatal_ok
+            && matches!(
+                action,
+                FaultAction::Panic | FaultAction::Abandon | FaultAction::Suspend
+            )
+        {
             action = FaultAction::Stall;
         }
         FIRED_TOTAL.fetch_add(1, Ordering::SeqCst);
@@ -641,11 +631,40 @@ mod imp {
             FaultAction::Panic => {
                 std::panic::panic_any(InjectedFault { point, action });
             }
-            FaultAction::Abandon => {
+            FaultAction::Abandon | FaultAction::Suspend => {
                 ABANDONING.with(|a| a.set(true));
-                liveness::abandon_current();
+                if action == FaultAction::Abandon {
+                    liveness::abandon_current();
+                }
                 std::panic::panic_any(InjectedFault { point, action });
             }
+        }
+    }
+
+    /// Runs `op` with a one-shot [`FaultAction::Suspend`] armed at `point`
+    /// on this thread only, and returns whether `op` stopped there.
+    ///
+    /// A stopped operation keeps exactly the footprint it had reached at
+    /// `point`: its unwind guards skip their cleanup, and its thread
+    /// incarnation stays live, so no adopter completes it either — the
+    /// paper's stalled process, left for other operations to help along.
+    /// `op` returning normally (it finished without reaching `point`)
+    /// gives `false`; any other panic propagates. The thread leaves
+    /// disarmed, with its abandoning flag clear, so its later operations
+    /// run and unwind normally. Installs [`silence_injected_panics`], so
+    /// the suspension prints no panic message.
+    pub fn suspend_at<R>(point: FaultPoint, op: impl FnOnce() -> R) -> bool {
+        silence_injected_panics();
+        arm(FaultPlan::once(point, FaultAction::Suspend), 0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(op));
+        take_abandoned();
+        disarm();
+        match outcome {
+            Ok(_) => false,
+            Err(payload) => match payload.downcast_ref::<InjectedFault>() {
+                Some(f) if f.action == FaultAction::Suspend => true,
+                _ => std::panic::resume_unwind(payload),
+            },
         }
     }
 }
@@ -656,17 +675,27 @@ mod tests {
 
     #[test]
     fn unarmed_threads_never_fire() {
-        install(FaultPlan::seeded(42).with_rate(1024));
-        point(FaultPoint::EpochPin); // would panic or stall if armed
-        uninstall();
+        // Another thread arms a plan that fires at every occurrence; this
+        // thread never armed, so its points stay no-ops.
+        std::thread::spawn(|| {
+            arm(FaultPlan::seeded(42).with_rate(1024), 0);
+            std::thread::spawn(|| point(FaultPoint::EpochPin))
+                .join()
+                .expect("an unarmed thread must not fire");
+            disarm();
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
     fn once_plan_fires_exactly_once_and_is_caught() {
         std::thread::spawn(|| {
             silence_injected_panics();
-            install(FaultPlan::once(FaultPoint::InsertEntry, FaultAction::Panic));
-            arm(7);
+            arm(
+                FaultPlan::once(FaultPoint::InsertEntry, FaultAction::Panic),
+                7,
+            );
             let r = std::panic::catch_unwind(|| point(FaultPoint::InsertEntry));
             let err = r.expect_err("first occurrence fires");
             let f = err
@@ -676,7 +705,6 @@ mod tests {
             point(FaultPoint::InsertEntry); // consumed: must not fire again
             assert!(!take_abandoned());
             disarm();
-            uninstall();
         })
         .join()
         .unwrap();
@@ -687,18 +715,41 @@ mod tests {
         std::thread::spawn(|| {
             silence_injected_panics();
             let before = crate::liveness::current_owner();
-            install(FaultPlan::once(
-                FaultPoint::DeleteEntry,
-                FaultAction::Abandon,
-            ));
-            arm(1);
+            arm(
+                FaultPlan::once(FaultPoint::DeleteEntry, FaultAction::Abandon),
+                1,
+            );
             let r = std::panic::catch_unwind(|| point(FaultPoint::DeleteEntry));
             assert!(r.is_err());
             assert!(take_abandoned(), "abandon sets the thread flag");
             assert!(!crate::liveness::is_live(before), "old incarnation died");
             assert_ne!(crate::liveness::current_owner(), before);
             disarm();
-            uninstall();
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn suspend_keeps_the_incarnation_live() {
+        std::thread::spawn(|| {
+            let before = crate::liveness::current_owner();
+            let mut flagged = false;
+            let stopped = suspend_at(FaultPoint::DeleteEntry, || {
+                point(FaultPoint::InsertEntry); // not the armed point
+                let r = std::panic::catch_unwind(|| point(FaultPoint::DeleteEntry));
+                // The unwind carries the abandoning flag, so guards skip
+                // their cleanup, and then continues out of the operation.
+                flagged = is_abandoning();
+                std::panic::resume_unwind(r.expect_err("the armed point fires"));
+            });
+            assert!(stopped, "the operation stopped at its point");
+            assert!(flagged, "suspend unwinds with the abandoning flag set");
+            assert!(!is_abandoning(), "suspend_at clears the flag");
+            assert!(crate::liveness::is_live(before), "incarnation survives");
+            assert_eq!(crate::liveness::current_owner(), before);
+            point(FaultPoint::DeleteEntry); // disarmed: must not fire
+            assert!(!suspend_at(FaultPoint::DeleteEntry, || ()));
         })
         .join()
         .unwrap();
@@ -707,14 +758,12 @@ mod tests {
     #[test]
     fn nonfatal_points_demote_to_stall() {
         std::thread::spawn(|| {
-            install(FaultPlan::once(
-                FaultPoint::RegistryCollect,
-                FaultAction::Panic,
-            ));
-            arm(0);
+            arm(
+                FaultPlan::once(FaultPoint::RegistryCollect, FaultAction::Panic),
+                0,
+            );
             point_nonfatal(FaultPoint::RegistryCollect); // must not unwind
             disarm();
-            uninstall();
         })
         .join()
         .unwrap();
@@ -722,8 +771,8 @@ mod tests {
 
     #[test]
     fn seeded_decisions_are_reproducible() {
-        let a = FaultPlan::seeded(0xFEED).with_rate(512);
-        let b = FaultPlan::seeded(0xFEED).with_rate(512);
+        let mut a = FaultPlan::seeded(0xFEED).with_rate(512);
+        let mut b = FaultPlan::seeded(0xFEED).with_rate(512);
         for p in FaultPoint::ALL {
             for occ in 0..64 {
                 assert_eq!(a.decide(p, occ, 3), b.decide(p, occ, 3));

@@ -5,7 +5,7 @@
 //! irreproducible: by the time a validation step fails, the schedule that
 //! broke it is gone. The flight recorder keeps the last [`FLIGHT_CAP`]
 //! protocol events *per thread* — announces, slides, notifies, recoveries,
-//! retires, injected stalls — each stamped with a process-global sequence
+//! retires, injected faults — each stamped with a process-global sequence
 //! id, so a failure dump reconstructs the recent cross-thread order. Ids
 //! are reserved in per-thread batches (see [`SEQ_BATCH`]): they are unique
 //! and per-thread monotone, and cross-thread interleavings resolve to
@@ -41,10 +41,10 @@ pub enum FlightKind {
     Recovery = 5,
     /// A node was retired into a registry.
     Retire = 6,
-    /// A `stall-injection` entry point parked an operation mid-flight.
-    Stall = 7,
     /// A registry garbage sweep ran.
     Sweep = 8,
+    // 7 (`stall`) and 9 (`fence`) are retired: a suspended operation is
+    // recorded as the `Fault` that suspended it.
     /// A `fault-injection` plan fired (`key` = injection-point index,
     /// `aux` = action discriminant).
     Fault = 10,
@@ -66,7 +66,6 @@ impl FlightKind {
             FlightKind::Notify => "notify",
             FlightKind::Recovery => "recovery",
             FlightKind::Retire => "retire",
-            FlightKind::Stall => "stall",
             FlightKind::Sweep => "sweep",
             FlightKind::Fault => "fault",
             FlightKind::Adopt => "adopt",
@@ -82,7 +81,6 @@ impl FlightKind {
             4 => FlightKind::Notify,
             5 => FlightKind::Recovery,
             6 => FlightKind::Retire,
-            7 => FlightKind::Stall,
             8 => FlightKind::Sweep,
             10 => FlightKind::Fault,
             11 => FlightKind::Adopt,
@@ -274,7 +272,6 @@ mod tests {
             FlightKind::Notify,
             FlightKind::Recovery,
             FlightKind::Retire,
-            FlightKind::Stall,
             FlightKind::Sweep,
             FlightKind::Fault,
             FlightKind::Adopt,

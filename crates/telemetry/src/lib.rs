@@ -21,7 +21,7 @@
 //!   so it can sit below every other workspace crate.
 //! * **Flight recorder** ([`flight`], [`flight_dump`]) — a bounded
 //!   per-thread ring of structured protocol events (announce / slide /
-//!   notify / recovery / retire / injected stalls) with global sequence
+//!   notify / recovery / retire / injected faults) with global sequence
 //!   ids, dumped by tests and the torture driver when an invariant breaks.
 //!
 //! # Sharding model
@@ -143,8 +143,6 @@ pub enum Counter {
     EpochAdvanceBlocked,
     /// Events captured by the flight recorder.
     FlightEvents,
-    /// Stalls injected by the `stall-injection` test entry points.
-    StallsInjected,
     /// U-ALL update announcements.
     UpdateAnnounces,
     /// U-ALL update withdrawals.
@@ -220,7 +218,6 @@ impl Counter {
         Counter::EpochAdvances,
         Counter::EpochAdvanceBlocked,
         Counter::FlightEvents,
-        Counter::StallsInjected,
         Counter::UpdateAnnounces,
         Counter::UpdateWithdraws,
         Counter::FaultsInjected,
@@ -269,7 +266,6 @@ impl Counter {
             Counter::EpochAdvances => "epoch_advances",
             Counter::EpochAdvanceBlocked => "epoch_advance_blocked",
             Counter::FlightEvents => "flight_events",
-            Counter::StallsInjected => "stalls_injected",
             Counter::UpdateAnnounces => "update_announces",
             Counter::UpdateWithdraws => "update_withdraws",
             Counter::FaultsInjected => "faults_injected",

@@ -86,8 +86,8 @@ fn one_op(trie: &LockFreeBinaryTrie, state: &mut u64) {
 /// Worker under fault injection: every operation runs in `catch_unwind`;
 /// injected panics/abandons are absorbed, anything else is a real bug and
 /// re-raised. Returns `(completed, abandoned)` operation counts.
-fn chaos_worker(trie: &LockFreeBinaryTrie, t: u64, seed: u64) -> (u64, u64) {
-    fault::arm(seed ^ (t << 16));
+fn chaos_worker(trie: &LockFreeBinaryTrie, plan: FaultPlan, t: u64, seed: u64) -> (u64, u64) {
+    fault::arm(plan, seed ^ (t << 16));
     let mut state = seed ^ t.wrapping_mul(0x9E3779B97F4A7C15);
     let (mut completed, mut abandoned) = (0u64, 0u64);
     for _ in 0..OPS_PER_THREAD {
@@ -148,12 +148,12 @@ fn chaos_round(seed: u64) {
 
     let fired_before = fault::fired_total();
     let stranded_before = telemetry::counters().get(Counter::StrandedNodes);
-    fault::install(FaultPlan::seeded(seed).with_rate(24).with_actions(&[
+    let plan = FaultPlan::seeded(seed).with_rate(24).with_actions(&[
         FaultAction::Yield,
         FaultAction::Stall,
         FaultAction::Panic,
         FaultAction::Abandon,
-    ]));
+    ]);
     let completed = Arc::new(AtomicU64::new(0));
     let abandoned = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..THREADS)
@@ -161,8 +161,9 @@ fn chaos_round(seed: u64) {
             let trie = Arc::clone(&trie);
             let completed = Arc::clone(&completed);
             let abandoned = Arc::clone(&abandoned);
+            let plan = plan.clone();
             std::thread::spawn(move || {
-                let (done, gone) = chaos_worker(&trie, t, seed);
+                let (done, gone) = chaos_worker(&trie, plan, t, seed);
                 completed.fetch_add(done, Ordering::SeqCst);
                 abandoned.fetch_add(gone, Ordering::SeqCst);
             })
@@ -171,7 +172,6 @@ fn chaos_round(seed: u64) {
     for h in handles {
         h.join().expect("chaos worker hit a non-injected panic");
     }
-    fault::uninstall();
     let fired = fault::fired_total() - fired_before;
     let abandoned = abandoned.load(Ordering::SeqCst);
 
@@ -303,14 +303,12 @@ fn teeth_unwind_guards_off_leaks_the_panicked_announcement() {
 
     let trie = LockFreeBinaryTrie::new(U);
     trie.insert(10);
-    fault::install(FaultPlan::once(
-        FaultPoint::InsertAnnounced,
-        FaultAction::Panic,
-    ));
-    fault::arm(1);
+    fault::arm(
+        FaultPlan::once(FaultPoint::InsertAnnounced, FaultAction::Panic),
+        1,
+    );
     let outcome = catch_unwind(AssertUnwindSafe(|| trie.insert(20)));
     fault::disarm();
-    fault::uninstall();
     assert!(outcome.is_err(), "the injected panic must escape the op");
     assert!(!fault::take_abandoned(), "panic is not abandon");
 
@@ -336,14 +334,12 @@ fn teeth_orphan_adoption_off_strands_the_abandoned_announcement() {
 
     let trie = LockFreeBinaryTrie::new(U);
     trie.insert(10);
-    fault::install(FaultPlan::once(
-        FaultPoint::InsertAnnounced,
-        FaultAction::Abandon,
-    ));
-    fault::arm(2);
+    fault::arm(
+        FaultPlan::once(FaultPoint::InsertAnnounced, FaultAction::Abandon),
+        2,
+    );
     let outcome = catch_unwind(AssertUnwindSafe(|| trie.insert(20)));
     fault::disarm();
-    fault::uninstall();
     assert!(outcome.is_err(), "the injected abandon must escape the op");
     assert!(
         fault::take_abandoned(),

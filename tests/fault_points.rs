@@ -14,23 +14,23 @@
 //! scenario (an abandoned operation blocking later ones) fails the test by
 //! name instead of hanging the suite.
 //!
+//! The last three tests pin the contract of `fault::suspend_at`, the
+//! stalled (not crashed) operation the progress and recovery suites build
+//! on: it is never adopted or reclaimed, it leaves nothing behind when it
+//! never reaches its point, and it leaves its thread able to unwind the
+//! next operation normally.
+//!
 //! [`adopt_orphans`]: lftrie::core::LockFreeBinaryTrie::adopt_orphans
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex, PoisonError};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use lftrie::core::fault::{self, FaultAction, FaultPlan, FaultPoint, InjectedFault};
 use lftrie::core::LockFreeBinaryTrie;
 
 const U: u64 = 1 << 9;
-
-/// The installed fault plan is one process-global slot, and the two tests
-/// below run in parallel. A scenario installs its plan, arms its thread
-/// with it and empties the slot again under this lock, so the other test
-/// can never arm this scenario's plan or replace it before it is armed.
-static PLAN_SLOT: Mutex<()> = Mutex::new(());
 
 /// Seed membership: every third key, away from the universe edges.
 fn seed_keys() -> Vec<u64> {
@@ -127,13 +127,10 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
     assert!(batch_new.iter().all(|k| !model.contains(k)));
     assert!(batch_old.iter().all(|k| model.contains(k)));
 
-    {
-        let _slot = PLAN_SLOT.lock().unwrap_or_else(PoisonError::into_inner);
-        fault::install(FaultPlan::once(point, action));
-        fault::arm((point as u64) << 8 | op as u64);
-        // The armed thread keeps its snapshot of the plan.
-        fault::uninstall();
-    }
+    fault::arm(
+        FaultPlan::once(point, action),
+        (point as u64) << 8 | op as u64,
+    );
     let outcome = catch_unwind(AssertUnwindSafe(|| match op {
         Op::InsertNew => {
             assert!(trie.insert(k_new), "{ctx}: insert of absent key");
@@ -358,4 +355,105 @@ fn abandon_at_every_point_keeps_model_equivalence_after_adoption() {
             run_watched(point, FaultAction::Abandon, op);
         }
     }
+}
+
+/// The matrix above fires at a point's first occurrence only. A seeded
+/// plan that yields at most points and panics at a few reaches later
+/// occurrences too, such as the second of a delete's two first embedded
+/// queries: an update that unwinds from any of them, on a thread that stays
+/// alive, must leave no announcement behind.
+#[test]
+fn a_panic_at_any_occurrence_leaves_no_announcement() {
+    use FaultAction::{Panic, Yield};
+    fault::silence_injected_panics();
+    let plan = FaultPlan::seeded(0x0CC0)
+        .with_rate(1024)
+        .with_actions(&[Yield, Yield, Yield, Panic]);
+    let mut panics = 0;
+    for salt in 0..256 {
+        let trie = LockFreeBinaryTrie::new(64);
+        for k in [5, 9, 20] {
+            trie.insert(k);
+        }
+        fault::arm(plan.clone(), salt);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            trie.remove(9);
+            trie.insert(7);
+        }));
+        fault::disarm();
+        if let Err(payload) = outcome {
+            assert!(payload.downcast_ref::<InjectedFault>().is_some());
+            panics += 1;
+        }
+        let lens = trie.announcements();
+        assert!(
+            lens.is_empty(),
+            "salt {salt}: announcements leaked: uall {} ruall {} pall {} sall {}",
+            lens.uall,
+            lens.ruall,
+            lens.pall,
+            lens.sall
+        );
+    }
+    assert!(panics > 128, "only {panics} of 256 runs panicked");
+}
+
+#[test]
+fn suspended_delete_is_neither_adopted_nor_reclaimed() {
+    let trie = LockFreeBinaryTrie::new(U);
+    trie.insert(5);
+    trie.insert(9);
+    assert!(fault::suspend_at(FaultPoint::DeleteEmbedsDone, || trie.remove(9)));
+    assert!(!trie.contains(9), "the suspended delete is linearized");
+    // The DEL node in the U-ALL and RU-ALL, and its two embedded
+    // predecessor and two embedded successor queries in the P-ALL/S-ALL.
+    let footprint = |trie: &LockFreeBinaryTrie| {
+        let lens = trie.announcements();
+        (lens.uall, lens.ruall, lens.pall, lens.sall)
+    };
+    assert_eq!(footprint(&trie), (1, 1, 2, 2));
+    // Its owner is alive: a stalled thread, not a crashed one.
+    assert_eq!(trie.adopt_orphans(), 0, "a suspended delete is no orphan");
+    trie.collect_garbage();
+    assert_eq!(
+        footprint(&trie),
+        (1, 1, 2, 2),
+        "garbage collection must not complete or withdraw a stalled delete"
+    );
+    assert_eq!(trie.predecessor(20), Some(5));
+}
+
+#[test]
+fn suspend_at_an_unreached_point_leaves_nothing_behind() {
+    let trie = LockFreeBinaryTrie::new(U);
+    trie.insert(5);
+    assert!(
+        !fault::suspend_at(FaultPoint::DeleteEmbedsDone, || trie.remove(9)),
+        "the delete of an absent key never reaches the point"
+    );
+    assert!(trie.announcements().is_empty());
+    // The thread is disarmed: this delete runs to completion.
+    assert!(trie.remove(5));
+    assert!(trie.announcements().is_empty());
+    assert_eq!(trie.predecessor(20), None);
+}
+
+#[test]
+fn a_panic_after_a_suspension_still_runs_its_unwind_guard() {
+    let trie = LockFreeBinaryTrie::new(U);
+    assert!(fault::suspend_at(FaultPoint::InsertLinearized, || trie.insert(5)));
+    fault::arm(
+        FaultPlan::once(FaultPoint::InsertAnnounced, FaultAction::Panic),
+        3,
+    );
+    let outcome = catch_unwind(AssertUnwindSafe(|| trie.insert(20)));
+    fault::disarm();
+    let payload = outcome.expect_err("the injected panic escapes the insert");
+    assert!(payload.downcast_ref::<InjectedFault>().is_some());
+    assert!(!fault::take_abandoned(), "a panic is not an abandon");
+    // The guard completed the panicked insert and withdrew it; only the
+    // suspended insert is still announced.
+    assert!(trie.contains(20), "the unwind guard completed the insert");
+    let lens = trie.announcements();
+    assert_eq!((lens.uall, lens.ruall, lens.pall, lens.sall), (1, 1, 0, 0));
 }

@@ -1,7 +1,12 @@
 //! Deterministic exercises of the latest-list protocol (paper §5.3.1,
 //! lines 116–136): the two-node list, `FindLatest`'s fallback through
 //! `latestNext`, and `HelpActivate` finishing a stalled operation.
+//!
+//! A stalled insert is the real `insert`, suspended at its
+//! `InsertPublished` fault point: its INS node heads `latest[x]` (line
+//! 170) but is neither announced nor activated.
 
+use lftrie::core::fault::{suspend_at, FaultPoint::InsertPublished};
 use lftrie::core::LockFreeBinaryTrie;
 
 #[test]
@@ -10,7 +15,7 @@ fn inactive_head_is_invisible_to_search() {
     // FindLatest resolves through latestNext to the previous DEL node
     // (lines 118–120), so x is still absent.
     let trie = LockFreeBinaryTrie::new(32);
-    assert!(trie.insert_stalled_before_activation(9));
+    assert!(suspend_at(InsertPublished, || trie.insert(9)));
     assert!(
         !trie.contains(9),
         "un-linearized insert must be invisible (Lemma 5.4)"
@@ -28,7 +33,7 @@ fn inactive_head_preserves_previous_membership() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(4);
     trie.remove(4);
-    trie.insert_stalled_before_activation(4);
+    suspend_at(InsertPublished, || trie.insert(4));
     assert!(!trie.contains(4));
     // A fresh query sweep sees the set without 4.
     trie.insert(2);
@@ -41,7 +46,7 @@ fn competing_insert_helps_activate_the_stalled_one() {
     // the stalled node becomes active (linearizing the STALLED op), and the
     // competing insert returns unsuccessfully.
     let trie = LockFreeBinaryTrie::new(32);
-    trie.insert_stalled_before_activation(9);
+    suspend_at(InsertPublished, || trie.insert(9));
     assert!(
         !trie.insert(9),
         "the competing insert loses its CAS and only helps"
@@ -59,7 +64,7 @@ fn competing_insert_helps_activate_the_stalled_one() {
 #[test]
 fn delete_after_helped_activation_round_trips() {
     let trie = LockFreeBinaryTrie::new(32);
-    trie.insert_stalled_before_activation(9);
+    suspend_at(InsertPublished, || trie.insert(9));
     assert!(!trie.insert(9)); // helps activate
     assert!(trie.remove(9));
     assert!(!trie.contains(9));
@@ -74,7 +79,7 @@ fn predecessor_sees_through_inactive_heads() {
     // node for interpreted bits everywhere on the path.
     let trie = LockFreeBinaryTrie::new(64);
     trie.insert(20);
-    trie.insert_stalled_before_activation(24);
+    suspend_at(InsertPublished, || trie.insert(24));
     // 24 not linearized: predecessor(30) is 20.
     assert_eq!(trie.predecessor(30), Some(20));
     // Now a racing delete of 24 returns early (not in S) without helping…
@@ -91,7 +96,7 @@ fn stress_mixed_with_stalls_settles_consistently() {
     // Seed stalled inserts on odd keys; concurrent threads operate across
     // the whole universe, helping as they collide.
     for k in (1..64).step_by(8) {
-        trie.insert_stalled_before_activation(k);
+        suspend_at(InsertPublished, || trie.insert(k));
     }
     let handles: Vec<_> = (0..3u64)
         .map(|t| {

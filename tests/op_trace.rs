@@ -59,11 +59,9 @@ fn end_status(events: &[TraceEvent], span: u64) -> Option<u64> {
 /// Runs one faulted insert under `catch_unwind`, returning whether the
 /// fault machinery reported an abandon.
 fn faulted_insert(trie: &LockFreeBinaryTrie, key: u64, action: FaultAction) -> bool {
-    fault::install(FaultPlan::once(FaultPoint::InsertAnnounced, action));
-    fault::arm(0xF00D);
+    fault::arm(FaultPlan::once(FaultPoint::InsertAnnounced, action), 0xF00D);
     let outcome = catch_unwind(AssertUnwindSafe(|| trie.insert(key)));
     fault::disarm();
-    fault::uninstall();
     match outcome {
         Ok(_) => panic!("the injected fault must escape the operation"),
         Err(payload) => {
@@ -250,18 +248,19 @@ fn seeded_chaos_trace_exports_valid_chrome_json_with_flows() {
         trie.insert(k);
     }
 
-    fault::install(FaultPlan::seeded(0x7ACE).with_rate(24).with_actions(&[
+    let plan = FaultPlan::seeded(0x7ACE).with_rate(24).with_actions(&[
         FaultAction::Yield,
         FaultAction::Panic,
         FaultAction::Abandon,
-    ]));
+    ]);
     let abandoned = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let trie = Arc::clone(&trie);
             let abandoned = Arc::clone(&abandoned);
+            let plan = plan.clone();
             std::thread::spawn(move || {
-                fault::arm(0x7ACE ^ (t << 16));
+                fault::arm(plan, 0x7ACE ^ (t << 16));
                 let mut state = t.wrapping_mul(0x9E3779B97F4A7C15) | 1;
                 for _ in 0..OPS {
                     state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -295,7 +294,6 @@ fn seeded_chaos_trace_exports_valid_chrome_json_with_flows() {
     for h in handles {
         h.join().expect("chaos worker hit a non-injected panic");
     }
-    fault::uninstall();
 
     // Adoption guarantees helping edges even if the storm's own helping
     // raced away; with abandons fired there is always at least one orphan

@@ -1,20 +1,23 @@
 //! Lock-freedom witnesses (experiment E7): operations keep
 //! completing — and stay linearizable — while updaters are stalled
-//! mid-operation.
+//! mid-operation. A stalled insert is the real `insert`, suspended at its
+//! `InsertLinearized` fault point: announced and activated (line 174),
+//! never completed.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use lftrie::baselines::MutexBinaryTrie;
+use lftrie::core::fault::{suspend_at, FaultPoint::InsertLinearized};
 use lftrie::core::LockFreeBinaryTrie;
 
 #[test]
 fn stalled_insert_is_linearized_and_visible() {
     let trie = LockFreeBinaryTrie::new(64);
     trie.insert(3);
-    // Activated but abandoned: no bit updates, no notifications, no
+    // Activated but stalled: no bit updates, no notifications, no
     // de-announcement.
-    assert!(trie.insert_stalled_after_activation(17));
+    assert!(suspend_at(InsertLinearized, || trie.insert(17)));
     // The insert linearized at activation, so 17 is in S:
     assert!(trie.contains(17));
     assert_eq!(trie.predecessor(20), Some(17));
@@ -28,7 +31,7 @@ fn stalled_insert_is_linearized_and_visible() {
 fn operations_complete_past_stalled_updates() {
     let trie = Arc::new(LockFreeBinaryTrie::new(256));
     for k in [40u64, 80, 120, 160] {
-        trie.insert_stalled_after_activation(k);
+        suspend_at(InsertLinearized, || trie.insert(k));
     }
     // Other threads must make progress and observe the stalled keys.
     let handles: Vec<_> = (0..3u64)
@@ -74,10 +77,10 @@ fn operations_complete_past_stalled_updates() {
 
 #[test]
 fn delete_of_a_stalled_insert_completes() {
-    // A later delete must finish the handshake with the abandoned insert
+    // A later delete must finish the handshake with the stalled insert
     // (helping via latestNext/target/stop) and remove the key.
     let trie = LockFreeBinaryTrie::new(32);
-    trie.insert_stalled_after_activation(9);
+    suspend_at(InsertLinearized, || trie.insert(9));
     assert!(trie.contains(9));
     assert!(trie.remove(9));
     assert!(!trie.contains(9));
@@ -93,7 +96,7 @@ fn mutex_baseline_blocks_where_lockfree_does_not() {
     // within the window; the lock-free trie under the same workload does.
     let mutex_trie = Arc::new(MutexBinaryTrie::new(64));
     let lf_trie = Arc::new(LockFreeBinaryTrie::new(64));
-    lf_trie.insert_stalled_after_activation(5);
+    suspend_at(InsertLinearized, || lf_trie.insert(5));
 
     let guard = mutex_trie.stall_guard();
     let blocked = {

@@ -1,14 +1,16 @@
 //! Deterministic exercises of the ⊥-recovery path (paper lines 230–251,
 //! Definition 5.1).
 //!
-//! A delete abandoned *after* linearization but *before* updating the
-//! relaxed trie leaves stale 1-bits on its key's path. A later
+//! A delete stalled *after* linearization but *before* updating the
+//! relaxed trie leaves stale 1-bits on its key's path: the real `remove`,
+//! suspended at its `DeleteEmbedsDone` fault point. A later
 //! `Predecessor` traversal descends into that subtree, finds both children
-//! at 0, and gets ⊥ from `RelaxedPredecessor` — with the abandoned DEL node
+//! at 0, and gets ⊥ from `RelaxedPredecessor` — with the stalled DEL node
 //! sitting in its `Druall`. The answer must then be reconstructed from the
 //! embedded predecessor results (`delPred`, `delPred2`) and the notify
 //! lists, exactly as §5.2's recovery computation prescribes.
 
+use lftrie::core::fault::{suspend_at, FaultPoint::DeleteEmbedsDone};
 use lftrie::core::LockFreeBinaryTrie;
 
 #[test]
@@ -17,7 +19,7 @@ fn recovery_uses_first_embedded_predecessor() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(5);
     trie.insert(9);
-    assert!(trie.remove_stalled_before_trie_update(9));
+    assert!(suspend_at(DeleteEmbedsDone, || trie.remove(9)));
     assert!(!trie.contains(9), "the stalled delete is linearized");
 
     // The query's relaxed traversal hits 9's stale subtree and bottoms out;
@@ -40,7 +42,7 @@ fn recovery_follows_delpred2_chain_to_minus_one() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(5);
     trie.insert(9);
-    assert!(trie.remove_stalled_before_trie_update(9));
+    assert!(suspend_at(DeleteEmbedsDone, || trie.remove(9)));
     assert!(trie.remove(5));
     assert_eq!(trie.predecessor(20), None);
 }
@@ -52,7 +54,7 @@ fn recovery_sees_keys_below_the_stale_subtree() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(2);
     trie.insert(9);
-    trie.remove_stalled_before_trie_update(9);
+    suspend_at(DeleteEmbedsDone, || trie.remove(9));
     assert_eq!(trie.predecessor(12), Some(2));
     // Keys *above* the stale subtree are unaffected.
     trie.insert(17);
@@ -65,7 +67,7 @@ fn inserts_after_the_stall_are_visible() {
     // (it notifies the query or is seen in the U-ALL / trie).
     let trie = LockFreeBinaryTrie::new(64);
     trie.insert(9);
-    trie.remove_stalled_before_trie_update(9);
+    suspend_at(DeleteEmbedsDone, || trie.remove(9));
     trie.insert(7); // below 9, fresh path
     assert_eq!(trie.predecessor(12), Some(7));
     trie.insert(11);
@@ -78,7 +80,7 @@ fn reinserting_the_stalled_key_repairs_the_subtree() {
     // repairs the path and predecessor queries resume the fast path.
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(9);
-    trie.remove_stalled_before_trie_update(9);
+    suspend_at(DeleteEmbedsDone, || trie.remove(9));
     assert!(
         trie.insert(9),
         "re-insert after linearized delete is S-modifying"
@@ -95,8 +97,8 @@ fn multiple_stalled_deletes_compound() {
     trie.insert(3);
     trie.insert(20);
     trie.insert(24);
-    trie.remove_stalled_before_trie_update(20);
-    trie.remove_stalled_before_trie_update(24);
+    suspend_at(DeleteEmbedsDone, || trie.remove(20));
+    suspend_at(DeleteEmbedsDone, || trie.remove(24));
     assert_eq!(trie.predecessor(30), Some(3));
     assert_eq!(trie.predecessor(24), Some(3));
     assert_eq!(trie.predecessor(3), None);
@@ -110,7 +112,7 @@ fn successor_recovery_uses_first_embedded_successor() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(5);
     trie.insert(9);
-    assert!(trie.remove_stalled_before_trie_update(5));
+    assert!(suspend_at(DeleteEmbedsDone, || trie.remove(5)));
     assert!(!trie.contains(5), "the stalled delete is linearized");
 
     assert_eq!(trie.successor(1), Some(9));
@@ -131,7 +133,7 @@ fn successor_recovery_follows_delsucc2_chain_to_none() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(5);
     trie.insert(9);
-    assert!(trie.remove_stalled_before_trie_update(5));
+    assert!(suspend_at(DeleteEmbedsDone, || trie.remove(5)));
     assert!(trie.remove(9));
     assert_eq!(trie.successor(1), None);
 }
@@ -144,7 +146,7 @@ fn successor_recovery_sees_keys_above_the_stale_subtree() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(9);
     trie.insert(20);
-    trie.remove_stalled_before_trie_update(9);
+    suspend_at(DeleteEmbedsDone, || trie.remove(9));
     assert_eq!(trie.successor(2), Some(20));
     // Keys *below* the stale subtree are unaffected.
     trie.insert(3);
@@ -155,7 +157,7 @@ fn successor_recovery_sees_keys_above_the_stale_subtree() {
 fn successor_sees_inserts_after_the_stall() {
     let trie = LockFreeBinaryTrie::new(64);
     trie.insert(9);
-    trie.remove_stalled_before_trie_update(9);
+    suspend_at(DeleteEmbedsDone, || trie.remove(9));
     trie.insert(11); // above 9, fresh path
     assert_eq!(trie.successor(2), Some(11));
     trie.insert(7);
@@ -169,8 +171,8 @@ fn multiple_stalled_deletes_compound_for_successor() {
     trie.insert(20);
     trie.insert(24);
     trie.insert(40);
-    trie.remove_stalled_before_trie_update(20);
-    trie.remove_stalled_before_trie_update(24);
+    suspend_at(DeleteEmbedsDone, || trie.remove(20));
+    suspend_at(DeleteEmbedsDone, || trie.remove(24));
     assert_eq!(trie.successor(3), Some(40));
     assert_eq!(trie.successor(20), Some(40));
     assert_eq!(trie.successor(40), None);
@@ -185,7 +187,7 @@ fn range_scans_cross_stale_subtrees_exactly() {
     for k in [3u64, 20, 24, 40] {
         trie.insert(k);
     }
-    trie.remove_stalled_before_trie_update(20);
+    suspend_at(DeleteEmbedsDone, || trie.remove(20));
     assert_eq!(trie.range(0..=63), vec![3, 24, 40]);
     assert_eq!(trie.range(20..=24), vec![24]);
 }
@@ -198,7 +200,7 @@ fn max_recovers_through_the_sentinel_query_key() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(5);
     trie.insert(9);
-    assert!(trie.remove_stalled_before_trie_update(9));
+    assert!(suspend_at(DeleteEmbedsDone, || trie.remove(9)));
     let before = trie.pred_traversal();
     assert_eq!(trie.max(), Some(5));
     let after = trie.pred_traversal();
@@ -217,7 +219,7 @@ fn min_recovers_through_the_sentinel_query_key() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(5);
     trie.insert(9);
-    assert!(trie.remove_stalled_before_trie_update(5));
+    assert!(suspend_at(DeleteEmbedsDone, || trie.remove(5)));
     let before = trie.succ_traversal();
     assert_eq!(trie.min(), Some(9));
     let after = trie.succ_traversal();
@@ -236,7 +238,7 @@ fn min_and_max_recover_an_empty_set_through_a_stalled_delete() {
     // so emptiness is certified by the recovery, not the traversal.
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(9);
-    assert!(trie.remove_stalled_before_trie_update(9));
+    assert!(suspend_at(DeleteEmbedsDone, || trie.remove(9)));
     let (pred, succ) = (trie.pred_traversal(), trie.succ_traversal());
     assert_eq!(trie.max(), None);
     assert_eq!(trie.min(), None);
@@ -253,7 +255,7 @@ fn queries_under_concurrent_load_with_stalls_stay_sound() {
     let trie = Arc::new(LockFreeBinaryTrie::new(128));
     trie.insert(10);
     trie.insert(50);
-    trie.remove_stalled_before_trie_update(50);
+    suspend_at(DeleteEmbedsDone, || trie.remove(50));
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
         let trie = Arc::clone(&trie);

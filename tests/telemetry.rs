@@ -10,6 +10,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use lftrie::core::fault::{suspend_at, FaultAction, FaultPoint::InsertLinearized};
 use lftrie::core::LockFreeBinaryTrie;
 use lftrie::primitives::epoch;
 use lftrie::telemetry::{self, Counter, FlightKind, Hist};
@@ -131,13 +132,14 @@ fn counters_and_histograms_are_monotone_under_concurrent_recording() {
 fn flight_recorder_captures_announce_and_stall_events() {
     let trie = LockFreeBinaryTrie::new(1 << 10);
     let flights_before = telemetry::counters().get(Counter::FlightEvents);
-    let stalls_before = telemetry::counters().get(Counter::StallsInjected);
+    let faults_before = telemetry::counters().get(Counter::FaultsInjected);
 
-    // A normal update announces and withdraws; the injected stall parks an
-    // insert mid-flight. Both must land in this thread's ring — they are
-    // the most recent events, so the bounded ring still holds them.
+    // A normal update announces and withdraws; the injected suspension
+    // parks an insert mid-flight. Both must land in this thread's ring —
+    // they are the most recent events, so the bounded ring still holds
+    // them.
     trie.insert(77);
-    assert!(trie.insert_stalled_after_activation(99));
+    assert!(suspend_at(InsertLinearized, || trie.insert(99)));
 
     let events = telemetry::flight_dump();
     assert!(
@@ -147,8 +149,14 @@ fn flight_recorder_captures_announce_and_stall_events() {
     assert!(
         events
             .iter()
-            .any(|e| e.kind == FlightKind::Stall && e.key == 99),
-        "stall event carries the stalled key"
+            .any(|e| e.kind == FlightKind::Announce && e.key == 99),
+        "the stalled insert announced before stopping"
+    );
+    assert!(
+        events.iter().any(|e| e.kind == FlightKind::Fault
+            && e.key == InsertLinearized as i64
+            && e.aux == FaultAction::Suspend as u64),
+        "stall event carries its point and action"
     );
     // The dump interleaves threads by timestamp (seq breaks ties), and
     // sequence ids stay unique.
@@ -159,10 +167,10 @@ fn flight_recorder_captures_announce_and_stall_events() {
     seqs.sort_unstable();
     assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seq ids are unique");
     assert!(telemetry::counters().get(Counter::FlightEvents) > flights_before);
-    assert!(telemetry::counters().get(Counter::StallsInjected) > stalls_before);
+    assert!(telemetry::counters().get(Counter::FaultsInjected) > faults_before);
 
     let report = telemetry::flight_report();
-    assert!(report.contains("stall"), "report names the stall event");
+    assert!(report.contains("fault"), "report names the stall event");
 }
 
 #[test]
