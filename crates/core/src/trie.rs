@@ -66,17 +66,29 @@
 //!
 //! The same machinery powers the ordered aggregates
 //! ([`LockFreeBinaryTrie::count`], [`LockFreeBinaryTrie::min`],
-//! [`LockFreeBinaryTrie::max`], [`LockFreeBinaryTrie::pop_min`]) and the
+//! [`LockFreeBinaryTrie::max`], [`LockFreeBinaryTrie::pop_min`]). The
 //! batched updates ([`LockFreeBinaryTrie::insert_all`],
-//! [`LockFreeBinaryTrie::delete_all`]), which share one epoch pin across a
-//! whole batch but pipeline the keys: each key's announcement is
-//! withdrawn as soon as its own notify pass completes, so at most one
-//! batch announcement is ever live and wide batches never lengthen
-//! concurrent operations' announcement-list traversals.
+//! [`LockFreeBinaryTrie::delete_all`]) are loops over `insert`/`remove`:
+//! each key pins the epoch domain for its own update only and withdraws
+//! its announcement before the next key starts, so at most one batch
+//! announcement is ever live.
+//!
+//! # Finishing an interrupted update
+//!
+//! In the paper only an update's owner runs its tail; other operations
+//! help only through activation (`HelpActivate`, lines 128–136). Two more
+//! parties finish a *published* update here: the owner's own unwind guard
+//! when the operation panics, and orphan adoption when the owner's thread
+//! dies. Both run one routine, `finish_update`: activation and the
+//! displaced-node handoff (lines 131–134, shared with `help_activate`),
+//! a delete's lost second embedded queries (200–201), the relaxed-trie
+//! update, notification, completion and de-announcement. Each step is
+//! idempotent or claimed exactly once (the argument is on
+//! `UpdateOpGuard`), so the routine may start wherever the owner stopped.
 
 use core::cell::Cell as StdCell;
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use lftrie_lists::announce::AnnounceList;
@@ -127,45 +139,48 @@ impl EmbeddedQueries {
     }
 }
 
-/// The last *completed* protocol step of an in-flight update, as tracked
-/// by its [`UpdateOpGuard`]. Ordered: the unwind resume falls through
-/// every step after the recorded one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// How far an in-flight update got, in the only terms that change what
+/// its [`UpdateOpGuard`]'s resume does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpPhase {
-    /// Nothing allocated or published yet (a delete may already have
-    /// announced its first embedded queries, recorded in the guard).
-    Start,
-    /// (Delete only) both first embedded helpers announced and recorded.
-    Helpers,
-    /// Update node allocated but not yet published in the latest list —
-    /// the only phase whose resume *withdraws* (returns the pooled node)
-    /// instead of completing.
-    Alloced,
-    /// Latest-list CAS succeeded: the node is reachable by helpers but not
-    /// yet announced.
+    /// Not in the latest list: nobody else can reach the update node, if
+    /// one is allocated. A delete's first embedded queries may already be
+    /// announced, recorded in the guard.
+    Unpublished,
+    /// The latest-list CAS succeeded (lines 170/192); the owner's own
+    /// announcement (173/196) may not have landed.
     Published,
-    /// Announced in the U-ALL/RU-ALL; not yet activated.
+    /// The owner's announcement landed.
     Announced,
-    /// Activated (= linearized), displaced node stopped/cleared/retired.
-    Linearized,
-    /// (Delete only) second embedded helper results recorded.
-    Embeds,
-    /// Relaxed-trie bit update claimed.
-    TrieUpdated,
-    /// Notifications sent.
-    Notified,
-    /// `completed` set; announcement withdrawal may still be missing.
-    Completed,
-    /// Fully finished — the guard is disarmed.
+    /// Finished, or returned without changing the set: nothing to resume.
     Done,
 }
 
-/// RAII unwind guard for one `Insert`/`Delete`: records how far the
-/// operation got, and on a panic that unwinds through the public API
-/// either withdraws the not-yet-published node (returning it to the pool)
-/// or drives the already-published operation through its own helping
-/// steps to completion + de-announcement, so an abandoned operation never
-/// wedges the trie or leaks its footprint.
+/// RAII unwind guard for one `Insert`/`Delete`. On a panic that unwinds
+/// through the public API it returns a never-published node to the pool,
+/// or finishes a published one with `finish_update`, so a panicked
+/// operation never wedges the trie or leaks its footprint.
+///
+/// Four phases suffice because `finish_update` may start wherever the
+/// owner stopped, step by step:
+///
+/// 1. activation (line 131) is a one-way store;
+/// 2. the displaced-node handoff (132–134) acts only while `latestNext` is
+///    set, and whoever clears that link retires the node it pointed to,
+///    claimed once (`retire_displaced`);
+/// 3. each second embedded query (200–201) runs only while its result is
+///    missing; the first embedded queries are never re-run;
+/// 4. the relaxed-trie update runs only while unclaimed (a re-run would
+///    count `set_target` twice), and the owner claims it as it finishes
+///    its own;
+/// 5. notification and completion run only while `completed` is unset,
+///    which the owner sets right after notifying;
+/// 6. de-announcement removes every cell of the node, and each embedded
+///    query's withdrawal is claimed once (`remove_query_node`).
+///
+/// So the resume needs only whether the node is published (if not, it is
+/// returned) and whether the owner's announcement landed (if not, the
+/// resume announces it first, as line 130 does).
 ///
 /// The resume is skipped when the panic is an injected
 /// [`fault::FaultAction::Abandon`] (simulating a thread that dies without
@@ -175,27 +190,19 @@ enum OpPhase {
 /// "teeth" check).
 struct UpdateOpGuard<'t> {
     trie: &'t LockFreeBinaryTrie,
-    kind: Kind,
     phase: StdCell<OpPhase>,
     /// The operation's own update node, once allocated.
     node: StdCell<*mut UpdateNode>,
-    /// The node our successful latest-list CAS displaced: the pipeline
-    /// retires it after activation, so a crash in between hands the
-    /// obligation to the resume (helpers clear `latest_next` but never
-    /// retire — exactly one of owner/guard/adopter retires it).
-    displaced: StdCell<*mut UpdateNode>,
     /// A delete's four embedded query announcements.
     embeds: EmbeddedQueries,
 }
 
 impl<'t> UpdateOpGuard<'t> {
-    fn new(trie: &'t LockFreeBinaryTrie, kind: Kind) -> Self {
+    fn new(trie: &'t LockFreeBinaryTrie) -> Self {
         Self {
             trie,
-            kind,
-            phase: StdCell::new(OpPhase::Start),
+            phase: StdCell::new(OpPhase::Unpublished),
             node: StdCell::new(core::ptr::null_mut()),
-            displaced: StdCell::new(core::ptr::null_mut()),
             embeds: EmbeddedQueries::new(),
         }
     }
@@ -203,25 +210,40 @@ impl<'t> UpdateOpGuard<'t> {
 
 impl Drop for UpdateOpGuard<'_> {
     fn drop(&mut self) {
-        if self.phase.get() == OpPhase::Done || !std::thread::panicking() {
+        let phase = self.phase.get();
+        if phase == OpPhase::Done || !std::thread::panicking() {
             return;
         }
         if fault::is_abandoning() || !fault::unwind_guards_enabled() {
             // Simulated crash-without-unwind: leave the footprint for
             // `adopt_orphans` (or, with guards off, demonstrate the leak).
             trace::note_abandon();
-            if !self.node.get().is_null() && self.phase.get() == OpPhase::Alloced {
+            let node = self.node.get();
+            if node.is_null() {
+                return;
+            }
+            // Safety: the operation's own node, allocated under its pin,
+            // which the unwinding caller frame still holds.
+            let u = unsafe { &*node };
+            match phase {
                 // Allocated but never published: no helper or adopter can
                 // ever reach this pooled node again — it is stranded for
                 // the life of the structure. Count it so leak ceilings can
                 // subtract exactly what abandonment is allowed to cost.
-                let key = unsafe { (*self.node.get()).key() };
-                telemetry::event(
+                OpPhase::Unpublished => telemetry::event(
                     Counter::StrandedNodes,
                     FlightKind::Stranded,
-                    key,
-                    self.kind as u64,
-                );
+                    u.key(),
+                    u.kind() as u64,
+                ),
+                // Published by a dead owner but in no announcement list:
+                // only a walk of the latest lists finds it. Ask for that
+                // walk, and have this trie's next update sweep.
+                OpPhase::Published if !liveness::is_live(u.owner()) => {
+                    self.trie.unannounced_orphans.store(true, Ordering::SeqCst);
+                    self.trie.adopt_gen.store(u64::MAX, Ordering::SeqCst);
+                }
+                _ => {}
             }
             return;
         }
@@ -388,6 +410,13 @@ pub struct LockFreeBinaryTrie {
     /// update entry points compare and swap-claim it so orphan adoption
     /// runs amortized-once per thread death, not per operation.
     adopt_gen: AtomicU64,
+    /// Raised by the guard of an update abandoned between its latest-list
+    /// CAS and its announcement: its node waits inactive at the head of
+    /// its latest list and in no announcement list, so the next adoption
+    /// sweep walks every latest list once (O(u)). A sweep that finds dead
+    /// query announcements walks too, since they may be a delete's first
+    /// embedded queries. Runs without abandons never walk.
+    unannounced_orphans: AtomicBool,
     /// Serializes [`LockFreeBinaryTrie::adopt_orphans`] sweeps. Ordinary
     /// operations never take it (`try_lock` in the sweep keeps the fast
     /// path lock-free: a blocked would-be adopter just defers to the one
@@ -442,6 +471,7 @@ impl LockFreeBinaryTrie {
             ann_current: AtomicI64::new(0),
             ann_high_water: AtomicU64::new(0),
             adopt_gen: AtomicU64::new(0),
+            unannounced_orphans: AtomicBool::new(false),
             adoption: Mutex::new(()),
         }
     }
@@ -530,12 +560,43 @@ impl LockFreeBinaryTrie {
 
     /// Retires `node` as a displaced (superseded) latest-list node,
     /// exactly once across every party that can reach it — the superseding
-    /// operation's pipeline, that operation's unwind guard, a helper that
-    /// cleared the `latestNext` link, or an orphan adopter.
+    /// operation's owner, whoever else cleared the `latestNext` link to it,
+    /// or the finisher of an interrupted update.
     fn retire_displaced(&self, node: *mut UpdateNode, guard: &Guard<'_>) {
         if unsafe { (*node).claim_retire() } {
             unsafe { self.core.retire_node(node, guard) };
         }
+    }
+
+    /// Lines 131–134 of `HelpActivate`: activates `uNode` and hands off the
+    /// node it displaced. Idempotent.
+    fn activate(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
+        unsafe { (*u_node).activate() }; // L131
+        self.hand_off(u_node, guard); // L132–134
+    }
+
+    /// Lines 132–134 for an activated `uNode` (also lines 168–169,
+    /// 175 and 190): stops the displaced node's target if `uNode` is a DEL
+    /// node, cuts the `latestNext` link, and retires the displaced node.
+    /// After the cut nothing reaches that node through the latest list, so
+    /// whoever cuts the link retires it — a crashed owner never would —
+    /// and the claim makes the retirement exactly-once. A no-op once the
+    /// link is gone.
+    fn hand_off(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
+        let u = unsafe { &*u_node };
+        let displaced = u.latest_next();
+        if displaced.is_null() {
+            return;
+        }
+        if u.kind() == Kind::Del {
+            // L132–133: uNode.latestNext.target.stop ← True (⊥-tolerant)
+            let target = unsafe { (*displaced).target() };
+            if !target.is_null() {
+                unsafe { (*target).set_stop() };
+            }
+        }
+        u.clear_latest_next(); // L134
+        self.retire_displaced(displaced, guard);
     }
 
     /// `HelpActivate(uNode)` (lines 128–136): finish a stalled update's
@@ -552,23 +613,7 @@ impl LockFreeBinaryTrie {
                 guard,
             };
             self.announce(u_node, guard); // L130
-            u.activate(); // L131
-            let displaced = u.latest_next();
-            if u.kind() == Kind::Del && !displaced.is_null() {
-                // L132–133: uNode.latestNext.target.stop ← True (⊥-tolerant)
-                let target = unsafe { (*displaced).target() };
-                if !target.is_null() {
-                    unsafe { (*target).set_stop() };
-                }
-            }
-            u.clear_latest_next(); // L134
-            if !displaced.is_null() {
-                // The owner would retire the displaced node after its own
-                // clear (lines 175/199) — but a crashed owner never will,
-                // and after our clear nobody else can reach it. The claim
-                // makes the retirement exactly-once whoever gets there.
-                self.retire_displaced(displaced, guard);
-            }
+            self.activate(u_node, guard); // L131–134
             if !u.completed() && !liveness::is_live(u.owner()) {
                 // A dead owner will never run its completion phase, and the
                 // announcement we just published for it would outlive every
@@ -780,34 +825,11 @@ impl LockFreeBinaryTrie {
         self.maybe_adopt_orphans();
         let guard = &self.domain().pin();
         fault::point(FaultPoint::InsertEntry);
-        let og = UpdateOpGuard::new(self, Kind::Ins);
-        let i_node = self.insert_phase1(x, guard, &og);
-        if i_node.is_null() {
-            og.phase.set(OpPhase::Done);
-            return false; // L164 / L172
-        }
-        self.notify_query_ops(i_node, guard); // L177 (+ successor mirror)
-        og.phase.set(OpPhase::Notified);
-        unsafe { (*i_node).set_completed() }; // L178
-        og.phase.set(OpPhase::Completed);
-        fault::point(FaultPoint::InsertCompleted);
-        self.deannounce(i_node, guard); // L179
-        og.phase.set(OpPhase::Done);
-        true // L180
-    }
-
-    /// Lines 163–176 of `Insert(x)`: everything through the relaxed-trie
-    /// bit update, leaving the INS node activated and announced but not yet
-    /// notified or completed. Returns null when the call was not
-    /// S-modifying. The caller must follow with `notify_query_ops`,
-    /// `set_completed` and `deannounce` — the split exists so
-    /// [`LockFreeBinaryTrie::insert_all`] can run the batch under one
-    /// shared epoch pin.
-    fn insert_phase1(&self, x: i64, guard: &Guard<'_>, og: &UpdateOpGuard<'_>) -> *mut UpdateNode {
         let d_node = self.find_latest(x); // L163
         if unsafe { (*d_node).kind() } != Kind::Del {
-            return core::ptr::null_mut(); // L164: x already in S
+            return false; // L164: x already in S
         }
+        let og = UpdateOpGuard::new(self);
         // L165–167: new inactive INS node with latestNext → dNode.
         let i_node = self.core.alloc_node(UpdateNode::new_ins(
             x,
@@ -816,31 +838,20 @@ impl LockFreeBinaryTrie {
             self.core.b(),
         ));
         og.node.set(i_node);
-        og.phase.set(OpPhase::Alloced);
         // Bind this span to the node's never-reused allocation seq so
         // helpers' edges (which only see the node) join back to the span.
         trace::bind(seq_of(i_node));
-        // L168: dNode.latestNext.target.stop ← True (⊥-tolerant).
-        let prev_ins = unsafe { (*d_node).latest_next() };
-        if !prev_ins.is_null() {
-            let target = unsafe { (*prev_ins).target() };
-            if !target.is_null() {
-                unsafe { (*target).set_stop() };
-            }
-        }
-        unsafe { (*d_node).clear_latest_next() }; // L169
+        self.hand_off(d_node, guard); // L168–169
         if !self.core.cas_latest(x, d_node, i_node) {
             // L170 failed: help the Insert that won, then return. Our node
             // was never published; nobody else can hold it. (A crash while
-            // helping unwinds with the guard still at `Alloced`, whose
-            // resume performs exactly this dealloc.)
+            // helping leaves the guard `Unpublished`, whose resume
+            // performs exactly this dealloc.)
             self.help_activate(self.core.latest_head(x), guard); // L171
             unsafe { self.core.dealloc_node(i_node) };
-            og.node.set(core::ptr::null_mut());
-            og.phase.set(OpPhase::Start);
-            return core::ptr::null_mut(); // L172
+            og.phase.set(OpPhase::Done);
+            return false; // L172
         }
-        og.displaced.set(d_node);
         og.phase.set(OpPhase::Published);
         fault::point(FaultPoint::InsertPublished);
         self.announce(i_node, guard); // L173
@@ -848,19 +859,18 @@ impl LockFreeBinaryTrie {
         fault::point(FaultPoint::InsertAnnounced);
         unsafe { (*i_node).activate() }; // L174: linearization point
         fault::point(FaultPoint::InsertLinearized);
-        unsafe { (*i_node).clear_latest_next() }; // L175
-                                                  // dNode is now off the latest[x] list (head is the active iNode with
-                                                  // latestNext = ⊥): retire it. Its reclamation waits for its own
-                                                  // Delete to complete and for every dNodePtr/target reference to
-                                                  // drain (`UpdateNode::ready_to_reclaim`).
-        self.retire_displaced(d_node, guard);
-        og.displaced.set(core::ptr::null_mut());
-        og.phase.set(OpPhase::Linearized);
-        bitops::insert_binary_trie(&self.core, self, i_node); // L176
-        unsafe { (*i_node).claim_trie_update() };
-        og.phase.set(OpPhase::TrieUpdated);
+        // L175. The retired dNode is freed once its own Delete completed and
+        // every dNodePtr/target reference drained
+        // (`UpdateNode::ready_to_reclaim`).
+        self.hand_off(i_node, guard);
+        self.update_relaxed(i_node); // L176
         fault::point(FaultPoint::InsertTrieUpdated);
-        i_node
+        self.notify_query_ops(i_node, guard); // L177 (+ successor mirror)
+        unsafe { (*i_node).set_completed() }; // L178
+        fault::point(FaultPoint::InsertCompleted);
+        self.deannounce(i_node, guard); // L179
+        og.phase.set(OpPhase::Done);
+        true // L180
     }
 
     /// `Delete(x)` (lines 181–206): removes `x`; returns `true` iff this
@@ -876,40 +886,15 @@ impl LockFreeBinaryTrie {
         self.maybe_adopt_orphans();
         let guard = &self.domain().pin();
         fault::point(FaultPoint::DeleteEntry);
-        let og = UpdateOpGuard::new(self, Kind::Del);
-        let Some(d_node) = self.remove_phase1(x, guard, &og) else {
-            og.phase.set(OpPhase::Done);
-            return false; // L183 / L195
-        };
-        self.notify_query_ops(d_node, guard); // L203
-        og.phase.set(OpPhase::Notified);
-        self.remove_finish(d_node, guard, &og); // L204–206
-        true
-    }
-
-    /// Lines 182–202 of `Delete(x)`: everything through the relaxed-trie
-    /// bit update, leaving the DEL node activated and announced (and its
-    /// four embedded query nodes still announced, recorded in the guard)
-    /// but not yet notified or completed. Returns `None` when the call was
-    /// not S-modifying. The caller must follow with `notify_query_ops` and
-    /// [`LockFreeBinaryTrie::remove_finish`] — the split exists so
-    /// [`LockFreeBinaryTrie::delete_all`] can run every key of a batch
-    /// under one shared epoch pin.
-    fn remove_phase1(
-        &self,
-        x: i64,
-        guard: &Guard<'_>,
-        og: &UpdateOpGuard<'_>,
-    ) -> Option<*mut UpdateNode> {
         let i_node = self.find_latest(x); // L182
         if unsafe { (*i_node).kind() } != Kind::Ins {
-            return None; // L183: x not in S
+            return false; // L183: x not in S
         }
+        let og = UpdateOpGuard::new(self);
         // L184: the first embedded predecessor and the first embedded
         // successor; their announcements stay until this Delete returns.
         let (del_pred, p_node1) = self.embed::<Pred>(x, 0, &og.embeds, guard);
         let (del_succ, s_node1) = self.embed::<Succ>(x, 0, &og.embeds, guard);
-        og.phase.set(OpPhase::Helpers);
         fault::point(FaultPoint::DeleteHelpersDone);
         // L185–189: new inactive DEL node recording the embedded results.
         let d_node = self.core.alloc_node(UpdateNode::new_del(
@@ -919,68 +904,64 @@ impl LockFreeBinaryTrie {
             self.core.b(),
         ));
         og.node.set(d_node);
-        og.phase.set(OpPhase::Alloced);
         // Bind the delete's span to its node seq for helping attribution.
         trace::bind(seq_of(d_node));
-        unsafe {
-            (*d_node).init_del::<Pred>(del_pred, p_node1); // L188–189
-            (*d_node).init_del::<Succ>(del_succ, s_node1);
-            (*i_node).clear_latest_next(); // L190
-        }
+        // Safety: our own node; it outlives this operation's pin.
+        let d = unsafe { &*d_node };
+        d.init_del::<Pred>(del_pred, p_node1); // L188–189
+        d.init_del::<Succ>(del_succ, s_node1);
+        self.hand_off(i_node, guard); // L190
         self.notify_query_ops(i_node, guard); // L191: help previous Insert notify
         if !self.core.cas_latest(x, i_node, d_node) {
             // L192 failed: dNode was never published. (A crash while
-            // helping unwinds with the guard at `Alloced`, whose resume
-            // performs exactly this cleanup.)
+            // helping leaves the guard `Unpublished`, whose resume performs
+            // exactly this cleanup.)
             self.help_activate(self.core.latest_head(x), guard); // L193
             self.withdraw_embeds(&og.embeds, guard); // L194
             unsafe { self.core.dealloc_node(d_node) };
-            og.node.set(core::ptr::null_mut());
-            og.phase.set(OpPhase::Start);
-            return None; // L195
+            og.phase.set(OpPhase::Done);
+            return false; // L195
         }
-        og.displaced.set(i_node);
         og.phase.set(OpPhase::Published);
         fault::point(FaultPoint::DeletePublished);
         self.announce(d_node, guard); // L196
         og.phase.set(OpPhase::Announced);
         fault::point(FaultPoint::DeleteAnnounced);
-        unsafe { (*d_node).activate() }; // L197: linearization point
+        d.activate(); // L197: linearization point
         fault::point(FaultPoint::DeleteLinearized);
         // L198: iNode.target.stop ← True (⊥-tolerant).
         let target = unsafe { (*i_node).target() };
         if !target.is_null() {
             unsafe { (*target).set_stop() };
         }
-        unsafe { (*d_node).clear_latest_next() }; // L199
-                                                  // iNode is off the latest[x] list: retire it (freed once its own
-                                                  // Insert completed and target references drain).
+        // L199. iNode is then off the latest[x] list: retire it (freed once
+        // its own Insert completed and target references drain).
+        d.clear_latest_next();
         self.retire_displaced(i_node, guard);
-        og.displaced.set(core::ptr::null_mut());
-        og.phase.set(OpPhase::Linearized);
         // L200–201: the second embedded predecessor and successor.
-        let d = unsafe { &*d_node };
         d.set_del_result2::<Pred>(self.embed::<Pred>(x, 1, &og.embeds, guard).0);
         d.set_del_result2::<Succ>(self.embed::<Succ>(x, 1, &og.embeds, guard).0);
-        og.phase.set(OpPhase::Embeds);
         fault::point(FaultPoint::DeleteEmbedsDone);
-        bitops::delete_binary_trie(&self.core, self, d_node); // L202
-        d.claim_trie_update();
-        og.phase.set(OpPhase::TrieUpdated);
+        self.update_relaxed(d_node); // L202
         fault::point(FaultPoint::DeleteTrieUpdated);
-        Some(d_node)
-    }
-
-    /// Lines 204–206 of `Delete(x)`: complete, de-announce, and withdraw
-    /// the four embedded query announcements, advancing the unwind guard
-    /// past each irreversible step.
-    fn remove_finish(&self, d_node: *mut UpdateNode, guard: &Guard<'_>, og: &UpdateOpGuard<'_>) {
-        unsafe { (*d_node).set_completed() }; // L204
-        og.phase.set(OpPhase::Completed);
+        self.notify_query_ops(d_node, guard); // L203
+        d.set_completed(); // L204
         fault::point(FaultPoint::DeleteCompleted);
         self.deannounce(d_node, guard); // L205
         self.withdraw_embeds(&og.embeds, guard); // L206
         og.phase.set(OpPhase::Done);
+        true
+    }
+
+    /// The relaxed-trie update of `uNode` (line 176 or 202), then its
+    /// claim: the update is not idempotent, so a finisher runs it only
+    /// while unclaimed.
+    fn update_relaxed(&self, u_node: *mut UpdateNode) {
+        match unsafe { (*u_node).kind() } {
+            Kind::Ins => bitops::insert_binary_trie(&self.core, self, u_node),
+            Kind::Del => bitops::delete_binary_trie(&self.core, self, u_node),
+        }
+        unsafe { (*u_node).claim_trie_update() };
     }
 
     /// Runs embedded query `n` of direction `D` for the delete of `x`
@@ -1000,9 +981,9 @@ impl LockFreeBinaryTrie {
         (result, q_node)
     }
 
-    /// Lines 200–201 of direction `D` for a delete whose owner crashed:
-    /// runs the second embedded query only if its result was lost (a re-run
-    /// would overwrite another helper's already-published result).
+    /// Lines 200–201 of direction `D` for the finisher of an interrupted
+    /// delete: runs the second embedded query only if its result was lost
+    /// (a re-run would overwrite an already-published result).
     fn embed_second<D: Dir>(&self, d: &UpdateNode, embeds: &EmbeddedQueries, guard: &Guard<'_>) {
         if d.del_result2::<D>().is_none() {
             let (result, _) = self.embed::<D>(d.key(), 1, embeds, guard);
@@ -1032,154 +1013,91 @@ impl LockFreeBinaryTrie {
     // Crash tolerance: unwind resume + orphan adoption
     // ------------------------------------------------------------------
 
-    /// Drives a crashed update operation from its recorded phase to `Done`
-    /// (called by [`UpdateOpGuard`]'s drop during a panic unwind): a node
-    /// that was never published is returned to the pool, a published one
-    /// is completed exactly as the helping path would complete it — every
-    /// step here is the idempotent (or claimed-exactly-once) form — and
-    /// its announcements plus any embedded query announcements are
-    /// withdrawn.
-    fn resume_update(&self, og: &UpdateOpGuard<'_>, guard: &Guard<'_>) {
-        let phase = og.phase.get();
-        let node = og.node.get();
-        if phase == OpPhase::Done {
-            return;
-        }
-        if phase <= OpPhase::Alloced {
-            // Never published: nobody else can reach the node. Withdraw a
-            // delete's first embedded query announcements (at `Start` its
-            // first predecessor may already be announced when the first
-            // successor unwinds) and put the node back.
-            if !node.is_null() {
-                unsafe { self.core.dealloc_node(node) };
+    /// Finishes a published update whose owner cannot, from wherever the
+    /// owner stopped: activation and the displaced-node handoff (lines
+    /// 131–134), then — unless the update already completed — the second
+    /// embedded queries whose results were lost (200–201), the relaxed-trie
+    /// update if still unclaimed and the node not yet superseded,
+    /// notification and completion, and finally de-announcement (205) and
+    /// the withdrawal of the embedded queries recorded in `embeds` (206),
+    /// including the ones run here. The caller has announced the node.
+    /// Setting `completed` also opens `UpdateNode::ready_to_reclaim` for
+    /// the node and everything it superseded. Shared by the unwind resume
+    /// and orphan adoption; see [`UpdateOpGuard`] for why every step may
+    /// run again.
+    fn finish_update(&self, u_node: *mut UpdateNode, embeds: &EmbeddedQueries, guard: &Guard<'_>) {
+        let u = unsafe { &*u_node };
+        self.activate(u_node, guard); // L131–134
+        if !u.completed() {
+            if u.kind() == Kind::Del {
+                self.embed_second::<Pred>(u, embeds, guard);
+                self.embed_second::<Succ>(u, embeds, guard);
             }
-            self.withdraw_embeds(&og.embeds, guard);
-            og.phase.set(OpPhase::Done);
-            return;
-        }
-        if phase == OpPhase::Published {
-            self.announce(node, guard); // L173 / L196
-        }
-        if phase <= OpPhase::Announced {
-            unsafe { (*node).activate() }; // idempotent one-way store
-            let displaced = og.displaced.get();
-            if og.kind == Kind::Del && !displaced.is_null() {
-                // L198 for the superseded INS node.
-                let target = unsafe { (*displaced).target() };
-                if !target.is_null() {
-                    unsafe { (*target).set_stop() };
-                }
+            if !u.trie_update_claimed() && self.first_activated(u_node) {
+                self.update_relaxed(u_node);
             }
-            unsafe { (*node).clear_latest_next() }; // L175 / L199
-            if !displaced.is_null() {
-                self.retire_displaced(displaced, guard);
-            }
+            self.notify_query_ops(u_node, guard);
+            u.set_completed();
         }
-        if phase <= OpPhase::Linearized && og.kind == Kind::Del {
-            // L200–201, only for the results the crash lost.
-            let d = unsafe { &*node };
-            self.embed_second::<Pred>(d, &og.embeds, guard);
-            self.embed_second::<Succ>(d, &og.embeds, guard);
-        }
-        if phase <= OpPhase::Embeds && !unsafe { (*node).trie_update_claimed() } {
-            // The relaxed-trie bit update is not idempotent, so it is
-            // claimed exactly once; skip it entirely if a newer update on
-            // the key has already superseded this node.
-            if self.first_activated(node) {
-                if og.kind == Kind::Ins {
-                    bitops::insert_binary_trie(&self.core, self, node);
-                } else {
-                    bitops::delete_binary_trie(&self.core, self, node);
-                }
-            }
-            unsafe { (*node).claim_trie_update() };
-        }
-        if phase <= OpPhase::TrieUpdated {
-            self.notify_query_ops(node, guard);
-        }
-        if phase <= OpPhase::Notified {
-            unsafe { (*node).set_completed() };
-        }
-        self.deannounce(node, guard);
-        self.withdraw_embeds(&og.embeds, guard);
-        og.phase.set(OpPhase::Done);
+        self.deannounce(u_node, guard);
+        self.withdraw_embeds(embeds, guard);
     }
 
-    /// Adopts one dead-owner update announcement: completes the operation
-    /// through the same claimed-exactly-once steps as the unwind resume
-    /// (activation, displaced-node retirement, lost second embedded
-    /// results, the bit update, notification, completion), then withdraws
-    /// the announcement and the second embedded queries it ran itself.
-    /// Setting `completed` is what unblocks `UpdateNode::ready_to_reclaim`
-    /// for the orphan and everything it superseded — without adoption a
-    /// crashed update pins its key's retired nodes in limbo forever.
+    /// The unwind resume of a panicked update (called by
+    /// [`UpdateOpGuard`]'s drop): returns a never-published node to the
+    /// pool and withdraws a delete's first embedded queries, or finishes a
+    /// published update, announcing it first if the owner's announcement
+    /// never landed (lines 173/196).
+    fn resume_update(&self, og: &UpdateOpGuard<'_>, guard: &Guard<'_>) {
+        let node = og.node.get();
+        match og.phase.get() {
+            OpPhase::Unpublished => {
+                if !node.is_null() {
+                    unsafe { self.core.dealloc_node(node) };
+                }
+                self.withdraw_embeds(&og.embeds, guard);
+            }
+            OpPhase::Published => {
+                self.announce(node, guard);
+                self.finish_update(node, &og.embeds, guard);
+            }
+            OpPhase::Announced => self.finish_update(node, &og.embeds, guard),
+            OpPhase::Done => {}
+        }
+    }
+
+    /// Adopts one announced update of a dead owner and finishes it. The
+    /// dead owner's own embedded queries carry its incarnation, so the
+    /// query pass of the same sweep withdraws whichever are still
+    /// announced. They are not withdrawn here through `del_node`: a
+    /// helper's late re-announcement can surface a delete whose owner (or
+    /// an earlier sweep) withdrew them long ago, and the registry may since
+    /// have reclaimed them.
     fn adopt_update(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
-        let u = unsafe { &*u_node };
-        let key = u.key();
+        let key = unsafe { (*u_node).key() };
         telemetry::event(Counter::OrphansAdopted, FlightKind::Adopt, key, 0);
         // Adoption is helping on behalf of a dead owner: open an `Adopt`
         // span and a helping edge to the victim's node so the exporter can
         // draw adopter → abandoned-span flows.
         let _s = trace::span(OpKind::Adopt, key);
         let _h = trace::help(seq_of(u_node));
-        if u.status() == Status::Inactive {
-            u.activate(); // L131
-        }
-        // Capture before the clear — afterwards nobody can reach it.
-        let displaced = u.latest_next();
-        if u.kind() == Kind::Del && !displaced.is_null() {
-            // L132–133
-            let target = unsafe { (*displaced).target() };
-            if !target.is_null() {
-                unsafe { (*target).set_stop() };
-            }
-        }
-        u.clear_latest_next(); // L134
-        if !displaced.is_null() {
-            self.retire_displaced(displaced, guard);
-        }
-        let embeds = EmbeddedQueries::new();
-        if !u.completed() {
-            if u.kind() == Kind::Del {
-                // L200–201 for the results the dead owner never recorded.
-                self.embed_second::<Pred>(u, &embeds, guard);
-                self.embed_second::<Succ>(u, &embeds, guard);
-            }
-            if !u.trie_update_claimed() {
-                if self.first_activated(u_node) {
-                    if u.kind() == Kind::Ins {
-                        bitops::insert_binary_trie(&self.core, self, u_node);
-                    } else {
-                        bitops::delete_binary_trie(&self.core, self, u_node);
-                    }
-                }
-                u.claim_trie_update();
-            }
-            self.notify_query_ops(u_node, guard);
-            u.set_completed(); // L204
-        }
-        self.deannounce(u_node, guard); // L205
-
-        // L206 for the second embedded queries run above. The dead owner's
-        // own embedded queries carry its incarnation, so the P-ALL/S-ALL
-        // pass of this sweep withdraws whichever are still announced. They
-        // are not withdrawn here through `del_node`: a helper's late
-        // re-announcement can surface a delete whose owner (or an earlier
-        // sweep) withdrew them long ago, and the registry may since have
-        // reclaimed them.
-        self.withdraw_embeds(&embeds, guard);
+        self.finish_update(u_node, &EmbeddedQueries::new(), guard);
     }
 
     /// Completes and withdraws every announcement owned by a dead thread
     /// incarnation (a thread that crashed, or a test thread abandoned via
     /// fault injection). Returns the number of announcements adopted.
     ///
-    /// Runs in two ordered passes: update announcements first — each
-    /// orphan is *completed* via the helping steps, which also unpins the
-    /// nodes it superseded from the limbo lists — then dead query
-    /// announcements, which are withdrawal-only. The order matters: a
-    /// query node may only be retired after the delete embedding it has
-    /// de-announced (see `remove_query_node`), which pass one guarantees.
+    /// Runs in three ordered passes. The first two finish dead owners'
+    /// updates — each is *completed*, which also unpins the nodes it
+    /// superseded from the limbo lists: first those announced in the
+    /// U-ALL/RU-ALL, then the inactive heads of the latest lists, which are
+    /// announced first (line 130). That O(u) walk runs only after an update
+    /// was abandoned between its latest-list CAS and its announcement, or
+    /// when dead query announcements are about to be withdrawn. The third
+    /// pass withdraws those. The order matters: a query node may only be
+    /// retired after the delete embedding it has de-announced (see
+    /// `remove_query_node`), which the first two passes guarantee.
     ///
     /// Amortized integration: update entry points call this automatically
     /// (via a death-generation check) after a thread incarnation dies, and
@@ -1224,25 +1142,50 @@ impl LockFreeBinaryTrie {
             self.adopt_update(orphan, guard);
             adopted += 1;
         }
-        // Pass B: dead-owner query announcements (plain queries, and every
-        // embedded query of a delete whose owner died).
-        adopted += self.adopt_dead_queries::<Pred>(guard);
-        adopted += self.adopt_dead_queries::<Succ>(guard);
+        // Pass B's dead-owner query announcements (plain queries, and every
+        // embedded query of a delete whose owner died), collected before
+        // pass A′ so that a delete whose first embedded queries are among
+        // them is found and de-announced before they are withdrawn.
+        let dead_preds = self.dead_queries::<Pred>(guard);
+        let dead_succs = self.dead_queries::<Succ>(guard);
+        // Pass A′: dead-owner updates published but never announced. An
+        // inactive node is always the head of its latest list.
+        if self.unannounced_orphans.swap(false, Ordering::SeqCst)
+            || !dead_preds.is_empty()
+            || !dead_succs.is_empty()
+        {
+            for x in 0..self.universe as i64 {
+                let head = self.core.latest_head(x);
+                // Safety: read from the latest list under the sweep's pin.
+                let h = unsafe { &*head };
+                if h.status() == Status::Inactive && !liveness::is_live(h.owner()) {
+                    self.announce(head, guard); // L130
+                    self.adopt_update(head, guard);
+                    adopted += 1;
+                }
+            }
+        }
+        // Pass B.
+        adopted += self.withdraw_dead_queries::<Pred>(&dead_preds, guard);
+        adopted += self.withdraw_dead_queries::<Succ>(&dead_succs, guard);
         adopted
     }
 
-    /// Adoption pass B for query side `D`: withdraws every announcement
-    /// whose owner is dead. Collected first, then withdrawn: nobody else
-    /// withdraws dead-owner nodes while we hold the sweep lock.
-    fn adopt_dead_queries<D: Dir>(&self, guard: &Guard<'_>) -> usize {
-        let dead: Vec<*mut QueryNode> = self
-            .side::<D>()
+    /// The announcements on query side `D` whose owner is dead. Nobody
+    /// else withdraws dead-owner nodes while the sweep lock is held.
+    fn dead_queries<D: Dir>(&self, guard: &Guard<'_>) -> Vec<*mut QueryNode> {
+        self.side::<D>()
             .list
             .iter(guard)
             .map(|c| unsafe { (*c).payload() })
             .filter(|&q| !liveness::is_live(unsafe { (*q).owner() }))
-            .collect();
-        for &q_node in &dead {
+            .collect()
+    }
+
+    /// Adoption pass B for query side `D`: withdraws the `dead`
+    /// announcements.
+    fn withdraw_dead_queries<D: Dir>(&self, dead: &[*mut QueryNode], guard: &Guard<'_>) -> usize {
+        for &q_node in dead {
             telemetry::event(
                 Counter::OrphansAdopted,
                 FlightKind::Adopt,
@@ -1443,84 +1386,49 @@ impl LockFreeBinaryTrie {
         }
     }
 
-    /// Inserts every key in `keys`, sharing one epoch pin across the batch
-    /// but **pipelining** the keys: each key runs the full single-key
-    /// protocol — phase 1 (lines 163–176), its own `NotifyPredOps` pass,
-    /// completion, de-announcement — before the next key starts. At most
-    /// one of the batch's U-ALL announcements is therefore ever live (the
+    /// Inserts every key in `keys` by calling [`LockFreeBinaryTrie::insert`]
+    /// on each in turn; returns how many calls were S-modifying. Each
+    /// insert linearizes on its own (this is not an atomic multi-insert)
+    /// and pins the trie's epoch domain for its own duration only, so a
+    /// long batch holds back no reclamation. Each key also withdraws its
+    /// announcement before the next starts, so at most one of the batch's
+    /// U-ALL announcements is ever live (the
     /// [`LockFreeBinaryTrie::announcements`] high-water is the same for any
-    /// batch width), so wide batches never lengthen concurrent operations'
-    /// announcement-list traversals. Equivalent to calling
-    /// [`LockFreeBinaryTrie::insert`] per key (each insert
-    /// linearizes individually at its activation); returns how many calls
-    /// were S-modifying.
+    /// batch width).
     ///
     /// # Panics
     ///
     /// Panics if any key is `≥ universe` — before any key is inserted: the
-    /// whole batch is validated up front, so a bad key never leaves earlier
-    /// keys activated-but-unnotified (which would leak their announcements
-    /// permanently).
+    /// whole batch is validated up front, so a bad key never leaves a
+    /// partial batch applied.
     pub fn insert_all(&self, keys: &[Key]) -> usize {
-        for &x in keys {
-            self.check_key(x);
-        }
-        telemetry::add(Counter::InsertOps, keys.len() as u64);
-        let _s = trace::span(OpKind::Batch, keys.len() as i64);
-        self.maybe_adopt_orphans();
-        let guard = &self.domain().pin();
-        let mut modifying = 0;
-        for &x in keys {
-            // Each key gets its own unwind guard: a crash mid-batch
-            // completes (or withdraws) the key in flight and leaves the
-            // batch a clean prefix of per-key linearized operations.
-            let og = UpdateOpGuard::new(self, Kind::Ins);
-            let i_node = self.insert_phase1(x as i64, guard, &og);
-            if !i_node.is_null() {
-                self.notify_query_ops(i_node, guard);
-                og.phase.set(OpPhase::Notified);
-                unsafe { (*i_node).set_completed() };
-                og.phase.set(OpPhase::Completed);
-                self.deannounce(i_node, guard);
-                modifying += 1;
-            }
-            og.phase.set(OpPhase::Done);
-            fault::point(FaultPoint::BatchKeyDone);
-        }
-        modifying
+        self.batch(keys, Self::insert)
     }
 
-    /// Removes every key in `keys`, sharing one epoch pin across the batch
-    /// but pipelining the keys — each delete notifies and de-announces
-    /// before the next starts (the delete mirror of
-    /// [`LockFreeBinaryTrie::insert_all`]; each delete still runs its own
-    /// four embedded query operations and linearizes individually at its
-    /// activation). Returns how many calls were S-modifying.
+    /// Removes every key in `keys` by calling [`LockFreeBinaryTrie::remove`]
+    /// on each in turn — the delete mirror of
+    /// [`LockFreeBinaryTrie::insert_all`], with the same per-key epoch pin
+    /// and linearization. Returns how many calls were S-modifying.
     ///
     /// # Panics
     ///
     /// Panics if any key is `≥ universe` — before any key is removed (the
-    /// same up-front validation as [`LockFreeBinaryTrie::insert_all`]; a
-    /// lazy check would leak the partial batch's announcements, including
-    /// each delete's four embedded query announcements).
+    /// same up-front validation as [`LockFreeBinaryTrie::insert_all`]).
     pub fn delete_all(&self, keys: &[Key]) -> usize {
+        self.batch(keys, Self::remove)
+    }
+
+    /// The loop behind [`LockFreeBinaryTrie::insert_all`] and
+    /// [`LockFreeBinaryTrie::delete_all`]: validates every key, then runs
+    /// `update` per key.
+    fn batch(&self, keys: &[Key], update: fn(&Self, Key) -> bool) -> usize {
         for &x in keys {
             self.check_key(x);
         }
-        telemetry::add(Counter::RemoveOps, keys.len() as u64);
         let _s = trace::span(OpKind::Batch, keys.len() as i64);
-        self.maybe_adopt_orphans();
-        let guard = &self.domain().pin();
         let mut modifying = 0;
         for &x in keys {
-            let og = UpdateOpGuard::new(self, Kind::Del);
-            if let Some(d_node) = self.remove_phase1(x as i64, guard, &og) {
-                self.notify_query_ops(d_node, guard);
-                og.phase.set(OpPhase::Notified);
-                self.remove_finish(d_node, guard, &og);
-                modifying += 1;
-            }
-            og.phase.set(OpPhase::Done);
+            modifying += usize::from(update(self, x));
             fault::point(FaultPoint::BatchKeyDone);
         }
         modifying
@@ -2499,9 +2407,7 @@ mod tests {
     #[test]
     fn batch_with_bad_key_panics_before_any_update() {
         // A key ≥ universe must abort the whole batch up front: a lazy
-        // per-key check would leave earlier keys activated and announced
-        // but never notified or de-announced, leaking their announcements
-        // permanently.
+        // per-key check would leave the keys before it applied.
         let t = LockFreeBinaryTrie::new(16);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             t.insert_all(&[3, 7, 99]);

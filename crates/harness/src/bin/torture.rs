@@ -206,8 +206,13 @@ fn one_op(trie: &LockFreeBinaryTrie, rng: &mut StdRng, universe: u64) {
             assert!(n as u64 <= hi - k + 1, "count exceeds range width");
         }
         13 => {
-            if let (Some(mn), Some(mx)) = (trie.min(), trie.max()) {
-                assert!(mn <= mx, "min above max");
+            // Two separately linearized calls: the set may change between
+            // them, so only each answer is checked here. The round's
+            // quiescent validation compares both with the model.
+            if let Some(mn) = trie.min() {
+                assert!(mn < universe, "min escaped the universe");
+            }
+            if let Some(mx) = trie.max() {
                 assert!(mx < universe, "max escaped the universe");
             }
         }

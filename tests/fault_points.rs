@@ -3,8 +3,9 @@
 //! every operation type, and require that
 //!
 //! * the trie stays equivalent to a `BTreeSet` model — a crashed
-//!   operation's own outcome may be either "happened" or "didn't", but it
-//!   must be one of the two, atomically, and every other key is untouched;
+//!   single-key update has taken effect exactly when the fault fired after
+//!   its latest-list CAS, a crashed batch leaves a prefix of its keys
+//!   applied, and every other key is untouched;
 //! * after [`adopt_orphans`] every announcement list drains to zero, so
 //!   the crashed operation's footprint does not linger; and
 //! * the trie remains fully operational afterwards (follow-up operations
@@ -218,11 +219,32 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
     }
     if crashed {
         match op {
-            Op::InsertNew if trie.contains(k_new) => {
-                model.insert(k_new);
+            // A crashed single-key update has taken effect exactly when its
+            // fault fired after the latest-list CAS published its node:
+            // from then on the unwind guard or an adopter must finish it.
+            // Checked before any follow-up operation on the key can help
+            // the node in.
+            Op::InsertNew => {
+                let published = fires_after_publication(point);
+                assert_eq!(
+                    trie.contains(k_new),
+                    published,
+                    "{ctx}: the crashed insert's outcome"
+                );
+                if published {
+                    model.insert(k_new);
+                }
             }
-            Op::RemovePresent if !trie.contains(k_old) => {
-                model.remove(&k_old);
+            Op::RemovePresent => {
+                let published = fires_after_publication(point);
+                assert_eq!(
+                    !trie.contains(k_old),
+                    published,
+                    "{ctx}: the crashed remove's outcome"
+                );
+                if published {
+                    model.remove(&k_old);
+                }
             }
             Op::PopMin => {
                 // Only the final `remove(min)` mutates; one injected fault
@@ -306,6 +328,30 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
     assert_equivalent(&trie, &model, &format!("{ctx} (aftermath)"));
     let lens = trie.announcements();
     assert!(lens.is_empty(), "{ctx}: aftermath leaked announcements");
+}
+
+/// Whether a fault at `point` that crashes an S-modifying `insert` or
+/// `remove` fires after the update's latest-list CAS. The U-ALL/RU-ALL
+/// points count too: such an update first announces (lines 173/196) and
+/// first withdraws (lines 179/205) after that CAS.
+fn fires_after_publication(point: FaultPoint) -> bool {
+    use FaultPoint::*;
+    matches!(
+        point,
+        AnnounceInsert
+            | AnnounceRemove
+            | InsertPublished
+            | InsertAnnounced
+            | InsertLinearized
+            | InsertTrieUpdated
+            | InsertCompleted
+            | DeletePublished
+            | DeleteAnnounced
+            | DeleteLinearized
+            | DeleteEmbedsDone
+            | DeleteTrieUpdated
+            | DeleteCompleted
+    )
 }
 
 fn model_pred_of(y: u64) -> Option<u64> {
@@ -396,6 +442,72 @@ fn a_panic_at_any_occurrence_leaves_no_announcement() {
         );
     }
     assert!(panics > 128, "only {panics} of 256 runs panicked");
+}
+
+/// A delete stopped after its latest-list CAS on a thread that then exits
+/// leaves its DEL node inactive at the head of its latest list, in no
+/// announcement list and with a dead owner, while its first embedded
+/// queries stay announced. No guard saw an abandon, so only those dead
+/// queries tell adoption to walk the latest lists: it must finish the
+/// delete before it withdraws them.
+#[test]
+fn an_unannounced_delete_of_an_exited_thread_is_adopted() {
+    let trie = LockFreeBinaryTrie::new(U);
+    trie.insert(5);
+    trie.insert(9);
+    std::thread::scope(|s| {
+        let owner = s.spawn(|| fault::suspend_at(FaultPoint::DeletePublished, || trie.remove(9)));
+        assert!(owner.join().expect("owner thread"), "the delete stopped");
+    });
+    let lens = trie.announcements();
+    assert_eq!((lens.uall, lens.ruall, lens.pall, lens.sall), (0, 0, 1, 1));
+    assert!(trie.contains(9), "the stopped delete is not linearized");
+    assert_eq!(
+        trie.adopt_orphans(),
+        3,
+        "the delete and its two first embedded queries"
+    );
+    assert!(!trie.contains(9), "adoption finished the delete");
+    assert!(trie.announcements().is_empty());
+    assert_eq!(trie.predecessor(20), Some(5));
+}
+
+/// An update that cuts another update's `latestNext` link retires the
+/// node the link pointed to. Here an insert cuts the link (lines 168–169)
+/// of a delete stopped between its activation and its own cut (line 199):
+/// the delete's finisher, once its thread has exited, finds the link gone,
+/// so no one else would retire the INS node the delete displaced.
+#[test]
+fn the_update_that_cuts_a_link_retires_the_displaced_node() {
+    let trie = LockFreeBinaryTrie::new(U);
+    trie.insert(9);
+    let (stopped_tx, stopped_rx) = mpsc::channel();
+    let (exit_tx, exit_rx) = mpsc::channel::<()>();
+    let trie = &trie;
+    std::thread::scope(|s| {
+        let owner = s.spawn(move || {
+            let stopped = fault::suspend_at(FaultPoint::DeleteLinearized, || trie.remove(9));
+            stopped_tx.send(stopped).expect("main thread waits");
+            exit_rx.recv().expect("main thread signals");
+        });
+        assert!(
+            stopped_rx.recv().expect("owner thread"),
+            "the delete stopped"
+        );
+        // The owner is alive, so no sweep finishes its delete first.
+        assert!(trie.insert(9));
+        exit_tx.send(()).expect("owner thread waits");
+        owner.join().expect("owner thread");
+    });
+    trie.collect_garbage();
+    assert!(trie.announcements().is_empty());
+    // Each key's latest-list head; the delete, superseded before it was
+    // finished, never reached a dNodePtr slot and is freed too.
+    assert_eq!(
+        trie.live_nodes(),
+        U as usize,
+        "a displaced node was never retired"
+    );
 }
 
 #[test]
