@@ -45,6 +45,6 @@ pub mod layout;
 pub mod relaxed;
 pub mod trie;
 
-pub use lftrie_primitives::{fault, liveness};
+pub use lftrie_primitives::fault;
 pub use relaxed::{LatestInfo, RelaxedBinaryTrie, RelaxedPred, RelaxedSucc};
 pub use trie::{CellAllocStats, IterFrom, LockFreeBinaryTrie};

@@ -17,7 +17,6 @@ use core::sync::atomic::{
 
 use lftrie_lists::pall::PallCell;
 use lftrie_lists::pushstack::PushStack;
-use lftrie_primitives::liveness;
 use lftrie_primitives::minreg::AndMinRegister;
 use lftrie_primitives::registry::Reclaim;
 use lftrie_primitives::steps;
@@ -66,14 +65,10 @@ pub struct UpdateNode {
     /// it instead of raw pointers so that identity comparisons against
     /// long-dead notifiers can never alias a recycled address (ABA).
     pub(crate) seq: u64,
-    /// Liveness incarnation id of the allocating thread
-    /// ([`liveness::current_owner`]); `adopt_orphans` completes and
-    /// withdraws announced nodes whose owner died. Immutable.
-    pub(crate) owner: u64,
     /// `false → true` once the relaxed-trie bit update for this node has
     /// run to completion. The bit update is *not* idempotent (`set_target`
-    /// double-counts on a re-run), so exactly one of the owner's pipeline,
-    /// its unwind guard, or an adopter claims it via
+    /// double-counts on a re-run), so exactly one of the owner's pipeline
+    /// or its unwind guard's resume claims it via
     /// [`UpdateNode::claim_trie_update`].
     trie_updated: AtomicBool,
     /// Number of `dNodePtr` slots currently (or about to be) holding this
@@ -102,9 +97,8 @@ pub struct UpdateNode {
     completed: AtomicBool,
     /// Claim flag for *this node's retirement as a displaced node*: when a
     /// successful latest-list CAS supersedes this node, exactly one of the
-    /// superseding operation, its unwind guard, a helper, or an orphan
-    /// adopter retires it (retirement is a limbo-list push and must not
-    /// double-run).
+    /// superseding operation, its unwind guard, or a helper retires it
+    /// (retirement is a limbo-list push and must not double-run).
     retire_claim: AtomicBool,
     /// DEL: heights `≤ upper0Boundary` that depend on this node read bit 0
     /// (line 100). Only the creator writes it, incrementing by 1 (Obs. 4.12).
@@ -146,7 +140,7 @@ impl UpdateNode {
     /// are born `completed` — no operation ever finishes them, and the flag
     /// gates their reclamation once the first real insert supersedes them.
     pub(crate) fn new_dummy(key: i64, b: u32) -> Self {
-        let mut node = Self::new(
+        let node = Self::new(
             key,
             Kind::Del,
             Status::Active,
@@ -156,9 +150,8 @@ impl UpdateNode {
             b,
         );
         node.completed.store(true, Ordering::Relaxed);
-        // Structural: dummies have no owning operation to adopt for, and
-        // nothing about them is ever driven through a bit update.
-        node.owner = liveness::NO_OWNER;
+        // Structural: nothing about a dummy is ever driven through a bit
+        // update.
         node.trie_updated.store(true, Ordering::Relaxed);
         node
     }
@@ -176,7 +169,6 @@ impl UpdateNode {
             key,
             kind,
             seq: 0,
-            owner: liveness::current_owner(),
             trie_updated: AtomicBool::new(false),
             dnode_refs: AtomicU32::new(0),
             target_refs: AtomicU32::new(0),
@@ -207,12 +199,6 @@ impl UpdateNode {
     #[inline]
     pub(crate) fn kind(&self) -> Kind {
         self.kind
-    }
-
-    /// Incarnation id of the thread that allocated this node.
-    #[inline]
-    pub(crate) fn owner(&self) -> u64 {
-        self.owner
     }
 
     /// Claims the relaxed-trie bit update for this node: returns `true`
@@ -512,9 +498,6 @@ pub struct QueryNode {
     /// Input key `y` (line 106); rewritten only by the owning scan session
     /// between steps, under the `era` seqlock.
     key: AtomicI64,
-    /// Liveness incarnation id of the allocating thread (for orphan
-    /// adoption). Immutable.
-    owner: u64,
     /// Era seqlock guarding `(key, position)` pairs: even = stable,
     /// odd = a slide is rewriting the pair. Only the owner writes it.
     era: AtomicU64,
@@ -526,10 +509,8 @@ pub struct QueryNode {
     pub(crate) position: PublishedKey,
     /// The P-ALL / S-ALL cell this node was announced with, for removal.
     cell: AtomicPtr<PallCell<QueryNode>>,
-    /// Withdrawal claim: under the crash model both a crashed operation's
-    /// resume path and the orphan-adoption sweep can reach the same node
-    /// (e.g. an embedded query of a delete that died before announcing),
-    /// and withdrawal retires — it must happen exactly once.
+    /// Withdrawal claim: withdrawal retires the node, so it must happen
+    /// exactly once; the claim turns a repeated withdrawal into a no-op.
     withdrawn: AtomicBool,
 }
 
@@ -551,7 +532,6 @@ impl QueryNode {
     pub(crate) fn new(y: i64, origin: i64) -> Self {
         Self {
             key: AtomicI64::new(y),
-            owner: liveness::current_owner(),
             era: AtomicU64::new(0),
             notify_list: PushStack::new(),
             position: PublishedKey::new(origin),
@@ -565,12 +545,6 @@ impl QueryNode {
     #[inline]
     pub(crate) fn claim_withdraw(&self) -> bool {
         !self.withdrawn.swap(true, Ordering::SeqCst)
-    }
-
-    /// Incarnation id of the thread that allocated this node.
-    #[inline]
-    pub(crate) fn owner(&self) -> u64 {
-        self.owner
     }
 
     /// The current query key (rewritten between scan steps by the owner).
@@ -747,6 +721,14 @@ mod tests {
         assert_eq!(s.key(), 12);
         assert_eq!(s.position.load(), NEG_INF);
         assert_eq!(s.stable_pair(), Some((12, NEG_INF, 2)));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn update_node_is_120_bytes() {
+        // Every update allocates one, and every resident key keeps one:
+        // a field added here is paid for per key.
+        assert_eq!(core::mem::size_of::<UpdateNode>(), 120);
     }
 
     #[test]

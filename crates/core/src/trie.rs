@@ -76,27 +76,28 @@
 //! # Finishing an interrupted update
 //!
 //! In the paper only an update's owner runs its tail; other operations
-//! help only through activation (`HelpActivate`, lines 128–136). Two more
-//! parties finish a *published* update here: the owner's own unwind guard
-//! when the operation panics, and orphan adoption when the owner's thread
-//! dies. Both run one routine, `finish_update`: activation and the
-//! displaced-node handoff (lines 131–134, shared with `help_activate`),
-//! a delete's lost second embedded queries (200–201), the relaxed-trie
-//! update, notification, completion and de-announcement. Each step is
-//! idempotent or claimed exactly once (the argument is on
-//! `UpdateOpGuard`), so the routine may start wherever the owner stopped.
+//! help only through activation (`HelpActivate`, lines 128–136). That
+//! holds here too. An operation leaves only by returning or by unwinding,
+//! and when it unwinds its own guard finishes a *published* update with
+//! `finish_update`: activation and the displaced-node handoff (lines
+//! 131–134, shared with `help_activate`), a delete's lost second embedded
+//! queries (200–201), the relaxed-trie update, notification, completion
+//! and de-announcement. Each step is idempotent or claimed exactly once
+//! (the argument is on `UpdateOpGuard`), so the routine may start
+//! wherever the owner stopped. An operation suspended for good
+//! (`fault::suspend_at`) is the paper's stalled process: its guards leave
+//! its footprint, and other operations only help it through activation.
 
 use core::cell::Cell as StdCell;
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use lftrie_lists::announce::AnnounceList;
 use lftrie_lists::pall::PallList;
 use lftrie_lists::Direction;
 use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::fault::{self, FaultPoint};
-use lftrie_primitives::liveness;
 use lftrie_primitives::registry::{AllocStats, Registry};
 use lftrie_primitives::{Key, NO_PRED, POS_INF};
 use lftrie_telemetry::trace::{self, OpKind, TracePhase};
@@ -182,12 +183,10 @@ enum OpPhase {
 /// returned) and whether the owner's announcement landed (if not, the
 /// resume announces it first, as line 130 does).
 ///
-/// The resume is skipped when the panic is an injected
-/// [`fault::FaultAction::Abandon`] (simulating a thread that dies without
-/// unwinding — that is what orphan adoption exists for) or `Suspend` (a
-/// stalled thread, whose operation others help along), or when the
-/// guards were switched off via [`fault::set_unwind_guards_enabled`] (the
-/// "teeth" check).
+/// The resume is skipped while the thread unwinds out of an operation an
+/// injected `Suspend` stopped (the paper's stalled process, whose
+/// operation others help along), or when the guards were switched off via
+/// [`fault::set_unwind_guards_enabled`] (the "teeth" check).
 struct UpdateOpGuard<'t> {
     trie: &'t LockFreeBinaryTrie,
     phase: StdCell<OpPhase>,
@@ -210,41 +209,12 @@ impl<'t> UpdateOpGuard<'t> {
 
 impl Drop for UpdateOpGuard<'_> {
     fn drop(&mut self) {
-        let phase = self.phase.get();
-        if phase == OpPhase::Done || !std::thread::panicking() {
+        if self.phase.get() == OpPhase::Done || !std::thread::panicking() {
             return;
         }
-        if fault::is_abandoning() || !fault::unwind_guards_enabled() {
-            // Simulated crash-without-unwind: leave the footprint for
-            // `adopt_orphans` (or, with guards off, demonstrate the leak).
-            trace::note_abandon();
-            let node = self.node.get();
-            if node.is_null() {
-                return;
-            }
-            // Safety: the operation's own node, allocated under its pin,
-            // which the unwinding caller frame still holds.
-            let u = unsafe { &*node };
-            match phase {
-                // Allocated but never published: no helper or adopter can
-                // ever reach this pooled node again — it is stranded for
-                // the life of the structure. Count it so leak ceilings can
-                // subtract exactly what abandonment is allowed to cost.
-                OpPhase::Unpublished => telemetry::event(
-                    Counter::StrandedNodes,
-                    FlightKind::Stranded,
-                    u.key(),
-                    u.kind() as u64,
-                ),
-                // Published by a dead owner but in no announcement list:
-                // only a walk of the latest lists finds it. Ask for that
-                // walk, and have this trie's next update sweep.
-                OpPhase::Published if !liveness::is_live(u.owner()) => {
-                    self.trie.unannounced_orphans.store(true, Ordering::SeqCst);
-                    self.trie.adopt_gen.store(u64::MAX, Ordering::SeqCst);
-                }
-                _ => {}
-            }
+        if fault::is_suspending() || !fault::unwind_guards_enabled() {
+            // A suspended operation leaves its footprint for others to help
+            // along; with the guards off, leaving it is the point.
             return;
         }
         let _quiet = fault::suppress();
@@ -280,8 +250,7 @@ impl<D: Dir> Drop for QueryGuard<'_, D> {
         if !self.armed.get() || !std::thread::panicking() {
             return;
         }
-        if fault::is_abandoning() || !fault::unwind_guards_enabled() {
-            trace::note_abandon();
+        if fault::is_suspending() || !fault::unwind_guards_enabled() {
             return;
         }
         let _quiet = fault::suppress();
@@ -297,10 +266,10 @@ impl<D: Dir> Drop for QueryGuard<'_, D> {
 /// between the helper's announcement of another operation's node (L130)
 /// and its own withdrawal check (L135–136) runs that check on the way out.
 /// Without it the helper could leave an announcement of a node whose owner
-/// has already completed and withdrawn: the owner is alive, so adoption
-/// never withdraws it, and once the helper's pin ends the node can be
-/// reclaimed under the stale cell. For that reason the check also runs
-/// when the thread is abandoning, since its unwinding releases the pin.
+/// has already completed and withdrawn, which nobody else withdraws: once
+/// the helper's pin ends the node can be reclaimed under the stale cell.
+/// For that reason the check also runs when the thread unwinds out of a
+/// suspension, since that unwinding releases the pin too.
 struct HelpGuard<'t, 'g> {
     trie: &'t LockFreeBinaryTrie,
     node: *mut UpdateNode,
@@ -402,26 +371,10 @@ pub struct LockFreeBinaryTrie {
     /// the announce/withdraw sites; feeds the high-water gauge. Signed so
     /// that transient interleavings of the relaxed updates cannot wrap.
     ann_current: AtomicI64,
-    /// Highest `ann_current` ever observed: a crashed thread's leaked
-    /// announcements show up as a high-water mark that never comes back
-    /// down until adoption withdraws them.
+    /// Highest `ann_current` ever observed: how many announcements were
+    /// live at once at the peak, which the list lengths stop showing once
+    /// they drain.
     ann_high_water: AtomicU64,
-    /// The [`liveness::death_generation`] value already adopted for:
-    /// update entry points compare and swap-claim it so orphan adoption
-    /// runs amortized-once per thread death, not per operation.
-    adopt_gen: AtomicU64,
-    /// Raised by the guard of an update abandoned between its latest-list
-    /// CAS and its announcement: its node waits inactive at the head of
-    /// its latest list and in no announcement list, so the next adoption
-    /// sweep walks every latest list once (O(u)). A sweep that finds dead
-    /// query announcements walks too, since they may be a delete's first
-    /// embedded queries. Runs without abandons never walk.
-    unannounced_orphans: AtomicBool,
-    /// Serializes [`LockFreeBinaryTrie::adopt_orphans`] sweeps. Ordinary
-    /// operations never take it (`try_lock` in the sweep keeps the fast
-    /// path lock-free: a blocked would-be adopter just defers to the one
-    /// already running).
-    adoption: Mutex<()>,
 }
 
 impl LatestAccess for LockFreeBinaryTrie {
@@ -470,9 +423,6 @@ impl LockFreeBinaryTrie {
             sides: [QuerySide::new(&domain), QuerySide::new(&domain)],
             ann_current: AtomicI64::new(0),
             ann_high_water: AtomicU64::new(0),
-            adopt_gen: AtomicU64::new(0),
-            unannounced_orphans: AtomicBool::new(false),
-            adoption: Mutex::new(()),
         }
     }
 
@@ -579,7 +529,7 @@ impl LockFreeBinaryTrie {
     /// 175 and 190): stops the displaced node's target if `uNode` is a DEL
     /// node, cuts the `latestNext` link, and retires the displaced node.
     /// After the cut nothing reaches that node through the latest list, so
-    /// whoever cuts the link retires it — a crashed owner never would —
+    /// whoever cuts the link retires it — a suspended owner never would —
     /// and the claim makes the retirement exactly-once. A no-op once the
     /// link is gone.
     fn hand_off(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
@@ -614,20 +564,9 @@ impl LockFreeBinaryTrie {
             };
             self.announce(u_node, guard); // L130
             self.activate(u_node, guard); // L131–134
-            if !u.completed() && !liveness::is_live(u.owner()) {
-                // A dead owner will never run its completion phase, and the
-                // announcement we just published for it would outlive every
-                // death-generation trigger (the death already happened).
-                // Sweep it into adoption now; reentry from inside a sweep
-                // is cut off by the sweep lock's `try_lock`, and a sweep
-                // already under way may have completed and withdrawn the
-                // node before our announcement landed — the check below
-                // catches that.
-                self.adopt_orphans();
-            }
             if u.completed() {
-                // L135: owner (or adopter) finished while we were helping —
-                // our (or a stale) announcement must go.
+                // L135: the owner finished while we were helping — our (or
+                // a stale) announcement must go.
                 self.deannounce(u_node, guard); // L136
             }
         }
@@ -822,7 +761,6 @@ impl LockFreeBinaryTrie {
         let x = self.check_key(x);
         telemetry::add(Counter::InsertOps, 1);
         let _s = trace::span(OpKind::Insert, x);
-        self.maybe_adopt_orphans();
         let guard = &self.domain().pin();
         fault::point(FaultPoint::InsertEntry);
         let d_node = self.find_latest(x); // L163
@@ -883,7 +821,6 @@ impl LockFreeBinaryTrie {
         let x = self.check_key(x);
         telemetry::add(Counter::RemoveOps, 1);
         let _s = trace::span(OpKind::Remove, x);
-        self.maybe_adopt_orphans();
         let guard = &self.domain().pin();
         fault::point(FaultPoint::DeleteEntry);
         let i_node = self.find_latest(x); // L182
@@ -966,9 +903,9 @@ impl LockFreeBinaryTrie {
 
     /// Runs embedded query `n` of direction `D` for the delete of `x`
     /// (line 184 for `n = 0`, line 200 for `n = 1`) and records its
-    /// still-announced node in `embeds`, where the delete's completion, an
-    /// unwind, or an adopter finds it to withdraw. Returns the result and
-    /// the node.
+    /// still-announced node in `embeds`, where the delete's completion or
+    /// its unwind guard finds it to withdraw. Returns the result and the
+    /// node.
     fn embed<D: Dir>(
         &self,
         x: i64,
@@ -1010,7 +947,7 @@ impl LockFreeBinaryTrie {
     }
 
     // ------------------------------------------------------------------
-    // Crash tolerance: unwind resume + orphan adoption
+    // Panic tolerance: the unwind resume
     // ------------------------------------------------------------------
 
     /// Finishes a published update whose owner cannot, from wherever the
@@ -1022,9 +959,8 @@ impl LockFreeBinaryTrie {
     /// the withdrawal of the embedded queries recorded in `embeds` (206),
     /// including the ones run here. The caller has announced the node.
     /// Setting `completed` also opens `UpdateNode::ready_to_reclaim` for
-    /// the node and everything it superseded. Shared by the unwind resume
-    /// and orphan adoption; see [`UpdateOpGuard`] for why every step may
-    /// run again.
+    /// the node and everything it superseded. Called by the unwind resume;
+    /// see [`UpdateOpGuard`] for why every step may run again.
     fn finish_update(&self, u_node: *mut UpdateNode, embeds: &EmbeddedQueries, guard: &Guard<'_>) {
         let u = unsafe { &*u_node };
         self.activate(u_node, guard); // L131–134
@@ -1063,154 +999,6 @@ impl LockFreeBinaryTrie {
             }
             OpPhase::Announced => self.finish_update(node, &og.embeds, guard),
             OpPhase::Done => {}
-        }
-    }
-
-    /// Adopts one announced update of a dead owner and finishes it. The
-    /// dead owner's own embedded queries carry its incarnation, so the
-    /// query pass of the same sweep withdraws whichever are still
-    /// announced. They are not withdrawn here through `del_node`: a
-    /// helper's late re-announcement can surface a delete whose owner (or
-    /// an earlier sweep) withdrew them long ago, and the registry may since
-    /// have reclaimed them.
-    fn adopt_update(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
-        let key = unsafe { (*u_node).key() };
-        telemetry::event(Counter::OrphansAdopted, FlightKind::Adopt, key, 0);
-        // Adoption is helping on behalf of a dead owner: open an `Adopt`
-        // span and a helping edge to the victim's node so the exporter can
-        // draw adopter → abandoned-span flows.
-        let _s = trace::span(OpKind::Adopt, key);
-        let _h = trace::help(seq_of(u_node));
-        self.finish_update(u_node, &EmbeddedQueries::new(), guard);
-    }
-
-    /// Completes and withdraws every announcement owned by a dead thread
-    /// incarnation (a thread that crashed, or a test thread abandoned via
-    /// fault injection). Returns the number of announcements adopted.
-    ///
-    /// Runs in three ordered passes. The first two finish dead owners'
-    /// updates — each is *completed*, which also unpins the nodes it
-    /// superseded from the limbo lists: first those announced in the
-    /// U-ALL/RU-ALL, then the inactive heads of the latest lists, which are
-    /// announced first (line 130). That O(u) walk runs only after an update
-    /// was abandoned between its latest-list CAS and its announcement, or
-    /// when dead query announcements are about to be withdrawn. The third
-    /// pass withdraws those. The order matters: a query node may only be
-    /// retired after the delete embedding it has de-announced (see
-    /// `remove_query_node`), which the first two passes guarantee.
-    ///
-    /// Amortized integration: update entry points call this automatically
-    /// (via a death-generation check) after a thread incarnation dies, and
-    /// [`LockFreeBinaryTrie::collect_garbage`] always runs it before
-    /// sweeping. Concurrent sweeps coalesce (`try_lock`); operations never
-    /// block on it.
-    pub fn adopt_orphans(&self) -> usize {
-        if !fault::orphan_adoption_enabled() {
-            return 0;
-        }
-        let Ok(_sweep) = self.adoption.try_lock() else {
-            return 0; // another thread is already sweeping
-        };
-        let _quiet = fault::suppress();
-        let guard = &self.domain().pin();
-        let mut adopted = 0;
-        // Pass A: dead-owner update announcements, one per re-traversal —
-        // adoption rewrites the lists it scans (helpers may announce the
-        // same node into several cells; `deannounce` strips all of them).
-        loop {
-            let mut orphan = core::ptr::null_mut();
-            for (_key, u_node) in self.uall.iter(guard) {
-                if !liveness::is_live(unsafe { (*u_node).owner() }) {
-                    orphan = u_node;
-                    break;
-                }
-            }
-            if orphan.is_null() {
-                // Announcement inserts into the U-ALL first and withdraws
-                // from it first, so an orphan sits in the RU-ALL alone
-                // only when its owner died mid-deannounce.
-                for (_key, u_node) in self.ruall.iter(guard) {
-                    if !liveness::is_live(unsafe { (*u_node).owner() }) {
-                        orphan = u_node;
-                        break;
-                    }
-                }
-            }
-            if orphan.is_null() {
-                break;
-            }
-            self.adopt_update(orphan, guard);
-            adopted += 1;
-        }
-        // Pass B's dead-owner query announcements (plain queries, and every
-        // embedded query of a delete whose owner died), collected before
-        // pass A′ so that a delete whose first embedded queries are among
-        // them is found and de-announced before they are withdrawn.
-        let dead_preds = self.dead_queries::<Pred>(guard);
-        let dead_succs = self.dead_queries::<Succ>(guard);
-        // Pass A′: dead-owner updates published but never announced. An
-        // inactive node is always the head of its latest list.
-        if self.unannounced_orphans.swap(false, Ordering::SeqCst)
-            || !dead_preds.is_empty()
-            || !dead_succs.is_empty()
-        {
-            for x in 0..self.universe as i64 {
-                let head = self.core.latest_head(x);
-                // Safety: read from the latest list under the sweep's pin.
-                let h = unsafe { &*head };
-                if h.status() == Status::Inactive && !liveness::is_live(h.owner()) {
-                    self.announce(head, guard); // L130
-                    self.adopt_update(head, guard);
-                    adopted += 1;
-                }
-            }
-        }
-        // Pass B.
-        adopted += self.withdraw_dead_queries::<Pred>(&dead_preds, guard);
-        adopted += self.withdraw_dead_queries::<Succ>(&dead_succs, guard);
-        adopted
-    }
-
-    /// The announcements on query side `D` whose owner is dead. Nobody
-    /// else withdraws dead-owner nodes while the sweep lock is held.
-    fn dead_queries<D: Dir>(&self, guard: &Guard<'_>) -> Vec<*mut QueryNode> {
-        self.side::<D>()
-            .list
-            .iter(guard)
-            .map(|c| unsafe { (*c).payload() })
-            .filter(|&q| !liveness::is_live(unsafe { (*q).owner() }))
-            .collect()
-    }
-
-    /// Adoption pass B for query side `D`: withdraws the `dead`
-    /// announcements.
-    fn withdraw_dead_queries<D: Dir>(&self, dead: &[*mut QueryNode], guard: &Guard<'_>) -> usize {
-        for &q_node in dead {
-            telemetry::event(
-                Counter::OrphansAdopted,
-                FlightKind::Adopt,
-                unsafe { (*q_node).key() },
-                D::IDX as u64 + 1,
-            );
-            self.remove_query_node::<D>(q_node, guard);
-        }
-        dead.len()
-    }
-
-    /// The amortized entry-point hook: runs [`adopt_orphans`] only when a
-    /// thread incarnation has died since the last sweep this trie ran
-    /// (compare-and-claim on the global death generation), so the hot
-    /// path costs one relaxed load.
-    ///
-    /// [`adopt_orphans`]: LockFreeBinaryTrie::adopt_orphans
-    #[inline]
-    fn maybe_adopt_orphans(&self) {
-        let generation = liveness::death_generation();
-        if self.adopt_gen.load(Ordering::Relaxed) == generation {
-            return;
-        }
-        if self.adopt_gen.swap(generation, Ordering::SeqCst) != generation {
-            self.adopt_orphans();
         }
     }
 
@@ -1494,12 +1282,16 @@ impl LockFreeBinaryTrie {
     /// path to a query node is `dNode.delPredNode` (or `delSuccNode`),
     /// which the recovery computation follows only for DEL nodes found in
     /// its *own* published traversal — impossible for threads pinning after
-    /// the owning `Delete` de-announced (line 205 precedes line 206);
-    /// concurrent holders are pinned, which the grace period covers.
+    /// the owning `Delete` de-announced. Only the delete's owner withdraws
+    /// its embedded queries, always after that de-announcement (line 205
+    /// precedes line 206, in the unwind resume too), and a helper that
+    /// re-announces the delete later was pinned before the retirement and
+    /// withdraws its cell before it unpins (lines 135–136, or
+    /// `HelpGuard`). Concurrent holders are pinned, which the grace period
+    /// covers.
     fn remove_query_node<D: Dir>(&self, q_node: *mut QueryNode, guard: &Guard<'_>) {
-        // Exactly-once: under the crash model more than one party (the
-        // owner's unwind guard, a dropped scan, the adoption sweep) can
-        // reach a query node; the claim makes its removal unique.
+        // Exactly-once: the claim turns a repeated withdrawal into a no-op,
+        // so no path retires a node twice.
         if !unsafe { (*q_node).claim_withdraw() } {
             return;
         }
@@ -1547,9 +1339,8 @@ impl LockFreeBinaryTrie {
     /// step began; dropping them reproduces the legal v1 execution in which
     /// that sender's S-ALL traversal passed before a fresh announcement.
     fn succ_step_slide(&self, s_node: *mut QueryNode, y: i64, guard: &Guard<'_>) -> i64 {
-        // Before the slide begins: a crash here leaves the node stable
-        // (even era) and still announced — the scan's drop (or adoption,
-        // if the owner died) withdraws it.
+        // Before the slide begins: a panic here leaves the node stable
+        // (even era) and still announced — the scan's drop withdraws it.
         fault::point(FaultPoint::ScanStep);
         telemetry::add(Counter::ScanSlides, 1);
         let s = unsafe { &*s_node };
@@ -1941,10 +1732,6 @@ impl LockFreeBinaryTrie {
     /// is freed. Called by tests and the space experiment before sampling
     /// `live_nodes`.
     pub fn collect_garbage(&self) {
-        // Adopt crashed threads' announcements first: completing an orphan
-        // opens the `completed` reclamation gate for it and everything it
-        // superseded, which the sweeps below can then actually free.
-        self.adopt_orphans();
         self.core.flush_reclamation();
         for side in &self.sides {
             side.nodes.flush();
@@ -1974,6 +1761,15 @@ enum IterState {
 /// The iterator owns one S-ALL announcement for its whole lifetime: the
 /// first successor step announces a query node, later steps slide it, and
 /// exhaustion or `drop` withdraws it.
+///
+/// # Forgetting a scan
+///
+/// Only `drop` (or exhaustion) withdraws the announcement. A scan
+/// forgotten with [`core::mem::forget`] keeps its one S-ALL announcement
+/// until the trie drops, and every later update pushes a notify record
+/// onto it. That is safe — answers stay exact, updates still complete,
+/// and dropping the trie frees the node — but it is a leak, as forgetting
+/// any guard is (a forgotten `MutexGuard` keeps its lock).
 pub struct IterFrom<'a> {
     trie: &'a LockFreeBinaryTrie,
     /// The scan's announced successor node; null until the first successor
@@ -2004,18 +1800,15 @@ impl IterFrom<'_> {
     /// Ends the scan and withdraws its announcement (idempotent).
     fn finish(&mut self) {
         self.state = IterState::Done;
-        let s_node = core::mem::replace(&mut self.s_node, core::ptr::null_mut());
-        if s_node.is_null() {
+        // A suspended scan keeps its announcement, like any stalled
+        // operation.
+        if self.s_node.is_null() || fault::is_suspending() {
             return;
         }
-        if fault::is_abandoning() || !liveness::is_live(unsafe { (*s_node).owner() }) {
-            // Simulated crash-without-unwind (or a drop that straggled in
-            // after this thread's incarnation was abandoned): the
-            // announcement belongs to `adopt_orphans` now — a withdrawal
-            // here would double up with the adopter's.
-            return;
-        }
+        // Pin before giving up the node: if the pin panics, the drop on
+        // the way out still finds the node to withdraw.
         let guard = &self.trie.domain().pin();
+        let s_node = core::mem::replace(&mut self.s_node, core::ptr::null_mut());
         self.trie.remove_query_node::<Succ>(s_node, guard);
     }
 }
@@ -2055,8 +1848,8 @@ impl Iterator for IterFrom<'_> {
 
 impl Drop for IterFrom<'_> {
     fn drop(&mut self) {
-        // Withdraw the announcement of an abandoned scan; without this,
-        // every notifier would keep paying for it forever.
+        // Withdraw the announcement of a scan dropped before its end;
+        // without this, every notifier would keep paying for it forever.
         self.finish();
     }
 }
@@ -2078,8 +1871,9 @@ impl core::fmt::Debug for IterFrom<'_> {
 
 impl Drop for LockFreeBinaryTrie {
     fn drop(&mut self) {
-        // Free query nodes still announced at teardown (abandoned / stalled
-        // operations): their cells are still linked in the P-ALL / S-ALL.
+        // Free query nodes still announced at teardown (suspended
+        // operations, forgotten scans): their cells are still linked in the
+        // P-ALL / S-ALL.
         // De-announced nodes were retired and are freed by their registry's
         // own Drop; marked-but-linked cells' payloads were retired too, so
         // only unmarked cells carry live payloads.
@@ -2509,7 +2303,7 @@ mod tests {
         let mut iter = t.iter_from(0);
         assert_eq!(iter.next(), Some(3));
         assert_eq!(iter.next(), Some(17));
-        drop(iter); // mid-scan abandon: the query node must be withdrawn
+        drop(iter); // dropped mid-scan: the query node must be withdrawn
         assert!(t.announcements().is_empty());
     }
 

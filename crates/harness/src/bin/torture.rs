@@ -25,13 +25,12 @@
 //! * `LFTRIE_TORTURE_SEED` — base seed folded into every per-thread RNG
 //!   and fault decision (default 0). A failure dump echoes the full
 //!   reproduction line, seed included.
-//! * `LFTRIE_TORTURE_FAULTS` — `panic`, `abandon`, or `mixed` arms the
-//!   chaos lane (requires `--features fault-injection`): every worker runs
-//!   under a seeded `FaultPlan` that fires yields, stalls, panics, and
-//!   thread abandonment at the named injection points. Panicked operations
-//!   are completed by the unwind guards; abandoned incarnations' leftover
-//!   announcements are adopted at round end, and the round then validates
-//!   the usual quiescent invariants *plus* full announcement drain.
+//! * `LFTRIE_TORTURE_FAULTS` — `mixed` arms the chaos lane (requires
+//!   `--features fault-injection`): every worker runs under a seeded
+//!   `FaultPlan` that fires yields, stalls and panics at the named
+//!   injection points. The unwind guards finish or roll back every
+//!   panicked operation, and each round validates the usual quiescent
+//!   invariants *plus* full announcement drain.
 //! * `LFTRIE_TORTURE_FAULT_RATE` — firing probability per 1024 point
 //!   occurrences, at most 1024 (default 24).
 //!
@@ -45,7 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use lftrie_core::fault::FaultAction::{self, Abandon, Panic, Stall, Yield};
+use lftrie_core::fault::FaultAction::{self, Panic, Stall, Yield};
 use lftrie_core::LockFreeBinaryTrie;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,12 +63,8 @@ struct Repro {
     fault_rate: u32,
 }
 
-/// The `LFTRIE_TORTURE_FAULTS` modes and the fault actions each one fires.
-const FAULT_MODES: [(&str, &[FaultAction]); 3] = [
-    ("panic", &[Yield, Stall, Panic]),
-    ("abandon", &[Yield, Stall, Abandon]),
-    ("mixed", &[Yield, Stall, Panic, Abandon]),
-];
+/// The fault actions of `LFTRIE_TORTURE_FAULTS=mixed`, the one fault mode.
+const MIXED: &[FaultAction] = &[Yield, Stall, Panic];
 
 impl Repro {
     fn print(&self) {
@@ -241,10 +236,8 @@ fn one_op(trie: &LockFreeBinaryTrie, rng: &mut StdRng, universe: u64) {
 
 /// The chaos-lane worker loop: arms this thread with its own copy of the
 /// run's seeded plan, then runs every operation under `catch_unwind`;
-/// injected panics are absorbed (the unwind guards completed the
-/// operation), an injected abandon additionally kills this thread's
-/// liveness incarnation — its leftover announcements become orphans for
-/// adoption — and anything else is a real bug and is re-thrown.
+/// injected panics are absorbed (the unwind guards finished or rolled back
+/// the operation), and anything else is a real bug and is re-thrown.
 #[cfg(feature = "fault-injection")]
 fn worker_loop_faulty(
     trie: &LockFreeBinaryTrie,
@@ -268,15 +261,7 @@ fn worker_loop_faulty(
         })) {
             Ok(()) => n += 1,
             Err(payload) => {
-                // An abandon already killed this thread's liveness
-                // incarnation (its in-flight footprint is now orphaned for
-                // adoption); consuming the flag lets the thread keep
-                // working under a fresh incarnation — the surviving-thread
-                // progress the watchdog checks. A plain injected panic was
-                // cleaned up by the unwind guards. Anything else is real.
-                if !fault::take_abandoned()
-                    && payload.downcast_ref::<fault::InjectedFault>().is_none()
-                {
+                if payload.downcast_ref::<fault::InjectedFault>().is_none() {
                     std::panic::resume_unwind(payload); // a real bug
                 }
             }
@@ -301,7 +286,7 @@ fn worker_loop_plain(
 }
 
 const USAGE: &str = "usage: torture [seconds] [threads] [log2_universe] [--trace <path>]
-  env: LFTRIE_TORTURE_SEED=<u64> LFTRIE_TORTURE_FAULTS=panic|abandon|mixed \
+  env: LFTRIE_TORTURE_SEED=<u64> LFTRIE_TORTURE_FAULTS=mixed \
 LFTRIE_TORTURE_FAULT_RATE=<0..=1024>";
 
 /// Reads the command line (without the program name) and the `LFTRIE_TORTURE_*`
@@ -348,12 +333,12 @@ fn parse(
     };
     let (faults, actions) = match env("LFTRIE_TORTURE_FAULTS").as_deref() {
         None | Some("") => ("", &[][..]),
-        Some(mode) => FAULT_MODES
-            .into_iter()
-            .find(|&(name, _)| name == mode)
-            .ok_or_else(|| {
-                format!("unknown LFTRIE_TORTURE_FAULTS mode {mode:?} (want panic|abandon|mixed)")
-            })?,
+        Some("mixed") => ("mixed", MIXED),
+        Some(mode) => {
+            return Err(format!(
+                "unknown LFTRIE_TORTURE_FAULTS mode {mode:?} (want mixed)"
+            ))
+        }
     };
     let fault_rate = match env("LFTRIE_TORTURE_FAULT_RATE") {
         None => 24,
@@ -464,12 +449,6 @@ fn main() {
                      (floor {min_ops_per_round})"
                 ),
             );
-        }
-
-        // Adopt every announcement left behind by abandoned incarnations
-        // before validating: quiescence must be *restorable*, not assumed.
-        if faulty {
-            trie.adopt_orphans();
         }
 
         // Quiescent validation.
@@ -604,7 +583,7 @@ mod tests {
             (repro.seed, repro.faults, repro.fault_rate),
             (99, "mixed", 1024)
         );
-        assert_eq!(repro.actions, FAULT_MODES[2].1);
+        assert_eq!(repro.actions, MIXED);
     }
 
     #[test]
@@ -621,5 +600,6 @@ mod tests {
         assert!(run(&[], &[("LFTRIE_TORTURE_FAULT_RATE", "1025")]).is_err());
         assert!(run(&[], &[("LFTRIE_TORTURE_FAULT_RATE", "-1")]).is_err());
         assert!(run(&[], &[("LFTRIE_TORTURE_FAULTS", "panik")]).is_err());
+        assert!(run(&[], &[("LFTRIE_TORTURE_FAULTS", "panic")]).is_err());
     }
 }

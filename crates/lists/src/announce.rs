@@ -26,7 +26,7 @@
 //! `find`, `remove_all`, iteration, and [`AnnounceList::advance_publishing`];
 //! all of them therefore require the caller to hold an epoch [`Guard`].
 //! Cells still linked when the list drops (the two sentinels, plus any
-//! left-over announcements from abandoned operations) are freed by walking
+//! left-over announcements of suspended operations) are freed by walking
 //! the physical chain in `Drop`.
 
 use core::fmt;
@@ -266,7 +266,8 @@ impl<P> AnnounceList<P> {
     /// payload again after the owner's removal (paper lines 130/136).
     pub fn remove_all(&self, key: i64, payload: *mut P, guard: &Guard<'_>) -> usize {
         // Before any unlink: removal is exhaustive and idempotent, so a
-        // crash here just leaves the announcement for adoption to withdraw.
+        // panic here leaves the announcement for the unwind guard's resume
+        // to withdraw.
         fault::point(fault::FaultPoint::AnnounceRemove);
         let mut removed = 0;
         'retry: loop {

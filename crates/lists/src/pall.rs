@@ -259,8 +259,8 @@ impl<P> PallList<P> {
 
     /// Visits every physically linked cell (marked or not), newest first —
     /// the owning structure's teardown uses this to free payloads of cells
-    /// that were never removed (e.g. abandoned operations). Requires
-    /// exclusive access.
+    /// that were never removed (suspended operations, forgotten scans).
+    /// Requires exclusive access.
     pub fn for_each_linked(&mut self, mut f: impl FnMut(*mut P, bool)) {
         let mut cur = unsafe { (*self.head).next.load() }.ptr();
         while !cur.is_null() {

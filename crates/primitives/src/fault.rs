@@ -1,17 +1,33 @@
 //! Deterministic fault injection: named points, seeded plans, and the
-//! crash-simulation switches behind the crash/panic-tolerance tests.
+//! switch behind the panic-tolerance tests.
 //!
 //! The paper's lock-freedom argument promises progress even when threads
-//! stall or crash mid-operation. This module turns that promise into a
-//! testable surface: the trie, the announcement lists, the epoch domain,
-//! and the registry sweep paths are threaded with **named injection
-//! points** ([`FaultPoint`]), each of which can fire a [`FaultAction`] —
-//! yield, bounded stall, panic, or *abandon-thread* (panic plus killing
-//! the thread's [`crate::liveness`] incarnation, so everything it
-//! allocated becomes an adoptable orphan) — driven by a reproducible
-//! seeded `FaultPlan`. A fifth, one-shot action, `Suspend`, stops one
-//! operation at a point and leaves it there for good: `suspend_at` is the
-//! paper's stalled process, the real operation cut mid-flight.
+//! stall mid-operation. This module turns that promise into a testable
+//! surface: the trie, the announcement lists, the epoch domain, and the
+//! registry sweep paths are threaded with **named injection points**
+//! ([`FaultPoint`]), each of which can fire a [`FaultAction`] — yield,
+//! bounded stall, or panic — driven by a reproducible seeded `FaultPlan`.
+//! A fourth, one-shot action, `Suspend`, stops one operation at a point
+//! and leaves it there for good: `suspend_at` is the paper's stalled
+//! process, the real operation cut mid-flight.
+//!
+//! # Every way out of an operation
+//!
+//! In the paper only an update's owner finishes that update; other
+//! operations help only with activation (`HelpActivate`, lines 128–136).
+//! A Rust thread leaves a trie operation in one of two ways: it returns,
+//! or it unwinds. Unwinding runs the operation's guards, which finish a
+//! published update from wherever its owner stopped, return a node nobody
+//! else can reach, and withdraw a query's announcement. Everything else
+//! that stops a thread mid-operation — `panic = "abort"`, allocation
+//! failure, stack overflow — ends the whole process, trie included. So
+//! the actions cover every case: `Yield` and `Stall` reorder threads
+//! without stopping any, `Panic` unwinds through the guards, and
+//! `Suspend` is the paper's process that stops taking steps, whose
+//! operation other operations help along. A panic inside a guard's own
+//! resume (a genuine bug: points are suppressed there) is caught by the
+//! guard and stays a bounded leak of that one operation, whose
+//! announcements and nodes then stay until the trie drops.
 //!
 //! # Zero cost by default
 //!
@@ -31,8 +47,8 @@
 //! can never leak faults into another test's threads. Points **never**
 //! fire while the thread is already panicking (a panic during unwinding
 //! would abort the process) or inside a [`suppress`]ed section (the
-//! unwind-guard continuations and the orphan adoption sweep re-run
-//! protocol steps that contain points).
+//! unwind-guard continuations re-run protocol steps that contain
+//! points).
 
 #[cfg(feature = "fault-injection")]
 use std::sync::atomic::Ordering;
@@ -40,8 +56,8 @@ use std::sync::atomic::Ordering;
 /// Every named injection point, in the order the protocol reaches them.
 ///
 /// Points are placed at *step boundaries*: each sits where the enclosing
-/// operation's unwind guard (or the orphan-adoption resume) has a
-/// well-defined continuation, so every point tolerates every action.
+/// operation's unwind guard has a well-defined continuation, so every
+/// point tolerates every action.
 /// The single exception is [`FaultPoint::RegistryCollect`], which is
 /// reachable from inside a retire call mid-operation and therefore only
 /// ever fires non-fatal actions (see [`point_nonfatal`]).
@@ -175,16 +191,12 @@ pub enum FaultAction {
     /// `panic!` with an `InjectedFault` payload: the operation unwinds
     /// through its RAII guards (which withdraw or complete it).
     Panic = 2,
-    /// Simulated crash: kill this thread's liveness incarnation
-    /// ([`crate::liveness::abandon_current`]), then panic with the
-    /// abandoning flag set so every unwind guard *skips* cleanup — the
-    /// operation's full footprint stays behind for orphan adoption.
-    Abandon = 3,
-    /// Simulated stall: panic with the abandoning flag set, like
-    /// `Abandon`, but keep the thread's liveness incarnation, so no
-    /// adopter completes the operation either — it stays cut at this
-    /// point, advanced only by other operations' helping. One-shot (see
-    /// `suspend_at`): a seeded storm of suspensions would never drain.
+    // 3 (`abandon`) is retired.
+    /// Simulated stall: panic with the suspending flag set, so every
+    /// unwind guard *skips* its cleanup and the operation stays cut at
+    /// this point, advanced only by other operations' helping. One-shot
+    /// (see `suspend_at`): a seeded storm of suspensions would never
+    /// drain. The flag stays set until the thread disarms.
     #[cfg(feature = "fault-injection")]
     Suspend = 4,
 }
@@ -196,7 +208,6 @@ impl FaultAction {
             FaultAction::Yield => "yield",
             FaultAction::Stall => "stall",
             FaultAction::Panic => "panic",
-            FaultAction::Abandon => "abandon",
             #[cfg(feature = "fault-injection")]
             FaultAction::Suspend => "suspend",
         }
@@ -214,8 +225,8 @@ pub fn point(p: FaultPoint) {
 }
 
 /// An injection point on a path where unwinding is not recoverable
-/// (reachable mid-retire): panic, abandon and suspend decisions demote to
-/// a bounded stall. Compiled to a literal no-op without the feature.
+/// (reachable mid-retire): panic and suspend decisions demote to a
+/// bounded stall. Compiled to a literal no-op without the feature.
 #[inline(always)]
 pub fn point_nonfatal(p: FaultPoint) {
     #[cfg(feature = "fault-injection")]
@@ -224,15 +235,15 @@ pub fn point_nonfatal(p: FaultPoint) {
     let _ = p;
 }
 
-/// True while the current thread is unwinding from an
-/// [`FaultAction::Abandon`] or a `Suspend`: unwind guards consult this and
-/// *skip* their cleanup, leaving the operation's footprint. Always `false`
-/// without the `fault-injection` feature.
+/// True while the current thread is unwinding out of an operation a
+/// `Suspend` stopped: unwind guards consult this and *skip* their
+/// cleanup, leaving the operation's footprint. Always `false` without the
+/// `fault-injection` feature.
 #[inline(always)]
-pub fn is_abandoning() -> bool {
+pub fn is_suspending() -> bool {
     #[cfg(feature = "fault-injection")]
     {
-        imp::is_abandoning()
+        imp::is_suspending()
     }
     #[cfg(not(feature = "fault-injection"))]
     {
@@ -255,25 +266,10 @@ pub fn unwind_guards_enabled() -> bool {
     }
 }
 
-/// Is orphan adoption enabled? Always `true` without the feature; with
-/// it, tests flip the switch off to prove adoption is load-bearing.
-#[inline(always)]
-pub fn orphan_adoption_enabled() -> bool {
-    #[cfg(feature = "fault-injection")]
-    {
-        imp::ORPHAN_ADOPTION.load(Ordering::SeqCst)
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    {
-        true
-    }
-}
-
 #[cfg(feature = "fault-injection")]
 pub use imp::{
-    arm, clear_log, disarm, fired_total, format_log, recent, set_orphan_adoption_enabled,
-    set_unwind_guards_enabled, silence_injected_panics, suppress, suspend_at, take_abandoned,
-    FaultRecord, InjectedFault, SuppressGuard,
+    arm, clear_log, disarm, fired_total, format_log, recent, set_unwind_guards_enabled,
+    silence_injected_panics, suppress, suspend_at, FaultRecord, InjectedFault, SuppressGuard,
 };
 
 /// Token returned by [`suppress`]; a unit placeholder without the
@@ -283,8 +279,8 @@ pub use imp::{
 pub struct SuppressGuard(());
 
 /// Suppresses injection on the current thread for the guard's lifetime.
-/// A no-op without the feature — provided so recovery paths (unwind
-/// guards, orphan adoption) can take the token unconditionally.
+/// A no-op without the feature — provided so the unwind guards can take
+/// the token unconditionally.
 #[cfg(not(feature = "fault-injection"))]
 #[inline(always)]
 pub fn suppress() -> SuppressGuard {
@@ -322,18 +318,13 @@ mod plan {
     }
 
     impl FaultPlan {
-        /// A plan firing all four actions at every point with the default
-        /// rate (~2% of occurrences).
+        /// A plan firing yield, stall and panic at every point with the
+        /// default rate (~2% of occurrences).
         pub fn seeded(seed: u64) -> Self {
             Self {
                 seed,
                 rate_per_1024: 24,
-                actions: vec![
-                    FaultAction::Yield,
-                    FaultAction::Stall,
-                    FaultAction::Panic,
-                    FaultAction::Abandon,
-                ],
+                actions: vec![FaultAction::Yield, FaultAction::Stall, FaultAction::Panic],
                 once: None,
             }
         }
@@ -404,14 +395,13 @@ mod plan {
 mod imp {
     use super::plan::FaultPlan;
     use super::{FaultAction, FaultPoint, POINT_COUNT};
-    use crate::liveness;
     use lftrie_telemetry::{self as telemetry, Counter, FlightKind};
     use std::cell::Cell;
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Mutex, Once};
 
-    /// The panic payload of injected panics/abandons; tests downcast the
+    /// The panic payload of injected panics and suspensions; tests downcast the
     /// caught unwind to tell injected faults from genuine bugs.
     #[derive(Debug, Clone, Copy)]
     pub struct InjectedFault {
@@ -435,7 +425,6 @@ mod imp {
     }
 
     pub(super) static UNWIND_GUARDS: AtomicBool = AtomicBool::new(true);
-    pub(super) static ORPHAN_ADOPTION: AtomicBool = AtomicBool::new(true);
     static FIRED_TOTAL: AtomicU64 = AtomicU64::new(0);
     static LOG: Mutex<VecDeque<FaultRecord>> = Mutex::new(VecDeque::new());
     const LOG_CAP: usize = 512;
@@ -455,7 +444,7 @@ mod imp {
             })
         };
         static SUPPRESS_DEPTH: Cell<u32> = const { Cell::new(0) };
-        static ABANDONING: Cell<bool> = const { Cell::new(false) };
+        static SUSPENDING: Cell<bool> = const { Cell::new(false) };
     }
 
     fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -479,18 +468,21 @@ mod imp {
         });
     }
 
-    /// Disarms the current thread; its points become no-ops again.
+    /// Disarms the current thread: its points become no-ops again, and
+    /// its suspending flag is cleared, so its later operations unwind
+    /// through their guards normally.
     pub fn disarm() {
         STATE.with(|s| {
             let mut s = s.borrow_mut();
             s.plan = None;
             s.occurrences = [0; POINT_COUNT];
         });
+        SUSPENDING.with(|s| s.set(false));
     }
 
     /// Suppresses fault firing on this thread until the guard drops (used
-    /// by unwind-guard continuations and the orphan-adoption sweep, which
-    /// re-run protocol code containing points).
+    /// by unwind-guard continuations, which re-run protocol code
+    /// containing points).
     pub fn suppress() -> SuppressGuard {
         SUPPRESS_DEPTH.with(|d| d.set(d.get() + 1));
         SuppressGuard(())
@@ -506,24 +498,13 @@ mod imp {
         }
     }
 
-    pub(super) fn is_abandoning() -> bool {
-        ABANDONING.with(Cell::get)
-    }
-
-    /// Clears and returns the thread's abandoning flag; call after
-    /// catching an unwind to tell an abandon from a plain panic.
-    pub fn take_abandoned() -> bool {
-        ABANDONING.with(|a| a.replace(false))
+    pub(super) fn is_suspending() -> bool {
+        SUSPENDING.with(Cell::get)
     }
 
     /// Flips the unwind-guard switch (the "teeth" check for the guards).
     pub fn set_unwind_guards_enabled(enabled: bool) {
         UNWIND_GUARDS.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Flips the orphan-adoption switch (the "teeth" check for adoption).
-    pub fn set_orphan_adoption_enabled(enabled: bool) {
-        ORPHAN_ADOPTION.store(enabled, Ordering::SeqCst);
     }
 
     /// Total faults fired since process start.
@@ -591,12 +572,7 @@ mod imp {
         let Some((mut action, salt, occurrence)) = decision else {
             return;
         };
-        if !fatal_ok
-            && matches!(
-                action,
-                FaultAction::Panic | FaultAction::Abandon | FaultAction::Suspend
-            )
-        {
+        if !fatal_ok && matches!(action, FaultAction::Panic | FaultAction::Suspend) {
             action = FaultAction::Stall;
         }
         FIRED_TOTAL.fetch_add(1, Ordering::SeqCst);
@@ -631,11 +607,8 @@ mod imp {
             FaultAction::Panic => {
                 std::panic::panic_any(InjectedFault { point, action });
             }
-            FaultAction::Abandon | FaultAction::Suspend => {
-                ABANDONING.with(|a| a.set(true));
-                if action == FaultAction::Abandon {
-                    liveness::abandon_current();
-                }
+            FaultAction::Suspend => {
+                SUSPENDING.with(|s| s.set(true));
                 std::panic::panic_any(InjectedFault { point, action });
             }
         }
@@ -645,19 +618,17 @@ mod imp {
     /// on this thread only, and returns whether `op` stopped there.
     ///
     /// A stopped operation keeps exactly the footprint it had reached at
-    /// `point`: its unwind guards skip their cleanup, and its thread
-    /// incarnation stays live, so no adopter completes it either — the
-    /// paper's stalled process, left for other operations to help along.
-    /// `op` returning normally (it finished without reaching `point`)
-    /// gives `false`; any other panic propagates. The thread leaves
-    /// disarmed, with its abandoning flag clear, so its later operations
-    /// run and unwind normally. Installs [`silence_injected_panics`], so
-    /// the suspension prints no panic message.
+    /// `point`: its unwind guards skip their cleanup — the paper's stalled
+    /// process, left for other operations to help along. `op` returning
+    /// normally (it finished without reaching `point`) gives `false`; any
+    /// other panic propagates. The thread leaves disarmed, with its
+    /// suspending flag clear, so its later operations run and unwind
+    /// normally. Installs [`silence_injected_panics`], so the suspension
+    /// prints no panic message.
     pub fn suspend_at<R>(point: FaultPoint, op: impl FnOnce() -> R) -> bool {
         silence_injected_panics();
         arm(FaultPlan::once(point, FaultAction::Suspend), 0);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(op));
-        take_abandoned();
         disarm();
         match outcome {
             Ok(_) => false,
@@ -703,7 +674,7 @@ mod tests {
                 .expect("payload identifies the injection");
             assert_eq!(f.point, FaultPoint::InsertEntry);
             point(FaultPoint::InsertEntry); // consumed: must not fire again
-            assert!(!take_abandoned());
+            assert!(!is_suspending(), "a panic is not a suspension");
             disarm();
         })
         .join()
@@ -711,43 +682,20 @@ mod tests {
     }
 
     #[test]
-    fn abandon_sets_flag_and_kills_incarnation() {
+    fn suspend_flags_its_unwind_and_leaves_the_thread_disarmed() {
         std::thread::spawn(|| {
-            silence_injected_panics();
-            let before = crate::liveness::current_owner();
-            arm(
-                FaultPlan::once(FaultPoint::DeleteEntry, FaultAction::Abandon),
-                1,
-            );
-            let r = std::panic::catch_unwind(|| point(FaultPoint::DeleteEntry));
-            assert!(r.is_err());
-            assert!(take_abandoned(), "abandon sets the thread flag");
-            assert!(!crate::liveness::is_live(before), "old incarnation died");
-            assert_ne!(crate::liveness::current_owner(), before);
-            disarm();
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn suspend_keeps_the_incarnation_live() {
-        std::thread::spawn(|| {
-            let before = crate::liveness::current_owner();
             let mut flagged = false;
             let stopped = suspend_at(FaultPoint::DeleteEntry, || {
                 point(FaultPoint::InsertEntry); // not the armed point
                 let r = std::panic::catch_unwind(|| point(FaultPoint::DeleteEntry));
-                // The unwind carries the abandoning flag, so guards skip
+                // The unwind carries the suspending flag, so guards skip
                 // their cleanup, and then continues out of the operation.
-                flagged = is_abandoning();
+                flagged = is_suspending();
                 std::panic::resume_unwind(r.expect_err("the armed point fires"));
             });
             assert!(stopped, "the operation stopped at its point");
-            assert!(flagged, "suspend unwinds with the abandoning flag set");
-            assert!(!is_abandoning(), "suspend_at clears the flag");
-            assert!(crate::liveness::is_live(before), "incarnation survives");
-            assert_eq!(crate::liveness::current_owner(), before);
+            assert!(flagged, "suspend unwinds with the suspending flag set");
+            assert!(!is_suspending(), "suspend_at clears the flag");
             point(FaultPoint::DeleteEntry); // disarmed: must not fire
             assert!(!suspend_at(FaultPoint::DeleteEntry, || ()));
         })

@@ -29,12 +29,9 @@
 //!   atomic-copy primitive.
 //! * [`fault`] — deterministic fault injection: named injection points
 //!   threaded through the trie, announcement lists, epoch domain, and
-//!   registry sweeps, firing yield/stall/panic/abandon from a seeded
+//!   registry sweeps, firing yield/stall/panic from a seeded
 //!   [`fault::FaultPlan`](crate::fault) (feature `fault-injection`;
 //!   literal no-op by default).
-//! * [`liveness`] — thread-incarnation ids and the live-set oracle behind
-//!   orphan adoption: dead incarnations' announcements are detected,
-//!   completed via helping, and withdrawn.
 //! * [`steps`] — shared-memory step recorders, telemetry counters under the
 //!   `step-count` feature, used to reproduce the paper's step-complexity
 //!   claims empirically.
@@ -58,7 +55,6 @@
 pub mod epoch;
 pub mod fault;
 pub mod keys;
-pub mod liveness;
 pub mod marked;
 pub mod minreg;
 pub mod registry;

@@ -8,7 +8,7 @@
 //!
 //! (the implementation is stricter — a free needs three advances past the
 //! retire epoch — but this is the property unsafe readers rely on), plus
-//! liveness (a quiescent flush reclaims everything), limbo-bag rotation,
+//! progress (a quiescent flush reclaims everything), limbo-bag rotation,
 //! the readiness gate of deferred retirement, and slot ownership across
 //! nested guards and unwinding.
 

@@ -48,12 +48,7 @@ pub enum FlightKind {
     /// A `fault-injection` plan fired (`key` = injection-point index,
     /// `aux` = action discriminant).
     Fault = 10,
-    /// An orphaned announcement of a dead incarnation was adopted
-    /// (completed via helping and withdrawn).
-    Adopt = 11,
-    /// An injected `Abandon` stranded an allocated-but-unpublished update
-    /// node in its pool (no helper or adopter can ever reach it).
-    Stranded = 12,
+    // 11 (`adopt`) and 12 (`stranded`) are retired.
 }
 
 impl FlightKind {
@@ -68,8 +63,6 @@ impl FlightKind {
             FlightKind::Retire => "retire",
             FlightKind::Sweep => "sweep",
             FlightKind::Fault => "fault",
-            FlightKind::Adopt => "adopt",
-            FlightKind::Stranded => "stranded",
         }
     }
 
@@ -83,8 +76,6 @@ impl FlightKind {
             6 => FlightKind::Retire,
             8 => FlightKind::Sweep,
             10 => FlightKind::Fault,
-            11 => FlightKind::Adopt,
-            12 => FlightKind::Stranded,
             _ => return None,
         })
     }
@@ -274,8 +265,6 @@ mod tests {
             FlightKind::Retire,
             FlightKind::Sweep,
             FlightKind::Fault,
-            FlightKind::Adopt,
-            FlightKind::Stranded,
         ] {
             assert_eq!(FlightKind::from_u64(k as u64), Some(k));
         }

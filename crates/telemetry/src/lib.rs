@@ -149,24 +149,13 @@ pub enum Counter {
     UpdateWithdraws,
     /// Faults fired by the `fault-injection` plan machinery.
     FaultsInjected,
-    /// Orphaned announcements (dead incarnations) completed and withdrawn
-    /// by `adopt_orphans`.
-    OrphansAdopted,
     /// Operations withdrawn or driven to completion by an RAII unwind
     /// guard after a panic.
     UnwindWithdrawals,
-    /// Pooled update nodes stranded by an injected `Abandon` that struck
-    /// after allocation but before the latest-list publish: no helper or
-    /// adopter can ever reach them, so they stay pooled until the trie
-    /// drops. Bounded by the abandon count; this gauge makes the known
-    /// leak observable.
-    StrandedNodes,
     /// Operation spans opened by the op-trace layer.
     TraceSpans,
-    /// Spans terminated with the abandoned status (injected `Abandon`).
-    SpansAbandoned,
-    /// Helping edges recorded (one per `HelpActivate`/adoption advance of
-    /// another thread's operation).
+    /// Helping edges recorded (one per `HelpActivate` advance of another
+    /// thread's operation).
     HelpEdges,
     /// dNodePtr-install CAS attempts (`TrieCore::dnode_cas`; op-trace).
     DnodeCasAttempts,
@@ -221,11 +210,8 @@ impl Counter {
         Counter::UpdateAnnounces,
         Counter::UpdateWithdraws,
         Counter::FaultsInjected,
-        Counter::OrphansAdopted,
         Counter::UnwindWithdrawals,
-        Counter::StrandedNodes,
         Counter::TraceSpans,
-        Counter::SpansAbandoned,
         Counter::HelpEdges,
         Counter::DnodeCasAttempts,
         Counter::DnodeCasFailures,
@@ -269,11 +255,8 @@ impl Counter {
             Counter::UpdateAnnounces => "update_announces",
             Counter::UpdateWithdraws => "update_withdraws",
             Counter::FaultsInjected => "faults_injected",
-            Counter::OrphansAdopted => "orphans_adopted",
             Counter::UnwindWithdrawals => "unwind_withdrawals",
-            Counter::StrandedNodes => "stranded_nodes",
             Counter::TraceSpans => "trace_spans",
-            Counter::SpansAbandoned => "spans_abandoned",
             Counter::HelpEdges => "help_edges",
             Counter::DnodeCasAttempts => "dnode_cas_attempts",
             Counter::DnodeCasFailures => "dnode_cas_failures",

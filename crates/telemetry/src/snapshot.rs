@@ -184,9 +184,9 @@ pub struct AnnouncementLens {
     pub pall: usize,
     /// Successor/scan announcements in the S-ALL.
     pub sall: usize,
-    /// Highest total announcement count ever sampled on this structure —
-    /// the gauge that catches a leak of crashed-thread announcements even
-    /// after orphan adoption drains the current lists.
+    /// Highest total announcement count ever sampled on this structure:
+    /// the gauge that still shows a burst of announcements after the
+    /// current lists have drained.
     pub high_water: usize,
 }
 

@@ -11,21 +11,20 @@
 //! * **Spans** ([`span`]) — one per public operation, identified by a
 //!   process-global id. A span emits an `OpBegin` event at entry and an
 //!   `OpEnd` terminator from its RAII guard, carrying a status:
-//!   [`SPAN_OK`], [`SPAN_PANICKED`] (the guard dropped during an unwind),
-//!   or [`SPAN_ABANDONED`] (an injected `Abandon` simulated a thread dying
-//!   mid-operation — see [`note_abandon`]). Every terminator path runs
-//!   through the guard, so even crashed operations close their spans.
+//!   [`SPAN_OK`] or [`SPAN_PANICKED`] (the guard dropped during an unwind,
+//!   a suspended operation's included). Every terminator path runs
+//!   through the guard, so even panicked operations close their spans.
 //! * **Phases** ([`phase`]) — timed sub-intervals of the protocol (pin,
 //!   traverse, announce, notify, recovery, withdraw, reclaim, help). A
 //!   phase guard records the duration both as a ring event (for the
 //!   timeline) and into the matching [`Hist`] (for percentiles).
 //! * **Helping edges** ([`help`]) — when a thread advances *another*
-//!   operation (`HelpActivate`, orphan adoption), it records an edge from
-//!   its current span to the helped operation's update node, identified by
-//!   the node's never-reused `seq`. The owner side publishes the reverse
-//!   half with [`bind`] (span ↔ node seq) right after allocating the node,
-//!   so an exporter can join the two into a cross-thread causal graph even
-//!   when the owner died before the helper ran. [`help`] also tracks the
+//!   operation (`HelpActivate`), it records an edge from its current span
+//!   to the helped operation's update node, identified by the node's
+//!   never-reused `seq`. The owner side publishes the reverse half with
+//!   [`bind`] (span ↔ node seq) right after allocating the node, so an
+//!   exporter can join the two into a cross-thread causal graph even when
+//!   the owner's span closed before the helper ran. [`help`] also tracks the
 //!   per-thread helping *depth* (helping triggered while already helping)
 //!   and the time spent helping others vs. own work
 //!   ([`Hist::PhaseHelpNs`] vs. the span totals).
@@ -84,9 +83,6 @@ pub enum OpKind {
     Range = 8,
     /// `insert_all` / `delete_all` batches.
     Batch = 9,
-    /// An explicit `adopt_orphans` sweep (adoption *inside* another
-    /// operation stays attributed to that operation's span).
-    Adopt = 10,
 }
 
 impl OpKind {
@@ -102,7 +98,6 @@ impl OpKind {
             OpKind::Max => "max",
             OpKind::Range => "range",
             OpKind::Batch => "batch",
-            OpKind::Adopt => "adopt",
         }
     }
 
@@ -117,7 +112,6 @@ impl OpKind {
             7 => OpKind::Max,
             8 => OpKind::Range,
             9 => OpKind::Batch,
-            10 => OpKind::Adopt,
             _ => return None,
         })
     }
@@ -141,7 +135,7 @@ pub enum TracePhase {
     Withdraw = 6,
     /// A registry garbage sweep (`collect`).
     Reclaim = 7,
-    /// Advancing someone else's operation (`HelpActivate`, adoption).
+    /// Advancing someone else's operation (`HelpActivate`).
     Help = 8,
 }
 
@@ -253,17 +247,13 @@ impl CasSite {
 pub const SPAN_OK: u64 = 0;
 /// `OpEnd` status: the span guard dropped during a panic unwind.
 pub const SPAN_PANICKED: u64 = 1;
-/// `OpEnd` status: an injected `Abandon` killed the operation mid-flight
-/// (the simulated-crash terminator; see [`note_abandon`]).
-pub const SPAN_ABANDONED: u64 = 2;
 
 /// What one decoded trace event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// A span opened. `a` = operation key (as `i64` bits), `b` = [`OpKind`].
     OpBegin,
-    /// A span closed. `a` = status ([`SPAN_OK`]/[`SPAN_PANICKED`]/
-    /// [`SPAN_ABANDONED`]).
+    /// A span closed. `a` = status ([`SPAN_OK`]/[`SPAN_PANICKED`]).
     OpEnd,
     /// A phase completed. `ts` is the phase *start*; `a` = duration in ns.
     Phase,
@@ -442,9 +432,6 @@ mod imp {
         static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
         /// Helping-nesting depth (helping triggered while already helping).
         static HELP_DEPTH: Cell<u64> = const { Cell::new(0) };
-        /// Set by the unwind guards when an injected `Abandon` kills the
-        /// operation; consumed by the innermost span's terminator.
-        static ABANDONED: Cell<bool> = const { Cell::new(false) };
     }
 
     #[inline]
@@ -483,13 +470,7 @@ mod imp {
                 return;
             }
             let _ = CURRENT_SPAN.try_with(|c| c.set(self.prev));
-            // The terminator decides its status here, not at a fault site:
-            // abandon is flagged by whichever unwind guard saw the injected
-            // fault, and a plain unwind shows up as `panicking()`.
-            let status = if ABANDONED.try_with(|f| f.replace(false)).unwrap_or(false) {
-                add(Counter::SpansAbandoned, 1);
-                SPAN_ABANDONED
-            } else if std::thread::panicking() {
+            let status = if std::thread::panicking() {
                 SPAN_PANICKED
             } else {
                 SPAN_OK
@@ -580,12 +561,6 @@ mod imp {
         emit(KIND_BIND, 0, span, node_seq, 0);
     }
 
-    pub(super) fn note_abandon() {
-        // Flag even when the kill-switch is off mid-flight: the span that
-        // opened under an enabled switch must still terminate correctly.
-        let _ = ABANDONED.try_with(|f| f.set(true));
-    }
-
     #[inline]
     pub(super) fn cas(site: CasSite, ok: bool) {
         if !recording() {
@@ -652,9 +627,6 @@ mod imp {
     pub(super) fn bind(_node_seq: u64) {}
 
     #[inline]
-    pub(super) fn note_abandon() {}
-
-    #[inline]
     pub(super) fn cas(_site: CasSite, _ok: bool) {}
 
     #[inline]
@@ -703,7 +675,7 @@ pub const fn compiled() -> bool {
 }
 
 /// Opens a span for one public operation. The returned guard emits the
-/// `OpEnd` terminator (with panic/abandon status) when dropped, and makes
+/// `OpEnd` terminator (ok, or panicked while unwinding) when dropped, and makes
 /// this span the thread's *current* span — phases, binds, and helping
 /// edges recorded while it is live attribute to it. Nests: an inner span
 /// restores the outer one on drop.
@@ -734,15 +706,6 @@ pub fn help(helped_node_seq: u64) -> HelpScope {
 #[inline]
 pub fn bind(node_seq: u64) {
     imp::bind(node_seq)
-}
-
-/// Flags the current operation as killed by an injected `Abandon`; the
-/// innermost span's terminator reports [`SPAN_ABANDONED`] instead of
-/// [`SPAN_PANICKED`]. Called by the unwind guards, which observe the fault
-/// machinery this crate cannot depend on.
-#[inline]
-pub fn note_abandon() {
-    imp::note_abandon()
 }
 
 /// Tallies one CAS attempt (and, when `ok` is false, one failure) at a
@@ -776,7 +739,7 @@ pub fn summary() -> String {
             .to_string();
     }
     let mut spans = 0usize;
-    let mut ends = [0usize; 3];
+    let mut ends = [0usize; 2];
     let mut phases = 0usize;
     let mut edges = 0usize;
     let mut shards: Vec<usize> = Vec::new();
@@ -786,7 +749,7 @@ pub fn summary() -> String {
         }
         match e.kind {
             TraceEventKind::OpBegin => spans += 1,
-            TraceEventKind::OpEnd => ends[(e.a as usize).min(2)] += 1,
+            TraceEventKind::OpEnd => ends[(e.a as usize).min(1)] += 1,
             TraceEventKind::Phase => phases += 1,
             TraceEventKind::HelpEdge => edges += 1,
             TraceEventKind::Bind => {}
@@ -794,14 +757,13 @@ pub fn summary() -> String {
     }
     let mut out = format!(
         "op-trace: {} event(s) on {} thread(s): {} span begins, {} ends \
-         ({} ok, {} panicked, {} abandoned), {} phases, {} help edges\n",
+         ({} ok, {} panicked), {} phases, {} help edges\n",
         events.len(),
         shards.len(),
         spans,
         ends.iter().sum::<usize>(),
         ends[0],
         ends[1],
-        ends[2],
         phases,
         edges,
     );
@@ -919,10 +881,10 @@ pub fn chrome_trace_json() -> String {
         );
     }
 
-    // Helping flows: bind (victim side) → help edge (helper side). The
+    // Helping flows: bind (helped side) → help edge (helper side). The
     // bind always precedes the edge — helpers only reach a node after its
-    // owner published it — so the arrow direction is well-defined even for
-    // adoption, where the victim died long before the adopter ran.
+    // owner published it — so the arrow direction is well-defined even
+    // when the helped operation was suspended long before the helper ran.
     for (i, h) in events
         .iter()
         .enumerate()
@@ -979,7 +941,6 @@ mod tests {
         let _h = help(42);
         bind(42);
         cas(CasSite::Dnode, false);
-        note_abandon();
         assert!(!trace_enabled());
         assert_eq!(current_span(), 0);
         assert!(drain().is_empty());

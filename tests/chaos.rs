@@ -1,21 +1,19 @@
-//! The headline chaos suite: seeded panic + abandon faults across
+//! The headline chaos suite: seeded yield, stall and panic faults across
 //! concurrent threads, with three acceptance gates —
 //!
 //! * **progress**: injected faults crash individual operations but must
 //!   never stop the others (a watchdog floor on completed operations, and
 //!   a wall-clock watchdog on the whole scenario);
-//! * **footprint**: after [`adopt_orphans`] every announcement list drains
-//!   to zero and live-node counts stay under the steady-state ceiling —
-//!   the crashed operations' memory does not accumulate; and
+//! * **footprint**: once the workers stop, every announcement list has
+//!   drained to zero and live-node counts stay under the steady-state
+//!   ceiling — the unwind guards alone clean up after every crashed
+//!   operation, so its memory does not accumulate; and
 //! * **consistency**: the quiescent trie answers every query family in
 //!   agreement with its own membership snapshot, and keeps doing so under
 //!   a clean follow-up workload.
 //!
-//! The two `teeth_*` tests prove the gates are load-bearing: with the
-//! unwind guards or the orphan-adoption pass switched off, the exact
-//! assertions above demonstrably fail.
-//!
-//! [`adopt_orphans`]: lftrie::core::LockFreeBinaryTrie::adopt_orphans
+//! The `teeth_*` test proves the gates are load-bearing: with the unwind
+//! guards switched off, the exact assertions above demonstrably fail.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,19 +23,17 @@ use std::time::Duration;
 
 use lftrie::core::fault::{self, FaultAction, FaultPlan, FaultPoint, InjectedFault};
 use lftrie::core::LockFreeBinaryTrie;
-use lftrie::telemetry::{self, Counter};
 
-/// The teeth tests flip process-global switches; every test in this binary
+/// The teeth test flips a process-global switch; every test in this binary
 /// serializes on this lock so they never bleed into each other.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Restores both tolerance switches on drop, panic or not.
+/// Restores the unwind-guard switch on drop, panic or not.
 struct RestoreSwitches;
 
 impl Drop for RestoreSwitches {
     fn drop(&mut self) {
         fault::set_unwind_guards_enabled(true);
-        fault::set_orphan_adoption_enabled(true);
     }
 }
 
@@ -84,28 +80,24 @@ fn one_op(trie: &LockFreeBinaryTrie, state: &mut u64) {
 }
 
 /// Worker under fault injection: every operation runs in `catch_unwind`;
-/// injected panics/abandons are absorbed, anything else is a real bug and
-/// re-raised. Returns `(completed, abandoned)` operation counts.
-fn chaos_worker(trie: &LockFreeBinaryTrie, plan: FaultPlan, t: u64, seed: u64) -> (u64, u64) {
+/// injected panics are absorbed, anything else is a real bug and
+/// re-raised. Returns the number of operations that completed.
+fn chaos_worker(trie: &LockFreeBinaryTrie, plan: FaultPlan, t: u64, seed: u64) -> u64 {
     fault::arm(plan, seed ^ (t << 16));
     let mut state = seed ^ t.wrapping_mul(0x9E3779B97F4A7C15);
-    let (mut completed, mut abandoned) = (0u64, 0u64);
+    let mut completed = 0u64;
     for _ in 0..OPS_PER_THREAD {
         match catch_unwind(AssertUnwindSafe(|| one_op(trie, &mut state))) {
             Ok(()) => completed += 1,
             Err(payload) => {
-                // `fire` already abandoned the incarnation for an Abandon
-                // action; consuming the flag is all that is left to do.
-                if fault::take_abandoned() {
-                    abandoned += 1;
-                } else if payload.downcast_ref::<InjectedFault>().is_none() {
+                if payload.downcast_ref::<InjectedFault>().is_none() {
                     std::panic::resume_unwind(payload);
                 }
             }
         }
     }
     fault::disarm();
-    (completed, abandoned)
+    completed
 }
 
 /// Quiescent full-consistency check: snapshot membership, then require
@@ -147,25 +139,20 @@ fn chaos_round(seed: u64) {
     }
 
     let fired_before = fault::fired_total();
-    let stranded_before = telemetry::counters().get(Counter::StrandedNodes);
     let plan = FaultPlan::seeded(seed).with_rate(24).with_actions(&[
         FaultAction::Yield,
         FaultAction::Stall,
         FaultAction::Panic,
-        FaultAction::Abandon,
     ]);
     let completed = Arc::new(AtomicU64::new(0));
-    let abandoned = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let trie = Arc::clone(&trie);
             let completed = Arc::clone(&completed);
-            let abandoned = Arc::clone(&abandoned);
             let plan = plan.clone();
             std::thread::spawn(move || {
-                let (done, gone) = chaos_worker(&trie, plan, t, seed);
+                let done = chaos_worker(&trie, plan, t, seed);
                 completed.fetch_add(done, Ordering::SeqCst);
-                abandoned.fetch_add(gone, Ordering::SeqCst);
             })
         })
         .collect();
@@ -173,7 +160,6 @@ fn chaos_round(seed: u64) {
         h.join().expect("chaos worker hit a non-injected panic");
     }
     let fired = fault::fired_total() - fired_before;
-    let abandoned = abandoned.load(Ordering::SeqCst);
 
     // Progress floor: the fault rate crashes some operations, but the
     // overwhelming majority must still run to completion.
@@ -190,12 +176,12 @@ fn chaos_round(seed: u64) {
         "seed {seed:#x} fired no faults: chaos run is vacuous"
     );
 
-    // Footprint: adoption must fully drain the crashed ops' announcements.
-    trie.adopt_orphans();
+    // Footprint: the unwind guards must have drained the crashed ops'
+    // announcements.
     let lens = trie.announcements();
     assert!(
         lens.is_empty(),
-        "announcements leaked after adoption (seed {seed:#x}): \
+        "announcements leaked after the storm (seed {seed:#x}): \
          uall {} ruall {} pall {} sall {}",
         lens.uall,
         lens.ruall,
@@ -204,30 +190,16 @@ fn chaos_round(seed: u64) {
     );
 
     // Memory ceiling, memory_bound-style: steady-state live nodes stay
-    // bounded by the universe plus a constant per *abandoned* operation —
-    // independent of the op count. The `StrandedNodes` counter makes the
-    // bound sharper than a uniform per-abandon charge: only an abandon
-    // that dies between allocating its update node and publishing it
-    // leaks that node for good (adoption can never reach an unpublished
-    // node), so those abandons carry the heavy charge and every other
-    // abandon only a small transient one. Both coefficients sum to the
-    // old uniform charge, so this is strictly tighter whenever any
-    // abandon died pre-allocation or post-publication.
-    let stranded = telemetry::counters().get(Counter::StrandedNodes) - stranded_before;
-    assert!(
-        stranded <= abandoned,
-        "more stranded nodes than abandoned ops (seed {seed:#x}): \
-         {stranded} stranded, {abandoned} abandoned"
-    );
+    // bounded by the universe plus a constant, independent of the op count
+    // and of how many operations crashed.
     trie.collect_garbage();
     let allocated = trie.allocated_nodes();
     let live = trie.live_nodes();
-    let ceiling = 4 * U as usize + 512 + 2 * abandoned as usize + 6 * stranded as usize;
+    let ceiling = 4 * U as usize + 512;
     assert!(
         live <= ceiling,
         "live nodes unbounded after chaos (seed {seed:#x}): {live} live of \
-         {allocated} allocated (ceiling {ceiling}, {abandoned} abandoned, \
-         {stranded} stranded)"
+         {allocated} allocated (ceiling {ceiling})"
     );
     // On the drop-only arena nothing is ever reclaimed, so this direction
     // proves the run generated enough garbage for the ceiling to bite.
@@ -291,9 +263,9 @@ fn chaos_panic_abandon_storm_stays_linearizable_and_drains() {
 }
 
 /// Teeth: with the unwind guards switched off, a panic inside an announced
-/// insert must leave its announcement behind — the thread is still alive,
-/// so adoption rightly refuses to touch it. If this test ever starts
-/// failing, the guards are no longer what makes the chaos suite pass.
+/// insert must leave its announcement behind, since nothing else withdraws
+/// it. If this test ever starts failing, the guards are no longer what
+/// makes the chaos suite pass.
 #[test]
 fn teeth_unwind_guards_off_leaks_the_panicked_announcement() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -310,62 +282,9 @@ fn teeth_unwind_guards_off_leaks_the_panicked_announcement() {
     let outcome = catch_unwind(AssertUnwindSafe(|| trie.insert(20)));
     fault::disarm();
     assert!(outcome.is_err(), "the injected panic must escape the op");
-    assert!(!fault::take_abandoned(), "panic is not abandon");
-
-    // The owner's incarnation is still live, so adoption is a no-op here.
-    assert_eq!(trie.adopt_orphans(), 0, "live owners must not be adopted");
     assert!(
         !trie.announcements().is_empty(),
         "guards disabled yet the announcement was withdrawn: \
          the chaos suite's drain assertions have lost their teeth"
     );
-}
-
-/// Teeth: with orphan adoption switched off, an abandoned insert's
-/// announcement survives an adoption call; re-enabling the switch adopts
-/// and drains it. If the first half fails, adoption is no longer what
-/// drains abandoned footprints in the chaos suite.
-#[test]
-fn teeth_orphan_adoption_off_strands_the_abandoned_announcement() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::silence_injected_panics();
-    let _restore = RestoreSwitches;
-    fault::set_orphan_adoption_enabled(false);
-
-    let trie = LockFreeBinaryTrie::new(U);
-    trie.insert(10);
-    fault::arm(
-        FaultPlan::once(FaultPoint::InsertAnnounced, FaultAction::Abandon),
-        2,
-    );
-    let outcome = catch_unwind(AssertUnwindSafe(|| trie.insert(20)));
-    fault::disarm();
-    assert!(outcome.is_err(), "the injected abandon must escape the op");
-    assert!(
-        fault::take_abandoned(),
-        "abandon must mark the incarnation dead"
-    );
-
-    assert_eq!(
-        trie.adopt_orphans(),
-        0,
-        "disabled adoption must adopt nothing"
-    );
-    assert!(
-        !trie.announcements().is_empty(),
-        "adoption disabled yet the orphan drained: \
-         the chaos suite's drain assertions have lost their teeth"
-    );
-
-    // Positive control: the real mechanism cleans up exactly this orphan.
-    fault::set_orphan_adoption_enabled(true);
-    assert!(
-        trie.adopt_orphans() >= 1,
-        "re-enabled adoption must adopt the orphan"
-    );
-    assert!(
-        trie.announcements().is_empty(),
-        "adoption must drain the footprint"
-    );
-    assert_self_consistent(&trie, "post-adoption");
 }

@@ -1,27 +1,26 @@
-//! The fault-point matrix (crash-consistency suite): inject a panic or a
-//! simulated thread death (abandon) at **every** named injection point, for
-//! every operation type, and require that
+//! The fault-point matrix (crash-consistency suite): inject a panic at
+//! **every** named injection point, for every operation type, and require
+//! that
 //!
 //! * the trie stays equivalent to a `BTreeSet` model — a crashed
 //!   single-key update has taken effect exactly when the fault fired after
 //!   its latest-list CAS, a crashed batch leaves a prefix of its keys
 //!   applied, and every other key is untouched;
-//! * after [`adopt_orphans`] every announcement list drains to zero, so
-//!   the crashed operation's footprint does not linger; and
+//! * every announcement list drains to zero once the panic has unwound,
+//!   so the crashed operation's footprint does not linger; and
 //! * the trie remains fully operational afterwards (follow-up operations
 //!   agree with the model).
 //!
 //! Each scenario runs on its own thread under a watchdog: a wedged
-//! scenario (an abandoned operation blocking later ones) fails the test by
+//! scenario (a crashed operation blocking later ones) fails the test by
 //! name instead of hanging the suite.
 //!
-//! The last three tests pin the contract of `fault::suspend_at`, the
+//! The last four tests pin the contract of `fault::suspend_at`, the
 //! stalled (not crashed) operation the progress and recovery suites build
-//! on: it is never adopted or reclaimed, it leaves nothing behind when it
-//! never reaches its point, and it leaves its thread able to unwind the
-//! next operation normally.
-//!
-//! [`adopt_orphans`]: lftrie::core::LockFreeBinaryTrie::adopt_orphans
+//! on: it is never finished or reclaimed by anyone else, whoever cuts one
+//! of its links retires what the link pointed to, it leaves nothing
+//! behind when it never reaches its point, and it leaves its thread able
+//! to unwind the next operation normally.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,10 +106,10 @@ fn assert_equivalent(trie: &LockFreeBinaryTrie, model: &BTreeSet<u64>, ctx: &str
     );
 }
 
-/// Runs one `(point, action, op)` scenario to completion. Panics (with
-/// context) on any consistency violation.
-fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
-    let ctx = format!("{}/{} on {op:?}", action.name(), point.name());
+/// Runs one `(point, op)` scenario with a panic injected at `point`, to
+/// completion. Panics (with context) on any consistency violation.
+fn scenario(point: FaultPoint, op: Op) {
+    let ctx = format!("panic/{} on {op:?}", point.name());
     let trie = LockFreeBinaryTrie::new(U);
     let mut model: BTreeSet<u64> = BTreeSet::new();
     for k in seed_keys() {
@@ -129,7 +128,7 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
     assert!(batch_old.iter().all(|k| model.contains(k)));
 
     fault::arm(
-        FaultPlan::once(point, action),
+        FaultPlan::once(point, FaultAction::Panic),
         (point as u64) << 8 | op as u64,
     );
     let outcome = catch_unwind(AssertUnwindSafe(|| match op {
@@ -188,42 +187,24 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
     fault::disarm();
 
     let crashed = match outcome {
-        Ok(()) => {
-            assert!(
-                !fault::take_abandoned(),
-                "{ctx}: abandoned without unwinding"
-            );
-            false
-        }
+        Ok(()) => false,
         Err(payload) => {
             assert!(
                 payload.downcast_ref::<InjectedFault>().is_some(),
                 "{ctx}: non-injected panic escaped: {payload:?}",
             );
-            let abandoned = fault::take_abandoned();
-            assert_eq!(
-                abandoned,
-                action == FaultAction::Abandon,
-                "{ctx}: abandon flag mismatch"
-            );
             true
         }
     };
 
-    // Adopt whatever the crashed (especially abandoned) operation left
-    // behind, then resolve the crashed operation's outcome from the trie:
-    // either effect is linearizable, but it must be atomic per key.
-    let adopted = trie.adopt_orphans();
-    if !crashed {
-        assert_eq!(adopted, 0, "{ctx}: clean run left orphans");
-    }
+    // Resolve the crashed operation's outcome from the trie: either effect
+    // is linearizable, but it must be atomic per key.
     if crashed {
         match op {
             // A crashed single-key update has taken effect exactly when its
             // fault fired after the latest-list CAS published its node:
-            // from then on the unwind guard or an adopter must finish it.
-            // Checked before any follow-up operation on the key can help
-            // the node in.
+            // from then on its unwind guard must finish it. Checked before
+            // any follow-up operation on the key can help the node in.
             Op::InsertNew => {
                 let published = fires_after_publication(point);
                 assert_eq!(
@@ -308,7 +289,7 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
     let lens = trie.announcements();
     assert!(
         lens.is_empty(),
-        "{ctx}: announcements leaked after adoption: \
+        "{ctx}: announcements leaked after the crash: \
          uall {} ruall {} pall {} sall {}",
         lens.uall,
         lens.ruall,
@@ -363,11 +344,11 @@ fn model_succ_of(y: u64) -> Option<u64> {
 }
 
 /// Runs `scenario` on a watchdog thread so a wedged trie fails by name.
-fn run_watched(point: FaultPoint, action: FaultAction, op: Op) {
+fn run_watched(point: FaultPoint, op: Op) {
     let (tx, rx) = mpsc::channel();
-    let name = format!("{}/{} on {op:?}", action.name(), point.name());
+    let name = format!("panic/{} on {op:?}", point.name());
     let handle = std::thread::spawn(move || {
-        scenario(point, action, op);
+        scenario(point, op);
         tx.send(()).ok();
     });
     match rx.recv_timeout(Duration::from_secs(60)) {
@@ -388,17 +369,7 @@ fn panic_at_every_point_keeps_model_equivalence() {
     fault::silence_injected_panics();
     for point in FaultPoint::ALL {
         for op in OPS {
-            run_watched(point, FaultAction::Panic, op);
-        }
-    }
-}
-
-#[test]
-fn abandon_at_every_point_keeps_model_equivalence_after_adoption() {
-    fault::silence_injected_panics();
-    for point in FaultPoint::ALL {
-        for op in OPS {
-            run_watched(point, FaultAction::Abandon, op);
+            run_watched(point, op);
         }
     }
 }
@@ -444,68 +415,61 @@ fn a_panic_at_any_occurrence_leaves_no_announcement() {
     assert!(panics > 128, "only {panics} of 256 runs panicked");
 }
 
-/// A delete stopped after its latest-list CAS on a thread that then exits
-/// leaves its DEL node inactive at the head of its latest list, in no
-/// announcement list and with a dead owner, while its first embedded
-/// queries stay announced. No guard saw an abandon, so only those dead
-/// queries tell adoption to walk the latest lists: it must finish the
-/// delete before it withdraws them.
+/// The same for scans, whose last point is the epoch pin of the
+/// withdrawal that ends the scan: a panic there, too, must leave no
+/// announcement behind once it has unwound through the iterator.
 #[test]
-fn an_unannounced_delete_of_an_exited_thread_is_adopted() {
-    let trie = LockFreeBinaryTrie::new(U);
-    trie.insert(5);
-    trie.insert(9);
-    std::thread::scope(|s| {
-        let owner = s.spawn(|| fault::suspend_at(FaultPoint::DeletePublished, || trie.remove(9)));
-        assert!(owner.join().expect("owner thread"), "the delete stopped");
-    });
-    let lens = trie.announcements();
-    assert_eq!((lens.uall, lens.ruall, lens.pall, lens.sall), (0, 0, 1, 1));
-    assert!(trie.contains(9), "the stopped delete is not linearized");
-    assert_eq!(
-        trie.adopt_orphans(),
-        3,
-        "the delete and its two first embedded queries"
-    );
-    assert!(!trie.contains(9), "adoption finished the delete");
-    assert!(trie.announcements().is_empty());
-    assert_eq!(trie.predecessor(20), Some(5));
+fn a_panic_at_any_occurrence_in_a_scan_leaves_no_announcement() {
+    use FaultAction::{Panic, Yield};
+    fault::silence_injected_panics();
+    let plan = FaultPlan::seeded(0x5CA7)
+        .with_rate(1024)
+        .with_actions(&[Yield, Yield, Yield, Panic]);
+    let trie = LockFreeBinaryTrie::new(64);
+    for k in [5, 9, 20] {
+        trie.insert(k);
+    }
+    let mut completed = 0;
+    for salt in 0..256 {
+        fault::arm(plan.clone(), salt);
+        let outcome = catch_unwind(AssertUnwindSafe(|| trie.range(0..=63)));
+        fault::disarm();
+        match outcome {
+            Ok(keys) => {
+                assert_eq!(keys, [5, 9, 20], "salt {salt}");
+                completed += 1;
+            }
+            Err(payload) => assert!(payload.downcast_ref::<InjectedFault>().is_some()),
+        }
+        assert_eq!(trie.announcements().sall, 0, "salt {salt}: scan leaked");
+    }
+    assert!(completed > 0, "no scan of 256 ran to its end");
 }
 
 /// An update that cuts another update's `latestNext` link retires the
 /// node the link pointed to. Here an insert cuts the link (lines 168–169)
 /// of a delete stopped between its activation and its own cut (line 199):
-/// the delete's finisher, once its thread has exited, finds the link gone,
-/// so no one else would retire the INS node the delete displaced.
+/// the stopped delete never runs again, so no one else would retire the
+/// INS node it displaced.
 #[test]
 fn the_update_that_cuts_a_link_retires_the_displaced_node() {
     let trie = LockFreeBinaryTrie::new(U);
     trie.insert(9);
-    let (stopped_tx, stopped_rx) = mpsc::channel();
-    let (exit_tx, exit_rx) = mpsc::channel::<()>();
-    let trie = &trie;
-    std::thread::scope(|s| {
-        let owner = s.spawn(move || {
-            let stopped = fault::suspend_at(FaultPoint::DeleteLinearized, || trie.remove(9));
-            stopped_tx.send(stopped).expect("main thread waits");
-            exit_rx.recv().expect("main thread signals");
-        });
-        assert!(
-            stopped_rx.recv().expect("owner thread"),
-            "the delete stopped"
-        );
-        // The owner is alive, so no sweep finishes its delete first.
-        assert!(trie.insert(9));
-        exit_tx.send(()).expect("owner thread waits");
-        owner.join().expect("owner thread");
-    });
+    assert!(
+        fault::suspend_at(FaultPoint::DeleteLinearized, || trie.remove(9)),
+        "the delete stopped"
+    );
+    assert!(trie.insert(9));
     trie.collect_garbage();
-    assert!(trie.announcements().is_empty());
-    // Each key's latest-list head; the delete, superseded before it was
-    // finished, never reached a dNodePtr slot and is freed too.
+    // The stopped delete keeps its announcement and its first embedded
+    // queries.
+    let lens = trie.announcements();
+    assert_eq!((lens.uall, lens.ruall, lens.pall, lens.sall), (1, 1, 1, 1));
+    // Each key's latest-list head, plus the DEL node that never completes
+    // and so is never freed. The INS node it displaced is freed.
     assert_eq!(
         trie.live_nodes(),
-        U as usize,
+        U as usize + 1,
         "a displaced node was never retired"
     );
 }
@@ -524,8 +488,6 @@ fn suspended_delete_is_neither_adopted_nor_reclaimed() {
         (lens.uall, lens.ruall, lens.pall, lens.sall)
     };
     assert_eq!(footprint(&trie), (1, 1, 2, 2));
-    // Its owner is alive: a stalled thread, not a crashed one.
-    assert_eq!(trie.adopt_orphans(), 0, "a suspended delete is no orphan");
     trie.collect_garbage();
     assert_eq!(
         footprint(&trie),
@@ -562,7 +524,6 @@ fn a_panic_after_a_suspension_still_runs_its_unwind_guard() {
     fault::disarm();
     let payload = outcome.expect_err("the injected panic escapes the insert");
     assert!(payload.downcast_ref::<InjectedFault>().is_some());
-    assert!(!fault::take_abandoned(), "a panic is not an abandon");
     // The guard completed the panicked insert and withdrew it; only the
     // suspended insert is still announced.
     assert!(trie.contains(20), "the unwind guard completed the insert");

@@ -1,30 +1,28 @@
 //! End-to-end op-trace suite: spans must close correctly when operations
-//! crash mid-flight, helping/adoption must produce joinable cross-thread
-//! edges, and the Chrome trace-event export must stay schema-valid under
-//! a seeded chaos storm.
+//! unwind mid-flight, helping must produce joinable cross-thread edges,
+//! and the Chrome trace-event export must stay schema-valid under a
+//! seeded chaos storm.
 //!
 //! The scenarios lean on the fault-injection subsystem: an injected
-//! `Abandon` simulates a thread dying mid-operation (the span terminator
-//! must say [`SPAN_ABANDONED`], not ok), an injected `Panic` unwinds
-//! through the guards (terminator [`SPAN_PANICKED`]), and the orphans the
-//! abandons leave behind force deterministic adopter→victim helping edges
-//! that the uncontended happy path never produces.
+//! `Panic` unwinds through the guards (terminator [`SPAN_PANICKED`]), and
+//! an insert suspended after its latest-list CAS makes another thread's
+//! insert of the same key help it (`HelpActivate`) — a deterministic
+//! cross-thread helping edge that the uncontended happy path never
+//! produces.
 //!
 //! Every test serializes on one lock: the fault switches, the telemetry
 //! enable, and the trace kill-switch are all process-global, and `drain`
 //! sees every thread's ring.
 //!
-//! [`SPAN_ABANDONED`]: lftrie::telemetry::trace::SPAN_ABANDONED
 //! [`SPAN_PANICKED`]: lftrie::telemetry::trace::SPAN_PANICKED
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 use lftrie::core::fault::{self, FaultAction, FaultPlan, FaultPoint, InjectedFault};
 use lftrie::core::LockFreeBinaryTrie;
 use lftrie::telemetry::{self, trace};
-use trace::{OpKind, TraceEvent, TraceEventKind, SPAN_ABANDONED, SPAN_OK, SPAN_PANICKED};
+use trace::{OpKind, TraceEvent, TraceEventKind, SPAN_OK, SPAN_PANICKED};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -56,10 +54,13 @@ fn end_status(events: &[TraceEvent], span: u64) -> Option<u64> {
         .map(|e| e.a)
 }
 
-/// Runs one faulted insert under `catch_unwind`, returning whether the
-/// fault machinery reported an abandon.
-fn faulted_insert(trie: &LockFreeBinaryTrie, key: u64, action: FaultAction) -> bool {
-    fault::arm(FaultPlan::once(FaultPoint::InsertAnnounced, action), 0xF00D);
+/// Runs one insert with a panic injected once it is announced, under
+/// `catch_unwind`.
+fn panicked_insert(trie: &LockFreeBinaryTrie, key: u64) {
+    fault::arm(
+        FaultPlan::once(FaultPoint::InsertAnnounced, FaultAction::Panic),
+        0xF00D,
+    );
     let outcome = catch_unwind(AssertUnwindSafe(|| trie.insert(key)));
     fault::disarm();
     match outcome {
@@ -71,33 +72,33 @@ fn faulted_insert(trie: &LockFreeBinaryTrie, key: u64, action: FaultAction) -> b
             );
         }
     }
-    fault::take_abandoned()
 }
 
-#[test]
-fn abandoned_span_terminates_with_abandoned_status() {
-    if !trace::compiled() {
-        return; // compiled-out build: nothing to observe
-    }
-    let _serial = setup();
-    let trie = LockFreeBinaryTrie::new(U);
-    trie.insert(10);
-
-    let key = 601u64;
+/// Suspends `insert(key)` of an absent key after its latest-list CAS on
+/// one thread, then runs `insert(key)` on this thread while the first
+/// stays alive (so the two record on distinct trace shards). The second
+/// insert loses its CAS and helps the suspended node (line 171).
+fn suspend_then_help(trie: &LockFreeBinaryTrie, key: u64) {
+    let (stopped_tx, stopped_rx) = mpsc::channel();
+    let (exit_tx, exit_rx) = mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let owner = s.spawn(move || {
+            let stopped = fault::suspend_at(FaultPoint::InsertPublished, || trie.insert(key));
+            stopped_tx.send(stopped).expect("the helper waits");
+            exit_rx.recv().expect("the helper signals");
+        });
+        assert!(
+            stopped_rx.recv().expect("owner thread"),
+            "the insert stopped"
+        );
+        assert!(!trie.insert(key), "the helping insert loses its CAS");
+        exit_tx.send(()).expect("owner thread waits");
+        owner.join().expect("owner thread");
+    });
     assert!(
-        faulted_insert(&trie, key, FaultAction::Abandon),
-        "abandon must mark the incarnation dead"
+        trie.contains(key),
+        "the helper activated the stopped insert"
     );
-
-    let events = trace::drain();
-    let begin = last_begin(&events, OpKind::Insert, key as i64)
-        .expect("the abandoned insert opened a span");
-    assert_eq!(
-        end_status(&events, begin.span),
-        Some(SPAN_ABANDONED),
-        "an injected Abandon must close its span with the abandoned terminator"
-    );
-    trie.adopt_orphans(); // leave no orphan behind for later tests
 }
 
 #[test]
@@ -110,10 +111,7 @@ fn panicked_span_terminates_with_panicked_status() {
     trie.insert(10);
 
     let key = 602u64;
-    assert!(
-        !faulted_insert(&trie, key, FaultAction::Panic),
-        "a plain panic is not an abandon"
-    );
+    panicked_insert(&trie, key);
 
     let events = trace::drain();
     let begin =
@@ -123,8 +121,7 @@ fn panicked_span_terminates_with_panicked_status() {
         Some(SPAN_PANICKED),
         "an unwinding span must close with the panicked terminator"
     );
-    // The owner is still alive (the panic was absorbed here), so its
-    // withdrawn announcement leaves nothing to adopt — and a clean op on
+    // The unwind guard finished the insert and withdrew it; a clean op on
     // the same trie must still trace an ok terminator afterwards.
     let done = trie.insert(603);
     assert!(done, "fresh insert after the absorbed panic");
@@ -133,12 +130,13 @@ fn panicked_span_terminates_with_panicked_status() {
     assert_eq!(end_status(&events, begin.span), Some(SPAN_OK));
 }
 
-/// Adoption is the one helping path a single-threaded test can force
-/// deterministically: abandon an announced insert, adopt it, and the
-/// adopter's span must carry a helping edge whose node seq joins against
-/// the victim's bind — the raw material of the Chrome flow arrows.
+/// A suspended insert and the insert that helps it, on two threads: the
+/// helper's span must carry a helping edge whose node seq joins the
+/// suspended span's bind on the other shard — the raw material of the
+/// Chrome flow arrows — and the suspended span must close with the
+/// panicked terminator, since it unwound out of the operation.
 #[test]
-fn adoption_links_adopter_span_to_victim_bind() {
+fn helping_links_helper_span_to_suspended_bind() {
     if !trace::compiled() {
         return;
     }
@@ -147,35 +145,36 @@ fn adoption_links_adopter_span_to_victim_bind() {
     trie.insert(10);
 
     let key = 604u64;
-    assert!(faulted_insert(&trie, key, FaultAction::Abandon));
-
-    let before = trace::drain();
-    let victim =
-        last_begin(&before, OpKind::Insert, key as i64).expect("the victim insert opened a span");
-    let bind = before
-        .iter()
-        .find(|e| e.kind == TraceEventKind::Bind && e.span == victim.span)
-        .expect("the victim bound its update node before dying");
-
-    assert!(trie.adopt_orphans() >= 1, "the orphan must be adopted");
+    suspend_then_help(&trie, key);
 
     let events = trace::drain();
-    let adopter = last_begin(&events, OpKind::Adopt, key as i64)
-        .expect("adoption opened an adopt span for the victim's key");
+    let mut begins = events.iter().rev().filter(|e| {
+        e.kind == TraceEventKind::OpBegin
+            && e.b == OpKind::Insert as u64
+            && e.a as i64 == key as i64
+    });
+    let helper = begins.next().expect("the helping insert opened a span");
+    let owner = begins.next().expect("the suspended insert opened a span");
+    let bind = events
+        .iter()
+        .find(|e| e.kind == TraceEventKind::Bind && e.span == owner.span)
+        .expect("the suspended insert bound its update node");
     let edge = events
         .iter()
-        .find(|e| e.kind == TraceEventKind::HelpEdge && e.span == adopter.span)
-        .expect("the adopter recorded a helping edge");
+        .find(|e| e.kind == TraceEventKind::HelpEdge && e.span == helper.span)
+        .expect("the helper recorded a helping edge");
     assert_eq!(
         edge.a, bind.a,
-        "the edge's node seq must join against the victim's bind"
+        "the edge's node seq must join against the suspended insert's bind"
     );
+    assert_ne!(edge.shard, bind.shard, "the flow crosses threads");
     assert!(edge.b >= 1, "helping depth starts at 1");
     assert_eq!(
-        end_status(&events, adopter.span),
-        Some(SPAN_OK),
-        "the adoption span closes cleanly"
+        end_status(&events, owner.span),
+        Some(SPAN_PANICKED),
+        "a suspended span closes with the panicked terminator"
     );
+    assert_eq!(end_status(&events, helper.span), Some(SPAN_OK));
 
     // The exporter joins that pair into a flow arrow.
     let json = trace::chrome_trace_json();
@@ -228,10 +227,10 @@ fn assert_chrome_schema(json: &str, want_flow: bool) {
     }
 }
 
-/// The acceptance scenario: a seeded multi-thread chaos storm (panics +
-/// abandons) followed by adoption must export a schema-valid Chrome trace
-/// with tracks for several threads and at least one cross-thread helping
-/// flow event.
+/// The acceptance scenario: a seeded multi-thread chaos storm (yields and
+/// panics) followed by a suspended insert and its helper must export a
+/// schema-valid Chrome trace with tracks for several threads and at least
+/// one cross-thread helping flow event.
 #[test]
 fn seeded_chaos_trace_exports_valid_chrome_json_with_flows() {
     if !trace::compiled() {
@@ -248,16 +247,12 @@ fn seeded_chaos_trace_exports_valid_chrome_json_with_flows() {
         trie.insert(k);
     }
 
-    let plan = FaultPlan::seeded(0x7ACE).with_rate(24).with_actions(&[
-        FaultAction::Yield,
-        FaultAction::Panic,
-        FaultAction::Abandon,
-    ]);
-    let abandoned = Arc::new(AtomicU64::new(0));
+    let plan = FaultPlan::seeded(0x7ACE)
+        .with_rate(24)
+        .with_actions(&[FaultAction::Yield, FaultAction::Panic]);
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let trie = Arc::clone(&trie);
-            let abandoned = Arc::clone(&abandoned);
             let plan = plan.clone();
             std::thread::spawn(move || {
                 fault::arm(plan, 0x7ACE ^ (t << 16));
@@ -280,9 +275,7 @@ fn seeded_chaos_trace_exports_valid_chrome_json_with_flows() {
                         }
                     }));
                     if let Err(payload) = r {
-                        if fault::take_abandoned() {
-                            abandoned.fetch_add(1, Ordering::SeqCst);
-                        } else if payload.downcast_ref::<InjectedFault>().is_none() {
+                        if payload.downcast_ref::<InjectedFault>().is_none() {
                             std::panic::resume_unwind(payload);
                         }
                     }
@@ -295,10 +288,10 @@ fn seeded_chaos_trace_exports_valid_chrome_json_with_flows() {
         h.join().expect("chaos worker hit a non-injected panic");
     }
 
-    // Adoption guarantees helping edges even if the storm's own helping
-    // raced away; with abandons fired there is always at least one orphan
-    // or a help edge already recorded by contention.
-    trie.adopt_orphans();
+    // A suspended insert and its helper guarantee a cross-thread helping
+    // edge even if the storm's own helping raced away. Key 1000 is absent
+    // (the seed holds keys ≡ 1 mod 7) and outside the storm's hot span.
+    suspend_then_help(&trie, 1000);
 
     let events = trace::drain();
     let shards: std::collections::BTreeSet<usize> = events.iter().map(|e| e.shard).collect();
@@ -313,15 +306,13 @@ fn seeded_chaos_trace_exports_valid_chrome_json_with_flows() {
         .map(|e| e.a)
         .collect();
     assert!(statuses.contains(&SPAN_OK), "clean terminators present");
-    if abandoned.load(Ordering::SeqCst) > 0 {
-        assert!(
-            statuses.contains(&SPAN_ABANDONED),
-            "abandons fired but no span closed abandoned"
-        );
-    }
+    assert!(
+        statuses.contains(&SPAN_PANICKED),
+        "the suspended insert closed no span as panicked"
+    );
     assert!(
         events.iter().any(|e| e.kind == TraceEventKind::HelpEdge),
-        "storm + adoption produced no helping edge"
+        "storm + helping produced no helping edge"
     );
     // The flow arrow must join spans recorded by *different* shards —
     // that is the cross-thread causal claim the export makes.

@@ -251,3 +251,69 @@ fn concurrent_successor_bounded_by_stable_keys() {
         "successor announcements must drain: {succ_live} live of {succ_created}"
     );
 }
+
+/// A scan forgotten with `mem::forget` never withdraws, so it keeps its one
+/// S-ALL announcement until the trie drops (the contract on `IterFrom`),
+/// also after its thread has exited. Updates on other threads still
+/// complete, pushing notify records onto the stale node, ordered answers
+/// stay exact, and dropping the trie frees the node.
+#[test]
+fn a_forgotten_scan_keeps_its_announcement_until_the_trie_drops() {
+    let universe = 256u64;
+    let trie = LockFreeBinaryTrie::new(universe);
+    let mut model: BTreeSet<u64> = (0..universe).step_by(4).collect();
+    for &k in &model {
+        trie.insert(k);
+    }
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut iter = trie.iter_from(0);
+            assert_eq!(iter.next(), Some(0));
+            // The first successor step announces the scan's node.
+            assert_eq!(iter.next(), Some(4));
+            std::mem::forget(iter);
+        });
+    });
+    trie.collect_garbage();
+    let lens = trie.announcements();
+    assert_eq!(
+        (lens.uall, lens.ruall, lens.pall, lens.sall),
+        (0, 0, 0, 1),
+        "the forgotten scan's announcement must stay until the trie drops"
+    );
+
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for k in (1..universe).step_by(4) {
+                assert!(trie.insert(k), "insert {k}");
+            }
+            for k in (0..universe).step_by(8) {
+                assert!(trie.remove(k), "remove {k}");
+            }
+        });
+    });
+    model.extend((1..universe).step_by(4));
+    for k in (0..universe).step_by(8) {
+        model.remove(&k);
+    }
+    for y in 0..universe {
+        assert_eq!(
+            trie.successor(y),
+            model.range(y + 1..).next().copied(),
+            "successor({y})"
+        );
+    }
+    for lo in (0..universe).step_by(37) {
+        let hi = (lo + 50).min(universe - 1);
+        assert_eq!(
+            trie.range(lo..=hi),
+            model.range(lo..=hi).copied().collect::<Vec<_>>(),
+            "range({lo}..={hi})"
+        );
+    }
+    trie.collect_garbage();
+    assert_eq!(trie.announcements().sall, 1);
+    // Teardown frees the still-announced node; the sanitizer lanes check
+    // that path.
+    drop(trie);
+}
