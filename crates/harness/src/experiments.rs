@@ -818,23 +818,27 @@ pub fn e10_scan_amortization(quick: bool) -> Table {
 /// E11 — unified telemetry: an instrumented balanced run on the lock-free
 /// trie, reported entirely from the [`lftrie_telemetry`] snapshot (latency
 /// percentiles from the log₂ histogram, traversal depth, epoch/reclamation
-/// health). This is the experiment the CI telemetry lane runs with
-/// `--emit-json`; its `BENCH_e11.json` carries the full snapshot object.
+/// health) and from the counters recorded during the run (the cost of a
+/// registry sweep, and the readiness-gate probes per operation). This is
+/// the experiment the CI telemetry lane runs with `--emit-json`; its
+/// `BENCH_e11.json` carries the full snapshot object.
 pub fn e11_telemetry(quick: bool) -> Table {
+    use lftrie_telemetry::{self as telemetry, Counter};
+
     let universe = 1u64 << 14;
     let ops = if quick { 5_000 } else { 50_000 };
+    let config = RunConfig {
+        threads: 4,
+        ops_per_thread: ops,
+        universe,
+        mix: OpMix::BALANCED,
+        seed: SEED,
+    };
     let trie = LockFreeBinaryTrie::new(universe);
     prefill(&trie, universe, 0.2, SEED);
-    let res = driver::run_instrumented(
-        &trie,
-        &RunConfig {
-            threads: 4,
-            ops_per_thread: ops,
-            universe,
-            mix: OpMix::BALANCED,
-            seed: SEED,
-        },
-    );
+    let before = telemetry::counters();
+    let res = driver::run_instrumented(&trie, &config);
+    let run = telemetry::counters() - before;
     let snap = trie.telemetry();
     let lat = &snap.op_latency_ns;
     let depth = &snap.traversal_depth;
@@ -867,6 +871,17 @@ pub fn e11_telemetry(quick: bool) -> Table {
     ]);
     table.row(&["limbo_and_pending".to_string(), limbo.to_string()]);
     table.row(&["live_nodes".to_string(), live.to_string()]);
+    // Sweeps time one in 16 and count it 16 times (`Counter::SweepNs`).
+    let sweeps = run.get(Counter::Sweeps).max(1);
+    table.row(&[
+        "ns_per_sweep".to_string(),
+        format!("{:.0}", run.get(Counter::SweepNs) as f64 / sweeps as f64),
+    ]);
+    let calls = (config.threads as u64 * config.ops_per_thread) as f64;
+    table.row(&[
+        "gate_probes_per_op".to_string(),
+        format!("{:.2}", run.get(Counter::GateProbes) as f64 / calls),
+    ]);
     table
 }
 
@@ -961,11 +976,13 @@ mod tests {
     #[test]
     fn e11_reports_every_snapshot_metric() {
         let t = e11_telemetry(true);
-        assert_eq!(t.rows().len(), 9);
+        assert_eq!(t.rows().len(), 11);
         let metrics: Vec<&str> = t.rows().iter().map(|r| r[0].as_str()).collect();
         assert!(metrics.contains(&"latency_p99_ns_le"));
         assert!(metrics.contains(&"stalled_readers"));
         assert!(metrics.contains(&"limbo_and_pending"));
+        assert!(metrics.contains(&"ns_per_sweep"));
+        assert!(metrics.contains(&"gate_probes_per_op"));
     }
 
     #[test]

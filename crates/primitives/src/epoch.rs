@@ -20,8 +20,9 @@
 //!   entry. Pinning is re-entrant: nested pins reuse the outer epoch.
 //!   [`Domain::register`] gives a participant a slot of its own, so one
 //!   thread can act as several.
-//! * Retired garbage is stamped with the epoch current at retirement
-//!   (see [`crate::registry::Registry::retire`]).
+//! * Retired garbage is stamped with a fresh epoch read once its
+//!   readiness gate is seen open, no earlier than its retirement (see
+//!   [`crate::registry`]).
 //! * [`Domain::try_advance`] increments the global epoch only when every
 //!   pinned participant has announced the current epoch; it is called
 //!   amortized (every few pins, and on registry sweeps), so a quiescent

@@ -22,40 +22,42 @@
 //!   allocations per operation. `tests/alloc_plateau.rs` asserts exactly
 //!   this via the [`Registry::allocated`] (fresh heap boxes) vs
 //!   [`Registry::recycled`] (pool hits) counters.
-//! * Retire bags flush to the shared limbo in batches — on overflow
-//!   (`BAG_CAP`) and at the start of every sweep — so the shared Treiber
-//!   stacks are touched once per batch instead of once per retire.
+//! * Retire bags flush in batches — on overflow (`BAG_CAP`) and at the
+//!   start of every sweep — into the thread's own FIFO of stamped
+//!   garbage, so a retire touches no shared line at all.
 //! * A pool records the slot *tenure* that claimed it. The next tenure of
 //!   the index claims it by CAS and inherits its chains, and a sweep
 //!   *steals* the chains of a pool whose tenure has ended, so an exited
 //!   thread's garbage keeps aging without it. A steal that a panicking
 //!   gate probe interrupts puts the ended tenure back, so a later sweep
 //!   steals the rest.
-//! * Reclamation itself is unchanged from PR 3: a node is freed (now:
-//!   recycled) only after three global-epoch advances past its stamp (see
-//!   [`crate::epoch`]) and once its type's [`Reclaim::ready_to_reclaim`]
-//!   gate opens, with [`Reclaim::on_reclaim`] running right before the
-//!   value is dropped.
+//! * A node is freed (recycled) only after three global-epoch advances
+//!   past its stamp (see [`crate::epoch`]) and once its type's
+//!   [`Reclaim::ready_to_reclaim`] gate opens, with [`Reclaim::on_reclaim`]
+//!   running right before the value is dropped.
 //!
 //! # Bag flushing and the grace-period stamp
 //!
-//! Bags extend the restamp-soundness argument from the PR 3 review fix.
-//! A node can sit in a bag for many epochs while its gate is closed (a DEL
-//! parked in a `dNodePtr` slot); when the gate finally opens, a reader
-//! pinned at the *current* epoch may have captured the pointer just before
-//! the gate-opening store. Stamping the limbo entry with the (ancient)
-//! retire-time epoch would let its grace period elapse under that reader's
-//! pin. The flush therefore stamps with a **fresh epoch read taken after
-//! the readiness probe**: the capture happened before the gate-opening
-//! store the probe observed, so the reader's pin precedes the read, the
-//! stamp is at least the reader's pin epoch, and the reader blocks the
-//! advance to `stamp + GRACE` until it unpins.
+//! A stamp is written only where a gate probe has just found the gate
+//! open: at a bag flush, and when a `pending` re-probe restamps (below).
+//! Retiring writes none. A node can sit in a bag for many epochs while its
+//! gate is closed (a DEL parked in a `dNodePtr` slot); when the gate
+//! finally opens, a reader pinned at the *current* epoch may have captured
+//! the pointer just before the gate-opening store. A retire-time stamp
+//! would let its grace period elapse under that reader's pin. The flush
+//! therefore stamps with a **fresh epoch read taken after the readiness
+//! probe**: the capture happened before the gate-opening store the probe
+//! observed, so the reader's pin precedes the read, the stamp is at least
+//! the reader's pin epoch, and the reader blocks the advance to
+//! `stamp + GRACE` until it unpins.
 //! `bag_flush_stamps_after_gate_probe` is the regression test.
 //!
 //! # Re-probing gated garbage
 //!
 //! A retired node whose [`Reclaim::ready_to_reclaim`] gate is closed parks
-//! in the `pending` stack until a probe finds the gate open. How many park
+//! in the shared `pending` stack until a probe finds the gate open. It is
+//! then restamped with a fresh epoch read, by the argument above, and
+//! appended to the sweeper's own FIFO. How many park
 //! there is set by the owner's long-lived references, not by the garbage:
 //! the trie parks one DEL node per occupied `dNodePtr` slot, up to
 //! `2^b − 1` of them. Re-probing them all on every sweep would cost
@@ -68,13 +70,51 @@
 //!
 //! The price is latency: a node whose gate opens waits in `pending` until
 //! the next re-probe. Between re-probes `pending` grows by retirements,
-//! which also count toward the trigger (and by the rare limbo node whose
-//! gate closed again), so it holds at most about twice the gated nodes the
-//! last re-probe found, plus one bag per thread flushed while another
-//! thread's sweep ran (concurrent callers skip the sweep, not the flush).
-//! The registry still owns every parked node, so teardown and pool
-//! stealing free them as before, and every node is probed again before it
-//! leaves `pending` or `limbo`.
+//! which also count toward the trigger (and by the rare FIFO node whose
+//! gate closed again, and by retires of a thread with no pool), so it
+//! holds at most about twice the gated nodes the last re-probe found. The
+//! registry still owns every parked node, so teardown and pool stealing
+//! free them as before, and every node is probed again before it leaves
+//! `pending` or a FIFO.
+//!
+//! # The per-thread FIFO
+//!
+//! Each pool keeps its stamped, gate-open garbage in a FIFO that only the
+//! pool's owner touches, like its bag and free list. Flushes append at the
+//! tail with fresh stamps, so a thread's own FIFO is in stamp order. A
+//! sweep first advances the epoch, then pops from the front while
+//! `stamp + GRACE_EPOCHS ≤ epoch`, re-probes each popped node's gate,
+//! recycles the open ones into its own free list and sends the closed ones
+//! to `pending`. It never walks or re-probes a node that has not expired,
+//! and it writes no shared line per node. The invariants:
+//!
+//! * No node is freed before `stamp + GRACE_EPOCHS ≤ epoch` and a fresh
+//!   gate probe. A stamp is a fresh epoch read, taken after the probe that
+//!   found the gate open.
+//! * The walk stops at the first node that has not expired. A chain
+//!   appended out of stamp order, such as a stolen FIFO, only waits
+//!   longer.
+//! * A gate probe that panics leaves its node in place, at the FIFO's
+//!   front or on the chain it came from, and `sweeping` still clears.
+//! * Only the `pending` re-probe and the steals need `sweeping`. A
+//!   thread's own FIFO needs no exclusivity, so a sweep whose `sweeping`
+//!   claim fails still flushes, advances and expires its own garbage; it
+//!   skips only the shared work. (Skipping the whole sweep instead, as the
+//!   shared limbo stack once required, lets a thread's FIFO grow while
+//!   another thread sweeps; on the two-worker benchmark the two choices
+//!   measured alike, and this one keeps each thread's garbage bounded by
+//!   its own sweeps.)
+//! * The `limbo` field of [`ReclaimHealth`] keeps its report name. It is
+//!   the sum of the pools' FIFO lengths, kept in owner-written counters,
+//!   and it is exact at quiescence.
+//! * [`Registry::flush`] (a structure's `collect_garbage`) on one thread
+//!   cannot reach another live thread's FIFO, just as it cannot reach that
+//!   thread's bag. What it leaves is bounded by that thread's bag plus the
+//!   FIFO entries that had not expired at its last sweep. An exited
+//!   thread's FIFO is stolen, as its bag is: a sweep flushes the bag into
+//!   it, frees its expired front and appends the rest to the sweeper's
+//!   own FIFO. (Appended whole, each stolen FIFO's freshly flushed tail
+//!   would hold back every older chain stolen after it.)
 //!
 //! # Counters
 //!
@@ -114,8 +154,8 @@ use crate::slots::{self, SlotVec};
 /// [`crate::epoch`] for why this is 3 and not the textbook 2.
 const GRACE_EPOCHS: u64 = 3;
 
-/// Retires a thread buffers in its local bag before flushing them to the
-/// shared limbo (and sweeping). Doubles as the amortized sweep cadence, so
+/// Retires a thread buffers in its local bag before flushing them to its
+/// FIFO (and sweeping). Doubles as the amortized sweep cadence, so
 /// it also sets how much one sweep frees on average — and so how long the
 /// update that runs it stalls.
 const BAG_CAP: usize = 16;
@@ -141,8 +181,8 @@ const SWEEP_SAMPLE: u64 = 16;
 /// they are unlinked (list cells, baseline nodes). Types with long-lived
 /// shared references override both hooks; the registry re-checks
 /// `ready_to_reclaim` immediately before every free, so a reference acquired
-/// while the node sat in limbo (e.g. a late `target` edge) reliably defers
-/// it again.
+/// while the node aged in its FIFO (e.g. a late `target` edge) reliably
+/// defers it again.
 pub trait Reclaim {
     /// May the node be freed now? Called with the node still allocated.
     ///
@@ -184,13 +224,13 @@ pub struct AllocStats {
 #[repr(C)]
 struct PoolNode<T> {
     /// Chain link threading the node through whichever container owns it
-    /// exclusively right now: a local free list or retire bag (owner
+    /// exclusively right now: a local free list, retire bag or FIFO (owner
     /// thread), a shared stack segment (the pushing thread until the CAS
     /// lands, then the draining sweeper).
     next: Cell<*mut PoolNode<T>>,
-    /// Grace-period stamp; freed once `global ≥ epoch + GRACE`. Written at
-    /// retire (fallback path) and re-written at every bag flush and
-    /// pending→limbo transfer (see the module docs).
+    /// Grace-period stamp; freed once `global ≥ epoch + GRACE`. Written
+    /// only when a gate probe has just found the gate open: at a bag flush
+    /// and at a `pending` restamp (see the module docs).
     epoch: Cell<u64>,
     /// The payload. Dropped exactly once on the reclaim/dealloc/teardown
     /// paths; the emptied slot is then recycled or returned to the heap.
@@ -221,11 +261,11 @@ impl<T> PoolNode<T> {
 }
 
 /// A Treiber stack of pool nodes: lock-free push, detach-everything
-/// drain. The head is cache-padded: limbo, pending, and free-stock heads
+/// drain. The head is cache-padded: the pending and free-stock heads
 /// would otherwise share lines with each other and the counters.
 struct GarbageStack<T> {
     head: CachePadded<AtomicPtr<PoolNode<T>>>,
-    /// Node count — the limbo/pending/free-stock **depth gauge** of the
+    /// Node count — the pending/free-stock **depth gauge** of the
     /// telemetry snapshot. Pushers add *before* the publishing CAS, and a
     /// consumer subtracts only nodes it detached and disposed of
     /// ([`GarbageStack::settle`]), so the count never underflows and no
@@ -250,7 +290,7 @@ impl<T> GarbageStack<T> {
     }
 
     /// Pushes a pre-linked chain whose first and last are known, adding
-    /// `n` to the gauge — O(1), the batch operation bag flushes rely on.
+    /// `n` to the gauge — O(1) once the chain is built.
     fn push_span(&self, first: *mut PoolNode<T>, last: *mut PoolNode<T>, n: usize) {
         debug_assert!(!first.is_null() && !last.is_null());
         self.len.fetch_add(n, Ordering::Relaxed);
@@ -326,9 +366,10 @@ const UNOWNED: u64 = 0;
 /// never a tenure.
 const STEALING: u64 = 2;
 
-/// One slot's pool of a registry: a free list of recycled nodes plus a
-/// retire bag, both intrusive chains used exclusively by the pool's owner.
-/// Cache-padded so two threads' pools never share a line.
+/// One slot's pool of a registry: a free list of recycled nodes, a retire
+/// bag and a FIFO of stamped garbage, all intrusive chains used
+/// exclusively by the pool's owner. Cache-padded so two threads' pools
+/// never share a line.
 struct LocalPool<T> {
     /// Who may use the `Cell` fields: the slot tenure that claimed the
     /// pool (odd), [`UNOWNED`], or [`STEALING`] while a sweep takes the
@@ -344,6 +385,13 @@ struct LocalPool<T> {
     bag_head: Cell<*mut PoolNode<T>>,
     bag_tail: Cell<*mut PoolNode<T>>,
     bag_len: Cell<usize>,
+    /// Stamped, gate-open garbage awaiting its grace period: appended at
+    /// the tail, expired from the front (module docs).
+    fifo_head: Cell<*mut PoolNode<T>>,
+    fifo_tail: Cell<*mut PoolNode<T>>,
+    /// The FIFO's length, this pool's share of the `limbo` gauge. Only the
+    /// cells' owner writes it; `health` reads it from any thread.
+    fifo_len: AtomicUsize,
 }
 
 impl<T> Default for LocalPool<T> {
@@ -355,7 +403,31 @@ impl<T> Default for LocalPool<T> {
             bag_head: Cell::new(core::ptr::null_mut()),
             bag_tail: Cell::new(core::ptr::null_mut()),
             bag_len: Cell::new(0),
+            fifo_head: Cell::new(core::ptr::null_mut()),
+            fifo_tail: Cell::new(core::ptr::null_mut()),
+            fifo_len: AtomicUsize::new(0),
         }
+    }
+}
+
+impl<T> LocalPool<T> {
+    /// Appends the pre-linked chain `first..=last` of `n` nodes to the
+    /// FIFO's tail.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the pool's `Cell`s, and holds the chain exclusively:
+    /// no container links to it any more.
+    unsafe fn append(&self, first: *mut PoolNode<T>, last: *mut PoolNode<T>, n: usize) {
+        let tail = self.fifo_tail.replace(last);
+        if tail.is_null() {
+            self.fifo_head.set(first);
+        } else {
+            // Safety: the tail is a FIFO node, owned with the cells.
+            unsafe { (*tail).next.set(first) };
+        }
+        self.fifo_len
+            .store(self.fifo_len.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 }
 
@@ -424,10 +496,34 @@ impl<T> Drop for Drain<'_, T> {
     }
 }
 
+/// A sweep's pass over the expired front of its own FIFO. The gate probe
+/// is user code, so the node stays the FIFO's head until it returns: a
+/// panicking probe leaves it in place, and every node popped was probed.
+/// On every exit path the drop settles the FIFO's length and records the
+/// pass's probes and reclaims, once per pass rather than once per node.
+struct Expiry<'a, T> {
+    reg: &'a Registry<T>,
+    pool: &'a LocalPool<T>,
+    popped: usize,
+    reclaimed: usize,
+}
+
+impl<T> Drop for Expiry<'_, T> {
+    fn drop(&mut self) {
+        let len = &self.pool.fifo_len;
+        len.store(len.load(Ordering::Relaxed) - self.popped, Ordering::Relaxed);
+        if self.reclaimed > 0 {
+            let reclaimed = &self.reg.counters.reclaimed;
+            reclaimed.fetch_add(self.reclaimed, Ordering::Relaxed);
+        }
+        telemetry::add(Counter::GateProbes, self.popped as u64);
+    }
+}
+
 /// Scope guard for bag flushes: the readiness probes are user code, so a
 /// panic mid-flush must not leak the unexamined remainder or the
 /// partially-built batches. Everything lands in `pending` on unwind — the
-/// always-safe destination, since pending→limbo transfers restamp.
+/// always-safe destination, since its re-probe restamps.
 struct FlushGuard<'a, T> {
     reg: &'a Registry<T>,
     rest: Cell<*mut PoolNode<T>>,
@@ -496,10 +592,9 @@ pub struct Registry<T> {
     /// one.
     domain: Option<Arc<Domain>>,
     counters: CachePadded<Counters>,
-    /// Epoch-stamped garbage awaiting its grace period.
-    limbo: GarbageStack<T>,
     /// Retired garbage whose `ready_to_reclaim` gate was closed when last
-    /// probed; re-probed once enough retirements pay for it (module docs).
+    /// probed, or retired with no pool; re-probed once enough retirements
+    /// pay for it (module docs).
     pending: GarbageStack<T>,
     /// Shared stock of recycled nodes (values dropped), refilled by sweeps
     /// and drained in batches into local free lists. Its depth gauge
@@ -508,18 +603,13 @@ pub struct Registry<T> {
     /// One pool per slot index (see [`crate::slots`]).
     pools: SlotVec<CachePadded<LocalPool<T>>>,
     /// Nodes retired into this registry since `pending` was last
-    /// re-probed: each bag flush adds its batch, each fallback-path retire
-    /// adds one (and sweeps on every `BAG_CAP`-th, as the pooled path does
-    /// on every bag flush). A sweep re-probes `pending` once this reaches
-    /// half of its depth.
+    /// re-probed: each bag flush adds its batch, each retire with no pool
+    /// adds one. A sweep re-probes `pending` once this reaches half of its
+    /// depth.
     retired_since_reprobe: AtomicUsize,
-    /// 1 while a sweep runs; concurrent callers skip theirs.
+    /// 1 while a sweep steals pools and re-probes `pending`; concurrent
+    /// sweeps skip that part (module docs).
     sweeping: AtomicU64,
-    /// Epoch observed at the end of the last full sweep (`u64::MAX` before
-    /// the first). While the epoch is parked — e.g. a long-pinned reader —
-    /// nothing new can become freeable, so sweeps bail out in O(1) instead
-    /// of re-walking the whole backlog on every amortized sweep.
-    last_swept_epoch: AtomicU64,
     _owns: PhantomData<T>,
 }
 
@@ -551,13 +641,11 @@ impl<T> Registry<T> {
                 reclaimed: AtomicUsize::new(0),
                 freed: AtomicUsize::new(0),
             }),
-            limbo: GarbageStack::new(),
             pending: GarbageStack::new(),
             free: GarbageStack::new(),
             pools: SlotVec::new(),
             retired_since_reprobe: AtomicUsize::new(0),
             sweeping: AtomicU64::new(0),
-            last_swept_epoch: AtomicU64::new(u64::MAX),
             _owns: PhantomData,
         }
     }
@@ -570,7 +658,8 @@ impl<T> Registry<T> {
     /// its tenure claims the pool by CAS, inheriting whatever chains an
     /// ended tenure left there. `None` during thread teardown (the slot is
     /// gone), while a sweep steals the pool, or when the pool is not the
-    /// caller's and `claim` is off; callers then use the shared stacks.
+    /// caller's and `claim` is off; callers then use the shared stacks, or
+    /// leave the sweep to others.
     #[inline]
     fn pool(&self, claim: bool) -> Option<&LocalPool<T>> {
         let slot = slots::current()?;
@@ -675,7 +764,7 @@ impl<T> Registry<T> {
     /// period, once its [`Reclaim::ready_to_reclaim`] gate opens. Performs
     /// **no allocation**: the node is threaded onto the calling thread's
     /// retire bag through its intrusive header, and bags flush to the
-    /// shared limbo in batches (on overflow and at sweeps).
+    /// thread's FIFO in batches (on overflow and at sweeps).
     ///
     /// # Safety
     ///
@@ -699,7 +788,6 @@ impl<T> Registry<T> {
         );
         let node = PoolNode::from_value(ptr);
         unsafe { (*node).next.set(core::ptr::null_mut()) };
-        unsafe { (*node).epoch.set(self.domain().epoch()) };
         if let Some(pool) = self.pool(true) {
             let tail = pool.bag_tail.get();
             if tail.is_null() {
@@ -710,21 +798,16 @@ impl<T> Registry<T> {
             pool.bag_tail.set(node);
             pool.bag_len.set(pool.bag_len.get() + 1);
             if pool.bag_len.get() >= BAG_CAP {
-                self.flush_bag(pool);
+                // The sweep flushes the bag first.
                 self.collect();
             }
         } else {
             // No pool (thread teardown, or a sweep is stealing the one a
-            // past tenure left): push straight to the shared stacks (still
-            // no allocation — the header is intrusive either way).
-            if unsafe { (*ptr).ready_to_reclaim() } {
-                self.limbo.push(node);
-            } else {
-                self.pending.push(node);
-            }
-            if self.retired_since_reprobe.fetch_add(1, Ordering::Relaxed) % BAG_CAP == BAG_CAP - 1 {
-                self.collect();
-            }
+            // past tenure left): park in `pending`, whose re-probe stamps
+            // the node onto a sweeper's FIFO (still no allocation — the
+            // header is intrusive either way).
+            self.pending.push(node);
+            self.retired_since_reprobe.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -748,16 +831,16 @@ impl<T> Registry<T> {
     // Sweeping
     // ------------------------------------------------------------------
 
-    /// Flushes `pool`'s retire bag to the shared stacks, splitting by the
-    /// readiness gate. Gate-open nodes are stamped with a **fresh epoch
-    /// read taken after the probes** (module docs: a retire-time stamp can
-    /// be epochs stale by now, and a reader pinned since may have captured
-    /// the pointer just before its gate opened).
+    /// Flushes `pool`'s retire bag, splitting by the readiness gate:
+    /// gate-open nodes join the tail of `pool`'s FIFO, stamped with a
+    /// **fresh epoch read taken after the probes** (module docs: a
+    /// reader pinned since the retirement may have captured the pointer
+    /// just before its gate opened); closed ones park in `pending`.
     ///
     /// # Safety expectations
     ///
     /// The caller owns `pool`'s `Cell`s. Panic-safe: a panicking probe
-    /// sends every unprocessed node to `pending`, whose drain restamps.
+    /// sends every unprocessed node to `pending`, whose re-probe restamps.
     fn flush_bag(&self, pool: &LocalPool<T>)
     where
         T: Reclaim,
@@ -793,21 +876,16 @@ impl<T> Registry<T> {
         // Fresh stamp *after* every gate probe above (see the module docs).
         let stamp = self.domain().epoch();
         let ready = flush.ready.replace(core::ptr::null_mut());
-        let mut batch = 0u64;
-        if !ready.is_null() {
-            let mut n = 1usize;
-            let mut tail = ready;
-            loop {
-                unsafe { (*tail).epoch.set(stamp) };
-                let next = unsafe { (*tail).next.get() };
-                if next.is_null() {
-                    break;
-                }
-                tail = next;
-                n += 1;
-            }
-            self.limbo.push_span(ready, tail, n);
-            batch = n as u64;
+        let (mut batch, mut tail, mut cur) = (0usize, ready, ready);
+        while !cur.is_null() {
+            unsafe { (*cur).epoch.set(stamp) };
+            tail = cur;
+            cur = unsafe { (*cur).next.get() };
+            batch += 1;
+        }
+        if batch > 0 {
+            // Safety: the caller owns the pool; the batch left the bag.
+            unsafe { pool.append(ready, tail, batch) };
         }
         self.pending
             .push_chain(flush.deferred.replace(core::ptr::null_mut()));
@@ -818,12 +896,14 @@ impl<T> Registry<T> {
         // One flight event per flushed batch (not per retire: a per-retire
         // event would both flood the 128-entry ring and put a globally
         // contended sequence fetch on the update hot path).
-        telemetry::event(Counter::BagFlushes, FlightKind::Retire, -1, batch);
+        telemetry::event(Counter::BagFlushes, FlightKind::Retire, -1, batch as u64);
     }
 
     /// Steals the chains of pools whose tenure has ended, so their
-    /// garbage keeps aging and their free stock returns to circulation.
-    fn steal_ended_pools(&self)
+    /// garbage keeps aging and their free stock returns to circulation:
+    /// each one's bag is flushed, the expired front of its FIFO freed
+    /// against `global`, and the rest appended to `own`'s FIFO.
+    fn steal_ended_pools(&self, own: &LocalPool<T>, global: u64)
     where
         T: Reclaim,
     {
@@ -845,6 +925,18 @@ impl<T> Registry<T> {
             // place, so a later sweep steals the rest.
             let mut restore = StoreOnDrop(&pool.owner, owner);
             self.flush_bag(pool);
+            // The bag just flushed ends the FIFO with a fresh stamp, which
+            // would hold back every older chain stolen after this one, so
+            // what has expired goes now. The rest may be older than the
+            // tail it joins: it then only waits longer (module docs).
+            self.expire(pool, global);
+            let first = pool.fifo_head.replace(core::ptr::null_mut());
+            if !first.is_null() {
+                let n = pool.fifo_len.swap(0, Ordering::Relaxed);
+                let last = pool.fifo_tail.replace(core::ptr::null_mut());
+                // Safety: the sweeper owns `own` and holds the stolen pool.
+                unsafe { own.append(first, last, n) };
+            }
             let mut f = pool.free.replace(core::ptr::null_mut());
             pool.free_len.set(0);
             while !f.is_null() {
@@ -857,12 +949,63 @@ impl<T> Registry<T> {
         }
     }
 
+    /// Pops the expired front of `pool`'s FIFO: each node whose stamp is
+    /// at least `GRACE_EPOCHS` behind `global` is re-probed, then recycled
+    /// into `pool`'s free list if its gate is open, or parked in `pending`
+    /// if it closed again. Stops at the first node that has not expired.
+    ///
+    /// # Safety expectations
+    ///
+    /// The caller owns `pool`'s `Cell`s, so every FIFO node is its alone.
+    /// Panic-safe: a panicking probe leaves its node at the front.
+    fn expire(&self, pool: &LocalPool<T>, global: u64)
+    where
+        T: Reclaim,
+    {
+        let mut pass = Expiry {
+            reg: self,
+            pool,
+            popped: 0,
+            reclaimed: 0,
+        };
+        loop {
+            let cur = pool.fifo_head.get();
+            // `global` is a snapshot from before the pass, so this only
+            // under-approximates eligibility — safe.
+            if cur.is_null() || unsafe { (*cur).epoch.get() } + GRACE_EPOCHS > global {
+                break;
+            }
+            // The readiness re-check matters: a thread pinned since before
+            // the retirement may have taken a new long-lived reference
+            // (e.g. a `target` edge) while the node aged.
+            let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
+            let next = unsafe { (*cur).next.replace(core::ptr::null_mut()) };
+            pool.fifo_head.set(next);
+            if next.is_null() {
+                pool.fifo_tail.set(core::ptr::null_mut());
+            }
+            pass.popped += 1;
+            if ready {
+                let vp = PoolNode::value_ptr(cur);
+                unsafe { (*vp).on_reclaim() };
+                unsafe { core::ptr::drop_in_place(vp) };
+                pass.reclaimed += 1;
+                // The emptied slot goes back into circulation instead of
+                // to the allocator — the whole point of the pools.
+                unsafe { self.recycle_node(cur, Some(pool)) };
+            } else {
+                self.pending.push(cur);
+            }
+        }
+    }
+
     /// One garbage sweep: flushes the caller's retire bag, steals the pools
-    /// of ended tenures, tries to advance the epoch, re-examines deferred nodes once
-    /// the retirements since their last re-probe reach half their number
-    /// (module docs), and recycles limbo nodes whose grace period elapsed
-    /// and whose readiness gate is (still) open. Lock-free; concurrent
-    /// callers simply skip the sweep.
+    /// of ended tenures, tries to advance the epoch, re-examines deferred
+    /// nodes once the retirements since their last re-probe reach half
+    /// their number (module docs), and recycles the caller's FIFO garbage
+    /// whose grace period elapsed and whose readiness gate is (still)
+    /// open. Lock-free; a concurrent caller skips the steals and the
+    /// re-probe.
     pub fn collect(&self)
     where
         T: Reclaim,
@@ -871,10 +1014,12 @@ impl<T> Registry<T> {
     }
 
     /// Runs enough quiescent sweeps to age out everything retired so far
-    /// (assuming no concurrent pins). Each of them re-probes every deferred
-    /// node, so a gate that opened is seen without waiting for retirements
-    /// to pay for the re-probe. Tests and teardown paths use this to
-    /// observe the steady-state footprint.
+    /// (assuming no concurrent pins) that the calling thread can reach:
+    /// its own garbage, `pending`, and the garbage of exited threads, but
+    /// not another live thread's bag or FIFO (module docs). Each of them
+    /// re-probes every deferred node, so a gate that opened is seen
+    /// without waiting for retirements to pay for the re-probe. Tests and
+    /// teardown paths use this to observe the steady-state footprint.
     pub fn flush(&self)
     where
         T: Reclaim,
@@ -894,12 +1039,11 @@ impl<T> Registry<T> {
         // Non-fatal: collect() is reachable from retire-bag overflow inside
         // an operation pipeline, where an unwind would strand the bag.
         crate::fault::point_nonfatal(crate::fault::FaultPoint::RegistryCollect);
-        if self.sweeping.swap(1, Ordering::SeqCst) == 1 {
+        // The sweep frees and restamps into the caller's own pool; a thread
+        // whose slot is gone (thread exit) leaves sweeping to others.
+        let Some(own) = self.pool(true) else {
             return;
-        }
-        // Everything below runs user code (`Reclaim` hooks, node `Drop`s):
-        // the guard clears `sweeping` on every exit path, panics included.
-        let _sweeping = StoreOnDrop(&self.sweeping, 0);
+        };
         telemetry::add(Counter::Sweeps, 1);
         let timed = telemetry::enabled()
             && SWEEPS_RUN
@@ -910,14 +1054,14 @@ impl<T> Registry<T> {
                 .unwrap_or(false);
         let started = timed.then(std::time::Instant::now);
         let _t = telemetry::trace::phase(telemetry::trace::TracePhase::Reclaim);
-        // Batch the buffered retires in before advancing, so this sweep
-        // already ages them: the caller's own bag first, then the bags (and
-        // free stock) of pools whose tenure has ended.
-        let own_pool = self.pool(false);
-        if let Some(pool) = own_pool {
-            self.flush_bag(pool);
-        }
-        self.steal_ended_pools();
+        // Batch the caller's buffered retires in before advancing, so this
+        // sweep already ages them. Only the steals and the `pending`
+        // re-probe need `sweeping`; everything below runs user code
+        // (`Reclaim` hooks, node `Drop`s), so its guard clears it on every
+        // exit path, panics included.
+        self.flush_bag(own);
+        let exclusive = self.sweeping.swap(1, Ordering::SeqCst) == 0;
+        let _sweeping = exclusive.then(|| StoreOnDrop(&self.sweeping, 0));
         // Attempt up to GRACE advances: each one individually re-proves
         // that every pinned participant has caught up, so at quiescent
         // moments a single sweep ages garbage all the way out instead of
@@ -930,16 +1074,21 @@ impl<T> Registry<T> {
             }
             global = next;
         }
-        // Deferred nodes whose gate opened re-enter limbo. Their number is
-        // set by the gates (≤ one DEL per occupied dNodePtr slot, live
-        // `target` edges, in-flight operations), not by the garbage, so
-        // they are re-probed only once the retirements since the last
-        // re-probe reach half of them: each re-probe is paid for by the
-        // retirements, at most two probes each (module docs). Only the
-        // sweeper subtracts, and only what it read, so the count never
+        // Ended tenures' garbage joins this sweeper's FIFO, after the
+        // advance so that what has already expired is freed on the way.
+        if exclusive {
+            self.steal_ended_pools(own, global);
+        }
+        // Deferred nodes whose gate opened join the sweeper's FIFO. Their
+        // number is set by the gates (≤ one DEL per occupied dNodePtr
+        // slot, live `target` edges, in-flight operations), not by the
+        // garbage, so they are re-probed only once the retirements since
+        // the last re-probe reach half of them: each re-probe is paid for
+        // by the retirements, at most two probes each (module docs). Only
+        // the sweeper subtracts, and only what it read, so the count never
         // underflows.
         let retired = self.retired_since_reprobe.load(Ordering::Relaxed);
-        if reprobe_all || 2 * retired >= self.pending.depth() {
+        if exclusive && (reprobe_all || 2 * retired >= self.pending.depth()) {
             self.retired_since_reprobe
                 .fetch_sub(retired, Ordering::Relaxed);
             for (cur, ready) in Drain::new(&self.pending) {
@@ -957,43 +1106,14 @@ impl<T> Registry<T> {
                     // ≥ E — the reader now blocks the advance to
                     // `stamp + GRACE` until it unpins.
                     unsafe { (*cur).epoch.set(self.domain().epoch()) };
-                    self.limbo.push(cur);
+                    // Safety: `own` is the sweeper's; `cur` left `pending`.
+                    unsafe { own.append(cur, cur, 1) };
                 } else {
                     self.pending.push(cur);
                 }
             }
         }
-
-        // The limbo pile, by contrast, grows with every retire and nothing
-        // in it can become freeable while the epoch is parked (stamps are
-        // monotone, eligibility needs `global ≥ stamp + GRACE`): skip the
-        // O(backlog) re-walk until the epoch moves. This is what keeps a
-        // long-pinned reader from turning the writers' amortized sweeps
-        // into quadratic work.
-        if self.last_swept_epoch.load(Ordering::SeqCst) != global {
-            // The readiness re-check matters: a thread pinned since before
-            // the retirement may have taken a new long-lived reference
-            // (e.g. a `target` edge) while the node aged in limbo.
-            for (cur, ready) in Drain::new(&self.limbo) {
-                if ready && unsafe { (*cur).epoch.get() } + GRACE_EPOCHS <= global {
-                    // `global` is a snapshot from before the drains, so
-                    // this comparison only under-approximates eligibility
-                    // — safe.
-                    let vp = PoolNode::value_ptr(cur);
-                    unsafe { (*vp).on_reclaim() };
-                    unsafe { core::ptr::drop_in_place(vp) };
-                    self.counters.reclaimed.fetch_add(1, Ordering::Relaxed);
-                    // The emptied slot goes back into circulation instead
-                    // of to the allocator — the whole point of the pools.
-                    unsafe { self.recycle_node(cur, own_pool) };
-                } else if ready {
-                    self.limbo.push(cur);
-                } else {
-                    self.pending.push(cur);
-                }
-            }
-            self.last_swept_epoch.store(global, Ordering::SeqCst);
-        }
+        self.expire(own, global);
         if let Some(started) = started {
             let ns = started.elapsed().as_nanos() as u64;
             telemetry::add(Counter::SweepNs, ns * SWEEP_SAMPLE);
@@ -1045,22 +1165,26 @@ impl<T> Registry<T> {
     }
 
     /// Samples this registry's reclamation health gauges for the telemetry
-    /// snapshot: garbage-stack depths (limbo = gate-open garbage aging out
-    /// its grace period, pending = garbage retired with a closed gate, or
-    /// opened since the last re-probe), pool occupancy, and the lifetime
-    /// allocation counters. `label` names the registry in reports (e.g.
-    /// `"preds"`).
+    /// snapshot: garbage depths (limbo = gate-open garbage aging out its
+    /// grace period in the pools' FIFOs, pending = garbage retired with a
+    /// closed gate, or opened since the last re-probe), pool occupancy, and
+    /// the lifetime allocation counters. `label` names the registry in
+    /// reports (e.g. `"preds"`).
     ///
     /// Everything is Relaxed-loaded and approximate under concurrency, but
     /// exact at quiescence — a parked epoch shows up as a growing `limbo`
-    /// depth. The depths are counters kept by the stacks' pushers and
-    /// consumers, so sampling them walks nothing.
+    /// depth. The depths are counters kept by the FIFOs' owners and by the
+    /// stacks' pushers and consumers, so sampling them walks no chain.
     pub fn health(&self, label: &'static str) -> ReclaimHealth {
         let live = self.live();
         let resident = self.resident();
         ReclaimHealth {
             label,
-            limbo: self.limbo.depth(),
+            limbo: self
+                .pools
+                .iter()
+                .map(|(_, p)| p.fifo_len.load(Ordering::Relaxed))
+                .sum(),
             pending: self.pending.depth(),
             free_stock: self.free.depth(),
             pooled: resident.saturating_sub(live),
@@ -1129,11 +1253,11 @@ impl<T> Drop for Registry<T> {
         }
 
         unsafe { free_garbage_chain(self, self.pending.take_all()) };
-        unsafe { free_garbage_chain(self, self.limbo.take_all()) };
         unsafe { free_empty_chain(self, self.free.take_all()) };
 
         for (_, p) in self.pools.iter() {
             unsafe { free_garbage_chain(self, p.bag_head.get()) };
+            unsafe { free_garbage_chain(self, p.fifo_head.get()) };
             unsafe { free_empty_chain(self, p.free.get()) };
         }
     }
@@ -1434,6 +1558,176 @@ mod tests {
         assert_eq!(reg.live(), 0);
         let h = reg.health("gated");
         assert_eq!((h.limbo, h.pending), (0, 0));
+    }
+
+    #[test]
+    fn a_sweep_never_probes_garbage_that_has_not_expired() {
+        // A pin held across three bags keeps every stamp within one advance
+        // of the epoch, so nothing in the FIFO expires. The sweeps inside
+        // `retire`, and one more after, must stop at the FIFO's first node:
+        // no node freed, and no probe beyond each node's flush probe.
+        const N: usize = 3 * BAG_CAP;
+        let domain = Arc::new(Domain::new());
+        let handle = domain.register();
+        let reg: Registry<CountedGate> = Registry::new_in(Arc::clone(&domain));
+        let open = Arc::new(AtomicBool::new(true));
+        let probes = Arc::new(StdAtomicUsize::new(0));
+        let g = handle.pin();
+        for _ in 0..N {
+            let p = reg.alloc(CountedGate {
+                open: Arc::clone(&open),
+                probes: Arc::clone(&probes),
+            });
+            unsafe { reg.retire(p, &g) };
+        }
+        reg.collect();
+        assert_eq!(reg.live(), N, "nothing expires under the pin");
+        assert_eq!(
+            probes.load(StdOrdering::SeqCst),
+            N,
+            "a sweep probed garbage that had not expired"
+        );
+        assert_eq!(reg.health("fifo").limbo, N);
+        drop(g);
+        reg.flush();
+        assert_eq!(reg.live(), 0);
+        assert_eq!(
+            probes.load(StdOrdering::SeqCst),
+            2 * N,
+            "one flush probe and one expiry probe per node"
+        );
+        assert_eq!(reg.health("fifo").limbo, 0);
+    }
+
+    #[test]
+    fn an_exited_threads_fifo_is_freed_by_another_threads_flush() {
+        // A live thread's FIFO is its own, but an exited thread's is stolen,
+        // as its bag is: another thread's flush frees all it retired.
+        let drops = Arc::new(StdAtomicUsize::new(0));
+        let reg: Arc<Registry<CountsDrops>> = Arc::new(Registry::new_in(Arc::new(Domain::new())));
+        // This thread takes its slot first, so it cannot be handed the
+        // exiting thread's index and inherit the pool instead of a steal.
+        drop(reg.domain().pin());
+        {
+            let reg = Arc::clone(&reg);
+            let drops = Arc::clone(&drops);
+            std::thread::spawn(move || {
+                // One pin across the retires: two bags flush into the FIFO
+                // and nothing there expires before the thread exits.
+                let g = reg.domain().pin();
+                for _ in 0..2 * BAG_CAP + 1 {
+                    let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
+                    unsafe { reg.retire(p, &g) };
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        let h = reg.health("exited");
+        assert_eq!((h.limbo, h.live), (2 * BAG_CAP, 2 * BAG_CAP + 1));
+        assert_eq!(drops.load(StdOrdering::SeqCst), 0);
+        reg.flush();
+        assert_eq!(drops.load(StdOrdering::SeqCst), 2 * BAG_CAP + 1);
+        assert_eq!(reg.live(), 0);
+        assert_eq!(reg.health("exited").limbo, 0);
+    }
+
+    #[test]
+    fn a_stolen_chain_older_than_the_fifo_it_joins_only_waits_longer() {
+        // A steal appends an exited thread's FIFO behind the stealer's own,
+        // whose front may be younger. The walk stops at the first node that
+        // has not expired, so expired nodes behind it wait: they are freed
+        // late, never early.
+        let drops = Arc::new(StdAtomicUsize::new(0));
+        let domain = Arc::new(Domain::new());
+        let reg: Arc<Registry<CountsDrops>> = Arc::new(Registry::new_in(Arc::clone(&domain)));
+        drop(domain.pin()); // take this thread's slot first (see above)
+        let e0 = domain.epoch();
+        {
+            let reg = Arc::clone(&reg);
+            let drops = Arc::clone(&drops);
+            std::thread::spawn(move || {
+                let g = reg.domain().pin();
+                for _ in 0..BAG_CAP {
+                    let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
+                    unsafe { reg.retire(p, &g) };
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        // The exited thread's bag was stamped e0; its sweep advanced once.
+        assert_eq!(domain.epoch(), e0 + 1);
+        let handle = domain.register();
+        let g = handle.pin();
+        for _ in 0..BAG_CAP {
+            let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
+            unsafe { reg.retire(p, &g) };
+        }
+        // This thread's bag (stamp e0 + 1) went first, the stolen chain
+        // (stamp e0) behind it.
+        assert_eq!(reg.health("stolen").limbo, 2 * BAG_CAP);
+        assert_eq!(domain.epoch(), e0 + 2);
+        drop(g);
+        let g = handle.pin();
+        reg.collect();
+        assert_eq!(domain.epoch(), e0 + 3, "the stolen chain has expired");
+        assert_eq!(
+            drops.load(StdOrdering::SeqCst),
+            0,
+            "the walk passed a node that had not expired"
+        );
+        drop(g);
+        reg.flush();
+        assert_eq!(drops.load(StdOrdering::SeqCst), 2 * BAG_CAP);
+        assert_eq!(reg.live(), 0);
+    }
+
+    #[test]
+    fn a_steal_frees_the_expired_front_of_every_stolen_fifo() {
+        // Two threads exit with an aged FIFO and one node still bagged. A
+        // steal flushes each bag with a fresh stamp at the end of its
+        // FIFO; appended whole, the first such tail would hold back the
+        // second thread's aged chain, so each steal frees its expired
+        // front in place.
+        let drops = Arc::new(StdAtomicUsize::new(0));
+        let domain = Arc::new(Domain::new());
+        let reg: Arc<Registry<CountsDrops>> = Arc::new(Registry::new_in(Arc::clone(&domain)));
+        drop(domain.pin()); // take this thread's slot first
+                            // Both threads hold their slots at once, so their pools differ.
+        let exit_together = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let (reg, drops) = (Arc::clone(&reg), Arc::clone(&drops));
+                let exit_together = Arc::clone(&exit_together);
+                std::thread::spawn(move || {
+                    let g = reg.domain().pin();
+                    for _ in 0..BAG_CAP + 1 {
+                        let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
+                        unsafe { reg.retire(p, &g) };
+                    }
+                    drop(g);
+                    exit_together.wait();
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(reg.health("stolen").limbo, 2 * BAG_CAP);
+        for _ in 0..GRACE_EPOCHS + 1 {
+            domain.try_advance(); // every FIFO node has now expired
+        }
+        // A pin lets this sweep advance once: the bags it flushes at the
+        // steals stay young.
+        let handle = domain.register();
+        let g = handle.pin();
+        reg.collect();
+        assert_eq!(drops.load(StdOrdering::SeqCst), 2 * BAG_CAP);
+        assert_eq!(reg.health("stolen").limbo, 2, "only the two bags wait");
+        drop(g);
+        reg.flush();
+        assert_eq!(reg.live(), 0);
     }
 
     #[test]

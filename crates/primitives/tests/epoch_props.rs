@@ -8,9 +8,10 @@
 //!
 //! (the implementation is stricter — a free needs three advances past the
 //! retire epoch — but this is the property unsafe readers rely on), plus
-//! progress (a quiescent flush reclaims everything), limbo-bag rotation,
-//! the readiness gate of deferred retirement, and slot ownership across
-//! nested guards and unwinding.
+//! progress (a quiescent flush reclaims everything), garbage retired
+//! across many epochs draining in stamp order as the epoch advances, the
+//! readiness gate of deferred retirement, and slot ownership across nested
+//! guards and unwinding.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -126,7 +126,8 @@ pub enum Counter {
     ScanSlides,
     /// S-ALL withdrawals.
     ScanWithdraws,
-    /// Retire-bag flushes to the shared limbo/pending stacks.
+    /// Retire-bag flushes: gate-open nodes join the flushing thread's
+    /// FIFO of stamped garbage, gate-closed ones the shared `pending` stack.
     BagFlushes,
     /// Registry garbage sweeps (`collect` bodies actually entered).
     Sweeps,

@@ -143,16 +143,17 @@ pub struct EpochHealth {
 pub struct ReclaimHealth {
     /// Which registry this is (e.g. `"preds"`, `"succs"`, `"cells"`).
     pub label: &'static str,
-    /// Nodes aging in the limbo stack (retired, gate open, waiting out the
-    /// grace period).
+    /// Nodes aging out their grace period (retired, gate open, stamped):
+    /// the sum of the per-thread FIFO lengths, each kept by its owner.
+    /// Exact at quiescence.
     pub limbo: usize,
     /// Nodes parked in the pending stack: retired with a closed gate, or
     /// opened since the last re-probe.
     pub pending: usize,
     /// Emptied nodes in the shared free stock.
     pub free_stock: usize,
-    /// Heap-resident nodes not currently holding a live value (pools,
-    /// limbo, pending, in-flight bags): `resident − live`.
+    /// Heap-resident nodes not currently holding a live value (free
+    /// lists and stock): `resident − live`.
     pub pooled: usize,
     /// Value-resident nodes.
     pub live: usize,
