@@ -8,6 +8,35 @@
 //! latest-list protocol of lines 116–127. Everything else — the `latest`
 //! array, the `dNodePtr` array representing internal trie nodes, and the
 //! update-node arena — lives in [`TrieCore`] and is shared.
+//!
+//! # Null `dNodePtr` slots
+//!
+//! The paper seeds every internal node's `dNodePtr` with the dummy DEL node
+//! of its subtree's leftmost key. Here every slot starts null, and null
+//! stands for that dummy. A slot's node is read for two things only, and
+//! neither needs the dummy itself:
+//!
+//! * Its key, at L23 (`InterpretedBit`) and L40 (`InsertBinaryTrie`).
+//!   [`TrieCore::dnode_key`] returns `leftmost_key(t)` for a null slot,
+//!   which is the dummy's key.
+//! * Its identity, at L42's `t.dNodePtr = uNode`. A null slot never equals
+//!   `uNode`, while the seeded slot equals it exactly when `uNode` is the
+//!   dummy. In that case the other disjunct, `h ≤ uNode.upper0Boundary`,
+//!   holds anyway: a dummy's `upper0Boundary` is `b`, only a DEL node's own
+//!   `DeleteBinaryTrie` raises it and no operation runs one for a dummy,
+//!   and every internal height is at most `b`. So L42 decides the same.
+//!
+//! L63 and L67 may read null and pass it to [`TrieCore::dnode_cas`] as the
+//! expected value, which succeeds exactly when the seeded slot would still
+//! hold its dummy. All of this needs one invariant: no slot is ever CASed
+//! back to null, just as no slot was ever CASed back to its dummy (only a
+//! delete installs, and only its own DEL node). `dnode_cas` asserts it.
+//!
+//! Why null: a slot that held its dummy would hold a `dnode_refs` count on
+//! it. The first insert of every key that leads a subtree would then
+//! displace a dummy its slot still held, and the dummy would stay parked in
+//! the registry until a delete in that subtree replaced the slot. A null
+//! slot holds no node, so a displaced dummy is freed like any other node.
 
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,7 +72,8 @@ pub(crate) struct TrieCore {
     /// `latest[x]` for every (padded) key; initially the key's dummy DEL node.
     latest: Box<[AtomicPtr<UpdateNode>]>,
     /// `dNodePtr` of every internal node, indexed by [`NodeIndex`] `1..2^b`
-    /// (slot 0 unused); initially the dummy of the subtree's leftmost key.
+    /// (slot 0 unused); initially null, which stands for the dummy of the
+    /// subtree's leftmost key (see the module docs).
     dnode: Box<[AtomicPtr<UpdateNode>]>,
     /// Epoch-aware registry owning every update node, dummies included
     /// (see [`lftrie_primitives::registry`]): superseded nodes are retired
@@ -72,21 +102,10 @@ impl TrieCore {
             latest.push(AtomicPtr::new(dummy));
         }
 
-        let mut dnode = Vec::with_capacity(n);
-        dnode.push(AtomicPtr::new(core::ptr::null_mut())); // slot 0: unused
-        for i in 1..n {
-            let leftmost = layout.leftmost_key(i as u64) as usize;
-            let dummy = latest[leftmost].load(Ordering::Relaxed);
-            // Seed the install count: the dummy occupies this dNodePtr slot
-            // until a delete in its subtree displaces it.
-            unsafe { (*dummy).dnode_refs.fetch_add(1, Ordering::Relaxed) };
-            dnode.push(AtomicPtr::new(dummy));
-        }
-
         Self {
             layout,
             latest: latest.into_boxed_slice(),
-            dnode: dnode.into_boxed_slice(),
+            dnode: (0..n).map(|_| AtomicPtr::default()).collect(),
             nodes,
             next_seq,
         }
@@ -133,12 +152,27 @@ impl TrieCore {
         ok
     }
 
-    /// Reads `t.dNodePtr` of internal node `t`.
+    /// Reads `t.dNodePtr` of internal node `t`; null until the first
+    /// install, standing for the dummy of `t`'s leftmost key.
     #[inline]
     pub(crate) fn dnode_load(&self, t: NodeIndex) -> *mut UpdateNode {
         debug_assert!(!self.layout.is_leaf(t));
         steps::on_read();
         self.dnode[t as usize].load(Ordering::SeqCst)
+    }
+
+    /// `t.dNodePtr.key` of internal node `t` (lines 23 and 40): the
+    /// leftmost key of `t`'s subtree while the slot is null.
+    #[inline]
+    pub(crate) fn dnode_key(&self, t: NodeIndex) -> i64 {
+        let d = self.dnode_load(t);
+        if d.is_null() {
+            self.layout.leftmost_key(t) as i64
+        } else {
+            // Safety: a DEL node stays allocated while a slot holds it
+            // (`dnode_refs`), and the caller's guard covers its displacement.
+            unsafe { (*d).key() }
+        }
     }
 
     /// CAS on `t.dNodePtr` (lines 66/70).
@@ -147,7 +181,9 @@ impl TrieCore {
     /// node has left every `dNodePtr` slot: the incoming node's count is
     /// raised *before* the CAS (the count over-approximates occupancy, never
     /// under-approximates it) and rolled back on failure; the displaced
-    /// node's count drops after a success.
+    /// node's count drops after a success. `current` may be null (the slot's
+    /// initial dummy, which holds no count); `new` never is, so a slot never
+    /// returns to null.
     #[inline]
     pub(crate) fn dnode_cas(
         &self,
@@ -156,6 +192,7 @@ impl TrieCore {
         new: *mut UpdateNode,
     ) -> bool {
         debug_assert!(!self.layout.is_leaf(t));
+        debug_assert!(!new.is_null(), "a dNodePtr slot never returns to null");
         steps::on_cas();
         // Safety: `new` is the caller's own live node; `current` was read
         // from the slot under the caller's guard.
@@ -256,9 +293,9 @@ impl Drop for TrieCore {
         // Free the nodes still reachable from the latest lists: per key the
         // head, plus an uncleared `latestNext` (the ≤ 2-node invariant of
         // §5; the relaxed trie keeps exactly head + one-back alive).
-        // Everything in a `dNodePtr` slot is either one of those or already
-        // retired (dnode_refs parked it in the registry, whose own Drop
-        // frees it), so this walk frees each resident node exactly once.
+        // A non-null `dNodePtr` slot holds either one of those or a node
+        // already retired (dnode_refs parked it in the registry, whose own
+        // Drop frees it), so this walk frees each resident node exactly once.
         for slot in self.latest.iter() {
             let head = slot.load(Ordering::Relaxed);
             if head.is_null() {
@@ -304,13 +341,18 @@ mod tests {
 
     #[test]
     fn dnode_seeded_with_leftmost_dummy() {
+        // Every slot starts null, which stands for the dummy of the
+        // subtree's leftmost key: L23 and L40 read that key through it.
         let core = TrieCore::new(8, Arc::default());
         let layout = *core.layout();
         for t in 1..layout.num_leaves() {
-            let d = core.dnode_load(t);
-            let node = unsafe { &*d };
-            assert_eq!(node.key() as u64, layout.leftmost_key(t));
-            assert_eq!(node.kind(), Kind::Del);
+            assert!(core.dnode_load(t).is_null(), "slot {t} starts null");
+            assert_eq!(core.dnode_key(t) as u64, layout.leftmost_key(t));
+        }
+        // No dummy holds a slot, so each is free to go once superseded.
+        for x in 0..8i64 {
+            let dummy = unsafe { &*core.latest_head(x) };
+            assert_eq!(dummy.dnode_refs.load(Ordering::Relaxed), 0);
         }
     }
 

@@ -122,16 +122,17 @@ pub fn branch_bit(x: u64, y: u64) -> Option<u32> {
 /// node `t` from the update node its key currently depends on.
 ///
 /// For an internal node the key comes from `t.dNodePtr` (a DEL node whose key
-/// lies in `U_t`); for a leaf it is the leaf's own key — the paper seeds leaf
-/// `dNodePtr`s with the key's dummy, which resolves identically.
+/// lies in `U_t`, or a null slot standing for the dummy of `U_t`'s leftmost
+/// key; see [`TrieCore::dnode_key`]); for a leaf it is the leaf's own key —
+/// the paper seeds leaf `dNodePtr`s with the key's dummy, which resolves
+/// identically.
 #[inline]
 pub(crate) fn interpreted_bit<A: LatestAccess>(core: &TrieCore, acc: &A, t: NodeIndex) -> bool {
     let layout = core.layout();
     let key = if layout.is_leaf(t) {
         layout.leaf_key(t) as i64
     } else {
-        let d = core.dnode_load(t);
-        unsafe { (*d).key() }
+        core.dnode_key(t)
     };
     let u_node = acc.find_latest(key); // L23
     let u = unsafe { &*u_node };
@@ -157,13 +158,14 @@ pub(crate) fn insert_binary_trie_step<A: LatestAccess>(
     i_node: *mut UpdateNode,
     t: NodeIndex,
 ) -> bool {
-    let d = core.dnode_load(t);
-    let u_node = acc.find_latest(unsafe { (*d).key() }); // L40
+    let u_node = acc.find_latest(core.dnode_key(t)); // L40
     let u = unsafe { &*u_node };
     if u.kind() == Kind::Del {
         // L41
         let h = core.layout().height(t);
-        // L42 re-reads t.dNodePtr for the pointer comparison.
+        // L42 re-reads t.dNodePtr for the pointer comparison. A null slot
+        // never equals `u_node`; where its dummy would have, the second
+        // disjunct holds (`access` module docs).
         if core.dnode_load(t) == u_node || h <= u.upper0() {
             unsafe { (*i_node).set_target(u_node) }; // L43
             if !acc.first_activated(i_node) {

@@ -165,8 +165,8 @@ impl Layout {
         (lo, lo | crate::bitops::low_mask(h))
     }
 
-    /// The smallest key in `U_t` — the key whose dummy DEL node seeds
-    /// `t.dNodePtr`.
+    /// The smallest key in `U_t` — the key whose dummy DEL node a null
+    /// `t.dNodePtr` stands for.
     #[inline]
     pub fn leftmost_key(&self, node: NodeIndex) -> Key {
         self.key_range(node).0

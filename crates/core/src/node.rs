@@ -102,8 +102,11 @@ pub struct UpdateNode {
     retire_claim: AtomicBool,
     /// DEL: heights `≤ upper0Boundary` that depend on this node read bit 0
     /// (line 100). Only the creator writes it, incrementing by 1 (Obs. 4.12).
-    upper0_boundary: AtomicU32,
+    /// A height is at most `b ≤ 62` (`MAX_UNIVERSE` is 2^62), so one byte
+    /// holds it.
+    upper0_boundary: AtomicU8,
     /// DEL: min-register; heights `≥ lower1Boundary` read bit 1 (line 101).
+    /// Bounded by `b + 1`, which the node does not store.
     lower1_boundary: AndMinRegister,
     /// DEL, per query direction ([`Dir::IDX`]): query node of the first
     /// embedded query (`delPredNode`, line 102).
@@ -178,7 +181,7 @@ impl UpdateNode {
             stop: AtomicBool::new(false),
             completed: AtomicBool::new(false),
             retire_claim: AtomicBool::new(false),
-            upper0_boundary: AtomicU32::new(upper0),
+            upper0_boundary: AtomicU8::new(upper0 as u8),
             lower1_boundary: AndMinRegister::new(lower1, b + 1),
             del_node: [
                 AtomicPtr::new(core::ptr::null_mut()),
@@ -312,7 +315,7 @@ impl UpdateNode {
     #[inline]
     pub(crate) fn upper0(&self) -> u32 {
         steps::on_read();
-        self.upper0_boundary.load(Ordering::SeqCst)
+        self.upper0_boundary.load(Ordering::SeqCst).into()
     }
 
     /// `dNode.upper0Boundary ← t.height` (line 72); only the creator writes,
@@ -321,12 +324,12 @@ impl UpdateNode {
     pub(crate) fn set_upper0(&self, height: u32) {
         debug_assert_eq!(self.kind, Kind::Del);
         debug_assert_eq!(
-            self.upper0_boundary.load(Ordering::SeqCst) + 1,
+            u32::from(self.upper0_boundary.load(Ordering::SeqCst)) + 1,
             height,
             "upper0Boundary must increment by 1 (Lemma 4.13)"
         );
         steps::on_write();
-        self.upper0_boundary.store(height, Ordering::SeqCst);
+        self.upper0_boundary.store(height as u8, Ordering::SeqCst);
     }
 
     /// Reads `lower1Boundary`.
@@ -725,10 +728,13 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn update_node_is_120_bytes() {
+    fn update_node_is_104_bytes() {
         // Every update allocates one, and every resident key keeps one:
-        // a field added here is paid for per key.
-        assert_eq!(core::mem::size_of::<UpdateNode>(), 120);
+        // a field added here is paid for per key. The registry's 16-byte
+        // pool header makes a 120-byte request, which glibc serves from a
+        // 128-byte chunk; chunks come every 16 bytes, so one more byte of
+        // node would cost 16 per key.
+        assert_eq!(core::mem::size_of::<UpdateNode>(), 104);
     }
 
     #[test]

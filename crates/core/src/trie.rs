@@ -2388,8 +2388,9 @@ mod tests {
 
     #[test]
     fn gate_probes_per_update_do_not_grow_with_the_universe() {
-        // A half-full trie parks DEL nodes behind closed gates, about one
-        // per occupied dNodePtr slot, so the parked set grows with u.
+        // Churn on a half-full trie parks DEL nodes behind closed gates, up
+        // to one per dNodePtr slot a delete installed it in, so the parked
+        // set grows with u.
         // Re-probing all of it on every sweep would make each update pay
         // Θ(u) probes; re-probes paid for by retirements keep it flat.
         let per_update: Vec<f64> = [8u32, 12, 14]

@@ -26,6 +26,12 @@ use crate::steps;
 /// linearizable: `read` returns the minimum of the initial value and every
 /// `min_write` linearized before it.
 ///
+/// The register is one word: it does not store `cap`. The caller knows its
+/// bound (the trie's is `b + 1`), so [`AndMinRegister::new`] checks the
+/// initial value against it and `min_write` debug-checks only the word's
+/// own bound, 63. Every trie update node holds one, so a stored cap would
+/// cost each node 8 bytes with padding.
+///
 /// # Examples
 ///
 /// ```
@@ -39,11 +45,11 @@ use crate::steps;
 #[derive(Debug)]
 pub struct AndMinRegister {
     bits: AtomicU64,
-    cap: u32,
 }
 
 impl AndMinRegister {
-    /// Creates a register holding `initial`, bounded by `cap` (inclusive).
+    /// Creates a register holding `initial`, for values bounded by `cap`
+    /// (inclusive).
     ///
     /// # Panics
     ///
@@ -53,18 +59,12 @@ impl AndMinRegister {
         assert!(initial <= cap, "initial value exceeds cap");
         Self {
             bits: AtomicU64::new(Self::encode(initial)),
-            cap,
         }
-    }
-
-    /// Inclusive upper bound on representable values.
-    pub fn cap(&self) -> u32 {
-        self.cap
     }
 
     #[inline]
     fn encode(v: u32) -> u64 {
-        debug_assert!(v <= 63);
+        debug_assert!(v <= 63, "min-register values are at most 63");
         (1u64 << v) - 1
     }
 
@@ -80,11 +80,10 @@ impl AndMinRegister {
         Self::decode(self.bits.load(Ordering::SeqCst))
     }
 
-    /// Lowers the stored value to `v` if `v` is smaller than the current
-    /// value; otherwise has no effect.
+    /// Lowers the stored value to `v` (at most 63) if `v` is smaller than
+    /// the current value; otherwise has no effect.
     #[inline]
     pub fn min_write(&self, v: u32) {
-        debug_assert!(v <= self.cap, "min_write value exceeds cap");
         steps::on_min_write();
         // L46 of the paper's pseudocode performs MinWrite via a single AND.
         self.bits.fetch_and(Self::encode(v), Ordering::SeqCst);
@@ -133,7 +132,6 @@ mod tests {
     fn initial_value_is_returned_before_any_write() {
         let r = AndMinRegister::new(17, 20);
         assert_eq!(r.read(), 17);
-        assert_eq!(r.cap(), 20);
     }
 
     #[test]

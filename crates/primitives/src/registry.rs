@@ -57,11 +57,13 @@
 //! A retired node whose [`Reclaim::ready_to_reclaim`] gate is closed parks
 //! in the shared `pending` stack until a probe finds the gate open. It is
 //! then restamped with a fresh epoch read, by the argument above, and
-//! appended to the sweeper's own FIFO. How many park
-//! there is set by the owner's long-lived references, not by the garbage:
-//! the trie parks one DEL node per occupied `dNodePtr` slot, up to
-//! `2^b − 1` of them. Re-probing them all on every sweep would cost
-//! Θ(parked) per sweep however little was retired, so a sweep re-probes
+//! appended to the sweeper's own FIFO. How many park there is set by the
+//! owner's long-lived references, not by the garbage: the trie parks the
+//! DEL nodes that deletes installed in its `dNodePtr` slots, up to
+//! `2^b − 1` of them, and those that inserts target. (A slot no delete has
+//! touched is null and holds no node, so a displaced dummy parks only
+//! while an insert targets it.) Re-probing them all on every sweep would
+//! cost Θ(parked) per sweep however little was retired, so a sweep re-probes
 //! `pending` only once the nodes retired into the registry since the last
 //! re-probe reach half of its depth; [`Registry::flush`] re-probes on every
 //! sweep. Each re-probe of `P` nodes is then paid for by at least `P/2`

@@ -354,3 +354,24 @@ fn readers_pinned_on_other_domains_do_not_hold_back_reclamation() {
     );
     assert!(trie.allocated_nodes() >= 4 * ceiling(universe));
 }
+
+#[test]
+fn an_insert_only_prefill_frees_every_displaced_dummy() {
+    // Every even key leads a height-1 subtree, so its dummy is what that
+    // subtree's dNodePtr slot stood for before any delete. The slot holds
+    // no count on it, so the first insert of the key frees the dummy like
+    // any other superseded node: one node per key stays, an INS node or
+    // an odd key's dummy. Ascending order sets no insert `target`, so no
+    // dummy is held for that reason either.
+    let universe = 1u64 << 10;
+    let trie = LockFreeBinaryTrie::new(universe);
+    for k in (0..universe).step_by(2) {
+        assert!(trie.insert(k));
+    }
+    trie.collect_garbage();
+    assert_eq!(
+        trie.live_nodes(),
+        universe as usize,
+        "displaced dummies stay resident after an insert-only prefill"
+    );
+}
