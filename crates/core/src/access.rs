@@ -37,6 +37,45 @@
 //! displace a dummy its slot still held, and the dummy would stay parked in
 //! the registry until a delete in that subtree replaced the slot. A null
 //! slot holds no node, so a displaced dummy is freed like any other node.
+//!
+//! # Null `latest[x]` heads
+//!
+//! The paper's initial configuration also points every `latest[x]` at a
+//! dummy DEL node of `x` (§4.5.2). Here every head starts null, and null
+//! stands for that dummy, which is only made by the first write that needs
+//! it as an object.
+//!
+//! * Every write to a dummy comes after its materialization: the `target`
+//!   an insert sets at L43 (which takes a `target_refs` count on it), the
+//!   min-write of its `lower1Boundary` at L46, and the `stop` a delete
+//!   sends through such a target. No operation runs `DeleteBinaryTrie` for
+//!   a dummy, so nothing else writes one.
+//! * So a dummy not yet installed keeps its initial fields: `upper0` is
+//!   `b`, `lower1` is `b + 1`, it is active, and it is the first activated
+//!   node of its list. A reader of a null head reads what the paper's
+//!   reader of the dummy reads at that instant: `Search` and `Delete` see a
+//!   DEL node (absent), `InterpretedBit` returns 0 (L25–26 with `h ≤ b`),
+//!   and `FindLatest` returns null for it (`LatestAccess::find_latest`).
+//! * The writes that need the dummy itself, `Insert(x)`'s `FindLatest` at
+//!   L163 (L29 in the relaxed trie) and `InsertBinaryTrie`'s at L40, go
+//!   through [`TrieCore::installed_head`]. It installs the dummy with one
+//!   CAS from null, and a loser frees its never-published copy. L42's
+//!   second disjunct holds for every dummy (`h ≤ b = upper0`), so an L40
+//!   that meets one always goes on to write it at L43. Installing changes
+//!   nothing a reader can see: the execution is one of the paper's in
+//!   which the dummy existed from the start.
+//! * An insert installs the dummy before its L165–L170 displace it, never
+//!   displacing null directly. So every `latestNext` is a real node, and a
+//!   null `latestNext` still means only "cut after activation".
+//! * Dummies never enter an announcement list, a notify record or a
+//!   `dNodePtr` slot, so no identity test meets one. No head is ever CASed
+//!   back to null ([`TrieCore::cas_latest`] asserts it), so "null" always
+//!   means "never written", and [`TrieCore`]'s `Drop` skips null heads.
+//!
+//! Why null: `new` allocates no update node, and a key that no update ever
+//! touches keeps none. An odd key's dummy is never written, and an even key
+//! `x`'s only once a present key lies in the subtree `x` leads,
+//! `(x, x + 2^tz(x))`.
 
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,8 +96,14 @@ use crate::node::UpdateNode;
 /// `first_activated` answers for some configuration during the call.
 pub(crate) trait LatestAccess {
     /// `FindLatest(x)`: the first activated update node in the `latest[x]`
-    /// list.
+    /// list, or null while `latest[x]` is null, which stands for `x`'s
+    /// dummy (see the module docs). Readers read null as that dummy.
     fn find_latest(&self, key: i64) -> *mut UpdateNode;
+
+    /// `FindLatest(x)` for a write that needs `x`'s dummy as an object
+    /// (lines 29, 40 and 163): installs it first while `latest[x]` is null
+    /// ([`TrieCore::installed_head`]), so the result is never null.
+    fn find_latest_installed(&self, key: i64) -> *mut UpdateNode;
 
     /// `FirstActivated(uNode)`: is `uNode` the first activated update node in
     /// `latest[uNode.key]`?
@@ -69,16 +114,18 @@ pub(crate) trait LatestAccess {
 /// internal nodes' `dNodePtr` fields, and the node arena.
 pub(crate) struct TrieCore {
     layout: Layout,
-    /// `latest[x]` for every (padded) key; initially the key's dummy DEL node.
+    /// `latest[x]` for every (padded) key; initially null, which stands for
+    /// the key's dummy DEL node until a write installs it (see the module
+    /// docs).
     latest: Box<[AtomicPtr<UpdateNode>]>,
     /// `dNodePtr` of every internal node, indexed by [`NodeIndex`] `1..2^b`
     /// (slot 0 unused); initially null, which stands for the dummy of the
     /// subtree's leftmost key (see the module docs).
     dnode: Box<[AtomicPtr<UpdateNode>]>,
-    /// Epoch-aware registry owning every update node, dummies included
-    /// (see [`lftrie_primitives::registry`]): superseded nodes are retired
-    /// through it and freed once unreferenced, so resident memory tracks
-    /// the live set instead of the update history.
+    /// Epoch-aware registry owning every update node, installed dummies
+    /// included (see [`lftrie_primitives::registry`]): superseded nodes are
+    /// retired through it and freed once unreferenced, so resident memory
+    /// tracks the live set instead of the update history.
     nodes: Registry<UpdateNode>,
     /// Source of the never-reused [`UpdateNode::seq`] ids (0 is reserved
     /// as "no node" in notify records).
@@ -86,28 +133,19 @@ pub(crate) struct TrieCore {
 }
 
 impl TrieCore {
-    /// Builds the initial configuration: `S = ∅`, every `latest[x]` a dummy
-    /// DEL node whose boundaries make all interpreted bits 0 (§4.5.2).
-    /// The update nodes retire into `domain`, the owning trie's.
+    /// Builds the initial configuration: `S = ∅`, every `latest[x]` and
+    /// every `dNodePtr` null, standing for the dummy DEL nodes of §4.5.2
+    /// whose boundaries make all interpreted bits 0. Allocates no update
+    /// node. The update nodes retire into `domain`, the owning trie's.
     pub(crate) fn new(universe: u64, domain: Arc<Domain>) -> Self {
         let layout = Layout::new(universe);
         let n = layout.num_leaves() as usize;
-        let nodes = Registry::new_in(domain);
-        let next_seq = AtomicU64::new(1);
-
-        let mut latest = Vec::with_capacity(n);
-        for x in 0..n {
-            let dummy = nodes.alloc(UpdateNode::new_dummy(x as i64, layout.bits()));
-            unsafe { (*dummy).seq = next_seq.fetch_add(1, Ordering::Relaxed) };
-            latest.push(AtomicPtr::new(dummy));
-        }
-
         Self {
             layout,
-            latest: latest.into_boxed_slice(),
+            latest: (0..n).map(|_| AtomicPtr::default()).collect(),
             dnode: (0..n).map(|_| AtomicPtr::default()).collect(),
-            nodes,
-            next_seq,
+            nodes: Registry::new_in(domain),
+            next_seq: AtomicU64::new(1),
         }
     }
 
@@ -129,14 +167,37 @@ impl TrieCore {
         self.layout.bits()
     }
 
-    /// Reads the head of the `latest[key]` list.
+    /// Reads the head of the `latest[key]` list; null until the first
+    /// install, standing for the key's dummy.
     #[inline]
     pub(crate) fn latest_head(&self, key: i64) -> *mut UpdateNode {
         steps::on_read();
         self.latest[key as usize].load(Ordering::SeqCst)
     }
 
-    /// CAS on `latest[key]` (lines 35/54/170/192).
+    /// Reads the head of the `latest[key]` list for a write that needs the
+    /// key's dummy as an object. While the head is null, first installs the
+    /// dummy with one CAS from null; a lost CAS frees the never-published
+    /// dummy and re-reads the head, which no CAS returns to null. Never
+    /// returns null.
+    #[inline]
+    pub(crate) fn installed_head(&self, key: i64) -> *mut UpdateNode {
+        let head = self.latest_head(key);
+        if !head.is_null() {
+            return head;
+        }
+        let dummy = self.alloc_node(UpdateNode::new_dummy(key, self.b()));
+        if self.cas_latest(key, head, dummy) {
+            return dummy;
+        }
+        // Safety: the CAS failed, so the dummy was never published.
+        unsafe { self.dealloc_node(dummy) };
+        self.latest_head(key)
+    }
+
+    /// CAS on `latest[key]` (lines 35/54/170/192, and the dummy installs of
+    /// [`TrieCore::installed_head`]). `new` is never null, so a head never
+    /// returns to null.
     #[inline]
     pub(crate) fn cas_latest(
         &self,
@@ -144,6 +205,7 @@ impl TrieCore {
         current: *mut UpdateNode,
         new: *mut UpdateNode,
     ) -> bool {
+        debug_assert!(!new.is_null(), "a latest[x] head never returns to null");
         steps::on_cas();
         let ok = self.latest[key as usize]
             .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
@@ -250,10 +312,10 @@ impl TrieCore {
         unsafe { self.nodes.dealloc(node) };
     }
 
-    /// Number of update nodes ever created (dummies included) — the E6
-    /// "GC model" space metric. With allocation pooling this counts
-    /// *logical* allocations; most are served from recycled slots
-    /// (see [`TrieCore::node_alloc_stats`]).
+    /// Number of update nodes ever created (installed dummies included;
+    /// `new` creates none) — the E6 "GC model" space metric. With
+    /// allocation pooling this counts *logical* allocations; most are
+    /// served from recycled slots (see [`TrieCore::node_alloc_stats`]).
     pub(crate) fn allocated_nodes(&self) -> usize {
         self.nodes.created()
     }
@@ -326,21 +388,29 @@ mod tests {
     use crate::node::{Kind, Status};
 
     #[test]
-    fn initial_configuration_is_all_dummies() {
+    fn initial_configuration_allocates_no_update_node() {
+        // Every head starts null, standing for the key's dummy; the first
+        // write that needs the dummy installs it, with the dummy's fields.
         let core = TrieCore::new(8, Arc::default());
         for x in 0..8i64 {
-            let head = core.latest_head(x);
-            let node = unsafe { &*head };
-            assert_eq!(node.kind(), Kind::Del);
-            assert_eq!(node.status(), Status::Active);
-            assert_eq!(node.key(), x);
-            assert!(node.latest_next().is_null());
+            assert!(core.latest_head(x).is_null(), "latest[{x}] starts null");
         }
-        assert_eq!(core.allocated_nodes(), 8);
+        assert_eq!(core.allocated_nodes(), 0);
+        let head = core.installed_head(3);
+        let node = unsafe { &*head };
+        assert_eq!(node.kind(), Kind::Del);
+        assert_eq!(node.status(), Status::Active);
+        assert_eq!(node.key(), 3);
+        assert!(node.latest_next().is_null());
+        assert_eq!((node.upper0(), node.lower1()), (core.b(), core.b() + 1));
+        assert_eq!(core.latest_head(3), head);
+        assert_eq!(core.installed_head(3), head, "an installed head is kept");
+        assert_eq!(core.allocated_nodes(), 1);
+        assert!(core.latest_head(2).is_null() && core.latest_head(4).is_null());
     }
 
     #[test]
-    fn dnode_seeded_with_leftmost_dummy() {
+    fn dnode_slots_start_null_and_read_the_leftmost_key() {
         // Every slot starts null, which stands for the dummy of the
         // subtree's leftmost key: L23 and L40 read that key through it.
         let core = TrieCore::new(8, Arc::default());
@@ -349,9 +419,10 @@ mod tests {
             assert!(core.dnode_load(t).is_null(), "slot {t} starts null");
             assert_eq!(core.dnode_key(t) as u64, layout.leftmost_key(t));
         }
-        // No dummy holds a slot, so each is free to go once superseded.
+        // No installed dummy holds a slot, so each is free to go once
+        // superseded.
         for x in 0..8i64 {
-            let dummy = unsafe { &*core.latest_head(x) };
+            let dummy = unsafe { &*core.installed_head(x) };
             assert_eq!(dummy.dnode_refs.load(Ordering::Relaxed), 0);
         }
     }

@@ -125,7 +125,8 @@ pub fn branch_bit(x: u64, y: u64) -> Option<u32> {
 /// lies in `U_t`, or a null slot standing for the dummy of `U_t`'s leftmost
 /// key; see [`TrieCore::dnode_key`]); for a leaf it is the leaf's own key —
 /// the paper seeds leaf `dNodePtr`s with the key's dummy, which resolves
-/// identically.
+/// identically. A null `latest` head is that key's uninstalled dummy, which
+/// reads 0 at every height.
 #[inline]
 pub(crate) fn interpreted_bit<A: LatestAccess>(core: &TrieCore, acc: &A, t: NodeIndex) -> bool {
     let layout = core.layout();
@@ -135,6 +136,11 @@ pub(crate) fn interpreted_bit<A: LatestAccess>(core: &TrieCore, acc: &A, t: Node
         core.dnode_key(t)
     };
     let u_node = acc.find_latest(key); // L23
+    if u_node.is_null() {
+        // The dummy: `h ≤ b = upper0`, `h < b + 1 = lower1`, and it is
+        // first activated, so L25–26 return 0.
+        return false;
+    }
     let u = unsafe { &*u_node };
     if u.kind() == Kind::Ins {
         return true; // L24
@@ -158,7 +164,9 @@ pub(crate) fn insert_binary_trie_step<A: LatestAccess>(
     i_node: *mut UpdateNode,
     t: NodeIndex,
 ) -> bool {
-    let u_node = acc.find_latest(core.dnode_key(t)); // L40
+    // L40. A dummy met here is always written at L43 (L42's second
+    // disjunct holds for it), so a null head is installed first.
+    let u_node = acc.find_latest_installed(core.dnode_key(t));
     let u = unsafe { &*u_node };
     if u.kind() == Kind::Del {
         // L41

@@ -139,9 +139,11 @@ impl UpdateNode {
 
     /// Creates the per-key dummy DEL node of the initial configuration: its
     /// boundaries make every interpreted bit 0 (`upper0 = b`,
-    /// `lower1 = b+1`), it is active, and its `latestNext` is `⊥`. Dummies
-    /// are born `completed` — no operation ever finishes them, and the flag
-    /// gates their reclamation once the first real insert supersedes them.
+    /// `lower1 = b+1`), it is active, and its `latestNext` is `⊥`. A null
+    /// `latest[x]` stands for it until the first write that needs it
+    /// installs it (`TrieCore::installed_head`). Dummies are born
+    /// `completed` — no operation ever finishes them, and the flag gates
+    /// their reclamation once the first real insert supersedes them.
     pub(crate) fn new_dummy(key: i64, b: u32) -> Self {
         let node = Self::new(
             key,

@@ -93,6 +93,11 @@ impl LatestAccess for RelaxedBinaryTrie {
         self.core.latest_head(key)
     }
 
+    #[inline]
+    fn find_latest_installed(&self, key: i64) -> *mut UpdateNode {
+        self.core.installed_head(key)
+    }
+
     /// `FirstActivated(uNode)` (lines 19–21): pointer equality with
     /// `latest[uNode.key]` — every relaxed-trie update node is active.
     #[inline]
@@ -104,8 +109,8 @@ impl LatestAccess for RelaxedBinaryTrie {
 impl RelaxedBinaryTrie {
     /// Creates an empty trie over the universe `{0, …, universe−1}`.
     ///
-    /// Allocates the Θ(u) initial configuration (trie arrays plus one dummy
-    /// DEL node per key, §4.5.2).
+    /// Allocates the Θ(u) trie arrays and no update node: a key's dummy DEL
+    /// node (§4.5.2) is made only once an insert needs it.
     ///
     /// # Panics
     ///
@@ -149,7 +154,7 @@ impl RelaxedBinaryTrie {
         telemetry::add(Counter::ContainsOps, 1);
         let _guard = self.domain().pin();
         let u_node = self.find_latest(x); // L16
-        unsafe { (*u_node).kind() == Kind::Ins } // L17–18
+        !u_node.is_null() && unsafe { (*u_node).kind() == Kind::Ins } // L17–18
     }
 
     /// `TrieInsert(x)` (lines 28–37): adds `x`; returns `true` iff this call
@@ -184,7 +189,7 @@ impl RelaxedBinaryTrie {
     /// new operations.
     pub(crate) fn insert_activate(&self, x: i64) -> Option<*mut UpdateNode> {
         let guard = &self.domain().pin();
-        let d_node = self.find_latest(x); // L29
+        let d_node = self.find_latest_installed(x); // L29
         if unsafe { (*d_node).kind() } != Kind::Del {
             return None; // L30: x already in S
         }
@@ -253,7 +258,7 @@ impl RelaxedBinaryTrie {
     pub(crate) fn delete_activate(&self, x: i64) -> Option<*mut UpdateNode> {
         let guard = &self.domain().pin();
         let i_node = self.find_latest(x); // L48
-        if unsafe { (*i_node).kind() } != Kind::Ins {
+        if i_node.is_null() || unsafe { (*i_node).kind() } != Kind::Ins {
             return None; // L49: x not in S
         }
         let prev_del = unsafe { (*i_node).latest_next() };
@@ -355,7 +360,17 @@ impl RelaxedBinaryTrie {
     pub fn latest_info(&self, x: Key) -> LatestInfo {
         let x = self.check_key(x);
         let _guard = self.domain().pin();
-        let node = unsafe { &*self.find_latest(x) };
+        let node = self.find_latest(x);
+        if node.is_null() {
+            // The uninstalled dummy's boundaries.
+            let b = self.core.b();
+            return LatestInfo {
+                is_ins: false,
+                lower1_boundary: Some(b + 1),
+                upper0_boundary: Some(b),
+            };
+        }
+        let node = unsafe { &*node };
         if node.kind() == Kind::Ins {
             LatestInfo {
                 is_ins: true,
@@ -372,7 +387,7 @@ impl RelaxedBinaryTrie {
     }
 
     /// Total update nodes allocated so far (the GC-model E6 space metric;
-    /// includes the `2^b` initial dummies).
+    /// includes the dummies inserts installed, and is 0 until an insert).
     pub fn allocated_nodes(&self) -> usize {
         self.core.allocated_nodes()
     }

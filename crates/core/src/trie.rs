@@ -382,6 +382,36 @@ impl LatestAccess for LockFreeBinaryTrie {
     /// `latest[x]` list.
     fn find_latest(&self, key: i64) -> *mut UpdateNode {
         let u_node = self.core.latest_head(key); // L117
+        if u_node.is_null() {
+            return u_node; // x's uninstalled dummy
+        }
+        self.find_latest_from(u_node)
+    }
+
+    fn find_latest_installed(&self, key: i64) -> *mut UpdateNode {
+        self.find_latest_from(self.core.installed_head(key)) // L117
+    }
+
+    /// `FirstActivated(uNode)` (lines 125–127).
+    fn first_activated(&self, node: *mut UpdateNode) -> bool {
+        let u_node = self.core.latest_head(unsafe { (*node).key() }); // L126
+        if node == u_node {
+            return true; // L127, first disjunct
+        }
+        if u_node.is_null() {
+            // Never for a published node: its key's head is not null.
+            return false;
+        }
+        let u = unsafe { &*u_node };
+        u.status() == Status::Inactive && node == u.latest_next() // L127, second
+    }
+}
+
+impl LockFreeBinaryTrie {
+    /// Lines 118–120 of `FindLatest` on the non-null head `u_node` read at
+    /// L117: the head, or its `latestNext` while the head is inactive.
+    #[inline]
+    fn find_latest_from(&self, u_node: *mut UpdateNode) -> *mut UpdateNode {
         let u = unsafe { &*u_node };
         if u.status() == Status::Inactive {
             // L118
@@ -393,22 +423,10 @@ impl LatestAccess for LockFreeBinaryTrie {
         u_node
     }
 
-    /// `FirstActivated(uNode)` (lines 125–127).
-    fn first_activated(&self, node: *mut UpdateNode) -> bool {
-        let u_node = self.core.latest_head(unsafe { (*node).key() }); // L126
-        if node == u_node {
-            return true; // L127, first disjunct
-        }
-        let u = unsafe { &*u_node };
-        u.status() == Status::Inactive && node == u.latest_next() // L127, second
-    }
-}
-
-impl LockFreeBinaryTrie {
     /// Creates an empty trie over `{0, …, universe−1}`.
     ///
-    /// Allocates the Θ(u) initial configuration (arrays plus per-key dummy
-    /// DEL nodes).
+    /// Allocates the Θ(u) trie arrays and no update node: a key's dummy DEL
+    /// node is made only once an insert needs it.
     ///
     /// # Panics
     ///
@@ -748,7 +766,7 @@ impl LockFreeBinaryTrie {
         let _s = trace::span(OpKind::Contains, x);
         let _guard = self.domain().pin();
         let u_node = self.find_latest(x); // L122
-        unsafe { (*u_node).kind() == Kind::Ins } // L123–124
+        !u_node.is_null() && unsafe { (*u_node).kind() == Kind::Ins } // L123–124
     }
 
     /// `Insert(x)` (lines 162–180): adds `x`; returns `true` iff this call
@@ -763,7 +781,7 @@ impl LockFreeBinaryTrie {
         let _s = trace::span(OpKind::Insert, x);
         let guard = &self.domain().pin();
         fault::point(FaultPoint::InsertEntry);
-        let d_node = self.find_latest(x); // L163
+        let d_node = self.find_latest_installed(x); // L163
         if unsafe { (*d_node).kind() } != Kind::Del {
             return false; // L164: x already in S
         }
@@ -824,7 +842,7 @@ impl LockFreeBinaryTrie {
         let guard = &self.domain().pin();
         fault::point(FaultPoint::DeleteEntry);
         let i_node = self.find_latest(x); // L182
-        if unsafe { (*i_node).kind() } != Kind::Ins {
+        if i_node.is_null() || unsafe { (*i_node).kind() } != Kind::Ins {
             return false; // L183: x not in S
         }
         let og = UpdateOpGuard::new(self);
@@ -1618,7 +1636,8 @@ impl LockFreeBinaryTrie {
     }
 
     /// Total update nodes allocated over the trie's lifetime (the paper's
-    /// GC-model E6 metric; includes the `2^b` dummies).
+    /// GC-model E6 metric; includes the dummies inserts installed, and is 0
+    /// until an insert).
     pub fn allocated_nodes(&self) -> usize {
         self.core.allocated_nodes()
     }

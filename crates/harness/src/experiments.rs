@@ -330,15 +330,17 @@ pub fn e5_bottom_rate(quick: bool) -> Table {
 }
 
 /// E6 — space: cumulative allocations grow with the update count (the
-/// paper's GC-model hand-off, Θ(u) + updates), but the *resident* footprint
-/// — live = allocated − reclaimed, the number the epoch collector actually
-/// keeps — stays near the Θ(u) initial configuration regardless of how many
-/// updates ran (`tests/memory_bound.rs` asserts the bound).
+/// paper's GC-model hand-off), but the *resident* footprint — live =
+/// allocated − reclaimed, the number the epoch collector actually keeps —
+/// stays within O(u) regardless of how many updates ran
+/// (`tests/memory_bound.rs` asserts the bound). The initial configuration
+/// allocates no update node: a key's dummy is made only once an insert
+/// needs it, so `initial` is 0 at every u.
 /// The baselines report through the same registry accounting, so the
 /// steady-state comparison is apples-to-apples.
 pub fn e6_space(quick: bool) -> Table {
     let mut table = Table::new(
-        "E6: update-node space (claim: cumulative ~ Θ(u)+updates, live ~ Θ(u) steady state)",
+        "E6: update-node space (claim: cumulative ~ updates, live ~ O(u) steady state)",
         &[
             "structure",
             "u",
@@ -1031,9 +1033,9 @@ mod tests {
         let table = e6_space(true);
         let rows = table.rows();
         let trie_rows: Vec<_> = rows.iter().filter(|r| r[0] == "lockfree-trie").collect();
-        // Θ(u) initial footprint still grows with the universe …
+        // No update node before the first insert, at any universe …
         let initial: Vec<u64> = trie_rows.iter().map(|r| r[2].parse().unwrap()).collect();
-        assert!(initial.windows(2).all(|w| w[0] < w[1]));
+        assert!(initial.iter().all(|&n| n == 0), "initial: {initial:?}");
         for r in &trie_rows {
             let initial: u64 = r[2].parse().unwrap();
             let cumulative: u64 = r[3].parse().unwrap();

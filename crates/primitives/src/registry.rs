@@ -61,8 +61,9 @@
 //! owner's long-lived references, not by the garbage: the trie parks the
 //! DEL nodes that deletes installed in its `dNodePtr` slots, up to
 //! `2^b − 1` of them, and those that inserts target. (A slot no delete has
-//! touched is null and holds no node, so a displaced dummy parks only
-//! while an insert targets it.) Re-probing them all on every sweep would
+//! touched is null and holds no node. So is a latest-list head no update
+//! has touched: a key's dummy is made only when an insert needs it, and
+//! once displaced it parks only while an insert targets it.) Re-probing them all on every sweep would
 //! cost Θ(parked) per sweep however little was retired, so a sweep re-probes
 //! `pending` only once the nodes retired into the registry since the last
 //! re-probe reach half of its depth; [`Registry::flush`] re-probes on every

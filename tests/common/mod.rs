@@ -1,5 +1,7 @@
 //! Helpers shared by the integration suites.
 
+use std::collections::BTreeSet;
+
 /// Iteration budget for the long-running stress suites.
 ///
 /// Defaults keep `cargo test -q` CI-friendly (a few seconds even on a
@@ -21,4 +23,22 @@ pub fn stress_iters(default: u64) -> u64 {
             .max(4),
         Err(_) => default,
     }
+}
+
+/// The dummies a quiescent lock-free trie holding `present` keeps as
+/// latest-list heads: one per absent even key `x` with a present key in the
+/// subtree `x` leads, `(x, x + 2^tz(x))`, where `tz(0)` is `b` (the whole
+/// universe, a power of two). No other absent key's dummy is ever written,
+/// so none is made.
+#[allow(dead_code)]
+pub fn needed_dummies(present: &BTreeSet<u64>, universe: u64) -> usize {
+    let b = universe.trailing_zeros();
+    (0..universe)
+        .step_by(2)
+        .filter(|x| !present.contains(x))
+        .filter(|&x| {
+            let end = x + (1 << x.trailing_zeros().min(b));
+            present.range(x + 1..end).next().is_some()
+        })
+        .count()
 }

@@ -465,11 +465,18 @@ fn the_update_that_cuts_a_link_retires_the_displaced_node() {
     // queries.
     let lens = trie.announcements();
     assert_eq!((lens.uall, lens.ruall, lens.pall, lens.sall), (1, 1, 1, 1));
-    // Each key's latest-list head, plus the DEL node that never completes
-    // and so is never freed. The INS node it displaced is freed.
+    // The second INS node of 9, the DEL node that never completes and so
+    // is never freed, and the dummies the walk of insert(9) installs as
+    // latest-list heads and targets: those of the other keys that lead a
+    // subtree holding 9 (8 and 0). The INS node the DEL node displaced is
+    // freed, and so is 9's own dummy.
+    let leaders: BTreeSet<u64> = (1..=U.trailing_zeros())
+        .map(|h| 9 >> h << h)
+        .filter(|&k| k != 9)
+        .collect();
     assert_eq!(
         trie.live_nodes(),
-        U as usize + 1,
+        2 + leaders.len(),
         "a displaced node was never retired"
     );
 }

@@ -5,9 +5,19 @@
 //! A stalled insert is the real `insert`, suspended at its
 //! `InsertPublished` fault point: its INS node heads `latest[x]` (line
 //! 170) but is neither announced nor activated.
+//!
+//! A `latest[x]` no update has touched is null and stands for x's dummy;
+//! an insert installs the dummy before displacing it, so the INS node's
+//! `latestNext` is always a real node. The last two tests pin that.
+
+use std::collections::BTreeSet;
+use std::sync::Barrier;
 
 use lftrie::core::fault::{suspend_at, FaultPoint::InsertPublished};
 use lftrie::core::LockFreeBinaryTrie;
+
+mod common;
+use common::{needed_dummies, stress_iters};
 
 #[test]
 fn inactive_head_is_invisible_to_search() {
@@ -129,5 +139,75 @@ fn stress_mixed_with_stalls_settles_consistently() {
     for y in 1..64 {
         let expected = present.iter().rev().find(|&&k| k < y).copied();
         assert_eq!(trie.predecessor(y), expected, "pred({y})");
+    }
+}
+
+#[test]
+fn an_insert_targets_a_dummy_under_an_inactive_head() {
+    // insert(8) installs 8's dummy and stalls over it. insert(9) then walks
+    // through the subtree 8 leads: FindLatest(8) resolves the inactive head
+    // through latestNext to the dummy, which the walk targets and whose
+    // lower1Boundary it lowers, so the pair's bit reads 1.
+    let x = 8u64;
+    let trie = LockFreeBinaryTrie::new(32);
+    assert!(suspend_at(InsertPublished, || trie.insert(x)));
+    assert!(trie.insert(x + 1));
+    assert!(!trie.contains(x), "the stalled insert is not linearized");
+    assert_eq!(trie.predecessor(x + 2), Some(x + 1));
+    assert_eq!(trie.successor(0), Some(x + 1));
+    // A competing insert(x) loses its CAS and helps the stalled one.
+    assert!(!trie.insert(x));
+    assert!(trie.contains(x));
+    assert_eq!(trie.predecessor(x + 1), Some(x));
+    assert_eq!(trie.predecessor(x + 2), Some(x + 1));
+}
+
+#[test]
+fn racing_installs_of_one_dummy_agree_with_a_model() {
+    // Two threads insert keys of the subtree an absent x ≡ 0 mod 4 leads,
+    // so their L40 and L163 installs of the dummies of x and x + 2 race.
+    // Key 0 stays absent, so every walk ends targeting 0's dummy, a head:
+    // at quiescence no displaced dummy is targeted, and the live count is
+    // exact.
+    const U: u64 = 32;
+    for round in 0..stress_iters(2_000) / 4 {
+        let x = 4 * (1 + round % (U / 4 - 1));
+        let with_x = round % 2 == 0;
+        let mut a = vec![x + 3, x + 1];
+        let mut b = vec![x + 2, x + 3];
+        if with_x {
+            a.push(x);
+            b.insert(0, x);
+        }
+        let trie = LockFreeBinaryTrie::new(U);
+        let start = Barrier::new(2);
+        let run = |keys: &[u64]| {
+            start.wait();
+            keys.iter().map(|&k| trie.insert(k)).collect::<Vec<_>>()
+        };
+        let [won_a, won_b] = std::thread::scope(|s| {
+            let ha = s.spawn(|| run(&a));
+            let hb = s.spawn(|| run(&b));
+            [ha.join().unwrap(), hb.join().unwrap()]
+        });
+        let model: BTreeSet<u64> = a.iter().chain(&b).copied().collect();
+        for &k in &model {
+            let wins = a.iter().zip(&won_a).chain(b.iter().zip(&won_b));
+            let n = wins.filter(|&(&key, &won)| key == k && won).count();
+            assert_eq!(n, 1, "round {round}: {n} inserts of {k} succeeded");
+        }
+        for y in 0..U {
+            assert_eq!(trie.contains(y), model.contains(&y), "round {round}: {y}");
+            let pred = model.range(..y).next_back().copied();
+            assert_eq!(trie.predecessor(y), pred, "round {round}: pred({y})");
+            let succ = model.range(y + 1..).next().copied();
+            assert_eq!(trie.successor(y), succ, "round {round}: succ({y})");
+        }
+        trie.collect_garbage();
+        assert_eq!(
+            trie.live_nodes(),
+            model.len() + needed_dummies(&model, U),
+            "round {round}: a lost install leaked its dummy, or a needed one went"
+        );
     }
 }

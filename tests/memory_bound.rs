@@ -17,19 +17,21 @@
 //! `LFTRIE_STRESS_ITERS` scales the churn up; the ceilings do **not** scale
 //! with it, which is exactly the bounded-garbage claim.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use lftrie::core::{LockFreeBinaryTrie, RelaxedBinaryTrie};
+use lftrie::core::{LockFreeBinaryTrie, RelaxedBinaryTrie, RelaxedPred, RelaxedSucc};
 
 mod common;
-use common::stress_iters;
+use common::{needed_dummies, stress_iters};
 
-/// Steady-state ceiling for the lock-free trie over universe `u`:
-/// `2^b` dummies/heads, ≤ `2^b − 1` DEL nodes parked in `dNodePtr` slots,
-/// ≤ `2^b` DEL nodes pinned by live INS `target` edges, plus the epoch
-/// window (amortized sweeps run every few dozen retires per registry) and
-/// helper slack.
+/// Steady-state ceiling for the lock-free trie over universe `u`: ≤ `2^b`
+/// latest-list heads (INS, DEL or installed dummy nodes; a head no update
+/// has touched is null and holds none), ≤ `2^b − 1` DEL nodes parked in
+/// `dNodePtr` slots, ≤ `2^b` DEL nodes pinned by live INS `target` edges,
+/// plus the epoch window (amortized sweeps run every few dozen retires per
+/// registry) and helper slack.
 fn ceiling(universe: u64) -> usize {
     4 * universe as usize + 512
 }
@@ -360,9 +362,10 @@ fn an_insert_only_prefill_frees_every_displaced_dummy() {
     // Every even key leads a height-1 subtree, so its dummy is what that
     // subtree's dNodePtr slot stood for before any delete. The slot holds
     // no count on it, so the first insert of the key frees the dummy like
-    // any other superseded node: one node per key stays, an INS node or
-    // an odd key's dummy. Ascending order sets no insert `target`, so no
-    // dummy is held for that reason either.
+    // any other superseded node: one node per inserted key stays, its INS
+    // node. No insert needs an odd key's dummy, so none is made. Ascending
+    // order sets no insert `target`, so no dummy is held for that reason
+    // either.
     let universe = 1u64 << 10;
     let trie = LockFreeBinaryTrie::new(universe);
     for k in (0..universe).step_by(2) {
@@ -371,7 +374,68 @@ fn an_insert_only_prefill_frees_every_displaced_dummy() {
     trie.collect_garbage();
     assert_eq!(
         trie.live_nodes(),
-        universe as usize,
+        universe as usize / 2,
         "displaced dummies stay resident after an insert-only prefill"
+    );
+}
+
+#[test]
+fn a_trie_that_has_only_been_read_allocates_no_update_node() {
+    // Every latest[x] starts null, standing for x's dummy, and no read
+    // installs it: queries and failed removes of absent keys leave the
+    // update-node registry empty.
+    let universe = 1u64 << 16;
+    let keys = (0..universe).step_by(251).chain([universe - 1]);
+    let trie = LockFreeBinaryTrie::new(universe);
+    for k in keys.clone() {
+        assert!(!trie.contains(k));
+        assert_eq!(trie.predecessor(k), None);
+        assert_eq!(trie.successor(k), None);
+        assert!(!trie.remove(k));
+    }
+    assert_eq!((trie.min(), trie.max()), (None, None));
+    assert!(trie.range(0..=universe - 1).is_empty());
+    assert_eq!(trie.allocated_nodes(), 0, "a read allocated an update node");
+
+    let relaxed = RelaxedBinaryTrie::new(universe);
+    for k in keys {
+        assert!(!relaxed.contains(k));
+        assert_eq!(relaxed.predecessor(k), RelaxedPred::NoneSmaller);
+        assert_eq!(relaxed.successor(k), RelaxedSucc::NoneGreater);
+        assert!(!relaxed.remove(k));
+    }
+    assert_eq!(
+        relaxed.allocated_nodes(),
+        0,
+        "a read allocated an update node"
+    );
+}
+
+#[test]
+fn an_ascending_fill_keeps_only_the_dummies_inserts_need() {
+    // A seeded random half of the universe, inserted in ascending order.
+    // Each present key keeps its INS node. An absent key keeps a dummy
+    // only if an insert's walk wrote it (L43/L46): an even key x with a
+    // present key in the subtree it leads. Ascending order leaves no
+    // displaced dummy targeted, so every other dummy is freed.
+    let universe = 1u64 << 12;
+    let mut keys: Vec<u64> = (0..universe).collect();
+    let mut state = 0x5DEE_CE66_D1CE_4E5Bu64;
+    for i in (1..keys.len()).rev() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        keys.swap(i, ((state >> 33) % (i as u64 + 1)) as usize);
+    }
+    let present: BTreeSet<u64> = keys[..keys.len() / 2].iter().copied().collect();
+    let trie = LockFreeBinaryTrie::new(universe);
+    for &k in &present {
+        assert!(trie.insert(k));
+    }
+    trie.collect_garbage();
+    let expected = present.len() + needed_dummies(&present, universe);
+    assert!(expected < universe as usize);
+    assert_eq!(
+        trie.live_nodes(),
+        expected,
+        "the fill kept a dummy no insert needed, or freed one it did"
     );
 }
