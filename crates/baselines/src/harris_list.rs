@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::marked::{AtomicMarkedPtr, MarkedPtr};
-use lftrie_primitives::registry::{Reclaim, Registry};
+use lftrie_primitives::registry::Registry;
 use lftrie_primitives::{NEG_INF, POS_INF};
 
 use crate::set_trait::ConcurrentOrderedSet;
@@ -23,9 +23,6 @@ struct Node {
     key: i64,
     next: AtomicMarkedPtr<Node>,
 }
-
-/// An unlinked node is unreachable for new pins immediately.
-impl Reclaim for Node {}
 
 /// A lock-free sorted linked list over `u64` keys.
 ///

@@ -8,19 +8,24 @@
 //! the contrast with the trie's O(1) search and O(log u) deterministic
 //! bounds is exactly what experiment E4 measures.
 //!
-//! Towers are epoch-reclaimed: each node counts the levels it is currently
-//! linked at (`links`, raised before a link CAS, dropped at the unlinking
-//! CAS); the winning remover retires the victim, and the registry's
-//! readiness gate keeps it parked until the whole tower is unlinked — a
-//! node still linked at an upper level stays dereferenceable for
-//! traversals descending through it.
+//! Towers are epoch-reclaimed at their last release. Each node's `links`
+//! counts the levels linking it (raised before each link CAS, dropped at
+//! the CAS that unlinks it) plus one hold of its insert's, released once
+//! the insert stops linking. Whoever drops the count to zero retires the
+//! tower: the `find` that unlinks its last level, or its insert. `remove`
+//! only marks and unlinks. The count never rises from zero, because only
+//! the insert links a tower and its own hold is still in while it does:
+//! without that hold, an insert that read an upper level as unmarked could
+//! link it there after a remover had marked and unlinked every level
+//! linked so far. So once the count is zero no level links the tower or
+//! ever will, and a thread that pins later cannot reach it.
 
 use core::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::marked::{AtomicMarkedPtr, MarkedPtr};
-use lftrie_primitives::registry::{Reclaim, Registry};
+use lftrie_primitives::registry::Registry;
 use lftrie_primitives::{NEG_INF, POS_INF};
 
 use crate::set_trait::ConcurrentOrderedSet;
@@ -31,8 +36,9 @@ struct Node {
     key: i64,
     /// Tower of next pointers; `next[0]` is the full (bottom) list.
     next: Vec<AtomicMarkedPtr<Node>>,
-    /// Levels currently (or speculatively about to be) linking this node;
-    /// over-approximates occupancy, never under-approximates it.
+    /// Levels linking this node, or about to (raised before each link
+    /// CAS, so it never under-reports them), plus one while its insert may
+    /// still link it. The release that drops it to zero retires the node.
     links: AtomicUsize,
 }
 
@@ -42,17 +48,10 @@ impl Node {
     }
 }
 
-impl Reclaim for Node {
-    /// A retired tower may be freed only once no level links it.
-    fn ready_to_reclaim(&self) -> bool {
-        self.links.load(Ordering::SeqCst) == 0
-    }
-}
-
 /// Shared reference to a registry node; sound only while the caller holds an
 /// epoch [`Guard`](lftrie_primitives::epoch::Guard) pinned since the pointer
-/// was read from shared memory — retired towers are freed after the grace
-/// period, and only the `links` gate keeps still-linked towers alive past it.
+/// was read from shared memory — a tower is retired only once no level
+/// links it, and freed after the grace period.
 #[inline]
 fn nref<'a>(ptr: *mut Node) -> &'a Node {
     debug_assert!(!ptr.is_null());
@@ -127,6 +126,15 @@ impl LockFreeSkipList {
         ((s.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
     }
 
+    /// Drops one of `node`'s links; the last one retires the tower.
+    fn release(&self, node: *mut Node, guard: &Guard<'_>) {
+        if nref(node).links.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Safety: no level links the node and its insert has stopped
+            // linking, so no thread that pins from now on can reach it.
+            unsafe { self.nodes.retire(node, guard) };
+        }
+    }
+
     /// Herlihy–Shavit `find`: fills `preds`/`succs` for `key` at every
     /// level, physically unlinking marked nodes on the way. Returns `true`
     /// if a bottom-level node with exactly `key` was found.
@@ -135,7 +143,7 @@ impl LockFreeSkipList {
         key: i64,
         preds: &mut [*mut Node; MAX_HEIGHT],
         succs: &mut [*mut Node; MAX_HEIGHT],
-        _guard: &Guard<'_>,
+        guard: &Guard<'_>,
     ) -> bool {
         'retry: loop {
             let mut pred = self.head;
@@ -150,9 +158,8 @@ impl LockFreeSkipList {
                         if !nref(pred).next[level].compare_exchange(expected, replacement) {
                             continue 'retry;
                         }
-                        // One level fewer holds the node; when the count
-                        // hits zero the retired tower becomes reclaimable.
-                        nref(cur).links.fetch_sub(1, Ordering::SeqCst);
+                        // One level fewer links the node.
+                        self.release(cur, guard);
                         cur = cur_next.ptr();
                     } else if nref(cur).key < key {
                         pred = cur;
@@ -178,7 +185,7 @@ impl LockFreeSkipList {
         let new_node = self.nodes.alloc(Node {
             key,
             next: (0..height).map(|_| AtomicMarkedPtr::null()).collect(),
-            links: AtomicUsize::new(0),
+            links: AtomicUsize::new(1), // this insert's own hold
         });
         loop {
             if self.find(key, &mut preds, &mut succs, guard) {
@@ -187,29 +194,29 @@ impl LockFreeSkipList {
                 return false;
             }
             // Prepare the tower, then link the bottom level: the
-            // linearization point of insert. The link count is raised
-            // *before* each link CAS (and rolled back on failure) so it can
-            // never under-report occupancy.
+            // linearization point of insert. Each link is counted *before*
+            // its CAS (and released if the CAS fails), so the count never
+            // under-reports the levels linking the node.
             for (level, link) in nref(new_node).next.iter().enumerate() {
                 link.store(MarkedPtr::new(succs[level], false));
             }
             let expected = MarkedPtr::new(succs[0], false);
             nref(new_node).links.fetch_add(1, Ordering::SeqCst);
             if !nref(preds[0]).next[0].compare_exchange(expected, MarkedPtr::new(new_node, false)) {
-                nref(new_node).links.fetch_sub(1, Ordering::SeqCst);
+                self.release(new_node, guard);
                 continue; // bottom CAS lost: re-find and retry
             }
             // Link the upper levels (best effort; marked ⇒ stop).
-            for level in 1..height {
+            'link: for level in 1..height {
                 loop {
                     let cur_link = nref(new_node).next[level].load();
                     if cur_link.is_marked() {
-                        return true; // concurrently deleted: stop linking
+                        break 'link; // concurrently deleted: stop linking
                     }
                     if cur_link.ptr() != succs[level] {
                         let fresh = MarkedPtr::new(succs[level], false);
                         if !nref(new_node).next[level].compare_exchange(cur_link, fresh) {
-                            return true; // marked meanwhile
+                            break 'link; // marked meanwhile
                         }
                     }
                     let expected = MarkedPtr::new(succs[level], false);
@@ -219,11 +226,11 @@ impl LockFreeSkipList {
                     {
                         break;
                     }
-                    nref(new_node).links.fetch_sub(1, Ordering::SeqCst);
+                    self.release(new_node, guard);
                     // Window moved: recompute it. If the key vanished, our
                     // node was deleted; stop.
                     if !self.find(key, &mut preds, &mut succs, guard) {
-                        return true;
+                        break 'link;
                     }
                     if succs[level] == new_node {
                         // Unreachable today (no code path links another
@@ -234,6 +241,9 @@ impl LockFreeSkipList {
                     }
                 }
             }
+            // This insert links no more: its own hold goes, and with it the
+            // tower if a remover has already unlinked every level.
+            self.release(new_node, guard);
             return true;
         }
     }
@@ -268,11 +278,9 @@ impl LockFreeSkipList {
                 return false; // another remover won
             }
             if nref(victim).next[0].compare_exchange(next, next.with_mark()) {
-                let _ = self.find(key, &mut preds, &mut succs, guard); // physical unlink
-                                                                       // Only the winning remover reaches this point: retire the
-                                                                       // tower; the links gate keeps it parked until every level
-                                                                       // (bottom included, usually by the find above) unlinked it.
-                unsafe { self.nodes.retire(victim, guard) };
+                // Physical unlink. The release of the tower's last link,
+                // here or wherever it happens, retires it.
+                let _ = self.find(key, &mut preds, &mut succs, guard);
                 return true;
             }
         }
@@ -365,19 +373,33 @@ impl LockFreeSkipList {
     pub fn collect_garbage(&self) {
         self.nodes.flush();
     }
+
+    /// Every node some level links, once each, head and tail included:
+    /// with no operation in flight, every node not yet retired.
+    fn linked(&self) -> Vec<*mut Node> {
+        let mut linked = vec![self.head];
+        for level in 0..MAX_HEIGHT {
+            let mut cur = nref(self.head).next[level].load().ptr();
+            while !cur.is_null() {
+                linked.push(cur);
+                cur = nref(cur).next[level].load().ptr();
+            }
+        }
+        linked.sort_unstable();
+        linked.dedup();
+        linked
+    }
 }
 
 impl Drop for LockFreeSkipList {
     fn drop(&mut self) {
-        // Walk the bottom level (which links every non-retired node) and
-        // free the chain; retired towers are no longer bottom-linked — the
-        // winning remover's find unlinked them there — and are freed by the
-        // registry's Drop instead.
-        let mut cur = self.head;
-        while !cur.is_null() {
-            let next = nref(cur).next[0].load().ptr();
-            unsafe { self.nodes.dealloc(cur) };
-            cur = next;
+        // A removed tower can still be linked above the bottom level, so
+        // every level is walked. Retired towers are linked at none, and the
+        // registry's Drop frees them.
+        for node in self.linked() {
+            // Safety: `&mut self` excludes every operation, and a linked
+            // node was never retired, so the registry does not free it too.
+            unsafe { self.nodes.dealloc(node) };
         }
     }
 }
@@ -445,10 +467,41 @@ mod tests {
         s.collect_garbage();
         let (allocated, live) = s.node_counts();
         assert!(allocated >= 10_000);
-        assert!(
-            live <= 2 + 8 + 64,
-            "unlinked towers must be reclaimed, {live} still live"
-        );
+        assert_eq!(live, 2, "every removed tower is freed; head and tail stay");
+    }
+
+    #[test]
+    fn teardown_frees_a_tower_still_linked_above_the_bottom() {
+        // A removed tower whose bottom level alone was unlinked is still
+        // linked above it, so it is not garbage, and teardown must free it.
+        let s = LockFreeSkipList::new();
+        let pin = s.domain().pin();
+        let guard = &pin;
+        let mut preds = [core::ptr::null_mut(); MAX_HEIGHT];
+        let mut succs = [core::ptr::null_mut(); MAX_HEIGHT];
+        let tall = loop {
+            assert!(s.insert(7));
+            assert!(s.find(7, &mut preds, &mut succs, guard));
+            if nref(succs[0]).height() > 1 {
+                break succs[0];
+            }
+            assert!(s.remove(7));
+        };
+        // Mark every level, then unlink the bottom one only, as a remover
+        // whose find has not reached the upper levels yet would.
+        for link in nref(tall).next.iter().rev() {
+            let next = link.load();
+            assert!(link.compare_exchange(next, next.with_mark()));
+        }
+        let after = MarkedPtr::new(nref(tall).next[0].load().ptr(), false);
+        assert!(nref(preds[0]).next[0].compare_exchange(MarkedPtr::new(tall, false), after));
+        s.release(tall, guard);
+        drop(pin);
+        s.collect_garbage();
+        assert!(!s.contains(7));
+        let linked = s.linked();
+        assert!(linked.contains(&tall), "still linked above the bottom");
+        assert_eq!(s.node_counts().1, linked.len(), "nothing else is live");
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //! back to null, just as no slot was ever CASed back to its dummy (only a
 //! delete installs, and only its own DEL node). `dnode_cas` asserts it.
 //!
-//! Why null: a slot that held its dummy would hold a `dnode_refs` count on
-//! it. The first insert of every key that leads a subtree would then
-//! displace a dummy its slot still held, and the dummy would stay parked in
-//! the registry until a delete in that subtree replaced the slot. A null
-//! slot holds no node, so a displaced dummy is freed like any other node.
+//! Why null: a slot that held its dummy would hold a [`Hold::Ref`] on it.
+//! The first insert of every key that leads a subtree would then displace
+//! a dummy its slot still held, and the dummy would stay resident until a
+//! delete in that subtree replaced the slot. A null slot holds no node, so
+//! a displaced dummy is freed like any other node.
 //!
 //! # Null `latest[x]` heads
 //!
@@ -46,7 +46,7 @@
 //! it as an object.
 //!
 //! * Every write to a dummy comes after its materialization: the `target`
-//!   an insert sets at L43 (which takes a `target_refs` count on it), the
+//!   an insert sets at L43 (which takes a [`Hold::Ref`] on it), the
 //!   min-write of its `lower1Boundary` at L46, and the `stop` a delete
 //!   sends through such a target. No operation runs `DeleteBinaryTrie` for
 //!   a dummy, so nothing else writes one.
@@ -76,6 +76,74 @@
 //! touches keeps none. An odd key's dummy is never written, and an even key
 //! `x`'s only once a present key lies in the subtree `x` leads,
 //! `(x, x + 2^tz(x))`.
+//!
+//! # Holds: when an update node becomes garbage
+//!
+//! The paper assumes garbage collection, and its update nodes stay readable
+//! through fields that outlive their latest list: a DEL node through the
+//! `dNodePtr` slots its delete installed it in, and through the `target` of
+//! the INS nodes that chose it at L43. Each node therefore counts what
+//! keeps it alive in one word ([`UpdateNode`]'s `holds`), and
+//! [`TrieCore::release`], the only place a node is released or retired,
+//! retires it at the release that drops the word to zero:
+//!
+//! * [`Hold::Linked`]: every node is born with it. Whoever cuts the
+//!   latest-list link to the node releases it: the lock-free trie's clears
+//!   of `latestNext` (L134, L169, L175, L190 and L199), and the relaxed
+//!   trie's activations, which release the node two generations back (no
+//!   code follows two `latestNext` links).
+//! * [`Hold::Running`]: INS and DEL nodes are born with it, and completion
+//!   (L178, L204, and the relaxed trie's finish) releases it. Dummies have
+//!   none.
+//! * One [`Hold::Ref`] per `dNodePtr` slot holding the node and per INS
+//!   node whose `target` it is. The CAS that displaces a slot's node
+//!   releases that slot's; [`UpdateNode::set_target`] hands back the old
+//!   target for its release; and an INS node's retirement releases the
+//!   one it holds on its target.
+//!
+//! Retirement is safe because of four facts.
+//!
+//! 1. *No hold is taken from zero.* `Linked` and `Running` are taken at
+//!    birth. Only a DEL node's own `DeleteBinaryTrie` installs it in a slot
+//!    (L66, L70), before the node completes, so its `Running` is still
+//!    held ([`UpdateNode::hold`] asserts it). A target is different:
+//!    `FindLatest` may return an inactive head's `latestNext` just before
+//!    the activation that cuts it, and that node may have completed and be
+//!    held by nothing. So `set_target` takes its hold with a CAS that
+//!    refuses zero, and stores `⊥` if refused. That yields the same
+//!    execution: a node with no hold left has completed, a target is read
+//!    only to send `stop` (L34, L55, L133, L168, L198), and only the
+//!    target's own `DeleteBinaryTrie`, finished once the node completed,
+//!    reads `stop`. L44–L46 still run on the node, which the caller's pin
+//!    keeps readable.
+//! 2. *Each hold is released exactly once.* A bit is released by a
+//!    `fetch_and` whose previous value is the claim, so of the parties
+//!    that may cut one link (the owner, its unwind guard and helpers) one
+//!    releases it. Completion runs once per node (the owner, or its unwind
+//!    guard's `finish_update` after checking `completed`). A slot's `Ref`
+//!    goes with the one CAS that displaces the node from that slot, and a
+//!    failed install gives back the `Ref` it took first. A target's goes
+//!    with the `set_target` that replaces it or with its INS node's
+//!    retirement, which reads the final target: the node completed, so
+//!    its insert sets no more targets.
+//! 3. *Once a node's holds reach zero, no thread that pins later can reach
+//!    it.* The paths to an update node are its latest list, the slots, the
+//!    targets and the announcement lists. The first three are exactly the
+//!    holds. Announcements are withdrawn by threads pinned since before the
+//!    retirement: the owner de-announces after completing, still pinned,
+//!    and a helper's transient re-announcement (L130) is withdrawn by the
+//!    owner or by the helper itself, which the three-epoch grace period
+//!    already covers (`lftrie_primitives::epoch` module docs).
+//! 4. *A pointer read through a held field was read before that hold's
+//!    release.* A reader that read a node from a slot or a target did so
+//!    under its pin, before the release that later cleared that field's
+//!    hold, so its pin precedes the node's retirement, and the registry's
+//!    stamp, a fresh epoch read after the retirement, makes the free wait
+//!    for it ([`lftrie_primitives::registry`] module docs).
+//!
+//! A node held only by a suspended owner's `Running` stays allocated until
+//! [`TrieCore`]'s teardown, like everything else a suspended operation
+//! holds; teardown frees every node still held (`TrieCore::free_resident`).
 
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,7 +154,7 @@ use lftrie_primitives::steps;
 use lftrie_telemetry::trace::{self, CasSite};
 
 use crate::layout::{Layout, NodeIndex};
-use crate::node::UpdateNode;
+use crate::node::{Hold, UpdateNode};
 
 /// Resolution of per-key latest update nodes; implemented by both tries.
 ///
@@ -123,9 +191,9 @@ pub(crate) struct TrieCore {
     /// subtree's leftmost key (see the module docs).
     dnode: Box<[AtomicPtr<UpdateNode>]>,
     /// Epoch-aware registry owning every update node, installed dummies
-    /// included (see [`lftrie_primitives::registry`]): superseded nodes are
-    /// retired through it and freed once unreferenced, so resident memory
-    /// tracks the live set instead of the update history.
+    /// included (see [`lftrie_primitives::registry`]): a node is retired
+    /// through it at its last release (module docs), so resident memory
+    /// tracks the held set instead of the update history.
     nodes: Registry<UpdateNode>,
     /// Source of the never-reused [`UpdateNode::seq`] ids (0 is reserved
     /// as "no node" in notify records).
@@ -231,49 +299,62 @@ impl TrieCore {
         if d.is_null() {
             self.layout.leftmost_key(t) as i64
         } else {
-            // Safety: a DEL node stays allocated while a slot holds it
-            // (`dnode_refs`), and the caller's guard covers its displacement.
+            // Safety: a slot holds a `Ref` on its node, and the caller's
+            // guard covers the node's displacement (module docs).
             unsafe { (*d).key() }
         }
     }
 
-    /// CAS on `t.dNodePtr` (lines 66/70).
+    /// CAS on `t.dNodePtr` (lines 66/70) by `new`'s own `DeleteBinaryTrie`.
     ///
-    /// Maintains [`UpdateNode::dnode_refs`] so reclamation can tell when a
-    /// node has left every `dNodePtr` slot: the incoming node's count is
-    /// raised *before* the CAS (the count over-approximates occupancy, never
-    /// under-approximates it) and rolled back on failure; the displaced
-    /// node's count drops after a success. `current` may be null (the slot's
-    /// initial dummy, which holds no count); `new` never is, so a slot never
-    /// returns to null.
+    /// `new` takes its slot's [`Hold::Ref`] before the CAS, so the count
+    /// never under-reports the slots holding it. A successful CAS releases
+    /// the displaced node's `Ref`, and a failed one the `Ref` just taken.
+    /// `current` may be null (the slot's initial dummy, which holds
+    /// nothing); `new` never is, so a slot never returns to null.
     #[inline]
     pub(crate) fn dnode_cas(
         &self,
         t: NodeIndex,
         current: *mut UpdateNode,
         new: *mut UpdateNode,
+        guard: &Guard<'_>,
     ) -> bool {
         debug_assert!(!self.layout.is_leaf(t));
         debug_assert!(!new.is_null(), "a dNodePtr slot never returns to null");
         steps::on_cas();
-        // Safety: `new` is the caller's own live node; `current` was read
-        // from the slot under the caller's guard.
-        unsafe { (*new).dnode_refs.fetch_add(1, Ordering::SeqCst) };
+        // Safety: `new` is the caller's own running DEL node.
+        unsafe { (*new).hold() };
         let ok = self.dnode[t as usize]
             .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok();
         trace::cas(CasSite::Dnode, ok);
-        if ok {
-            if !current.is_null() && current != new {
-                unsafe { (*current).dnode_refs.fetch_sub(1, Ordering::SeqCst) };
-            } else if current == new {
-                // Re-installing the same node: occupancy is unchanged.
-                unsafe { (*new).dnode_refs.fetch_sub(1, Ordering::SeqCst) };
+        let released = if ok { current } else { new };
+        if !released.is_null() {
+            self.release(released, Hold::Ref, guard);
+        }
+        ok
+    }
+
+    /// Releases `hold` on `node`: the only place an update node is released
+    /// or retired. The release that drops the node's last hold retires it,
+    /// and an INS node's retirement releases the [`Hold::Ref`] it holds on
+    /// its target (module docs).
+    ///
+    /// The caller holds `hold` (or, for [`Hold::Linked`], just cut the
+    /// link) and read `node` under `guard`, which pins this trie's domain.
+    pub(crate) fn release(&self, node: *mut UpdateNode, hold: Hold, guard: &Guard<'_>) {
+        let (mut node, mut hold) = (node, hold);
+        // Safety: the caller's guard keeps `node` allocated, and a target
+        // stays held until the INS node's retirement releases it here.
+        while unsafe { (*node).release(hold) } {
+            let target = unsafe { (*node).held_target() };
+            // Safety: that was the last hold, so the node is garbage.
+            unsafe { self.nodes.retire(node, guard) };
+            if target.is_null() {
+                return;
             }
-            true
-        } else {
-            unsafe { (*new).dnode_refs.fetch_sub(1, Ordering::SeqCst) };
-            false
+            (node, hold) = (target, Hold::Ref);
         }
     }
 
@@ -286,22 +367,8 @@ impl TrieCore {
         ptr
     }
 
-    /// Retires an update node once it can no longer be reached by threads
-    /// pinning from now on (superseded in its latest list, or never
-    /// published). Freed after the epoch grace period, once its
-    /// `completed`/`dNodePtr`/`target` gates open.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Registry::retire`]; additionally the node must be off its
-    /// `latest[x]` list (the superseding node's `latestNext` already
-    /// cleared) or never published at all.
-    pub(crate) unsafe fn retire_node(&self, node: *mut UpdateNode, guard: &Guard<'_>) {
-        unsafe { self.nodes.retire(node, guard) };
-    }
-
     /// Frees a node that lost its publication CAS: it was never linked
-    /// anywhere, so no grace period (or `completed` gate) applies.
+    /// anywhere, so no grace period applies.
     ///
     /// # Safety
     ///
@@ -350,25 +417,54 @@ impl TrieCore {
     }
 }
 
+impl TrieCore {
+    /// Every update node the trie still holds, once each: the non-null
+    /// heads, their `latestNext`, the non-null `dNodePtr` slots, and the
+    /// targets of the INS nodes among those (a DEL node's `target` is
+    /// null). With no operation in flight, these are exactly the nodes with
+    /// a hold left: an INS node is held only by its link and its run, and
+    /// a held node's target stays held (module docs). Every other node was
+    /// retired into the registry.
+    pub(crate) fn resident(&self) -> Vec<*mut UpdateNode> {
+        // Safety (both derefs): a node read from a head, a slot or a held
+        // node's field holds a hold, so it was never retired.
+        let mut nodes = Vec::new();
+        for head in self.latest.iter().map(|h| h.load(Ordering::SeqCst)) {
+            if !head.is_null() {
+                nodes.push(head);
+                nodes.push(unsafe { (*head).latest_next() });
+            }
+        }
+        nodes.extend(self.dnode.iter().map(|d| d.load(Ordering::SeqCst)));
+        nodes.retain(|n| !n.is_null());
+        let targets: Vec<_> = nodes
+            .iter()
+            .map(|&n| unsafe { (*n).held_target() })
+            .collect();
+        nodes.extend(targets.into_iter().filter(|t| !t.is_null()));
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+
+    /// Teardown: frees every node the trie still holds, once each, and
+    /// empties the heads and slots that held them. A node held only by a
+    /// suspended operation's `Running` leaks, as suspended operations do.
+    pub(crate) fn free_resident(&mut self) {
+        for node in self.resident() {
+            // Safety: `&mut self` excludes every operation, and a held node
+            // was never retired, so the registry does not free it too.
+            unsafe { self.nodes.dealloc(node) };
+        }
+        for slot in self.latest.iter().chain(self.dnode.iter()) {
+            slot.store(core::ptr::null_mut(), Ordering::Relaxed);
+        }
+    }
+}
+
 impl Drop for TrieCore {
     fn drop(&mut self) {
-        // Free the nodes still reachable from the latest lists: per key the
-        // head, plus an uncleared `latestNext` (the ≤ 2-node invariant of
-        // §5; the relaxed trie keeps exactly head + one-back alive).
-        // A non-null `dNodePtr` slot holds either one of those or a node
-        // already retired (dnode_refs parked it in the registry, whose own
-        // Drop frees it), so this walk frees each resident node exactly once.
-        for slot in self.latest.iter() {
-            let head = slot.load(Ordering::Relaxed);
-            if head.is_null() {
-                continue;
-            }
-            let next = unsafe { (*head).latest_next() };
-            if !next.is_null() {
-                unsafe { self.nodes.dealloc(next) };
-            }
-            unsafe { self.nodes.dealloc(head) };
-        }
+        self.free_resident();
     }
 }
 
@@ -419,11 +515,11 @@ mod tests {
             assert!(core.dnode_load(t).is_null(), "slot {t} starts null");
             assert_eq!(core.dnode_key(t) as u64, layout.leftmost_key(t));
         }
-        // No installed dummy holds a slot, so each is free to go once
-        // superseded.
+        // No slot holds an installed dummy: its link is its only hold, so
+        // it is garbage once cut.
         for x in 0..8i64 {
             let dummy = unsafe { &*core.installed_head(x) };
-            assert_eq!(dummy.dnode_refs.load(Ordering::Relaxed), 0);
+            assert!(dummy.release(Hold::Linked), "a dummy's only hold");
         }
     }
 
@@ -443,10 +539,10 @@ mod tests {
         ));
         let old_seq = unsafe { (*old).seq };
         assert!(old_seq > 0);
-        unsafe { (*old).set_completed() }; // open the reclamation gate
         {
             let guard = core.domain().pin();
-            unsafe { core.retire_node(old, &guard) };
+            core.release(old, Hold::Linked, &guard);
+            core.release(old, Hold::Running, &guard); // the last hold
         }
         // Nothing else pins the core's own domain: one flush ages the node
         // out, and the next allocation takes its slot from the pool.

@@ -14,12 +14,13 @@
 //! preserves the paper's wait-free `O(log u)` worst-case bounds (each step is
 //! a constant number of shared accesses, and there are at most `b` steps).
 
+use lftrie_primitives::epoch::Guard;
 use lftrie_telemetry::{self as telemetry, Counter};
 
 use crate::access::{LatestAccess, TrieCore};
 use crate::dir::Dir;
 use crate::layout::{Layout, NodeIndex};
-use crate::node::{Kind, UpdateNode};
+use crate::node::{Hold, Kind, UpdateNode};
 
 /// Counts the trie levels a traversal visits and, on drop, records the
 /// total into the per-direction touch counter and the shared
@@ -156,13 +157,15 @@ pub(crate) fn interpreted_bit<A: LatestAccess>(core: &TrieCore, acc: &A, t: Node
 }
 
 /// One iteration of `InsertBinaryTrie`'s loop (lines 40–46) at node `t`.
-/// Returns `false` if the operation must return (line 44).
+/// Returns `false` if the operation must return (line 44). `guard` pins
+/// the trie's domain for the release of the replaced target's hold.
 #[inline]
 pub(crate) fn insert_binary_trie_step<A: LatestAccess>(
     core: &TrieCore,
     acc: &A,
     i_node: *mut UpdateNode,
     t: NodeIndex,
+    guard: &Guard<'_>,
 ) -> bool {
     // L40. A dummy met here is always written at L43 (L42's second
     // disjunct holds for it), so a null head is installed first.
@@ -175,7 +178,10 @@ pub(crate) fn insert_binary_trie_step<A: LatestAccess>(
         // never equals `u_node`; where its dummy would have, the second
         // disjunct holds (`access` module docs).
         if core.dnode_load(t) == u_node || h <= u.upper0() {
-            unsafe { (*i_node).set_target(u_node) }; // L43
+            let old = unsafe { (*i_node).set_target(u_node) }; // L43
+            if !old.is_null() {
+                core.release(old, Hold::Ref, guard);
+            }
             if !acc.first_activated(i_node) {
                 return false; // L44
             }
@@ -194,6 +200,7 @@ pub(crate) fn insert_binary_trie<A: LatestAccess>(
     core: &TrieCore,
     acc: &A,
     i_node: *mut UpdateNode,
+    guard: &Guard<'_>,
 ) {
     let layout = core.layout();
     let mut tally = TraversalTally::new(Counter::UpdateTouches);
@@ -201,7 +208,7 @@ pub(crate) fn insert_binary_trie<A: LatestAccess>(
     let mut t = layout.parent(leaf); // L39: parent of the leaf …
     loop {
         tally.touch();
-        if !insert_binary_trie_step(core, acc, i_node, t) {
+        if !insert_binary_trie_step(core, acc, i_node, t, guard) {
             return;
         }
         if t == Layout::ROOT {
@@ -221,13 +228,15 @@ pub(crate) enum DeleteStep {
 }
 
 /// One iteration of `DeleteBinaryTrie`'s loop (lines 61–72), starting from
-/// child node `t` (never the root).
+/// child node `t` (never the root). `guard` pins the trie's domain for the
+/// release of a displaced slot's hold.
 #[inline]
 pub(crate) fn delete_binary_trie_step<A: LatestAccess>(
     core: &TrieCore,
     acc: &A,
     d_node: *mut UpdateNode,
     t: NodeIndex,
+    guard: &Guard<'_>,
 ) -> DeleteStep {
     let layout = core.layout();
     let d = unsafe { &*d_node };
@@ -245,7 +254,7 @@ pub(crate) fn delete_binary_trie_step<A: LatestAccess>(
     if d.stopped() || d.lower1() != stop_threshold {
         return DeleteStep::Done; // L65
     }
-    if !core.dnode_cas(t, expected, d_node) {
+    if !core.dnode_cas(t, expected, d_node, guard) {
         // L66 failed: one more attempt (defeats outdated-delete ABA, §4.4.3)
         let expected = core.dnode_load(t); // L67
         if !acc.first_activated(d_node) {
@@ -254,7 +263,7 @@ pub(crate) fn delete_binary_trie_step<A: LatestAccess>(
         if d.stopped() || d.lower1() != stop_threshold {
             return DeleteStep::Done; // L69
         }
-        if !core.dnode_cas(t, expected, d_node) {
+        if !core.dnode_cas(t, expected, d_node, guard) {
             return DeleteStep::Done; // L70
         }
     }
@@ -276,6 +285,7 @@ pub(crate) fn delete_binary_trie<A: LatestAccess>(
     core: &TrieCore,
     acc: &A,
     d_node: *mut UpdateNode,
+    guard: &Guard<'_>,
 ) {
     let layout = core.layout();
     let mut tally = TraversalTally::new(Counter::UpdateTouches);
@@ -283,7 +293,7 @@ pub(crate) fn delete_binary_trie<A: LatestAccess>(
     loop {
         // L60
         tally.touch();
-        match delete_binary_trie_step(core, acc, d_node, t) {
+        match delete_binary_trie_step(core, acc, d_node, t, guard) {
             DeleteStep::Done => return,
             DeleteStep::Continue(next) => t = next,
         }

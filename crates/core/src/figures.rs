@@ -105,7 +105,8 @@ fn figure_3_racing_deletes_walkthrough() {
     // upper0Boundary to height 1, clearing the parent's bit.
     let layout = *trie.core().layout();
     let leaf1 = layout.leaf(1);
-    let step = bitops::delete_binary_trie_step(trie.core(), &trie, d1, leaf1);
+    let guard = &trie.domain().pin();
+    let step = bitops::delete_binary_trie_step(trie.core(), &trie, d1, leaf1, guard);
     assert_eq!(step, DeleteStep::Continue(layout.parent(leaf1)));
     assert_eq!(
         bits(&trie),
@@ -121,7 +122,7 @@ fn figure_3_racing_deletes_walkthrough() {
     // raced at panel (c) and lost both CAS attempts; our phase API serializes
     // the two traversals, so dOp simply observes the cleared bits and
     // returns at line 61. Both are valid executions ending in panel (f).
-    let step = bitops::delete_binary_trie_step(trie.core(), &trie, d1, layout.parent(leaf1));
+    let step = bitops::delete_binary_trie_step(trie.core(), &trie, d1, layout.parent(leaf1), guard);
     assert_eq!(step, DeleteStep::Done, "root processed; traversal complete");
     assert_eq!(
         bits(&trie),

@@ -18,7 +18,6 @@ use core::sync::atomic::{
 use lftrie_lists::pall::PallCell;
 use lftrie_lists::pushstack::PushStack;
 use lftrie_primitives::minreg::AndMinRegister;
-use lftrie_primitives::registry::Reclaim;
 use lftrie_primitives::steps;
 use lftrie_primitives::swcursor::PublishedKey;
 
@@ -50,6 +49,23 @@ pub enum Status {
 /// answer (`NO_PRED`, `NO_SUCC`).
 pub(crate) const DEL2_UNSET: i64 = i64::MIN;
 
+/// One thing that keeps an update node alive: a bit or a unit of
+/// [`UpdateNode`]'s `holds` word. Whoever holds one releases it exactly
+/// once, through [`crate::access::TrieCore::release`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
+pub(crate) enum Hold {
+    /// The latest-list link to the node. Every node is born with it, and
+    /// whoever cuts the link releases it.
+    Linked = 1,
+    /// The node's own operation. INS and DEL nodes are born with it, and
+    /// their completion releases it (lines 178/204); dummies never have it.
+    Running = 2,
+    /// One unit of the count: a `dNodePtr` slot holding the node, or an
+    /// INS node whose `target` it is.
+    Ref = 4,
+}
+
 /// An INS or DEL update node (Figures 4 and 6).
 ///
 /// DEL-only fields (`upper0_boundary`, `lower1_boundary`, `del_*`) are
@@ -66,21 +82,20 @@ pub struct UpdateNode {
     /// long-dead notifiers can never alias a recycled address (ABA).
     pub(crate) seq: u64,
     /// `false → true` once the relaxed-trie bit update for this node has
-    /// run to completion. The bit update is *not* idempotent (`set_target`
-    /// double-counts on a re-run), so exactly one of the owner's pipeline
-    /// or its unwind guard's resume claims it via
+    /// run to completion. The bit update is *not* idempotent (a re-run of
+    /// `DeleteBinaryTrie` would rewrite `upper0Boundary` without the +1
+    /// steps of Lemma 4.13), so exactly one of the owner's pipeline or its
+    /// unwind guard's resume claims it via
     /// [`UpdateNode::claim_trie_update`].
     trie_updated: AtomicBool,
-    /// Number of `dNodePtr` slots currently (or about to be) holding this
-    /// node; maintained by [`crate::access::TrieCore::dnode_cas`]. A retired
-    /// node is not freed while this is non-zero — `InterpretedBit` may still
-    /// read it through `t.dNodePtr` arbitrarily late.
-    pub(crate) dnode_refs: AtomicU32,
-    /// Number of live INS nodes whose `target` points here; incremented by
-    /// [`UpdateNode::set_target`], decremented when the pointing node is
-    /// itself reclaimed. Guards the `target.stop ← True` dereferences
-    /// (lines 34/55/133/168/198).
-    pub(crate) target_refs: AtomicU32,
+    /// What keeps the node alive: the [`Hold::Linked`] and
+    /// [`Hold::Running`] bits, and above them one [`Hold::Ref`] per
+    /// `dNodePtr` slot holding the node and per INS node whose `target` it
+    /// is. The release that drops the word to zero retires the node (the
+    /// argument is in the `access` module docs). `Running` doubles as the
+    /// paper's `completed` flag (line 98): it is clear once the node's
+    /// operation completed.
+    holds: AtomicU32,
     /// `Inactive → Active` once (line 94).
     status: AtomicU8,
     /// Points to the update node this one replaced; changes once to null
@@ -92,14 +107,6 @@ pub struct UpdateNode {
     /// `false → true` once (line 97): tells the owner of the *targeted* DEL
     /// node to stop clearing interpreted bits.
     stop: AtomicBool,
-    /// `false → true` once (line 98): set after the relaxed-trie update and
-    /// notifications finish, so helpers know to de-announce (line 135).
-    completed: AtomicBool,
-    /// Claim flag for *this node's retirement as a displaced node*: when a
-    /// successful latest-list CAS supersedes this node, exactly one of the
-    /// superseding operation, its unwind guard, or a helper retires it
-    /// (retirement is a limbo-list push and must not double-run).
-    retire_claim: AtomicBool,
     /// DEL: heights `≤ upper0Boundary` that depend on this node read bit 0
     /// (line 100). Only the creator writes it, incrementing by 1 (Obs. 4.12).
     /// A height is at most `b ≤ 62` (`MAX_UNIVERSE` is 2^62), so one byte
@@ -142,8 +149,8 @@ impl UpdateNode {
     /// `lower1 = b+1`), it is active, and its `latestNext` is `⊥`. A null
     /// `latest[x]` stands for it until the first write that needs it
     /// installs it (`TrieCore::installed_head`). Dummies are born
-    /// `completed` — no operation ever finishes them, and the flag gates
-    /// their reclamation once the first real insert supersedes them.
+    /// completed, without a [`Hold::Running`]: no operation ever finishes
+    /// them.
     pub(crate) fn new_dummy(key: i64, b: u32) -> Self {
         let node = Self::new(
             key,
@@ -154,7 +161,7 @@ impl UpdateNode {
             b + 1,
             b,
         );
-        node.completed.store(true, Ordering::Relaxed);
+        node.holds.store(Hold::Linked as u32, Ordering::Relaxed);
         // Structural: nothing about a dummy is ever driven through a bit
         // update.
         node.trie_updated.store(true, Ordering::Relaxed);
@@ -175,14 +182,11 @@ impl UpdateNode {
             kind,
             seq: 0,
             trie_updated: AtomicBool::new(false),
-            dnode_refs: AtomicU32::new(0),
-            target_refs: AtomicU32::new(0),
+            holds: AtomicU32::new(Hold::Linked as u32 | Hold::Running as u32),
             status: AtomicU8::new(status as u8),
             latest_next: AtomicPtr::new(latest_next),
             target: AtomicPtr::new(core::ptr::null_mut()),
             stop: AtomicBool::new(false),
-            completed: AtomicBool::new(false),
-            retire_claim: AtomicBool::new(false),
             upper0_boundary: AtomicU8::new(upper0 as u8),
             lower1_boundary: AndMinRegister::new(lower1, b + 1),
             del_node: [
@@ -212,14 +216,6 @@ impl UpdateNode {
     #[inline]
     pub(crate) fn claim_trie_update(&self) -> bool {
         !self.trie_updated.swap(true, Ordering::SeqCst)
-    }
-
-    /// Claims this node's retirement-as-displaced: returns `true` exactly
-    /// once, for the caller who must now retire it. See the `retire_claim`
-    /// field docs.
-    #[inline]
-    pub(crate) fn claim_retire(&self) -> bool {
-        !self.retire_claim.swap(true, Ordering::SeqCst)
     }
 
     /// Has the relaxed-trie bit update for this node been claimed?
@@ -269,22 +265,75 @@ impl UpdateNode {
     /// `iNode.target ← uNode` (line 43). Only the creating insert writes
     /// this field (single writer; concurrent readers go through the atomic).
     ///
-    /// Maintains the targeted node's [`UpdateNode::target_refs`] count: the
-    /// new target is pinned *before* it is published (so a retired target is
-    /// rescued from limbo before any reader can reach it through us), the
-    /// displaced one released after.
-    pub(crate) fn set_target(&self, node: *mut UpdateNode) {
+    /// The INS node takes a [`Hold::Ref`] on its new target before
+    /// publishing it, unless the target has no hold left: such a node has
+    /// completed, so the `stop` a target receives would reach no reader,
+    /// and the field gets `⊥` instead (the `access` module docs). Returns
+    /// the old target, whose `Ref` the caller releases.
+    pub(crate) fn set_target(&self, node: *mut UpdateNode) -> *mut UpdateNode {
         steps::on_write();
-        if !node.is_null() {
-            // Safety: the caller read `node` as a live first-activated node
-            // under its epoch guard; it is not freed while we hold it.
-            unsafe { (*node).target_refs.fetch_add(1, Ordering::SeqCst) };
+        // Safety: the caller read `node` under its epoch guard.
+        let held = !node.is_null() && unsafe { (*node).hold_unless_free() };
+        let new = if held { node } else { core::ptr::null_mut() };
+        self.target.swap(new, Ordering::SeqCst)
+    }
+
+    /// The target this INS node holds a [`Hold::Ref`] on, read without a
+    /// step: the node's retirement releases that `Ref`. Null for DEL nodes,
+    /// which never set one.
+    #[inline]
+    pub(crate) fn held_target(&self) -> *mut UpdateNode {
+        self.target.load(Ordering::SeqCst)
+    }
+
+    /// Takes a [`Hold::Ref`] for a `dNodePtr` install (lines 66/70). Only a
+    /// DEL node's own `DeleteBinaryTrie` installs it, before the node
+    /// completes, so its [`Hold::Running`] keeps the word from zero.
+    #[inline]
+    pub(crate) fn hold(&self) {
+        let prev = self.holds.fetch_add(Hold::Ref as u32, Ordering::SeqCst);
+        debug_assert!(
+            prev & Hold::Running as u32 != 0,
+            "a dNodePtr install after its DEL node completed"
+        );
+    }
+
+    /// Takes a [`Hold::Ref`] unless the node has no hold left, in which
+    /// case it may already be retired and must not be held again. Returns
+    /// whether it took one.
+    fn hold_unless_free(&self) -> bool {
+        let mut cur = self.holds.load(Ordering::SeqCst);
+        while cur != 0 {
+            let more = cur + Hold::Ref as u32;
+            match self
+                .holds
+                .compare_exchange_weak(cur, more, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => return true,
+                Err(now) => cur = now,
+            }
         }
-        let old = self.target.swap(node, Ordering::SeqCst);
-        if !old.is_null() {
-            // Safety: our count kept `old` alive until this release.
-            unsafe { (*old).target_refs.fetch_sub(1, Ordering::SeqCst) };
-        }
+        false
+    }
+
+    /// Releases `hold`, one the caller holds, with one RMW. Returns `true`
+    /// iff it was the node's last hold, so the caller must retire the node.
+    /// A released bit is not released again: the previous value the
+    /// `fetch_and` returns is the claim, so of all who cut the same link
+    /// only one releases it. Releasing [`Hold::Running`] is the paper's
+    /// `completed ← True` (lines 178/204).
+    pub(crate) fn release(&self, hold: Hold) -> bool {
+        let bit = hold as u32;
+        let prev = if hold == Hold::Ref {
+            self.holds.fetch_sub(bit, Ordering::SeqCst)
+        } else {
+            if hold == Hold::Running {
+                steps::on_write();
+            }
+            self.holds.fetch_and(!bit, Ordering::SeqCst)
+        };
+        debug_assert!(hold != Hold::Ref || prev >= bit, "a Ref released twice");
+        prev == bit
     }
 
     #[inline]
@@ -300,17 +349,13 @@ impl UpdateNode {
         self.stop.store(true, Ordering::SeqCst);
     }
 
+    /// `completed` (line 98): has the node's operation released its
+    /// [`Hold::Running`]? Set after the relaxed-trie update and
+    /// notifications finish, so helpers know to de-announce (line 135).
     #[inline]
     pub(crate) fn completed(&self) -> bool {
         steps::on_read();
-        self.completed.load(Ordering::SeqCst)
-    }
-
-    /// `….completed ← True` (lines 178/204).
-    #[inline]
-    pub(crate) fn set_completed(&self) {
-        steps::on_write();
-        self.completed.store(true, Ordering::SeqCst);
+        self.holds.load(Ordering::SeqCst) & Hold::Running as u32 == 0
     }
 
     /// Reads `upper0Boundary` (heights ≤ it see interpreted bit 0).
@@ -386,32 +431,6 @@ impl UpdateNode {
         debug_assert_ne!(key, DEL2_UNSET);
         steps::on_write();
         self.del_result2[D::IDX].store(key, Ordering::SeqCst);
-    }
-}
-
-impl Reclaim for UpdateNode {
-    /// A retired update node may still be read through two long-lived
-    /// shared paths the paper's GC model leaves dangling: `t.dNodePtr`
-    /// (until a later delete displaces it) and some live INS node's
-    /// `target`. Both are reference-counted; `completed` additionally keeps
-    /// the node while its own operation may still install it (the owner
-    /// only sets `completed` after its trie update and notifications, lines
-    /// 178/204).
-    fn ready_to_reclaim(&self) -> bool {
-        self.completed.load(Ordering::SeqCst)
-            && self.dnode_refs.load(Ordering::SeqCst) == 0
-            && self.target_refs.load(Ordering::SeqCst) == 0
-    }
-
-    /// Releases the `target_refs` pin this node holds on its target (the
-    /// count kept the target alive for exactly as long as our `target`
-    /// field was dereferenceable).
-    fn on_reclaim(&self) {
-        let t = self.target.load(Ordering::SeqCst);
-        if !t.is_null() {
-            // Safety: target_refs > 0 kept `t` allocated until this release.
-            unsafe { (*t).target_refs.fetch_sub(1, Ordering::SeqCst) };
-        }
     }
 }
 
@@ -499,6 +518,12 @@ pub(crate) struct NotifyRecord {
 /// they read into the record; the step discards records from other eras.
 /// Nodes that never slide — every predecessor node, and one-shot successor
 /// operations — keep era 0, so the filter accepts everything.
+///
+/// A query node is retired when its operation withdraws its announcement.
+/// The one long-lived path to it, a DEL node's `delPredNode` /
+/// `delSuccNode`, is followed only for DEL nodes found announced in a
+/// query's own traversal, which a thread pinning after the owning `Delete`
+/// de-announced cannot find, so the grace period alone covers it.
 pub struct QueryNode {
     /// Input key `y` (line 106); rewritten only by the owning scan session
     /// between steps, under the `era` seqlock.
@@ -522,14 +547,6 @@ pub struct QueryNode {
 // Safety: as for UpdateNode.
 unsafe impl Send for QueryNode {}
 unsafe impl Sync for QueryNode {}
-
-/// Query nodes are retired only after their announcement is removed; the
-/// one long-lived path to them (`dNode.delPredNode` / `delSuccNode`) is
-/// only followed for DEL nodes found announced in the query's own
-/// published traversal, which cannot happen for threads pinning after the
-/// owning `Delete` de-announced — so the plain grace period suffices and no
-/// readiness gate is needed.
-impl Reclaim for QueryNode {}
 
 impl QueryNode {
     /// Creates the announcement record for a query at key `y` whose cursor
@@ -737,6 +754,46 @@ mod tests {
         // 128-byte chunk; chunks come every 16 bytes, so one more byte of
         // node would cost 16 per key.
         assert_eq!(core::mem::size_of::<UpdateNode>(), 104);
+    }
+
+    #[test]
+    fn a_link_is_released_once_and_the_last_release_says_so() {
+        let d = UpdateNode::new_del(5, Status::Active, core::ptr::null_mut(), 4);
+        d.hold(); // a dNodePtr slot
+        assert!(!d.release(Hold::Linked));
+        assert!(
+            !d.release(Hold::Linked),
+            "a second cut of the same link releases nothing"
+        );
+        assert!(!d.completed());
+        assert!(!d.release(Hold::Running));
+        assert!(d.completed());
+        assert!(d.release(Hold::Ref), "the slot's was the last hold");
+        assert!(UpdateNode::new_dummy(3, 4).completed(), "dummies never run");
+    }
+
+    #[test]
+    fn set_target_refuses_a_node_with_no_hold_left() {
+        // A node whose holds reached zero may already be retired, so
+        // `set_target` stores ⊥ instead of holding it again.
+        let ins = UpdateNode::new_ins(1, Status::Active, core::ptr::null_mut(), 4);
+        let gone = UpdateNode::new_del(2, Status::Active, core::ptr::null_mut(), 4);
+        assert!(!gone.release(Hold::Linked));
+        assert!(gone.release(Hold::Running));
+        let gone_ptr = &gone as *const UpdateNode as *mut UpdateNode;
+        assert!(ins.set_target(gone_ptr).is_null());
+        assert!(ins.target().is_null(), "⊥, not a node with no hold");
+        assert_eq!(gone.holds.load(Ordering::SeqCst), 0, "no hold taken");
+        // A held target gets one more hold, and the next `set_target`
+        // hands it back for its release.
+        let dummy = UpdateNode::new_dummy(3, 4);
+        let dummy_ptr = &dummy as *const UpdateNode as *mut UpdateNode;
+        assert!(ins.set_target(dummy_ptr).is_null());
+        assert_eq!(ins.target(), dummy_ptr);
+        let (linked, one) = (Hold::Linked as u32, Hold::Ref as u32);
+        assert_eq!(dummy.holds.load(Ordering::SeqCst), linked + one);
+        assert_eq!(ins.set_target(gone_ptr), dummy_ptr);
+        assert!(ins.target().is_null());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use crate::access::{LatestAccess, TrieCore};
 use crate::bitops;
 use crate::dir::{Pred, Succ};
-use crate::node::{Kind, Status, UpdateNode};
+use crate::node::{Hold, Kind, Status, UpdateNode};
 use lftrie_primitives::epoch::Domain;
 use lftrie_primitives::{Key, NO_PRED, NO_SUCC};
 use lftrie_telemetry::{self as telemetry, Counter, TelemetrySnapshot};
@@ -182,11 +182,11 @@ impl RelaxedBinaryTrie {
     /// Lines 29–35 of `TrieInsert`: create and activate the INS node (the
     /// strong-linearization point), without yet updating interpreted bits.
     ///
-    /// On success, retires the node the displaced head itself superseded:
-    /// the relaxed trie never clears `latestNext`, so at any moment the head
-    /// and its immediate `latestNext` are dereferenceable (line 34 reads one
-    /// hop), but the node two generations back just became unreachable for
-    /// new operations.
+    /// On success, releases the link of the node the displaced head itself
+    /// superseded: the relaxed trie never clears `latestNext`, so at any
+    /// moment the head and its immediate `latestNext` are dereferenceable
+    /// (line 34 reads one hop), but the node two generations back just
+    /// became unreachable for new operations.
     pub(crate) fn insert_activate(&self, x: i64) -> Option<*mut UpdateNode> {
         let guard = &self.domain().pin();
         let d_node = self.find_latest_installed(x); // L29
@@ -215,22 +215,21 @@ impl RelaxedBinaryTrie {
         }
         if !prev_ins.is_null() {
             // prev_ins is now two hops from the head: unreachable for new
-            // operations (no code follows two latestNext links). Its free is
-            // additionally gated on `completed`, which only its *own*
-            // operation sets at the end of `insert_finish` — so an owner
-            // still between activation and finish keeps it alive.
-            unsafe { self.core.retire_node(prev_ins, guard) };
+            // operations (no code follows two latestNext links), so its
+            // link goes. An owner still between activation and
+            // `insert_finish` keeps it alive by its `Running` hold.
+            self.core.release(prev_ins, Hold::Linked, guard);
         }
         Some(i_node)
     }
 
-    /// Line 36 of `TrieInsert`: `InsertBinaryTrie(iNode)`, then mark the
-    /// node completed — the relaxed trie's analogue of the lock-free line
-    /// 178, and the signal that lets a superseded node be reclaimed.
+    /// Line 36 of `TrieInsert`: `InsertBinaryTrie(iNode)`, then complete
+    /// the node, releasing its `Running` hold — the relaxed trie's analogue
+    /// of the lock-free line 178.
     pub(crate) fn insert_finish(&self, i_node: *mut UpdateNode) {
-        let _guard = self.domain().pin();
-        bitops::insert_binary_trie(&self.core, self, i_node);
-        unsafe { (*i_node).set_completed() };
+        let guard = &self.domain().pin();
+        bitops::insert_binary_trie(&self.core, self, i_node, guard);
+        self.core.release(i_node, Hold::Running, guard);
     }
 
     /// `TrieDelete(x)` (lines 47–57): removes `x`; returns `true` iff this
@@ -253,7 +252,7 @@ impl RelaxedBinaryTrie {
     }
 
     /// Lines 48–55 of `TrieDelete`: create and activate the DEL node. On
-    /// success, retires the node two generations back (see
+    /// success, releases the link of the node two generations back (see
     /// [`RelaxedBinaryTrie::insert_activate`]).
     pub(crate) fn delete_activate(&self, x: i64) -> Option<*mut UpdateNode> {
         let guard = &self.domain().pin();
@@ -280,19 +279,19 @@ impl RelaxedBinaryTrie {
             unsafe { (*target).set_stop() };
         }
         if !prev_del.is_null() {
-            // As in `insert_activate`: the owner's `delete_finish` opens the
-            // `completed` gate; retiring here only starts the clock.
-            unsafe { self.core.retire_node(prev_del, guard) };
+            // As in `insert_activate`. A DEL node may stay held after this
+            // by its own `Running` and by the slots and targets holding it.
+            self.core.release(prev_del, Hold::Linked, guard);
         }
         Some(d_node)
     }
 
-    /// Line 56 of `TrieDelete`: `DeleteBinaryTrie(dNode)`, then mark the
-    /// node completed (see [`RelaxedBinaryTrie::insert_finish`]).
+    /// Line 56 of `TrieDelete`: `DeleteBinaryTrie(dNode)`, then complete
+    /// the node (see [`RelaxedBinaryTrie::insert_finish`]).
     pub(crate) fn delete_finish(&self, d_node: *mut UpdateNode) {
-        let _guard = self.domain().pin();
-        bitops::delete_binary_trie(&self.core, self, d_node);
-        unsafe { (*d_node).set_completed() };
+        let guard = &self.domain().pin();
+        bitops::delete_binary_trie(&self.core, self, d_node, guard);
+        self.core.release(d_node, Hold::Running, guard);
     }
 
     /// `RelaxedPredecessor(y)` (lines 73–90): the largest key smaller than
@@ -447,6 +446,29 @@ mod tests {
             Some(&k) => RelaxedPred::Found(k),
             None => RelaxedPred::NoneSmaller,
         }
+    }
+
+    #[test]
+    fn churn_frees_every_node_two_generations_back_and_teardown_the_rest() {
+        const U: u64 = 64;
+        let mut trie = RelaxedBinaryTrie::new(U);
+        let mut state = 0xC0FF_EE00_u64;
+        for _ in 0..4000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = (state >> 33) % U;
+            if (state >> 32) & 1 == 0 {
+                trie.insert(k);
+            } else {
+                trie.remove(k);
+            }
+        }
+        trie.collect_garbage();
+        assert_eq!(trie.live_nodes(), trie.core.resident().len());
+        trie.core.free_resident();
+        trie.collect_garbage();
+        assert_eq!(trie.live_nodes(), 0, "the walk missed a held node");
     }
 
     #[test]

@@ -108,7 +108,7 @@ use lftrie_telemetry::{
 use crate::access::{LatestAccess, TrieCore};
 use crate::bitops;
 use crate::dir::{Dir, Pred, Succ};
-use crate::node::{Kind, NotifyRecord, QueryNode, Status, UpdateNode, DEL2_UNSET};
+use crate::node::{Hold, Kind, NotifyRecord, QueryNode, Status, UpdateNode, DEL2_UNSET};
 
 /// An update-node identity + key snapshot taken from a [`NotifyRecord`]:
 /// what the query computation keeps of a notifier without ever
@@ -167,15 +167,16 @@ enum OpPhase {
 ///
 /// 1. activation (line 131) is a one-way store;
 /// 2. the displaced-node handoff (132–134) acts only while `latestNext` is
-///    set, and whoever clears that link retires the node it pointed to,
-///    claimed once (`retire_displaced`);
+///    set, and whoever clears that link releases the node's
+///    [`Hold::Linked`], which only one of them gets;
 /// 3. each second embedded query (200–201) runs only while its result is
 ///    missing; the first embedded queries are never re-run;
-/// 4. the relaxed-trie update runs only while unclaimed (a re-run would
-///    count `set_target` twice), and the owner claims it as it finishes
-///    its own;
-/// 5. notification and completion run only while `completed` is unset,
-///    which the owner sets right after notifying;
+/// 4. the relaxed-trie update runs only while unclaimed (a re-run of
+///    `DeleteBinaryTrie` would rewrite `upper0Boundary` without the +1
+///    steps of Lemma 4.13), and the owner claims it as it finishes its own;
+/// 5. notification and completion run only while `completed` is unset:
+///    the owner completes right after notifying, releasing the node's
+///    [`Hold::Running`];
 /// 6. de-announcement removes every cell of the node, and each embedded
 ///    query's withdrawal is claimed once (`remove_query_node`).
 ///
@@ -526,16 +527,6 @@ impl LockFreeBinaryTrie {
         self.ann_sub(removed);
     }
 
-    /// Retires `node` as a displaced (superseded) latest-list node,
-    /// exactly once across every party that can reach it — the superseding
-    /// operation's owner, whoever else cleared the `latestNext` link to it,
-    /// or the finisher of an interrupted update.
-    fn retire_displaced(&self, node: *mut UpdateNode, guard: &Guard<'_>) {
-        if unsafe { (*node).claim_retire() } {
-            unsafe { self.core.retire_node(node, guard) };
-        }
-    }
-
     /// Lines 131–134 of `HelpActivate`: activates `uNode` and hands off the
     /// node it displaced. Idempotent.
     fn activate(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
@@ -545,11 +536,11 @@ impl LockFreeBinaryTrie {
 
     /// Lines 132–134 for an activated `uNode` (also lines 168–169,
     /// 175 and 190): stops the displaced node's target if `uNode` is a DEL
-    /// node, cuts the `latestNext` link, and retires the displaced node.
-    /// After the cut nothing reaches that node through the latest list, so
-    /// whoever cuts the link retires it — a suspended owner never would —
-    /// and the claim makes the retirement exactly-once. A no-op once the
-    /// link is gone.
+    /// node, cuts the `latestNext` link, and releases the displaced node's
+    /// [`Hold::Linked`]. After the cut nothing reaches that node through
+    /// the latest list, so whoever cuts the link releases it — a suspended
+    /// owner never would — and only one of them gets the bit. A no-op once
+    /// the link is gone.
     fn hand_off(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
         let u = unsafe { &*u_node };
         let displaced = u.latest_next();
@@ -564,7 +555,7 @@ impl LockFreeBinaryTrie {
             }
         }
         u.clear_latest_next(); // L134
-        self.retire_displaced(displaced, guard);
+        self.core.release(displaced, Hold::Linked, guard);
     }
 
     /// `HelpActivate(uNode)` (lines 128–136): finish a stalled update's
@@ -815,14 +806,13 @@ impl LockFreeBinaryTrie {
         fault::point(FaultPoint::InsertAnnounced);
         unsafe { (*i_node).activate() }; // L174: linearization point
         fault::point(FaultPoint::InsertLinearized);
-        // L175. The retired dNode is freed once its own Delete completed and
-        // every dNodePtr/target reference drained
-        // (`UpdateNode::ready_to_reclaim`).
+        // L175. The cut releases dNode's link; it is garbage once its own
+        // Delete completed and no dNodePtr slot or target holds it.
         self.hand_off(i_node, guard);
-        self.update_relaxed(i_node); // L176
+        self.update_relaxed(i_node, guard); // L176
         fault::point(FaultPoint::InsertTrieUpdated);
         self.notify_query_ops(i_node, guard); // L177 (+ successor mirror)
-        unsafe { (*i_node).set_completed() }; // L178
+        self.core.release(i_node, Hold::Running, guard); // L178
         fault::point(FaultPoint::InsertCompleted);
         self.deannounce(i_node, guard); // L179
         og.phase.set(OpPhase::Done);
@@ -889,18 +879,19 @@ impl LockFreeBinaryTrie {
         if !target.is_null() {
             unsafe { (*target).set_stop() };
         }
-        // L199. iNode is then off the latest[x] list: retire it (freed once
-        // its own Insert completed and target references drain).
+        // L199. iNode is then off the latest[x] list: release its link (it
+        // is garbage once its own Insert completed too; INS nodes have no
+        // other holds).
         d.clear_latest_next();
-        self.retire_displaced(i_node, guard);
+        self.core.release(i_node, Hold::Linked, guard);
         // L200–201: the second embedded predecessor and successor.
         d.set_del_result2::<Pred>(self.embed::<Pred>(x, 1, &og.embeds, guard).0);
         d.set_del_result2::<Succ>(self.embed::<Succ>(x, 1, &og.embeds, guard).0);
         fault::point(FaultPoint::DeleteEmbedsDone);
-        self.update_relaxed(d_node); // L202
+        self.update_relaxed(d_node, guard); // L202
         fault::point(FaultPoint::DeleteTrieUpdated);
         self.notify_query_ops(d_node, guard); // L203
-        d.set_completed(); // L204
+        self.core.release(d_node, Hold::Running, guard); // L204
         fault::point(FaultPoint::DeleteCompleted);
         self.deannounce(d_node, guard); // L205
         self.withdraw_embeds(&og.embeds, guard); // L206
@@ -911,10 +902,10 @@ impl LockFreeBinaryTrie {
     /// The relaxed-trie update of `uNode` (line 176 or 202), then its
     /// claim: the update is not idempotent, so a finisher runs it only
     /// while unclaimed.
-    fn update_relaxed(&self, u_node: *mut UpdateNode) {
+    fn update_relaxed(&self, u_node: *mut UpdateNode, guard: &Guard<'_>) {
         match unsafe { (*u_node).kind() } {
-            Kind::Ins => bitops::insert_binary_trie(&self.core, self, u_node),
-            Kind::Del => bitops::delete_binary_trie(&self.core, self, u_node),
+            Kind::Ins => bitops::insert_binary_trie(&self.core, self, u_node, guard),
+            Kind::Del => bitops::delete_binary_trie(&self.core, self, u_node, guard),
         }
         unsafe { (*u_node).claim_trie_update() };
     }
@@ -976,9 +967,9 @@ impl LockFreeBinaryTrie {
     /// notification and completion, and finally de-announcement (205) and
     /// the withdrawal of the embedded queries recorded in `embeds` (206),
     /// including the ones run here. The caller has announced the node.
-    /// Setting `completed` also opens `UpdateNode::ready_to_reclaim` for
-    /// the node and everything it superseded. Called by the unwind resume;
-    /// see [`UpdateOpGuard`] for why every step may run again.
+    /// Completion releases the node's [`Hold::Running`], and the handoff
+    /// the [`Hold::Linked`] of the node it displaced. Called by the unwind
+    /// resume; see [`UpdateOpGuard`] for why every step may run again.
     fn finish_update(&self, u_node: *mut UpdateNode, embeds: &EmbeddedQueries, guard: &Guard<'_>) {
         let u = unsafe { &*u_node };
         self.activate(u_node, guard); // L131–134
@@ -988,10 +979,10 @@ impl LockFreeBinaryTrie {
                 self.embed_second::<Succ>(u, embeds, guard);
             }
             if !u.trie_update_claimed() && self.first_activated(u_node) {
-                self.update_relaxed(u_node);
+                self.update_relaxed(u_node, guard);
             }
             self.notify_query_ops(u_node, guard);
-            u.set_completed();
+            self.core.release(u_node, Hold::Running, guard);
         }
         self.deannounce(u_node, guard);
         self.withdraw_embeds(embeds, guard);
@@ -2406,47 +2397,115 @@ mod tests {
     }
 
     #[test]
-    fn gate_probes_per_update_do_not_grow_with_the_universe() {
-        // Churn on a half-full trie parks DEL nodes behind closed gates, up
-        // to one per dNodePtr slot a delete installed it in, so the parked
-        // set grows with u.
-        // Re-probing all of it on every sweep would make each update pay
-        // Θ(u) probes; re-probes paid for by retirements keep it flat.
-        let per_update: Vec<f64> = [8u32, 12, 14]
-            .into_iter()
-            .map(|b| {
-                let u = 1u64 << b;
-                let t = LockFreeBinaryTrie::new(u);
-                // An odd multiplier permutes the universe: u/2 distinct keys.
-                for i in 0..u / 2 {
-                    t.insert(i.wrapping_mul(0x9E37_79B1) % u);
-                }
-                let updates = 8192u64;
-                let mut state = 0x2545_F491_4F6C_DD1Du64 ^ u;
-                let ((), ev) = recorded(|| {
-                    for i in 0..updates {
-                        state = state
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let k = (state >> 33) % u;
-                        if i % 2 == 0 {
-                            t.insert(k);
-                        } else {
-                            t.remove(k);
-                        }
-                    }
-                });
-                ev.get(Counter::GateProbes) as f64 / updates as f64
-            })
+    fn a_pin_from_before_a_slot_is_replaced_keeps_its_del_node_readable() {
+        let t = LockFreeBinaryTrie::new(8);
+        let parent = t.core.layout().parent(t.core.layout().leaf(1));
+        assert!(t.insert(1));
+        assert!(t.remove(1)); // installs its DEL node in the slots above 1
+        t.collect_garbage();
+        let reader = t.domain().register();
+        let pin = reader.pin();
+        let old = t.core.dnode_load(parent);
+        assert!(!old.is_null());
+        // The next delete of 1 replaces `old` in every slot it holds, and
+        // `old`'s insert-time cut already released its link.
+        assert!(t.insert(1));
+        assert!(t.remove(1));
+        assert_ne!(t.core.dnode_load(parent), old, "the slot was replaced");
+        let reclaimed = t.core.reclaimed_nodes();
+        for _ in 0..4 {
+            t.collect_garbage();
+        }
+        assert_eq!(t.core.reclaimed_nodes(), reclaimed, "freed under the pin");
+        let node = unsafe { &*old };
+        assert_eq!((node.key(), node.kind()), (1, Kind::Del), "still readable");
+        drop(pin);
+        t.collect_garbage();
+        let resident = t.core.resident();
+        assert!(!resident.contains(&old));
+        assert_eq!(
+            t.core.live_nodes(),
+            resident.len(),
+            "the old DEL node was freed"
+        );
+    }
+
+    #[test]
+    fn an_ins_node_holds_its_target_until_it_is_freed() {
+        // Universe 8. Inserting 4 first makes its INS node target 0's dummy
+        // at the root (L42's second disjunct holds for a dummy); inserting
+        // 0 then cuts the dummy, which only that target holds afterwards.
+        let t = LockFreeBinaryTrie::new(8);
+        assert!(t.insert(4));
+        let i4 = t.core.latest_head(4);
+        let dummy = unsafe { (*i4).target() };
+        assert!(!dummy.is_null());
+        assert_eq!(t.core.latest_head(0), dummy, "0's dummy");
+        assert!(t.insert(0));
+        t.collect_garbage();
+        let resident = t.core.resident();
+        assert!(resident.contains(&dummy), "held by the target alone");
+        assert_eq!(
+            (t.core.live_nodes(), resident.len()),
+            (3, 3),
+            "I4, I0, the dummy"
+        );
+        // Removing 4 frees its INS node, and the node's retirement releases
+        // the dummy.
+        assert!(t.remove(4));
+        t.collect_garbage();
+        let resident = t.core.resident();
+        assert!(!resident.contains(&dummy));
+        assert_eq!((t.core.live_nodes(), resident.len()), (2, 2), "I0 and D4");
+    }
+
+    #[test]
+    fn teardown_frees_every_node_still_held() {
+        const U: u64 = 64;
+        let mut t = LockFreeBinaryTrie::new(U);
+        // Inserting in a scrambled order makes INS nodes target dummies
+        // that a later insert cuts; the churn then puts DEL nodes in slots
+        // and replaces some of them.
+        for i in 0..U {
+            t.insert(i * 37 % U);
+        }
+        let mut state = 0x5EED_1234_u64;
+        for _ in 0..400 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = (state >> 33) % U;
+            if (state >> 32) & 1 == 0 {
+                t.insert(k);
+            } else {
+                t.remove(k);
+            }
+        }
+        t.collect_garbage();
+        // Every node no longer held was retired and freed.
+        let resident = t.core.resident();
+        assert_eq!(t.core.live_nodes(), resident.len());
+        // The churn left nodes held only by a slot, and only by a target.
+        let layout = *t.core.layout();
+        let heads: Vec<_> = (0..U as i64).map(|x| t.core.latest_head(x)).collect();
+        let slots: Vec<_> = (1..layout.num_leaves())
+            .map(|n| t.core.dnode_load(n))
+            .filter(|d| !d.is_null() && !heads.contains(d))
             .collect();
+        let targets = heads
+            .iter()
+            .filter(|h| !h.is_null())
+            .map(|&h| unsafe { (*h).target() })
+            .filter(|x| !x.is_null() && !heads.contains(x) && !slots.contains(x))
+            .count();
         assert!(
-            per_update[0] > 0.0,
-            "updates retire and probe: {per_update:?}"
+            !slots.is_empty() && targets > 0,
+            "slot nodes that are no head: {}, targets neither: {targets}",
+            slots.len()
         );
-        assert!(
-            per_update.iter().all(|&p| p <= 2.0 * per_update[0]),
-            "gate probes per update grow with u (u = 2^8, 2^12, 2^14): {per_update:?}"
-        );
+        t.core.free_resident();
+        t.collect_garbage();
+        assert_eq!(t.core.live_nodes(), 0, "the walk missed a held node");
     }
 
     #[test]
@@ -2478,7 +2537,8 @@ mod tests {
         // completed. The owner's own withdrawal has come and gone.
         assert!(fault::suspend_at(FaultPoint::InsertPublished, || trie.insert(9)));
         let owner_node = trie.core.latest_head(9);
-        unsafe { (*owner_node).set_completed() };
+        trie.core
+            .release(owner_node, Hold::Running, &trie.domain().pin());
         // A competing insert loses its CAS and helps (line 171): it
         // announces and activates the node, sees it completed, and its
         // withdrawal (line 136) panics on entry.

@@ -821,7 +821,7 @@ pub fn e10_scan_amortization(quick: bool) -> Table {
 /// trie, reported entirely from the [`lftrie_telemetry`] snapshot (latency
 /// percentiles from the log₂ histogram, traversal depth, epoch/reclamation
 /// health) and from the counters recorded during the run (the cost of a
-/// registry sweep, and the readiness-gate probes per operation). This is
+/// registry sweep). This is
 /// the experiment the CI telemetry lane runs with `--emit-json`; its
 /// `BENCH_e11.json` carries the full snapshot object.
 pub fn e11_telemetry(quick: bool) -> Table {
@@ -878,11 +878,6 @@ pub fn e11_telemetry(quick: bool) -> Table {
     table.row(&[
         "ns_per_sweep".to_string(),
         format!("{:.0}", run.get(Counter::SweepNs) as f64 / sweeps as f64),
-    ]);
-    let calls = (config.threads as u64 * config.ops_per_thread) as f64;
-    table.row(&[
-        "gate_probes_per_op".to_string(),
-        format!("{:.2}", run.get(Counter::GateProbes) as f64 / calls),
     ]);
     table
 }
@@ -978,13 +973,12 @@ mod tests {
     #[test]
     fn e11_reports_every_snapshot_metric() {
         let t = e11_telemetry(true);
-        assert_eq!(t.rows().len(), 11);
+        assert_eq!(t.rows().len(), 10);
         let metrics: Vec<&str> = t.rows().iter().map(|r| r[0].as_str()).collect();
         assert!(metrics.contains(&"latency_p99_ns_le"));
         assert!(metrics.contains(&"stalled_readers"));
         assert!(metrics.contains(&"limbo_and_pending"));
         assert!(metrics.contains(&"ns_per_sweep"));
-        assert!(metrics.contains(&"gate_probes_per_op"));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::fault;
 use lftrie_primitives::marked::{AtomicMarkedPtr, MarkedPtr};
-use lftrie_primitives::registry::{Reclaim, Registry};
+use lftrie_primitives::registry::Registry;
 use lftrie_primitives::swcursor::PublishedKey;
 use lftrie_primitives::{NEG_INF, POS_INF};
 use lftrie_telemetry::trace::{self, CasSite};
@@ -68,10 +68,6 @@ pub struct Cell<P> {
     payload: *mut P,
     next: AtomicMarkedPtr<Cell<P>>,
 }
-
-/// Unlinked cells are unreachable for new pins as soon as the unlink CAS
-/// lands, so plain grace-period reclamation suffices.
-impl<P> Reclaim for Cell<P> {}
 
 impl<P> Cell<P> {
     /// The cell's key (a universe key, or a sentinel `±∞`).

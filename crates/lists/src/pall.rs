@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::marked::{AtomicMarkedPtr, MarkedPtr};
-use lftrie_primitives::registry::{Reclaim, Registry};
+use lftrie_primitives::registry::Registry;
 use lftrie_telemetry::trace::{self, CasSite};
 
 /// One P-ALL cell announcing a predecessor node `P`.
@@ -41,9 +41,6 @@ pub struct PallCell<P> {
     payload: *mut P,
     next: AtomicMarkedPtr<PallCell<P>>,
 }
-
-/// Unlinked P-ALL cells are unreachable for new pins immediately.
-impl<P> Reclaim for PallCell<P> {}
 
 impl<P> PallCell<P> {
     /// The announced predecessor node (null on the head sentinel).

@@ -20,9 +20,8 @@
 //!   entry. Pinning is re-entrant: nested pins reuse the outer epoch.
 //!   [`Domain::register`] gives a participant a slot of its own, so one
 //!   thread can act as several.
-//! * Retired garbage is stamped with a fresh epoch read once its
-//!   readiness gate is seen open, no earlier than its retirement (see
-//!   [`crate::registry`]).
+//! * Retired garbage is stamped with a fresh epoch read taken after its
+//!   retirement (see [`crate::registry`]).
 //! * [`Domain::try_advance`] increments the global epoch only when every
 //!   pinned participant has announced the current epoch; it is called
 //!   amortized (every few pins, and on registry sweeps), so a quiescent
@@ -48,11 +47,13 @@
 //! # Guarantees
 //!
 //! With `T` live participants, garbage retired through a registry is
-//! unreclaimed only while it is (a) younger than three epoch advances, or
-//! (b) deferred by its type's [`crate::registry::Reclaim::ready_to_reclaim`]
-//! gate. No operation holds a pin for longer than one call (iterators pin
-//! per step), and a pinned participant blocks at most one epoch advance at
-//! a time, so steady-state garbage is `O(T² + deferred)` rather than
+//! unreclaimed only while it is (a) younger than three epoch advances past
+//! its stamp, or (b) still in a retire bag, or in a FIFO that only its
+//! owner's sweeps free (see [`crate::registry`]). A structure retires a
+//! node only once nothing keeps it alive, so nothing is ever retired and
+//! then held back. No operation holds a pin for longer than one call
+//! (iterators pin per step), and a pinned participant blocks at most one
+//! epoch advance at a time, so steady-state garbage is `O(T²)` rather than
 //! `O(total updates)`.
 //!
 //! The trade-off is the one crossbeam-epoch makes: a thread descheduled

@@ -1,14 +1,14 @@
 //! Epoch-aware allocation registry with bounded-garbage reclamation and
 //! per-thread node pools.
 //!
-//! The paper's model assumes garbage collection: update nodes stay reachable
-//! from long-lived shared fields (`t.dNodePtr` can reference an old DEL node
+//! The paper's model assumes garbage collection: update nodes stay readable
+//! through long-lived shared fields (`t.dNodePtr` can hold an old DEL node
 //! indefinitely; an INS node's `target` keeps a DEL node readable long after
-//! the `Delete` completes). The original reproduction therefore deferred
-//! *every* free to structure drop — sound, but resident memory grew with the
-//! total number of updates ever performed. PR 3 replaced that arena with
-//! epoch-based reclamation; this revision removes the *allocator* from the
-//! steady-state churn path entirely:
+//! the `Delete` completes). The structures here count what keeps each such
+//! node alive and retire it at the release that drops the count to zero
+//! (the trie's argument is in `lftrie_core`'s `access` module docs). So
+//! the registry has one job: age garbage through the epoch grace period and
+//! recycle it, without the allocator on the steady-state churn path:
 //!
 //! * Every node is heap-allocated **once**, with an intrusive pool header
 //!   (chain link + epoch stamp) in front of the value. [`Registry::retire`]
@@ -29,80 +29,58 @@
 //!   the index claims it by CAS and inherits its chains, and a sweep
 //!   *steals* the chains of a pool whose tenure has ended, so an exited
 //!   thread's garbage keeps aging without it. A steal that a panicking
-//!   gate probe interrupts puts the ended tenure back, so a later sweep
+//!   node `Drop` interrupts puts the ended tenure back, so a later sweep
 //!   steals the rest.
-//! * A node is freed (recycled) only after three global-epoch advances
-//!   past its stamp (see [`crate::epoch`]) and once its type's
-//!   [`Reclaim::ready_to_reclaim`] gate opens, with [`Reclaim::on_reclaim`]
-//!   running right before the value is dropped.
+//! * A node is freed (recycled) three global-epoch advances past its stamp
+//!   (see [`crate::epoch`]). Nothing probes it before: a retired node is
+//!   plain EBR garbage.
 //!
-//! # Bag flushing and the grace-period stamp
+//! # Retirement and the grace-period stamp
 //!
-//! A stamp is written only where a gate probe has just found the gate
-//! open: at a bag flush, and when a `pending` re-probe restamps (below).
-//! Retiring writes none. A node can sit in a bag for many epochs while its
-//! gate is closed (a DEL parked in a `dNodePtr` slot); when the gate
-//! finally opens, a reader pinned at the *current* epoch may have captured
-//! the pointer just before the gate-opening store. A retire-time stamp
-//! would let its grace period elapse under that reader's pin. The flush
-//! therefore stamps with a **fresh epoch read taken after the readiness
-//! probe**: the capture happened before the gate-opening store the probe
-//! observed, so the reader's pin precedes the read, the stamp is at least
-//! the reader's pin epoch, and the reader blocks the advance to
-//! `stamp + GRACE` until it unpins.
-//! `bag_flush_stamps_after_gate_probe` is the regression test.
+//! A caller retires a node exactly once, when it becomes garbage: no
+//! thread that pins after the retirement can reach it, except through a
+//! re-publication that a thread pinned before the retirement makes and
+//! withdraws while still pinned (the `HelpActivate` case the three-epoch
+//! grace period covers). Every thread that can still dereference the node
+//! therefore pinned before the retirement.
 //!
-//! # Re-probing gated garbage
+//! The stamp is a fresh epoch read taken after the retirement: at the bag
+//! flush, or when a sweep drains the node from `pending` (below). So a
+//! reader's pin epoch is at most the stamp, and while it stays pinned the
+//! global epoch cannot pass `pin + 1`. The free needs `stamp +
+//! GRACE_EPOCHS`, so it waits for every such reader. A node that waits in
+//! a bag only gets a later stamp, never an earlier one.
 //!
-//! A retired node whose [`Reclaim::ready_to_reclaim`] gate is closed parks
-//! in the shared `pending` stack until a probe finds the gate open. It is
-//! then restamped with a fresh epoch read, by the argument above, and
-//! appended to the sweeper's own FIFO. How many park there is set by the
-//! owner's long-lived references, not by the garbage: the trie parks the
-//! DEL nodes that deletes installed in its `dNodePtr` slots, up to
-//! `2^b − 1` of them, and those that inserts target. (A slot no delete has
-//! touched is null and holds no node. So is a latest-list head no update
-//! has touched: a key's dummy is made only when an insert needs it, and
-//! once displaced it parks only while an insert targets it.) Re-probing them all on every sweep would
-//! cost Θ(parked) per sweep however little was retired, so a sweep re-probes
-//! `pending` only once the nodes retired into the registry since the last
-//! re-probe reach half of its depth; [`Registry::flush`] re-probes on every
-//! sweep. Each re-probe of `P` nodes is then paid for by at least `P/2`
-//! retirements, so a retired node costs at most two extra probes, whatever
-//! the number of parked nodes.
+//! # The `pending` inbox
 //!
-//! The price is latency: a node whose gate opens waits in `pending` until
-//! the next re-probe. Between re-probes `pending` grows by retirements,
-//! which also count toward the trigger (and by the rare FIFO node whose
-//! gate closed again, and by retires of a thread with no pool), so it
-//! holds at most about twice the gated nodes the last re-probe found. The
-//! registry still owns every parked node, so teardown and pool stealing
-//! free them as before, and every node is probed again before it leaves
-//! `pending` or a FIFO.
+//! A thread with no pool retires into the shared `pending` stack: during
+//! thread teardown (its slot is gone), or while a sweep steals the pool an
+//! ended tenure left at the thread's slot index. The exclusive sweeper
+//! drains it whole, stamps the chain with one fresh epoch read and appends
+//! it to its own FIFO. Its depth gauge (the `pending` field of
+//! [`ReclaimHealth`]) reads about 0.
 //!
 //! # The per-thread FIFO
 //!
-//! Each pool keeps its stamped, gate-open garbage in a FIFO that only the
-//! pool's owner touches, like its bag and free list. Flushes append at the
-//! tail with fresh stamps, so a thread's own FIFO is in stamp order. A
-//! sweep first advances the epoch, then pops from the front while
-//! `stamp + GRACE_EPOCHS ≤ epoch`, re-probes each popped node's gate,
-//! recycles the open ones into its own free list and sends the closed ones
-//! to `pending`. It never walks or re-probes a node that has not expired,
-//! and it writes no shared line per node. The invariants:
+//! Each pool keeps its stamped garbage in a FIFO that only the pool's owner
+//! touches, like its bag and free list. Flushes append at the tail with
+//! fresh stamps, so a thread's own FIFO is in stamp order. A sweep first
+//! advances the epoch, then pops from the front while
+//! `stamp + GRACE_EPOCHS ≤ epoch`, dropping each popped value and recycling
+//! its node into its own free list. It never walks a node that has not
+//! expired, and it writes no shared line per node. The invariants:
 //!
-//! * No node is freed before `stamp + GRACE_EPOCHS ≤ epoch` and a fresh
-//!   gate probe. A stamp is a fresh epoch read, taken after the probe that
-//!   found the gate open.
+//! * No node is freed before `stamp + GRACE_EPOCHS ≤ epoch`. A stamp is a
+//!   fresh epoch read taken after the node's retirement.
 //! * The walk stops at the first node that has not expired. A chain
 //!   appended out of stamp order, such as a stolen FIFO, only waits
 //!   longer.
-//! * A gate probe that panics leaves its node in place, at the FIFO's
-//!   front or on the chain it came from, and `sweeping` still clears.
-//! * Only the `pending` re-probe and the steals need `sweeping`. A
-//!   thread's own FIFO needs no exclusivity, so a sweep whose `sweeping`
-//!   claim fails still flushes, advances and expires its own garbage; it
-//!   skips only the shared work. (Skipping the whole sweep instead, as the
+//! * A value whose `Drop` panics still counts as reclaimed, its emptied
+//!   node is recycled, and `sweeping` still clears.
+//! * Only the `pending` drain and the steals need `sweeping`. A thread's
+//!   own FIFO needs no exclusivity, so a sweep whose `sweeping` claim
+//!   fails still flushes, advances and expires its own garbage; it skips
+//!   only the shared work. (Skipping the whole sweep instead, as the
 //!   shared limbo stack once required, lets a thread's FIFO grow while
 //!   another thread sweeps; on the two-worker benchmark the two choices
 //!   measured alike, and this one keeps each thread's garbage bounded by
@@ -137,9 +115,9 @@
 //!   (`allocated − freed-to-heap`); bounded by `live` plus the pool caps.
 //!
 //! Under steady-state churn the unreclaimed node count is
-//! `O(threads² + deferred references + live set + pool caps)`, independent
-//! of the total number of updates — `tests/memory_bound.rs` asserts
-//! exactly this.
+//! `O(threads² + live set + pool caps)`, where the live set counts every
+//! node its structure still holds, independent of the total number of
+//! updates — `tests/memory_bound.rs` asserts exactly this.
 
 use core::cell::Cell;
 use core::marker::PhantomData;
@@ -178,31 +156,6 @@ const SHARED_FREE_CAP: usize = 1024;
 /// and counts it `SWEEP_SAMPLE` times.
 const SWEEP_SAMPLE: u64 = 16;
 
-/// Reclamation protocol for nodes retired through a [`Registry`].
-///
-/// The default implementation suits nodes that are unreachable as soon as
-/// they are unlinked (list cells, baseline nodes). Types with long-lived
-/// shared references override both hooks; the registry re-checks
-/// `ready_to_reclaim` immediately before every free, so a reference acquired
-/// while the node aged in its FIFO (e.g. a late `target` edge) reliably
-/// defers it again.
-pub trait Reclaim {
-    /// May the node be freed now? Called with the node still allocated.
-    ///
-    /// Must only transition `false → true` "eventually stably": once it
-    /// returns `true` and no thread pinned before the retirement is still
-    /// active, it must not flip back (new references to retired nodes can
-    /// only be created by such pinned threads).
-    fn ready_to_reclaim(&self) -> bool {
-        true
-    }
-
-    /// Runs immediately before the node is freed on the reclamation path
-    /// (not on bulk teardown, where referenced peers may already be gone).
-    /// Used to drop reference counts this node holds on other nodes.
-    fn on_reclaim(&self) {}
-}
-
 /// Allocation statistics snapshot of one [`Registry`] (see
 /// [`Registry::stats`]). All fields are Relaxed-loaded counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,9 +184,9 @@ struct PoolNode<T> {
     /// thread), a shared stack segment (the pushing thread until the CAS
     /// lands, then the draining sweeper).
     next: Cell<*mut PoolNode<T>>,
-    /// Grace-period stamp; freed once `global ≥ epoch + GRACE`. Written
-    /// only when a gate probe has just found the gate open: at a bag flush
-    /// and at a `pending` restamp (see the module docs).
+    /// Grace-period stamp; freed once `global ≥ epoch + GRACE`. A fresh
+    /// epoch read taken after the node's retirement: at its bag flush, or
+    /// when a sweep drains it from `pending` (module docs).
     epoch: Cell<u64>,
     /// The payload. Dropped exactly once on the reclaim/dealloc/teardown
     /// paths; the emptied slot is then recycled or returned to the heap.
@@ -310,21 +263,6 @@ impl<T> GarbageStack<T> {
         }
     }
 
-    /// Pushes a chain of new nodes of unknown length, walking to its tail
-    /// to count them (bag flushes; at most `BAG_CAP` nodes).
-    fn push_chain(&self, chain: *mut PoolNode<T>) {
-        if chain.is_null() {
-            return;
-        }
-        let mut n = 1;
-        let mut tail = chain;
-        while !unsafe { (*tail).next.get() }.is_null() {
-            tail = unsafe { (*tail).next.get() };
-            n += 1;
-        }
-        self.push_span(chain, tail, n);
-    }
-
     /// Detaches the whole chain; the caller iterates it exclusively and
     /// settles the depth gauge for what it consumes.
     fn take_all(&self) -> *mut PoolNode<T> {
@@ -383,13 +321,12 @@ struct LocalPool<T> {
     /// Recycled nodes ready for reuse (values already dropped).
     free: Cell<*mut PoolNode<T>>,
     free_len: Cell<usize>,
-    /// Retired nodes awaiting a batch flush (values alive; FIFO so flush
-    /// probes oldest-first).
+    /// Retired nodes awaiting a batch flush (values alive), oldest first.
     bag_head: Cell<*mut PoolNode<T>>,
     bag_tail: Cell<*mut PoolNode<T>>,
     bag_len: Cell<usize>,
-    /// Stamped, gate-open garbage awaiting its grace period: appended at
-    /// the tail, expired from the front (module docs).
+    /// Stamped garbage awaiting its grace period: appended at the tail,
+    /// expired from the front (module docs).
     fifo_head: Cell<*mut PoolNode<T>>,
     fifo_tail: Cell<*mut PoolNode<T>>,
     /// The FIFO's length, this pool's share of the `limbo` gauge. Only the
@@ -440,9 +377,9 @@ thread_local! {
 }
 
 /// Stores a value into an atomic word on every exit path. Sweeps and pool
-/// steals run user code ([`Reclaim`] hooks, node `Drop`s); without this
-/// guard a single panic in one of them would leave `sweeping` stuck —
-/// silently disabling reclamation on the registry forever — or leave a
+/// steals run user code (node `Drop`s); without this guard a single panic
+/// in one of them would leave `sweeping` stuck — silently disabling the
+/// steals and the `pending` drain on the registry forever — or leave a
 /// stolen pool marked [`STEALING`], its chains stranded until registry drop.
 struct StoreOnDrop<'a>(&'a AtomicU64, u64);
 
@@ -452,94 +389,32 @@ impl Drop for StoreOnDrop<'_> {
     }
 }
 
-/// A sweep's exclusive pass over one detached garbage chain, yielding each
-/// node with its readiness gate probed. The probe is user code, so it runs
-/// *before* the node leaves the remainder: a panicking hook leaves its node
-/// on the chain. On every exit path the drop settles the stack's depth
-/// gauge for the nodes taken, re-attaches the unexamined remainder and
-/// records the probes, so a panic loses at most the one node it panicked
-/// on, never the backlog.
-struct Drain<'a, T> {
-    stack: &'a GarbageStack<T>,
-    rest: *mut PoolNode<T>,
-    taken: usize,
-}
-
-impl<'a, T> Drain<'a, T> {
-    fn new(stack: &'a GarbageStack<T>) -> Self {
-        Self {
-            stack,
-            rest: stack.take_all(),
-            taken: 0,
-        }
-    }
-}
-
-impl<T: Reclaim> Iterator for Drain<'_, T> {
-    type Item = (*mut PoolNode<T>, bool);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let cur = self.rest;
-        if cur.is_null() {
-            return None;
-        }
-        let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
-        self.rest = unsafe { (*cur).next.get() };
-        unsafe { (*cur).next.set(core::ptr::null_mut()) };
-        self.taken += 1;
-        Some((cur, ready))
-    }
-}
-
-impl<T> Drop for Drain<'_, T> {
-    fn drop(&mut self) {
-        self.stack.settle(self.taken);
-        self.stack.reattach(self.rest);
-        telemetry::add(Counter::GateProbes, self.taken as u64);
-    }
-}
-
-/// A sweep's pass over the expired front of its own FIFO. The gate probe
-/// is user code, so the node stays the FIFO's head until it returns: a
-/// panicking probe leaves it in place, and every node popped was probed.
-/// On every exit path the drop settles the FIFO's length and records the
-/// pass's probes and reclaims, once per pass rather than once per node.
+/// A sweep's pass over the expired front of one FIFO. A node leaves the
+/// FIFO before its value is dropped, and the drop is user code: on every
+/// exit path, panics included, the pass's drop settles the FIFO's length,
+/// counts every popped value as reclaimed (a value whose `Drop` panicked
+/// is destroyed all the same) and recycles the node a panic left emptied,
+/// once per pass rather than once per node.
 struct Expiry<'a, T> {
     reg: &'a Registry<T>,
     pool: &'a LocalPool<T>,
     popped: usize,
-    reclaimed: usize,
+    /// The node whose value is being dropped; null between drops.
+    dropping: *mut PoolNode<T>,
 }
 
 impl<T> Drop for Expiry<'_, T> {
     fn drop(&mut self) {
         let len = &self.pool.fifo_len;
         len.store(len.load(Ordering::Relaxed) - self.popped, Ordering::Relaxed);
-        if self.reclaimed > 0 {
+        if self.popped > 0 {
             let reclaimed = &self.reg.counters.reclaimed;
-            reclaimed.fetch_add(self.reclaimed, Ordering::Relaxed);
+            reclaimed.fetch_add(self.popped, Ordering::Relaxed);
         }
-        telemetry::add(Counter::GateProbes, self.popped as u64);
-    }
-}
-
-/// Scope guard for bag flushes: the readiness probes are user code, so a
-/// panic mid-flush must not leak the unexamined remainder or the
-/// partially-built batches. Everything lands in `pending` on unwind — the
-/// always-safe destination, since its re-probe restamps.
-struct FlushGuard<'a, T> {
-    reg: &'a Registry<T>,
-    rest: Cell<*mut PoolNode<T>>,
-    ready: Cell<*mut PoolNode<T>>,
-    deferred: Cell<*mut PoolNode<T>>,
-}
-
-impl<T> Drop for FlushGuard<'_, T> {
-    fn drop(&mut self) {
-        for cell in [&self.rest, &self.ready, &self.deferred] {
-            self.reg
-                .pending
-                .push_chain(cell.replace(core::ptr::null_mut()));
+        if !self.dropping.is_null() {
+            // Safety: the node left the FIFO and its value is gone; the
+            // caller owns the pool.
+            unsafe { self.reg.recycle_node(self.dropping, Some(self.pool)) };
         }
     }
 }
@@ -564,10 +439,9 @@ struct Counters {
 ///
 /// ```
 /// use lftrie_primitives::epoch;
-/// use lftrie_primitives::registry::{Reclaim, Registry};
+/// use lftrie_primitives::registry::Registry;
 ///
 /// struct Cell(u64);
-/// impl Reclaim for Cell {}
 ///
 /// let reg: Registry<Cell> = Registry::new();
 /// let p = reg.alloc(Cell(7));
@@ -595,9 +469,8 @@ pub struct Registry<T> {
     /// one.
     domain: Option<Arc<Domain>>,
     counters: CachePadded<Counters>,
-    /// Retired garbage whose `ready_to_reclaim` gate was closed when last
-    /// probed, or retired with no pool; re-probed once enough retirements
-    /// pay for it (module docs).
+    /// Garbage retired by threads with no pool, until the next exclusive
+    /// sweep drains it into its own FIFO (module docs).
     pending: GarbageStack<T>,
     /// Shared stock of recycled nodes (values dropped), refilled by sweeps
     /// and drained in batches into local free lists. Its depth gauge
@@ -605,13 +478,8 @@ pub struct Registry<T> {
     free: GarbageStack<T>,
     /// One pool per slot index (see [`crate::slots`]).
     pools: SlotVec<CachePadded<LocalPool<T>>>,
-    /// Nodes retired into this registry since `pending` was last
-    /// re-probed: each bag flush adds its batch, each retire with no pool
-    /// adds one. A sweep re-probes `pending` once this reaches half of its
-    /// depth.
-    retired_since_reprobe: AtomicUsize,
-    /// 1 while a sweep steals pools and re-probes `pending`; concurrent
-    /// sweeps skip that part (module docs).
+    /// 1 while a sweep steals pools and drains `pending`; concurrent sweeps
+    /// skip that part (module docs).
     sweeping: AtomicU64,
     _owns: PhantomData<T>,
 }
@@ -647,7 +515,6 @@ impl<T> Registry<T> {
             pending: GarbageStack::new(),
             free: GarbageStack::new(),
             pools: SlotVec::new(),
-            retired_since_reprobe: AtomicUsize::new(0),
             sweeping: AtomicU64::new(0),
             _owns: PhantomData,
         }
@@ -763,28 +630,25 @@ impl<T> Registry<T> {
         PoolNode::value_ptr(PoolNode::new_boxed(value))
     }
 
-    /// Retires a node: it will be freed (recycled) after the epoch grace
-    /// period, once its [`Reclaim::ready_to_reclaim`] gate opens. Performs
-    /// **no allocation**: the node is threaded onto the calling thread's
-    /// retire bag through its intrusive header, and bags flush to the
-    /// thread's FIFO in batches (on overflow and at sweeps).
+    /// Retires a node: it is freed (recycled) once the epoch grace period
+    /// has passed over it. Performs **no allocation**: the node is
+    /// threaded onto the calling thread's retire bag through its intrusive
+    /// header, and bags flush to the thread's FIFO in batches (on overflow
+    /// and at sweeps).
     ///
     /// # Safety
     ///
     /// * `ptr` came from [`Registry::alloc`] on this registry and is retired
     ///   at most once, and never also passed to [`Registry::dealloc`].
-    /// * The node is already unlinked: no thread that pins *after* this call
-    ///   can reach `ptr` through shared memory, except transiently through
-    ///   helper re-publication windows opened by threads pinned *before* it
-    ///   (the grace period absorbs those), or through long-lived fields whose
-    ///   holders keep `ready_to_reclaim` returning `false`.
+    /// * The node is garbage: no thread that pins *after* this call can
+    ///   reach `ptr` through shared memory, except transiently through
+    ///   re-publications that threads pinned *before* it make and withdraw
+    ///   while still pinned (the grace period absorbs those; see
+    ///   [`crate::epoch`]).
     /// * `guard` pins the registry's domain (callers are necessarily pinned:
-    ///   they just unlinked the node from shared memory).
+    ///   they just released the node's last hold).
     #[inline]
-    pub unsafe fn retire(&self, ptr: *mut T, guard: &Guard<'_>)
-    where
-        T: Reclaim,
-    {
+    pub unsafe fn retire(&self, ptr: *mut T, guard: &Guard<'_>) {
         debug_assert!(
             core::ptr::eq(guard.domain(), self.domain()),
             "guard pins a different epoch domain than the registry's"
@@ -793,6 +657,7 @@ impl<T> Registry<T> {
         unsafe { (*node).next.set(core::ptr::null_mut()) };
         if let Some(pool) = self.pool(true) {
             let tail = pool.bag_tail.get();
+            debug_assert_ne!(tail, node, "a node retired twice");
             if tail.is_null() {
                 pool.bag_head.set(node);
             } else {
@@ -806,11 +671,10 @@ impl<T> Registry<T> {
             }
         } else {
             // No pool (thread teardown, or a sweep is stealing the one a
-            // past tenure left): park in `pending`, whose re-probe stamps
-            // the node onto a sweeper's FIFO (still no allocation — the
-            // header is intrusive either way).
+            // past tenure left): the shared inbox, which the next exclusive
+            // sweep drains (still no allocation — the header is intrusive
+            // either way).
             self.pending.push(node);
-            self.retired_since_reprobe.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -834,68 +698,39 @@ impl<T> Registry<T> {
     // Sweeping
     // ------------------------------------------------------------------
 
-    /// Flushes `pool`'s retire bag, splitting by the readiness gate:
-    /// gate-open nodes join the tail of `pool`'s FIFO, stamped with a
-    /// **fresh epoch read taken after the probes** (module docs: a
-    /// reader pinned since the retirement may have captured the pointer
-    /// just before its gate opened); closed ones park in `pending`.
+    /// Stamps the chain `first` of retired nodes with one fresh epoch read
+    /// and appends it to `pool`'s FIFO; returns the chain's length.
     ///
-    /// # Safety expectations
+    /// # Safety
     ///
-    /// The caller owns `pool`'s `Cell`s. Panic-safe: a panicking probe
-    /// sends every unprocessed node to `pending`, whose re-probe restamps.
-    fn flush_bag(&self, pool: &LocalPool<T>)
-    where
-        T: Reclaim,
-    {
-        let chain = pool.bag_head.get();
-        if chain.is_null() {
-            return;
-        }
-        pool.bag_head.set(core::ptr::null_mut());
-        pool.bag_tail.set(core::ptr::null_mut());
-        pool.bag_len.set(0);
-        let flush = FlushGuard {
-            reg: self,
-            rest: Cell::new(chain),
-            ready: Cell::new(core::ptr::null_mut()),
-            deferred: Cell::new(core::ptr::null_mut()),
-        };
-        let mut probed = 0usize;
-        loop {
-            let cur = flush.rest.get();
-            if cur.is_null() {
-                break;
-            }
-            // The probe runs user code; detach `cur` only after it returns
-            // so a panic leaves the node on the re-routed remainder.
-            let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
-            probed += 1;
-            flush.rest.set(unsafe { (*cur).next.get() });
-            let dst = if ready { &flush.ready } else { &flush.deferred };
-            unsafe { (*cur).next.set(dst.get()) };
-            dst.set(cur);
-        }
-        // Fresh stamp *after* every gate probe above (see the module docs).
+    /// The caller owns `pool`'s `Cell`s and holds the chain exclusively, and
+    /// every node on it was retired before this call (module docs).
+    unsafe fn append_stamped(&self, pool: &LocalPool<T>, first: *mut PoolNode<T>) -> usize {
         let stamp = self.domain().epoch();
-        let ready = flush.ready.replace(core::ptr::null_mut());
-        let (mut batch, mut tail, mut cur) = (0usize, ready, ready);
+        let (mut n, mut last, mut cur) = (0usize, first, first);
         while !cur.is_null() {
             unsafe { (*cur).epoch.set(stamp) };
-            tail = cur;
+            last = cur;
             cur = unsafe { (*cur).next.get() };
-            batch += 1;
+            n += 1;
         }
-        if batch > 0 {
-            // Safety: the caller owns the pool; the batch left the bag.
-            unsafe { pool.append(ready, tail, batch) };
+        if n > 0 {
+            unsafe { pool.append(first, last, n) };
         }
-        self.pending
-            .push_chain(flush.deferred.replace(core::ptr::null_mut()));
-        // `flush` drops with empty cells: nothing to re-route.
-        self.retired_since_reprobe
-            .fetch_add(probed, Ordering::Relaxed);
-        telemetry::add(Counter::GateProbes, probed as u64);
+        n
+    }
+
+    /// Flushes `pool`'s retire bag to the tail of its FIFO, stamped after
+    /// every retirement in it. The caller owns `pool`'s `Cell`s.
+    fn flush_bag(&self, pool: &LocalPool<T>) {
+        let first = pool.bag_head.replace(core::ptr::null_mut());
+        if first.is_null() {
+            return;
+        }
+        pool.bag_tail.set(core::ptr::null_mut());
+        pool.bag_len.set(0);
+        // Safety: the caller owns the pool; the chain left the bag.
+        let batch = unsafe { self.append_stamped(pool, first) };
         // One flight event per flushed batch (not per retire: a per-retire
         // event would both flood the 128-entry ring and put a globally
         // contended sequence fetch on the update hot path).
@@ -906,10 +741,7 @@ impl<T> Registry<T> {
     /// garbage keeps aging and their free stock returns to circulation:
     /// each one's bag is flushed, the expired front of its FIFO freed
     /// against `global`, and the rest appended to `own`'s FIFO.
-    fn steal_ended_pools(&self, own: &LocalPool<T>, global: u64)
-    where
-        T: Reclaim,
-    {
+    fn steal_ended_pools(&self, own: &LocalPool<T>, global: u64) {
         for (index, pool) in self.pools.iter() {
             // An odd owner other than the index's current tenure has ended:
             // tenures only move on. The sweeper's read of the counter pairs
@@ -924,7 +756,7 @@ impl<T> Registry<T> {
             {
                 continue;
             }
-            // A gate probe that panics mid-steal leaves the ended tenure in
+            // A node `Drop` that panics mid-steal leaves the ended tenure in
             // place, so a later sweep steals the rest.
             let mut restore = StoreOnDrop(&pool.owner, owner);
             self.flush_bag(pool);
@@ -952,24 +784,21 @@ impl<T> Registry<T> {
         }
     }
 
-    /// Pops the expired front of `pool`'s FIFO: each node whose stamp is
-    /// at least `GRACE_EPOCHS` behind `global` is re-probed, then recycled
-    /// into `pool`'s free list if its gate is open, or parked in `pending`
-    /// if it closed again. Stops at the first node that has not expired.
+    /// Frees the expired front of `pool`'s FIFO: drops the value of each
+    /// node whose stamp is at least `GRACE_EPOCHS` behind `global` and
+    /// recycles the node into `pool`'s free list. Stops at the first node
+    /// that has not expired.
     ///
     /// # Safety expectations
     ///
     /// The caller owns `pool`'s `Cell`s, so every FIFO node is its alone.
-    /// Panic-safe: a panicking probe leaves its node at the front.
-    fn expire(&self, pool: &LocalPool<T>, global: u64)
-    where
-        T: Reclaim,
-    {
+    /// Panic-safe: see [`Expiry`].
+    fn expire(&self, pool: &LocalPool<T>, global: u64) {
         let mut pass = Expiry {
             reg: self,
             pool,
             popped: 0,
-            reclaimed: 0,
+            dropping: core::ptr::null_mut(),
         };
         loop {
             let cur = pool.fifo_head.get();
@@ -978,72 +807,32 @@ impl<T> Registry<T> {
             if cur.is_null() || unsafe { (*cur).epoch.get() } + GRACE_EPOCHS > global {
                 break;
             }
-            // The readiness re-check matters: a thread pinned since before
-            // the retirement may have taken a new long-lived reference
-            // (e.g. a `target` edge) while the node aged.
-            let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
             let next = unsafe { (*cur).next.replace(core::ptr::null_mut()) };
             pool.fifo_head.set(next);
             if next.is_null() {
                 pool.fifo_tail.set(core::ptr::null_mut());
             }
             pass.popped += 1;
-            if ready {
-                let vp = PoolNode::value_ptr(cur);
-                unsafe { (*vp).on_reclaim() };
-                unsafe { core::ptr::drop_in_place(vp) };
-                pass.reclaimed += 1;
-                // The emptied slot goes back into circulation instead of
-                // to the allocator — the whole point of the pools.
-                unsafe { self.recycle_node(cur, Some(pool)) };
-            } else {
-                self.pending.push(cur);
-            }
+            pass.dropping = cur;
+            unsafe { core::ptr::drop_in_place(PoolNode::value_ptr(cur)) };
+            pass.dropping = core::ptr::null_mut();
+            // The emptied slot goes back into circulation instead of to the
+            // allocator — the whole point of the pools.
+            unsafe { self.recycle_node(cur, Some(pool)) };
         }
     }
 
-    /// One garbage sweep: flushes the caller's retire bag, steals the pools
-    /// of ended tenures, tries to advance the epoch, re-examines deferred
-    /// nodes once the retirements since their last re-probe reach half
-    /// their number (module docs), and recycles the caller's FIFO garbage
-    /// whose grace period elapsed and whose readiness gate is (still)
-    /// open. Lock-free; a concurrent caller skips the steals and the
-    /// re-probe.
-    pub fn collect(&self)
-    where
-        T: Reclaim,
-    {
-        self.sweep(false);
-    }
-
-    /// Runs enough quiescent sweeps to age out everything retired so far
-    /// (assuming no concurrent pins) that the calling thread can reach:
-    /// its own garbage, `pending`, and the garbage of exited threads, but
-    /// not another live thread's bag or FIFO (module docs). Each of them
-    /// re-probes every deferred node, so a gate that opened is seen
-    /// without waiting for retirements to pay for the re-probe. Tests and
-    /// teardown paths use this to observe the steady-state footprint.
-    pub fn flush(&self)
-    where
-        T: Reclaim,
-    {
-        crate::fault::point(crate::fault::FaultPoint::RegistrySweep);
-        for _ in 0..(2 * GRACE_EPOCHS as usize + 2) {
-            self.sweep(true);
-        }
-    }
-
-    /// The sweep behind [`Registry::collect`] and [`Registry::flush`];
-    /// `reprobe_all` re-probes `pending` whatever was retired.
-    fn sweep(&self, reprobe_all: bool)
-    where
-        T: Reclaim,
-    {
+    /// One garbage sweep: flushes the caller's retire bag, tries to advance
+    /// the epoch, steals the pools of ended tenures and drains `pending`
+    /// into the caller's FIFO, and frees the caller's FIFO garbage whose
+    /// grace period elapsed. Lock-free; a concurrent caller skips the steals
+    /// and the drain.
+    pub fn collect(&self) {
         // Non-fatal: collect() is reachable from retire-bag overflow inside
         // an operation pipeline, where an unwind would strand the bag.
         crate::fault::point_nonfatal(crate::fault::FaultPoint::RegistryCollect);
-        // The sweep frees and restamps into the caller's own pool; a thread
-        // whose slot is gone (thread exit) leaves sweeping to others.
+        // The sweep frees into the caller's own pool; a thread whose slot
+        // is gone (thread exit) leaves sweeping to others.
         let Some(own) = self.pool(true) else {
             return;
         };
@@ -1058,10 +847,9 @@ impl<T> Registry<T> {
         let started = timed.then(std::time::Instant::now);
         let _t = telemetry::trace::phase(telemetry::trace::TracePhase::Reclaim);
         // Batch the caller's buffered retires in before advancing, so this
-        // sweep already ages them. Only the steals and the `pending`
-        // re-probe need `sweeping`; everything below runs user code
-        // (`Reclaim` hooks, node `Drop`s), so its guard clears it on every
-        // exit path, panics included.
+        // sweep already ages them. Only the steals and the `pending` drain
+        // need `sweeping`; everything below runs user code (node `Drop`s),
+        // so its guard clears it on every exit path, panics included.
         self.flush_bag(own);
         let exclusive = self.sweeping.swap(1, Ordering::SeqCst) == 0;
         let _sweeping = exclusive.then(|| StoreOnDrop(&self.sweeping, 0));
@@ -1077,49 +865,33 @@ impl<T> Registry<T> {
             }
             global = next;
         }
-        // Ended tenures' garbage joins this sweeper's FIFO, after the
-        // advance so that what has already expired is freed on the way.
         if exclusive {
+            // Ended tenures' garbage joins this sweeper's FIFO, after the
+            // advance so that what has already expired is freed on the way.
             self.steal_ended_pools(own, global);
-        }
-        // Deferred nodes whose gate opened join the sweeper's FIFO. Their
-        // number is set by the gates (≤ one DEL per occupied dNodePtr
-        // slot, live `target` edges, in-flight operations), not by the
-        // garbage, so they are re-probed only once the retirements since
-        // the last re-probe reach half of them: each re-probe is paid for
-        // by the retirements, at most two probes each (module docs). Only
-        // the sweeper subtracts, and only what it read, so the count never
-        // underflows.
-        let retired = self.retired_since_reprobe.load(Ordering::Relaxed);
-        if exclusive && (reprobe_all || 2 * retired >= self.pending.depth()) {
-            self.retired_since_reprobe
-                .fetch_sub(retired, Ordering::Relaxed);
-            for (cur, ready) in Drain::new(&self.pending) {
-                if ready {
-                    // Restamp with a fresh epoch read taken *after* the gate
-                    // opened. The sweeper holds no pin, so the global epoch
-                    // can run ahead of the `global` snapshot while this loop
-                    // runs: a reader pinned at epoch E may have captured the
-                    // gated pointer just before the gate opened, and
-                    // stamping with the stale snapshot (possibly ≤ E − 2)
-                    // would free the node while that reader still
-                    // dereferences it. The capture happened before the
-                    // gate-opening store this probe observed, so the
-                    // reader's pin precedes this read and the fresh stamp is
-                    // ≥ E — the reader now blocks the advance to
-                    // `stamp + GRACE` until it unpins.
-                    unsafe { (*cur).epoch.set(self.domain().epoch()) };
-                    // Safety: `own` is the sweeper's; `cur` left `pending`.
-                    unsafe { own.append(cur, cur, 1) };
-                } else {
-                    self.pending.push(cur);
-                }
+            // So do the retires of threads with no pool.
+            if self.pending.depth() > 0 {
+                // Safety: `own` is the sweeper's; the chain left `pending`.
+                let drained = unsafe { self.append_stamped(own, self.pending.take_all()) };
+                self.pending.settle(drained);
             }
         }
         self.expire(own, global);
         if let Some(started) = started {
             let ns = started.elapsed().as_nanos() as u64;
             telemetry::add(Counter::SweepNs, ns * SWEEP_SAMPLE);
+        }
+    }
+
+    /// Runs enough quiescent sweeps to age out everything retired so far
+    /// (assuming no concurrent pins) that the calling thread can reach:
+    /// its own garbage, `pending`, and the garbage of exited threads, but
+    /// not another live thread's bag or FIFO (module docs). Tests and
+    /// teardown paths use this to observe the steady-state footprint.
+    pub fn flush(&self) {
+        crate::fault::point(crate::fault::FaultPoint::RegistrySweep);
+        for _ in 0..(2 * GRACE_EPOCHS as usize + 2) {
+            self.collect();
         }
     }
 
@@ -1168,11 +940,11 @@ impl<T> Registry<T> {
     }
 
     /// Samples this registry's reclamation health gauges for the telemetry
-    /// snapshot: garbage depths (limbo = gate-open garbage aging out its
-    /// grace period in the pools' FIFOs, pending = garbage retired with a
-    /// closed gate, or opened since the last re-probe), pool occupancy, and
-    /// the lifetime allocation counters. `label` names the registry in
-    /// reports (e.g. `"preds"`).
+    /// snapshot: garbage depths (limbo = garbage aging out its grace period
+    /// in the pools' FIFOs, pending = retires of threads with no pool that
+    /// no sweep has drained yet), pool occupancy, and the lifetime
+    /// allocation counters. `label` names the registry in reports (e.g.
+    /// `"preds"`).
     ///
     /// Everything is Relaxed-loaded and approximate under concurrency, but
     /// exact at quiescence — a parked epoch shows up as a growing `limbo`
@@ -1233,8 +1005,8 @@ impl<T> Drop for Registry<T> {
         // Bulk teardown. `&mut self` guarantees no thread is mid-operation
         // on this registry, so the pools' `Cell` chains are safe to empty
         // whoever owns them; the pools themselves go with `self.pools`.
-        // Hooks are skipped: peers they would touch may already have been
-        // freed by the owning structure's own Drop.
+        // The owning structure's own Drop has freed the nodes it still
+        // held; every node here was retired, so none of those is here.
         unsafe fn free_garbage_chain<T>(reg: &Registry<T>, mut cur: *mut PoolNode<T>) {
             while !cur.is_null() {
                 let next = unsafe { (*cur).next.get() };
@@ -1286,7 +1058,6 @@ mod tests {
     use std::sync::Arc;
 
     struct CountsDrops(Arc<StdAtomicUsize>);
-    impl Reclaim for CountsDrops {}
     impl Drop for CountsDrops {
         fn drop(&mut self) {
             self.0.fetch_add(1, StdOrdering::SeqCst);
@@ -1381,186 +1152,43 @@ mod tests {
         unsafe { reg.dealloc(r) };
     }
 
-    struct Gated {
-        open: Arc<AtomicBool>,
-    }
-    impl Reclaim for Gated {
-        fn ready_to_reclaim(&self) -> bool {
-            self.open.load(Ordering::SeqCst)
-        }
-    }
-
-    #[test]
-    fn deferred_nodes_wait_for_their_gate() {
-        let domain = Arc::new(Domain::new());
-        let handle = domain.register();
-        let reg: Registry<Gated> = Registry::new_in(Arc::clone(&domain));
-        let open = Arc::new(AtomicBool::new(false));
-        let p = reg.alloc(Gated {
-            open: Arc::clone(&open),
-        });
-        let g = handle.pin();
-        unsafe { reg.retire(p, &g) };
-        drop(g);
-
-        reg.flush();
-        assert_eq!(reg.live(), 1, "gate closed: node must survive any sweep");
-        open.store(true, Ordering::SeqCst);
-        reg.flush();
-        assert_eq!(reg.live(), 0);
-    }
-
     #[test]
     fn depth_gauges_are_exact_at_quiescence() {
         // The limbo/pending/free-stock gauges are counters settled by each
         // consumer, not walks: check them exactly at every hand-off.
-        const UNGATED: usize = 100;
-        const GATED: usize = 60;
+        const N: usize = 160;
         let domain = Arc::new(Domain::new());
         let handle = domain.register();
-        let reg: Registry<Gated> = Registry::new_in(Arc::clone(&domain));
-        let always = Arc::new(AtomicBool::new(true));
-        let gate = Arc::new(AtomicBool::new(false));
-        let alloc = |open: &Arc<AtomicBool>| {
-            reg.alloc(Gated {
-                open: Arc::clone(open),
-            })
-        };
+        let drops = Arc::new(StdAtomicUsize::new(0));
+        let reg: Registry<CountsDrops> = Registry::new_in(Arc::clone(&domain));
+        let alloc = || reg.alloc(CountsDrops(Arc::clone(&drops)));
         let gauges = || {
-            let h = reg.health("gated");
+            let h = reg.health("gauges");
             (h.limbo, h.pending, h.free_stock)
         };
-        let nodes: Vec<_> = (0..UNGATED + GATED)
-            .map(|i| alloc(if i < UNGATED { &always } else { &gate }))
-            .collect();
+        let nodes: Vec<_> = (0..N).map(|_| alloc()).collect();
         let g = handle.pin(); // nothing ages out while the batch retires
         for p in nodes {
             unsafe { reg.retire(p, &g) };
         }
+        // Every full bag flushed into the FIFO, where the pin keeps it.
+        assert_eq!(gauges(), (N, 0, 0));
         drop(g);
-
-        // Ungated nodes age out: the sweeper's free list takes the first
-        // LOCAL_FREE_CAP, the shared stock the rest; gated ones wait.
+        // They age out: the sweeper's free list takes the first
+        // LOCAL_FREE_CAP, the shared stock the rest.
         reg.flush();
-        assert_eq!(gauges(), (0, GATED, UNGATED - LOCAL_FREE_CAP));
-        // The gate opens. A sweep re-probes `pending` once GATED / 2
-        // retirements have paid for it: retire that many ungated nodes
-        // from the sweeper's free list, then sweep. It moves the gated
-        // nodes pending → limbo with a fresh stamp, too young to free yet,
-        // and ages the ungated ones back into the free list.
-        gate.store(true, Ordering::SeqCst);
-        let half: Vec<_> = (0..GATED / 2).map(|_| alloc(&always)).collect();
-        for p in half {
-            let g = handle.pin();
-            unsafe { reg.retire(p, &g) };
-            drop(g);
-        }
-        reg.collect();
-        assert_eq!(gauges(), (GATED, 0, UNGATED - LOCAL_FREE_CAP));
-        // They age out limbo → free stock (the local list is full).
-        reg.flush();
-        let stock = UNGATED + GATED - LOCAL_FREE_CAP;
+        let stock = N - LOCAL_FREE_CAP;
         assert!(stock > LOCAL_FREE_CAP + 1);
         assert_eq!(gauges(), (0, 0, stock));
         // Empty the local free list; the next allocation refills it from
         // the stock, keeping one node plus LOCAL_FREE_CAP and re-attaching
         // the remainder.
-        let again: Vec<_> = (0..=LOCAL_FREE_CAP).map(|_| alloc(&always)).collect();
-        assert_eq!(reg.allocated(), UNGATED + GATED, "served from the pools");
+        let again: Vec<_> = (0..=LOCAL_FREE_CAP).map(|_| alloc()).collect();
+        assert_eq!(reg.allocated(), N, "served from the pools");
         assert_eq!(gauges(), (0, 0, stock - LOCAL_FREE_CAP - 1));
         for p in again {
             unsafe { reg.dealloc(p) };
         }
-    }
-
-    /// A gated payload that counts its readiness probes.
-    struct CountedGate {
-        open: Arc<AtomicBool>,
-        probes: Arc<StdAtomicUsize>,
-    }
-    impl Reclaim for CountedGate {
-        fn ready_to_reclaim(&self) -> bool {
-            self.probes.fetch_add(1, StdOrdering::SeqCst);
-            self.open.load(Ordering::SeqCst)
-        }
-    }
-
-    #[test]
-    fn reprobes_of_gated_garbage_are_paid_for_by_retirements() {
-        // G nodes park behind a closed gate, as the trie's DEL nodes do in
-        // dNodePtr slots. Re-probing them on every sweep would cost G
-        // probes per bag, about G·R/BAG_CAP over R retirements (here
-        // 262 144). Each re-probe must instead be paid for by G/2
-        // retirements: at most 2R + 2G probes (here 17 408).
-        const G: usize = 512;
-        const R: usize = 8192;
-        let domain = Arc::new(Domain::new());
-        let handle = domain.register();
-        let reg: Registry<CountedGate> = Registry::new_in(Arc::clone(&domain));
-        let gated_probes = Arc::new(StdAtomicUsize::new(0));
-        let other_probes = Arc::new(StdAtomicUsize::new(0));
-        let always = Arc::new(AtomicBool::new(true));
-        // Each full bag flushes and sweeps inside `retire`.
-        let retire = |open: &Arc<AtomicBool>, probes: &Arc<StdAtomicUsize>| {
-            let p = reg.alloc(CountedGate {
-                open: Arc::clone(open),
-                probes: Arc::clone(probes),
-            });
-            let g = handle.pin();
-            unsafe { reg.retire(p, &g) };
-        };
-        let pending = || reg.health("gated").pending;
-        let recorded_from = telemetry::thread_counters();
-
-        let gate = Arc::new(AtomicBool::new(false));
-        for _ in 0..G {
-            retire(&gate, &gated_probes);
-        }
-        let before = gated_probes.load(StdOrdering::SeqCst);
-        for _ in 0..R {
-            retire(&always, &other_probes);
-        }
-        let probes = gated_probes.load(StdOrdering::SeqCst) - before;
-        assert!(
-            probes <= 2 * R + 2 * G,
-            "{probes} probes of {G} gated nodes over {R} retirements"
-        );
-        // This thread made every probe, and the telemetry plane counted
-        // each one; it timed its first sweep at least.
-        let recorded = telemetry::thread_counters() - recorded_from;
-        let all = gated_probes.load(StdOrdering::SeqCst) + other_probes.load(StdOrdering::SeqCst);
-        assert_eq!(recorded.get(Counter::GateProbes), all as u64);
-        assert!(recorded.get(Counter::SweepNs) > 0);
-        assert_eq!(pending(), G, "a closed gate keeps every node parked");
-
-        // Once the gate opens, the retirements that pay for the next
-        // re-probe move the nodes to limbo.
-        gate.store(true, Ordering::SeqCst);
-        let mut waited = 0;
-        while pending() > 0 {
-            retire(&always, &other_probes);
-            waited += 1;
-            assert!(
-                waited <= G.div_ceil(2) + BAG_CAP,
-                "opened nodes still pending after {waited} retirements"
-            );
-        }
-
-        // A plain sweep leaves a gate that opened without retirements
-        // unseen; `flush` re-probes on every sweep and empties everything.
-        let late = Arc::new(AtomicBool::new(false));
-        for _ in 0..G {
-            retire(&late, &gated_probes);
-        }
-        reg.flush();
-        assert_eq!((reg.live(), pending()), (G, G));
-        late.store(true, Ordering::SeqCst);
-        reg.collect();
-        assert_eq!(pending(), G, "no retirement paid for this re-probe");
-        reg.flush();
-        assert_eq!(reg.live(), 0);
-        let h = reg.health("gated");
-        assert_eq!((h.limbo, h.pending), (0, 0));
     }
 
     #[test]
@@ -1568,37 +1196,29 @@ mod tests {
         // A pin held across three bags keeps every stamp within one advance
         // of the epoch, so nothing in the FIFO expires. The sweeps inside
         // `retire`, and one more after, must stop at the FIFO's first node:
-        // no node freed, and no probe beyond each node's flush probe.
+        // no value is dropped until the pin goes.
         const N: usize = 3 * BAG_CAP;
         let domain = Arc::new(Domain::new());
         let handle = domain.register();
-        let reg: Registry<CountedGate> = Registry::new_in(Arc::clone(&domain));
-        let open = Arc::new(AtomicBool::new(true));
-        let probes = Arc::new(StdAtomicUsize::new(0));
+        let reg: Registry<CountsDrops> = Registry::new_in(Arc::clone(&domain));
+        let drops = Arc::new(StdAtomicUsize::new(0));
         let g = handle.pin();
         for _ in 0..N {
-            let p = reg.alloc(CountedGate {
-                open: Arc::clone(&open),
-                probes: Arc::clone(&probes),
-            });
+            let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
             unsafe { reg.retire(p, &g) };
         }
         reg.collect();
         assert_eq!(reg.live(), N, "nothing expires under the pin");
         assert_eq!(
-            probes.load(StdOrdering::SeqCst),
-            N,
-            "a sweep probed garbage that had not expired"
+            drops.load(StdOrdering::SeqCst),
+            0,
+            "a sweep dropped garbage that had not expired"
         );
         assert_eq!(reg.health("fifo").limbo, N);
         drop(g);
         reg.flush();
         assert_eq!(reg.live(), 0);
-        assert_eq!(
-            probes.load(StdOrdering::SeqCst),
-            2 * N,
-            "one flush probe and one expiry probe per node"
-        );
+        assert_eq!(drops.load(StdOrdering::SeqCst), N);
         assert_eq!(reg.health("fifo").limbo, 0);
     }
 
@@ -1734,128 +1354,59 @@ mod tests {
     }
 
     #[test]
-    fn bag_flush_stamps_after_gate_probe() {
-        // Regression for the bag flavour of the restamp-soundness bug: a
-        // gated node can sit in a retire bag for many epochs; when the gate
-        // finally opens, a reader pinned at the *current* epoch may have
-        // captured the pointer just before the gate-opening store. A flush
-        // that forwarded the retire-time stamp would free the node under
-        // that reader (its pin does not block `retire_stamp + GRACE`); the
-        // flush must stamp with a fresh read taken after the probe.
+    fn a_retire_without_a_pool_lands_in_pending_and_leaves_it_on_the_next_sweep() {
+        // A thread with no pool retires into the shared inbox: here a sweep
+        // is still stealing the pool a past tenure left at the thread's slot
+        // index (thread teardown is the other case). The next exclusive
+        // sweep stamps the node onto its own FIFO, and it ages out there.
         let domain = Arc::new(Domain::new());
         let handle = domain.register();
-        let reg: Registry<Gated> = Registry::new_in(Arc::clone(&domain));
-        let open = Arc::new(AtomicBool::new(false));
-        let p = reg.alloc(Gated {
-            open: Arc::clone(&open),
-        });
+        let drops = Arc::new(StdAtomicUsize::new(0));
+        let reg: Registry<CountsDrops> = Registry::new_in(Arc::clone(&domain));
+        let pool = reg
+            .pools
+            .get(slots::current().expect("a live thread has a slot").index);
+        pool.owner.store(STEALING, Ordering::SeqCst);
+        let p = reg.alloc(CountsDrops(Arc::clone(&drops)));
         let g = handle.pin();
-        unsafe { reg.retire(p, &g) }; // bagged with the epoch-0 stamp
+        unsafe { reg.retire(p, &g) };
         drop(g);
-        for _ in 0..4 {
-            domain.try_advance();
-        }
-        let reader = domain.register();
-        let reader_guard = reader.pin(); // "captured the pointer" at epoch 4
-        open.store(true, Ordering::SeqCst);
-        reg.flush(); // flushes the bag; a stale stamp would free here
+        let h = reg.health("inbox");
+        assert_eq!((h.pending, h.limbo, h.live), (1, 0, 1));
+        pool.owner.store(UNOWNED, Ordering::SeqCst); // the steal is over
+        let g = handle.pin(); // keeps the drained node young
+        reg.collect();
+        let h = reg.health("inbox");
         assert_eq!(
-            reg.live(),
-            1,
-            "a retire-time stamp frees the node under the reader's pin"
+            (h.pending, h.limbo, h.live),
+            (0, 1, 1),
+            "the sweep must drain the inbox into its own FIFO"
         );
-        drop(reader_guard);
+        drop(g);
         reg.flush();
+        assert_eq!(drops.load(StdOrdering::SeqCst), 1);
         assert_eq!(reg.live(), 0);
     }
 
-    /// A gated node whose `ready_to_reclaim`, on its first open-gate call,
-    /// simulates the race from the restamp soundness argument: the global
-    /// epoch advances (other threads' amortized `try_advance`) and a reader
-    /// pins at the *new* epoch, having captured the gated pointer just
-    /// before the gate opened.
-    struct CapturingGate {
-        open: Arc<AtomicBool>,
-        domain: &'static Domain,
-        armed: core::cell::Cell<bool>,
-        reader: std::rc::Rc<std::cell::RefCell<Option<Guard<'static>>>>,
-    }
-    impl Reclaim for CapturingGate {
-        fn ready_to_reclaim(&self) -> bool {
-            if !self.open.load(Ordering::SeqCst) {
-                return false;
-            }
-            if self.armed.get() {
-                self.armed.set(false);
-                self.domain.try_advance();
-                self.domain.try_advance();
-                // The guard co-owns the participant entry, so it keeps the
-                // pin alive after the handle drops.
-                let h = self.domain.register();
-                *self.reader.borrow_mut() = Some(h.pin());
-            }
-            true
-        }
-    }
-
-    #[test]
-    fn restamp_after_gate_opens_uses_fresh_epoch() {
-        // Regression: neither the bag flush nor the pending→limbo transfer
-        // may reuse an epoch snapshot taken before the gate probe. The
-        // sweeper holds no pin, so the global epoch can run ahead
-        // mid-drain; a reader pinned at the new epoch that captured the
-        // gated pointer just before the gate opened would not block a
-        // stale stamp's grace period — use-after-free.
-        // The hook keeps a `'static` guard, so this domain is leaked.
-        let shared: &'static Arc<Domain> = Box::leak(Box::new(Arc::new(Domain::new())));
-        let domain: &'static Domain = shared;
-        let handle = domain.register();
-        let reg: Registry<CapturingGate> = Registry::new_in(Arc::clone(shared));
-        let open = Arc::new(AtomicBool::new(false));
-        let reader = std::rc::Rc::new(std::cell::RefCell::new(None));
-        let p = reg.alloc(CapturingGate {
-            open: Arc::clone(&open),
-            domain,
-            armed: core::cell::Cell::new(true),
-            reader: std::rc::Rc::clone(&reader),
-        });
-        let g = handle.pin();
-        unsafe { reg.retire(p, &g) }; // gate closed → bagged
-        drop(g);
-
-        open.store(true, Ordering::SeqCst);
-        reg.collect(); // flush probes the gate: epoch advances, reader pins
-        assert!(reader.borrow().is_some(), "hook must have pinned a reader");
-        reg.flush();
-        assert_eq!(
-            reg.live(),
-            1,
-            "a stale restamp frees the node under the reader's pin"
-        );
-        reader.borrow_mut().take(); // reader unpins
-        reg.flush();
-        assert_eq!(reg.live(), 0);
-    }
-
+    /// A payload whose `Drop` panics once armed: a node's `Drop` is the
+    /// user code that sweeps and steals still run.
     struct PanicOnce {
         armed: Arc<AtomicBool>,
     }
-    impl Reclaim for PanicOnce {
-        fn ready_to_reclaim(&self) -> bool {
+    impl Drop for PanicOnce {
+        fn drop(&mut self) {
             if self.armed.swap(false, Ordering::SeqCst) {
-                panic!("reclaim hook panicked");
+                panic!("node drop panicked");
             }
-            true
         }
     }
 
     #[test]
     fn panicking_hook_neither_wedges_nor_leaks_the_sweeper() {
-        // Regression: a panic in a user hook mid-sweep must clear `sweeping`
-        // and re-route the unexamined chain remainder — not disable
-        // reclamation on the registry forever and leak the backlog. With
-        // retire bags the panic now fires inside the bag flush, whose guard
-        // re-routes everything to `pending`.
+        // Regression: a node `Drop` that panics mid-sweep must clear
+        // `sweeping`, settle the FIFO's length and keep the rest of the
+        // FIFO — not disable the steals and the `pending` drain on the
+        // registry forever, or lose the backlog.
         let domain = Arc::new(Domain::new());
         let handle = domain.register();
         let reg: Registry<PanicOnce> = Registry::new_in(Arc::clone(&domain));
@@ -1869,51 +1420,53 @@ mod tests {
             unsafe { reg.retire(p, &g) };
         }
         drop(g);
-        // Arm the middle of the (FIFO) bag, so the flush probes one node,
-        // panics on the second, and must hand the rest back.
+        // Arm the middle of the FIFO, so the sweep drops one value, panics
+        // on the second, and must keep the third.
         flags[1].store(true, Ordering::SeqCst);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.collect()));
-        assert!(result.is_err(), "the hook panic must propagate");
-        assert_eq!(reg.live(), 3, "nothing may leak across the panic");
-        // The flush guard routed all three to `pending`. Panic again inside
-        // the pending drain (node 0, probed first, moves to limbo), then
-        // inside the limbo drain: each drain re-attaches its remainder and
-        // settles its depth gauge exactly. `flush` drives the drains: its
-        // first sweep re-probes `pending` although nothing was retired.
-        let gauges = || {
-            let h = reg.health("panicky");
-            (h.limbo, h.pending)
-        };
-        assert_eq!(gauges(), (0, 3));
-        for (armed, after) in [(1, (1, 2)), (0, (3, 0))] {
-            flags[armed].store(true, Ordering::SeqCst);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.flush()));
-            assert!(result.is_err(), "the drain panic must propagate");
-            assert_eq!(gauges(), after);
-            assert_eq!(reg.live(), 3, "nothing may leak across the panic");
-        }
-        // `sweeping` is clear and the chains are back: once the hook stops
-        // panicking, everything still ages out, and the gauges agree.
+        assert!(result.is_err(), "the drop panic must propagate");
+        assert_eq!(reg.sweeping.load(Ordering::SeqCst), 0, "`sweeping` stuck");
+        let h = reg.health("panicky");
+        assert_eq!((h.limbo, h.pending, h.live), (1, 0, 1));
+        assert_eq!(
+            reg.reclaimed(),
+            2,
+            "a value whose Drop panicked is destroyed all the same"
+        );
+        // Once the drops stop panicking, the rest still ages out, and the
+        // panicked value's node went back into the pool with the others.
         reg.flush();
-        assert_eq!(reg.reclaimed(), 3);
         assert_eq!(reg.live(), 0);
-        assert_eq!(gauges(), (0, 0));
+        assert_eq!(reg.health("panicky").limbo, 0);
+        let again: Vec<_> = (0..3)
+            .map(|_| {
+                reg.alloc(PanicOnce {
+                    armed: Arc::new(AtomicBool::new(false)),
+                })
+            })
+            .collect();
+        assert_eq!((reg.allocated(), reg.recycled()), (3, 3));
+        for p in again {
+            unsafe { reg.dealloc(p) };
+        }
     }
 
     #[test]
     fn panicking_probe_during_steal_releases_the_pool_claim() {
-        // Regression: stealing the pool of an ended tenure probes user
-        // gates inside the bag flush; a panic there must put the ended
-        // tenure back, so a later sweep steals the rest. A pool left marked
-        // as being stolen, or reset to unowned, would strand its free stock
-        // until registry drop or the index's next tenure.
-        let reg: Arc<Registry<PanicOnce>> = Arc::new(Registry::new_in(Arc::new(Domain::new())));
+        // Regression: stealing the pool of an ended tenure frees the expired
+        // front of its FIFO, which runs user `Drop`s; a panic there must put
+        // the ended tenure back, so a later sweep steals the rest. A pool
+        // left marked as being stolen, or reset to unowned, would strand its
+        // free stock until registry drop or the index's next tenure.
+        let domain = Arc::new(Domain::new());
+        let reg: Arc<Registry<PanicOnce>> = Arc::new(Registry::new_in(Arc::clone(&domain)));
         let armed = Arc::new(AtomicBool::new(false));
         // This thread takes its slot first, so it cannot be handed the
         // exiting thread's index and inherit the pool instead of a steal.
         drop(reg.domain().pin());
-        // A thread exits, leaving its pool with one bagged node (P, armed
-        // to panic) and one recycled slot (A) on its free list.
+        // A thread exits, leaving its pool with one stamped node (P, armed
+        // to panic when dropped) in its FIFO and one recycled slot (A) on
+        // its free list.
         let (p_addr, a_addr) = {
             let reg = Arc::clone(&reg);
             let armed = Arc::clone(&armed);
@@ -1921,6 +1474,7 @@ mod tests {
                 let p = reg.alloc(PanicOnce { armed });
                 let g = reg.domain().pin();
                 unsafe { reg.retire(p, &g) };
+                reg.collect(); // P joins the FIFO; the pin keeps it young
                 drop(g);
                 let a = reg.alloc(PanicOnce {
                     armed: Arc::new(AtomicBool::new(false)),
@@ -1931,12 +1485,15 @@ mod tests {
             .join()
             .unwrap()
         };
+        for _ in 0..GRACE_EPOCHS {
+            domain.try_advance(); // P has now expired
+        }
         armed.store(true, Ordering::SeqCst);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.collect()));
-        assert!(result.is_err(), "the armed probe must panic the steal");
-        // The ended tenure is back: later sweeps re-steal the pool, age P out, and
-        // return A's slot to the shared stock — so the next two allocations
-        // are both served from recycled memory.
+        assert!(result.is_err(), "the armed drop must panic the steal");
+        // The ended tenure is back: later sweeps re-steal the pool and
+        // return P's and A's slots to the shared stock — so the next two
+        // allocations are both served from recycled memory.
         reg.flush();
         let x = reg.alloc(PanicOnce {
             armed: Arc::new(AtomicBool::new(false)),
@@ -2105,7 +1662,6 @@ mod tests {
     #[test]
     fn pointers_stable_until_reclaimed() {
         struct Plain(u64);
-        impl Reclaim for Plain {}
         let reg: Registry<Plain> = Registry::new();
         let first = reg.alloc(Plain(7));
         for i in 0..1000u64 {

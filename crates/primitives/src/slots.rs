@@ -202,12 +202,11 @@ impl<T> Drop for SlotVec<T> {
 mod tests {
     use super::*;
     use crate::epoch::{Domain, Guard};
-    use crate::registry::{Reclaim, Registry};
+    use crate::registry::Registry;
     use std::cell::RefCell;
     use std::sync::{mpsc, Arc};
 
     struct Node;
-    impl Reclaim for Node {}
 
     /// Acquires slots until one is at `target` or above, and returns it
     /// with the lower ones, still held. Other test threads take and free

@@ -9,15 +9,14 @@
 //! (the implementation is stricter — a free needs three advances past the
 //! retire epoch — but this is the property unsafe readers rely on), plus
 //! progress (a quiescent flush reclaims everything), garbage retired
-//! across many epochs draining in stamp order as the epoch advances, the
-//! readiness gate of deferred retirement, and slot ownership across nested
-//! guards and unwinding.
+//! across many epochs draining in stamp order as the epoch advances, and
+//! slot ownership across nested guards and unwinding.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use lftrie_primitives::epoch::{Domain, Guard, Handle};
-use lftrie_primitives::registry::{Reclaim, Registry};
+use lftrie_primitives::registry::Registry;
 use proptest::prelude::*;
 
 const PARTICIPANTS: usize = 3;
@@ -25,13 +24,6 @@ const PARTICIPANTS: usize = 3;
 /// A payload that records when it is dropped (freed).
 struct Tracked {
     freed: Arc<AtomicBool>,
-    gate: Option<Arc<AtomicBool>>,
-}
-
-impl Reclaim for Tracked {
-    fn ready_to_reclaim(&self) -> bool {
-        self.gate.as_ref().is_none_or(|g| g.load(Ordering::SeqCst))
-    }
 }
 
 impl Drop for Tracked {
@@ -71,11 +63,10 @@ impl Sim {
         }
     }
 
-    fn retire_one(&mut self, idx: usize, gate: Option<Arc<AtomicBool>>) -> Arc<AtomicBool> {
+    fn retire_one(&mut self, idx: usize) -> Arc<AtomicBool> {
         let freed = Arc::new(AtomicBool::new(false));
         let p = self.reg.alloc(Tracked {
             freed: Arc::clone(&freed),
-            gate,
         });
         let g = self.handles[idx].pin();
         let retire_epoch = self.domain.epoch();
@@ -124,7 +115,7 @@ proptest! {
                 }
                 // Retire a fresh item through a transient guard.
                 2 => {
-                    sim.retire_one(idx, None);
+                    sim.retire_one(idx);
                 }
                 // Sweep.
                 3 => sim.reg.collect(),
@@ -159,7 +150,7 @@ proptest! {
         let mut total = 0usize;
         for batch in batch_sizes {
             for _ in 0..batch {
-                sim.retire_one(0, None);
+                sim.retire_one(0);
                 total += 1;
             }
             sim.domain.try_advance();
@@ -170,34 +161,6 @@ proptest! {
         // heap boxes) may be smaller — recycling can kick in mid-schedule.
         prop_assert_eq!(sim.reg.created(), total);
         prop_assert!(sim.reg.allocated() <= total);
-    }
-
-    #[test]
-    fn deferred_items_wait_for_their_gate(gate_mask in proptest::collection::vec(proptest::bool::ANY, 1..20)) {
-        let mut sim = Sim::new();
-        let mut gated = Vec::new();
-        for &open_later in &gate_mask {
-            let gate = Arc::new(AtomicBool::new(false));
-            let freed = sim.retire_one(0, Some(Arc::clone(&gate)));
-            gated.push((gate, freed, open_later));
-        }
-        sim.reg.flush();
-        for (_, freed, _) in &gated {
-            prop_assert!(!freed.load(Ordering::SeqCst), "gate closed: must not free");
-        }
-        // Open a subset; only that subset may be reclaimed.
-        for (gate, _, open) in &gated {
-            if *open {
-                gate.store(true, Ordering::SeqCst);
-            }
-        }
-        sim.reg.flush();
-        for (i, (_, freed, open)) in gated.iter().enumerate() {
-            prop_assert_eq!(
-                freed.load(Ordering::SeqCst), *open,
-                "item {} freed={} but gate open={}", i, freed.load(Ordering::SeqCst), open
-            );
-        }
     }
 
     #[test]
@@ -222,7 +185,7 @@ proptest! {
                     sim.guards[idx] = None;
                 }
                 2 => {
-                    sim.retire_one(idx, None);
+                    sim.retire_one(idx);
                     total_created += 1;
                 }
                 // Speculative-node path: alloc, never publish, dealloc —
@@ -231,7 +194,6 @@ proptest! {
                     let freed = Arc::new(AtomicBool::new(false));
                     let p = sim.reg.alloc(Tracked {
                         freed: Arc::clone(&freed),
-                        gate: None,
                     });
                     unsafe { sim.reg.dealloc(p) };
                     total_created += 1;
@@ -255,7 +217,6 @@ proptest! {
                         let e = domain.epoch();
                         let p = reg.alloc(Tracked {
                             freed: thread_freed,
-                            gate: None,
                         });
                         unsafe { reg.retire(p, &g) };
                         e
@@ -327,7 +288,6 @@ fn panic_through_pinned_reader_unpins_and_recycles_its_slot() {
     let freed = Arc::new(AtomicBool::new(false));
     let item = reg.alloc(Tracked {
         freed: Arc::clone(&freed),
-        gate: None,
     });
 
     struct Quiet;

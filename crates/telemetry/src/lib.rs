@@ -8,9 +8,9 @@
 //! * **Counters** ([`Counter`]) — plain monotonic `u64` event tallies
 //!   (operation counts, traversal node touches, scan and update
 //!   announcement events, step counts under `step-count`, reclamation
-//!   sweeps, their gate probes and their time). Recording is an
-//!   owner-only `Relaxed` load + store on a per-thread [`CachePadded`]
-//!   shard — no RMW, cheap enough to stay on in release builds.
+//!   sweeps and their time). Recording is an owner-only `Relaxed` load +
+//!   store on a per-thread [`CachePadded`] shard — no RMW, cheap enough
+//!   to stay on in release builds.
 //! * **Histograms** ([`Hist`]) — log₂-bucketed distributions (traversal
 //!   depth, per-operation latency in nanoseconds) with percentile
 //!   estimation on [`snapshot`].
@@ -126,14 +126,11 @@ pub enum Counter {
     ScanSlides,
     /// S-ALL withdrawals.
     ScanWithdraws,
-    /// Retire-bag flushes: gate-open nodes join the flushing thread's
-    /// FIFO of stamped garbage, gate-closed ones the shared `pending` stack.
+    /// Retire-bag flushes: each stamps its batch of retired nodes with one
+    /// epoch read and appends it to the flushing thread's FIFO.
     BagFlushes,
     /// Registry garbage sweeps (`collect` bodies actually entered).
     Sweeps,
-    /// Readiness-gate probes (`Reclaim::ready_to_reclaim` calls) made by
-    /// retire-bag flushes and registry sweeps.
-    GateProbes,
     /// Nanoseconds spent inside registry sweeps, timed only while recording
     /// is on. Each thread times one sweep in 16 and counts it 16 times: a
     /// clock pair on every sweep would not fit the always-on budget.
@@ -203,7 +200,6 @@ impl Counter {
         Counter::ScanWithdraws,
         Counter::BagFlushes,
         Counter::Sweeps,
-        Counter::GateProbes,
         Counter::SweepNs,
         Counter::EpochAdvances,
         Counter::EpochAdvanceBlocked,
@@ -248,7 +244,6 @@ impl Counter {
             Counter::ScanWithdraws => "scan_withdraws",
             Counter::BagFlushes => "bag_flushes",
             Counter::Sweeps => "sweeps",
-            Counter::GateProbes => "gate_probes",
             Counter::SweepNs => "sweep_ns",
             Counter::EpochAdvances => "epoch_advances",
             Counter::EpochAdvanceBlocked => "epoch_advance_blocked",

@@ -143,12 +143,13 @@ pub struct EpochHealth {
 pub struct ReclaimHealth {
     /// Which registry this is (e.g. `"preds"`, `"succs"`, `"cells"`).
     pub label: &'static str,
-    /// Nodes aging out their grace period (retired, gate open, stamped):
-    /// the sum of the per-thread FIFO lengths, each kept by its owner.
-    /// Exact at quiescence.
+    /// Nodes aging out their grace period (retired and stamped): the sum
+    /// of the per-thread FIFO lengths, each kept by its owner. Exact at
+    /// quiescence.
     pub limbo: usize,
-    /// Nodes parked in the pending stack: retired with a closed gate, or
-    /// opened since the last re-probe.
+    /// Nodes in the pending inbox: retired by a thread with no pool
+    /// (thread teardown, or a pool being stolen), until the next exclusive
+    /// sweep drains them. About 0.
     pub pending: usize,
     /// Emptied nodes in the shared free stock.
     pub free_stock: usize,
@@ -508,7 +509,7 @@ mod tests {
     fn prometheus_report_contains_every_section() {
         let text = sample_snapshot().to_prometheus();
         assert!(text.contains("lftrie_events_total{event=\"insert_ops\"} 7"));
-        assert!(text.contains("lftrie_events_total{event=\"gate_probes\"} 7"));
+        assert!(text.contains("lftrie_events_total{event=\"bag_flushes\"} 7"));
         assert!(text.contains("lftrie_events_total{event=\"sweep_ns\"} 7"));
         assert!(text.contains("lftrie_traversal_depth_count 5"));
         assert!(text.contains("lftrie_traversal_depth_bucket{le=\"+Inf\"} 5"));
@@ -535,7 +536,7 @@ mod tests {
             "\"announcements\"",
             "\"traversal\"",
             "\"insert_ops\"",
-            "\"gate_probes\":7",
+            "\"bag_flushes\":7",
             "\"sweep_ns\":7",
             "\"stalled_readers\"",
         ] {

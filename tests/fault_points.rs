@@ -24,11 +24,13 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::time::Duration;
 
 use lftrie::core::fault::{self, FaultAction, FaultPlan, FaultPoint, InjectedFault};
 use lftrie::core::LockFreeBinaryTrie;
+
+mod common;
+use common::run_watched;
 
 const U: u64 = 1 << 9;
 
@@ -343,33 +345,13 @@ fn model_succ_of(y: u64) -> Option<u64> {
     seed_keys().into_iter().find(|&k| k > y)
 }
 
-/// Runs `scenario` on a watchdog thread so a wedged trie fails by name.
-fn run_watched(point: FaultPoint, op: Op) {
-    let (tx, rx) = mpsc::channel();
-    let name = format!("panic/{} on {op:?}", point.name());
-    let handle = std::thread::spawn(move || {
-        scenario(point, op);
-        tx.send(()).ok();
-    });
-    match rx.recv_timeout(Duration::from_secs(60)) {
-        // Joins on both arms propagate a scenario panic with its own
-        // message; only a still-running thread is a wedge.
-        Ok(()) => handle.join().expect("scenario thread"),
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            handle.join().expect("scenario thread panicked");
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("scenario {name} wedged: no completion within 60s")
-        }
-    }
-}
-
 #[test]
 fn panic_at_every_point_keeps_model_equivalence() {
     fault::silence_injected_panics();
     for point in FaultPoint::ALL {
         for op in OPS {
-            run_watched(point, op);
+            let name = format!("scenario panic/{} on {op:?}", point.name());
+            run_watched(&name, Duration::from_secs(60), move || scenario(point, op));
         }
     }
 }

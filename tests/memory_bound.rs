@@ -28,8 +28,8 @@ use common::{needed_dummies, stress_iters};
 
 /// Steady-state ceiling for the lock-free trie over universe `u`: ≤ `2^b`
 /// latest-list heads (INS, DEL or installed dummy nodes; a head no update
-/// has touched is null and holds none), ≤ `2^b − 1` DEL nodes parked in
-/// `dNodePtr` slots, ≤ `2^b` DEL nodes pinned by live INS `target` edges,
+/// has touched is null and holds none), ≤ `2^b − 1` DEL nodes held by
+/// `dNodePtr` slots, ≤ `2^b` DEL nodes held by live INS `target` edges,
 /// plus the epoch window (amortized sweeps run every few dozen retires per
 /// registry) and helper slack.
 fn ceiling(universe: u64) -> usize {
