@@ -38,6 +38,7 @@ mod access;
 mod dir;
 #[cfg(test)]
 mod figures;
+mod inline;
 mod node;
 
 pub mod bitops;

@@ -550,12 +550,14 @@ unsafe impl Sync for QueryNode {}
 
 impl QueryNode {
     /// Creates the announcement record for a query at key `y` whose cursor
-    /// starts at `origin`, the published list's head key.
-    pub(crate) fn new(y: i64, origin: i64) -> Self {
+    /// starts at `origin`, the published list's head key, with an empty
+    /// `notify_list` (the trie's takes its records from the query side's
+    /// record registry).
+    pub(crate) fn new(y: i64, origin: i64, notify_list: PushStack<NotifyRecord>) -> Self {
         Self {
             key: AtomicI64::new(y),
             era: AtomicU64::new(0),
-            notify_list: PushStack::new(),
+            notify_list,
             position: PublishedKey::new(origin),
             cell: AtomicPtr::new(core::ptr::null_mut()),
             withdrawn: AtomicBool::new(false),
@@ -675,6 +677,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "increment by 1")]
     fn upper0_skip_is_rejected_in_debug() {
         let d = UpdateNode::new_del(5, Status::Active, core::ptr::null_mut(), 4);
@@ -719,10 +722,10 @@ mod tests {
         // The S-ALL mirror of the `RuallPosition`-starts-at-+∞ invariant:
         // the published U-ALL cursor must start at the −∞ head sentinel so
         // pre-traversal notifications fail every threshold comparison.
-        let s = QueryNode::new(9, Succ::ORIGIN);
+        let s = QueryNode::new(9, Succ::ORIGIN, PushStack::new());
         assert_eq!(s.position.load(), NEG_INF);
         assert!(s.cell().is_null());
-        let p = QueryNode::new(9, Pred::ORIGIN);
+        let p = QueryNode::new(9, Pred::ORIGIN, PushStack::new());
         assert_eq!(p.position.load(), POS_INF);
     }
 
@@ -731,7 +734,7 @@ mod tests {
         // A slide must pass through an odd era (notifiers skip the node)
         // and land on the next even era with the new key and a re-armed
         // cursor.
-        let s = QueryNode::new(9, Succ::ORIGIN);
+        let s = QueryNode::new(9, Succ::ORIGIN, PushStack::new());
         assert_eq!(s.era(), 0);
         assert_eq!(s.stable_pair(), Some((9, NEG_INF, 0)));
         s.begin_slide();
@@ -754,6 +757,16 @@ mod tests {
         // 128-byte chunk; chunks come every 16 bytes, so one more byte of
         // node would cost 16 per key.
         assert_eq!(core::mem::size_of::<UpdateNode>(), 104);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn query_node_is_256_bytes() {
+        // Two 128-byte lines: the notify head's padded line and the rest.
+        // The notify list's registry handle rides in the head's line; as a
+        // field of its own it made the node 384 bytes, which cost about
+        // 6 B per key more on perfbench's churn-u16.
+        assert_eq!(core::mem::size_of::<QueryNode>(), 256);
     }
 
     #[test]

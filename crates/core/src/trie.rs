@@ -95,6 +95,7 @@ use std::sync::Arc;
 
 use lftrie_lists::announce::AnnounceList;
 use lftrie_lists::pall::PallList;
+use lftrie_lists::pushstack::{NodePool, PushStack};
 use lftrie_lists::Direction;
 use lftrie_primitives::epoch::{Domain, Guard};
 use lftrie_primitives::fault::{self, FaultPoint};
@@ -108,7 +109,11 @@ use lftrie_telemetry::{
 use crate::access::{LatestAccess, TrieCore};
 use crate::bitops;
 use crate::dir::{Dir, Pred, Succ};
+use crate::inline::InlineVec;
 use crate::node::{Hold, Kind, NotifyRecord, QueryNode, Status, UpdateNode, DEL2_UNSET};
+
+/// A traversal's INS or DEL set (lines 141–143 / 265–267).
+type NodeSet = InlineVec<*mut UpdateNode>;
 
 /// An update-node identity + key snapshot taken from a [`NotifyRecord`]:
 /// what the query computation keeps of a notifier without ever
@@ -313,6 +318,11 @@ struct QuerySide {
     /// Epoch-aware registry owning every query node of this side; nodes are
     /// retired when their operation withdraws its announcement.
     nodes: Registry<QueryNode>,
+    /// The notify records of this side's query nodes, allocated by the
+    /// notifiers and given back when a guarded push fails, when a scan's
+    /// slide clears its list, and when the query node drops. Declared
+    /// after `nodes`, so it outlives every query node at teardown.
+    records: NodePool<NotifyRecord>,
     /// Diagnostic tallies (experiments E5/E7): how often this side's
     /// relaxed traversal answered ⊥, and how often ⊥-recovery ran.
     bottoms: AtomicU64,
@@ -324,6 +334,7 @@ impl QuerySide {
         Self {
             list: PallList::new_in(Arc::clone(domain)),
             nodes: Registry::new_in(Arc::clone(domain)),
+            records: NodePool::new_in(Arc::clone(domain)),
             bottoms: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
         }
@@ -587,8 +598,8 @@ impl LockFreeBinaryTrie {
     fn collect_first_activated(
         &self,
         u_node: *mut UpdateNode,
-        ins: &mut Vec<*mut UpdateNode>,
-        del: &mut Vec<*mut UpdateNode>,
+        ins: &mut NodeSet,
+        del: &mut NodeSet,
     ) {
         let u = unsafe { &*u_node };
         if u.status() != Status::Inactive && self.first_activated(u_node) {
@@ -602,14 +613,10 @@ impl LockFreeBinaryTrie {
     /// `TraverseUall(y)` (lines 137–145), or its successor mirror over the
     /// RU-ALL: walks `D`'s plain list while keys lie beyond `y`, collecting
     /// the first-activated update nodes split into `(I, D)` by kind.
-    fn traverse_plain<D: Dir>(
-        &self,
-        y: i64,
-        guard: &Guard<'_>,
-    ) -> (Vec<*mut UpdateNode>, Vec<*mut UpdateNode>) {
+    fn traverse_plain<D: Dir>(&self, y: i64, guard: &Guard<'_>) -> (NodeSet, NodeSet) {
         let _p = trace::phase(TracePhase::Traverse);
-        let mut ins = Vec::new();
-        let mut del = Vec::new();
+        let mut ins = NodeSet::new();
+        let mut del = NodeSet::new();
         for (key, u_node) in self.lists::<D>().1.iter(guard) {
             // L139–144
             if !D::beyond(key, y) {
@@ -629,13 +636,13 @@ impl LockFreeBinaryTrie {
         &self,
         q_node: *mut QueryNode,
         guard: &Guard<'_>,
-    ) -> (Vec<*mut UpdateNode>, Vec<*mut UpdateNode>) {
+    ) -> (NodeSet, NodeSet) {
         let _p = trace::phase(TracePhase::Traverse);
         let q = unsafe { &*q_node };
         let y = q.key(); // L259
         let list = self.lists::<D>().0;
-        let mut ins = Vec::new();
-        let mut del = Vec::new();
+        let mut ins = NodeSet::new();
+        let mut del = NodeSet::new();
         let mut cell = list.head(); // L260: the origin sentinel
         loop {
             // L261–263: atomic-copy step (a validated publication).
@@ -1252,7 +1259,7 @@ impl LockFreeBinaryTrie {
         // L210–214: Q = announcements older than ours, oldest-first (the
         // list prepends, so walking newest→oldest and reversing yields
         // oldest-first).
-        let mut q: Vec<*mut QueryNode> = self
+        let mut q: InlineVec<*mut QueryNode> = self
             .side::<D>()
             .list
             .iter_after(unsafe { (*q_node).cell() }, guard)
@@ -1278,7 +1285,10 @@ impl LockFreeBinaryTrie {
             );
         }
         let side = self.side::<D>();
-        let q_node = side.nodes.alloc(QueryNode::new(y, D::ORIGIN));
+        // Safety: `records` outlives every query node of the side (see
+        // `QuerySide`, and this trie's `Drop`).
+        let notify_list = unsafe { PushStack::new_in(&side.records) };
+        let q_node = side.nodes.alloc(QueryNode::new(y, D::ORIGIN, notify_list));
         let cell = side.list.insert(q_node, guard);
         unsafe { (*q_node).set_cell(cell) };
         self.ann_add(1);
@@ -1363,7 +1373,7 @@ impl LockFreeBinaryTrie {
         let snap = self.side::<Succ>().list.head_snapshot(guard);
         let era = s.end_slide();
         telemetry::flight(FlightKind::Slide, y, era);
-        let mut q: Vec<*mut QueryNode> = self
+        let mut q: InlineVec<*mut QueryNode> = self
             .side::<Succ>()
             .list
             .iter_from(snap, guard)
@@ -1395,8 +1405,8 @@ impl LockFreeBinaryTrie {
         // are value snapshots; identity tests use never-reused seq ids. The
         // notify threshold is the receiver's cursor at send time: beyond a
         // key, the traversal had already passed it.
-        let mut i_notify: Vec<NotifyCand> = Vec::new();
-        let mut d_notify: Vec<NotifyCand> = Vec::new();
+        let mut i_notify = InlineVec::<NotifyCand>::new();
+        let mut d_notify = InlineVec::<NotifyCand>::new();
         for record in unsafe { &*q_node }.notify_list.iter() {
             // Records from other eras target another step of a sliding
             // scan, not this one. L219: notify nodes with keys beyond y.
@@ -1444,7 +1454,7 @@ impl LockFreeBinaryTrie {
         for &u in i_plain.iter() {
             r1 = D::best(r1, unsafe { (*u).key() });
         }
-        for c in &i_notify {
+        for c in i_notify.iter() {
             r1 = D::best(r1, c.key);
         }
         for &u in d_plain.iter() {
@@ -1452,7 +1462,7 @@ impl LockFreeBinaryTrie {
                 r1 = D::best(r1, unsafe { (*u).key() });
             }
         }
-        for c in &d_notify {
+        for c in d_notify.iter() {
             if !d_pub.iter().any(|&u| seq_of(u) == c.seq) {
                 r1 = D::best(r1, c.key);
             }
@@ -1674,6 +1684,13 @@ impl LockFreeBinaryTrie {
     /// Allocation statistics of the successor-node registry.
     pub fn succ_alloc_stats(&self) -> AllocStats {
         self.side::<Succ>().nodes.stats()
+    }
+
+    /// Allocation statistics of the notify-record registries:
+    /// `(predecessor side, successor side)`.
+    pub fn record_alloc_stats(&self) -> (AllocStats, AllocStats) {
+        let (preds, succs) = (self.side::<Pred>(), self.side::<Succ>());
+        (preds.records.stats(), succs.records.stats())
     }
 
     /// Allocation statistics of the four auxiliary-list cell registries,

@@ -6,28 +6,50 @@
 //! and publishing it at the head, the sender re-checks that its update node
 //! is still first-activated, aborting the send otherwise. The list is never
 //! removed from — predecessor operations only read it — so a simple
-//! registry-backed Treiber-style push suffices.
+//! Treiber-style push suffices.
 //!
 //! Because nothing is ever unlinked, no per-node epoch retirement is needed:
 //! the stack frees its chain when it drops. Its lifetime is that of the
 //! owning predecessor node, which *is* epoch-reclaimed by the trie — so a
 //! notify list's memory is bounded by its predecessor operation's lifetime
-//! instead of the structure's. Nodes are plain boxes rather than registry
-//! allocations: a registry (with its per-thread recycling pools) is
-//! per-structure machinery, and a push stack is born and dies with a single
-//! predecessor operation — threading one through every notify list would
-//! cost a pool claim per operation for a list that is usually empty.
+//! instead of the structure's. Nodes come from a [`Registry`] named at
+//! construction, and go back to it with [`Registry::dealloc`], never
+//! retired: when a guarded push fails, when [`PushStack::clear`] detaches
+//! the chain, and when the stack drops. The trie gives each query side one
+//! registry for all of its notify lists, so a warm notification reuses a
+//! record some earlier list gave back instead of calling the allocator; a
+//! pool claim is one array index (see `lftrie_primitives::slots`).
 
 use core::fmt;
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicPtr, Ordering};
 
 use crossbeam::utils::CachePadded;
+use lftrie_primitives::registry::Registry;
 use lftrie_primitives::steps;
 
-struct Node<T> {
+/// One pushed value and its link: what a stack's registry allocates.
+pub struct PushNode<T> {
     value: T,
-    next: *mut Node<T>,
+    next: *mut PushNode<T>,
+}
+
+// Safety: `next` is a link the owning stack alone follows; a node is as
+// shareable as its value.
+unsafe impl<T: Send> Send for PushNode<T> {}
+unsafe impl<T: Sync> Sync for PushNode<T> {}
+
+/// The registry a [`PushStack`] takes its nodes from.
+pub type NodePool<T> = Registry<PushNode<T>>;
+
+/// The stack's one padded line: the head, and the registry every push and
+/// free goes through, read-only after construction.
+struct Head<T> {
+    top: AtomicPtr<PushNode<T>>,
+    pool: *const NodePool<T>,
+    /// Whether `pool` was made by [`PushStack::new`] and dies with the
+    /// stack.
+    owns_pool: bool,
 }
 
 /// An insert-only stack supporting guarded pushes and snapshot iteration.
@@ -45,15 +67,18 @@ struct Node<T> {
 pub struct PushStack<T> {
     /// Padded: the head is the only contended word of the stack, and a
     /// predecessor node packs it right next to its other announcement
-    /// fields.
-    head: CachePadded<AtomicPtr<Node<T>>>,
+    /// fields. The registry handle rides in the same line, so it costs the
+    /// node no space.
+    head: CachePadded<Head<T>>,
 }
 
-// Safety: nodes are heap boxes owned exclusively by the stack — published
-// ones are reachable only through `head` and freed solely by `Drop` (which
-// takes `&mut self`), unpublished ones die on their creating thread — and
-// values are only shared by reference after the publishing CAS.
-unsafe impl<T: Send> Send for PushStack<T> {}
+// Safety: nodes are registry allocations owned exclusively by the stack —
+// published ones are reachable only through the head and freed by `clear`
+// (whose contract excludes readers) or `Drop` (which takes `&mut self`),
+// unpublished ones die on their creating thread — and values are only
+// shared by reference after the publishing CAS. Every thread using the
+// stack uses its registry, hence `Sync` values for `Send`.
+unsafe impl<T: Send + Sync> Send for PushStack<T> {}
 unsafe impl<T: Send + Sync> Sync for PushStack<T> {}
 
 impl<T> fmt::Debug for PushStack<T> {
@@ -71,11 +96,37 @@ impl<T> Default for PushStack<T> {
 }
 
 impl<T> PushStack<T> {
-    /// Creates an empty stack.
+    /// Creates an empty stack with a registry of its own.
     pub fn new() -> Self {
+        let pool = Box::into_raw(Box::new(NodePool::new()));
+        Self::with_pool(pool, true)
+    }
+
+    /// Creates an empty stack whose nodes come from, and go back to,
+    /// `pool`.
+    ///
+    /// # Safety
+    ///
+    /// `pool` must outlive the stack: its pushes, [`PushStack::clear`] and
+    /// its drop all use it.
+    pub unsafe fn new_in(pool: &NodePool<T>) -> Self {
+        Self::with_pool(pool, false)
+    }
+
+    fn with_pool(pool: *const NodePool<T>, owns_pool: bool) -> Self {
         Self {
-            head: CachePadded::new(AtomicPtr::new(core::ptr::null_mut())),
+            head: CachePadded::new(Head {
+                top: AtomicPtr::new(core::ptr::null_mut()),
+                pool,
+                owns_pool,
+            }),
         }
+    }
+
+    #[inline]
+    fn pool(&self) -> &NodePool<T> {
+        // Safety: the pool outlives the stack (`new_in`), or is its own.
+        unsafe { &*self.head.pool }
     }
 
     /// Pushes `value` at the head unless `guard` fails.
@@ -85,22 +136,24 @@ impl<T> PushStack<T> {
     /// (paper lines 157–161). Returns `false` — without linking the value —
     /// as soon as `guard` returns `false`.
     pub fn push_with(&self, value: T, mut guard: impl FnMut() -> bool) -> bool {
-        let node = Box::into_raw(Box::new(Node {
+        let node = self.pool().alloc(PushNode {
             value,
             next: core::ptr::null_mut(),
-        }));
+        });
         loop {
             steps::on_read();
-            let head = self.head.load(Ordering::SeqCst); // L158
+            let head = self.head.top.load(Ordering::SeqCst); // L158
             unsafe { (*node).next = head }; // L159
             if !guard() {
                 // Never published: the node (and its value) die here.
-                drop(unsafe { Box::from_raw(node) });
+                // Safety: no other thread has seen the node.
+                unsafe { self.pool().dealloc(node) };
                 return false; // L160
             }
             steps::on_cas();
             if self
                 .head
+                .top
                 .compare_exchange(head, node, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
@@ -121,7 +174,7 @@ impl<T> PushStack<T> {
     pub fn iter(&self) -> PushStackIter<'_, T> {
         steps::on_read();
         PushStackIter {
-            cur: self.head.load(Ordering::SeqCst),
+            cur: self.head.top.load(Ordering::SeqCst),
             _stack: PhantomData,
         }
     }
@@ -131,25 +184,40 @@ impl<T> PushStack<T> {
     /// Racing *pushes* stay safe without coordination: a pusher whose CAS
     /// loses against the detaching swap retries against the emptied head,
     /// and one whose CAS won just before the swap simply has its value
-    /// detached and freed with the rest (pushers never dereference the old
-    /// head they linked as `next`). The sliding-scan notify list uses this
-    /// to reclaim era-stale records mid-slide, when every record a racing
-    /// push could land carries a stale era the next step ignores anyway.
+    /// detached and freed with the rest. Pushers never dereference the old
+    /// head they linked as `next`. If the registry hands a freed head out
+    /// again and it is pushed back at the head, a stale CAS succeeds and
+    /// links the pusher's node in front of a node the stack holds, as any
+    /// push does. The sliding-scan notify list uses this to reclaim
+    /// era-stale records mid-slide, when every record a racing push could
+    /// land carries a stale era the next step ignores anyway.
     ///
     /// # Safety
     ///
     /// No other thread may be *reading* the stack (an outstanding
     /// [`PushStack::iter`], or `len`/`Debug` which iterate) for the whole
-    /// call: detached nodes are freed immediately, not grace-period
-    /// deferred. Callers must own the only read path — e.g. a scan owner
-    /// clearing its own successor query node's list, which nothing else
-    /// ever reads.
+    /// call: detached nodes go back to the registry at once, where the next
+    /// allocation may reuse them, not grace-period deferred. Callers must
+    /// own the only read path — e.g. a scan owner clearing its own
+    /// successor query node's list, which nothing else ever reads.
     pub unsafe fn clear(&self) {
         steps::on_write();
-        let mut cur = self.head.swap(core::ptr::null_mut(), Ordering::SeqCst);
+        let chain = self.head.top.swap(core::ptr::null_mut(), Ordering::SeqCst);
+        unsafe { self.free_chain(chain) };
+    }
+
+    /// Returns the detached chain from `cur` on to the registry.
+    ///
+    /// # Safety
+    ///
+    /// No other thread can reach the chain any more.
+    unsafe fn free_chain(&self, mut cur: *mut PushNode<T>) {
         while !cur.is_null() {
-            let node = unsafe { Box::from_raw(cur) };
-            cur = node.next;
+            // Safety: the chain is the caller's alone, and every node on it
+            // came from this stack's registry and was never retired.
+            let next = unsafe { (*cur).next };
+            unsafe { self.pool().dealloc(cur) };
+            cur = next;
         }
     }
 
@@ -160,7 +228,7 @@ impl<T> PushStack<T> {
 
     /// True if nothing has been pushed (or every push's guard failed).
     pub fn is_empty(&self) -> bool {
-        self.head.load(Ordering::SeqCst).is_null()
+        self.head.top.load(Ordering::SeqCst).is_null()
     }
 }
 
@@ -168,17 +236,18 @@ impl<T> Drop for PushStack<T> {
     fn drop(&mut self) {
         // Exclusive access: free the whole chain. Nodes are never unlinked
         // during the stack's life, so every allocation is reachable here.
-        let mut cur = *self.head.get_mut();
-        while !cur.is_null() {
-            let node = unsafe { Box::from_raw(cur) };
-            cur = node.next;
+        let chain = *self.head.top.get_mut();
+        unsafe { self.free_chain(chain) };
+        if self.head.owns_pool {
+            // Safety: `new` boxed it, and nothing else refers to it.
+            drop(unsafe { Box::from_raw(self.head.pool.cast_mut()) });
         }
     }
 }
 
 /// Iterator over pushed values, newest first; see [`PushStack::iter`].
 pub struct PushStackIter<'a, T> {
-    cur: *mut Node<T>,
+    cur: *mut PushNode<T>,
     _stack: PhantomData<&'a PushStack<T>>,
 }
 
@@ -265,6 +334,28 @@ mod tests {
         assert!(s.is_empty());
         s.push(9);
         assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![9]);
+    }
+
+    #[test]
+    fn nodes_come_from_and_go_back_to_the_named_registry() {
+        // A failed guard, a clear and the drop each return their nodes at
+        // once, so the stack's next nodes are recycled, not fresh.
+        let pool: NodePool<u32> = NodePool::new();
+        {
+            // Safety: `pool` outlives the stack.
+            let s = unsafe { PushStack::new_in(&pool) };
+            s.push(1);
+            assert!(!s.push_with(2, || false));
+            s.push(3);
+            assert_eq!((pool.allocated(), pool.live()), (2, 2));
+            unsafe { s.clear() };
+            assert_eq!(pool.live(), 0);
+            s.push(4);
+            s.push(5);
+            assert_eq!(pool.allocated(), 2, "the cleared nodes were reused");
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.live, stats.created, stats.recycled), (0, 5, 3));
     }
 
     #[test]

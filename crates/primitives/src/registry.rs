@@ -14,14 +14,17 @@
 //!   (chain link + epoch stamp) in front of the value. [`Registry::retire`]
 //!   therefore allocates nothing: it threads the node onto the calling
 //!   thread's *retire bag* through the embedded link.
-//! * Each thread owns a **local pool** in each registry — a retire bag
-//!   plus a free list of recycled nodes — found by the thread's slot index
-//!   (see [`crate::slots`]). [`Registry::alloc`] pops the free
-//!   list (refilling from a shared stock in batches) before it ever touches
-//!   the heap, so warm steady-state churn performs **zero** heap
-//!   allocations per operation. `tests/alloc_plateau.rs` asserts exactly
-//!   this via the [`Registry::allocated`] (fresh heap boxes) vs
-//!   [`Registry::recycled`] (pool hits) counters.
+//! * Each thread owns a **local pool** in each registry — a retire bag, a
+//!   free list of recycled nodes and its own statistics — found by the
+//!   thread's slot index (see [`crate::slots`]). [`Registry::alloc`] pops
+//!   the free list (refilling from a shared stock in batches) before it
+//!   ever touches the heap, so a warm registry serves every allocation
+//!   from its pools, and a pool hit writes only the thread's own pool.
+//!   `tests/alloc_plateau.rs` asserts the plateau through the
+//!   [`Registry::allocated`] (fresh heap boxes) vs [`Registry::recycled`]
+//!   (pool hits) counters, and, with a counting allocator, that a warm
+//!   trie operation — whose nodes, cells and notify records all come from
+//!   registries — makes no heap call at all.
 //! * Retire bags flush in batches — on overflow (`BAG_CAP`) and at the
 //!   start of every sweep — into the thread's own FIFO of stamped
 //!   garbage, so a retire touches no shared line at all.
@@ -100,7 +103,14 @@
 //! # Counters
 //!
 //! All counters are statistics (Relaxed orderings; nothing synchronizes
-//! through them):
+//! through them). Each pool keeps its own set, written with a plain load
+//! and store by whoever owns the pool's cells, so a pooled allocation or
+//! free writes no line another thread writes. A shared set counts the
+//! paths that have no pool: allocations by a thread with no pool,
+//! [`Registry::dealloc`] on a thread that has not claimed its pool, the
+//! frees of a steal, and teardown. A read sums the shared set and every
+//! pool's. It may miss a pool touched concurrently, so it is approximate
+//! under concurrency and exact at quiescence:
 //!
 //! * [`Registry::allocated`] — fresh heap allocations. Plateaus once churn
 //!   is warm: the whole point of the pools.
@@ -332,6 +342,9 @@ struct LocalPool<T> {
     /// The FIFO's length, this pool's share of the `limbo` gauge. Only the
     /// cells' owner writes it; `health` reads it from any thread.
     fifo_len: AtomicUsize,
+    /// This pool's share of the registry's statistics, written like
+    /// `fifo_len` ([`Counters::add_owned`]).
+    stats: Counters,
 }
 
 impl<T> Default for LocalPool<T> {
@@ -346,6 +359,7 @@ impl<T> Default for LocalPool<T> {
             fifo_head: Cell::new(core::ptr::null_mut()),
             fifo_tail: Cell::new(core::ptr::null_mut()),
             fifo_len: AtomicUsize::new(0),
+            stats: Counters::default(),
         }
     }
 }
@@ -366,8 +380,7 @@ impl<T> LocalPool<T> {
             // Safety: the tail is a FIFO node, owned with the cells.
             unsafe { (*tail).next.set(first) };
         }
-        self.fifo_len
-            .store(self.fifo_len.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        Counters::add_owned(&self.fifo_len, n);
     }
 }
 
@@ -407,10 +420,7 @@ impl<T> Drop for Expiry<'_, T> {
     fn drop(&mut self) {
         let len = &self.pool.fifo_len;
         len.store(len.load(Ordering::Relaxed) - self.popped, Ordering::Relaxed);
-        if self.popped > 0 {
-            let reclaimed = &self.reg.counters.reclaimed;
-            reclaimed.fetch_add(self.popped, Ordering::Relaxed);
-        }
+        Counters::add_owned(&self.pool.stats.reclaimed, self.popped);
         if !self.dropping.is_null() {
             // Safety: the node left the FIFO and its value is gone; the
             // caller owns the pool.
@@ -419,8 +429,11 @@ impl<T> Drop for Expiry<'_, T> {
     }
 }
 
-/// Statistics counters, grouped on one padded line away from the stack
-/// heads. Relaxed throughout — nothing synchronizes through them.
+/// Statistics counters: one set in each pool, written only by the pool's
+/// owner, and one shared set for the paths that have no pool. Readers sum
+/// them all (module docs). Relaxed throughout — nothing synchronizes
+/// through them.
+#[derive(Default)]
 struct Counters {
     /// Fresh heap allocations.
     fresh: AtomicUsize,
@@ -430,6 +443,15 @@ struct Counters {
     reclaimed: AtomicUsize,
     /// Nodes returned to the heap.
     freed: AtomicUsize,
+}
+
+impl Counters {
+    /// Adds `n` to a pool's counter with a plain load and store: only the
+    /// pool's owner writes it, so no read-modify-write is needed.
+    #[inline]
+    fn add_owned(counter: &AtomicUsize, n: usize) {
+        counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
 }
 
 /// Epoch-aware allocation handle: every node of a lock-free structure is
@@ -468,6 +490,7 @@ pub struct Registry<T> {
     /// shared by all of that structure's registries, or (`None`) the global
     /// one.
     domain: Option<Arc<Domain>>,
+    /// The statistics of the paths with no pool; each pool keeps its own.
     counters: CachePadded<Counters>,
     /// Garbage retired by threads with no pool, until the next exclusive
     /// sweep drains it into its own FIFO (module docs).
@@ -506,12 +529,7 @@ impl<T> Registry<T> {
     fn with_domain(domain: Option<Arc<Domain>>) -> Self {
         Self {
             domain,
-            counters: CachePadded::new(Counters {
-                fresh: AtomicUsize::new(0),
-                recycled: AtomicUsize::new(0),
-                reclaimed: AtomicUsize::new(0),
-                freed: AtomicUsize::new(0),
-            }),
+            counters: CachePadded::new(Counters::default()),
             pending: GarbageStack::new(),
             free: GarbageStack::new(),
             pools: SlotVec::new(),
@@ -546,6 +564,18 @@ impl<T> Registry<T> {
                     .compare_exchange(owner, slot.tenure, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok());
         mine.then_some(&**pool)
+    }
+
+    /// Counts one event in `field` of `pool`, whose cells the caller owns,
+    /// or of the shared counters when there is no pool.
+    #[inline]
+    fn count(&self, pool: Option<&LocalPool<T>>, field: fn(&Counters) -> &AtomicUsize) {
+        match pool {
+            Some(pool) => Counters::add_owned(field(&pool.stats), 1),
+            None => {
+                field(&self.counters).fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Pops a recycled node from the local free list, refilling it from the
@@ -587,7 +617,8 @@ impl<T> Registry<T> {
 
     /// Parks an emptied node (value already dropped) for reuse: local free
     /// list, then shared stock, then back to the heap once both caps are
-    /// met. `pool` is the caller's claimed pool, if any.
+    /// met. `pool` is a pool whose cells the caller owns, if any: its own,
+    /// or one it is stealing.
     unsafe fn recycle_node(&self, node: *mut PoolNode<T>, pool: Option<&LocalPool<T>>) {
         if let Some(pool) = pool {
             if pool.free_len.get() < LOCAL_FREE_CAP {
@@ -601,7 +632,7 @@ impl<T> Registry<T> {
             self.free.push(node);
             return;
         }
-        self.counters.freed.fetch_add(1, Ordering::Relaxed);
+        self.count(pool, |c| &c.freed);
         drop(unsafe { Box::from_raw(node) });
     }
 
@@ -615,18 +646,19 @@ impl<T> Registry<T> {
     /// reclaimed, deallocated, or the owning structure tears down.
     #[inline]
     pub fn alloc(&self, value: T) -> *mut T {
-        if let Some(pool) = self.pool(true) {
+        let pool = self.pool(true);
+        if let Some(pool) = pool {
             // Safety: the pool is claimed by this thread.
             let node = unsafe { self.pop_free(pool) };
             if !node.is_null() {
-                self.counters.recycled.fetch_add(1, Ordering::Relaxed);
+                Counters::add_owned(&pool.stats.recycled, 1);
                 // Safety: the slot's previous value was dropped when the
                 // node was recycled; plain write, no double drop.
                 unsafe { core::ptr::write(&raw mut (*node).value, ManuallyDrop::new(value)) };
                 return PoolNode::value_ptr(node);
             }
         }
-        self.counters.fresh.fetch_add(1, Ordering::Relaxed);
+        self.count(pool, |c| &c.fresh);
         PoolNode::value_ptr(PoolNode::new_boxed(value))
     }
 
@@ -690,8 +722,9 @@ impl<T> Registry<T> {
     pub unsafe fn dealloc(&self, ptr: *mut T) {
         let node = PoolNode::from_value(ptr);
         unsafe { core::ptr::drop_in_place(ptr) };
-        self.counters.reclaimed.fetch_add(1, Ordering::Relaxed);
-        unsafe { self.recycle_node(node, self.pool(false)) };
+        let pool = self.pool(false);
+        self.count(pool, |c| &c.reclaimed);
+        unsafe { self.recycle_node(node, pool) };
     }
 
     // ------------------------------------------------------------------
@@ -899,16 +932,28 @@ impl<T> Registry<T> {
     // Counters
     // ------------------------------------------------------------------
 
+    /// One statistic summed over the shared counters and every pool's.
+    /// A pool touched concurrently may be missed, as if touched after the
+    /// read; at quiescence the sum is exact.
+    fn sum(&self, field: fn(&Counters) -> &AtomicUsize) -> usize {
+        let pools: usize = self
+            .pools
+            .iter()
+            .map(|(_, p)| field(&p.stats).load(Ordering::Relaxed))
+            .sum();
+        field(&self.counters).load(Ordering::Relaxed) + pools
+    }
+
     /// Fresh heap allocations performed so far. Under warm steady-state
     /// churn this **plateaus** — every allocation is served from a pool —
     /// which `tests/alloc_plateau.rs` asserts.
     pub fn allocated(&self) -> usize {
-        self.counters.fresh.load(Ordering::Relaxed)
+        self.sum(|c| &c.fresh)
     }
 
     /// Allocations served from a recycle pool instead of the heap.
     pub fn recycled(&self) -> usize {
-        self.counters.recycled.load(Ordering::Relaxed)
+        self.sum(|c| &c.recycled)
     }
 
     /// Cumulative logical allocations (`allocated + recycled`) over the
@@ -921,7 +966,7 @@ impl<T> Registry<T> {
     /// Values destroyed so far (epoch reclamation, explicit deallocation,
     /// and teardown).
     pub fn reclaimed(&self) -> usize {
-        self.counters.reclaimed.load(Ordering::Relaxed)
+        self.sum(|c| &c.reclaimed)
     }
 
     /// Value-resident nodes: `created − reclaimed`. Under churn this stays
@@ -935,8 +980,7 @@ impl<T> Registry<T> {
     /// `allocated − freed`. Exceeds [`Registry::live`] by at most the pool
     /// caps (local free lists, the shared stock, and in-flight bags).
     pub fn resident(&self) -> usize {
-        self.allocated()
-            .saturating_sub(self.counters.freed.load(Ordering::Relaxed))
+        self.allocated().saturating_sub(self.sum(|c| &c.freed))
     }
 
     /// Samples this registry's reclamation health gauges for the telemetry
