@@ -103,7 +103,7 @@ use lftrie_primitives::registry::{AllocStats, Registry};
 use lftrie_primitives::{Key, NO_PRED, POS_INF};
 use lftrie_telemetry::trace::{self, OpKind, TracePhase};
 use lftrie_telemetry::{
-    self as telemetry, AnnouncementLens, Counter, FlightKind, TelemetrySnapshot, TraversalStats,
+    self as telemetry, AnnouncementLens, Counter, FlightKind, TelemetrySnapshot,
 };
 
 use crate::access::{LatestAccess, TrieCore};
@@ -323,10 +323,6 @@ struct QuerySide {
     /// slide clears its list, and when the query node drops. Declared
     /// after `nodes`, so it outlives every query node at teardown.
     records: NodePool<NotifyRecord>,
-    /// Diagnostic tallies (experiments E5/E7): how often this side's
-    /// relaxed traversal answered ⊥, and how often ⊥-recovery ran.
-    bottoms: AtomicU64,
-    recoveries: AtomicU64,
 }
 
 impl QuerySide {
@@ -335,15 +331,6 @@ impl QuerySide {
             list: PallList::new_in(Arc::clone(domain)),
             nodes: Registry::new_in(Arc::clone(domain)),
             records: NodePool::new_in(Arc::clone(domain)),
-            bottoms: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-        }
-    }
-
-    fn traversal(&self) -> TraversalStats {
-        TraversalStats {
-            bottoms: self.bottoms.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
         }
     }
 }
@@ -1473,13 +1460,10 @@ impl LockFreeBinaryTrie {
         let r0 = match r0 {
             Some(v) => v,
             None => {
-                let side = self.side::<D>();
-                side.bottoms.fetch_add(1, Ordering::Relaxed);
                 telemetry::add(Counter::RelaxedBottoms, 1);
                 if d_pub.is_empty() {
                     D::NONE // only r1 constrains the answer (see §5.2)
                 } else {
-                    side.recoveries.fetch_add(1, Ordering::Relaxed);
                     telemetry::event(Counter::Recoveries, FlightKind::Recovery, y, D::IDX as u64);
                     let _p = trace::phase(TracePhase::Recovery);
                     self.recover_from_embedded::<D>(y, era, q_node, q, &d_pub) // L230–251
@@ -1612,18 +1596,6 @@ impl LockFreeBinaryTrie {
         (0..self.universe).filter(|&x| self.contains(x)).collect()
     }
 
-    /// Relaxed-traversal outcomes of all `predecessor` calls so far
-    /// (experiment E5): how often the relaxed traversal answered `⊥` and
-    /// how often the announcement-list recovery computation repaired it.
-    pub fn pred_traversal(&self) -> TraversalStats {
-        self.side::<Pred>().traversal()
-    }
-
-    /// The successor counterpart of [`LockFreeBinaryTrie::pred_traversal`].
-    pub fn succ_traversal(&self) -> TraversalStats {
-        self.side::<Succ>().traversal()
-    }
-
     /// Number of live announcements in each list — all zero at quiescence
     /// (Figure 5 shape checks).
     pub fn announcements(&self) -> AnnouncementLens {
@@ -1710,10 +1682,8 @@ impl LockFreeBinaryTrie {
     /// lag, the stalled-reader detector), per-registry reclamation health
     /// for all seven registries this trie owns (update nodes,
     /// predecessor/successor nodes, and the four announcement-list cell
-    /// registries), announcement-list lengths, and relaxed-traversal outcomes
-    /// (predecessor + successor combined; see
-    /// [`LockFreeBinaryTrie::pred_traversal`] /
-    /// [`LockFreeBinaryTrie::succ_traversal`] for the split).
+    /// registries), and announcement-list lengths. Relaxed-traversal
+    /// outcomes are the `relaxed_bottoms` and `recoveries` counters.
     ///
     /// O(announcements) — the length gauges walk the lists — so this is a
     /// sampling/diagnostic call, not a hot-path one.
@@ -1731,8 +1701,6 @@ impl LockFreeBinaryTrie {
     /// println!("{}", snap.to_prometheus());
     /// ```
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let pred = self.pred_traversal();
-        let succ = self.succ_traversal();
         let (preds, succs) = (self.side::<Pred>(), self.side::<Succ>());
         let mut snap = telemetry::snapshot();
         snap.epoch = Some(self.domain().health());
@@ -1746,10 +1714,6 @@ impl LockFreeBinaryTrie {
             succs.list.cell_health("sall_cells"),
         ];
         snap.announcements = Some(self.announcements());
-        snap.traversal = Some(TraversalStats {
-            bottoms: pred.bottoms + succ.bottoms,
-            recoveries: pred.recoveries + succ.recoveries,
-        });
         snap
     }
 

@@ -400,6 +400,7 @@ fn main() {
     while Instant::now() < deadline {
         round += 1;
         let trie = Arc::new(LockFreeBinaryTrie::new(universe));
+        let counters_at_start = lftrie_telemetry::counters();
         let stop = Arc::new(AtomicBool::new(false));
         let round_ops = Arc::new(AtomicU64::new(0));
         let workers: Vec<_> = (0..threads)
@@ -515,9 +516,11 @@ fn main() {
             );
         }
         // Heartbeat: throughput plus the reclamation health gauges that warn
-        // of a wedged epoch (lagging reader) or unbounded garbage (limbo).
+        // of a wedged epoch (lagging reader) or unbounded garbage (limbo),
+        // and the round's ⊥ answers and recoveries, which every thread
+        // records.
         let snap = trie.telemetry();
-        let stats = trie.pred_traversal();
+        let in_round = snap.counters - counters_at_start;
         let ops = total_ops.load(Ordering::Relaxed);
         let ops_per_s = ops as f64 / start.elapsed().as_secs_f64();
         let (epoch_lag, stalled) = snap
@@ -532,8 +535,8 @@ fn main() {
         let fired = 0u64;
         print!(
             "\rround {round}: ok ({ops} ops, {ops_per_s:.0} ops/s, ⊥ {bottoms}, rec {recoveries}, epoch lag {epoch_lag}, stalled {stalled}, limbo {limbo}, faults {fired})   ",
-            bottoms = stats.bottoms,
-            recoveries = stats.recoveries,
+            bottoms = in_round.get(lftrie_telemetry::Counter::RelaxedBottoms),
+            recoveries = in_round.get(lftrie_telemetry::Counter::Recoveries),
         );
         use std::io::Write;
         std::io::stdout().flush().ok();

@@ -246,9 +246,14 @@ pub fn e4_throughput(quick: bool) -> Vec<Table> {
 }
 
 /// E5 — the relaxed trie's ⊥ rate: zero without updates, growing with the
-/// update share; plus how often the lock-free trie's predecessor needed the
-/// recovery path.
+/// update share; plus how often the lock-free trie's predecessor calls hit
+/// ⊥ and needed the recovery path. Those two are the `relaxed_bottoms` and
+/// `recoveries` counters, read as per-thread intervals around each call,
+/// so ⊥s of the queries that deletes embed do not count.
 pub fn e5_bottom_rate(quick: bool) -> Table {
+    use lftrie_telemetry::{thread_counters, Counter};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
     let mut table = Table::new(
         "E5: RelaxedPredecessor ⊥ rate vs update share (claim: 0 solo, grows with contention)",
         &[
@@ -256,6 +261,7 @@ pub fn e5_bottom_rate(quick: bool) -> Table {
             "threads",
             "preds",
             "⊥ rate %",
+            "lockfree ⊥ %",
             "lockfree recovery %",
         ],
     );
@@ -264,6 +270,7 @@ pub fn e5_bottom_rate(quick: bool) -> Table {
     let universe = 1u64 << 8;
     let per_thread = if quick { 5_000u64 } else { 30_000 };
     let threads = if quick { 2usize } else { 4 };
+    let pct = |n: u64, of: u64| format!("{:.3}", 100.0 * n as f64 / of.max(1) as f64);
     for update_pct in [0u32, 25, 50, 75] {
         let relaxed = RelaxedBinaryTrie::new(universe);
         let lockfree = LockFreeBinaryTrie::new(universe);
@@ -271,16 +278,15 @@ pub fn e5_bottom_rate(quick: bool) -> Table {
             relaxed.insert(s);
             lockfree.insert(s);
         }
-        let run_counts = |which: usize| -> (u64, u64) {
-            // returns (preds, bottoms) for the relaxed trie; lockfree uses counters
-            let preds = std::sync::atomic::AtomicU64::new(0);
-            let bottoms = std::sync::atomic::AtomicU64::new(0);
+        // (predecessor calls, ⊥ answers, recoveries) of one run; the
+        // relaxed trie has no recovery.
+        let run_counts = |which: usize| -> [u64; 3] {
+            let totals = [const { AtomicU64::new(0) }; 3];
             std::thread::scope(|scope| {
                 for t in 0..threads {
                     let relaxed = &relaxed;
                     let lockfree = &lockfree;
-                    let preds = &preds;
-                    let bottoms = &bottoms;
+                    let totals = &totals;
                     scope.spawn(move || {
                         let mut rng = StdRng::seed_from_u64(SEED + t as u64 + which as u64 * 97);
                         for _ in 0..per_thread {
@@ -297,33 +303,35 @@ pub fn e5_bottom_rate(quick: bool) -> Table {
                                 } else {
                                     lockfree.remove(k);
                                 }
-                            } else if which == 0 {
-                                preds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                continue;
+                            }
+                            totals[0].fetch_add(1, Relaxed);
+                            if which == 0 {
                                 if relaxed.predecessor(k) == RelaxedPred::Interference {
-                                    bottoms.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                    totals[1].fetch_add(1, Relaxed);
                                 }
                             } else {
-                                preds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                let before = thread_counters();
                                 std::hint::black_box(lockfree.predecessor(k));
+                                let during = thread_counters() - before;
+                                totals[1].fetch_add(during.get(Counter::RelaxedBottoms), Relaxed);
+                                totals[2].fetch_add(during.get(Counter::Recoveries), Relaxed);
                             }
                         }
                     });
                 }
             });
-            (
-                preds.load(std::sync::atomic::Ordering::Relaxed),
-                bottoms.load(std::sync::atomic::Ordering::Relaxed),
-            )
+            totals.map(|n| n.into_inner())
         };
-        let (preds_r, bottoms_r) = run_counts(0);
-        let (preds_l, _) = run_counts(1);
-        let lf_bottoms = lockfree.pred_traversal().bottoms;
+        let [preds_r, bottoms_r, _] = run_counts(0);
+        let [preds_l, bottoms_l, recoveries_l] = run_counts(1);
         table.row(&[
             update_pct.to_string(),
             threads.to_string(),
             preds_r.to_string(),
-            format!("{:.3}", 100.0 * bottoms_r as f64 / preds_r.max(1) as f64),
-            format!("{:.3}", 100.0 * lf_bottoms as f64 / preds_l.max(1) as f64),
+            pct(bottoms_r, preds_r),
+            pct(bottoms_l, preds_l),
+            pct(recoveries_l, preds_l),
         ]);
     }
     table

@@ -22,8 +22,8 @@ pub mod workload;
 
 /// True if this build records shared-memory steps, as experiments E1–E3
 /// require: the `step-count` feature, with telemetry recording on (steps
-/// are telemetry counters, so a kill-switched or compiled-out recorder
-/// would report zeros).
+/// are telemetry counters, so a kill-switched recorder would report
+/// zeros).
 pub fn steps_enabled() -> bool {
     cfg!(feature = "step-count") && lftrie_telemetry::enabled()
 }

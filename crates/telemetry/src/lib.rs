@@ -1,9 +1,9 @@
 //! Always-on, lock-free telemetry for the trie workspace.
 //!
 //! This crate is the one place the workspace records instrumentation:
-//! counters (shared-memory step counts included), histograms, the flight
-//! recorder and the op-trace rings all live on the recording thread's
-//! shard, and every report reads them back from the same shards.
+//! counters (shared-memory step counts included), histograms and one event
+//! ring (flight-recorder and op-trace events) live on the recording
+//! thread's shard, and every report reads them back from the same shards.
 //!
 //! * **Counters** ([`Counter`]) — plain monotonic `u64` event tallies
 //!   (operation counts, traversal node touches, scan and update
@@ -15,7 +15,7 @@
 //!   depth, per-operation latency in nanoseconds) with percentile
 //!   estimation on [`snapshot`].
 //! * **Gauges** — point-in-time health structs ([`EpochHealth`],
-//!   [`ReclaimHealth`], [`AnnouncementLens`], [`TraversalStats`]) that the
+//!   [`ReclaimHealth`], [`AnnouncementLens`]) that the
 //!   owning subsystems (`epoch.rs`, `registry.rs`, the trie) *sample into*
 //!   a [`TelemetrySnapshot`]; this crate defines only the plain data shapes
 //!   so it can sit below every other workspace crate.
@@ -23,6 +23,7 @@
 //!   per-thread ring of structured protocol events (announce / slide /
 //!   notify / recovery / retire / injected faults) with global sequence
 //!   ids, dumped by tests and the torture driver when an invariant breaks.
+//!   Under `op-trace` the [`trace`] layer's events share the same ring.
 //!
 //! # Sharding model
 //!
@@ -39,13 +40,11 @@
 //!
 //! # Switching it off
 //!
-//! Two mechanisms, for two purposes:
-//!
-//! * [`set_enabled`]`(false)` — a runtime kill-switch: recorders check one
-//!   relaxed atomic and return. This is what the bench-guard test uses to
-//!   measure the recording overhead inside a single binary.
-//! * The `compiled-out` cargo feature — every recorder becomes a literal
-//!   empty function the optimizer deletes; [`snapshot`] reports zeros.
+//! [`set_enabled`]`(false)` is a runtime kill-switch: recorders check one
+//! relaxed atomic and return. This is what the bench-guard test uses to
+//! measure the recording overhead inside a single binary. The `op-trace`
+//! cargo feature is the crate's only build switch: it compiles the
+//! [`trace`] recorder in.
 //!
 //! # Examples
 //!
@@ -55,7 +54,6 @@
 //! telemetry::add(telemetry::Counter::InsertOps, 1);
 //! telemetry::record(telemetry::Hist::TraversalDepth, 12);
 //! let snap = telemetry::snapshot();
-//! #[cfg(not(feature = "compiled-out"))]
 //! assert!(snap.counters.get(telemetry::Counter::InsertOps) >= 1);
 //! println!("{}", snap.to_prometheus());
 //! ```
@@ -70,10 +68,10 @@ mod flight;
 mod snapshot;
 pub mod trace;
 
-pub use flight::{FlightEvent, FlightKind, FLIGHT_CAP};
+pub use flight::{FlightEvent, FlightKind, RING_CAP};
 pub use snapshot::{
     AnnouncementLens, CounterTotals, EpochHealth, HistogramSnapshot, ReclaimHealth,
-    TelemetrySnapshot, TraversalStats,
+    TelemetrySnapshot,
 };
 
 // ---------------------------------------------------------------------------
@@ -398,7 +396,6 @@ fn raw_tick() -> u64 {
 
 /// A raw timestamp for one event. Shared by the flight recorder and the
 /// op-trace layer, so the two timelines interleave.
-#[cfg(not(feature = "compiled-out"))]
 #[inline]
 pub(crate) fn now_ticks() -> u64 {
     // Touch the anchor so every recorded tick is >= the anchor tick.
@@ -428,7 +425,6 @@ pub(crate) fn ticks_to_ns(tick: u64, rate: f64) -> u64 {
 }
 
 /// The bucket a value lands in: its bit length.
-#[cfg(any(test, not(feature = "compiled-out")))]
 #[inline]
 pub(crate) fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
@@ -459,12 +455,9 @@ struct Shard {
     hist_buckets: [[AtomicU64; HIST_BUCKETS]; HIST_COUNT],
     /// Sum of recorded values per histogram (for means).
     hist_sums: [AtomicU64; HIST_COUNT],
-    /// Flight-recorder ring (see [`flight`]).
+    /// The event ring: flight-recorder events, and [`trace`] events under
+    /// `op-trace` (see [`mod@flight`]).
     ring: flight::Ring,
-    /// Op-trace ring (see [`trace`]): `TRACE_CAP` slots of six words, so
-    /// only builds with the recorder pay for it.
-    #[cfg(all(feature = "op-trace", not(feature = "compiled-out")))]
-    trace: trace::Ring,
     /// Small stable id for flight-event attribution.
     id: usize,
     /// Claimed by a live thread?
@@ -479,7 +472,6 @@ struct Shard {
 /// record path, which the bench guard's 3% budget cares about. Snapshots
 /// read concurrently with `Relaxed` loads and may miss the in-flight
 /// increment, exactly as they may miss a not-yet-performed one.
-#[cfg(not(feature = "compiled-out"))]
 #[inline]
 fn bump(cell: &AtomicU64, n: u64) {
     cell.store(
@@ -495,8 +487,6 @@ impl Shard {
             hist_buckets: [const { [const { AtomicU64::new(0) }; HIST_BUCKETS] }; HIST_COUNT],
             hist_sums: [const { AtomicU64::new(0) }; HIST_COUNT],
             ring: flight::Ring::new(),
-            #[cfg(all(feature = "op-trace", not(feature = "compiled-out")))]
-            trace: trace::Ring::new(),
             id,
             in_use: AtomicBool::new(true),
             next: AtomicPtr::new(core::ptr::null_mut()),
@@ -504,11 +494,12 @@ impl Shard {
     }
 
     /// One counter's total on this shard. `flight_events` is the ring's
-    /// cursor rather than a bumped cell: every recorded event advances it
-    /// anyway, so the record path skips a second owner-only increment.
+    /// flight-event count rather than a bumped cell: every flight push
+    /// advances it anyway, so the record path skips a second owner-only
+    /// increment.
     fn counter(&self, c: Counter) -> u64 {
         match c {
-            Counter::FlightEvents => self.ring.pushed(),
+            Counter::FlightEvents => self.ring.flights(),
             c => self.counters[c as usize].load(Ordering::Relaxed),
         }
     }
@@ -616,42 +607,25 @@ pub fn set_enabled(on: bool) {
 /// Whether recorders are currently recording.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "compiled-out")]
-    {
-        false
-    }
-    #[cfg(not(feature = "compiled-out"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Adds `n` to counter `c` on the calling thread's shard.
 #[inline]
 pub fn add(c: Counter, n: u64) {
-    #[cfg(not(feature = "compiled-out"))]
     if enabled() && n != 0 {
         with_shard(|s| bump(&s.counters[c as usize], n));
-    }
-    #[cfg(feature = "compiled-out")]
-    {
-        let _ = (c, n);
     }
 }
 
 /// Records one sample of value `v` into histogram `h`.
 #[inline]
 pub fn record(h: Hist, v: u64) {
-    #[cfg(not(feature = "compiled-out"))]
     if enabled() {
         with_shard(|s| {
             bump(&s.hist_buckets[h as usize][bucket_of(v)], 1);
             bump(&s.hist_sums[h as usize], v);
         });
-    }
-    #[cfg(feature = "compiled-out")]
-    {
-        let _ = (h, v);
     }
 }
 
@@ -662,7 +636,6 @@ pub fn record(h: Hist, v: u64) {
 /// path the bench guard budgets. Zero-touch traversals record nothing.
 #[inline]
 pub fn record_traversal(c: Counter, touched: u64) {
-    #[cfg(not(feature = "compiled-out"))]
     if enabled() && touched != 0 {
         with_shard(|s| {
             bump(&s.counters[c as usize], touched);
@@ -672,10 +645,6 @@ pub fn record_traversal(c: Counter, touched: u64) {
             );
             bump(&s.hist_sums[Hist::TraversalDepth as usize], touched);
         });
-    }
-    #[cfg(feature = "compiled-out")]
-    {
-        let _ = (c, touched);
     }
 }
 
@@ -699,13 +668,8 @@ pub fn time_op<T>(f: impl FnOnce() -> T) -> T {
 /// event-specific payload (list lengths, epoch numbers, sequence hints).
 #[inline]
 pub fn flight(kind: FlightKind, key: i64, aux: u64) {
-    #[cfg(not(feature = "compiled-out"))]
     if enabled() {
         with_shard(|s| s.ring.push(kind, key, aux));
-    }
-    #[cfg(feature = "compiled-out")]
-    {
-        let _ = (kind, key, aux);
     }
 }
 
@@ -715,16 +679,11 @@ pub fn flight(kind: FlightKind, key: i64, aux: u64) {
 /// event is also counted and several run on every update.
 #[inline]
 pub fn event(c: Counter, kind: FlightKind, key: i64, aux: u64) {
-    #[cfg(not(feature = "compiled-out"))]
     if enabled() {
         with_shard(|s| {
             bump(&s.counters[c as usize], 1);
             s.ring.push(kind, key, aux);
         });
-    }
-    #[cfg(feature = "compiled-out")]
-    {
-        let _ = (c, kind, key, aux);
     }
 }
 
@@ -747,7 +706,7 @@ pub fn counters() -> CounterTotals {
 /// The calling thread's own shard counters. Only the owning thread writes
 /// a shard, so `thread_counters() - before` taken on one thread is exactly
 /// what that thread recorded in between, whatever other threads record
-/// meanwhile. All zeros under `compiled-out`.
+/// meanwhile.
 pub fn thread_counters() -> CounterTotals {
     let mut totals = [0u64; COUNTER_COUNT];
     with_shard(|s| {
@@ -771,8 +730,9 @@ pub fn histogram(h: Hist) -> HistogramSnapshot {
     HistogramSnapshot::from_parts(h, buckets, sum)
 }
 
-/// Collects every flight-recorder event currently buffered, across all
-/// shards, ordered by `(ts, seq)`.
+/// Decodes every ring entry `decode` accepts, across all shards, ordered
+/// by `(ts, seq)` as `order` reads them off. [`flight_dump`] and
+/// [`trace::drain`] are the two kind-filtered reads of the shards' rings.
 ///
 /// Timestamp-first, because sequence ids alone only resolve cross-thread
 /// order to *batch* granularity: each ring reserves `SEQ_BATCH` (16) ids
@@ -781,12 +741,21 @@ pub fn histogram(h: Hist) -> HistogramSnapshot {
 /// reservation. The monotonic timestamps interleave threads at clock
 /// resolution instead; ids break ties and still give the exact per-thread
 /// order (they stay unique and per-thread monotone).
-pub fn flight_dump() -> Vec<FlightEvent> {
+pub(crate) fn read_rings<T>(
+    decode: impl Fn(&flight::RawEvent) -> Option<T>,
+    order: impl Fn(&T) -> (u64, u64),
+) -> Vec<T> {
     let mut out = Vec::new();
     let rate = tick_rate();
-    for_each_shard(|s| s.ring.drain_into(s.id, rate, &mut out));
-    out.sort_by_key(|e| (e.ts, e.seq));
+    for_each_shard(|s| s.ring.read(s.id, rate, |raw| out.extend(decode(raw))));
+    out.sort_by_key(order);
     out
+}
+
+/// Collects every flight-recorder event currently buffered, across all
+/// shards, ordered by `(ts, seq)`.
+pub fn flight_dump() -> Vec<FlightEvent> {
+    read_rings(FlightEvent::decode, |e| (e.ts, e.seq))
 }
 
 /// Renders [`flight_dump`] as a readable multi-line report (newest last).
@@ -812,7 +781,7 @@ pub fn flight_report() -> String {
 }
 
 /// A global snapshot: all counters plus both histograms. Structure-level
-/// gauges (`epoch`, `reclaim`, `announcements`, `traversal`) are absent —
+/// gauges (`epoch`, `reclaim`, `announcements`) are absent —
 /// the owning structures fill them in (e.g. the trie's `telemetry()`).
 pub fn snapshot() -> TelemetrySnapshot {
     TelemetrySnapshot {
@@ -823,13 +792,12 @@ pub fn snapshot() -> TelemetrySnapshot {
         epoch: None,
         reclaim: Vec::new(),
         announcements: None,
-        traversal: None,
     }
 }
 
 /// Serializes tests that toggle the process-global kill-switches (the
 /// crate's own suite runs multi-threaded).
-#[cfg(all(test, not(feature = "compiled-out")))]
+#[cfg(test)]
 pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -840,7 +808,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(not(feature = "compiled-out"))]
     fn counters_accumulate_and_are_monotone() {
         let before = counters().get(Counter::InsertOps);
         add(Counter::InsertOps, 3);
@@ -850,7 +817,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "compiled-out"))]
     fn kill_switch_freezes_totals() {
         let _serial = test_serial();
         add(Counter::RemoveOps, 1);
@@ -866,7 +832,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "compiled-out"))]
     fn thread_interval_is_exact_under_a_concurrent_recorder() {
         let _serial = test_serial();
         let stop = AtomicBool::new(false);
@@ -895,7 +860,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "compiled-out"))]
     fn histogram_buckets_match_bit_length() {
         let h = histogram(Hist::TraversalDepth);
         let base: Vec<u64> = h.buckets.to_vec();
@@ -908,20 +872,6 @@ mod tests {
         assert_eq!(h2.buckets[1], base[1] + 1);
         assert_eq!(h2.buckets[3], base[3] + 1);
         assert_eq!(h2.buckets[64], base[64] + 1);
-    }
-
-    #[test]
-    #[cfg(feature = "compiled-out")]
-    fn compiled_out_records_nothing() {
-        add(Counter::InsertOps, 5);
-        record(Hist::TraversalDepth, 9);
-        flight(FlightKind::Announce, 1, 2);
-        let snap = snapshot();
-        assert_eq!(snap.counters.get(Counter::InsertOps), 0);
-        assert_eq!(thread_counters().get(Counter::InsertOps), 0);
-        assert_eq!(snap.traversal_depth.count, 0);
-        assert!(flight_dump().is_empty());
-        assert!(!enabled());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Snapshot shapes and report rendering.
 //!
 //! The gauge structs here ([`EpochHealth`], [`ReclaimHealth`],
-//! [`AnnouncementLens`], [`TraversalStats`]) are plain data: this crate
+//! [`AnnouncementLens`]) are plain data: this crate
 //! sits below every other workspace crate, so the subsystems that own the
 //! live state (`epoch.rs`, `registry.rs`, the tries) construct them and
 //! attach them to a [`TelemetrySnapshot`]. Rendering is hand-rolled into
@@ -204,20 +204,10 @@ impl AnnouncementLens {
     }
 }
 
-/// Relaxed-query outcome totals: how often relaxed traversals answered
-/// `⊥`, and how often recovery repaired it.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TraversalStats {
-    /// Relaxed traversals that answered `⊥` (interference detected).
-    pub bottoms: u64,
-    /// `⊥` answers repaired through announcement-list recovery.
-    pub recoveries: u64,
-}
-
 /// The unified snapshot: every counter and histogram, plus whatever gauges
 /// the sampling context could attach. [`crate::snapshot`] fills only the
 /// global parts; `LockFreeBinaryTrie::telemetry()` attaches epoch,
-/// registry, announcement, and traversal gauges too.
+/// registry, and announcement gauges too.
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
     /// Monotonic event totals.
@@ -236,8 +226,6 @@ pub struct TelemetrySnapshot {
     pub reclaim: Vec<ReclaimHealth>,
     /// Announcement-list lengths, when sampled from a trie.
     pub announcements: Option<AnnouncementLens>,
-    /// Relaxed-query outcome totals, when sampled from a trie.
-    pub traversal: Option<TraversalStats>,
 }
 
 impl TelemetrySnapshot {
@@ -346,17 +334,6 @@ impl TelemetrySnapshot {
                 out.push_str(&format!("lftrie_announcements{{list=\"{list}\"}} {v}\n"));
             }
         }
-        if let Some(t) = &self.traversal {
-            out.push_str("# TYPE lftrie_relaxed_outcomes counter\n");
-            out.push_str(&format!(
-                "lftrie_relaxed_outcomes{{outcome=\"bottom\"}} {}\n",
-                t.bottoms
-            ));
-            out.push_str(&format!(
-                "lftrie_relaxed_outcomes{{outcome=\"recovered\"}} {}\n",
-                t.recoveries
-            ));
-        }
         out
     }
 
@@ -423,14 +400,6 @@ impl TelemetrySnapshot {
                 a.uall, a.ruall, a.pall, a.sall, a.high_water
             )),
         }
-        out.push_str(",\"traversal\":");
-        match &self.traversal {
-            None => out.push_str("null"),
-            Some(t) => out.push_str(&format!(
-                "{{\"bottoms\":{},\"recoveries\":{}}}",
-                t.bottoms, t.recoveries
-            )),
-        }
         out.push('}');
         out
     }
@@ -486,10 +455,6 @@ mod tests {
                 sall: 0,
                 high_water: 3,
             }),
-            traversal: Some(TraversalStats {
-                bottoms: 9,
-                recoveries: 3,
-            }),
         }
     }
 
@@ -516,7 +481,6 @@ mod tests {
         assert!(text.contains("lftrie_epoch_stalled_readers 1"));
         assert!(text.contains("lftrie_reclaim{registry=\"preds\",field=\"limbo\"} 4"));
         assert!(text.contains("lftrie_announcements{list=\"pall\"} 2"));
-        assert!(text.contains("lftrie_relaxed_outcomes{outcome=\"bottom\"} 9"));
     }
 
     #[test]
@@ -534,7 +498,6 @@ mod tests {
             "\"epoch\"",
             "\"reclaim\"",
             "\"announcements\"",
-            "\"traversal\"",
             "\"insert_ops\"",
             "\"bag_flushes\":7",
             "\"sweep_ns\":7",

@@ -5,8 +5,8 @@
 //! multi-phase helping protocol: where inside an operation the time goes,
 //! who helped whom (and how deep the helping chains get), and which CAS
 //! sites burn retries under contention. This module answers them with
-//! three primitives, all recorded into a lock-free ring on the calling
-//! thread's telemetry shard, next to its flight-recorder ring:
+//! three primitives, all recorded into the calling thread's shard ring,
+//! the flight recorder's, beside its flight events:
 //!
 //! * **Spans** ([`span`]) — one per public operation, identified by a
 //!   process-global id. A span emits an `OpBegin` event at entry and an
@@ -36,10 +36,8 @@
 //!
 //! # Switching it off
 //!
-//! Three layers, mirroring the rest of the crate:
-//!
-//! * Without the `op-trace` cargo feature (or with `compiled-out`, which
-//!   wins) every entry point here is a literal empty function.
+//! * Without the `op-trace` cargo feature every entry point here is a
+//!   literal empty function.
 //! * [`set_trace_enabled`]`(false)` is a runtime kill-switch checked with
 //!   one `Relaxed` load; it is independent of the global
 //!   [`crate::set_enabled`] switch, which also gates tracing.
@@ -47,14 +45,15 @@
 //!
 //! # Export
 //!
-//! [`drain`] decodes every buffered event (oldest overwritten first, like
-//! the flight recorder); [`chrome_trace_json`] renders them as a Chrome
+//! [`drain`] decodes every buffered trace event (the ring overwrites its
+//! oldest entries first); [`chrome_trace_json`] renders them as a Chrome
 //! trace-event JSON document — one track per recording thread, complete
 //! (`"X"`) slices for spans and phases, and flow (`"s"`/`"f"`) arrows for
 //! helping edges — loadable in Perfetto or `chrome://tracing`.
 //! [`summary`] is the compact text form the torture driver dumps next to
 //! the flight recorder on failure.
 
+use crate::flight::RawEvent;
 use crate::{Counter, Hist};
 
 // ---------------------------------------------------------------------------
@@ -180,11 +179,6 @@ impl TracePhase {
         }
     }
 
-    // Only the real recorder decodes packed phase bytes back into variants.
-    #[cfg_attr(
-        not(all(feature = "op-trace", not(feature = "compiled-out"))),
-        allow(dead_code)
-    )]
     fn from_u8(v: u8) -> Option<Self> {
         Some(match v {
             1 => TracePhase::Pin,
@@ -248,24 +242,26 @@ pub const SPAN_OK: u64 = 0;
 /// `OpEnd` status: the span guard dropped during a panic unwind.
 pub const SPAN_PANICKED: u64 = 1;
 
-/// What one decoded trace event records.
+/// What one decoded trace event records. The discriminants are the ring's
+/// kind bytes, above the flight kinds'.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum TraceEventKind {
     /// A span opened. `a` = operation key (as `i64` bits), `b` = [`OpKind`].
-    OpBegin,
+    OpBegin = 16,
     /// A span closed. `a` = status ([`SPAN_OK`]/[`SPAN_PANICKED`]).
-    OpEnd,
+    OpEnd = 17,
     /// A phase completed. `ts` is the phase *start*; `a` = duration in ns.
-    Phase,
+    Phase = 18,
     /// The current span helped another operation. `a` = helped update
-    /// node's seq, `b` = helping depth at the edge.
-    HelpEdge,
+    /// node's seq, `b` = helping depth at the edge (recorded up to 255).
+    HelpEdge = 19,
     /// The current span owns the update node with seq `a` (the join key
     /// helpers' edges resolve against).
-    Bind,
+    Bind = 20,
 }
 
-/// One decoded event from a trace ring.
+/// One decoded trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Process-global sequence id (unique; per-thread monotone).
@@ -288,14 +284,42 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-/// Events retained per thread before the oldest are overwritten.
-pub const TRACE_CAP: usize = 4096;
+impl TraceEvent {
+    /// The trace event in `raw`, or `None` for a flight-recorder entry.
+    /// The ring keeps the span id in its payload word, `a` in its key word,
+    /// and the op kind, phase or helping depth in the tag's detail byte.
+    fn decode(raw: &RawEvent) -> Option<Self> {
+        let kind = match raw.kind {
+            16 => TraceEventKind::OpBegin,
+            17 => TraceEventKind::OpEnd,
+            18 => TraceEventKind::Phase,
+            19 => TraceEventKind::HelpEdge,
+            20 => TraceEventKind::Bind,
+            _ => return None,
+        };
+        let (phase, b) = match kind {
+            TraceEventKind::Phase => (TracePhase::from_u8(raw.detail), 0),
+            TraceEventKind::OpBegin | TraceEventKind::HelpEdge => (None, raw.detail as u64),
+            TraceEventKind::OpEnd | TraceEventKind::Bind => (None, 0),
+        };
+        Some(TraceEvent {
+            seq: raw.seq,
+            ts: raw.ts,
+            shard: raw.shard,
+            kind,
+            phase,
+            span: raw.aux,
+            a: raw.key,
+            b,
+        })
+    }
+}
 
 // ---------------------------------------------------------------------------
-// Real implementation (op-trace on, compiled-out off)
+// Real implementation (op-trace on)
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "op-trace", not(feature = "compiled-out")))]
+#[cfg(feature = "op-trace")]
 mod imp {
     use super::*;
     use crate::{add, now_ticks, record};
@@ -324,108 +348,6 @@ mod imp {
 
     /// Process-global span ids; starts at 1 so 0 means "no span".
     static SPAN_IDS: AtomicU64 = AtomicU64::new(1);
-    /// Global trace sequence ids, reserved in per-thread batches like the
-    /// flight recorder's.
-    static SEQ: AtomicU64 = AtomicU64::new(1);
-    const SEQ_BATCH: u64 = 64;
-
-    const KIND_OP_BEGIN: u64 = 1;
-    const KIND_OP_END: u64 = 2;
-    const KIND_PHASE: u64 = 3;
-    const KIND_HELP_EDGE: u64 = 4;
-    const KIND_BIND: u64 = 5;
-
-    struct Slot {
-        seq: AtomicU64,
-        ts: AtomicU64,
-        /// Packed `kind | phase << 8`.
-        word: AtomicU64,
-        span: AtomicU64,
-        a: AtomicU64,
-        b: AtomicU64,
-    }
-
-    /// One thread's trace ring: the flight recorder's write protocol
-    /// (invalidate seq, payload, `Release`-publish seq) with a larger
-    /// capacity and a wider payload.
-    pub(crate) struct Ring {
-        slots: [Slot; TRACE_CAP],
-        cursor: AtomicU64,
-        seq_next: AtomicU64,
-        seq_end: AtomicU64,
-    }
-
-    impl Ring {
-        pub(crate) fn new() -> Self {
-            Self {
-                slots: [const {
-                    Slot {
-                        seq: AtomicU64::new(0),
-                        ts: AtomicU64::new(0),
-                        word: AtomicU64::new(0),
-                        span: AtomicU64::new(0),
-                        a: AtomicU64::new(0),
-                        b: AtomicU64::new(0),
-                    }
-                }; TRACE_CAP],
-                cursor: AtomicU64::new(0),
-                seq_next: AtomicU64::new(0),
-                seq_end: AtomicU64::new(0),
-            }
-        }
-
-        /// Owner-side append (owner-only loads + stores, like the flight
-        /// ring: one thread owns a shard at a time).
-        fn push(&self, ts: u64, kind: u64, phase: u64, span: u64, a: u64, b: u64) {
-            let mut seq = self.seq_next.load(Ordering::Relaxed);
-            if seq == self.seq_end.load(Ordering::Relaxed) {
-                seq = SEQ.fetch_add(SEQ_BATCH, Ordering::Relaxed);
-                self.seq_end.store(seq + SEQ_BATCH, Ordering::Relaxed);
-            }
-            self.seq_next.store(seq + 1, Ordering::Relaxed);
-            let c = self.cursor.load(Ordering::Relaxed);
-            self.cursor.store(c.wrapping_add(1), Ordering::Relaxed);
-            let slot = &self.slots[c as usize % TRACE_CAP];
-            slot.seq.store(0, Ordering::Relaxed);
-            slot.ts.store(ts, Ordering::Relaxed);
-            slot.word.store(kind | (phase << 8), Ordering::Relaxed);
-            slot.span.store(span, Ordering::Relaxed);
-            slot.a.store(a, Ordering::Relaxed);
-            slot.b.store(b, Ordering::Relaxed);
-            slot.seq.store(seq, Ordering::Release);
-        }
-
-        /// `rate` is one [`crate::tick_rate`] sample for the whole drain:
-        /// stored tick stamps map to nanoseconds through one linear,
-        /// order-preserving function.
-        fn drain_into(&self, shard: usize, rate: f64, out: &mut Vec<TraceEvent>) {
-            for slot in &self.slots {
-                let seq = slot.seq.load(Ordering::Acquire);
-                if seq == 0 {
-                    continue;
-                }
-                let word = slot.word.load(Ordering::Relaxed);
-                let kind = match word & 0xff {
-                    KIND_OP_BEGIN => TraceEventKind::OpBegin,
-                    KIND_OP_END => TraceEventKind::OpEnd,
-                    KIND_PHASE => TraceEventKind::Phase,
-                    KIND_HELP_EDGE => TraceEventKind::HelpEdge,
-                    KIND_BIND => TraceEventKind::Bind,
-                    _ => continue,
-                };
-                out.push(TraceEvent {
-                    seq,
-                    ts: crate::ticks_to_ns(slot.ts.load(Ordering::Relaxed), rate),
-                    shard,
-                    kind,
-                    phase: TracePhase::from_u8(((word >> 8) & 0xff) as u8),
-                    span: slot.span.load(Ordering::Relaxed),
-                    a: slot.a.load(Ordering::Relaxed),
-                    b: slot.b.load(Ordering::Relaxed),
-                });
-            }
-        }
-    }
 
     thread_local! {
         /// The innermost live span on this thread (0 outside any span).
@@ -435,15 +357,15 @@ mod imp {
     }
 
     #[inline]
-    fn emit(kind: u64, phase: u64, span: u64, a: u64, b: u64) {
-        emit_at(now_ticks(), kind, phase, span, a, b);
+    fn emit(kind: TraceEventKind, detail: u8, span: u64, a: u64) {
+        emit_at(now_ticks(), kind, detail, span, a);
     }
 
     /// `ts` is a raw tick stamp ([`crate::now_ticks`]); [`drain`] maps it
     /// to anchor-relative nanoseconds, like the flight recorder's.
     #[inline]
-    fn emit_at(ts: u64, kind: u64, phase: u64, span: u64, a: u64, b: u64) {
-        let _ = crate::with_shard(|s| s.trace.push(ts, kind, phase, span, a, b));
+    pub(super) fn emit_at(ts: u64, kind: TraceEventKind, detail: u8, span: u64, a: u64) {
+        let _ = crate::with_shard(|s| s.ring.push_trace(kind as u8, detail, ts, a, span));
     }
 
     /// RAII guard for one operation span; emits the `OpEnd` terminator on
@@ -460,7 +382,7 @@ mod imp {
         let id = SPAN_IDS.fetch_add(1, Ordering::Relaxed);
         let prev = CURRENT_SPAN.try_with(|c| c.replace(id)).unwrap_or(0);
         add(Counter::TraceSpans, 1);
-        emit(KIND_OP_BEGIN, 0, id, key as u64, kind as u64);
+        emit(TraceEventKind::OpBegin, kind as u8, id, key as u64);
         SpanGuard { id, prev }
     }
 
@@ -475,14 +397,14 @@ mod imp {
             } else {
                 SPAN_OK
             };
-            emit(KIND_OP_END, 0, self.id, status, 0);
+            emit(TraceEventKind::OpEnd, 0, self.id, status);
         }
     }
 
     /// RAII guard for one timed phase; records duration (histogram + ring
     /// event) on drop.
     pub struct PhaseGuard {
-        phase: u64,
+        phase: u8,
         start: u64,
     }
 
@@ -491,27 +413,25 @@ mod imp {
             return PhaseGuard { phase: 0, start: 0 };
         }
         PhaseGuard {
-            phase: p as u64,
+            phase: p as u8,
             start: now_ticks(),
         }
     }
 
     impl Drop for PhaseGuard {
         fn drop(&mut self) {
-            if self.phase == 0 {
+            let Some(p) = TracePhase::from_u8(self.phase) else {
                 return;
-            }
+            };
             // The histogram wants nanoseconds now, not at drain time, so
             // this one spot pays a clock read for the conversion rate —
             // recording-path only, and a phase close is orders rarer than
             // the per-event stamps the tick scheme keeps cheap.
             let ticks = now_ticks().saturating_sub(self.start);
             let dur = (ticks as f64 * crate::tick_rate()) as u64;
-            // Unwrap is fine: phase 0 was filtered above.
-            let p = TracePhase::from_u8(self.phase as u8).unwrap();
             record(p.hist(), dur);
             let span = CURRENT_SPAN.try_with(|c| c.get()).unwrap_or(0);
-            emit_at(self.start, KIND_PHASE, self.phase, span, dur, 0);
+            emit_at(self.start, TraceEventKind::Phase, self.phase, span, dur);
         }
     }
 
@@ -538,7 +458,8 @@ mod imp {
         add(Counter::HelpEdges, 1);
         record(Hist::HelpingDepth, depth);
         let span = CURRENT_SPAN.try_with(|c| c.get()).unwrap_or(0);
-        emit(KIND_HELP_EDGE, 0, span, helped_node_seq, depth);
+        let tagged = depth.min(u8::MAX as u64) as u8;
+        emit(TraceEventKind::HelpEdge, tagged, span, helped_node_seq);
         HelpScope {
             _phase: phase(TracePhase::Help),
             active: true,
@@ -558,7 +479,7 @@ mod imp {
             return;
         }
         let span = CURRENT_SPAN.try_with(|c| c.get()).unwrap_or(0);
-        emit(KIND_BIND, 0, span, node_seq, 0);
+        emit(TraceEventKind::Bind, 0, span, node_seq);
     }
 
     #[inline]
@@ -576,21 +497,13 @@ mod imp {
     pub(super) fn current_span() -> u64 {
         CURRENT_SPAN.try_with(|c| c.get()).unwrap_or(0)
     }
-
-    pub(super) fn drain() -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        let rate = crate::tick_rate();
-        crate::for_each_shard(|s| s.trace.drain_into(s.id, rate, &mut out));
-        out.sort_by_key(|e| (e.ts, e.seq));
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Stubs (feature off, or compiled-out)
+// Stubs (feature off)
 // ---------------------------------------------------------------------------
 
-#[cfg(not(all(feature = "op-trace", not(feature = "compiled-out"))))]
+#[cfg(not(feature = "op-trace"))]
 mod imp {
     use super::*;
 
@@ -633,15 +546,7 @@ mod imp {
     pub(super) fn current_span() -> u64 {
         0
     }
-
-    #[inline]
-    pub(super) fn drain() -> Vec<TraceEvent> {
-        Vec::new()
-    }
 }
-
-#[cfg(all(feature = "op-trace", not(feature = "compiled-out")))]
-pub(crate) use imp::Ring;
 
 /// RAII guard for one operation span; emits the `OpEnd` terminator on drop.
 pub use imp::SpanGuard;
@@ -666,12 +571,12 @@ pub fn trace_enabled() -> bool {
     imp::trace_enabled()
 }
 
-/// Whether the trace recorder is compiled into this build (`op-trace` on
-/// and `compiled-out` off). Harness binaries use this to skip experiments
-/// that need real capture instead of reporting empty traces.
+/// Whether the trace recorder is compiled into this build (`op-trace` on).
+/// Harness binaries use this to skip experiments that need real capture
+/// instead of reporting empty traces.
 #[inline]
 pub const fn compiled() -> bool {
-    cfg!(all(feature = "op-trace", not(feature = "compiled-out")))
+    cfg!(feature = "op-trace")
 }
 
 /// Opens a span for one public operation. The returned guard emits the
@@ -686,7 +591,7 @@ pub fn span(kind: OpKind, key: i64) -> SpanGuard {
 
 /// Times one protocol phase of the current span (or of no span, for
 /// free-standing work like sweeps). Records the duration into the phase's
-/// histogram and the thread's trace ring on drop.
+/// histogram and the thread's event ring on drop.
 #[inline]
 pub fn phase(p: TracePhase) -> PhaseGuard {
     imp::phase(p)
@@ -724,10 +629,12 @@ pub fn current_span() -> u64 {
 }
 
 /// Decodes every currently-buffered trace event across all threads,
-/// ordered by `(ts, seq)`. Non-destructive, like the flight dump; each
-/// ring holds the most recent [`TRACE_CAP`] events of its thread.
+/// ordered by `(ts, seq)`: the trace-kind read of the rings
+/// [`crate::flight_dump`] reads for flight kinds. Non-destructive; each
+/// ring holds the most recent [`crate::RING_CAP`] events of its thread,
+/// flight and trace events together.
 pub fn drain() -> Vec<TraceEvent> {
-    imp::drain()
+    crate::read_rings(TraceEvent::decode, |e| (e.ts, e.seq))
 }
 
 /// A compact text digest (event/span/edge counts plus the most recent
@@ -934,7 +841,7 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(not(all(feature = "op-trace", not(feature = "compiled-out"))))]
+    #[cfg(not(feature = "op-trace"))]
     fn stubs_record_nothing() {
         let _s = span(OpKind::Insert, 7);
         let _p = phase(TracePhase::Announce);
@@ -951,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(all(feature = "op-trace", not(feature = "compiled-out")))]
+    #[cfg(feature = "op-trace")]
     fn spans_phases_and_edges_round_trip() {
         let _serial = crate::test_serial();
         crate::set_enabled(true);
@@ -996,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(all(feature = "op-trace", not(feature = "compiled-out")))]
+    #[cfg(feature = "op-trace")]
     fn kill_switch_stops_recording() {
         let _serial = crate::test_serial();
         crate::set_enabled(true);
@@ -1010,5 +917,76 @@ mod tests {
             .iter()
             .any(|e| e.kind == TraceEventKind::OpBegin && e.a as i64 == marker));
         set_trace_enabled(true);
+    }
+
+    /// Flight and trace events share each shard's ring: the two reads
+    /// split it by kind, ids stay unique across both, `flight_events`
+    /// counts flight pushes only, and every trace field survives the
+    /// four-word slot.
+    #[test]
+    #[cfg(feature = "op-trace")]
+    fn flight_and_trace_events_share_one_ring() {
+        use crate::{FlightKind, RING_CAP};
+        const A: u64 = 1 << 40;
+        const SPAN: u64 = 1 << 41;
+        let _serial = crate::test_serial();
+        crate::set_enabled(true);
+        let shard = crate::with_shard(|s| s.id).unwrap();
+        // Push i is a flight event when i % 3 == 2, else the trace event
+        // `recorded(i)` names, with `a = A + i` and span `SPAN + i`.
+        let recorded = |i: u64| match i % 5 {
+            0 => (TraceEventKind::OpBegin, (i % 9 + 1) as u8),
+            1 => (TraceEventKind::Phase, (i % 8 + 1) as u8),
+            2 => (TraceEventKind::HelpEdge, (i % 255 + 1) as u8),
+            3 => (TraceEventKind::OpEnd, 0),
+            _ => (TraceEventKind::Bind, 0),
+        };
+        let pushes = RING_CAP as u64 * 3 / 2;
+        let t0 = crate::now_ticks();
+        let before = crate::thread_counters();
+        for i in 0..pushes {
+            if i % 3 == 2 {
+                crate::flight(FlightKind::Slide, -(i as i64), i);
+            } else {
+                let (kind, detail) = recorded(i);
+                // Stamps run backwards, so only exact stamps sort the
+                // trace read in reverse push order.
+                let ts = t0 + (pushes - i) * 1000;
+                imp::emit_at(ts, kind, detail, SPAN + i, A + i);
+            }
+        }
+        let flights = (0..pushes).filter(|i| i % 3 == 2).count() as u64;
+        let counted = (crate::thread_counters() - before).get(Counter::FlightEvents);
+        assert_eq!(counted, flights, "flight_events counts flight pushes only");
+
+        let kept = pushes - RING_CAP as u64;
+        let flight: Vec<_> = crate::flight_dump()
+            .into_iter()
+            .filter(|e| e.shard == shard)
+            .collect();
+        let trace: Vec<_> = drain().into_iter().filter(|e| e.shard == shard).collect();
+        assert_eq!(flight.len() + trace.len(), RING_CAP, "the last pushes");
+        for e in &flight {
+            assert!(e.kind == FlightKind::Slide && e.aux % 3 == 2, "{e:?}");
+            assert!(e.aux >= kept && e.key == -(e.aux as i64), "{e:?}");
+        }
+        for e in &trace {
+            let i = e.a.wrapping_sub(A);
+            assert!(i >= kept && i < pushes && i % 3 != 2, "{e:?}");
+            let (kind, detail) = recorded(i);
+            assert_eq!((e.kind, e.span), (kind, SPAN + i));
+            let (phase, b) = match kind {
+                TraceEventKind::Phase => (TracePhase::from_u8(detail), 0),
+                TraceEventKind::OpBegin | TraceEventKind::HelpEdge => (None, detail as u64),
+                _ => (None, 0),
+            };
+            assert_eq!((e.phase, e.b), (phase, b), "{e:?}");
+        }
+        assert!(trace.windows(2).all(|w| w[0].a > w[1].a), "exact stamps");
+        let mut seqs: Vec<u64> = flight.iter().map(|e| e.seq).collect();
+        seqs.extend(trace.iter().map(|e| e.seq));
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(seqs.len(), RING_CAP, "ids are unique across both kinds");
     }
 }

@@ -12,6 +12,18 @@
 
 use lftrie::core::fault::{suspend_at, FaultPoint::DeleteEmbedsDone};
 use lftrie::core::LockFreeBinaryTrie;
+use lftrie::telemetry::{thread_counters, Counter};
+
+/// Runs `query` and returns its answer with the ⊥ answers and recoveries
+/// this thread recorded meanwhile: the query's own, whatever other tests'
+/// threads record.
+fn bottoms_and_recoveries<T>(query: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = thread_counters();
+    let answer = query();
+    let during = thread_counters() - before;
+    let bottoms = during.get(Counter::RelaxedBottoms);
+    (answer, bottoms, during.get(Counter::Recoveries))
+}
 
 #[test]
 fn recovery_uses_first_embedded_predecessor() {
@@ -24,9 +36,8 @@ fn recovery_uses_first_embedded_predecessor() {
 
     // The query's relaxed traversal hits 9's stale subtree and bottoms out;
     // the recovery path must recover 5 from dNode9.delPred.
-    assert_eq!(trie.predecessor(20), Some(5));
-    let stats = trie.pred_traversal();
-    let (bottoms, recoveries) = (stats.bottoms, stats.recoveries);
+    let (answer, bottoms, recoveries) = bottoms_and_recoveries(|| trie.predecessor(20));
+    assert_eq!(answer, Some(5));
     assert!(bottoms >= 1, "the stale subtree must force at least one ⊥");
     assert!(
         recoveries >= 1,
@@ -115,9 +126,8 @@ fn successor_recovery_uses_first_embedded_successor() {
     assert!(suspend_at(DeleteEmbedsDone, || trie.remove(5)));
     assert!(!trie.contains(5), "the stalled delete is linearized");
 
-    assert_eq!(trie.successor(1), Some(9));
-    let stats = trie.succ_traversal();
-    let (bottoms, recoveries) = (stats.bottoms, stats.recoveries);
+    let (answer, bottoms, recoveries) = bottoms_and_recoveries(|| trie.successor(1));
+    assert_eq!(answer, Some(9));
     assert!(bottoms >= 1, "the stale subtree must force at least one ⊥");
     assert!(
         recoveries >= 1,
@@ -201,15 +211,10 @@ fn max_recovers_through_the_sentinel_query_key() {
     trie.insert(5);
     trie.insert(9);
     assert!(suspend_at(DeleteEmbedsDone, || trie.remove(9)));
-    let before = trie.pred_traversal();
-    assert_eq!(trie.max(), Some(5));
-    let after = trie.pred_traversal();
-    assert_eq!(
-        after.bottoms - before.bottoms,
-        1,
-        "one ⊥ from the root descent"
-    );
-    assert_eq!(after.recoveries - before.recoveries, 1, "one recovery");
+    let (answer, bottoms, recoveries) = bottoms_and_recoveries(|| trie.max());
+    assert_eq!(answer, Some(5));
+    assert_eq!(bottoms, 1, "one ⊥ from the root descent");
+    assert_eq!(recoveries, 1, "one recovery");
 }
 
 #[test]
@@ -220,15 +225,10 @@ fn min_recovers_through_the_sentinel_query_key() {
     trie.insert(5);
     trie.insert(9);
     assert!(suspend_at(DeleteEmbedsDone, || trie.remove(5)));
-    let before = trie.succ_traversal();
-    assert_eq!(trie.min(), Some(9));
-    let after = trie.succ_traversal();
-    assert_eq!(
-        after.bottoms - before.bottoms,
-        1,
-        "one ⊥ from the root descent"
-    );
-    assert_eq!(after.recoveries - before.recoveries, 1, "one recovery");
+    let (answer, bottoms, recoveries) = bottoms_and_recoveries(|| trie.min());
+    assert_eq!(answer, Some(9));
+    assert_eq!(bottoms, 1, "one ⊥ from the root descent");
+    assert_eq!(recoveries, 1, "one recovery");
 }
 
 #[test]
@@ -239,11 +239,12 @@ fn min_and_max_recover_an_empty_set_through_a_stalled_delete() {
     let trie = LockFreeBinaryTrie::new(32);
     trie.insert(9);
     assert!(suspend_at(DeleteEmbedsDone, || trie.remove(9)));
-    let (pred, succ) = (trie.pred_traversal(), trie.succ_traversal());
-    assert_eq!(trie.max(), None);
-    assert_eq!(trie.min(), None);
-    assert_eq!(trie.pred_traversal().recoveries - pred.recoveries, 1);
-    assert_eq!(trie.succ_traversal().recoveries - succ.recoveries, 1);
+    let (max, _, max_recoveries) = bottoms_and_recoveries(|| trie.max());
+    let (min, _, min_recoveries) = bottoms_and_recoveries(|| trie.min());
+    assert_eq!(max, None);
+    assert_eq!(min, None);
+    assert_eq!(max_recoveries, 1);
+    assert_eq!(min_recoveries, 1);
     assert_eq!(trie.range(0..=31), Vec::<u64>::new());
 }
 

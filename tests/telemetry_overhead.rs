@@ -120,8 +120,8 @@ fn recording_overhead_stays_under_three_percent() {
 /// that recording cost (reported for the README's overhead table) and
 /// asserts the sanity ceiling — tracing is a deep-dive tool, not a tax,
 /// but it must never turn pathological (an accidental lock, a syscall on
-/// the span path). In a `compiled-out` build both sides are identical
-/// no-ops and the ratio sits at 1.0, which is the compile-out proof.
+/// the span path). Without `op-trace` compiled in, both sides are
+/// identical no-ops and the ratio sits at 1.0.
 #[test]
 fn trace_cost_is_confined_to_the_kill_switch() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
